@@ -20,8 +20,10 @@ after a cooldown one half-open probe decides whether to close it again.
 :class:`RetryPolicy` bounds in-rung retries with jittered exponential
 backoff (seeded RNG — deterministic in tests).
 
-Used by ``eval/harness.run_workload_resilient`` (single runs) and
-``serve/executor.BatchExecutor`` (batched serving).
+:func:`run_ladder` is the one descend-and-retry loop over all of that;
+``eval/harness.run_workload_resilient`` (single runs) and
+``serve/executor.BatchExecutor`` (batched serving, and its per-request
+eager floor) supply only what one attempt on one rung means.
 """
 
 from __future__ import annotations
@@ -30,12 +32,16 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
+
+from .errors import DeadlineExceeded, classify, is_retryable
+from .obs import trace as obs_trace
 
 __all__ = [
     "DEFAULT_LADDER", "fallback_chain",
     "BREAKER_CLOSED", "BREAKER_OPEN", "BREAKER_HALF_OPEN",
     "CircuitBreaker", "BreakerRegistry", "RetryPolicy",
+    "run_ladder", "default_breakers",
 ]
 
 #: The full degradation ladder, most- to least-optimized.
@@ -207,22 +213,69 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
-#: The harness's shared breaker registry (reset by tests).
+def run_ladder(chain: Sequence[str], workload: str,
+               attempt: Callable[[str, int, int], object], *,
+               breakers: BreakerRegistry, retry: RetryPolicy, rng,
+               scope: str,
+               on_failure: Optional[Callable[[str, int, int, BaseException],
+                                             None]] = None,
+               first_depth: int = 0) -> Tuple[object, str, int, int]:
+    """Walk ``chain`` until ``attempt(rung, depth, retry_index)`` returns;
+    the result is ``(its value, rung, depth, attempts made)``.
+
+    Each rung is guarded by its (``workload``, rung) breaker: an open
+    one is skipped without a call, every attempt's outcome is recorded
+    on it.  A failed attempt is classified (:func:`repro.errors.
+    classify`) and handed to ``on_failure``; a *retryable* error gets up
+    to ``retry.max_retries`` more attempts on the same rung after a
+    jittered backoff, anything else descends to the next rung —
+    except :class:`~repro.errors.DeadlineExceeded`, which ends the walk
+    at once (no rung can give the time back).  When no rung serves, the
+    last classified error is raised (``RuntimeError`` if every rung was
+    circuit-broken).  Attempts run under ``<scope>:rung:<rung>`` spans,
+    backoff sleeps under ``<scope>:retry_wait``; depths count from
+    ``first_depth``.
+    """
+    attempts = 0
+    last_error: Optional[BaseException] = None
+    for depth, rung in enumerate(chain, first_depth):
+        breaker = breakers.breaker(workload, rung)
+        if not breaker.allow():
+            continue  # circuit-broken rung: descend without a call
+        for retry_index in range(retry.max_retries + 1):
+            attempts += 1
+            try:
+                with obs_trace.span(f"{scope}:rung:{rung}", cat="ladder",
+                                    depth=depth, attempt=retry_index):
+                    value = attempt(rung, depth, retry_index)
+            except Exception as exc:
+                breaker.record_failure()
+                last_error = classify(exc)
+                if on_failure is not None:
+                    on_failure(rung, depth, retry_index, last_error)
+                if isinstance(last_error, DeadlineExceeded):
+                    raise last_error
+                if not is_retryable(last_error) \
+                        or retry_index >= retry.max_retries:
+                    break  # descend to the next rung
+                with obs_trace.span(f"{scope}:retry_wait", cat="ladder",
+                                    rung=rung, attempt=retry_index):
+                    time.sleep(retry.delay_s(retry_index, rng))
+                continue
+            breaker.record_success()
+            return value, rung, depth, attempts
+    if last_error is None:
+        last_error = RuntimeError(
+            f"{workload}: every ladder rung {tuple(chain)} is "
+            f"circuit-broken")
+    raise last_error
+
+
+#: The harness's shared breaker registry.
 _default_registry = BreakerRegistry()
-_default_registry_lock = threading.Lock()
 
 
 def default_breakers() -> BreakerRegistry:
     """The process-wide registry ``run_workload_resilient`` uses when
     the caller does not inject one."""
     return _default_registry
-
-
-def reset_breakers() -> None:
-    """Replace the process-wide registry (test isolation)."""
-    global _default_registry
-    with _default_registry_lock:
-        _default_registry = BreakerRegistry()
-
-
-__all__ += ["default_breakers", "reset_breakers"]

@@ -571,50 +571,24 @@ def run_workload_resilient(workload: str, pipeline: str = "tensorssa",
     breaker-open.
     """
     from .. import degrade
-    from ..errors import classify, is_retryable
 
-    chain = degrade.fallback_chain(pipeline, ladder=ladder)
-    breakers = breakers if breakers is not None \
-        else degrade.default_breakers()
-    retry = retry if retry is not None else degrade.RetryPolicy()
-    rng = retry_rng if retry_rng is not None else random.Random(seed)
+    def attempt(rung: str, depth: int, retry_index: int) -> RunResult:
+        return run_workload(workload, rung, platform=platform,
+                            batch_size=batch_size, seq_len=seq_len,
+                            seed=seed, check=check, cache=cache)
 
-    attempts = 0
-    last_error: Optional[BaseException] = None
-    for depth, rung in enumerate(chain):
-        breaker = breakers.breaker(workload, rung)
-        if not breaker.allow():
-            continue  # rung is circuit-broken: descend without a call
-        for retry_index in range(retry.max_retries + 1):
-            attempts += 1
-            try:
-                with obs_trace.span(f"harness:rung:{rung}", cat="ladder",
-                                    depth=depth, attempt=retry_index):
-                    result = run_workload(
-                        workload, rung, platform=platform,
-                        batch_size=batch_size, seq_len=seq_len, seed=seed,
-                        check=check, cache=cache)
-            except Exception as exc:
-                breaker.record_failure()
-                last_error = classify(exc)
-                if not is_retryable(exc) \
-                        or retry_index >= retry.max_retries:
-                    break  # descend the ladder
-                with obs_trace.span("harness:retry_wait", cat="ladder",
-                                    rung=rung, attempt=retry_index):
-                    time.sleep(retry.delay_s(retry_index, rng))
-                continue
-            breaker.record_success()
-            result.served_by = rung
-            result.fallback_depth = depth
-            result.degraded = depth > 0
-            result.attempts = attempts
-            return result
-    if last_error is None:
-        last_error = RuntimeError(
-            f"{workload}/{pipeline}: every ladder rung {chain} is "
-            f"circuit-broken")
-    raise last_error
+    result, rung, depth, attempts = degrade.run_ladder(
+        degrade.fallback_chain(pipeline, ladder=ladder), workload, attempt,
+        breakers=breakers if breakers is not None
+        else degrade.default_breakers(),
+        retry=retry if retry is not None else degrade.RetryPolicy(),
+        rng=retry_rng if retry_rng is not None else random.Random(seed),
+        scope="harness")
+    result.served_by = rung
+    result.fallback_depth = depth
+    result.degraded = depth > 0
+    result.attempts = attempts
+    return result
 
 
 def speedup_over_eager(workload: str, pipeline: str, **kwargs) -> float:

@@ -5,17 +5,16 @@ The production-facing layer over the compilation pipelines: a
 ones along each workload's batch axis (``batching.BatchSpec``),
 executes them as single kernel-launch-profiled runs through the shared
 compile cache, and answers with per-request :class:`Response` objects.
-Policies (deadlines, backpressure, eager fallback, bounded retry) live
+Policies (deadlines, backpressure, fallback chain, bounded retry) live
 in :class:`ServePolicy`; observability in :class:`ServerStats`.
 
-Scheduling is *continuous* by default: a worker claims a partial group
-immediately and holds an in-flight :class:`AdmissionWindow` open until
-a deadline-aware cutoff, admitting compatible late arrivals straight
-into the assembling batch.  Requests carry a ``priority`` lane and a
-``tenant`` label; :class:`AdmissionController` enforces per-tenant
-token-bucket quotas and sheds low-priority work while the recent
-queue-wait percentile exceeds the deadline budget (see
-``serve.admission``).
+There is one scheduler: a request waits for peers in its group queue
+until the group is full, past its deadline-aware wake point, or the
+server is closing; whatever arrived by then rides the batch.  Requests
+carry a ``priority`` lane and a ``tenant`` label;
+:class:`AdmissionController` enforces per-tenant token-bucket quotas
+and sheds low-priority work while the recent queue-wait percentile
+exceeds the deadline budget (see ``serve.admission``).
 
 Quick start::
 
@@ -33,7 +32,7 @@ from ..degrade import (CircuitBreaker, DEFAULT_LADDER, RetryPolicy,
                        fallback_chain)
 from ..errors import (CompileError, DeadlineExceeded, KernelError,
                       OOMError, ServerShutdown)
-from .admission import AdmissionController, AdmissionWindow, TokenBucket
+from .admission import AdmissionController, TokenBucket
 from .batching import (BATCH_SPECS, BatchPlan, BatchSpec, coalesce,
                        get_batch_spec, group_key, group_lane,
                        group_min_deadline, scatter)
@@ -42,16 +41,16 @@ from .policy import (ServePolicy, VERIFY_BATCH, VERIFY_OFF, VERIFY_SOLO)
 from .request import (Request, Response, STATUS_CANCELLED, STATUS_ERROR,
                       STATUS_OK, STATUS_REJECTED, STATUS_SHED,
                       STATUS_TIMEOUT)
-from .server import QueueFullError, Server
-from .stats import ServerStats, percentile
+from .server import Server
+from .stats import ServerStats
 
 __all__ = [
-    "Server", "ServePolicy", "ServerStats", "QueueFullError",
+    "Server", "ServePolicy", "ServerStats",
     "Request", "Response", "BatchExecutor",
-    "AdmissionController", "AdmissionWindow", "TokenBucket",
+    "AdmissionController", "TokenBucket",
     "BatchSpec", "BatchPlan", "BATCH_SPECS", "get_batch_spec",
     "group_key", "group_lane", "group_min_deadline",
-    "coalesce", "scatter", "percentile",
+    "coalesce", "scatter",
     "STATUS_OK", "STATUS_TIMEOUT", "STATUS_ERROR", "STATUS_REJECTED",
     "STATUS_CANCELLED", "STATUS_SHED",
     "VERIFY_OFF", "VERIFY_BATCH", "VERIFY_SOLO",

@@ -1,30 +1,21 @@
-"""Admission control for the serving layer: quotas, shedding, windows.
+"""Admission control for the serving layer: quotas and shedding.
 
-Three mechanisms, all consulted at intake (``Server._enqueue``) or
-while a worker assembles a batch:
+Two mechanisms, both consulted at intake (``Server._enqueue``) before
+a request may occupy queue space:
 
 * :class:`TokenBucket` — per-tenant rate quotas.  A tenant named in
   ``ServePolicy.tenant_rates`` draws one token per request from a
   bucket refilled at ``rate`` tokens/s up to ``burst``; an empty
   bucket rejects the request before it can occupy queue space.
 * :class:`AdmissionController` — percentile-driven load shedding.
-  When the *recent* queue-wait percentile (``shed_percentile``, p99 by
-  default, over a sliding window of responses) crosses the deadline
-  budget, low-priority requests (``priority <= shed_priority_max``)
-  are answered with a ``shed`` response instead of queueing — the
+  When the *recent* queue-wait p99 (:data:`SHED_PERCENTILE`, over a
+  sliding window of responses) crosses the deadline budget,
+  low-priority requests (``priority <= shed_priority_max``) are
+  answered with a ``shed`` response instead of queueing — the
   overload response the paper-stack previously lacked (reject-on-full
   was the only lever).  Hysteresis (``shed_recover_fraction``) keeps
   the shedder from flapping: once shedding, it recovers only after
   the percentile falls below ``budget * fraction``.
-* :class:`AdmissionWindow` — continuous batching.  A flushed-but-not-
-  yet-executing batch stays open as an in-flight admission window
-  until a deadline-aware cutoff (``min(oldest.flush_at, min-deadline
-  − slack, execute-start)``); compatible same-key requests that arrive
-  while the worker is still assembling/padding the batch ride along
-  instead of waiting out a whole new ``batch_wait_s``.  This is safe
-  precisely because every compiled graph is mutation-free TensorSSA:
-  late-admitted requests are re-grouped, padded, and un-padded with no
-  aliasing hazards.
 
 Every clock is injectable so tests drive time explicitly (the same
 discipline as :class:`repro.degrade.CircuitBreaker`).
@@ -34,12 +25,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .policy import ServePolicy
-    from .request import Request
     from .stats import ServerStats
+
+#: the recent queue-wait percentile the shedder compares to its budget
+SHED_PERCENTILE = 99.0
 
 
 class TokenBucket:
@@ -163,8 +156,7 @@ class AdmissionController:
         budget = self.shed_budget_s()
         if budget is None or budget <= 0:
             return False
-        p = self.stats.recent_queue_wait_percentile(
-            self.policy.shed_percentile)
+        p = self.stats.recent_queue_wait_percentile(SHED_PERCENTILE)
         with self._lock:
             if self._shedding:
                 if p < budget * self.policy.shed_recover_fraction:
@@ -172,48 +164,3 @@ class AdmissionController:
             elif p > budget:
                 self._shedding = True
             return self._shedding
-
-
-class AdmissionWindow:
-    """A flushed batch held open for late same-key admissions.
-
-    Created by the scheduler when a worker claims a *partial* group
-    under continuous batching; lives in the server's window registry
-    so ``_enqueue`` can route compatible arrivals straight into the
-    batch.  All mutation happens under the server's condition lock —
-    the window itself carries no lock.
-
-    The cutoff is deadline-aware: it starts at ``min(oldest.flush_at,
-    min-deadline − slack)`` and every admitted member with a tighter
-    deadline pulls it earlier, so a late urgent request closes the
-    window (and dispatches the batch) immediately.
-    """
-
-    def __init__(self, key: tuple, members: List["Request"],
-                 cutoff: float, capacity: int, slack_s: float) -> None:
-        self.key = key
-        self.members = members
-        self.cutoff = cutoff
-        self.capacity = capacity
-        self.slack_s = slack_s
-        self.closed = False
-        #: how many members were admitted after the flush (vs claimed
-        #: from the queue) — surfaced on the serve:window span
-        self.admitted = 0
-
-    @property
-    def full(self) -> bool:
-        """No admission capacity left along the batch-request axis."""
-        return len(self.members) >= self.capacity
-
-    def admit(self, req: "Request", now: float) -> bool:
-        """Append ``req`` if the window is still open (caller holds the
-        server lock); tightens the cutoff to the member's urgency."""
-        if self.closed or self.full or now >= self.cutoff:
-            return False
-        self.members.append(req)
-        self.admitted += 1
-        req.admitted = True
-        if req.deadline is not None:
-            self.cutoff = min(self.cutoff, req.deadline - self.slack_s)
-        return True

@@ -7,21 +7,23 @@ deduplicated), runs the compiled callable under a context-local
 profiler, prices the run on the request's platform cost model, and
 scatters outputs back per request.
 
-Robustness ladder (policy-controlled):
+One failure path.  Every batch walks a fallback chain through
+:func:`repro.degrade.run_ladder` — ``ServePolicy.fallback_chain``
+verbatim when set, else :data:`~repro.degrade.DEFAULT_LADDER` from the
+requested pipeline down — and fault-free traffic never leaves the first
+rung (``served_by == pipeline``, depth 0):
 
 1. deadline already expired at dequeue -> timeout response, no device
    time spent;
 2. no cached artifact and the deadline is within ``deadline_slack_s``
    -> serve eagerly (skip the cold compile);
-3. compilation raises (a typed :class:`~repro.errors.CompileError`) ->
-   with ``ladder_enabled``, descend the graceful-degradation chain
-   (``repro.degrade``): each rung is guarded by a per-(workload, rung)
-   circuit breaker, retryable faults get bounded jittered-backoff
-   retries, and the eager floor serves solo; without the ladder, the
-   whole batch falls back to eager directly;
-4. batch execution raises -> same ladder descent (or, ladder off, each
-   request retries solo eagerly up to ``max_retries``, isolating
-   poison requests); :class:`~repro.errors.DeadlineExceeded` is never
+3. compilation raises (a typed :class:`~repro.errors.CompileError`) or
+   batch execution raises -> the walk retries a *retryable* fault on
+   the same rung with bounded jittered backoff, then descends; each
+   rung is guarded by a per-(workload, rung) circuit breaker;
+4. the ``eager`` rung is the floor and is the same walk over the
+   one-rung chain ``("eager",)``, once per request, so a poison request
+   fails alone; :class:`~repro.errors.DeadlineExceeded` is never
    retried — it answers as a timeout immediately;
 5. verification (optional): "batch" demands bit-exact agreement with
    eager on the identical coalesced inputs; "solo" compares each
@@ -43,9 +45,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 import repro.runtime as rt
-from ..degrade import BreakerRegistry, RetryPolicy, fallback_chain
-from ..errors import (CompileError, DeadlineExceeded, classify,
-                      is_retryable)
+from ..degrade import (BreakerRegistry, RetryPolicy, fallback_chain,
+                       run_ladder)
+from ..errors import CompileError, DeadlineExceeded, classify
 from ..eval.harness import (CompileCache, clone_args,
                             compile_cached_family, compile_key,
                             family_key)
@@ -96,15 +98,11 @@ class BatchExecutor:
         self._pipelines: Dict[str, Pipeline] = {}
         self._platforms: Dict[str, Platform] = {}
         self.breakers = BreakerRegistry(
-            failure_rate=policy.breaker_failure_rate,
-            window=policy.breaker_window,
-            min_calls=policy.breaker_min_calls,
             reset_timeout_s=policy.breaker_reset_s)
         self._retry = RetryPolicy(
             max_retries=policy.max_retries,
             base_delay_s=policy.retry_base_delay_s,
-            max_delay_s=policy.retry_max_delay_s,
-            jitter=policy.retry_jitter)
+            max_delay_s=policy.retry_max_delay_s)
         self._rng = random.Random(policy.retry_seed)
 
     # -- lookups (memoized: one pipeline/platform object per name) ------
@@ -132,19 +130,7 @@ class BatchExecutor:
             return
         self.stats.on_batch(len(live))
         try:
-            if self.policy.ladder_enabled:
-                self._execute_ladder(live)
-            else:
-                plan = self._coalesce(live)
-                try:
-                    self._execute_plan(plan)
-                except DeadlineExceeded as exc:
-                    self._finish_timeout(plan.requests, str(exc))
-                except Exception as exc:  # batch path failed -> solo
-                    # classify at the catch so the typed taxonomy
-                    # (retryable? injected?) survives into solo retries
-                    self._retry_solo(plan.requests,
-                                     first_error=classify(exc))
+            self._execute_ladder(live)
         finally:
             self.stats.set_cache_snapshot(self.cache.snapshot())
             self.stats.set_breaker_transitions(self.breakers.transitions())
@@ -173,143 +159,110 @@ class BatchExecutor:
     def _drop_expired(self, requests: Sequence[Request]) -> List[Request]:
         """Answer already-expired members with a timeout; return the rest."""
         now = time.monotonic()
-        live: List[Request] = []
-        for req in requests:
-            if req.expired(now):
-                self._finish(req, Response(
-                    request_id=req.id, workload=req.workload.name,
-                    pipeline=req.pipeline, platform=req.platform,
-                    status=STATUS_TIMEOUT,
-                    queue_wait_s=now - req.enqueued_at,
-                    error="deadline expired before execution"))
-            else:
-                live.append(req)
+        live = [r for r in requests if not r.expired(now)]
+        if len(live) < len(requests):
+            self._finish_timeout([r for r in requests if r.expired(now)],
+                                 "deadline expired before execution")
         return live
 
     def _finish_timeout(self, requests: Sequence[Request],
-                        detail: str) -> None:
+                        error: str) -> None:
         now = time.monotonic()
         for req in requests:
-            if req.future.done():
-                continue
-            self._finish(req, Response(
-                request_id=req.id, workload=req.workload.name,
-                pipeline=req.pipeline, platform=req.platform,
-                status=STATUS_TIMEOUT, queue_wait_s=now - req.enqueued_at,
-                error=f"deadline exceeded: {detail}"))
+            if not req.future.done():
+                self._finish(req, req.answer(
+                    STATUS_TIMEOUT, queue_wait_s=now - req.enqueued_at,
+                    error=error))
 
     # -- graceful-degradation ladder ------------------------------------
 
     def _execute_ladder(self, requests: List[Request]) -> None:
-        """Walk the fallback chain until some rung serves the batch."""
+        """Walk the fallback chain until some rung serves the batch.
+
+        Rungs above ``eager`` serve the coalesced batch; ``eager`` is
+        the per-request floor (:meth:`_serve_eager`) and ends the
+        chain wherever it stands in it."""
         req0 = requests[0]
-        wl = req0.workload
-        chain = fallback_chain(req0.pipeline, self.policy.fallback_chain)
+        chain = tuple(self.policy.fallback_chain) \
+            if self.policy.fallback_chain is not None \
+            else fallback_chain(req0.pipeline)
+        floor = chain.index("eager") if "eager" in chain else len(chain)
         live = list(requests)
-        last_error: Optional[BaseException] = None
-        for depth, rung in enumerate(chain):
+
+        def attempt(rung: str, depth: int, retry_index: int) -> None:
+            nonlocal live
             live = self._drop_expired(live)
-            if not live:
+            if live:
+                self._execute_plan(self._coalesce(live),
+                                   pipeline_name=rung, depth=depth)
+
+        def on_failure(rung: str, depth: int, retry_index: int,
+                       err: BaseException) -> None:
+            for req in live:
+                req.mark("rung_failed", rung=rung, depth=depth,
+                         attempt=retry_index, error=type(err).__name__)
+
+        if floor:
+            try:
+                run_ladder(chain[:floor], req0.workload.name, attempt,
+                           breakers=self.breakers, retry=self._retry,
+                           rng=self._rng, scope="serve",
+                           on_failure=on_failure)
                 return
-            breaker = self.breakers.breaker(wl.name, rung)
-            if not breaker.allow():
-                continue  # circuit-broken rung: descend without a call
-            if rung == "eager":
-                self._serve_eager_rung(live, depth, breaker, last_error)
+            except DeadlineExceeded as exc:
+                self._finish_timeout(live, f"deadline exceeded: {exc}")
                 return
-            for retry_index in range(self.policy.max_retries + 1):
-                plan = self._coalesce(live)
-                try:
-                    with obs_trace.span(f"serve:rung:{rung}", cat="ladder",
-                                        depth=depth, attempt=retry_index,
-                                        requests=len(live)):
-                        self._execute_plan(plan, pipeline_name=rung,
-                                           depth=depth, ladder=True)
-                except DeadlineExceeded as exc:
-                    breaker.record_failure()
-                    self._finish_timeout(live, str(exc))
-                    return
-                except Exception as exc:
-                    err = classify(exc)
-                    breaker.record_failure()
-                    last_error = err
-                    for req in live:
-                        req.mark("rung_failed", rung=rung, depth=depth,
-                                 attempt=retry_index,
-                                 error=type(err).__name__)
-                    if not is_retryable(err) \
-                            or retry_index >= self.policy.max_retries:
-                        break  # descend to the next rung
-                    with obs_trace.span("serve:retry_wait", cat="ladder",
-                                        rung=rung, attempt=retry_index):
-                        time.sleep(
-                            self._retry.delay_s(retry_index, self._rng))
-                    continue
-                breaker.record_success()
-                return
-        # every rung failed or was circuit-broken: typed error per request
-        reason = "every ladder rung is circuit-broken" if last_error is None \
-            else f"{type(last_error).__name__}: {last_error}"
+            except Exception as exc:
+                error = exc  # no rung served: on to the floor, if any
+        live = self._drop_expired(live)
+        if floor < len(chain):
+            self._serve_eager(live, floor)
+            return
         for req in live:
-            self._finish(req, Response(
-                request_id=req.id, workload=req.workload.name,
-                pipeline=req.pipeline, platform=req.platform,
-                status=STATUS_ERROR, served_by="",
-                fallback_depth=len(chain) - 1, degraded=True,
-                error=f"all ladder rungs {chain} failed: {reason}"),
+            self._finish(req, req.answer(
+                STATUS_ERROR, fallback_depth=floor - 1, degraded=True,
+                error=f"all ladder rungs {chain} failed: "
+                      f"{type(error).__name__}: {error}"),
                 fallback=True)
 
-    def _serve_eager_rung(self, requests: Sequence[Request], depth: int,
-                          breaker, last_error: Optional[BaseException]
-                          ) -> None:
-        """The ladder floor: serve each request solo eagerly, with
-        bounded jittered-backoff retries per request."""
+    def _serve_eager(self, requests: Sequence[Request], depth: int) -> None:
+        """The ladder floor: each request walks the one-rung chain
+        ``("eager",)`` on its own, so retries are per request and a
+        poison request fails alone."""
         for req in requests:
-            last = last_error
-            served = False
-            for retry_index in range(self.policy.max_retries + 1):
-                try:
-                    self._run_one_eager(req, retries=retry_index,
-                                        fallback=depth > 0, depth=depth)
-                    served = True
-                    break
-                except DeadlineExceeded as exc:
-                    self._finish_timeout([req], str(exc))
-                    served = True
-                    break
-                except Exception as exc:
-                    last = classify(exc)
-                    req.mark("rung_failed", rung="eager", depth=depth,
-                             attempt=retry_index,
-                             error=type(last).__name__)
-                    if not is_retryable(last) \
-                            or retry_index >= self.policy.max_retries:
-                        break
-                    with obs_trace.span("serve:retry_wait", cat="ladder",
-                                        rung="eager", attempt=retry_index):
-                        time.sleep(
-                            self._retry.delay_s(retry_index, self._rng))
-            if served:
-                breaker.record_success()
-                continue
-            breaker.record_failure()
-            self._finish(req, Response(
-                request_id=req.id, workload=req.workload.name,
-                pipeline=req.pipeline, platform=req.platform,
-                status=STATUS_ERROR, served_by="eager",
-                fallback_depth=depth, degraded=depth > 0,
-                retries=self.policy.max_retries,
-                error=f"eager floor failed: "
-                      f"{type(last).__name__}: {last}"),
-                fallback=True)
+            # both hooks run inside this iteration's run_ladder call,
+            # so closing over the loop variable is safe
+            def on_failure(rung: str, d: int, retry_index: int,
+                           err: BaseException) -> None:
+                req.mark("rung_failed", rung=rung, depth=d,
+                         attempt=retry_index, error=type(err).__name__)
+
+            try:
+                run_ladder(
+                    ("eager",), req.workload.name,
+                    lambda rung, d, retry_index:
+                        self._run_one_eager(req, retry_index, d),
+                    breakers=self.breakers, retry=self._retry,
+                    rng=self._rng, scope="serve", on_failure=on_failure,
+                    first_depth=depth)
+            except DeadlineExceeded as exc:
+                self._finish_timeout([req], f"deadline exceeded: {exc}")
+            except Exception as exc:
+                self._finish(req, req.answer(
+                    STATUS_ERROR, served_by="eager", fallback_depth=depth,
+                    degraded=depth > 0, retries=self.policy.max_retries,
+                    error=f"eager floor failed: "
+                          f"{type(exc).__name__}: {exc}"),
+                    fallback=True)
 
     # -- main path ------------------------------------------------------
 
-    def _execute_plan(self, plan: BatchPlan,
-                      pipeline_name: Optional[str] = None,
-                      depth: int = 0, ladder: bool = False) -> None:
+    def _execute_plan(self, plan: BatchPlan, pipeline_name: str,
+                      depth: int = 0) -> None:
+        """One rung's attempt at one coalesced batch: raises (typed) on
+        a compile or execution failure so the ladder can descend."""
         req0 = plan.requests[0]
-        pipe = self.pipeline(pipeline_name or req0.pipeline)
+        pipe = self.pipeline(pipeline_name)
         wl = req0.workload
         dyn = self.policy.dynamic_shapes
         key = compile_key(pipe, wl, plan.args)
@@ -322,8 +275,9 @@ class BatchExecutor:
         else:
             cached = key in self.cache
 
-        if self._should_skip_cold_compile(plan, cached):
-            self._run_eager_each(plan.requests, reason="deadline near")
+        if not cached and self._deadline_near(plan):
+            # don't start a cold compile the deadline cannot absorb
+            self._serve_eager(plan.requests, depth + 1)
             return
 
         try:
@@ -341,13 +295,7 @@ class BatchExecutor:
                 err = CompileError(f"{pipe.name} compilation failed: {exc}")
                 err.__cause__ = exc
                 err.injected = getattr(exc, "injected", False)
-            if ladder:
-                raise err from exc  # let the ladder descend a rung
-            if not self.policy.eager_fallback:
-                raise
-            self._run_eager_each(
-                plan.requests, reason=f"compile failed: {exc}")
-            return
+            raise err from exc  # let the ladder descend a rung
 
         # the "batch_exec" fault checkpoint: a scheduled batch-execution
         # failure raises here, after compilation but before device time
@@ -396,10 +344,8 @@ class BatchExecutor:
             verified = self._verdict(req, outs, i, expected_per_request,
                                      n_batch=len(plan.requests))
             req.mark("scatter", verified=verified)
-            self._finish(req, Response(
-                request_id=req.id, workload=wl.name, pipeline=req.pipeline,
-                platform=req.platform, status=STATUS_OK,
-                served_by=pipe.name, outputs=outs,
+            self._finish(req, req.answer(
+                STATUS_OK, served_by=pipe.name, outputs=outs,
                 fallback_depth=depth, degraded=depth > 0,
                 batch_requests=len(plan.requests),
                 batch_rows=plan.total_rows,
@@ -410,12 +356,8 @@ class BatchExecutor:
                 schedule_id=schedule_id, verified=verified),
                 fallback=depth > 0)
 
-    def _should_skip_cold_compile(self, plan: BatchPlan,
-                                  cached: bool) -> bool:
-        """Deadline-near policy: don't start a cold compile when any
-        member's remaining budget is inside the slack window."""
-        if not self.policy.eager_fallback or cached:
-            return False
+    def _deadline_near(self, plan: BatchPlan) -> bool:
+        """Is any member's remaining budget inside the slack window?"""
         now = time.monotonic()
         return any(r.remaining(now) < self.policy.deadline_slack_s
                    for r in plan.requests)
@@ -465,29 +407,10 @@ class BatchExecutor:
             return all(_bit_equal(g, e) for g, e in zip(outs, expected))
         return all(_close(g, e) for g, e in zip(outs, expected))
 
-    # -- fallback / retry ----------------------------------------------
-
-    def _run_eager_each(self, requests: Sequence[Request],
-                        reason: str) -> None:
-        """Serve each request solo through the eager pipeline."""
-        for req in requests:
-            try:
-                self._run_one_eager(req, retries=0, fallback=True)
-            except Exception as exc:
-                err = classify(exc)  # keep the typed taxonomy in the
-                self._finish(req, Response(  # reported error
-                    request_id=req.id, workload=req.workload.name,
-                    pipeline=req.pipeline, platform=req.platform,
-                    status=STATUS_ERROR, served_by="eager",
-                    fallback_depth=1, degraded=True,
-                    error=f"{reason}; eager fallback failed: "
-                          f"{type(err).__name__}: {err}"),
-                    fallback=True)
+    # -- the eager floor -------------------------------------------------
 
     def _run_one_eager(self, req: Request, retries: int,
-                       fallback: bool, depth: Optional[int] = None) -> None:
-        if depth is None:
-            depth = 0 if req.pipeline == "eager" else 1
+                       depth: int) -> None:
         req.mark("execute", pipeline="eager", depth=depth, retries=retries)
         start = time.perf_counter()
         run_args = clone_args(req.args)
@@ -505,69 +428,20 @@ class BatchExecutor:
                 req.workload.model_fn(*clone_args(req.args)))
             verified = len(outs) == len(expected) and all(
                 _bit_equal(g, e) for g, e in zip(outs, expected))
-        self._finish(req, Response(
-            request_id=req.id, workload=req.workload.name,
-            pipeline=req.pipeline, platform=req.platform,
-            status=STATUS_OK, served_by="eager", outputs=outs,
+        self._finish(req, req.answer(
+            STATUS_OK, served_by="eager", outputs=outs,
             fallback_depth=depth, degraded=depth > 0,
             batch_requests=1, batch_rows=req.batch_rows,
             batch_latency_us=plat.latency_us(prof, "eager", 1.0),
             kernel_launches=prof.num_launches,
             queue_wait_s=time.monotonic() - req.enqueued_at - wall,
             exec_wall_s=wall, verified=verified, retries=retries),
-            fallback=fallback)
-
-    def _retry_solo(self, requests: Sequence[Request],
-                    first_error: Exception) -> None:
-        """Batch execution failed: isolate requests and retry solo.
-
-        The batch error is classified into the typed taxonomy first:
-        :class:`DeadlineExceeded` answers every member as a timeout
-        (never retried), and a solo attempt that raises a
-        *non-retryable* typed error stops that request's retry loop
-        instead of hammering a fault retries cannot fix.
-        """
-        first = classify(first_error)
-        if isinstance(first, DeadlineExceeded):
-            self._finish_timeout(requests, str(first))
-            return
-        for req in requests:
-            last: BaseException = first
-            served = False
-            for attempt in range(1, self.policy.max_retries + 1):
-                try:
-                    self._run_one_eager(req, retries=attempt, fallback=True)
-                    served = True
-                    break
-                except DeadlineExceeded as exc:
-                    self._finish_timeout([req], str(exc))
-                    served = True
-                    break
-                except Exception as exc:
-                    last = classify(exc)
-                    if not is_retryable(last):
-                        break
-            if not served:
-                self._finish(req, Response(
-                    request_id=req.id, workload=req.workload.name,
-                    pipeline=req.pipeline, platform=req.platform,
-                    status=STATUS_ERROR, served_by="eager",
-                    fallback_depth=1, degraded=True,
-                    retries=self.policy.max_retries,
-                    error=f"batch failed ({type(first).__name__}: "
-                          f"{first}); solo retries exhausted: "
-                          f"{type(last).__name__}: {last}"),
-                    fallback=True)
+            fallback=depth > 0)
 
     # -- delivery -------------------------------------------------------
 
     def _finish(self, req: Request, resp: Response,
                 fallback: bool = False) -> None:
-        # single delivery point: lane/tenant/admission metadata is
-        # stamped here so every response path carries it
-        resp.priority = req.priority
-        resp.tenant = req.tenant
-        resp.admitted = req.admitted
         self.stats.on_response(
             status=resp.status,
             latency_s=max(0.0, time.monotonic() - req.enqueued_at),

@@ -6,7 +6,7 @@ requests, wait a few milliseconds for peers) while staying safe: a
 bounded queue exerts backpressure on submitters, expired requests are
 answered with a timeout instead of occupying device time, and requests
 that cannot be compiled (or whose deadline is too close for a cold
-compile) fall back to the eager pipeline.
+compile) descend the fallback chain to the eager pipeline.
 """
 
 from __future__ import annotations
@@ -41,38 +41,33 @@ class ServePolicy:
     reject_on_full: bool = False
     #: default per-request deadline; None = requests never expire
     request_timeout_s: float = 30.0
-    #: fall back to eager when compilation fails, or when a request's
-    #: remaining deadline is below ``deadline_slack_s`` and no compiled
-    #: artifact is cached for its shape (a cold compile would blow it)
-    eager_fallback: bool = True
+    #: a group flushes this long before its earliest deadline, and a
+    #: request whose remaining budget is below it is served eagerly
+    #: when no compiled artifact is cached for its shape (a cold
+    #: compile would blow the deadline)
     deadline_slack_s: float = 0.25
-    #: per-request executions after the first attempt (batch fails ->
-    #: requests retried solo; a poison request fails alone)
+    #: retries of a *retryable* fault on one ladder rung after the
+    #: first attempt (the eager floor retries per request, so a poison
+    #: request fails alone)
     max_retries: int = 1
     #: result oracle: "off", "batch" (bit-exact vs eager on the same
     #: coalesced batch), or "solo" (allclose vs eager per request;
     #: bit-exact when the request ran unbatched)
     verify: str = VERIFY_OFF
-    #: capacity of the server's private compile cache
-    cache_capacity: int = 128
-    #: graceful-degradation ladder (repro.degrade): when enabled, a
-    #: failed batch descends the ordered fallback chain rung by rung
-    #: (with per-(workload, rung) circuit breakers and jittered retry
-    #: backoff) instead of dropping straight to solo eager retries
-    ladder_enabled: bool = False
-    #: the chain to walk; None = repro.degrade.DEFAULT_LADDER sliced
-    #: from the requested pipeline down
+    #: graceful-degradation ladder (repro.degrade): a failed batch
+    #: descends this chain rung by rung, each rung behind a
+    #: per-(workload, rung) circuit breaker.  None =
+    #: repro.degrade.DEFAULT_LADDER from the requested pipeline down;
+    #: an explicit tuple is walked verbatim, so ``(pipeline,)`` means
+    #: "no fallback"
     fallback_chain: Optional[Tuple[str, ...]] = None
-    #: circuit-breaker tuning (see repro.degrade.CircuitBreaker)
-    breaker_failure_rate: float = 0.5
-    breaker_window: int = 8
-    breaker_min_calls: int = 4
+    #: how long an open breaker refuses a rung before its half-open
+    #: probe (see repro.degrade.CircuitBreaker for the fixed rest)
     breaker_reset_s: float = 0.25
-    #: retry backoff tuning (see repro.degrade.RetryPolicy); the number
-    #: of in-rung retries reuses ``max_retries`` above
+    #: retry backoff (see repro.degrade.RetryPolicy); the number of
+    #: in-rung retries is ``max_retries`` above
     retry_base_delay_s: float = 0.001
     retry_max_delay_s: float = 0.05
-    retry_jitter: float = 0.5
     #: seed of the executor's jitter RNG (deterministic backoff in tests)
     retry_seed: int = 0
     #: key compiles on shape *families* (repro.symshape) instead of
@@ -86,25 +81,16 @@ class ServePolicy:
     dynamic_shapes: bool = False
     #: smallest padding bucket; buckets are ``bucket_min * 2^k``
     bucket_min: int = 8
-    #: continuous batching: an idle worker claims a group immediately
-    #: and holds the flushed batch open as an in-flight admission
-    #: window (``serve.admission.AdmissionWindow``) until a
-    #: deadline-aware cutoff — late same-key arrivals ride along
-    #: instead of waiting out a fresh ``batch_wait_s``.  Off restores
-    #: the classic flush-once scheduler.
-    continuous_batching: bool = True
     #: per-tenant token-bucket quotas: tenant name -> (tokens/s, burst).
     #: Tenants not listed are unlimited; a drained bucket rejects at
     #: intake with a "tenant quota exceeded" response.
     tenant_rates: Optional[Dict[str, Tuple[float, float]]] = None
     #: percentile-driven load shedding: when the recent queue-wait
-    #: percentile crosses the deadline budget, requests with
+    #: p99 crosses the deadline budget, requests with
     #: ``priority <= shed_priority_max`` are answered ``shed`` at
     #: intake instead of queueing (the overload response; reject-on-
     #: full remains only as the last-resort capacity backstop)
     shed_enabled: bool = True
-    #: which queue-wait percentile drives the shedder
-    shed_percentile: float = 99.0
     #: queue-wait budget (s) the percentile is compared against; None
     #: derives ``request_timeout_s - deadline_slack_s``
     shed_budget_s: Optional[float] = None
@@ -146,13 +132,13 @@ class ServePolicy:
             raise ValueError(f"unknown verify mode {self.verify!r}")
         if self.bucket_min < 1:
             raise ValueError("bucket_min must be >= 1")
+        if self.fallback_chain is not None and not self.fallback_chain:
+            raise ValueError("fallback_chain must name at least one rung")
         if self.dynamic_shapes and self.verify == VERIFY_SOLO:
             raise ValueError(
                 "dynamic_shapes requires verify='batch' or 'off': the "
                 "solo oracle compares against unpadded inputs and would "
                 "flag padded recurrent state as divergence")
-        if not 0.0 < self.shed_percentile <= 100.0:
-            raise ValueError("shed_percentile must be in (0, 100]")
         if not 0.0 < self.shed_recover_fraction <= 1.0:
             raise ValueError("shed_recover_fraction must be in (0, 1]")
         if self.shed_window < 1:

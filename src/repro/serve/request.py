@@ -51,9 +51,6 @@ class Request:
     priority: int = 0
     #: tenant label for token-bucket quotas and lane-labeled metrics
     tenant: str = "default"
-    #: True when the request rode into a batch through an in-flight
-    #: admission window (continuous batching) instead of the queue
-    admitted: bool = False
     id: int = field(default_factory=lambda: next(_request_ids))
     #: stamped at *submit* (construction), before any backpressure
     #: wait, so queue-wait percentiles include time blocked on a full
@@ -67,15 +64,23 @@ class Request:
 
     def mark(self, event: str, **attrs) -> None:
         """Stamp one lifecycle event (enqueue, dequeue, execute, ...)
-        onto the request's timeline.  A no-op unless a trace sink is
-        installed, so the serving hot path stays unchanged when
-        observability is off."""
+        onto the request's timeline (grammar: DESIGN.md §13).  A no-op
+        unless a trace sink is installed, so the serving hot path stays
+        unchanged when observability is off."""
         if obs_trace.tracing_active():
             entry: Dict[str, object] = {"event": event,
                                         "t_s": time.perf_counter()}
             if attrs:
                 entry.update(attrs)
             self.timeline.append(entry)
+
+    def answer(self, status: str, **fields) -> "Response":
+        """A :class:`Response` to this request: its identity, lane and
+        tenant filled in, ``fields`` on top."""
+        return Response(request_id=self.id, workload=self.workload.name,
+                        pipeline=self.pipeline, platform=self.platform,
+                        status=status, priority=self.priority,
+                        tenant=self.tenant, **fields)
 
     def expired(self, now: Optional[float] = None) -> bool:
         if self.deadline is None:
@@ -110,9 +115,6 @@ class Response:
     #: load generators can slice latency by lane without bookkeeping)
     priority: int = 0
     tenant: str = "default"
-    #: True when the request was late-admitted into an in-flight batch
-    #: through a continuous-batching admission window
-    admitted: bool = False
     outputs: Tuple = field(default=(), repr=False)
     #: how many requests / total batch rows rode in the same executed batch
     batch_requests: int = 0
@@ -137,9 +139,9 @@ class Response:
     #: how many times the request was redelivered after a worker crash
     #: before this answer (0 = first delivery succeeded)
     redelivered: int = 0
-    #: per-request lifecycle timeline (enqueue -> batch -> execute ->
-    #: scatter, including ladder rungs and retries); populated only
-    #: when the request was served under an installed trace sink
+    #: per-request lifecycle timeline (grammar: DESIGN.md §13);
+    #: populated only when the request was served under an installed
+    #: trace sink
     timeline: Tuple = field(default=(), repr=False)
 
     @property

@@ -1,30 +1,23 @@
-"""The serving facade: bounded queues, continuous batching, workers.
+"""The serving facade: bounded queues, one batching scheduler, workers.
 
 ``Server`` accepts concurrent inference requests (``submit`` /
 ``submit_many``), parks them in per-(workload, pipeline, platform,
 shape, shared-state) group queues, and lets a pool of worker threads
-drain them.  Scheduling is **continuous batching with admission
-control** (``ServePolicy(continuous_batching=True)``, the default):
+drain them.  The group queue is the only place a request waits for
+peers:
 
-* an idle worker claims the highest-priority non-empty group
-  immediately (lane order: highest ``Request.priority`` first, then
-  most urgent wake time) instead of sleeping out ``batch_wait_s``;
-* a claimed *partial* batch stays open as an in-flight
-  :class:`~repro.serve.admission.AdmissionWindow` until a
-  deadline-aware cutoff — ``min(oldest.flush_at, min-deadline −
-  slack, execute-start)`` — admitting compatible same-key arrivals
-  while the worker is still assembling the batch (``serve:admit``
-  spans mark each late admission);
+* a group is claimable when it holds ``max_batch_size`` requests, when
+  it is past its wake point — ``min(oldest.enqueued_at + batch_wait_s,
+  group-min-deadline − deadline_slack_s)``, tracked per group, not just
+  ``queue[0]``, so a tight-deadline member never starves behind a
+  relaxed oldest one — or when the server is closing; an arrival
+  before that simply appends to the group and rides its batch;
+* among claimable groups the highest lane wins (highest
+  ``Request.priority`` of any member), then the most urgent wake point;
 * intake is gated by per-tenant token-bucket quotas and by the
   percentile-driven overload shedder (``serve:shed``) before the
   bounded-queue backpressure is ever consulted — reject-on-full is the
   last-resort backstop, not the only overload response.
-
-With ``continuous_batching=False`` the classic flush-once scheduler
-runs: a group flushes at ``max_batch_size``, when the oldest member
-has waited ``batch_wait_s``, or when the *group's* earliest deadline
-enters the slack window (tracked per group, not just ``queue[0]``, so
-a tight-deadline member never starves behind a relaxed oldest one).
 
 Each flushed batch is coalesced along the workload's batch axis and
 executed as one kernel-launch-profiled run (see ``executor.py``), so
@@ -50,13 +43,13 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
+from typing import Callable, Deque, Iterable, List, Optional, Union
 
 from ..errors import ServerShutdown
 from ..eval.harness import CompileCache
 from ..models import Workload, get_workload
 from ..obs import trace as obs_trace
-from .admission import AdmissionController, AdmissionWindow
+from .admission import SHED_PERCENTILE, AdmissionController
 from .batching import (get_batch_spec, group_key, group_lane,
                        group_min_deadline, request_rows)
 from .executor import BatchExecutor
@@ -66,9 +59,9 @@ from .request import (Request, Response, STATUS_CANCELLED, STATUS_ERROR,
 from .stats import ServerStats
 
 
-class QueueFullError(RuntimeError):
-    """Raised by ``submit`` when the queue is full and the policy
-    rejects instead of returning a rejected response."""
+#: capacity of a server's private compile cache (shard workers build
+#: theirs with it too, before the server exists, to warm-start into)
+CACHE_CAPACITY = 128
 
 
 class Server:
@@ -82,7 +75,7 @@ class Server:
         #: private by default so server metrics don't interleave with
         #: figure sweeps; inject a cache to share compilations
         self.cache = cache if cache is not None \
-            else CompileCache(capacity=self.policy.cache_capacity)
+            else CompileCache(capacity=CACHE_CAPACITY)
         if self.policy.tuning_db_path \
                 and getattr(self.cache, "tuning_db", None) is None:
             # read-side attach: the serve path only ever looks up
@@ -106,8 +99,6 @@ class Server:
         #: insertion-ordered so equal-lane, equal-urgency groups drain
         #: oldest-first
         self._groups: "OrderedDict[tuple, Deque[Request]]" = OrderedDict()
-        #: open continuous-batching admission windows, by group key
-        self._windows: Dict[tuple, AdmissionWindow] = {}
         self._pending = 0
         self._closed = False
         self._workers: List[threading.Thread] = []
@@ -171,6 +162,7 @@ class Server:
                                           pending=self._pending):
                 self._shed(req)
                 return
+            waited: Optional[float] = None
             if self._pending >= self.policy.queue_capacity:
                 if self.policy.reject_on_full:
                     self._reject(req)
@@ -178,7 +170,7 @@ class Server:
                 # req.enqueued_at was stamped at submit, so the time
                 # spent blocked here stays visible in the queue-wait
                 # percentiles the shedder reads; the wait itself is
-                # additionally recorded as its own phase/metric below
+                # additionally recorded as its own phase/metric
                 wait_start = self._clock()
                 deadline = wait_start + self.policy.submit_timeout_s
                 while self._pending >= self.policy.queue_capacity \
@@ -193,24 +185,9 @@ class Server:
                         "for queue space")
                 waited = self._clock() - wait_start
                 self.stats.on_backpressure(waited)
-                req.mark("backpressure", wait_s=waited)
             key = group_key(req, bucket_min=(
                 self.policy.bucket_min
                 if self.policy.dynamic_shapes else None))
-            now = self._clock()
-            window = self._windows.get(key)
-            if window is not None and window.admit(req, now):
-                # continuous batching: ride the in-flight batch a
-                # worker is still assembling instead of queueing
-                self.stats.on_submit(self._pending, priority=req.priority)
-                self.stats.on_admit()
-                with obs_trace.span("serve:admit", cat="serve",
-                                    lane=req.priority, tenant=req.tenant,
-                                    window=len(window.members)):
-                    req.mark("admit", window=len(window.members),
-                             lane=req.priority)
-                self._cond.notify_all()
-                return
             queue = self._groups.get(key)
             if queue is None:
                 queue = deque()
@@ -221,24 +198,20 @@ class Server:
             req.mark("enqueue", queue_depth=self._pending,
                      group=f"{req.workload.name}/{req.pipeline}",
                      lane=req.priority)
+            if waited is not None:
+                req.mark("backpressure", wait_s=waited)
             self._cond.notify_all()
 
     def _reject(self, req: Request) -> None:
         self.stats.on_reject()
-        req.future.set_result(Response(
-            request_id=req.id, workload=req.workload.name,
-            pipeline=req.pipeline, platform=req.platform,
-            status=STATUS_REJECTED, priority=req.priority,
-            tenant=req.tenant, error="queue full"))
+        req.future.set_result(req.answer(STATUS_REJECTED,
+                                         error="queue full"))
 
     def _quota_reject(self, req: Request) -> None:
         self.stats.on_quota_reject(req.tenant)
         req.mark("quota_reject", tenant=req.tenant)
-        req.future.set_result(Response(
-            request_id=req.id, workload=req.workload.name,
-            pipeline=req.pipeline, platform=req.platform,
-            status=STATUS_REJECTED, priority=req.priority,
-            tenant=req.tenant,
+        req.future.set_result(req.answer(
+            STATUS_REJECTED,
             error=f"tenant quota exceeded: {req.tenant!r}"))
 
     def _shed(self, req: Request) -> None:
@@ -246,13 +219,10 @@ class Server:
         with obs_trace.span("serve:shed", cat="serve", lane=req.priority,
                             tenant=req.tenant):
             req.mark("shed", lane=req.priority)
-        req.future.set_result(Response(
-            request_id=req.id, workload=req.workload.name,
-            pipeline=req.pipeline, platform=req.platform,
-            status=STATUS_SHED, priority=req.priority, tenant=req.tenant,
-            error=f"shed: recent queue-wait "
-                  f"p{self.policy.shed_percentile:g} over the deadline "
-                  f"budget"))
+        req.future.set_result(req.answer(
+            STATUS_SHED,
+            error=f"shed: recent queue-wait p{SHED_PERCENTILE:g} over "
+                  f"the deadline budget"))
 
     # -- scheduling -----------------------------------------------------
 
@@ -273,14 +243,11 @@ class Server:
         """Block until a group is ready to flush; None = shut down and
         drained.
 
-        Classic mode readiness: full batch, past the group's wake
-        point (oldest member's flush time or group-min deadline inside
-        the slack window), or draining.  Continuous mode: any
-        non-empty group is claimable immediately — the batch wait
-        moves into the admission-window linger, where late arrivals
-        are admitted instead of shut out.  Among claimable groups the
-        highest lane (max member priority) wins; ties break to the
-        most urgent wake point.
+        Readiness: full batch, past the group's wake point (oldest
+        member's flush time or group-min deadline inside the slack
+        window), or draining.  Among claimable groups the highest lane
+        (max member priority) wins; ties break to the most urgent wake
+        point.
         """
         with self._cond:
             while True:
@@ -292,8 +259,7 @@ class Server:
                     if not queue:
                         continue
                     wake_at = self._group_wake_at(queue)
-                    ready = (self.policy.continuous_batching
-                             or len(queue) >= self.policy.max_batch_size
+                    ready = (len(queue) >= self.policy.max_batch_size
                              or now >= wake_at or self._closed)
                     if not ready:
                         next_wake = wake_at if next_wake is None \
@@ -312,47 +278,12 @@ class Server:
                     self._cond.notify_all()
                     for member in batch:
                         member.mark("dequeue", batch=len(batch))
-                    if (self.policy.continuous_batching
-                            and len(batch) < self.policy.max_batch_size
-                            and not self._closed):
-                        self._linger(best_key, batch, now)
                     return batch
                 if self._closed and self._pending == 0:
                     return None
                 timeout = None if next_wake is None \
                     else max(0.0, next_wake - now)
                 self._cond.wait(timeout)
-
-    def _linger(self, key: tuple, batch: List[Request],
-                now: float) -> None:
-        """Hold a partial batch open as an admission window (caller
-        holds the lock).  The window closes at the deadline-aware
-        cutoff ``min(oldest.flush_at, min-deadline − slack)``, when it
-        fills, or at shutdown — whichever comes first; closing is the
-        batch's execute-start."""
-        flush_at = batch[0].enqueued_at + self.policy.batch_wait_s
-        min_deadline = group_min_deadline(batch)
-        cutoff = flush_at if min_deadline is None else min(
-            flush_at, min_deadline - self.policy.deadline_slack_s)
-        if cutoff <= now:
-            return
-        window = AdmissionWindow(key=key, members=batch, cutoff=cutoff,
-                                 capacity=self.policy.max_batch_size,
-                                 slack_s=self.policy.deadline_slack_s)
-        self._windows[key] = window
-        try:
-            with obs_trace.span("serve:window", cat="serve",
-                                workload=batch[0].workload.name,
-                                claimed=len(batch)):
-                while not window.full and not self._closed:
-                    remaining = window.cutoff - self._clock()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-        finally:
-            window.closed = True
-            if self._windows.get(key) is window:
-                del self._windows[key]
 
     def _worker_loop(self) -> None:
         while True:
@@ -376,11 +307,8 @@ class Server:
         for req in batch:
             if req.future.done():
                 continue
-            req.future.set_result(Response(
-                request_id=req.id, workload=req.workload.name,
-                pipeline=req.pipeline, platform=req.platform,
-                status=STATUS_ERROR, priority=req.priority,
-                tenant=req.tenant, admitted=req.admitted,
+            req.future.set_result(req.answer(
+                STATUS_ERROR,
                 error=f"executor crashed: {type(exc).__name__}: {exc}"))
 
     # -- lifecycle ------------------------------------------------------
@@ -439,11 +367,7 @@ class Server:
             while queue:
                 req = queue.popleft()
                 cancelled += 1
-                req.future.set_result(Response(
-                    request_id=req.id, workload=req.workload.name,
-                    pipeline=req.pipeline, platform=req.platform,
-                    status=status, priority=req.priority,
-                    tenant=req.tenant, error=error))
+                req.future.set_result(req.answer(status, error=error))
         self._groups.clear()
         self._pending = 0
         if cancelled:

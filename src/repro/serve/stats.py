@@ -24,19 +24,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from ..eval.harness import CacheStats
 from ..obs import Histogram, MetricsRegistry, percentile_nearest_rank
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 on no samples.
-
-    True nearest-rank: the value at rank ``ceil(q/100 * n)``
-    (1-indexed), so p50 of ``[1, 2, 3, 4]`` is 2.
-    """
-    return percentile_nearest_rank(samples, q)
 
 
 class ServerStats:
@@ -81,8 +72,7 @@ class ServerStats:
                                       max_samples=self.MAX_SAMPLES)
         self._queue_wait = reg.histogram("serve.queue_wait_s",
                                          max_samples=self.MAX_SAMPLES)
-        # -- admission control + lanes (continuous batching) ----------
-        self._admitted = reg.counter("serve.admitted")
+        # -- admission control + lanes --------------------------------
         self._shed = reg.labeled_counter("serve.shed")
         self._quota_rejected = reg.labeled_counter("serve.quota_rejected")
         self._lane_submitted = reg.labeled_counter("serve.lane_submitted")
@@ -118,10 +108,6 @@ class ServerStats:
     def on_reject(self) -> None:
         """One request was rejected at intake (queue full)."""
         self._rejected.inc()
-
-    def on_admit(self) -> None:
-        """One request rode an in-flight admission window."""
-        self._admitted.inc()
 
     def on_shed(self, priority: int = 0) -> None:
         """One request was shed at intake by the overload shedder."""
@@ -322,11 +308,6 @@ class ServerStats:
         return self._bucket_real.value / padded if padded else 0.0
 
     @property
-    def admitted(self) -> int:
-        """Requests late-admitted through an in-flight window."""
-        return self._admitted.value
-
-    @property
     def shed(self) -> int:
         """Requests shed at intake by the overload shedder."""
         return self._shed.total
@@ -449,7 +430,6 @@ class ServerStats:
             "bucket_real_units": self.bucket_real_units,
             "bucket_padded_units": self.bucket_padded_units,
             "bucket_pad_efficiency": self.bucket_pad_efficiency,
-            "admitted": self.admitted,
             "shed": self.shed,
             "shed_by_lane": {str(k): v for k, v in
                              sorted(self.shed_by_lane.items())},

@@ -45,7 +45,6 @@ import base64
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -70,6 +69,7 @@ from ..symshape.family import ShapeFamily
 from ..symshape.guards import Guard
 from ..symshape.propagate import annotate_symbolic_shapes
 from ..symshape.symbols import SymInt
+from ..tune.db import atomic_write
 
 __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
            "deserialize_compiled", "ArtifactStore"]
@@ -647,19 +647,6 @@ class ArtifactStore:
                 index[entry["key"]] = entry["digest"]
         return index
 
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- API -----------------------------------------------------------
 
     def put(self, key: tuple, compiled: Compiled,
@@ -673,9 +660,9 @@ class ArtifactStore:
         with self._lock:
             obj_path = os.path.join(self._objects, digest)
             if not os.path.exists(obj_path):
-                self._atomic_write(obj_path, data)
-            self._atomic_write(
-                self._index_entry_path(key_text),
+                atomic_write(self.root, obj_path, data)
+            atomic_write(
+                self.root, self._index_entry_path(key_text),
                 _canonical({"key": key_text,
                             "digest": digest}).encode("utf-8"))
             self.puts += 1

@@ -125,32 +125,22 @@ class ShardPolicy:
     heartbeat_interval_s: float = 0.1
     #: beacon silence beyond this declares a ready worker hung
     heartbeat_timeout_s: float = 1.0
-    #: how long a spawned worker may take to dial back with HELLO
-    ready_timeout_s: float = 60.0
     #: per-slot respawn budget; an exhausted slot is retired for good
     max_respawns: int = 2
     #: per-request redelivery budget after worker deaths; exceeded =>
     #: a typed WorkerCrashed error response (never a hang)
     redeliver_max: int = 2
-    #: respawn backoff: jittered exponential, seeded
-    respawn_base_delay_s: float = 0.05
-    respawn_max_delay_s: float = 1.0
-    respawn_jitter: float = 0.5
     #: default per-request deadline passed through to workers
     request_timeout_s: float = 30.0
-    #: serve requests in-process with the eager pipeline when every
-    #: worker is down (the availability floor); False fails them typed
-    eager_floor: bool = True
     #: artifact store directory shared by all workers (None = each
     #: worker compiles cold and publishes nothing)
     store_root: Optional[str] = None
     #: ServePolicy kwargs for each worker's inner server
     worker_policy: Optional[dict] = None
-    #: FaultPlan.to_spec() dict shipped to every worker (chaos drills)
+    #: FaultPlan.to_spec() dict shipped to every worker (chaos drills);
+    #: only a slot's first incarnation runs it — respawns come back
+    #: healthy
     fault_spec: Optional[dict] = None
-    #: highest per-slot incarnation that still runs the fault plan
-    #: (1 = only the first; respawned workers come back healthy)
-    fault_max_incarnations: int = 1
     #: virtual nodes per worker on the hash ring
     virtual_nodes: int = 64
     #: seed for respawn-backoff jitter
@@ -239,18 +229,13 @@ class ShardRouter:
             "store_root": self.policy.store_root,
             "policy": dict(self.policy.worker_policy or {}),
             "fault_spec": self.policy.fault_spec,
-            "fault_max_incarnations": self.policy.fault_max_incarnations,
         }
         self.supervisor = Supervisor(
             num_workers=self.policy.num_workers,
             worker_cfg=worker_cfg,
             heartbeat_interval_s=self.policy.heartbeat_interval_s,
             heartbeat_timeout_s=self.policy.heartbeat_timeout_s,
-            ready_timeout_s=self.policy.ready_timeout_s,
             max_respawns=self.policy.max_respawns,
-            respawn_base_delay_s=self.policy.respawn_base_delay_s,
-            respawn_max_delay_s=self.policy.respawn_max_delay_s,
-            respawn_jitter=self.policy.respawn_jitter,
             seed=self.policy.seed)
         self.supervisor.on_message = self._on_message
         self.supervisor.on_ready = self._on_ready
@@ -373,7 +358,7 @@ class ShardRouter:
 
     def _route_floor(self, rec: _Inflight) -> None:
         """No routable worker: park while respawns are pending, else
-        degrade to the eager floor (or fail typed)."""
+        degrade to the eager floor."""
         if self.supervisor.handles():
             with self._lock:
                 if not self._closed:
@@ -407,13 +392,6 @@ class ShardRouter:
         availability floor when the whole fleet is gone."""
         with self._lock:
             self._inflight.pop(rec.rid, None)
-        if not self.policy.eager_floor:
-            self.stats.inc("crash_failures")
-            rec.future.set_result(self._typed_error(
-                rec, STATUS_ERROR,
-                "WorkerCrashed: no workers available and the eager "
-                "floor is disabled"))
-            return
         self.stats.inc("eager_floor")
         wl = get_workload(rec.workload)
         start = time.perf_counter()

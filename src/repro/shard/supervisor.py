@@ -37,12 +37,18 @@ import time
 import multiprocessing
 from typing import Callable, Dict, List, Optional
 
+from ..degrade import RetryPolicy
 from ..obs import trace as obs_trace
 from .ipc import (Channel, MSG_GOODBYE, MSG_HEARTBEAT, MSG_HELLO,
                   MSG_SHUTDOWN)
 from .worker import worker_main
 
 __all__ = ["Supervisor", "WorkerHandle"]
+
+#: how long a spawned worker may take to dial back with HELLO
+READY_TIMEOUT_S = 60.0
+#: respawn backoff: seeded, jittered exponential
+RESPAWN_BACKOFF = RetryPolicy(base_delay_s=0.05, max_delay_s=1.0)
 
 
 class WorkerHandle:
@@ -104,11 +110,7 @@ class Supervisor:
                  worker_cfg: Optional[dict] = None,
                  heartbeat_interval_s: float = 0.1,
                  heartbeat_timeout_s: float = 1.0,
-                 ready_timeout_s: float = 60.0,
                  max_respawns: int = 2,
-                 respawn_base_delay_s: float = 0.05,
-                 respawn_max_delay_s: float = 1.0,
-                 respawn_jitter: float = 0.5,
                  seed: int = 0) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -118,11 +120,7 @@ class Supervisor:
         self.worker_cfg = dict(worker_cfg or {})
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.ready_timeout_s = ready_timeout_s
         self.max_respawns = max_respawns
-        self.respawn_base_delay_s = respawn_base_delay_s
-        self.respawn_max_delay_s = respawn_max_delay_s
-        self.respawn_jitter = respawn_jitter
         self._rng = random.Random(seed)
         self._ctx = multiprocessing.get_context("spawn")
         self._dir = tempfile.mkdtemp(prefix="repro-shard-")
@@ -234,7 +232,7 @@ class Supervisor:
         """Accept the worker's dial-back, read HELLO, mark it ready,
         then become its reader thread."""
         try:
-            listener.settimeout(self.ready_timeout_s)
+            listener.settimeout(READY_TIMEOUT_S)
             try:
                 conn, _ = listener.accept()
             except (socket.timeout, OSError):
@@ -243,7 +241,7 @@ class Supervisor:
                 listener.close()
             chan = Channel(conn)
             try:
-                msg_type, payload = chan.recv(self.ready_timeout_s)
+                msg_type, payload = chan.recv(READY_TIMEOUT_S)
             except (socket.timeout, ConnectionError):
                 chan.close()
                 return
@@ -294,7 +292,7 @@ class Supervisor:
                 if handle.ready.is_set():
                     if now - handle.last_beat > self.heartbeat_timeout_s:
                         self._declare_dead(handle, "hang")
-                elif now - handle.spawned_at > self.ready_timeout_s:
+                elif now - handle.spawned_at > READY_TIMEOUT_S:
                     self._declare_dead(handle, "boot")
 
     def _declare_dead(self, handle: WorkerHandle, reason: str) -> None:
@@ -330,9 +328,7 @@ class Supervisor:
             self.on_retired(handle.worker_id)
             return
         self._respawns[handle.worker_id] = count + 1
-        delay = min(self.respawn_max_delay_s,
-                    self.respawn_base_delay_s * (2 ** count))
-        delay *= 1.0 + self.respawn_jitter * self._rng.random()
+        delay = RESPAWN_BACKOFF.delay_s(count, self._rng)
         t = threading.Thread(
             target=self._respawn_after,
             args=(handle.worker_id, handle.slot, delay),

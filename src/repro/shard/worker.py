@@ -46,7 +46,7 @@ from ..eval.harness import CompileCache
 from ..faults import (FaultPlan, SITE_HEARTBEAT_STALL, SITE_PROCESS_KILL,
                       global_fault_scope, maybe_inject)
 from ..serve.policy import ServePolicy
-from ..serve.server import Server
+from ..serve.server import CACHE_CAPACITY, Server
 from .artifact import ArtifactError, ArtifactStore
 from .ipc import (Channel, MSG_GOODBYE, MSG_HEARTBEAT, MSG_HELLO,
                   MSG_RESULT, MSG_SHUTDOWN, MSG_SUBMIT, decode_args,
@@ -154,17 +154,13 @@ def worker_main(cfg: dict) -> None:
     - ``fault_spec``: :meth:`~repro.faults.FaultPlan.to_spec` dict, or
       None for a fault-free worker
     - ``incarnation``: 1-based per-slot spawn count (supervisor-set)
-    - ``fault_max_incarnations``: highest incarnation that still runs
-      the fault plan (default 1: respawns come back healthy)
     """
     worker_id = cfg["worker_id"]
     plan = None
-    if cfg.get("fault_spec") and (cfg.get("incarnation", 1)
-                                  <= cfg.get("fault_max_incarnations", 1)):
-        # by default only a slot's *first* incarnation runs the chaos
-        # schedule: the drill's contract is that recovery succeeds, so
-        # respawned workers come back healthy (raise
-        # fault_max_incarnations to drill respawn-budget exhaustion)
+    if cfg.get("fault_spec") and cfg.get("incarnation", 1) == 1:
+        # only a slot's *first* incarnation runs the chaos schedule:
+        # the drill's contract is that recovery succeeds, so respawned
+        # workers come back healthy
         plan = FaultPlan.from_spec(cfg["fault_spec"])
     scope = global_fault_scope(plan) if plan is not None else None
     if scope is not None:
@@ -178,8 +174,7 @@ def worker_main(cfg: dict) -> None:
 
 def _serve(cfg: dict, worker_id: str) -> None:
     """The worker body: warm start, hello, serve, goodbye."""
-    cache = CompileCache(
-        capacity=cfg.get("policy", {}).get("cache_capacity", 128))
+    cache = CompileCache(capacity=CACHE_CAPACITY)
     warmed = 0
     store = None
     published: set = set()

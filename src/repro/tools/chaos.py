@@ -9,8 +9,8 @@ through three paths:
 * **harness campaigns** — ``run_workload_resilient`` calls under a
   context-local ``fault_scope``, each result checked *bit-exact*
   against a fault-free eager reference;
-* **serve campaigns** — a live :class:`~repro.serve.Server` (ladder
-  enabled, ``verify="batch"``) under a ``global_fault_scope`` so the
+* **serve campaigns** — a live :class:`~repro.serve.Server`
+  (``verify="batch"``) under a ``global_fault_scope`` so the
   worker threads see the plan, every future awaited with a hang
   timeout;
 * **shard campaigns** — when the primary site is ``process_kill`` or
@@ -83,6 +83,10 @@ _MAX_NTH = {
 #: parent observes firings through supervisor death detection (the
 #: child's fault log dies with the child)
 _SHARD_SITES = (SITE_PROCESS_KILL, SITE_HEARTBEAT_STALL)
+
+#: ``ServePolicy.fallback_chain`` under ``--no-ladder``: the requested
+#: pipeline alone (None, the default ladder, otherwise)
+_NO_FALLBACK = ("tensorssa",)
 
 #: sites where a *persistent* fault still leaves the eager floor
 #: reachable (eager runs no passes, no fusion compiles, no batch step,
@@ -200,7 +204,8 @@ def run_serve_campaign(workload: str, plan: Optional[FaultPlan],
     future must resolve within the hang timeout."""
     policy = ServePolicy(
         workers=2, max_batch_size=4, batch_wait_s=0.001,
-        verify="batch", ladder_enabled=ladder, max_retries=1,
+        verify="batch", fallback_chain=None if ladder else _NO_FALLBACK,
+        max_retries=1,
         retry_base_delay_s=0.0005, retry_max_delay_s=0.005,
         breaker_reset_s=0.02, request_timeout_s=hang_timeout_s,
         retry_seed=index)
@@ -276,7 +281,9 @@ def run_shard_campaign(workload: str, plan: Optional[FaultPlan],
         max_respawns=2, redeliver_max=3,
         request_timeout_s=hang_timeout_s,
         worker_policy={"workers": 2, "max_batch_size": 1,
-                       "ladder_enabled": ladder, "max_retries": 1,
+                       "fallback_chain":
+                           None if ladder else _NO_FALLBACK,
+                       "max_retries": 1,
                        "retry_base_delay_s": 0.0005,
                        "retry_max_delay_s": 0.005,
                        "breaker_reset_s": 0.02, "retry_seed": index})
@@ -440,8 +447,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="requests per campaign")
     parser.add_argument("--seq-len", type=int, default=8)
     parser.add_argument("--no-ladder", action="store_true",
-                        help="disable the degradation ladder (ablation: "
-                             "availability under faults collapses)")
+                        help="no fallback chain: serve on the requested "
+                             "pipeline alone (ablation: availability "
+                             "under faults collapses)")
     parser.add_argument("--hang-timeout-s", type=float, default=30.0,
                         help="a future unresolved past this counts as "
                              "a hang")

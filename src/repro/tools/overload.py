@@ -1,26 +1,28 @@
-"""Overload drill: continuous batching + admission control at 2x load.
+"""Overload drill: admission control at 2x saturation load.
 
 ``python -m repro.tools.overload --seed 0`` measures the server's
 saturation throughput with a short closed-loop probe, then drives an
 *open-loop* paced campaign at ``--overload-factor`` (default 2x) that
 rate against two server configurations:
 
-* **baseline** — the pre-admission-control world: classic flush-once
-  scheduling, no priority lanes (every request submits at priority 0),
-  no shedding, reject-on-full as the only overload response.
-* **qos** — continuous batching with admission windows, priority lanes
-  (25% of traffic is high-priority "gold", the rest low-priority
-  "free"), per-tenant token-bucket quotas, and percentile-driven load
-  shedding.
+* **baseline** — the pre-admission-control world: no priority lanes
+  (every request submits at priority 0), no shedding, reject-on-full
+  as the only overload response.
+* **qos** — priority lanes (25% of traffic is high-priority "gold",
+  the rest low-priority "free"), per-tenant token-bucket quotas, and
+  percentile-driven load shedding.
 
-Both campaigns serve the identical seeded request sequence with
+Both campaigns run the same scheduler — their policies differ only in
+admission-control values (``shed_enabled``, ``tenant_rates``), which is
+what the drill isolates — and serve the identical seeded request
+sequence with
 ``verify="batch"`` (every executed batch checked bit-exact against
 eager), optionally under a deterministic latency-only
 :class:`~repro.faults.FaultPlan` (``--chaos latency``, the default) so
 the drill exercises the degradation machinery too, and run under
 ``global_tracing`` — the qos trace is exported to Chrome format and
-schema-validated, with ``serve:admit`` / ``serve:shed`` /
-``serve:window`` span counts reported.
+schema-validated, with ``serve:shed`` / ``serve:batch`` span counts
+reported.
 
 The queue capacity is sized *from the probe* at ``2 x saturation x
 deadline``, so in the baseline a full queue takes twice the deadline
@@ -54,9 +56,9 @@ from ..faults import (Fault, FaultPlan, FaultRule, KIND_LATENCY,
                       SITE_BATCH_EXEC, SITE_KERNEL_LAUNCH,
                       global_fault_scope)
 from ..models import get_workload
-from ..obs import (chrome_trace, global_tracing, validate_chrome_trace,
-                   write_chrome_trace)
-from ..serve import ServePolicy, Server, percentile
+from ..obs import (chrome_trace, global_tracing, percentile_nearest_rank,
+                   validate_chrome_trace, write_chrome_trace)
+from ..serve import ServePolicy, Server
 from .serve_bench import build_request_args, run_load
 
 #: the two traffic classes the drill mixes
@@ -121,11 +123,9 @@ def _campaign_policy(mode: str, args: argparse.Namespace,
         request_timeout_s=args.timeout_s,
         verify=("off" if args.no_verify else "batch"))
     if mode == "baseline":
-        return ServePolicy(continuous_batching=False, shed_enabled=False,
-                           **common)
+        return ServePolicy(shed_enabled=False, **common)
     return ServePolicy(
-        continuous_batching=True, shed_enabled=True,
-        shed_window=args.shed_window,
+        shed_enabled=True, shed_window=args.shed_window,
         tenant_rates={"free": (free_rate, max(8.0, free_rate))},
         **common)
 
@@ -234,7 +234,6 @@ def run_campaign(mode: str, args: argparse.Namespace, rate_rps: float,
         "untyped_errors": untyped,
         "diverged": diverged,
         "by_status": dict(sorted(by_status.items())),
-        "admitted": stats["admitted"],
         "shed": stats["shed"],
         "quota_rejected": stats["quota_rejected"],
         "rejected": stats["rejected"],
@@ -242,8 +241,8 @@ def run_campaign(mode: str, args: argparse.Namespace, rate_rps: float,
     }
     for kind, slot in by_kind.items():
         lat = slot.pop("latencies")
-        slot["p50_ms"] = percentile(lat, 50) * 1e3
-        slot["p99_ms"] = percentile(lat, 99) * 1e3
+        slot["p50_ms"] = percentile_nearest_rank(lat, 50) * 1e3
+        slot["p99_ms"] = percentile_nearest_rank(lat, 99) * 1e3
         report[kind] = slot
     return report, trace_obj
 
@@ -293,8 +292,7 @@ def run_drill(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
         print(f"  {mode:<9} goodput {entry['goodput_rps']:7.1f} req/s  "
               f"ok {entry['ok']:4d}/{entry['requests']}  "
               f"high p99 {entry['high']['p99_ms']:7.1f}ms  "
-              f"shed {entry['shed']:4d}  rejected {entry['rejected']:4d} "
-              f" admitted {entry['admitted']:4d}  "
+              f"shed {entry['shed']:4d}  rejected {entry['rejected']:4d}  "
               f"hangs {entry['hangs']}  untyped "
               f"{entry['untyped_errors']}  diverged {entry['diverged']}")
     report["campaigns"] = campaigns
@@ -305,8 +303,7 @@ def run_drill(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
     for p in problems:
         print(f"  SCHEMA: {p}")
     failures += len(problems)
-    spans = _count_spans(qos_trace, ("serve:admit", "serve:shed",
-                                     "serve:window", "serve:batch"))
+    spans = _count_spans(qos_trace, ("serve:shed", "serve:batch"))
     report["qos_spans"] = spans
     trace_out = Path(args.out).with_name("overload_trace.json")
     path = write_chrome_trace(qos_trace, trace_out)
@@ -349,8 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the number of failed gates."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.overload",
-        description="2x-saturation overload drill: continuous batching "
-                    "+ admission control vs the reject-on-full baseline")
+        description="2x-saturation overload drill: admission control "
+                    "vs the reject-on-full baseline")
     parser.add_argument("--workload", type=str, default="lstm")
     parser.add_argument("--requests", type=int, default=1000,
                         help="paced requests per campaign mode (long "

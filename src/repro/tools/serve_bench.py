@@ -372,11 +372,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail unless some workload's batched "
                              "throughput beats baseline by this factor")
-    parser.add_argument("--overload", action="store_true",
-                        help="run the 2x-saturation overload drill "
-                             "(repro.tools.overload) instead: "
-                             "continuous batching + admission control "
-                             "vs the reject-on-full baseline")
     parser.add_argument("--sharded", action="store_true",
                         help="benchmark the multi-process shard fleet "
                              "(repro.shard): --workers worker "
@@ -418,26 +413,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
-
-    if args.overload:
-        # delegate to the overload drill; only knobs the caller set
-        # explicitly are forwarded — the drill's own defaults form the
-        # tuned 2x-saturation geometry its gates were calibrated on
-        from .overload import main as overload_main
-        argv_out = args.out if args.out != "results/serve_bench.json" \
-            else "results/overload.json"
-        forwarded = ["--workload", names[0], "--out", argv_out]
-        for flag, name in (("--workers", "workers"),
-                           ("--max-batch", "max_batch"),
-                           ("--batch-wait-ms", "batch_wait_ms"),
-                           ("--concurrency", "concurrency"),
-                           ("--warmup", "warmup")):
-            value = getattr(args, name)
-            if value != parser.get_default(name):
-                forwarded.extend([flag, str(value)])
-        if args.no_verify:
-            forwarded.append("--no-verify")
-        return overload_main(forwarded)
 
     report = {
         "config": {k: v for k, v in vars(args).items() if k != "out"},

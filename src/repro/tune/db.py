@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from .schedule import Schedule
 
 __all__ = ["TUNING_DB_VERSION", "TuningDB", "tuning_key",
-           "shape_key_text"]
+           "shape_key_text", "atomic_write"]
 
 #: bump on any incompatible change to the record layout
 TUNING_DB_VERSION = 1
@@ -62,6 +62,24 @@ def shape_key_text(signature) -> str:
 def tuning_key(workload: str, shape_key: str, platform: str) -> tuple:
     """The database key one tuned schedule lives under."""
     return (str(workload), str(shape_key), str(platform))
+
+
+def atomic_write(root: str, path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` so readers see the old file or the
+    new one, never a torn one: a temp file under ``root`` (same
+    filesystem), then ``os.replace``.  The per-key-file stores
+    (:class:`TuningDB`, ``shard.artifact.ArtifactStore``) share it."""
+    fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class TuningDB:
@@ -99,19 +117,6 @@ class TuningDB:
     def _entry_path(self, key_text: str) -> str:
         digest = hashlib.sha256(key_text.encode("utf-8")).hexdigest()
         return os.path.join(self._entries_dir, digest + ".json")
-
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def _load_record(self, key_text: str) -> Optional[dict]:
         """Read + validate one record; None (and ``rejected`` when the
@@ -159,7 +164,7 @@ class TuningDB:
                               if isinstance(v, (int, float, str, bool))
                               or v is None}
         path = self._entry_path(key_text)
-        self._atomic_write(path, json.dumps(
+        atomic_write(self.root, path, json.dumps(
             record, sort_keys=True, indent=1).encode("utf-8"))
         with self._lock:
             self.puts += 1

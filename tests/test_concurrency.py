@@ -300,10 +300,10 @@ class TestConcurrentRuns:
 
 
 class TestContinuousBatchingUnderContention:
-    """Continuous admission + priority lanes with many submitter
-    threads: the batch oracle must stay bit-exact when late arrivals
-    are admitted into in-flight windows, and lane accounting must add
-    up under contention."""
+    """Priority lanes with many submitter threads: the batch oracle
+    must stay bit-exact when late arrivals join a group that is still
+    waiting for peers, and lane accounting must add up under
+    contention."""
 
     def test_mixed_lanes_batch_oracle_and_lane_accounting(self):
         wl = get_workload("lstm")

@@ -223,7 +223,7 @@ def test_resilient_raises_typed_error_when_all_rungs_fail():
 
 def _ladder_policy(**kw):
     base = dict(workers=2, max_batch_size=4, batch_wait_s=0.001,
-                verify="batch", ladder_enabled=True, max_retries=1,
+                verify="batch", max_retries=1,
                 retry_base_delay_s=0.0001, retry_max_delay_s=0.001,
                 breaker_reset_s=0.02)
     base.update(kw)
@@ -251,10 +251,11 @@ def test_server_ladder_serves_bit_exact_through_fallback():
 
 
 def test_server_ladder_disabled_faultless_unchanged():
-    """With the ladder off and no faults, responses look exactly like
-    the pre-ladder serving layer: depth 0, not degraded, verified."""
+    """With no fallback chain (the requested pipeline alone) and no
+    faults, responses look exactly like the default ladder's: depth 0,
+    not degraded, verified."""
     policy = ServePolicy(workers=2, max_batch_size=4, batch_wait_s=0.001,
-                         verify="batch", ladder_enabled=False)
+                         verify="batch", fallback_chain=("tensorssa",))
     with Server(policy) as srv:
         resps = [f.result(timeout=30)
                  for f in [srv.submit("attention", seq_len=8, seed=s)
@@ -278,12 +279,10 @@ def test_server_ladder_faultless_depth_zero():
 
 
 def test_shutdown_no_drain_cancels_queued_with_typed_error():
-    # classic flush-once scheduler: requests sit *queued* (unclaimed)
-    # for batch_wait_s, so a no-drain shutdown must cancel them.  Under
-    # continuous batching an idle worker claims them immediately and
-    # in-flight work completes instead (see test_serve.py).
+    # requests sit *queued* (unclaimed) for batch_wait_s, so a
+    # no-drain shutdown must cancel them
     policy = ServePolicy(workers=1, max_batch_size=64, batch_wait_s=5.0,
-                         request_timeout_s=60.0, continuous_batching=False)
+                         request_timeout_s=60.0)
     srv = Server(policy)
     futs = [srv.submit("lstm", seq_len=8, seed=s) for s in range(3)]
     srv.shutdown(drain=False, timeout=10.0)

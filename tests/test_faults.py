@@ -171,7 +171,7 @@ def test_batch_exec_site_fires_in_server():
     plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC, probability=1.0,
                                 times=None)])
     policy = ServePolicy(workers=1, max_batch_size=2, batch_wait_s=0.001,
-                         ladder_enabled=True, max_retries=0,
+                         max_retries=0,
                          retry_base_delay_s=0.0001, breaker_reset_s=5.0)
     with Server(policy) as srv:
         auditor = StateAuditor(cache=srv.cache)
@@ -196,7 +196,7 @@ def test_server_answers_typed_errors_when_every_rung_fails():
         FaultRule(site=SITE_KERNEL_LAUNCH, probability=1.0, times=None),
     ])
     policy = ServePolicy(workers=1, max_batch_size=2, batch_wait_s=0.001,
-                         ladder_enabled=True, max_retries=0,
+                         max_retries=0,
                          retry_base_delay_s=0.0001, breaker_reset_s=5.0)
     with Server(policy) as srv:
         auditor = StateAuditor(cache=srv.cache)

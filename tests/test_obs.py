@@ -20,7 +20,7 @@ from repro.obs import (Counter, Gauge, Histogram, LabeledCounter,
                        tracing, tracing_active, validate_chrome_trace,
                        write_chrome_trace)
 from repro.passes import constant_fold
-from repro.serve import ServePolicy, Server, ServerStats, percentile
+from repro.serve import ServePolicy, Server, ServerStats
 
 
 # -- percentile: the nearest-rank regression --------------------------------
@@ -28,28 +28,27 @@ from repro.serve import ServePolicy, Server, ServerStats, percentile
 class TestPercentileNearestRank:
     def test_p50_of_four_is_second_element(self):
         # the old int(round(q/100*(n-1))) gave 3 here
-        assert percentile([1, 2, 3, 4], 50) == 2
         assert percentile_nearest_rank([1, 2, 3, 4], 50) == 2
 
     def test_small_sets(self):
-        assert percentile([1, 2, 3, 4], 25) == 1
-        assert percentile([1, 2, 3, 4], 75) == 3
-        assert percentile([1, 2, 3, 4], 100) == 4
-        assert percentile([1, 2, 3], 50) == 2
-        assert percentile([7], 99) == 7
+        assert percentile_nearest_rank([1, 2, 3, 4], 25) == 1
+        assert percentile_nearest_rank([1, 2, 3, 4], 75) == 3
+        assert percentile_nearest_rank([1, 2, 3, 4], 100) == 4
+        assert percentile_nearest_rank([1, 2, 3], 50) == 2
+        assert percentile_nearest_rank([7], 99) == 7
 
     def test_q0_is_minimum_q100_is_maximum(self):
         data = [5, 1, 9, 3]
-        assert percentile(data, 0) == 1
-        assert percentile(data, 100) == 9
+        assert percentile_nearest_rank(data, 0) == 1
+        assert percentile_nearest_rank(data, 100) == 9
 
     def test_empty_is_zero(self):
-        assert percentile([], 50) == 0.0
+        assert percentile_nearest_rank([], 50) == 0.0
 
     def test_returns_actual_member(self):
         data = [0.1, 0.2, 0.9]
         for q in (10, 50, 90, 95):
-            assert percentile(data, q) in data
+            assert percentile_nearest_rank(data, q) in data
 
 
 # -- metrics instruments ----------------------------------------------------
@@ -380,6 +379,25 @@ class TestPipelineIntegration:
             assert ts == sorted(ts)
         assert {"serve:batch", "serve:coalesce",
                 "serve:execute"} <= {s.name for s in tr.spans}
+
+    def test_serve_timeline_grammar_on_full_batch_flush(self):
+        # no sleeps, no races: batch_wait_s is far away, so the group
+        # can only flush by filling up, and every member must have
+        # queued to get there
+        n = 4
+        with global_tracing():
+            with Server(ServePolicy(workers=2, max_batch_size=n,
+                                    batch_wait_s=60.0)) as srv:
+                futs = [srv.submit("attention", seq_len=8, seed=i)
+                        for i in range(n)]
+                responses = [f.result(timeout=60) for f in futs]
+        for r in responses:
+            assert r.ok and r.batch_requests == n
+            events = [e["event"] for e in r.timeline]
+            assert events == ["enqueue", "dequeue", "coalesce", "execute",
+                              "scatter", "finish"]
+            ts = [e["t_s"] for e in r.timeline]
+            assert ts == sorted(ts)
 
     def test_serve_timeline_empty_without_sink(self):
         with Server(ServePolicy(workers=1)) as srv:

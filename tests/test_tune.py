@@ -548,15 +548,15 @@ class TestWarmLookup:
 class TestExecutorErrorRouting:
     def _policy(self, **kw):
         base = dict(workers=1, max_batch_size=2, batch_wait_s=0.001,
-                    ladder_enabled=False, verify="off",
-                    retry_base_delay_s=0.0001)
+                    verify="off", retry_base_delay_s=0.0001)
         base.update(kw)
         return ServePolicy(**base)
 
     def test_batch_fault_surfaces_typed_error(self):
         plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC,
                                     probability=1.0, times=None)])
-        with Server(self._policy(max_retries=0)) as srv:
+        with Server(self._policy(max_retries=0,
+                                 fallback_chain=("tensorssa",))) as srv:
             with global_fault_scope(plan):
                 resp = srv.submit("attention",
                                   seq_len=8).result(timeout=30)
@@ -564,7 +564,7 @@ class TestExecutorErrorRouting:
         # before the fix the blanket handler stringified the raw
         # exception; now the classified type name is part of the answer
         assert "KernelError" in resp.error
-        assert "batch failed" in resp.error
+        assert "('tensorssa',) failed" in resp.error
 
     def test_retryable_batch_fault_recovers_solo(self):
         plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC,
@@ -573,23 +573,28 @@ class TestExecutorErrorRouting:
             with global_fault_scope(plan):
                 resp = srv.submit("attention",
                                   seq_len=8).result(timeout=30)
-        assert resp.ok and resp.retries >= 1
+        # every batched rung burns its retries, then the eager floor
+        # (which has no batch step to fault) serves the request solo
+        assert resp.ok and resp.served_by == "eager"
+        assert plan.fired_by_site()[SITE_BATCH_EXEC] == 3 * 3
 
     def test_non_retryable_fault_not_hammered(self):
-        # CompileError is non-retryable: one solo attempt, then stop —
-        # before the fix the retry loop hammered every typed error alike
+        # CompileError is non-retryable: one attempt per rung, then
+        # descend — before the fix the retry loop hammered every typed
+        # error alike
         plan = FaultPlan([FaultRule(
             site=SITE_KERNEL_LAUNCH, probability=1.0, times=None,
             fault=Fault(error=CompileError))])
-        with Server(self._policy(max_retries=3,
-                                 eager_fallback=False)) as srv:
+        with Server(self._policy(
+                max_retries=3,
+                fallback_chain=("tensorssa", "eager"))) as srv:
             with global_fault_scope(plan):
                 resp = srv.submit("attention",
                                   seq_len=8).result(timeout=30)
         assert resp.status == "error"
         assert "CompileError" in resp.error
         fired = plan.fired_by_site().get(SITE_KERNEL_LAUNCH, 0)
-        assert fired <= 2  # batch attempt + one solo probe, no more
+        assert fired <= 2  # batch attempt + one eager attempt, no more
 
     def test_injected_deadline_classified_as_timeout(self):
         plan = FaultPlan([FaultRule(
