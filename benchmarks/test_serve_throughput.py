@@ -15,7 +15,7 @@ import pytest
 
 from repro.models import get_workload
 from repro.serve import ServePolicy
-from repro.tools.serve_bench import build_request_args, run_load
+from repro.tools.drive import request_pool, serve_closed_loop
 
 REQUESTS = 48
 CONCURRENCY = 8
@@ -24,12 +24,12 @@ SEQ_LEN = 16
 
 def _serve(workload: str, max_batch: int):
     wl = get_workload(workload)
-    pool = build_request_args(wl, SEQ_LEN, count=16)
+    pool = request_pool(wl, [SEQ_LEN] * 16)
     policy = ServePolicy(workers=4, max_batch_size=max_batch,
                          batch_wait_s=0.004, verify="batch")
-    return run_load(wl, pool, policy, REQUESTS, CONCURRENCY,
-                    pipeline="tensorssa", platform="datacenter",
-                    warmup=max_batch * 2)
+    return serve_closed_loop(wl, pool, policy, REQUESTS, CONCURRENCY,
+                             warmup=max_batch * 2, pipeline="tensorssa",
+                             platform="datacenter")
 
 
 @pytest.mark.parametrize("workload", ["lstm", "attention"])

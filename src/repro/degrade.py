@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
-from .errors import DeadlineExceeded, classify, is_retryable
+from .errors import CircuitOpen, DeadlineExceeded, classify, is_retryable
 from .obs import trace as obs_trace
 
 __all__ = [
@@ -231,8 +231,8 @@ def run_ladder(chain: Sequence[str], workload: str,
     jittered backoff, anything else descends to the next rung —
     except :class:`~repro.errors.DeadlineExceeded`, which ends the walk
     at once (no rung can give the time back).  When no rung serves, the
-    last classified error is raised (``RuntimeError`` if every rung was
-    circuit-broken).  Attempts run under ``<scope>:rung:<rung>`` spans,
+    last classified error is raised (:class:`~repro.errors.CircuitOpen`
+    if every rung was circuit-broken).  Attempts run under ``<scope>:rung:<rung>`` spans,
     backoff sleeps under ``<scope>:retry_wait``; depths count from
     ``first_depth``.
     """
@@ -265,7 +265,7 @@ def run_ladder(chain: Sequence[str], workload: str,
             breaker.record_success()
             return value, rung, depth, attempts
     if last_error is None:
-        last_error = RuntimeError(
+        last_error = CircuitOpen(
             f"{workload}: every ladder rung {tuple(chain)} is "
             f"circuit-broken")
     raise last_error

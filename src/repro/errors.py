@@ -27,13 +27,14 @@ from organically-found bugs.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 __all__ = [
     "ReproError", "CompileError", "GradError", "KernelError", "OOMError",
     "DeadlineExceeded", "ServerShutdown", "TornStateError",
-    "WorkerCrashed", "ArtifactError",
-    "classify", "is_retryable",
+    "WorkerCrashed", "ArtifactError", "CircuitOpen",
+    "classify", "is_retryable", "names_typed_error",
 ]
 
 
@@ -126,6 +127,15 @@ class ArtifactError(ReproError):
     retryable = False
 
 
+class CircuitOpen(ReproError):
+    """Every rung that could serve the request is circuit-broken: the
+    breakers already know each would fail, so the walk fails fast
+    without an attempt.  Non-retryable inside the walk; a breaker lets
+    a probe through again after its cooldown."""
+
+    retryable = False
+
+
 class TornStateError(ReproError):
     """A :class:`repro.faults.StateAuditor` found process state that did
     not return to its baseline after a failure (leaked profiler frame,
@@ -156,3 +166,18 @@ def is_retryable(exc: BaseException) -> bool:
     if isinstance(exc, ReproError):
         return exc.retryable
     return False
+
+
+def names_typed_error(text: str) -> bool:
+    """Whether an error string names a member of the taxonomy: some
+    ``<ReproError subclass>:`` token anywhere in it, so both
+    ``"WorkerCrashed: ..."`` and ``"all ladder rungs (...) failed:
+    KernelError: ..."`` are typed while ``"executor crashed:
+    ValueError: ..."`` is not.  The names come from walking
+    ``ReproError.__subclasses__()`` — there is no list to keep in step."""
+    names, todo = set(), [ReproError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return re.search(r"\b(?:%s):" % "|".join(sorted(names)), text) is not None

@@ -241,9 +241,6 @@ class CompileCache:
             self.families.clear()
 
 
-#: Back-compat alias — the class predates its public, thread-safe form.
-_CompileCache = CompileCache
-
 _compile_cache = CompileCache()
 
 

@@ -280,8 +280,9 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 @contextmanager
-def fault_scope(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Install ``plan`` for the current context only."""
+def fault_scope(plan: Optional[FaultPlan]) -> Iterator[FaultPlan]:
+    """Install ``plan`` for the current context only (``None``, a
+    fault-free control, installs nothing)."""
     token = _plan_var.set(plan)
     try:
         yield plan
@@ -290,10 +291,10 @@ def fault_scope(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 
 @contextmanager
-def global_fault_scope(plan: FaultPlan) -> Iterator[FaultPlan]:
+def global_fault_scope(plan: Optional[FaultPlan]) -> Iterator[FaultPlan]:
     """Install ``plan`` process-wide (chaos campaigns reach server
-    worker threads through this).  Not reentrant across plans: nesting
-    a second global plan raises."""
+    worker threads through this; ``None`` installs nothing).  Not
+    reentrant across plans: nesting a second global plan raises."""
     global _global_plan
     if _global_plan is not None:
         raise RuntimeError("a global fault plan is already installed")

@@ -150,14 +150,6 @@ def _to_numpy(value):
     return np.asarray(value)
 
 
-def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.shape != b.shape or a.dtype != b.dtype:
-        return False
-    if np.issubdtype(a.dtype, np.floating):
-        return bool(np.array_equal(a, b, equal_nan=True))
-    return bool(np.array_equal(a, b))
-
-
 def _diff_outputs(expected, got) -> Optional[str]:
     exp = expected if isinstance(expected, tuple) else (expected,)
     act = got if isinstance(got, tuple) else (got,)
@@ -169,7 +161,7 @@ def _diff_outputs(expected, got) -> Optional[str]:
             return f"output {i}: shape {ea.shape} != {ga.shape}"
         if ea.dtype != ga.dtype:
             return f"output {i}: dtype {ea.dtype} != {ga.dtype}"
-        if not _bit_equal(ea, ga):
+        if not rt.bit_exact(ea, ga):
             with np.errstate(invalid="ignore"):
                 delta = np.nanmax(np.abs(ea.astype(np.float64)
                                          - ga.astype(np.float64))) \
@@ -450,7 +442,7 @@ def run_oracle(program: FuzzProgram,
             if mismatch is not None:
                 return FuzzFailure(program, pipe.name, "output-mismatch",
                                    mismatch, variant=(flag, n), ir=ir_text)
-            if not _bit_equal(x.numpy(), x_after):
+            if not rt.bit_exact(x.numpy(), x_after):
                 return FuzzFailure(
                     program, pipe.name, "input-mutation",
                     f"input x state diverged from eager\n"

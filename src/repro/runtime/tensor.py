@@ -258,6 +258,26 @@ def as_tensor(value, dtype: Optional[DType] = None) -> Tensor:
     return Tensor.from_array(arr, copy=False)
 
 
+def bit_exact(got, expected) -> bool:
+    """The stack's one bit-exactness oracle: same arity and, output by
+    output, same shape, same dtype and identical values (NaNs equal
+    each other, in floating outputs only).  Takes one output or a
+    tuple/list of them; each a Tensor or anything numpy can view."""
+    got = got if isinstance(got, (tuple, list)) else (got,)
+    expected = expected if isinstance(expected, (tuple, list)) \
+        else (expected,)
+    if len(got) != len(expected):
+        return False
+    for g, e in zip(got, expected):
+        ga = g.numpy() if isinstance(g, Tensor) else np.asarray(g)
+        ea = e.numpy() if isinstance(e, Tensor) else np.asarray(e)
+        if ga.shape != ea.shape or ga.dtype != ea.dtype \
+                or not np.array_equal(
+                    ga, ea, equal_nan=np.issubdtype(ga.dtype, np.floating)):
+            return False
+    return True
+
+
 def write_through(target: Tensor, value: np.ndarray) -> None:
     """Mutate ``target``'s data in place (and thus every alias of it)."""
     target._array[...] = value

@@ -65,14 +65,6 @@ from .request import (Request, Response, STATUS_ERROR, STATUS_OK,
 from .stats import ServerStats
 
 
-def _bit_equal(got, expected) -> bool:
-    ga = got.numpy() if isinstance(got, rt.Tensor) else np.asarray(got)
-    ea = expected.numpy() if isinstance(expected, rt.Tensor) \
-        else np.asarray(expected)
-    return ga.shape == ea.shape and ga.dtype == ea.dtype \
-        and np.array_equal(ga, ea, equal_nan=True)
-
-
 def _close(got, expected, rtol: float = 1e-4, atol: float = 1e-5) -> bool:
     ga = got.numpy() if isinstance(got, rt.Tensor) else np.asarray(got)
     ea = expected.numpy() if isinstance(expected, rt.Tensor) \
@@ -129,14 +121,7 @@ class BatchExecutor:
         if not live:
             return
         self.stats.on_batch(len(live))
-        try:
-            self._execute_ladder(live)
-        finally:
-            self.stats.set_cache_snapshot(self.cache.snapshot())
-            self.stats.set_breaker_transitions(self.breakers.transitions())
-            db = getattr(self.cache, "tuning_db", None)
-            if db is not None:
-                self.stats.set_tuning_snapshot(db.snapshot())
+        self._execute_ladder(live)
 
     def _coalesce(self, requests: List[Request]) -> BatchPlan:
         """Coalesce under a ``serve:coalesce`` span, stamping each
@@ -393,19 +378,16 @@ class BatchExecutor:
         if self.policy.verify == VERIFY_OFF:
             return None
         if self.policy.verify == VERIFY_BATCH:
-            expected = expected_per_request[idx]
-            return len(outs) == len(expected) and all(
-                _bit_equal(g, e) for g, e in zip(outs, expected))
+            return rt.bit_exact(outs, expected_per_request[idx])
         # VERIFY_SOLO: eager on this request's own inputs.  Bit-exact
         # when the request ran unbatched; allclose otherwise (batching
         # may legally change BLAS reduction order).
         expected = _tuple_outputs(
             req.workload.model_fn(*clone_args(req.args)))
-        if len(outs) != len(expected):
-            return False
         if n_batch == 1:
-            return all(_bit_equal(g, e) for g, e in zip(outs, expected))
-        return all(_close(g, e) for g, e in zip(outs, expected))
+            return rt.bit_exact(outs, expected)
+        return len(outs) == len(expected) and all(
+            _close(g, e) for g, e in zip(outs, expected))
 
     # -- the eager floor -------------------------------------------------
 
@@ -424,10 +406,8 @@ class BatchExecutor:
         outs = _tuple_outputs(outputs)
         verified: Optional[bool] = None
         if self.policy.verify != VERIFY_OFF:
-            expected = _tuple_outputs(
-                req.workload.model_fn(*clone_args(req.args)))
-            verified = len(outs) == len(expected) and all(
-                _bit_equal(g, e) for g, e in zip(outs, expected))
+            verified = rt.bit_exact(outs, _tuple_outputs(
+                req.workload.model_fn(*clone_args(req.args))))
         self._finish(req, req.answer(
             STATUS_OK, served_by="eager", outputs=outs,
             fallback_depth=depth, degraded=depth > 0,

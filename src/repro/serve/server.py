@@ -84,11 +84,8 @@ class Server:
             self.cache.tuning_db = TuningDB(self.policy.tuning_db_path)
         self.stats = stats or ServerStats(
             recent_window=self.policy.shed_window)
-        if getattr(self.cache, "tuning_db", None) is not None:
-            # seed the snapshot so ``tune_db`` counters are reported
-            # even before (or without) any batch executing
-            self.stats.set_tuning_snapshot(self.cache.tuning_db.snapshot())
         self.executor = BatchExecutor(self.policy, self.cache, self.stats)
+        self.stats.bind(self.cache, self.executor.breakers)
         #: injectable for deterministic scheduler/quota tests; the
         #: executor keeps real monotonic time, so only inject a fake
         #: clock when no request actually executes
@@ -349,19 +346,16 @@ class Server:
         with self._cond:
             # drain=True normally leaves nothing here; a worker that
             # died or outlived the drain deadline does
-            flushed = self._flush_queued(
+            self._flush_queued(
                 STATUS_CANCELLED,
                 str(ServerShutdown("server shut down before the request "
                                    "was served")))
         if expired:
-            self.stats.on_drain_expired(flushed)
-        self.stats.set_cache_snapshot(self.cache.snapshot())
-        self.stats.set_breaker_transitions(
-            self.executor.breakers.transitions())
+            self.stats.on_drain_expired()
 
-    def _flush_queued(self, status: str, error: str) -> int:
+    def _flush_queued(self, status: str, error: str) -> None:
         """Resolve every queued request's future (caller holds the
-        lock); returns how many were flushed."""
+        lock)."""
         cancelled = 0
         for queue in self._groups.values():
             while queue:
@@ -373,7 +367,6 @@ class Server:
         if cancelled:
             self.stats.on_cancel(cancelled)
             self._cond.notify_all()
-        return cancelled
 
     def __enter__(self) -> "Server":
         return self

@@ -65,11 +65,11 @@ from ..ops import registry
 from ..pipelines.base import Compiled
 from ..runtime.dtype import DType
 from ..runtime.tensor import Tensor
+from ..store import KeyedFileStore, atomic_write
 from ..symshape.family import ShapeFamily
 from ..symshape.guards import Guard
 from ..symshape.propagate import annotate_symbolic_shapes
 from ..symshape.symbols import SymInt
-from ..tune.db import atomic_write
 
 __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
            "deserialize_compiled", "ArtifactStore"]
@@ -597,12 +597,11 @@ class ArtifactStore:
     """Content-addressed on-disk artifact store.
 
     Layout: ``<root>/objects/<sha256>`` holds the artifact bytes;
-    ``<root>/index/<sha256(key)>`` is a tiny JSON record mapping one
-    canonical compile-key text to its object digest.  Every write is
-    an atomic temp-file + ``os.replace`` and each key owns its own
-    index record, so concurrent worker *processes* sharing one store
-    never lose each other's puts (a monolithic index file would make
-    put a cross-process read-modify-write).  ``puts`` / ``loads`` /
+    ``<root>/index/`` is a :class:`~repro.store.KeyedFileStore` whose
+    tiny records map one canonical compile-key text to its object
+    digest.  Every write is an atomic replace and each key owns its
+    own index record, so concurrent worker *processes* sharing one
+    store never lose each other's puts.  ``puts`` / ``loads`` /
     ``errors`` counters make warm-start behaviour observable in tests
     and drills.
     """
@@ -610,44 +609,16 @@ class ArtifactStore:
     def __init__(self, root: str) -> None:
         self.root = root
         self._objects = os.path.join(root, "objects")
-        self._index_dir = os.path.join(root, "index")
+        self._index = KeyedFileStore(os.path.join(root, "index"))
         self._lock = threading.Lock()
         self.puts = 0
         self.loads = 0
         self.errors = 0
         os.makedirs(self._objects, exist_ok=True)
-        os.makedirs(self._index_dir, exist_ok=True)
-
-    # -- internals -----------------------------------------------------
 
     @staticmethod
     def _key_text(key: tuple) -> str:
         return _canonical(_encode_payload(tuple(key)))
-
-    def _index_entry_path(self, key_text: str) -> str:
-        return os.path.join(self._index_dir, _sha256(key_text))
-
-    def _read_index(self) -> Dict[str, str]:
-        index: Dict[str, str] = {}
-        try:
-            names = os.listdir(self._index_dir)
-        except OSError:
-            return index
-        for name in names:
-            if name.startswith(".tmp-"):
-                continue
-            try:
-                with open(os.path.join(self._index_dir, name), "r",
-                          encoding="utf-8") as fh:
-                    entry = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            if isinstance(entry, dict) and "key" in entry \
-                    and "digest" in entry:
-                index[entry["key"]] = entry["digest"]
-        return index
-
-    # -- API -----------------------------------------------------------
 
     def put(self, key: tuple, compiled: Compiled,
             family: Optional[ShapeFamily] = None) -> str:
@@ -660,23 +631,20 @@ class ArtifactStore:
         with self._lock:
             obj_path = os.path.join(self._objects, digest)
             if not os.path.exists(obj_path):
-                atomic_write(self.root, obj_path, data)
-            atomic_write(
-                self.root, self._index_entry_path(key_text),
-                _canonical({"key": key_text,
-                            "digest": digest}).encode("utf-8"))
+                atomic_write(obj_path, data)
+            self._index.write(key_text,
+                              {"key": key_text, "digest": digest},
+                              separators=(",", ":"))
             self.puts += 1
         return digest
 
     def keys(self) -> List[tuple]:
         """Every compile key currently indexed."""
-        with self._lock:
-            index = self._read_index()
         out = []
-        for key_text in index:
+        for entry in self._index.scan():
             try:
-                out.append(tuple(_decode_payload(json.loads(key_text))))
-            except (ValueError, ArtifactError):
+                out.append(tuple(_decode_payload(json.loads(entry["key"]))))
+            except (ValueError, KeyError, TypeError, ArtifactError):
                 continue
         return out
 
@@ -686,18 +654,12 @@ class ArtifactStore:
         Corrupt objects raise :class:`ArtifactError` (and count in
         ``errors``) rather than returning a broken program.
         """
-        entry_path = self._index_entry_path(self._key_text(key))
-        try:
-            with open(entry_path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            digest = entry["digest"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        obj_path = os.path.join(self._objects, digest)
-        try:
-            with open(obj_path, "rb") as fh:
+        try:  # an absent key reads as None: the TypeError below
+            entry = self._index.read(self._key_text(key))
+            with open(os.path.join(self._objects, entry["digest"]),
+                      "rb") as fh:
                 data = fh.read()
-        except OSError:
+        except (OSError, ValueError, KeyError, TypeError):
             return None
         try:
             restored = deserialize_compiled(data)
@@ -710,8 +672,7 @@ class ArtifactStore:
         return restored
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._read_index())
+        return len(self._index)
 
     def warm_start(self, cache: CompileCache) -> int:
         """Seed a compile cache with every stored artifact.

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..models import Workload, get_workload
+from ..obs import MetricsRegistry
 from ..obs import trace as obs_trace
 from ..runtime.tensor import Tensor
 from ..serve.request import (Response, STATUS_CANCELLED, STATUS_ERROR,
@@ -163,15 +164,19 @@ class ShardPolicy:
 
 
 class RouterStats:
-    """Thread-safe counters for the router's crash-handling paths."""
+    """The router's crash-handling counters: ``shard.<name>``
+    :class:`~repro.obs.Counter` instruments in a
+    :class:`~repro.obs.MetricsRegistry`, the same instrument type the
+    workers' :class:`~repro.serve.stats.ServerStats` reports through."""
 
     _FIELDS = ("submitted", "answered", "ok", "errors", "redelivered",
                "duplicates_dropped", "replayed", "eager_floor",
                "parked", "crash_failures")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {f: 0 for f in self._FIELDS}
+        self.registry = MetricsRegistry()
+        self._counters = {f: self.registry.counter("shard." + f)
+                          for f in self._FIELDS}
         #: latest compile-event count each worker reported (the
         #: warm-restart "zero cold compiles" witness)
         self.worker_compiles: Dict[str, int] = {}
@@ -181,21 +186,19 @@ class RouterStats:
 
     def inc(self, name: str, by: int = 1) -> None:
         """Bump one counter."""
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + by
+        self._counters[name].inc(by)
 
     def get(self, name: str) -> int:
         """Read one counter."""
-        with self._lock:
-            return self._counts.get(name, 0)
+        return self._counters[name].value
 
     def to_dict(self) -> Dict[str, object]:
         """Snapshot of every counter plus per-worker reports."""
-        with self._lock:
-            out: Dict[str, object] = dict(self._counts)
-            out["worker_compiles"] = dict(self.worker_compiles)
-            out["worker_warmed"] = dict(self.worker_warmed)
-            return out
+        out: Dict[str, object] = {
+            f: c.value for f, c in self._counters.items()}
+        out["worker_compiles"] = dict(self.worker_compiles)
+        out["worker_warmed"] = dict(self.worker_warmed)
+        return out
 
 
 @dataclass

@@ -162,14 +162,8 @@ def worker_main(cfg: dict) -> None:
         # the drill's contract is that recovery succeeds, so respawned
         # workers come back healthy
         plan = FaultPlan.from_spec(cfg["fault_spec"])
-    scope = global_fault_scope(plan) if plan is not None else None
-    if scope is not None:
-        scope.__enter__()
-    try:
+    with global_fault_scope(plan):
         _serve(cfg, worker_id)
-    finally:
-        if scope is not None:
-            scope.__exit__(None, None, None)
 
 
 def _serve(cfg: dict, worker_id: str) -> None:

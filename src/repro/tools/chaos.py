@@ -37,19 +37,14 @@ sites``, so CI gates on it directly.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
-from pathlib import Path
+from concurrent.futures import Future
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..degrade import BreakerRegistry, RetryPolicy
-from ..errors import ReproError
-from ..eval.harness import CompileCache, run_workload, \
+from ..eval.harness import CompileCache, clone_args, run_workload, \
     run_workload_resilient
 from ..faults import (ALL_SITES, Fault, FaultPlan, FaultRule,
                       KIND_LATENCY, SITE_ALLOC, SITE_BATCH_EXEC,
@@ -57,8 +52,10 @@ from ..faults import (ALL_SITES, Fault, FaultPlan, FaultRule,
                       SITE_KERNEL_LAUNCH, SITE_PASS, SITE_PROCESS_KILL,
                       StateAuditor, fault_scope, global_fault_scope)
 from ..models import get_workload
-from ..serve import ServePolicy, Server
-from ..shard import ShardPolicy, ShardRouter
+from ..serve import Response, STATUS_OK, ServePolicy, Server
+from ..shard import ShardRouter
+from .drive import burst, request_pool, tally, write_report
+from .sharddrill import LEDGER, fleet_policy
 
 #: per-request data seeds start here (campaign c, request j -> BASE+17c+j)
 DATA_SEED0 = 50_000
@@ -126,74 +123,71 @@ def build_plan(seed: int, index: int, primary_site: str) -> FaultPlan:
     return FaultPlan(rules, seed=(seed << 8) ^ index)
 
 
-def _bit_exact(got, expected) -> bool:
-    got = got if isinstance(got, tuple) else (got,)
-    expected = expected if isinstance(expected, tuple) else (expected,)
-    if len(got) != len(expected):
-        return False
-    for g, e in zip(got, expected):
-        ga = g.numpy() if hasattr(g, "numpy") else np.asarray(g)
-        ea = e.numpy() if hasattr(e, "numpy") else np.asarray(e)
-        if ga.shape != ea.shape or not np.array_equal(ga, ea,
-                                                      equal_nan=True):
-            return False
-    return True
+class _Harness:
+    """``run_workload`` behind the ``submit`` contract (run inline, the
+    result or the exception delivered through a resolved future), so
+    the harness campaign is driven and tallied like the serving ones."""
+
+    def __init__(self, ladder: bool) -> None:
+        self.ladder = ladder
+        self.cache = CompileCache()
+        self.breakers = BreakerRegistry(reset_timeout_s=0.01)
+        self.retry = RetryPolicy(max_retries=1, base_delay_s=0.0005,
+                                 max_delay_s=0.005)
+
+    def submit(self, workload: str, *, seq_len: int, seed: int) -> Future:
+        """Run one request now; returns its already-resolved future."""
+        fut: Future = Future()
+        try:
+            if self.ladder:
+                r = run_workload_resilient(
+                    workload, "tensorssa", seq_len=seq_len, seed=seed,
+                    cache=self.cache, breakers=self.breakers,
+                    retry=self.retry)
+            else:
+                r = run_workload(workload, "tensorssa", seq_len=seq_len,
+                                 seed=seed, cache=self.cache)
+            fut.set_result(Response(
+                request_id=seed, workload=workload, pipeline="tensorssa",
+                platform=r.platform, status=STATUS_OK,
+                served_by=r.served_by, fallback_depth=r.fallback_depth,
+                degraded=r.degraded, outputs=r.outputs))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+def _seeds(index: int, requests: int) -> List[int]:
+    return [DATA_SEED0 + index * 17 + j for j in range(requests)]
+
+
+def _result(mode: str, counts: Dict[str, object], auditor: StateAuditor,
+            breaker_transitions: Dict[str, int]) -> Dict[str, object]:
+    """A campaign's report entry: the tally plus the torn-state audit."""
+    audit = auditor.audit()
+    return {"mode": mode, **counts, "torn": len(audit), "audit": audit,
+            "breaker_transitions": breaker_transitions}
 
 
 def run_harness_campaign(workload: str, plan: Optional[FaultPlan],
                          index: int, requests: int, seq_len: int,
-                         ladder: bool) -> Dict[str, object]:
+                         ladder: bool,
+                         hang_timeout_s: float) -> Dict[str, object]:
     """``requests`` resilient runs under a context-local plan, each
     checked bit-exact against a fault-free eager reference."""
-    cache = CompileCache()
-    breakers = BreakerRegistry(reset_timeout_s=0.01)
-    retry = RetryPolicy(max_retries=1, base_delay_s=0.0005,
-                        max_delay_s=0.005)
-    seeds = [DATA_SEED0 + index * 17 + j for j in range(requests)]
+    seeds = _seeds(index, requests)
     # references computed before the plan installs: faults must never
     # touch the oracle
-    refs = {s: run_workload(workload, "eager", seq_len=seq_len,
-                            seed=s, cache=CompileCache()).outputs
-            for s in seeds}
-    out = {"mode": "harness", "requests": requests, "ok": 0,
-           "degraded": 0, "wrong": 0, "typed_errors": 0,
-           "untyped_errors": 0, "hangs": 0,
-           "fallback_depth_hist": {}, "torn": 0}
-    auditor = StateAuditor(cache=cache)
-    scope = fault_scope(plan) if plan is not None else None
-    if scope is not None:
-        scope.__enter__()
-    try:
-        for s in seeds:
-            try:
-                if ladder:
-                    r = run_workload_resilient(
-                        workload, "tensorssa", seq_len=seq_len, seed=s,
-                        cache=cache, breakers=breakers, retry=retry)
-                else:
-                    r = run_workload(workload, "tensorssa",
-                                     seq_len=seq_len, seed=s, cache=cache)
-            except ReproError:
-                out["typed_errors"] += 1
-                continue
-            except Exception:
-                out["untyped_errors"] += 1
-                continue
-            if not _bit_exact(r.outputs, refs[s]):
-                out["wrong"] += 1
-                continue
-            out["ok"] += 1
-            if r.degraded:
-                out["degraded"] += 1
-            hist = out["fallback_depth_hist"]
-            hist[r.fallback_depth] = hist.get(r.fallback_depth, 0) + 1
-    finally:
-        if scope is not None:
-            scope.__exit__(None, None, None)
-    out["torn"] = len(auditor.audit())
-    out["audit"] = auditor.audit()
-    out["breaker_transitions"] = breakers.transitions()
-    return out
+    refs = [run_workload(workload, "eager", seq_len=seq_len, seed=s,
+                         cache=CompileCache()).outputs for s in seeds]
+    harness = _Harness(ladder)
+    auditor = StateAuditor(cache=harness.cache)
+    with fault_scope(plan):
+        load = burst(harness, workload, [{"seed": s} for s in seeds],
+                     seq_len=seq_len)
+    counts, _ = tally(load, hang_timeout_s, refs)
+    return _result("harness", counts, auditor,
+                   harness.breakers.transitions())
 
 
 def run_serve_campaign(workload: str, plan: Optional[FaultPlan],
@@ -209,50 +203,19 @@ def run_serve_campaign(workload: str, plan: Optional[FaultPlan],
         retry_base_delay_s=0.0005, retry_max_delay_s=0.005,
         breaker_reset_s=0.02, request_timeout_s=hang_timeout_s,
         retry_seed=index)
-    out = {"mode": "serve", "requests": requests, "ok": 0, "degraded": 0,
-           "wrong": 0, "typed_errors": 0, "untyped_errors": 0,
-           "hangs": 0, "fallback_depth_hist": {}, "torn": 0}
     server = Server(policy)
     auditor = StateAuditor(cache=server.cache)
-    scope = global_fault_scope(plan) if plan is not None else None
-    if scope is not None:
-        scope.__enter__()
     try:
-        futs = [server.submit(workload, seq_len=seq_len,
-                              seed=DATA_SEED0 + index * 17 + j)
-                for j in range(requests)]
-        for fut in futs:
-            try:
-                resp = fut.result(timeout=hang_timeout_s)
-            except FutureTimeout:
-                out["hangs"] += 1
-                continue
-            except Exception:
-                out["untyped_errors"] += 1
-                continue
-            if resp.ok:
-                if resp.verified is False:
-                    out["wrong"] += 1
-                    continue
-                out["ok"] += 1
-                if resp.degraded:
-                    out["degraded"] += 1
-                hist = out["fallback_depth_hist"]
-                hist[resp.fallback_depth] = \
-                    hist.get(resp.fallback_depth, 0) + 1
-            elif resp.error:
-                out["typed_errors"] += 1  # clean rejection/timeout/error
-            else:
-                out["untyped_errors"] += 1  # failure without a reason
-        server.shutdown(drain=True, timeout=hang_timeout_s)
+        with global_fault_scope(plan):
+            load = burst(server, workload,
+                         [{"seed": s} for s in _seeds(index, requests)],
+                         seq_len=seq_len)
+            counts, _ = tally(load, hang_timeout_s)
+            server.shutdown(drain=True, timeout=hang_timeout_s)
     finally:
-        if scope is not None:
-            scope.__exit__(None, None, None)
         server.shutdown(drain=False, timeout=1.0)
-    out["torn"] = len(auditor.audit())
-    out["audit"] = auditor.audit()
-    out["breaker_transitions"] = server.executor.breakers.transitions()
-    return out
+    return _result("serve", counts, auditor,
+                   server.executor.breakers.transitions())
 
 
 def run_shard_campaign(workload: str, plan: Optional[FaultPlan],
@@ -264,57 +227,21 @@ def run_shard_campaign(workload: str, plan: Optional[FaultPlan],
     boundary); the parent checks every answer bit-exact against its
     own eager oracle and observes fault firings as supervisor-detected
     deaths."""
-    out = {"mode": "shard", "requests": requests, "ok": 0,
-           "degraded": 0, "wrong": 0, "typed_errors": 0,
-           "untyped_errors": 0, "hangs": 0, "fallback_depth_hist": {},
-           "torn": 0}
-    seeds = [DATA_SEED0 + index * 17 + j for j in range(requests)]
     wl = get_workload(workload)
-    refs = {}
-    for s in seeds:
-        r = wl.model_fn(*wl.make_inputs(batch_size=1, seq_len=seq_len,
-                                        seed=s))
-        refs[s] = r if isinstance(r, tuple) else (r,)
-    policy = ShardPolicy(
-        num_workers=2, fault_spec=plan.to_spec() if plan else None,
-        heartbeat_interval_s=0.05, heartbeat_timeout_s=0.6,
-        max_respawns=2, redeliver_max=3,
-        request_timeout_s=hang_timeout_s,
-        worker_policy={"workers": 2, "max_batch_size": 1,
-                       "fallback_chain":
-                           None if ladder else _NO_FALLBACK,
-                       "max_retries": 1,
-                       "retry_base_delay_s": 0.0005,
-                       "retry_max_delay_s": 0.005,
-                       "breaker_reset_s": 0.02, "retry_seed": index})
+    pool = request_pool(wl, [seq_len] * requests,
+                        seed0=DATA_SEED0 + index * 17)
+    refs = [wl.model_fn(*clone_args(args)) for args in pool]
+    policy = fleet_policy(
+        plan.to_spec() if plan else None, hang_timeout_s,
+        fallback_chain=None if ladder else _NO_FALLBACK, max_retries=1,
+        retry_base_delay_s=0.0005, retry_max_delay_s=0.005,
+        breaker_reset_s=0.02, retry_seed=index)
     auditor = StateAuditor()
     with ShardRouter(policy) as router:
         router.wait_ready(2, timeout=60)
-        futs = [router.submit(workload, seq_len=seq_len, seed=s,
-                              timeout_s=hang_timeout_s) for s in seeds]
-        for s, fut in zip(seeds, futs):
-            try:
-                resp = fut.result(timeout=hang_timeout_s * 2)
-            except FutureTimeout:
-                out["hangs"] += 1
-                continue
-            except Exception:
-                out["untyped_errors"] += 1
-                continue
-            if resp.ok:
-                if not _bit_exact(resp.outputs, refs[s]):
-                    out["wrong"] += 1
-                    continue
-                out["ok"] += 1
-                if resp.degraded:
-                    out["degraded"] += 1
-                hist = out["fallback_depth_hist"]
-                hist[resp.fallback_depth] = \
-                    hist.get(resp.fallback_depth, 0) + 1
-            elif resp.error:
-                out["typed_errors"] += 1
-            else:
-                out["untyped_errors"] += 1
+        load = burst(router, wl, [{"args": args} for args in pool],
+                     timeout_s=hang_timeout_s)
+        counts, _ = tally(load, hang_timeout_s * 2, refs)
         if plan is not None and any(rule.site in _SHARD_SITES
                                     for rule in plan.rules):
             # death detection is asynchronous (a stalled beacon only
@@ -335,14 +262,14 @@ def run_shard_campaign(workload: str, plan: Optional[FaultPlan],
         fired[SITE_PROCESS_KILL] = kills
     if reasons.get("hang"):
         fired[SITE_HEARTBEAT_STALL] = reasons["hang"]
+    out = _result("shard", counts, auditor, {})
     out["fired_by_site"] = fired
-    out["shard"] = {k: report[k] for k in
-                    ("deaths", "respawned", "redelivered",
-                     "duplicates_dropped", "replayed", "eager_floor")}
-    out["torn"] = len(auditor.audit())
-    out["audit"] = auditor.audit()
-    out["breaker_transitions"] = {}
+    out["shard"] = {k: report[k] for k in LEDGER}
     return out
+
+
+_CAMPAIGNS = {"harness": run_harness_campaign, "serve": run_serve_campaign,
+              "shard": run_shard_campaign}
 
 
 def _merge_hist(total: Dict[str, int], part: Dict) -> None:
@@ -352,7 +279,7 @@ def _merge_hist(total: Dict[str, int], part: Dict) -> None:
 
 def run_campaigns(args: argparse.Namespace) -> Dict[str, object]:
     """Run every campaign of the configured sweep and aggregate the
-    report: the primary fault site cycles through all five sites
+    report: the primary fault site cycles through all seven sites
     (guaranteeing coverage), campaigns alternate harness/serve mode
     (serve whenever the primary is the serving-only ``batch_exec``
     site), and the first two run fault-free as controls."""
@@ -362,6 +289,7 @@ def run_campaigns(args: argparse.Namespace) -> Dict[str, object]:
     fired_by_site: Dict[str, int] = {}
     fallback_hist: Dict[str, int] = {}
     breaker_transitions: Dict[str, int] = {}
+    untyped_strings: set = set()
     totals = {"requests": 0, "ok": 0, "degraded": 0, "wrong": 0,
               "typed_errors": 0, "untyped_errors": 0, "hangs": 0,
               "torn_audits": 0, "control_violations": 0}
@@ -381,18 +309,9 @@ def run_campaigns(args: argparse.Namespace) -> Dict[str, object]:
                 mode = "serve" if primary == SITE_BATCH_EXEC \
                     or i % 2 == 0 else "harness"
         start = time.perf_counter()
-        if mode == "harness":
-            result = run_harness_campaign(workload, plan, i,
-                                          args.requests, args.seq_len,
-                                          ladder)
-        elif mode == "serve":
-            result = run_serve_campaign(workload, plan, i,
-                                        args.requests, args.seq_len,
-                                        ladder, args.hang_timeout_s)
-        else:
-            result = run_shard_campaign(workload, plan, i,
-                                        args.requests, args.seq_len,
-                                        ladder, args.hang_timeout_s)
+        result = _CAMPAIGNS[mode](workload, plan, i, args.requests,
+                                  args.seq_len, ladder,
+                                  args.hang_timeout_s)
         result.update(index=i, workload=workload, control=control,
                       primary_site=primary,
                       wall_s=time.perf_counter() - start)
@@ -414,18 +333,17 @@ def run_campaigns(args: argparse.Namespace) -> Dict[str, object]:
                   "untyped_errors", "hangs"):
             totals[k] += result[k]
         totals["torn_audits"] += result["torn"]
+        untyped_strings.update(result["untyped_error_strings"])
         _merge_hist(fallback_hist, result["fallback_depth_hist"])
         _merge_hist(breaker_transitions, result["breaker_transitions"])
 
     site_gaps = [s for s in ALL_SITES if not fired_by_site.get(s)]
     availability = 100.0 * totals["ok"] / max(1, totals["requests"])
     return {
-        "config": {"seed": args.seed, "campaigns": args.campaigns,
-                   "workloads": workloads, "requests": args.requests,
-                   "seq_len": args.seq_len, "ladder": ladder},
         "campaigns": campaigns,
         "totals": {**totals,
                    "availability_pct": availability,
+                   "untyped_error_strings": sorted(untyped_strings),
                    "fallback_depth_hist": fallback_hist,
                    "fired_by_site": fired_by_site,
                    "site_gaps": site_gaps,
@@ -463,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     t = report["totals"]
     print(f"chaos: {args.campaigns} campaigns, {t['requests']} requests "
           f"(seed {args.seed}, ladder "
-          f"{'on' if report['config']['ladder'] else 'off'})")
+          f"{'off' if args.no_ladder else 'on'})")
     print(f"  availability {t['availability_pct']:.1f}%  "
           f"degraded {t['degraded']}  typed errors {t['typed_errors']}")
     print(f"  hangs {t['hangs']}  torn audits {t['torn_audits']}  "
@@ -471,6 +389,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  faults fired by site: {t['fired_by_site']}")
     print(f"  fallback depths: {t['fallback_depth_hist']}  "
           f"breakers: {t['breaker_transitions']}")
+    for text in t["untyped_error_strings"]:
+        print(f"  UNTYPED: {text}")
     if t["site_gaps"]:
         print(f"  UNCOVERED SITES: {t['site_gaps']}")
 
@@ -482,13 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"FAIL: availability {t['availability_pct']:.1f}% < "
               f"{args.min_availability:.1f}%")
         failures += 1
-    report["failures"] = failures
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"{failures} failure(s); wrote {out}")
-    return failures
+    return write_report(report, args, failures)
 
 
 if __name__ == "__main__":

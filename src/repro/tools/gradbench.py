@@ -18,13 +18,12 @@ it directly.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import List
 
 from ..eval.harness import clear_compile_cache, run_workload
 from ..grad.check import check_workload_grad
+from .drive import write_report
 
 #: workloads with meaningful training loops (the paper's module-level
 #: benchmarks; the CV detectors are inference-only post-processing)
@@ -120,10 +119,7 @@ def main(argv: List[str] = None) -> int:
     report = {"batch_size": args.batch_size, "seq_len": args.seq_len,
               "repeats": args.repeats, "rows": rows}
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
+        write_report(report, args, bad)
     return bad
 
 

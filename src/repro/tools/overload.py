@@ -43,12 +43,10 @@ number of failed gates (CI-friendly, like the other drills).
 from __future__ import annotations
 
 import argparse
-import json
+import collections
 import random
 import sys
-import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -56,10 +54,11 @@ from ..faults import (Fault, FaultPlan, FaultRule, KIND_LATENCY,
                       SITE_BATCH_EXEC, SITE_KERNEL_LAUNCH,
                       global_fault_scope)
 from ..models import get_workload
-from ..obs import (chrome_trace, global_tracing, percentile_nearest_rank,
-                   validate_chrome_trace, write_chrome_trace)
+from ..obs import global_tracing, percentile_nearest_rank
 from ..serve import ServePolicy, Server
-from .serve_bench import build_request_args, run_load
+from .drive import (open_loop, request_pool, serve_closed_loop, tally,
+                    write_report)
+from .trace import export_trace
 
 #: the two traffic classes the drill mixes
 KIND_HIGH = "high"
@@ -92,15 +91,12 @@ def probe_saturation(args: argparse.Namespace) -> float:
     machine-independent).
     """
     wl = get_workload(args.workload)
-    pool = build_request_args(wl, args.low_seq_len, args.distinct_inputs)
-    policy = ServePolicy(
-        workers=args.workers, max_batch_size=args.max_batch,
-        batch_wait_s=args.batch_wait_ms / 1e3, queue_capacity=4096,
-        request_timeout_s=60.0, shed_enabled=False,
-        verify=("off" if args.no_verify else "batch"))
-    run = run_load(wl, pool, policy, args.probe_requests,
-                   args.concurrency, args.pipeline, args.platform,
-                   warmup=args.warmup)
+    pool = request_pool(wl, [args.low_seq_len] * args.distinct_inputs)
+    policy = _policy(args, queue_capacity=4096, request_timeout_s=60.0,
+                     shed_enabled=False)
+    run = serve_closed_loop(wl, pool, policy, args.probe_requests,
+                            args.concurrency, warmup=args.warmup,
+                            pipeline=args.pipeline, platform=args.platform)
     return float(run["throughput_rps"])
 
 
@@ -112,20 +108,25 @@ def _draw_kinds(seed: int, n: int, high_fraction: float) -> List[str]:
             for _ in range(n)]
 
 
+def _policy(args: argparse.Namespace, **admission) -> ServePolicy:
+    """The drill's one scheduler configuration; the probe and the two
+    campaign modes differ only in the ``admission`` values on top."""
+    return ServePolicy(
+        workers=args.workers, max_batch_size=args.max_batch,
+        batch_wait_s=args.batch_wait_ms / 1e3,
+        verify=("off" if args.no_verify else "batch"), **admission)
+
+
 def _campaign_policy(mode: str, args: argparse.Namespace,
                      queue_capacity: int,
                      free_rate: float) -> ServePolicy:
     """The server policy for one campaign mode."""
-    common = dict(
-        workers=args.workers, max_batch_size=args.max_batch,
-        batch_wait_s=args.batch_wait_ms / 1e3,
-        queue_capacity=queue_capacity, reject_on_full=True,
-        request_timeout_s=args.timeout_s,
-        verify=("off" if args.no_verify else "batch"))
+    common = dict(queue_capacity=queue_capacity, reject_on_full=True,
+                  request_timeout_s=args.timeout_s)
     if mode == "baseline":
-        return ServePolicy(shed_enabled=False, **common)
-    return ServePolicy(
-        shed_enabled=True, shed_window=args.shed_window,
+        return _policy(args, shed_enabled=False, **common)
+    return _policy(
+        args, shed_enabled=True, shed_window=args.shed_window,
         tenant_rates={"free": (free_rate, max(8.0, free_rate))},
         **common)
 
@@ -134,105 +135,54 @@ def run_campaign(mode: str, args: argparse.Namespace, rate_rps: float,
                  queue_capacity: int, kinds: List[str],
                  plan: Optional[FaultPlan]
                  ) -> Tuple[Dict[str, object], object]:
-    """One open-loop paced campaign; returns (report, trace object).
-
-    Requests are submitted on a fixed schedule (``i / rate_rps`` after
-    start) regardless of how the server is coping — the open-loop shape
-    that actually produces overload, unlike closed-loop clients that
-    politely slow down.  ``reject_on_full`` keeps the pacer from ever
-    blocking in ``submit``.
-    """
+    """One :func:`~repro.tools.drive.open_loop` campaign paced at
+    ``rate_rps``; returns (report, trace object).  ``reject_on_full``
+    keeps the pacer from ever blocking in ``submit``."""
     wl = get_workload(args.workload)
-    high_pool = build_request_args(wl, args.high_seq_len,
-                                   args.distinct_inputs)
-    low_pool = build_request_args(wl, args.low_seq_len,
-                                  args.distinct_inputs)
+    pools = {KIND_HIGH: request_pool(
+                 wl, [args.high_seq_len] * args.distinct_inputs),
+             KIND_LOW: request_pool(
+                 wl, [args.low_seq_len] * args.distinct_inputs)}
     free_rate = rate_rps * (1.0 - args.high_fraction) * args.free_quota
     policy = _campaign_policy(mode, args, queue_capacity, free_rate)
-    n = len(kinds)
-    results: List[Optional[object]] = [None] * n
-    done_at: List[Optional[float]] = [None] * n
-    sent_at: List[float] = [0.0] * n
-    scope = global_fault_scope(plan) if plan is not None else None
-    if scope is not None:
-        scope.__enter__()
-    hangs = untyped = 0
-    try:
-        with global_tracing(name=f"overload:{mode}",
-                            seed=args.seed) as trace_obj:
-            server = Server(policy)
-            try:
-                futs = []
-                interval = 1.0 / rate_rps if rate_rps > 0 else 0.0
-                start = time.perf_counter()
-                for i, kind in enumerate(kinds):
-                    target = start + i * interval
-                    delay = target - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                    pool = high_pool if kind == KIND_HIGH else low_pool
-                    priority = (args.high_priority
-                                if mode == "qos" and kind == KIND_HIGH
-                                else 0)
-                    tenant = ("gold" if kind == KIND_HIGH else "free") \
-                        if mode == "qos" else "default"
-                    sent_at[i] = time.perf_counter()
-
-                    def _record(fut, i=i):
-                        done_at[i] = time.perf_counter()
-
-                    fut = server.submit(
-                        wl, args=pool[i % len(pool)],
-                        pipeline=args.pipeline, platform=args.platform,
-                        priority=priority, tenant=tenant)
-                    fut.add_done_callback(_record)
-                    futs.append(fut)
-                for i, fut in enumerate(futs):
-                    try:
-                        results[i] = fut.result(
-                            timeout=args.hang_timeout_s)
-                    except FutureTimeout:
-                        hangs += 1
-                    except Exception:
-                        untyped += 1
-                wall = time.perf_counter() - start
-                server.shutdown(drain=True, timeout=args.hang_timeout_s)
-            finally:
-                server.shutdown(drain=False, timeout=1.0)
-    finally:
-        if scope is not None:
-            scope.__exit__(None, None, None)
+    qos = mode == "qos"
+    requests = [
+        {"args": pools[kind][i % args.distinct_inputs],
+         "priority": args.high_priority if qos and kind == KIND_HIGH else 0,
+         "tenant": ("gold" if kind == KIND_HIGH else "free")
+         if qos else "default"}
+        for i, kind in enumerate(kinds)]
+    with global_fault_scope(plan), global_tracing(
+            name=f"overload:{mode}", seed=args.seed) as trace_obj:
+        server = Server(policy)
+        try:
+            load = open_loop(server, wl, requests, rate_rps,
+                             pipeline=args.pipeline, platform=args.platform)
+            counts, responses = tally(load, args.hang_timeout_s)
+            wall = time.perf_counter() - load.started_at
+            server.shutdown(drain=True, timeout=args.hang_timeout_s)
+        finally:
+            server.shutdown(drain=False, timeout=1.0)
 
     by_status: Dict[str, int] = {}
     by_kind = {KIND_HIGH: {"sent": 0, "ok": 0, "latencies": []},
                KIND_LOW: {"sent": 0, "ok": 0, "latencies": []}}
-    diverged = 0
-    for i, kind in enumerate(kinds):
+    for i, (kind, resp) in enumerate(zip(kinds, responses)):
         slot = by_kind[kind]
         slot["sent"] += 1
-        resp = results[i]
         if resp is None:
             continue
         by_status[resp.status] = by_status.get(resp.status, 0) + 1
-        if resp.status == "error" and not resp.error:
-            untyped += 1
-        if resp.verified is False:
-            diverged += 1
-        if resp.ok:
+        if resp.ok and resp.verified is not False:
             slot["ok"] += 1
-            if done_at[i] is not None:
-                slot["latencies"].append(done_at[i] - sent_at[i])
-    ok = sum(k["ok"] for k in by_kind.values())
+            slot["latencies"].append(load.done_at[i] - load.sent_at[i])
     stats = server.stats.to_dict()
     report: Dict[str, object] = {
         "mode": mode,
-        "requests": n,
+        **counts,
         "wall_s": wall,
-        "ok": ok,
-        "goodput_rps": ok / wall if wall > 0 else 0.0,
-        "hangs": hangs,
-        "untyped_errors": untyped,
-        "diverged": diverged,
+        "goodput_rps": counts["ok"] / wall if wall > 0 else 0.0,
+        "diverged": counts["wrong"],
         "by_status": dict(sorted(by_status.items())),
         "shed": stats["shed"],
         "quota_rejected": stats["quota_rejected"],
@@ -245,15 +195,6 @@ def run_campaign(mode: str, args: argparse.Namespace, rate_rps: float,
         slot["p99_ms"] = percentile_nearest_rank(lat, 99) * 1e3
         report[kind] = slot
     return report, trace_obj
-
-
-def _count_spans(trace_obj, names: Tuple[str, ...]) -> Dict[str, int]:
-    """How many spans of each given name the trace recorded."""
-    counts = {name: 0 for name in names}
-    for span in trace_obj.spans:
-        if span.name in counts:
-            counts[span.name] += 1
-    return counts
 
 
 def run_drill(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
@@ -273,7 +214,6 @@ def run_drill(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
 
     kinds = _draw_kinds(args.seed, args.requests, args.high_fraction)
     report: Dict[str, object] = {
-        "config": {k: v for k, v in vars(args).items() if k != "out"},
         "saturation_rps": sat_rps,
         "paced_rps": rate,
         "queue_capacity": queue_capacity,
@@ -298,17 +238,13 @@ def run_drill(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
     report["campaigns"] = campaigns
 
     # -- trace export (qos campaign) ------------------------------------
-    doc = chrome_trace(qos_trace)
-    problems = validate_chrome_trace(doc)
-    for p in problems:
-        print(f"  SCHEMA: {p}")
-    failures += len(problems)
-    spans = _count_spans(qos_trace, ("serve:shed", "serve:batch"))
+    names = collections.Counter(span.name for span in qos_trace.spans)
+    spans = {name: names[name] for name in ("serve:shed", "serve:batch")}
     report["qos_spans"] = spans
     trace_out = Path(args.out).with_name("overload_trace.json")
-    path = write_chrome_trace(qos_trace, trace_out)
-    report["trace_path"] = str(path)
-    print(f"  qos trace: {spans} -> {path}")
+    report["trace_path"] = str(trace_out)
+    print(f"  qos trace: {spans}")
+    failures += export_trace(qos_trace, trace_out)
 
     # -- gates ----------------------------------------------------------
     gates: List[Dict[str, object]] = []
@@ -397,11 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     report, failures = run_drill(args)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\n{failures} failed gate(s); wrote {out}")
-    return failures
+    return write_report(report, args, failures)
 
 
 if __name__ == "__main__":

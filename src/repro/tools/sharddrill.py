@@ -38,22 +38,19 @@ Writes ``results/sharddrill.json``.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import shutil
 import sys
 import tempfile
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
-from pathlib import Path
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from ..eval.harness import clone_args
 from ..faults import (Fault, FaultPlan, FaultRule, SITE_HEARTBEAT_STALL,
                       SITE_PROCESS_KILL)
 from ..models import get_workload
 from ..shard import ShardPolicy, ShardRouter
+from .drive import burst, request_pool, tally, write_report
 
 #: per-request data seeds start here (campaign c, request j -> BASE+13c+j)
 DATA_SEED0 = 80_000
@@ -61,11 +58,9 @@ DATA_SEED0 = 80_000
 #: drill rotation; index 0 is always the fault-free control
 KINDS = ("control", "kill_submit", "kill_reply", "stall", "kill_boot")
 
-#: error strings must start with one of these to count as *typed*
-_TYPED_PREFIXES = ("WorkerCrashed", "ServerShutdown", "ReproError",
-                   "CompileError", "ExecutorError", "DeadlineExceeded",
-                   "VerificationError", "AllocError", "KernelLaunchError",
-                   "BatchExecError", "PassError", "FusionCompileError")
+#: the router's crash-handling ledger, copied per campaign and summed
+LEDGER = ("deaths", "respawned", "redelivered", "duplicates_dropped",
+           "replayed", "eager_floor")
 
 
 def build_spec(kind: str, seed: int, index: int) -> Optional[dict]:
@@ -92,103 +87,61 @@ def build_spec(kind: str, seed: int, index: int) -> Optional[dict]:
     return FaultPlan([rule], seed=(seed << 8) ^ index).to_spec()
 
 
-def _policy(store: str, spec: Optional[dict],
-            hang_timeout_s: float) -> ShardPolicy:
-    """Drill fleet policy.  ``max_batch_size=1`` keeps compile keys
-    identical across phases (coalesced-batch shapes depend on crash
-    timing, and the zero-warm-compiles gate needs the drill phase to
-    serve exactly the keys the populate phase published)."""
+def fleet_policy(spec: Optional[dict], hang_timeout_s: float,
+                 store: Optional[str] = None,
+                 **worker_policy) -> ShardPolicy:
+    """The two-worker drill fleet (``chaos`` shard campaigns run it
+    too).  ``max_batch_size=1`` keeps compile keys identical across
+    phases (coalesced-batch shapes depend on crash timing, and the
+    zero-warm-compiles gate needs the drill phase to serve exactly the
+    keys the populate phase published)."""
     return ShardPolicy(
         num_workers=2, store_root=store, fault_spec=spec,
         heartbeat_interval_s=0.05, heartbeat_timeout_s=0.6,
         max_respawns=2, redeliver_max=3,
         request_timeout_s=hang_timeout_s,
-        worker_policy={"workers": 2, "max_batch_size": 1})
+        worker_policy={"workers": 2, "max_batch_size": 1, **worker_policy})
 
 
-def _bit_exact(outputs, expected) -> bool:
-    outputs = outputs if isinstance(outputs, tuple) else (outputs,)
-    expected = expected if isinstance(expected, tuple) else (expected,)
-    if len(outputs) != len(expected):
-        return False
-    for g, e in zip(outputs, expected):
-        ga = g.numpy() if hasattr(g, "numpy") else np.asarray(g)
-        ea = e.numpy() if hasattr(e, "numpy") else np.asarray(e)
-        if ga.shape != ea.shape or not np.array_equal(ga, ea,
-                                                      equal_nan=True):
-            return False
-    return True
-
-
-def _drive(router: ShardRouter, workload: str, seeds: List[int],
-           seq_len: int, hang_timeout_s: float,
-           refs: Dict[int, tuple]) -> Dict[str, int]:
-    """Submit one request per seed and score every response."""
-    out = {"requests": len(seeds), "ok": 0, "wrong": 0,
-           "typed_errors": 0, "untyped_errors": 0, "hangs": 0,
-           "redelivered_answered": 0, "floor_answered": 0}
-    futs = [router.submit(workload, seq_len=seq_len, seed=s,
-                          timeout_s=hang_timeout_s) for s in seeds]
-    for seed, fut in zip(seeds, futs):
-        try:
-            resp = fut.result(timeout=hang_timeout_s * 2)
-        except FutureTimeout:
-            out["hangs"] += 1
-            continue
-        except Exception:
-            out["untyped_errors"] += 1
-            continue
-        if resp.ok:
-            if not _bit_exact(resp.outputs, refs[seed]):
-                out["wrong"] += 1
-                continue
-            out["ok"] += 1
-            if resp.redelivered:
-                out["redelivered_answered"] += 1
-            if resp.served_by == "eager" and not resp.worker:
-                out["floor_answered"] += 1
-        elif resp.error and resp.error.startswith(_TYPED_PREFIXES):
-            out["typed_errors"] += 1
-        else:
-            out["untyped_errors"] += 1
-    return out
+def _phase(spec: Optional[dict], store: str, wl, pool: List[tuple],
+           refs: List, hang_timeout_s: float):
+    """One fleet lifetime over the shared ``store``: boot two workers
+    under ``spec``, submit every request of ``pool`` and score every
+    response; returns (scores, the router's closing report)."""
+    with ShardRouter(fleet_policy(spec, hang_timeout_s, store)) as router:
+        router.wait_ready(2, timeout=60)
+        load = burst(router, wl, [{"args": args} for args in pool],
+                     timeout_s=hang_timeout_s)
+        out, responses = tally(load, hang_timeout_s * 2, refs)
+        served = [r for r in responses if r is not None and r.ok]
+        out["redelivered_answered"] = sum(
+            1 for r in served if r.redelivered)
+        out["floor_answered"] = sum(
+            1 for r in served if r.served_by == "eager" and not r.worker)
+        return out, router.report()
 
 
 def run_campaign(kind: str, workload: str, index: int,
                  args: argparse.Namespace) -> Dict[str, object]:
     """One two-phase drill campaign (populate fault-free, then drill
     under the fault schedule with warm-started workers)."""
-    seeds = [DATA_SEED0 + index * 13 + j for j in range(args.requests)]
     wl = get_workload(workload)
-    # the oracle: in-parent eager on the identical synthesized inputs,
-    # computed before any fleet exists
-    refs = {}
-    for s in seeds:
-        inputs = wl.make_inputs(batch_size=1, seq_len=args.seq_len,
-                                seed=s)
-        r = wl.model_fn(*inputs)
-        refs[s] = r if isinstance(r, tuple) else (r,)
+    pool = request_pool(wl, [args.seq_len] * args.requests,
+                        seed0=DATA_SEED0 + index * 13)
+    # the oracle: in-parent eager on the identical inputs, computed
+    # before any fleet exists
+    refs = [wl.model_fn(*clone_args(inputs)) for inputs in pool]
 
     store = tempfile.mkdtemp(prefix="sharddrill-store-")
     start = time.perf_counter()
     try:
         # phase 1: populate the artifact store (no faults)
-        with ShardRouter(_policy(store, None,
-                                 args.hang_timeout_s)) as router:
-            router.wait_ready(2, timeout=60)
-            populate = _drive(router, workload, seeds, args.seq_len,
-                              args.hang_timeout_s, refs)
-            populate_report = router.report()
-
+        populate, populate_report = _phase(
+            None, store, wl, pool, refs, args.hang_timeout_s)
         # phase 2: the drill — every worker warm-starts, then the
         # fault schedule kills/stalls first incarnations
-        spec = build_spec(kind, args.seed, index)
-        with ShardRouter(_policy(store, spec,
-                                 args.hang_timeout_s)) as router:
-            router.wait_ready(2, timeout=60)
-            drill = _drive(router, workload, seeds, args.seq_len,
-                           args.hang_timeout_s, refs)
-            report = router.report()
+        drill, report = _phase(build_spec(kind, args.seed, index), store,
+                               wl, pool, refs, args.hang_timeout_s)
     finally:
         shutil.rmtree(store, ignore_errors=True)
 
@@ -197,13 +150,8 @@ def run_campaign(kind: str, workload: str, index: int,
         "index": index, "kind": kind, "workload": workload,
         "control": kind == "control",
         "populate": populate, "drill": drill,
-        "deaths": report["deaths"],
         "death_reasons": report["death_reasons"],
-        "respawned": report["respawned"],
-        "redelivered": report["redelivered"],
-        "duplicates_dropped": report["duplicates_dropped"],
-        "replayed": report["replayed"],
-        "eager_floor": report["eager_floor"],
+        **{k: report[k] for k in LEDGER},
         "warm_compiles": warm_compiles,
         "populate_compiles": max(
             populate_report["worker_compiles"].values(), default=0),
@@ -227,35 +175,22 @@ def run_campaigns(args: argparse.Namespace) -> Dict[str, object]:
     workloads = [w.strip() for w in args.workloads.split(",")
                  if w.strip()]
     campaigns = []
-    totals = {"requests": 0, "ok": 0, "hangs": 0, "wrong": 0,
-              "untyped_errors": 0, "deaths": 0, "respawned": 0,
-              "redelivered": 0, "duplicates_dropped": 0, "replayed": 0,
-              "eager_floor": 0, "warm_compiles": 0, "violations": 0}
+    drill_keys = ("requests", "ok", "hangs", "wrong", "untyped_errors")
+    result_keys = LEDGER + ("warm_compiles", "violations")
+    totals = dict.fromkeys(drill_keys + result_keys, 0)
     for i in range(args.campaigns):
         kind = KINDS[0] if i == 0 else KINDS[1 + (i - 1) % (len(KINDS)
                                                            - 1)]
         workload = workloads[i % len(workloads)]
         result = run_campaign(kind, workload, i, args)
         campaigns.append(result)
-        drill = result["drill"]
-        totals["requests"] += drill["requests"]
-        totals["ok"] += drill["ok"]
-        totals["hangs"] += drill["hangs"]
-        totals["wrong"] += drill["wrong"]
-        totals["untyped_errors"] += drill["untyped_errors"]
-        for k in ("deaths", "respawned", "redelivered",
-                  "duplicates_dropped", "replayed", "eager_floor",
-                  "warm_compiles", "violations"):
+        for k in drill_keys:
+            totals[k] += result["drill"][k]
+        for k in result_keys:
             totals[k] += result[k]
     totals["availability_pct"] = \
         100.0 * totals["ok"] / max(1, totals["requests"])
-    return {
-        "config": {"seed": args.seed, "campaigns": args.campaigns,
-                   "workloads": workloads, "requests": args.requests,
-                   "seq_len": args.seq_len},
-        "campaigns": campaigns,
-        "totals": totals,
-    }
+    return {"campaigns": campaigns, "totals": totals}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -288,13 +223,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  eager-floor answers {t['eager_floor']}  warm-restart "
           f"compiles {t['warm_compiles']}")
 
-    failures = t["violations"]
-    report["failures"] = failures
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"{failures} violation(s); wrote {out}")
-    return failures
+    return write_report(report, args, t["violations"])
 
 
 if __name__ == "__main__":

@@ -28,10 +28,8 @@ Exit status is the number of failed gates, so CI can run it directly
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..eval.harness import CompileCache, run_workload
@@ -40,6 +38,7 @@ from ..obs import (chrome_trace, coverage_fraction, global_tracing,
                    write_chrome_trace)
 from ..obs import trace as obs_trace
 from ..serve import ServePolicy, Server
+from .drive import burst, tally
 
 
 def _stage_breakdown(trace_obj) -> Dict[str, float]:
@@ -60,6 +59,18 @@ def _print_breakdown(trace_obj, wall_s: float, top: int = 18) -> None:
               f"({100.0 * total / wall_s:5.1f}% of wall)")
 
 
+def export_trace(trace_obj, out: str) -> int:
+    """Write ``trace_obj`` to ``out`` as Chrome-trace JSON and check the
+    document against the schema; prints each violation and returns how
+    many there were (failed gates, to the callers)."""
+    problems = validate_chrome_trace(chrome_trace(trace_obj))
+    for p in problems:
+        print(f"  SCHEMA: {p}")
+    path = write_chrome_trace(trace_obj, out)
+    print(f"  wrote {path} ({path.stat().st_size} bytes)")
+    return len(problems)
+
+
 def _trace_workload(args: argparse.Namespace) -> int:
     """Default mode: one traced run_workload call; returns failures."""
     failures = 0
@@ -73,11 +84,6 @@ def _trace_workload(args: argparse.Namespace) -> int:
                               check=True, cache=CompileCache())
         t1 = time.perf_counter()
     wall = t1 - t0
-    doc = chrome_trace(trace_obj)
-    problems = validate_chrome_trace(doc)
-    for p in problems:
-        print(f"  SCHEMA: {p}")
-    failures += len(problems)
     cover = coverage_fraction(trace_obj, (t0, t1))
     print(f"trace: {args.workload}/{args.pipeline} "
           f"(seed {args.seed}, trace_id {trace_obj.trace_id})")
@@ -89,10 +95,9 @@ def _trace_workload(args: argparse.Namespace) -> int:
               f"{args.min_coverage * 100:.0f}%")
         failures += 1
     _print_breakdown(trace_obj, wall)
-    out = args.out or f"results/trace_{args.workload}_{args.pipeline}.json"
-    path = write_chrome_trace(trace_obj, out)
-    print(f"  wrote {path} ({path.stat().st_size} bytes)")
-    return failures
+    return failures + export_trace(
+        trace_obj,
+        args.out or f"results/trace_{args.workload}_{args.pipeline}.json")
 
 
 def _trace_serve(args: argparse.Namespace) -> int:
@@ -104,20 +109,16 @@ def _trace_serve(args: argparse.Namespace) -> int:
         policy = ServePolicy(workers=2, max_batch_size=4,
                              batch_wait_s=0.002)
         with Server(policy) as srv:
-            futs = [srv.submit(args.workload, pipeline=args.pipeline,
-                               batch_size=args.batch_size,
-                               seq_len=args.seq_len, seed=args.seed + i)
-                    for i in range(n)]
-            responses = [f.result(timeout=60.0) for f in futs]
+            load = burst(srv, args.workload,
+                         [{"seed": args.seed + i} for i in range(n)],
+                         pipeline=args.pipeline,
+                         batch_size=args.batch_size, seq_len=args.seq_len)
+            counts, responses = tally(load, hang_timeout_s=60.0)
         stats = srv.stats.to_dict()
-    ok = sum(1 for r in responses if r.ok)
+    ok = counts["ok"]
+    responses = [r for r in responses if r is not None]
     with_timeline = sum(1 for r in responses if r.timeline)
     events = sorted({e["event"] for r in responses for e in r.timeline})
-    doc = chrome_trace(trace_obj)
-    problems = validate_chrome_trace(doc)
-    for p in problems:
-        print(f"  SCHEMA: {p}")
-    failures += len(problems)
     print(f"serve replay: {n} requests, {ok} ok, "
           f"{stats['batches_executed']} batches, "
           f"{len(trace_obj.spans)} spans")
@@ -134,10 +135,8 @@ def _trace_serve(args: argparse.Namespace) -> int:
         if required not in events:
             print(f"  FAIL: no response timeline recorded {required!r}")
             failures += 1
-    out = args.out or f"results/trace_serve_{args.workload}.json"
-    path = write_chrome_trace(trace_obj, out)
-    print(f"  wrote {path} ({path.stat().st_size} bytes)")
-    return failures
+    return failures + export_trace(
+        trace_obj, args.out or f"results/trace_serve_{args.workload}.json")
 
 
 def _time_one(args: argparse.Namespace) -> float:

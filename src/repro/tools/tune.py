@@ -21,14 +21,13 @@ warm traffic runs the winners with zero tuning-time searches.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from pathlib import Path
 from typing import List, Optional
 
 from ..tune.db import TuningDB
 from ..tune.search import tune_workload
+from .drive import write_report
 
 #: search sizes: (n_random, n_mutation, top_k, best_of)
 BUDGET_FULL = (8, 6, 3, 5)
@@ -77,7 +76,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
     db = TuningDB(args.db)
     report = {
-        "config": {k: v for k, v in vars(args).items() if k != "out"},
         "budget": {"n_random": n_random, "n_mutation": n_mutation,
                    "top_k": top_k, "best_of": best_of},
         "workloads": [],
@@ -123,16 +121,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     report["improved"] = improved
     report["divergences"] = divergences
     report["roundtrip_failures"] = roundtrip_failures
-    report["failures"] = failures
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\n{improved}/{len(names)} workloads improved over the "
           f"default schedule, {divergences} divergence(s), "
-          f"{roundtrip_failures} round-trip failure(s); wrote {out} "
+          f"{roundtrip_failures} round-trip failure(s) "
           f"(db at {args.db})")
-    return failures
+    return write_report(report, args, failures)
 
 
 if __name__ == "__main__":

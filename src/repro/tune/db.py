@@ -1,14 +1,11 @@
 """Persistent tuning database: per-key files, atomic replace.
 
 Winners of an offline schedule search live on disk keyed by
-``(workload, shape key, platform)``.  The layout deliberately repeats
-the :class:`repro.shard.artifact.ArtifactStore` idiom — one tiny JSON
-record per key under ``<root>/entries/<sha256(key)>.json``, written via
-temp-file + ``os.replace`` — because a monolithic index file is a
-cross-process read-modify-write that measurably *lost* concurrent puts
-in the artifact store's history; per-key files make concurrent tuners
-(and tuner-vs-server races) last-writer-wins per key instead of
-lost-update across keys.
+``(workload, shape key, platform)``, one record per key in a
+:class:`repro.store.KeyedFileStore` at ``<root>/entries/`` (suffix
+``.json``) — the same store the shard artifact index sits on, so
+concurrent tuners (and tuner-vs-server races) are last-writer-wins per
+key, never lost-update across keys.
 
 Read-path contract: :meth:`TuningDB.best` never raises.  A missing,
 corrupt, stale (version-skewed), mismatched, or out-of-space record
@@ -22,17 +19,16 @@ witness that the hot path never tunes).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from ..store import KeyedFileStore
 from .schedule import Schedule
 
 __all__ = ["TUNING_DB_VERSION", "TuningDB", "tuning_key",
-           "shape_key_text", "atomic_write"]
+           "shape_key_text"]
 
 #: bump on any incompatible change to the record layout
 TUNING_DB_VERSION = 1
@@ -64,24 +60,6 @@ def tuning_key(workload: str, shape_key: str, platform: str) -> tuple:
     return (str(workload), str(shape_key), str(platform))
 
 
-def atomic_write(root: str, path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` so readers see the old file or the
-    new one, never a torn one: a temp file under ``root`` (same
-    filesystem), then ``os.replace``.  The per-key-file stores
-    (:class:`TuningDB`, ``shard.artifact.ArtifactStore``) share it."""
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class TuningDB:
     """On-disk map ``(workload, shape key, platform) -> best Schedule``.
 
@@ -93,8 +71,7 @@ class TuningDB:
 
     def __init__(self, root: str) -> None:
         self.root = root
-        self._entries_dir = os.path.join(root, "entries")
-        os.makedirs(self._entries_dir, exist_ok=True)
+        self._store = KeyedFileStore(os.path.join(root, "entries"), ".json")
         self._lock = threading.Lock()
         #: key text -> (schedule or None) memo; None memoizes a
         #: confirmed miss so repeated cold lookups stay cheap
@@ -114,32 +91,19 @@ class TuningDB:
     def _key_text(key: tuple) -> str:
         return json.dumps(list(key), sort_keys=True, separators=(",", ":"))
 
-    def _entry_path(self, key_text: str) -> str:
-        digest = hashlib.sha256(key_text.encode("utf-8")).hexdigest()
-        return os.path.join(self._entries_dir, digest + ".json")
-
     def _load_record(self, key_text: str) -> Optional[dict]:
         """Read + validate one record; None (and ``rejected`` when the
-        file existed but was unusable) on any failure."""
-        path = self._entry_path(key_text)
+        file existed but was corrupt, version-skewed, filed under
+        another key, or out of the schedule space) on any failure."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            with self._lock:
-                self.rejected += 1
-            return None
-        if not isinstance(record, dict) \
-                or record.get("version") != TUNING_DB_VERSION \
-                or record.get("key") != key_text:
-            with self._lock:
-                self.rejected += 1
-            return None
-        try:
+            record = self._store.read(key_text)
+            if record is None:
+                return None
+            if record.get("version") != TUNING_DB_VERSION \
+                    or record.get("key") != key_text:
+                raise ValueError("stale or mismatched record")
             Schedule.from_dict(record.get("schedule", {}))
-        except (TypeError, ValueError):
+        except (OSError, TypeError, ValueError):
             with self._lock:
                 self.rejected += 1
             return None
@@ -163,9 +127,7 @@ class TuningDB:
             record["meta"] = {k: v for k, v in meta.items()
                               if isinstance(v, (int, float, str, bool))
                               or v is None}
-        path = self._entry_path(key_text)
-        atomic_write(self.root, path, json.dumps(
-            record, sort_keys=True, indent=1).encode("utf-8"))
+        path = self._store.write(key_text, record, indent=1)
         with self._lock:
             self.puts += 1
             self._memo[key_text] = sched
@@ -179,18 +141,15 @@ class TuningDB:
         """
         key_text = self._key_text(key)
         with self._lock:
-            if key_text in self._memo:
-                sched = self._memo[key_text]
-                if sched is None:
-                    self.misses += 1
-                else:
-                    self.hits += 1
-                return sched
-        record = self._load_record(key_text)
-        sched = Schedule.from_dict(record["schedule"]) \
-            if record is not None else None
+            known = key_text in self._memo
+            sched = self._memo.get(key_text)
+        if not known:
+            record = self._load_record(key_text)
+            sched = Schedule.from_dict(record["schedule"]) \
+                if record is not None else None
         with self._lock:
-            self._memo[key_text] = sched
+            if not known:
+                self._memo[key_text] = sched
             if sched is None:
                 self.misses += 1
             else:
@@ -205,19 +164,10 @@ class TuningDB:
     def keys(self) -> List[tuple]:
         """Every key currently stored (scans the entry files)."""
         out = []
-        try:
-            names = os.listdir(self._entries_dir)
-        except OSError:
-            return out
-        for name in names:
-            if not name.endswith(".json"):
-                continue
+        for record in self._store.scan():
             try:
-                with open(os.path.join(self._entries_dir, name), "r",
-                          encoding="utf-8") as fh:
-                    record = json.load(fh)
                 key = json.loads(record["key"])
-            except (OSError, ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):
                 continue
             if isinstance(key, list):
                 out.append(tuple(key))
@@ -235,17 +185,9 @@ class TuningDB:
             self._memo.pop(self._key_text(key), None)
 
     def snapshot(self) -> Dict[str, int]:
-        """Counters, read atomically (ServerStats attaches this)."""
+        """Counters, read atomically, plus the entry-file count
+        (``ServerStats.to_dict`` pulls this when asked)."""
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "rejected": self.rejected, "puts": self.puts,
-                    "searches": self.searches,
-                    "size": len([1 for _ in self._iter_entry_names()])}
-
-    def _iter_entry_names(self):
-        try:
-            for name in os.listdir(self._entries_dir):
-                if name.endswith(".json"):
-                    yield name
-        except OSError:
-            return
+                    "searches": self.searches, "size": len(self._store)}

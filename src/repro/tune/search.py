@@ -23,8 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
+import repro.runtime as rt
 from ..eval.harness import CompileCache, _shape_signature, run_workload
 from ..models import get_workload
 from ..obs import trace as obs_trace
@@ -111,18 +110,6 @@ class TuneResult:
                 "db_path": self.db_path}
 
 
-def _bit_exact(got, expected) -> bool:
-    if len(got) != len(expected):
-        return False
-    for g, e in zip(got, expected):
-        ga = g.numpy() if hasattr(g, "numpy") else np.asarray(g)
-        ea = e.numpy() if hasattr(e, "numpy") else np.asarray(e)
-        if ga.shape != ea.shape or ga.dtype != ea.dtype \
-                or not np.array_equal(ga, ea):
-            return False
-    return True
-
-
 def tune_workload(workload: str, pipeline: str = "tensorssa",
                   platform: str = "datacenter", batch_size: int = 4,
                   seq_len: int = 64, seed: int = 0,
@@ -200,7 +187,7 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
                 return None
             seen.add(sched)
             run = measure(sched, repeats=1)
-            exact = _bit_exact(run.outputs, base.outputs)
+            exact = rt.bit_exact(run.outputs, base.outputs)
             if not exact:
                 divergences += 1
             wall = run.wallclock_s * 1e6
@@ -235,7 +222,7 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
                             schedule=cand.schedule_id, n=best_of):
             run = measure(cand.schedule, repeats=best_of)
             if not cand.schedule.is_default \
-                    and not _bit_exact(run.outputs, base.outputs):
+                    and not rt.bit_exact(run.outputs, base.outputs):
                 divergences += 1
                 cand.exact = False
                 continue

@@ -9,8 +9,8 @@ import pytest
 
 from repro.degrade import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
                            BreakerRegistry, CircuitBreaker, DEFAULT_LADDER,
-                           RetryPolicy, fallback_chain)
-from repro.errors import KernelError, ServerShutdown
+                           RetryPolicy, fallback_chain, run_ladder)
+from repro.errors import CircuitOpen, KernelError, ServerShutdown
 from repro.eval.harness import (CompileCache, run_workload,
                                 run_workload_resilient)
 from repro.faults import (FaultPlan, FaultRule, SITE_BATCH_EXEC,
@@ -138,6 +138,20 @@ def test_breaker_registry_aggregates_transitions():
 
 
 # -- retry backoff -------------------------------------------------------
+
+
+def test_all_rungs_circuit_broken_is_a_typed_error():
+    # regression (chaos --no-ladder, seed 0): this used to be a bare
+    # RuntimeError, which reached clients as an untyped error string
+    breakers = BreakerRegistry(reset_timeout_s=60.0)
+    breaker = breakers.breaker("lstm", "tensorssa")
+    while breaker.allow():
+        breaker.record_failure()
+    with pytest.raises(CircuitOpen, match="circuit-broken"):
+        run_ladder(("tensorssa",), "lstm",
+                   lambda rung, depth, attempt: pytest.fail("no attempt"),
+                   breakers=breakers, retry=RetryPolicy(),
+                   rng=random.Random(0), scope="test")
 
 
 def test_retry_delay_within_jitter_bounds():

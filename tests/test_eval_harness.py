@@ -71,8 +71,8 @@ class TestCompileCache:
         assert not other.cache_hit
 
     def test_lru_eviction_is_bounded(self):
-        from repro.eval.harness import _CompileCache
-        cache = _CompileCache(capacity=3)
+        from repro.eval.harness import CompileCache
+        cache = CompileCache(capacity=3)
         for i in range(5):
             cache.put(("p", "w", i), object())
         assert len(cache) == 3
@@ -80,8 +80,8 @@ class TestCompileCache:
         assert ("p", "w", 4) in cache
 
     def test_lru_order_refreshes_on_hit(self):
-        from repro.eval.harness import _CompileCache
-        cache = _CompileCache(capacity=2)
+        from repro.eval.harness import CompileCache
+        cache = CompileCache(capacity=2)
         cache.put(("a",), object())
         cache.put(("b",), object())
         assert cache.get(("a",)) is not None  # refresh "a"

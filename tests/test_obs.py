@@ -156,6 +156,46 @@ class TestServerStats:
         assert d["cache_hit_rate"] == 0.5
         assert st.latency_percentile(50) == 0.01
 
+    #: ``to_dict`` key set of a bare ``ServerStats`` at the commit that
+    #: introduced the instrument table (captured from its parent): the
+    #: results/*.json schema must not drift silently
+    GOLDEN_KEYS = {
+        "backpressure_wait_p95_ms", "backpressure_waits",
+        "batch_size_hist", "batches_executed", "breaker_transitions",
+        "bucket_pad_efficiency", "bucket_padded_units",
+        "bucket_real_units", "cache_hit_rate", "cancelled", "completed",
+        "degraded", "diverged", "drain_expired", "errors",
+        "fallback_depth_hist", "fallbacks", "lane_completed",
+        "lane_latency_ms", "lane_submitted", "latency_p50_ms",
+        "latency_p95_ms", "queue_depth_peak", "queue_wait_p50_ms",
+        "queue_wait_p95_ms", "queue_wait_p99_ms", "quota_rejected",
+        "quota_rejected_by_tenant", "rejected", "request_cache_hits",
+        "request_cache_misses", "retries", "schedule_hist", "shed",
+        "shed_by_lane", "submitted", "timeouts", "tuned", "verified"}
+
+    def test_to_dict_key_set_golden(self):
+        d = ServerStats().to_dict()
+        assert set(d) == self.GOLDEN_KEYS
+        json.dumps(d)  # and it stays JSON-ready
+        # every table row also reads as an attribute
+        st = ServerStats()
+        st.on_shed(priority=1)
+        assert st.shed == 1 and st.shed_by_lane == {1: 1}
+        with pytest.raises(AttributeError):
+            st.no_such_counter
+
+    def test_idle_server_reports_pulled_sections(self, tmp_path):
+        # nothing is pushed per batch any more: a server that never
+        # executed one still reports its cache, breakers and tuning DB
+        pol = ServePolicy(workers=1, tuning_db_path=str(tmp_path))
+        with Server(pol) as srv:
+            d = srv.stats.to_dict()
+        assert set(d) == self.GOLDEN_KEYS | {"compile_cache", "tune_db"}
+        assert d["batches_executed"] == 0
+        assert d["compile_cache"]["misses"] == 0
+        assert d["tune_db"]["searches"] == 0 and d["tune_db"]["size"] == 0
+        assert d["breaker_transitions"] == {}
+
     def test_latency_reservoir_not_frozen_after_cap(self):
         class SmallStats(ServerStats):
             MAX_SAMPLES = 50

@@ -231,3 +231,26 @@ class TestOperatorSugar:
     def test_bool_of_multielement_raises(self):
         with pytest.raises(ValueError):
             bool(rt.tensor([1.0, 2.0]))
+
+
+class TestBitExact:
+    """``rt.bit_exact`` — the one comparator every oracle shares."""
+
+    @pytest.mark.parametrize("got,expected,same", [
+        (np.float32([1, np.nan]), np.float32([1, np.nan]), True),
+        (np.float32([1, 2]), np.float64([1, 2]), False),      # dtype
+        (np.float32([1, 2]), np.float32([[1, 2]]), False),    # shape
+        (np.int64([1, 2]), np.int64([1, 2]), True),
+        (np.array([True, False]), np.array([True, False]), True),
+        (np.float32([0.0]), np.float32([1e-9]), False),
+    ])
+    def test_single_outputs(self, got, expected, same):
+        assert rt.bit_exact(got, expected) is same
+        assert rt.bit_exact(rt.from_numpy(got), expected) is same
+
+    def test_tuples_compare_arity_then_elementwise(self):
+        a, b = rt.tensor([1.0]), rt.tensor([2.0])
+        assert rt.bit_exact((a, b), (a, b))
+        assert rt.bit_exact([a, b], (a, b))
+        assert not rt.bit_exact((a, b), (a,))
+        assert not rt.bit_exact((a, b), (b, a))
