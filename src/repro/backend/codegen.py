@@ -326,11 +326,3 @@ def _name_of(names: Dict[int, str], v: Value) -> str:
                            f"fusion group (not a param, member output, "
                            f"or constant)") from None
 
-
-def estimate_group_cost(block: Block,
-                        inputs: Sequence[object]) -> Dict[str, int]:
-    """Rough bytes/flops for one group launch, for the cost model."""
-    from ..runtime.tensor import Tensor
-    nbytes = sum(t.nbytes for t in inputs if isinstance(t, Tensor))
-    n_ops = sum(1 for n in block.nodes if n.op != "prim::Constant")
-    return {"bytes": nbytes, "ops": n_ops}

@@ -11,47 +11,25 @@ Host-side dispatch work is recorded per node via
 interpreter overhead (and, for TorchDynamo-style pipelines, graph-break
 overhead).
 
-When given a :class:`repro.memplan.MemoryPlan`, execution becomes
-*plan-guided*: every tensor allocation routes through a
-:class:`~repro.runtime.storage.MemoryPool`, dead lifetime classes are
-released back to the pool at their planned death points (their
-environment bindings are evicted too, so a planning bug surfaces as a
-hard ``read before definition`` error rather than silent reuse of a
-live buffer), and rotating loop-carried slots recycle the previous
-iteration's generation at each back-edge.
+This walk is the *reference* semantics: the unplanned pipelines execute
+it and the lowered program is tested against it.  Given a memory plan,
+:func:`run_graph` runs :mod:`repro.backend.program`'s generated function.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence
 
 from ..ir.graph import Block, Graph, Node, Value
 from ..ops import registry
-from ..ops.schema import OpKind
 from ..runtime import profiler
-from ..runtime.storage import MemoryPool, pool_scope
-from ..runtime.tensor import Tensor
 
 
 class InterpreterError(RuntimeError):
     """Raised on malformed graphs or arity mismatches during interpretation."""
-    pass
 
 
 Env = Dict[int, object]
-
-
-class _PlanCtx:
-    """Per-run state of plan-guided execution: the plan's schedules, the
-    pool absorbing releases, and the ids of storages already released
-    (a storage may back several values; it must release exactly once)."""
-
-    __slots__ = ("plan", "pool", "released")
-
-    def __init__(self, plan, pool: MemoryPool) -> None:
-        self.plan = plan
-        self.pool = pool
-        self.released: Set[int] = set()
 
 
 def _read(env: Env, value: Value):
@@ -62,95 +40,15 @@ def _read(env: Env, value: Value):
             f"value %{value.name} read before definition") from None
 
 
-def _release_storages(cls, env: Env, ctx: _PlanCtx,
-                      protected: Optional[Set[int]] = None) -> None:
-    """Return a dead class's storage bytes to the pool (accounting only;
-    env bindings are evicted separately so donors stay readable until
-    their consumer has run)."""
-    for v in cls.values:
-        val = env.get(id(v))
-        if not isinstance(val, Tensor):
-            continue
-        st = val.storage
-        if st.id in ctx.released:
-            continue
-        if protected is not None and st.id in protected:
-            continue
-        ctx.released.add(st.id)
-        ctx.pool.release(st.nbytes)
-
-
-def _evict(cls, env: Env) -> None:
-    """Drop a dead class's env bindings: any later read is a liveness
-    bug and fails loudly instead of observing recycled memory."""
-    for v in cls.values:
-        env.pop(id(v), None)
-
-
-def _release_after(node: Node, env: Env, ctx: _PlanCtx) -> None:
-    """Process the plan's post-node releases.  Storages that ended up
-    bound to the node's own outputs are protected: a zero-iteration
-    ``prim::Loop`` passes carried-in tensors straight through, so the
-    dying input class and the live output may share a buffer."""
-    classes = ctx.plan.release_after.get(id(node))
-    if not classes:
-        return
-    protected: Set[int] = set()
-    for out in node.outputs:
-        val = env.get(id(out))
-        if isinstance(val, Tensor):
-            protected.add(val.storage.id)
-    for cls in classes:
-        _release_storages(cls, env, ctx, protected)
-        _evict(cls, env)
-
-
-def _release_rotating(slots: Sequence[int], prev: List[object],
-                      new: List[object], ctx: _PlanCtx) -> None:
-    """Recycle the previous generation of rotating loop-carried slots.
-    Guarded against the (liveness-excluded, but cheap to re-check) case
-    of a new carried value aliasing the outgoing one."""
-    protected = {val.storage.id for val in new if isinstance(val, Tensor)}
-    for k in slots:
-        if k >= len(prev):
-            continue
-        val = prev[k]
-        if not isinstance(val, Tensor):
-            continue
-        st = val.storage
-        if st.id not in ctx.released and st.id not in protected:
-            ctx.released.add(st.id)
-            ctx.pool.release(st.nbytes)
-
-
-def run_block(block: Block, env: Env,
-              ctx: Optional[_PlanCtx] = None) -> List[object]:
+def run_block(block: Block, env: Env) -> List[object]:
     """Execute a block's nodes in ``env``; return its return values."""
     for node in block.nodes:
-        run_node(node, env, ctx)
+        run_node(node, env)
     return [_read(env, r) for r in block.returns]
 
 
-def run_node(node: Node, env: Env, ctx: Optional[_PlanCtx] = None) -> None:
-    """Execute one node, writing its results into ``env``; with a plan
-    context, apply the release schedule around the execution."""
-    if ctx is None:
-        _exec_node(node, env, ctx)
-        return
-    donated = ctx.plan.release_before.get(id(node))
-    if donated:
-        for cls in donated:
-            # accounting first: the node's own outputs may take the bytes
-            _release_storages(cls, env, ctx)
-    _exec_node(node, env, ctx)
-    if donated:
-        for cls in donated:
-            _evict(cls, env)
-    _release_after(node, env, ctx)
-
-
-def _exec_node(node: Node, env: Env, ctx: Optional[_PlanCtx]) -> None:
-    """The op dispatch itself, shared by planned and unplanned runs."""
+def run_node(node: Node, env: Env) -> None:
+    """Execute one node, writing its results into ``env``."""
     op = node.op
 
     if op == "prim::Constant":
@@ -163,7 +61,7 @@ def _exec_node(node: Node, env: Env, ctx: Optional[_PlanCtx]) -> None:
         profiler.record_python("branch")
         cond = bool(_read(env, node.input(0)))
         branch = node.blocks[0] if cond else node.blocks[1]
-        results = run_block(branch, env, ctx)
+        results = run_block(branch, env)
         for out, res in zip(node.outputs, results):
             env[id(out)] = res
         return
@@ -182,24 +80,15 @@ def _exec_node(node: Node, env: Env, ctx: Optional[_PlanCtx]) -> None:
                 env[id(out)] = val
             return
         body = node.blocks[0]
-        rotating: Sequence[int] = ()
-        if ctx is not None:
-            rotating = ctx.plan.rotating_slots.get(id(node), ())
         i = 0
         while cond and i < max_trip:
             profiler.record_python("loop_iter")
             env[id(body.params[0])] = i
             for p, val in zip(body.params[1:], carried):
                 env[id(p)] = val
-            prev = carried
-            results = run_block(body, env, ctx)
+            results = run_block(body, env)
             cond = bool(results[0])
             carried = results[1:]
-            if rotating and ctx is not None and i >= 1:
-                # generation i-1 died at this back-edge; generation 0 is
-                # skipped because the first binding is the outer init,
-                # whose class the surrounding schedule owns
-                _release_rotating(rotating, prev, carried, ctx)
             i += 1
         for out, val in zip(node.outputs, carried):
             env[id(out)] = val
@@ -253,21 +142,20 @@ def run_graph(graph: Graph, args: Sequence[object],
     """Execute a graph on ``args``; returns its outputs as a list.
 
     With ``plan`` (a :class:`repro.memplan.MemoryPlan` for this graph),
-    the run allocates through a fresh :class:`MemoryPool` and releases
-    buffers at the plan's death points, so the profiler's ``peak_bytes``
-    reflects the planned working set instead of the sum of all
-    intermediates.
+    the run goes through the plan's lowered program
+    (:func:`repro.backend.program.run_planned`): it allocates through a
+    fresh :class:`MemoryPool` and releases buffers at the plan's death
+    points, so the profiler's ``peak_bytes`` reflects the planned
+    working set instead of the sum of all intermediates.
     """
     if len(args) != len(graph.inputs):
         raise InterpreterError(
             f"graph {graph.name} expects {len(graph.inputs)} args, "
             f"got {len(args)}")
+    if plan is not None:
+        from .program import run_planned
+        return run_planned(graph, args, plan)
     env: Env = {}
     for p, a in zip(graph.inputs, args):
         env[id(p)] = a
-    if plan is None:
-        return run_block(graph.block, env)
-    pool = MemoryPool()
-    ctx = _PlanCtx(plan, pool)
-    with pool_scope(pool):
-        return run_block(graph.block, env, ctx)
+    return run_block(graph.block, env)

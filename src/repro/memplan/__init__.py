@@ -15,9 +15,10 @@ Three layers:
   view-aliased values merged into shared lifetime classes.
 * :mod:`repro.memplan.planner` — slot assignment (greedy linear scan),
   donation/reuse edges, and the cached per-graph :class:`MemoryPlan`.
-* executor integration — ``backend.interpreter`` takes a plan and
-  releases buffers into a :class:`repro.runtime.storage.MemoryPool`
-  at their planned death points.
+* executor integration — ``backend.program`` lowers a planned graph to
+  one generated function whose release statements return buffers to a
+  :class:`repro.runtime.storage.MemoryPool` at their planned death
+  points (``run_graph(graph, args, plan=plan)`` runs it).
 """
 
 from .liveness import LifetimeClass, Liveness, compute_liveness

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.alias import AliasGraph
 from ..ir import types as T
@@ -103,6 +103,10 @@ class MemoryPlan:
     reuse_edges: List[ReuseEdge] = field(default_factory=list)
     #: max simultaneously-live planned classes in any one block scan
     static_peak_slots: int = 0
+    #: the generated callable executing ``graph`` under this plan, set
+    #: on first run (or artifact restore) by :mod:`repro.backend.program`
+    program: Optional[Callable] = field(default=None, repr=False,
+                                        compare=False)
 
     # -- convenience views over the liveness schedule -------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
+from ..backend.interpreter import run_graph
 from ..ir.graph import Graph
 
 
@@ -25,6 +26,16 @@ class Compiled:
 
     def __call__(self, *args):
         return self.fn(*args)
+
+
+def graph_runner(graph: Graph, plan=None) -> Callable:
+    """The ``Compiled.fn`` of a graph-bearing pipeline: run ``graph``
+    (under ``plan`` when given), a lone output unwrapped, several as a
+    tuple."""
+    def run(*args):
+        outs = run_graph(graph, args, plan=plan)
+        return outs[0] if len(outs) == 1 else tuple(outs)
+    return run
 
 
 class Pipeline:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..backend.interpreter import run_graph
 from ..frontend import script
 from ..ir import verify
 from ..ir.clone import clone_graph
@@ -33,7 +32,7 @@ from ..passes import (FuserConfig, PassManager, canonicalize, constant_fold,
 from ..passes.specialize import specialize_shapes
 from ..passes.unroll import unroll_loops
 from ..tensorssa import convert_to_tensorssa
-from .base import Compiled, Pipeline, count_graph_stats
+from .base import Compiled, Pipeline, count_graph_stats, graph_runner
 
 #: Dynamo-style loop inlining budget: beyond this many iterations the
 #: loop is left to the Python interpreter (a graph break per iteration).
@@ -79,11 +78,12 @@ class DynamoInductorPipeline(Pipeline):
         stats["functionalized"] = report.num_rewritten
         stats["skipped_mutations"] = len(report.skipped)
 
+        run_compiled = graph_runner(graph)
+
         def run(*args):
             from ..runtime import record_python
             record_python("guard_eval")  # shape/type guards, every call
-            outs = run_graph(graph, args)
-            return outs[0] if len(outs) == 1 else tuple(outs)
+            return run_compiled(*args)
 
         return Compiled(pipeline=self.name, fn=run, graph=graph,
                         stats=stats)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..backend.interpreter import run_graph
 from ..frontend import script
 from ..ir import verify
 from ..ir.clone import clone_graph
@@ -26,7 +25,7 @@ from ..passes.revert import revert_carried_assigns, revert_unfused_assigns
 from ..symshape.family import active_family
 from ..symshape.propagate import annotate_symbolic_shapes
 from ..tensorssa import convert_to_tensorssa
-from .base import Compiled, Pipeline, count_graph_stats
+from .base import Compiled, Pipeline, count_graph_stats, graph_runner
 
 
 class TensorSSAPipeline(Pipeline):
@@ -91,18 +90,9 @@ class TensorSSAPipeline(Pipeline):
             stats["skipped_mutations"] = len(report.skipped)
             stats["skip_reasons"] = report.skipped
 
-            def run_reference(*args):
-                outs = run_graph(reference, args)
-                return outs[0] if len(outs) == 1 else tuple(outs)
-
-            stats["grad_reference"] = run_reference
-
-            def run(*args):
-                outs = run_graph(bwd, args, plan=plan)
-                return outs[0] if len(outs) == 1 else tuple(outs)
-
-            return Compiled(pipeline=self.name, fn=run, graph=bwd,
-                            stats=stats)
+            stats["grad_reference"] = graph_runner(reference)
+            return Compiled(pipeline=self.name, fn=graph_runner(bwd, plan),
+                            graph=bwd, stats=stats)
 
     def _compile(self, model_fn: Callable, example_args=None) -> Compiled:
         scripted = script(model_fn)
@@ -114,13 +104,8 @@ class TensorSSAPipeline(Pipeline):
         stats["functionalized"] = report.num_rewritten
         stats["skipped_mutations"] = len(report.skipped)
         stats["skip_reasons"] = report.skipped
-
-        def run(*args):
-            outs = run_graph(graph, args, plan=plan)
-            return outs[0] if len(outs) == 1 else tuple(outs)
-
-        return Compiled(pipeline=self.name, fn=run, graph=graph,
-                        stats=stats)
+        return Compiled(pipeline=self.name, fn=graph_runner(graph, plan),
+                        graph=graph, stats=stats)
 
     def _optimize(self, graph):
         """The shared optimize-and-plan tail: cleanup passes,

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..backend.interpreter import run_graph
 from ..frontend import script
 from ..ir import verify
 from ..ir.clone import clone_graph
 from ..passes import FuserConfig, PassManager, constant_fold, cse, dce, fuse
-from .base import Compiled, Pipeline, count_graph_stats
+from .base import Compiled, Pipeline, count_graph_stats, graph_runner
 
 
 def _compile_torchscript(model_fn: Callable, pipeline_name: str,
@@ -34,18 +33,8 @@ def _compile_torchscript(model_fn: Callable, pipeline_name: str,
     pm.run(graph)
     verify(graph)
     stats = count_graph_stats(graph)
-
-    def run(*args):
-        return _as_result(run_graph(graph, args))
-
-    return Compiled(pipeline=pipeline_name, fn=run, graph=graph,
-                    stats=stats)
-
-
-def _as_result(outs):
-    if len(outs) == 1:
-        return outs[0]
-    return tuple(outs)
+    return Compiled(pipeline=pipeline_name, fn=graph_runner(graph),
+                    graph=graph, stats=stats)
 
 
 class TorchScriptNNCPipeline(Pipeline):

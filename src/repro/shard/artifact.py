@@ -13,9 +13,10 @@ with a fresh compile.
 Format (envelope)::
 
     {"magic": "repro-artifact", "checksum": sha256(payload-json),
-     "payload": {"version": 1, "pipeline": ..., "key": ...,
+     "payload": {"version": 2, "pipeline": ..., "key": ...,
                  "graph": ..., "memplan": ..., "family": ...,
-                 "kernels": [...], "stats": {...}}}
+                 "kernels": [...], "program_sha256": ...,
+                 "stats": {...}}}
 
 Design decisions worth recording:
 
@@ -26,7 +27,11 @@ Design decisions worth recording:
   kernel source generation deterministic, so kernels are shipped as
   *descriptions* (builder kind + source digest) and rebuilt on
   restore, with the digest check proving the restored graph lowers to
-  byte-identical kernel code.
+  byte-identical kernel code.  The whole-program lowering of a planned
+  graph (:mod:`repro.backend.program`) ships the same way: only the
+  sha256 of its generated source travels, the restore lowers again,
+  compares, and caches the program on the plan — a warm-started worker
+  never lowers (or compiles a kernel) on its first request.
 * The memory plan is *not* trusted from the wire: the restore replans
   the graph and verifies the recorded slot table matches, so a stale
   or tampered plan can never mis-alias buffers.
@@ -53,7 +58,7 @@ import numpy as np
 
 from ..backend import fusion_runtime
 from ..backend.codegen import compile_block
-from ..backend.interpreter import run_graph
+from ..backend.program import lower
 from ..errors import ArtifactError
 from ..eval.harness import CompileCache
 from ..ir import types as T
@@ -62,7 +67,7 @@ from ..ir.graph import Graph, Node, Value, free_values
 from ..memplan import get_or_build_plan
 from ..obs import trace as obs_trace
 from ..ops import registry
-from ..pipelines.base import Compiled
+from ..pipelines.base import Compiled, graph_runner
 from ..runtime.dtype import DType
 from ..runtime.tensor import Tensor
 from ..store import KeyedFileStore, atomic_write
@@ -75,7 +80,8 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
            "deserialize_compiled", "ArtifactStore"]
 
 #: bump on any incompatible change to the payload layout
-ARTIFACT_VERSION = 1
+#: (2: ``program_sha256`` — the lowered program's source digest)
+ARTIFACT_VERSION = 2
 
 _MAGIC = "repro-artifact"
 
@@ -473,6 +479,26 @@ def _restore_plan(graph: Graph, spec: Optional[dict],
     return plan
 
 
+def _program_digest(graph: Graph, plan) -> Optional[str]:
+    """sha256 of the planned graph's generated program source (lowering
+    now when no run has yet); None for an unplanned graph."""
+    if plan is None:
+        return None
+    return _sha256((plan.program or lower(graph, plan)).__source__)
+
+
+def _restore_program(graph: Graph, plan, digest: Optional[str]) -> None:
+    """Pre-lower the planned graph's program onto the restored plan,
+    verifying it against the recorded source digest."""
+    if plan is None:
+        return
+    program = lower(graph, plan)
+    if _sha256(program.__source__) != digest:
+        raise ArtifactError("program source mismatch: restored graph and "
+                            "plan lower to different code")
+    plan.program = program
+
+
 # -- stats filtering ---------------------------------------------------
 
 def _jsonable_stats(stats: dict) -> dict:
@@ -529,6 +555,7 @@ def serialize_compiled(compiled: Compiled, key: tuple,
             "family": _encode_family(family) if family is not None
             else None,
             "kernels": _encode_kernels(compiled.graph),
+            "program_sha256": _program_digest(compiled.graph, plan),
             "stats": _jsonable_stats(compiled.stats),
         }
         envelope = {"magic": _MAGIC, "checksum": _sha256(_canonical(payload)),
@@ -573,18 +600,16 @@ def deserialize_compiled(data: bytes) -> RestoredArtifact:
                 size_env = family.extent_bounds()
             plan = _restore_plan(graph, payload.get("memplan"), size_env)
             built = _restore_kernels(graph, payload.get("kernels", ()))
+            _restore_program(graph, plan, payload.get("program_sha256"))
         except ArtifactError:
             raise
         except Exception as exc:
             raise ArtifactError(f"artifact restore failed: {exc}") from exc
 
-        def run(*args):
-            outs = run_graph(graph, args, plan=plan)
-            return outs[0] if len(outs) == 1 else tuple(outs)
-
         stats = dict(payload.get("stats", {}))
         stats["restored_from_artifact"] = True
-        compiled = Compiled(pipeline=payload["pipeline"], fn=run,
+        compiled = Compiled(pipeline=payload["pipeline"],
+                            fn=graph_runner(graph, plan),
                             graph=graph, stats=stats)
         return RestoredArtifact(compiled=compiled, key=key,
                                 pipeline=payload["pipeline"],

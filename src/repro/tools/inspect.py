@@ -5,7 +5,10 @@ histogram before/after, fusion-group sizes, horizontal loops, launch
 counts, per-pass wall time / node deltas, memory-pool traffic, and
 modeled latency — the report you reach for when a workload doesn't
 speed up as expected.  ``--plan`` additionally prints the TensorSSA
-memory plan (slot table, reuse edges, rotating loop slots, peak).
+memory plan (slot table, reuse edges, rotating loop slots, peak);
+``--program`` prints the Python source that plan's graph was lowered to
+(``backend/program.py``) — what a warm call actually executes, release
+statements included.
 """
 
 from __future__ import annotations
@@ -165,7 +168,8 @@ def _fmt_hist(hist: Dict[str, int], top: int = 8) -> str:
 
 
 def print_report(name: str, report: Dict[str, dict],
-                 show_plan: bool = False) -> None:
+                 show_plan: bool = False,
+                 show_program: bool = False) -> None:
     """Pretty-print an :func:`inspect_workload` report."""
     print(f"=== {name} ===")
     print(f"source ops: {_fmt_hist(report['__source__']['ops'])}")
@@ -205,6 +209,11 @@ def print_report(name: str, report: Dict[str, dict],
         if show_plan and "plan" in entry:
             from ..memplan import format_plan
             print("  " + format_plan(entry["plan"]).replace("\n", "\n  "))
+        if show_program and "plan" in entry:
+            # inspect_workload ran the artifact, so the plan is lowered
+            source = entry["plan"].program.__source__
+            print("  lowered program:\n    "
+                  + source.rstrip().replace("\n", "\n    "))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -213,6 +222,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     divergent steps), otherwise it is 0."""
     argv = argv if argv is not None else sys.argv[1:]
     show_plan = "--plan" in argv
+    show_program = "--program" in argv
     dynamic = "--dynamic" in argv
     names = [a for a in argv if not a.startswith("-")] or ["lstm"]
     violations = 0
@@ -220,7 +230,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if dynamic:
             violations += print_dynamic_report(inspect_dynamic(name))
         else:
-            print_report(name, inspect_workload(name), show_plan=show_plan)
+            print_report(name, inspect_workload(name), show_plan=show_plan,
+                         show_program=show_program)
         print()
     return violations
 

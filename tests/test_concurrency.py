@@ -93,6 +93,36 @@ class TestCompileCacheThreadSafety:
         assert len({id(compiled) for compiled, _ in results}) == 1
         assert sum(1 for _, hit in results if not hit) == 1
 
+    def test_two_threads_first_call_lowers_once(self, monkeypatch):
+        # the plan's program is lowered lazily on the first planned run;
+        # two threads racing that first call must share one lowering
+        from repro.backend import program
+        from repro.pipelines import get_pipeline
+        wl = get_workload("lstm")
+        compiled = get_pipeline("tensorssa").compile(wl.model_fn)
+        lowerings = []
+        started = threading.Barrier(2)
+        real_lower = program.lower
+
+        def slow_lower(graph, plan):
+            lowerings.append(graph.name)
+            time.sleep(0.05)  # hold the lock while the other arrives
+            return real_lower(graph, plan)
+
+        outs = []
+
+        def worker():
+            args = wl.make_inputs(seq_len=8, seed=0)
+            started.wait()
+            outs.append(compiled(*args))
+
+        monkeypatch.setattr(program, "lower", slow_lower)
+        run_threads([worker] * 2)
+        assert len(lowerings) == 1
+        assert rt.bit_exact(outs[0], outs[1])
+        assert rt.bit_exact(
+            outs[0], wl.model_fn(*wl.make_inputs(seq_len=8, seed=0)))
+
     def test_failed_compile_releases_inflight_slot(self):
         cache = CompileCache()
         with pytest.raises(RuntimeError):

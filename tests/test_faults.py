@@ -164,6 +164,40 @@ def test_kernel_launch_fault_mid_run_cleans_up():
     assert violations == []
 
 
+def test_failed_lowering_caches_nothing_and_retry_lowers_cleanly():
+    """Whole-program lowering is a compile step: its ``fusion_compile``
+    checkpoint (detail ``program``) fires before anything is cached, the
+    failure is a typed CompileError under a ``program:lower`` span, and
+    the next call — a retried ladder rung — lowers and runs clean."""
+    from repro.models import get_workload
+    from repro.obs import trace as obs_trace
+    from repro.pipelines import get_pipeline
+    from repro.runtime import bit_exact
+    wl = get_workload("lstm")
+    args = wl.make_inputs(seq_len=8, seed=0)
+    compiled = get_pipeline("tensorssa").compile(wl.model_fn,
+                                                 example_args=args)
+    plan = compiled.graph._memplan
+    faults = _one_shot(SITE_FUSION_COMPILE, match="program")
+    with obs_trace.tracing() as tracer, fault_scope(faults):
+        with pytest.raises(CompileError) as info:
+            compiled(*wl.make_inputs(seq_len=8, seed=0))
+        assert info.value.injected is True
+        assert plan.program is None
+        out = compiled(*wl.make_inputs(seq_len=8, seed=0))
+    assert plan.program is not None
+    assert bit_exact(out, wl.model_fn(*wl.make_inputs(seq_len=8, seed=0)))
+    spans = tracer.by_name("program:lower")
+    assert [sp.error for sp in spans] == ["CompileError", ""]
+    assert {sp.cat for sp in spans} == {"compile"}
+    # an organic lowering failure is typed too, and caches nothing
+    plan.program = None
+    plan.release_after[id(compiled.graph.block.nodes[-1])] = [object()]
+    with pytest.raises(CompileError, match="lowering"):
+        compiled(*wl.make_inputs(seq_len=8, seed=0))
+    assert plan.program is None
+
+
 def test_batch_exec_site_fires_in_server():
     """The serving-only site: a persistent batch_exec fault fails every
     compiled rung, and requests land on the eager floor (which bypasses

@@ -62,6 +62,33 @@ class TestRoundTrip:
         _assert_same_outputs(restored.compiled.fn(*fresh_args),
                              compiled.fn(*fresh_args))
 
+    def test_program_digest_round_trips_and_restore_pre_lowers(self):
+        """The lowered program ships as its source digest; the restore
+        lowers again, matches it, and caches the program on the plan, so
+        the restored artifact's first call lowers nothing."""
+        import hashlib
+        from repro.obs import trace as obs_trace
+        wl, compiled, key, args = _fresh("lstm", "tensorssa")
+        cold = serialize_compiled(compiled, key)  # lowers for the digest
+        compiled.fn(*args)
+        data = serialize_compiled(compiled, key)
+        assert data == cold
+        payload = json.loads(data.decode("utf-8"))["payload"]
+        source = compiled.graph._memplan.program.__source__
+        assert payload["program_sha256"] == \
+            hashlib.sha256(source.encode("utf-8")).hexdigest()
+        restored = deserialize_compiled(data)
+        plan = restored.compiled.graph._memplan
+        assert plan.program is not None
+        assert plan.program.__source__ == source
+        with obs_trace.tracing() as tracer:
+            restored.compiled.fn(*args)
+        assert tracer.by_name("program:lower") == []
+        # an unplanned pipeline has no program to ship
+        _, nnc, nnc_key, _ = _fresh("lstm", "ts_nnc")
+        assert json.loads(serialize_compiled(nnc, nnc_key))[
+            "payload"]["program_sha256"] is None
+
     def test_family_guards_round_trip(self):
         wl = get_workload("lstm")
         pipe = get_pipeline("tensorssa")
@@ -115,6 +142,24 @@ class TestRejection:
 
         with pytest.raises(ArtifactError, match="version"):
             deserialize_compiled(_tampered(self._artifact(), bump))
+
+    def test_v1_artifact_rejected(self):
+        """Version 1 carried no program digest: a store entry written
+        before the lowering existed is refused typed, never mis-run."""
+        def downgrade(payload):
+            payload["version"] = 1
+            del payload["program_sha256"]
+
+        assert ARTIFACT_VERSION == 2
+        with pytest.raises(ArtifactError, match="version 1"):
+            deserialize_compiled(_tampered(self._artifact(), downgrade))
+
+    def test_program_digest_mismatch_rejected(self):
+        def skew(payload):
+            payload["program_sha256"] = "0" * 64
+
+        with pytest.raises(ArtifactError, match="program source"):
+            deserialize_compiled(_tampered(self._artifact(), skew))
 
     def test_stale_memory_plan_rejected(self):
         data = self._artifact()

@@ -35,3 +35,14 @@ class TestInspect:
         print_report("attention", report)
         out = capsys.readouterr().out
         assert "tensorssa" in out and "launches=" in out
+
+    def test_print_report_shows_lowered_program(self, capsys):
+        report = inspect_workload("lstm", seq_len=8,
+                                  pipelines=[TensorSSAPipeline()])
+        print_report("lstm", report, show_plan=True, show_program=True)
+        out = capsys.readouterr().out
+        assert "slot table" in out
+        assert "def _program(_free, " in out
+        assert "while " in out and "_fr.execute_group(" in out
+        # release statements: pool accounting, eviction, loop rotation
+        assert "_free((" in out and "\n        del " in out
