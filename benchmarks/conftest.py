@@ -15,7 +15,8 @@ from __future__ import annotations
 import pytest
 
 import repro.runtime as rt
-from repro.eval.harness import clear_compile_cache, clone_args, run_workload
+from repro.eval.cache import clone_args, process_cache
+from repro.eval.harness import run_workload
 from repro.models import WORKLOADS, get_workload
 from repro.pipelines import get_pipeline
 
@@ -56,7 +57,7 @@ def compiled_runner(workload_name: str, pipeline_name: str):
 
 @pytest.fixture(autouse=True, scope="module")
 def _fresh_cache():
-    clear_compile_cache()
+    process_cache.clear()
     yield
 
 

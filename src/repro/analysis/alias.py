@@ -45,10 +45,6 @@ class Mutation:
     node: Node
     target: Value  # the mutated view (node input 0)
 
-    @property
-    def source_inputs(self):
-        return self.node.inputs[1:]
-
 
 @dataclass
 class TSet:
@@ -229,12 +225,6 @@ class AliasGraph:
             return v.param_block.owning_node is None  # graph input
         assert v.node is not None
         return v.node.kind in (OpKind.PURE, OpKind.CONSTANT)
-
-    def _component_of(self, v: Value) -> Set[int]:
-        und = self.g.to_undirected(as_view=True)
-        if id(v) not in und:
-            return {id(v)}
-        return set(nx.node_connected_component(und, id(v)))
 
     def storage_set(self, v: Value) -> Set[int]:
         """The set of storage-owning origins ``v`` may alias (a

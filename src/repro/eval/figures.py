@@ -37,18 +37,16 @@ FIG8_SEQ_LENS = (16, 32, 64, 128, 256)
 FIG8_WORKLOADS = ("nasrnn", "lstm", "seq2seq", "attention")
 
 
-def _speedup_grid(platform: str, batch_size: int = 1,
-                  seq_len: int = 64) -> Dict[str, Dict[str, float]]:
-    grid: Dict[str, Dict[str, float]] = {}
-    for name in WORKLOADS:
-        eager = run_workload(name, "eager", platform=platform,
-                             batch_size=batch_size, seq_len=seq_len)
-        grid[name] = {}
-        for pipe in COMPARED:
-            res = run_workload(name, pipe, platform=platform,
-                               batch_size=batch_size, seq_len=seq_len)
-            grid[name][pipe] = eager.latency_us / res.latency_us
-    return grid
+def _speedups(name: str, platform: str, **shape) -> Dict[str, float]:
+    """Eager latency over each compared pipeline's, for one workload."""
+    eager = run_workload(name, "eager", platform=platform, **shape)
+    return {pipe: eager.latency_us / run_workload(
+                name, pipe, platform=platform, **shape).latency_us
+            for pipe in COMPARED}
+
+
+def _speedup_grid(platform: str) -> Dict[str, Dict[str, float]]:
+    return {name: _speedups(name, platform) for name in WORKLOADS}
 
 
 def fig5(platforms: Sequence[str] = ("consumer", "datacenter"),
@@ -92,17 +90,9 @@ def fig6(echo: bool = True) -> Dict[str, Dict[str, int]]:
 def fig7(platform: str = "datacenter",
          echo: bool = True) -> Dict[str, Dict[int, Dict[str, float]]]:
     """Speedup over eager at different batch sizes (paper Figure 7)."""
-    data: Dict[str, Dict[int, Dict[str, float]]] = {}
-    for name in FIG7_WORKLOADS:
-        data[name] = {}
-        for bs in FIG7_BATCH_SIZES:
-            eager = run_workload(name, "eager", platform=platform,
-                                 batch_size=bs)
-            data[name][bs] = {}
-            for pipe in COMPARED:
-                res = run_workload(name, pipe, platform=platform,
-                                   batch_size=bs)
-                data[name][bs][pipe] = eager.latency_us / res.latency_us
+    data = {name: {bs: _speedups(name, platform, batch_size=bs)
+                   for bs in FIG7_BATCH_SIZES}
+            for name in FIG7_WORKLOADS}
     if echo:
         for name in FIG7_WORKLOADS:
             rows = [[data[name][bs][p] for p in COMPARED]

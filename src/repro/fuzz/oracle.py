@@ -151,8 +151,7 @@ def _to_numpy(value):
 
 
 def _diff_outputs(expected, got) -> Optional[str]:
-    exp = expected if isinstance(expected, tuple) else (expected,)
-    act = got if isinstance(got, tuple) else (got,)
+    exp, act = rt.as_tuple(expected), rt.as_tuple(got)
     if len(exp) != len(act):
         return f"arity: expected {len(exp)} outputs, got {len(act)}"
     for i, (e, g) in enumerate(zip(exp, act)):
@@ -357,13 +356,11 @@ def _check_grad(program: FuzzProgram, fn: Callable,
     def loss(xt, flag_, n_) -> float:
         with promoting_f32_to(float64):
             outs = fn(xt.clone(), flag_, n_)
-        outs = outs if isinstance(outs, tuple) else (outs,)
-        return sum(float(o.sum()) for o in outs
+        return sum(float(o.sum()) for o in rt.as_tuple(outs)
                    if isinstance(o, rt.Tensor))
 
     with promoting_f32_to(float64):
-        grads = reference(rt.from_numpy(x64), flag, n)
-    grads = grads if isinstance(grads, tuple) else (grads,)
+        grads = rt.as_tuple(reference(rt.from_numpy(x64), flag, n))
     result = gradcheck(loss, (rt.from_numpy(x64), flag, n), list(grads),
                        wrt=[0],
                        config=GradCheckConfig(

@@ -231,11 +231,6 @@ class Block:
         self.params.append(value)
         return value
 
-    def insert_param(self, index: int, name: str, typ: T.Type) -> Value:
-        value = Value(self.graph.fresh_name(name), typ, param_block=self)
-        self.params.insert(index, value)
-        return value
-
     def add_return(self, value: Value) -> None:
         value.uses.append(Use(self, len(self.returns)))
         self.returns.append(value)

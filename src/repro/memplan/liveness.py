@@ -96,11 +96,6 @@ class Liveness:
     #: id(loop node) -> carried-slot indices safe to recycle per iteration
     rotating_slots: Dict[int, List[int]] = field(default_factory=dict)
 
-    def interval_of(self, value: Value) -> Optional[Tuple[int, int]]:
-        """The (def, last-use) interval of ``value``'s class, if known."""
-        cls = self.class_of.get(id(value))
-        return cls.interval if cls is not None else None
-
 
 def _interpreted_values(graph: Graph) -> List[Value]:
     """Every tensor value the interpreter may bind: graph inputs, block

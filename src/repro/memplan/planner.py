@@ -27,14 +27,11 @@ from ..analysis.alias import AliasGraph
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Value
 from ..obs import trace as obs_trace
+from ..runtime.dtype import itemsize_of
 from .liveness import LifetimeClass, Liveness, compute_liveness
 
 __all__ = ["MemoryPlan", "PlanSlot", "ReuseEdge", "plan_graph",
            "get_or_build_plan", "format_plan", "plans_built"]
-
-_DTYPE_BYTES = {"float32": 4, "float64": 8, "int64": 8, "int32": 4,
-                "bool": 1}
-
 
 def _static_nbytes(value: Value,
                    size_env: Optional[Dict[str, int]] = None
@@ -52,7 +49,7 @@ def _static_nbytes(value: Value,
         numel = 1
         for dim in typ.shape:
             numel *= int(dim)
-        return numel * _DTYPE_BYTES.get(typ.dtype or "float32", 4)
+        return numel * itemsize_of(typ.dtype)
     if size_env is None:
         return None
     graph = value.node.graph if value.node is not None else (

@@ -21,20 +21,6 @@ def synth(shape, seed, low=-1.0, high=1.0):
     return rt.from_numpy(arr)
 
 
-def synth_positive(shape, seed, scale=1.0):
-    """A seeded float32 tensor uniform in [0, scale)."""
-    rng = np.random.default_rng(seed)
-    arr = (rng.random(tuple(shape)) * scale).astype(np.float32)
-    return rt.from_numpy(arr)
-
-
-def synth_int(shape, seed, low, high):
-    """A seeded int64 tensor uniform in [low, high)."""
-    rng = np.random.default_rng(seed)
-    return rt.from_numpy(rng.integers(low, high,
-                                      size=tuple(shape)).astype(np.int64))
-
-
 def make_grid(n, seed=None):
     """Cell-center coordinates for ``n`` anchor positions: (n, 2)."""
     side = int(np.ceil(np.sqrt(n)))

@@ -31,10 +31,13 @@ class Compiled:
 def graph_runner(graph: Graph, plan=None) -> Callable:
     """The ``Compiled.fn`` of a graph-bearing pipeline: run ``graph``
     (under ``plan`` when given), a lone output unwrapped, several as a
-    tuple."""
+    tuple.  The runner carries its ``graph`` so the artifact codec can
+    ship a graph that is only reachable through a runner (the backward
+    reference in ``stats["grad_reference"]``)."""
     def run(*args):
         outs = run_graph(graph, args, plan=plan)
         return outs[0] if len(outs) == 1 else tuple(outs)
+    run.graph = graph
     return run
 
 

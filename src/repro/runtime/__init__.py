@@ -13,7 +13,8 @@ from .profiler import (AllocEvent, KernelEvent, Profile, PythonEvent,
                        current_profile, profile, record_alloc, record_free,
                        record_launch, record_python)
 from .storage import MemoryPool, Storage, current_pool, pool_scope
-from .tensor import Scalar, Tensor, as_tensor, bit_exact
+from .tensor import (Scalar, Tensor, all_close, as_tensor, as_tuple,
+                     bit_exact)
 
 # Creation
 tensor = creation.tensor

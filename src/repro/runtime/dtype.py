@@ -66,6 +66,14 @@ bool_ = DType("bool", np.bool_, False, False, True)
 ALL_DTYPES = (float32, float64, int32, int64, bool_)
 
 
+def itemsize_of(name) -> int:
+    """Bytes per element of the dtype called ``name``; float32's 4 for
+    None or an unknown name (the memory planner and symbolic shape
+    propagation price IR types, which may carry neither)."""
+    dtype = DType._registry.get(name or "float32")
+    return dtype.itemsize if dtype is not None else 4
+
+
 def promote(a: DType, b: DType) -> DType:
     """Binary-op result dtype, following numpy promotion restricted to
     the supported set."""

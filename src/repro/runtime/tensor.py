@@ -258,24 +258,48 @@ def as_tensor(value, dtype: Optional[DType] = None) -> Tensor:
     return Tensor.from_array(arr, copy=False)
 
 
-def bit_exact(got, expected) -> bool:
-    """The stack's one bit-exactness oracle: same arity and, output by
-    output, same shape, same dtype and identical values (NaNs equal
-    each other, in floating outputs only).  Takes one output or a
-    tuple/list of them; each a Tensor or anything numpy can view."""
+def as_tuple(outputs) -> tuple:
+    """A callable's outputs as a tuple (a lone output becomes a 1-tuple)
+    — the stack's one tuple-iser."""
+    return outputs if isinstance(outputs, tuple) else (outputs,)
+
+
+def _arrays(got, expected):
+    """Output-by-output numpy views of two results (each one output or
+    a tuple/list of them; each output a Tensor or anything numpy can
+    view), or None when their arity differs."""
     got = got if isinstance(got, (tuple, list)) else (got,)
     expected = expected if isinstance(expected, (tuple, list)) \
         else (expected,)
     if len(got) != len(expected):
-        return False
-    for g, e in zip(got, expected):
-        ga = g.numpy() if isinstance(g, Tensor) else np.asarray(g)
-        ea = e.numpy() if isinstance(e, Tensor) else np.asarray(e)
-        if ga.shape != ea.shape or ga.dtype != ea.dtype \
-                or not np.array_equal(
-                    ga, ea, equal_nan=np.issubdtype(ga.dtype, np.floating)):
-            return False
-    return True
+        return None
+    return [tuple(x.numpy() if isinstance(x, Tensor) else np.asarray(x)
+                  for x in pair) for pair in zip(got, expected)]
+
+
+def bit_exact(got, expected) -> bool:
+    """The stack's one bit-exactness oracle: same arity and, output by
+    output, same shape, same dtype and identical values (NaNs equal
+    each other, in floating outputs only)."""
+    pairs = _arrays(got, expected)
+    return pairs is not None and all(
+        ga.shape == ea.shape and ga.dtype == ea.dtype and np.array_equal(
+            ga, ea, equal_nan=np.issubdtype(ga.dtype, np.floating))
+        for ga, ea in pairs)
+
+
+def all_close(got, expected, rtol: float = 1e-4,
+              atol: float = 1e-5) -> bool:
+    """The tolerance twin of :func:`bit_exact`, for comparisons where
+    reduction order may legally differ: same arity and, output by
+    output, same shape and values within ``rtol``/``atol`` as float64
+    (NaNs equal each other)."""
+    pairs = _arrays(got, expected)
+    return pairs is not None and all(
+        ga.shape == ea.shape and np.allclose(
+            ga.astype(np.float64), ea.astype(np.float64),
+            rtol=rtol, atol=atol, equal_nan=True)
+        for ga, ea in pairs)
 
 
 def write_through(target: Tensor, value: np.ndarray) -> None:

@@ -55,9 +55,6 @@ class BatchSpec:
     arg_axes: Tuple[Optional[int], ...]
     out_axes: Tuple[Optional[int], ...]
 
-    def batched_args(self) -> List[int]:
-        return [i for i, ax in enumerate(self.arg_axes) if ax is not None]
-
 
 #: Per-workload batch-axis metadata for the registry models.  RNN-style
 #: workloads carry time-major activations (T, B, D) — batch axis 1 —
@@ -262,7 +259,7 @@ def scatter(outputs, plan: BatchPlan) -> List[tuple]:
     """Split batched outputs back into per-request output tuples,
     un-padding each back to its real sequence extent when the plan
     was bucketed."""
-    outs = outputs if isinstance(outputs, tuple) else (outputs,)
+    outs = rt.as_tuple(outputs)
     if plan.spec is None or len(plan.requests) == 1:
         per_request = [outs]
     else:

@@ -1,11 +1,13 @@
 """Batch execution: compile-or-fetch, run, price, verify, scatter.
 
 The executor is where a coalesced batch meets the existing pipelines:
-it routes compilation through the server's injectable
-:class:`~repro.eval.harness.CompileCache` (shape-specialized, in-flight
-deduplicated), runs the compiled callable under a context-local
-profiler, prices the run on the request's platform cost model, and
-scatters outputs back per request.
+it routes compilation through :func:`repro.eval.cache.fetch` into the
+server's injectable :class:`~repro.eval.cache.CompileCache`
+(shape-specialized, in-flight deduplicated), picks the schedule with
+:func:`repro.tune.db.serving_schedule`, runs the compiled callable with
+:func:`repro.eval.harness.profiled_call` (a context-local profiler),
+prices the run on the request's platform cost model, and scatters
+outputs back per request.
 
 One failure path.  Every batch walks a fallback chain through
 :func:`repro.degrade.run_ladder` — ``ServePolicy.fallback_chain``
@@ -42,41 +44,23 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 import repro.runtime as rt
 from ..degrade import (BreakerRegistry, RetryPolicy, fallback_chain,
                        run_ladder)
 from ..errors import CompileError, DeadlineExceeded, classify
-from ..eval.harness import (CompileCache, clone_args,
-                            compile_cached_family, compile_key,
-                            family_key)
-from ..eval.platforms import Platform, get_platform
+from ..eval import profiled_call
+from ..eval.cache import CompileCache, clone_args, fetch
+from ..eval.platforms import get_platform
 from ..faults import SITE_BATCH_EXEC, maybe_inject
 from ..obs import trace as obs_trace
 from ..pipelines import Pipeline, get_pipeline
 from ..symshape.bucketing import get_pad_spec
-from ..tune.db import shape_key_text, tuning_key
-from ..tune.schedule import active_schedule, schedule_scope
+from ..tune.db import serving_schedule
 from .batching import BatchPlan, coalesce, scatter
 from .policy import VERIFY_BATCH, VERIFY_OFF, VERIFY_SOLO, ServePolicy
 from .request import (Request, Response, STATUS_ERROR, STATUS_OK,
                       STATUS_TIMEOUT)
 from .stats import ServerStats
-
-
-def _close(got, expected, rtol: float = 1e-4, atol: float = 1e-5) -> bool:
-    ga = got.numpy() if isinstance(got, rt.Tensor) else np.asarray(got)
-    ea = expected.numpy() if isinstance(expected, rt.Tensor) \
-        else np.asarray(expected)
-    if ga.shape != ea.shape:
-        return False
-    return bool(np.allclose(ga.astype(np.float64), ea.astype(np.float64),
-                            rtol=rtol, atol=atol, equal_nan=True))
-
-
-def _tuple_outputs(outputs) -> tuple:
-    return outputs if isinstance(outputs, tuple) else (outputs,)
 
 
 class BatchExecutor:
@@ -88,7 +72,6 @@ class BatchExecutor:
         self.cache = cache
         self.stats = stats
         self._pipelines: Dict[str, Pipeline] = {}
-        self._platforms: Dict[str, Platform] = {}
         self.breakers = BreakerRegistry(
             reset_timeout_s=policy.breaker_reset_s)
         self._retry = RetryPolicy(
@@ -97,7 +80,7 @@ class BatchExecutor:
             max_delay_s=policy.retry_max_delay_s)
         self._rng = random.Random(policy.retry_seed)
 
-    # -- lookups (memoized: one pipeline/platform object per name) ------
+    # -- lookups (memoized: get_pipeline builds its table per call) ------
 
     def pipeline(self, name: str) -> Pipeline:
         pipe = self._pipelines.get(name)
@@ -105,13 +88,6 @@ class BatchExecutor:
             pipe = get_pipeline(name)
             self._pipelines[name] = pipe
         return pipe
-
-    def platform(self, name: str) -> Platform:
-        plat = self._platforms.get(name)
-        if plat is None:
-            plat = get_platform(name)
-            self._platforms[name] = plat
-        return plat
 
     # -- entry point ----------------------------------------------------
 
@@ -249,31 +225,13 @@ class BatchExecutor:
         req0 = plan.requests[0]
         pipe = self.pipeline(pipeline_name)
         wl = req0.workload
-        dyn = self.policy.dynamic_shapes
-        key = compile_key(pipe, wl, plan.args)
-        if dyn:
-            # family keying: an artifact is "cached" when some sealed
-            # family admits this signature and its entry is resident
-            fam = self.cache.families.peek((pipe.name, wl.name), key[2])
-            cached = fam is not None and \
-                family_key(pipe, wl, fam) in self.cache
-        else:
-            cached = key in self.cache
-
-        if not cached and self._deadline_near(plan):
-            # don't start a cold compile the deadline cannot absorb
-            self._serve_eager(plan.requests, depth + 1)
-            return
-
         try:
-            if dyn:
-                compiled, hit, family, _ = compile_cached_family(
-                    pipe, wl, plan.args, cache=self.cache,
-                    mod_hints=self._mod_hints(wl, plan))
-            else:
-                compiled, hit = self.cache.get_or_compile(
-                    key, lambda: pipe.compile(wl.model_fn,
-                                              example_args=plan.args))
+            # near a deadline only an already-resident artifact will do:
+            # don't start a cold compile the deadline cannot absorb
+            fetched = fetch(pipe, wl, plan.args, cache=self.cache,
+                            dynamic_shapes=self.policy.dynamic_shapes,
+                            mod_hints=self._mod_hints(wl, plan),
+                            cold=not self._deadline_near(plan))
         except Exception as exc:
             err = classify(exc)
             if not isinstance(err, CompileError):
@@ -281,45 +239,33 @@ class BatchExecutor:
                 err.__cause__ = exc
                 err.injected = getattr(exc, "injected", False)
             raise err from exc  # let the ladder descend a rung
+        if fetched is None:
+            self._serve_eager(plan.requests, depth + 1)
+            return
+        compiled, hit = fetched.compiled, fetched.hit
 
         # the "batch_exec" fault checkpoint: a scheduled batch-execution
         # failure raises here, after compilation but before device time
         maybe_inject(SITE_BATCH_EXEC, f"{wl.name}/{pipe.name}")
 
-        # best-known schedule for this (workload, shape key, platform):
-        # a pure DB read — the serve path never searches
-        sched = None
-        tuned = False
-        schedule_id = active_schedule().schedule_id
-        db = getattr(self.cache, "tuning_db", None)
-        if db is not None and active_schedule().is_default:
-            shape_key = shape_key_text(
-                family.shape_key() if dyn else key[2])
-            sched = db.best(
-                tuning_key(wl.name, shape_key, req0.platform))
-            if sched is not None:
-                tuned = not sched.is_default
-                schedule_id = sched.schedule_id
-
+        sched, tuned, schedule_id = serving_schedule(
+            self.cache.tuning_db, wl.name, req0.platform,
+            fetched.signature, fetched.family)
         for req in plan.requests:
             req.mark("execute", pipeline=pipe.name, cache_hit=hit,
                      schedule=schedule_id)
-        start = time.perf_counter()
-        run_args = clone_args(plan.args)
         with obs_trace.span("serve:execute", cat="serve", pipeline=pipe.name,
                             requests=len(plan.requests),
                             rows=plan.total_rows, cache_hit=hit,
                             schedule=schedule_id):
-            with schedule_scope(sched), rt.profile() as prof:
-                outputs = compiled(*run_args)
-        wall = time.perf_counter() - start
+            outputs, prof, wall = profiled_call(compiled, plan.args, sched)
 
-        plat = self.platform(req0.platform)
+        plat = get_platform(req0.platform)
         latency_us = plat.latency_us(prof, pipe.host_profile,
                                      pipe.device_penalty)
         with obs_trace.span("serve:scatter", cat="serve",
                             requests=len(plan.requests)):
-            per_request = scatter(_tuple_outputs(outputs), plan)
+            per_request = scatter(outputs, plan)
         with obs_trace.span("serve:verify", cat="serve",
                             mode=self.policy.verify):
             expected_per_request = self._batch_expected(plan)
@@ -369,7 +315,7 @@ class BatchExecutor:
             return None
         expected = plan.requests[0].workload.model_fn(
             *clone_args(plan.args))
-        return scatter(_tuple_outputs(expected), plan)
+        return scatter(expected, plan)
 
     def _verdict(self, req: Request, outs: tuple, idx: int,
                  expected_per_request: Optional[List[tuple]],
@@ -382,31 +328,23 @@ class BatchExecutor:
         # VERIFY_SOLO: eager on this request's own inputs.  Bit-exact
         # when the request ran unbatched; allclose otherwise (batching
         # may legally change BLAS reduction order).
-        expected = _tuple_outputs(
-            req.workload.model_fn(*clone_args(req.args)))
-        if n_batch == 1:
-            return rt.bit_exact(outs, expected)
-        return len(outs) == len(expected) and all(
-            _close(g, e) for g, e in zip(outs, expected))
+        expected = rt.as_tuple(req.workload.model_fn(*clone_args(req.args)))
+        compare = rt.bit_exact if n_batch == 1 else rt.all_close
+        return compare(outs, expected)
 
     # -- the eager floor -------------------------------------------------
 
     def _run_one_eager(self, req: Request, retries: int,
                        depth: int) -> None:
         req.mark("execute", pipeline="eager", depth=depth, retries=retries)
-        start = time.perf_counter()
-        run_args = clone_args(req.args)
         with obs_trace.span("serve:eager", cat="serve",
                             workload=req.workload.name, depth=depth,
                             attempt=retries):
-            with rt.profile() as prof:
-                outputs = req.workload.model_fn(*run_args)
-        wall = time.perf_counter() - start
-        plat = self.platform(req.platform)
-        outs = _tuple_outputs(outputs)
+            outs, prof, wall = profiled_call(req.workload.model_fn, req.args)
+        plat = get_platform(req.platform)
         verified: Optional[bool] = None
         if self.policy.verify != VERIFY_OFF:
-            verified = rt.bit_exact(outs, _tuple_outputs(
+            verified = rt.bit_exact(outs, rt.as_tuple(
                 req.workload.model_fn(*clone_args(req.args))))
         self._finish(req, req.answer(
             STATUS_OK, served_by="eager", outputs=outs,

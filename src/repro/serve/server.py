@@ -46,7 +46,7 @@ from concurrent.futures import Future
 from typing import Callable, Deque, Iterable, List, Optional, Union
 
 from ..errors import ServerShutdown
-from ..eval.harness import CompileCache
+from ..eval.cache import CompileCache
 from ..models import Workload, get_workload
 from ..obs import trace as obs_trace
 from .admission import SHED_PERCENTILE, AdmissionController
@@ -76,8 +76,7 @@ class Server:
         #: figure sweeps; inject a cache to share compilations
         self.cache = cache if cache is not None \
             else CompileCache(capacity=CACHE_CAPACITY)
-        if self.policy.tuning_db_path \
-                and getattr(self.cache, "tuning_db", None) is None:
+        if self.policy.tuning_db_path and self.cache.tuning_db is None:
             # read-side attach: the serve path only ever looks up
             # best-known schedules; tools/tune writes the entries
             from ..tune.db import TuningDB

@@ -12,7 +12,7 @@ instead of freezing on the first ``MAX_SAMPLES`` responses.
 
 State owned elsewhere — the compile cache's counters (hit rate *and*
 epoch, so readers can tell when they were reset — see the
-counter-lifecycle note in ``eval/harness.py``), the circuit breakers'
+counter-lifecycle note in ``eval/cache.py``), the circuit breakers'
 transition counts, the tuning DB's counters — is never copied in:
 ``to_dict`` *pulls* a snapshot from each bound source when asked
 (:meth:`ServerStats.bind`), so a batch pays nothing for being
@@ -113,7 +113,7 @@ class ServerStats:
     def bind(self, cache, breakers) -> None:
         """Name the live sources ``to_dict`` pulls its ``compile_cache``
         / ``tune_db`` / ``breaker_transitions`` sections from: the
-        server's :class:`~repro.eval.harness.CompileCache` (and the
+        server's :class:`~repro.eval.cache.CompileCache` (and the
         tuning DB attached to it, if any) and its executor's
         :class:`~repro.degrade.BreakerRegistry`."""
         self._cache, self._breakers = cache, breakers
@@ -282,13 +282,7 @@ class ServerStats:
         out["breaker_transitions"] = self._breakers.transitions() \
             if self._breakers is not None else {}
         if self._cache is not None:
-            snap = self._cache.snapshot()
-            out["compile_cache"] = {
-                "epoch": snap.epoch, "hits": snap.hits,
-                "misses": snap.misses,
-                "guard_misses": snap.guard_misses, "size": snap.size,
-                "capacity": snap.capacity, "hit_rate": snap.hit_rate,
-            }
+            out["compile_cache"] = self._cache.snapshot().to_dict()
             if self._cache.tuning_db is not None:
                 out["tune_db"] = self._cache.tuning_db.snapshot()
         return out

@@ -13,10 +13,15 @@ with a fresh compile.
 Format (envelope)::
 
     {"magic": "repro-artifact", "checksum": sha256(payload-json),
-     "payload": {"version": 2, "pipeline": ..., "key": ...,
+     "payload": {"version": 3, "pipeline": ..., "key": ...,
                  "graph": ..., "memplan": ..., "family": ...,
                  "kernels": [...], "program_sha256": ...,
-                 "stats": {...}}}
+                 "stats": {...}, "grad_reference": ...}}
+
+``grad_reference`` is present on backward artifacts only: the raw
+(pre-optimization) backward graph that ``check=True`` interprets as
+the oracle, shipped structurally like ``graph`` so a restored backward
+is as checkable as a freshly compiled one.
 
 Design decisions worth recording:
 
@@ -60,7 +65,7 @@ from ..backend import fusion_runtime
 from ..backend.codegen import compile_block
 from ..backend.program import lower
 from ..errors import ArtifactError
-from ..eval.harness import CompileCache
+from ..eval.cache import CompileCache
 from ..ir import types as T
 from ..ir import verify
 from ..ir.graph import Graph, Node, Value, free_values
@@ -80,8 +85,9 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
            "deserialize_compiled", "ArtifactStore"]
 
 #: bump on any incompatible change to the payload layout
-#: (2: ``program_sha256`` — the lowered program's source digest)
-ARTIFACT_VERSION = 2
+#: (2: ``program_sha256`` — the lowered program's source digest;
+#: 3: ``grad_reference`` — a backward artifact's reference graph)
+ARTIFACT_VERSION = 3
 
 _MAGIC = "repro-artifact"
 
@@ -503,7 +509,7 @@ def _restore_program(graph: Graph, plan, digest: Optional[str]) -> None:
 
 def _jsonable_stats(stats: dict) -> dict:
     """The JSON-able subset of a Compiled's stats (callables and other
-    live objects — e.g. ``grad_reference`` — are dropped)."""
+    live objects are dropped; ``grad_reference`` travels as a graph)."""
     out = {}
     for key, val in stats.items():
         try:
@@ -534,7 +540,7 @@ def serialize_compiled(compiled: Compiled, key: tuple,
     """Flatten one compiled program to a checksummed artifact.
 
     ``key`` is the compile-cache key the artifact should be restored
-    under (see :func:`repro.eval.harness.compile_key`); ``family`` is
+    under (see :func:`repro.eval.cache.compile_key`); ``family`` is
     the shape family it was compiled inside, when family-keyed.
     Graph-free pipelines (eager) raise :class:`ArtifactError` — there
     is nothing stable to ship.
@@ -558,6 +564,9 @@ def serialize_compiled(compiled: Compiled, key: tuple,
             "program_sha256": _program_digest(compiled.graph, plan),
             "stats": _jsonable_stats(compiled.stats),
         }
+        reference = compiled.stats.get("grad_reference")
+        if reference is not None:
+            payload["grad_reference"] = encode_graph(reference.graph)
         envelope = {"magic": _MAGIC, "checksum": _sha256(_canonical(payload)),
                     "payload": payload}
         return json.dumps(envelope, sort_keys=True).encode("utf-8")
@@ -601,12 +610,15 @@ def deserialize_compiled(data: bytes) -> RestoredArtifact:
             plan = _restore_plan(graph, payload.get("memplan"), size_env)
             built = _restore_kernels(graph, payload.get("kernels", ()))
             _restore_program(graph, plan, payload.get("program_sha256"))
+            stats = dict(payload.get("stats", {}))
+            if "grad_reference" in payload:
+                stats["grad_reference"] = graph_runner(
+                    decode_graph(payload["grad_reference"]))
         except ArtifactError:
             raise
         except Exception as exc:
             raise ArtifactError(f"artifact restore failed: {exc}") from exc
 
-        stats = dict(payload.get("stats", {}))
         stats["restored_from_artifact"] = True
         compiled = Compiled(pipeline=payload["pipeline"],
                             fn=graph_runner(graph, plan),
@@ -704,10 +716,10 @@ class ArtifactStore:
 
         Entries land via :meth:`CompileCache.put`, so the cache's miss
         counters stay untouched — a warm-started worker that then
-        serves only stored keys reports **zero** compiles.  Family
-        artifacts also adopt their restored
-        :class:`~repro.symshape.family.ShapeFamily` into the cache's
-        family table so family-keyed lookups resolve to a hit.
+        serves only stored keys reports **zero** compiles.  A family
+        artifact's restored :class:`~repro.symshape.family.ShapeFamily`
+        goes in beside it (and so into the cache's family table), so
+        family-keyed lookups resolve to a hit.
         Corrupt entries are skipped (counted in ``errors``), never
         fatal: a missing warm entry just costs one cold compile.
         """
@@ -720,8 +732,7 @@ class ArtifactStore:
                     continue
                 if restored is None:
                     continue
-                if restored.family is not None:
-                    cache.families.adopt(restored.family)
-                cache.put(tuple(restored.key), restored.compiled)
+                cache.put(tuple(restored.key), restored.compiled,
+                          family=restored.family)
                 warmed += 1
         return warmed

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..models import Workload, get_workload
 from ..obs import MetricsRegistry
 from ..obs import trace as obs_trace
-from ..runtime.tensor import Tensor
+from ..runtime.tensor import Tensor, as_tuple
 from ..serve.request import (Response, STATUS_CANCELLED, STATUS_ERROR,
                              STATUS_OK)
 from .ipc import MSG_RESULT, MSG_SUBMIT, decode_args, encode_args
@@ -399,7 +399,7 @@ class ShardRouter:
         wl = get_workload(rec.workload)
         start = time.perf_counter()
         try:
-            outs = wl.model_fn(*decode_args(rec.args_wire))
+            outputs = as_tuple(wl.model_fn(*decode_args(rec.args_wire)))
         except Exception as exc:  # keep the floor total: typed answer
             self.stats.inc("errors")
             self.stats.inc("answered")
@@ -407,7 +407,6 @@ class ShardRouter:
                 rec, STATUS_ERROR,
                 f"{type(exc).__name__}: {exc}"))
             return
-        outputs = outs if isinstance(outs, tuple) else (outs,)
         self.stats.inc("ok")
         self.stats.inc("answered")
         rec.future.set_result(Response(

@@ -7,7 +7,7 @@ threaded process).  Each worker:
 1. installs its chaos fault plan (if the campaign shipped one as a
    :meth:`repro.faults.FaultPlan.to_spec` dict — live plans cannot
    cross the exec boundary);
-2. warm-starts its private :class:`~repro.eval.harness.CompileCache`
+2. warm-starts its private :class:`~repro.eval.cache.CompileCache`
    from the shared content-addressed
    :class:`~repro.shard.artifact.ArtifactStore`, so a restarted worker
    pays **zero** cold compiles for anything a previous incarnation
@@ -42,7 +42,7 @@ import time
 from collections import OrderedDict
 
 from ..errors import ReproError
-from ..eval.harness import CompileCache
+from ..eval.cache import CompileCache
 from ..faults import (FaultPlan, SITE_HEARTBEAT_STALL, SITE_PROCESS_KILL,
                       global_fault_scope, maybe_inject)
 from ..serve.policy import ServePolicy
@@ -109,18 +109,15 @@ def _publish(cache: CompileCache, store: ArtifactStore,
              published: set) -> int:
     """Persist every not-yet-published compiled entry into the shared
     artifact store, so the *next* incarnation of any worker warm-starts
-    over this one's compilation work.  Family-keyed entries ship their
-    :class:`~repro.symshape.family.ShapeFamily` alongside the graph.
-    Unserializable entries (eager, graph-free) are skipped silently —
-    a missing artifact only costs a future cold compile."""
-    families = {f.family_id: f for f in cache.families.all_families()}
+    over this one's compilation work.  Family-keyed entries (forward
+    or backward) ship the :class:`~repro.symshape.family.ShapeFamily`
+    the cache keeps beside them.  Unserializable entries (eager,
+    graph-free) are skipped silently — a missing artifact only costs a
+    future cold compile."""
     count = 0
-    for key, compiled in cache.entries():
+    for key, compiled, family in cache.entries():
         if key in published or getattr(compiled, "graph", None) is None:
             continue
-        family = None
-        if len(key) == 4 and key[2] == "family":
-            family = families.get(key[3])
         try:
             store.put(key, compiled, family=family)
         except (ArtifactError, OSError):
@@ -129,13 +126,6 @@ def _publish(cache: CompileCache, store: ArtifactStore,
         published.add(key)
         count += 1
     return count
-
-
-def _compile_events(cache: CompileCache) -> int:
-    """Cold-compile count observed by this worker's cache (misses +
-    guard misses) — the warm-restart "zero compiles" witness."""
-    snap = cache.snapshot()
-    return snap.misses + snap.guard_misses
 
 
 def worker_main(cfg: dict) -> None:
@@ -185,7 +175,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
     server = Server(policy=policy, cache=cache)
     chan.send(MSG_HELLO, {"worker": worker_id, "pid": os.getpid(),
                           "warmed": warmed,
-                          "compiles": _compile_events(cache)})
+                          "compiles": cache.snapshot().compiles})
 
     stop_beacon = threading.Event()
     beacon = threading.Thread(
@@ -221,7 +211,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
             reply({"rid": rid, "worker": worker_id, "status": "error",
                    "error": f"{type(exc).__name__}: {exc}",
                    "typed": isinstance(exc, ReproError),
-                   "outputs": [], "compiles": _compile_events(cache),
+                   "outputs": [], "compiles": cache.snapshot().compiles,
                    "duplicate": False})
             return
         resp = fut.result()
@@ -236,7 +226,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
                "kernel_launches": resp.kernel_launches,
                "queue_wait_s": resp.queue_wait_s,
                "exec_wall_s": resp.exec_wall_s,
-               "compiles": _compile_events(cache),
+               "compiles": cache.snapshot().compiles,
                "duplicate": False})
 
     try:
@@ -251,7 +241,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
                 try:
                     chan.send(MSG_GOODBYE, {
                         "worker": worker_id,
-                        "compiles": _compile_events(cache)})
+                        "compiles": cache.snapshot().compiles})
                 except ConnectionError:
                     pass
                 break

@@ -22,7 +22,7 @@ The subsystem has four parts, layered bottom-up:
 
 Enable it per lookup with ``dynamic_shapes=True`` on
 :func:`repro.eval.harness.run_workload` /
-:func:`~repro.eval.harness.compile_cached_status`, or fleet-wide with
+:func:`repro.eval.cache.fetch`, or fleet-wide with
 ``ServePolicy(dynamic_shapes=True)``.
 """
 

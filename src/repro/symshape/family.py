@@ -13,7 +13,7 @@ concrete signature belongs to the family iff it *binds* structurally
 guard holds under that binding.
 
 :class:`FamilyTable` owns the families of one
-:class:`~repro.eval.harness.CompileCache` and classifies each lookup:
+:class:`~repro.eval.cache.CompileCache` and classifies each lookup:
 
 ``hit``
     an existing family admits the signature — the cached artifact
@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import threading
 from contextvars import ContextVar
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs import trace as obs_trace
@@ -58,8 +59,8 @@ def symbolize_signature(signature: tuple) -> Tuple[SymSignature,
                                                    Dict[str, int]]:
     """Duck-shape one concrete shape signature.
 
-    ``signature`` is the harness's ``_shape_signature`` form: a tuple
-    per argument that is either a tuple of ints (tensor shape) or a
+    ``signature`` is the ``repro.eval.cache.shape_signature`` form: a
+    tuple per argument that is either a tuple of ints (tensor shape) or a
     scalar.  Tensor extents and plain-int scalars ``>= 2`` share one
     symbol per distinct value; bools, 0/1 ints, and non-int scalars
     stay literal (they select branches or broadcast, so they split
@@ -243,28 +244,18 @@ def _bind_dims(sym_dims: Sequence[SymInt], extents: Sequence[int],
     return True
 
 
+@dataclass(frozen=True)
 class FamilyStats:
     """Atomic snapshot of a table's per-epoch counters."""
 
-    __slots__ = ("hits", "news", "guard_misses", "families")
-
-    def __init__(self, hits: int, news: int, guard_misses: int,
-                 families: int) -> None:
-        self.hits = hits
-        self.news = news
-        self.guard_misses = guard_misses
-        self.families = families
+    hits: int
+    news: int
+    guard_misses: int
+    families: int
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-dict form for JSON reports."""
-        return {"hits": self.hits, "news": self.news,
-                "guard_misses": self.guard_misses,
-                "families": self.families}
-
-    def __repr__(self) -> str:
-        return (f"FamilyStats(hits={self.hits}, news={self.news}, "
-                f"guard_misses={self.guard_misses}, "
-                f"families={self.families})")
+        return asdict(self)
 
 
 class FamilyTable:
@@ -277,6 +268,23 @@ class FamilyTable:
         self.hits = 0
         self.news = 0
         self.guard_misses = 0
+
+    def _admitting(self, prefix: tuple, signature: tuple):
+        """``(family, env, guard_rejected)``: the first family that
+        serves ``signature`` with its binding (None, None when there is
+        none) and whether some family bound it structurally but a guard
+        said no.  Lock held by the caller."""
+        guard_rejected = False
+        for family in self._families.get(prefix, ()):
+            if family.pending and signature != family.seed_signature:
+                continue
+            env, failing = family.admits(signature)
+            if env is None:
+                continue
+            if failing is None:
+                return family, env, guard_rejected
+            guard_rejected = True
+        return None, None, guard_rejected
 
     def resolve(self, prefix: tuple, signature: tuple,
                 mod_hints: Sequence[Tuple[int, int, int]] = ()
@@ -293,46 +301,33 @@ class FamilyTable:
         guards on a freshly minted family.
         """
         with obs_trace.span("symshape:resolve", cat="symshape",
-                            prefix=str(prefix)) as sp:
-            with self._lock:
-                guard_rejected = False
-                for family in self._families.get(prefix, ()):
-                    if family.pending \
-                            and signature != family.seed_signature:
-                        continue
-                    env, failing = family.admits(signature)
-                    if env is None:
-                        continue
-                    if failing is not None:
-                        guard_rejected = True
-                        continue
-                    family.observe(env)
-                    self.hits += 1
-                    if sp is not None:
-                        sp.args["outcome"] = "hit"
-                        sp.args["family"] = family.family_id
-                    return family, "hit"
-                sym_sig, seed_env = symbolize_signature(signature)
+                            prefix=str(prefix)) as sp, self._lock:
+            family, env, guard_rejected = self._admitting(prefix, signature)
+            if family is not None:
+                outcome = "hit"
+                self.hits += 1
+            else:
+                sym_sig, env = symbolize_signature(signature)
                 family = ShapeFamily(
                     family_id=f"f{self._next_id}", prefix=prefix,
                     signature=sym_sig, seed_signature=signature,
-                    seed_env=seed_env)
+                    seed_env=env)
                 self._next_id += 1
                 for arg_index, dim_index, divisor in mod_hints:
                     sym = family.symbol_at(arg_index, dim_index)
                     if sym is not None and sym.is_symbol:
                         family.record_guard(guard_mod(sym, divisor))
-                family.observe(seed_env)
                 self._families.setdefault(prefix, []).append(family)
                 outcome = "guard_miss" if guard_rejected else "new"
                 if guard_rejected:
                     self.guard_misses += 1
                 else:
                     self.news += 1
-                if sp is not None:
-                    sp.args["outcome"] = outcome
-                    sp.args["family"] = family.family_id
-                return family, outcome
+            family.observe(env)
+            if sp is not None:
+                sp.args["outcome"] = outcome
+                sp.args["family"] = family.family_id
+            return family, outcome
 
     def adopt(self, family: ShapeFamily) -> bool:
         """Register an externally restored family (artifact warm start).
@@ -356,21 +351,10 @@ class FamilyTable:
     def peek(self, prefix: tuple, signature: tuple
              ) -> Optional[ShapeFamily]:
         """The family that would serve a signature, without minting one
-        or moving any counter (the executor's "is an artifact already
-        cached for this shape?" probe)."""
+        or moving any counter (the "is an artifact already cached for
+        this shape?" probe of a ``cold=False`` fetch)."""
         with self._lock:
-            for family in self._families.get(prefix, ()):
-                if family.pending and signature != family.seed_signature:
-                    continue
-                env, failing = family.admits(signature)
-                if env is not None and failing is None:
-                    return family
-        return None
-
-    def families_for(self, prefix: tuple) -> List[ShapeFamily]:
-        """The families minted under one prefix (a copy)."""
-        with self._lock:
-            return list(self._families.get(prefix, ()))
+            return self._admitting(prefix, signature)[0]
 
     def all_families(self) -> List[ShapeFamily]:
         """Every family in the table (a copy)."""

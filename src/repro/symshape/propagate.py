@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.graph import Block, Graph, Node, Value
+from ..runtime.dtype import itemsize_of
 from .symbols import DimLike, SymInt
 
 __all__ = ["annotate_symbolic_shapes", "symbolic_shape_of",
@@ -53,10 +54,6 @@ _DEST_SHAPE_OPS = frozenset({
     "immut::squeeze_assign", "immut::unsqueeze_assign",
     "immut::flatten_assign", "aten::copy_",
 })
-
-_DTYPE_BYTES = {"float32": 4, "float64": 8, "int64": 8, "int32": 4,
-                "bool": 1}
-
 
 def annotate_symbolic_shapes(graph: Graph,
                              input_shapes: Sequence[Optional[SymShape]]
@@ -102,7 +99,7 @@ def symbolic_nbytes(shape: Optional[SymShape], dtype: Optional[str],
             except (KeyError, ZeroDivisionError):
                 return None
         numel *= int(dim)
-    return numel * _DTYPE_BYTES.get(dtype or "float32", 4)
+    return numel * itemsize_of(dtype)
 
 
 # -- propagation engine -------------------------------------------------

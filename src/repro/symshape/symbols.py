@@ -27,7 +27,7 @@ them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Sequence, Set, Tuple, Union
 
 __all__ = ["SymInt", "SizeVarAllocator", "sym_max", "as_dim",
            "evaluate_dim", "DEGENERATE_EXTENTS"]
@@ -268,7 +268,3 @@ class SizeVarAllocator:
     def bindings(self) -> Dict[str, int]:
         """symbol name -> the concrete extent it was minted from."""
         return dict(self._minted_from)
-
-    def extent_of(self, name: str) -> Optional[int]:
-        """The extent a symbol was minted from, or None if unknown."""
-        return self._minted_from.get(name)

@@ -44,8 +44,8 @@ from concurrent.futures import Future
 from typing import Dict, List, Optional
 
 from ..degrade import BreakerRegistry, RetryPolicy
-from ..eval.harness import CompileCache, clone_args, run_workload, \
-    run_workload_resilient
+from ..eval.cache import CompileCache, clone_args
+from ..eval.harness import run_workload, run_workload_resilient
 from ..faults import (ALL_SITES, Fault, FaultPlan, FaultRule,
                       KIND_LATENCY, SITE_ALLOC, SITE_BATCH_EXEC,
                       SITE_FUSION_COMPILE, SITE_HEARTBEAT_STALL,
@@ -54,7 +54,8 @@ from ..faults import (ALL_SITES, Fault, FaultPlan, FaultRule,
 from ..models import get_workload
 from ..serve import Response, STATUS_OK, ServePolicy, Server
 from ..shard import ShardRouter
-from .drive import burst, request_pool, tally, write_report
+from .drive import (burst, common_args, request_pool, tally,
+                    write_report)
 from .sharddrill import LEDGER, fleet_policy
 
 #: per-request data seeds start here (campaign c, request j -> BASE+17c+j)
@@ -358,23 +359,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.tools.chaos",
         description="seeded fault-injection campaigns across the "
                     "harness and serving stack")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--campaigns", type=int, default=25)
-    parser.add_argument("--workloads", type=str, default="lstm,attention")
-    parser.add_argument("--requests", type=int, default=6,
-                        help="requests per campaign")
-    parser.add_argument("--seq-len", type=int, default=8)
+    common_args(parser, seed=0, workloads="lstm,attention",
+                requests=(6, "requests per campaign"), seq_len=8,
+                hang_timeout_s=(30.0, "a future unresolved past this "
+                                      "counts as a hang"),
+                out="results/chaos.json", campaigns=25)
     parser.add_argument("--no-ladder", action="store_true",
                         help="no fallback chain: serve on the requested "
                              "pipeline alone (ablation: availability "
                              "under faults collapses)")
-    parser.add_argument("--hang-timeout-s", type=float, default=30.0,
-                        help="a future unresolved past this counts as "
-                             "a hang")
     parser.add_argument("--min-availability", type=float, default=95.0,
                         help="fail below this availability %% "
                              "(ladder mode only)")
-    parser.add_argument("--out", type=str, default="results/chaos.json")
     args = parser.parse_args(argv)
 
     report = run_campaigns(args)

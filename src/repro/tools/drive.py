@@ -7,7 +7,8 @@ some arrival discipline (:func:`burst`, :func:`closed_loop`,
 :class:`repro.serve.Server` and :class:`repro.shard.ShardRouter` share),
 wait for every future under a hang timeout while classifying the
 answers (:func:`tally`, so "wrong", "typed", "untyped" and "hang" mean
-one thing everywhere) and write a JSON report (:func:`write_report`).
+one thing everywhere) and write a JSON report (:func:`write_report`);
+the flags their CLIs share are declared by :func:`common_args`.
 This module is the only implementation of each.
 """
 
@@ -238,6 +239,27 @@ def serve_closed_loop(wl: Workload, pool: List[tuple], policy: ServePolicy,
             / max(1, stats["batches_executed"])),
         "server": stats,
     }
+
+
+#: the flags two or more tool CLIs share (``--seq-len`` for
+#: ``seq_len``) and their types; each tool brings its own default and
+#: help text
+COMMON_ARGS = {"seed": int, "workloads": str, "requests": int,
+               "seq_len": int, "hang_timeout_s": float, "out": str,
+               "pipeline": str, "platform": str, "batch_size": int,
+               "campaigns": int, "workers": int, "max_batch": int,
+               "batch_wait_ms": float, "concurrency": int, "warmup": int,
+               "distinct_inputs": int, "timeout_s": float}
+
+
+def common_args(parser, **flags) -> None:
+    """Declare on ``parser`` the shared flags a tool takes: one
+    ``name=default`` or ``name=(default, help)`` per flag."""
+    for name, spec in flags.items():
+        default, text = spec if isinstance(spec, tuple) else (spec, None)
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=COMMON_ARGS[name], default=default,
+                            help=text)
 
 
 def write_report(report: Dict[str, object], args, failures: int) -> int:

@@ -53,19 +53,6 @@ def save_corpus_entry(directory: Path, failure: FuzzFailure,
     return path
 
 
-def fuzz_one(seed: int, config: OracleConfig, max_nodes: int,
-             do_shrink: bool = True) -> Optional[FuzzFailure]:
-    """Generate, test, and (on failure) minimize one seed."""
-    program = generate_program(seed, max_nodes=max_nodes)
-    failure = run_oracle(program, config)
-    if failure is None or not do_shrink:
-        return failure
-    predicate = failure_predicate(failure, config)
-    small = shrink(program, predicate)
-    shrunk_failure = run_oracle(small, config)
-    return shrunk_failure if shrunk_failure is not None else failure
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the number of failing seeds."""
     parser = argparse.ArgumentParser(

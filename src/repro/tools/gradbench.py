@@ -21,9 +21,10 @@ import argparse
 import sys
 from typing import List
 
-from ..eval.harness import clear_compile_cache, run_workload
+from ..eval.cache import process_cache
+from ..eval.harness import run_workload
 from ..grad.check import check_workload_grad
-from .drive import write_report
+from .drive import common_args, write_report
 
 #: workloads with meaningful training loops (the paper's module-level
 #: benchmarks; the CV detectors are inference-only post-processing)
@@ -75,21 +76,19 @@ def main(argv: List[str] = None) -> int:
     """CLI entry point; returns the number of losing/failing rows."""
     ap = argparse.ArgumentParser(
         description="fused vs interpreted backward-pass benchmark")
-    ap.add_argument("--workloads", default=",".join(DEFAULT_WORKLOADS),
-                    help="comma-separated workload names")
-    ap.add_argument("--batch-size", type=int, default=8)
-    ap.add_argument("--seq-len", type=int, default=32)
+    common_args(ap, batch_size=8, seq_len=32,
+                workloads=(",".join(DEFAULT_WORKLOADS),
+                           "comma-separated workload names"),
+                out=(None, "write the JSON report here "
+                           "(e.g. results/gradbench.json)"))
     ap.add_argument("--repeats", type=int, default=5,
                     help="wall-clock repetitions (best-of)")
     ap.add_argument("--check", action="store_true",
                     help="also run the FD grad-check accuracy gate")
     ap.add_argument("--samples-per-input", type=int, default=8)
-    ap.add_argument("--out", default=None,
-                    help="write the JSON report here "
-                         "(e.g. results/gradbench.json)")
     args = ap.parse_args(argv)
 
-    clear_compile_cache()
+    process_cache.clear()
     rows = []
     bad = 0
     for name in args.workloads.split(","):

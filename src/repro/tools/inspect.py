@@ -18,11 +18,12 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 import repro.runtime as rt
-from ..eval.harness import (clone_args, compile_cache_stats,
-                            compile_cached_status)
+from ..eval.cache import CompileCache, clone_args, fetch, process_cache
+from ..eval.harness import profiled_call
 from ..eval.platforms import get_platform
 from ..frontend import script
 from ..ir.graph import Graph
+from ..memplan.planner import plans_built
 from ..models import get_workload
 from ..pipelines import default_pipelines
 
@@ -53,9 +54,8 @@ def inspect_workload(name: str, platform: str = "datacenter",
     for pipe in (pipelines or default_pipelines()):
         # go through the shared compile cache so the report's cache
         # section uses the same epoch/counters the serving layer reports
-        compiled, cache_hit = compile_cached_status(pipe, wl, args)
-        with rt.profile() as prof:
-            compiled(*clone_args(args))
+        compiled, cache_hit = fetch(pipe, wl, args)[:2]
+        _, prof, _ = profiled_call(compiled, args)
         entry = {
             "cache_hit": cache_hit,
             "launches": prof.num_launches,
@@ -76,13 +76,7 @@ def inspect_workload(name: str, platform: str = "datacenter",
             if plan is not None:
                 entry["plan"] = plan
         report[pipe.name] = entry
-    snap = compile_cache_stats()
-    report["__cache__"] = {
-        "epoch": snap.epoch, "hits": snap.hits, "misses": snap.misses,
-        "guard_misses": snap.guard_misses,
-        "size": snap.size, "capacity": snap.capacity,
-        "hit_rate": snap.hit_rate,
-    }
+    report["__cache__"] = process_cache.snapshot().to_dict()
     return report
 
 
@@ -99,10 +93,6 @@ def inspect_dynamic(name: str, seq_lens=(16, 24), batch_size: int = 2,
     of both — that is the "second length in the family is free" claim
     of the symbolic-shape design, made observable.
     """
-    import numpy as np
-    from ..eval.harness import CompileCache, compile_cached_family
-    from ..memplan.planner import plans_built
-
     wl = get_workload(name)
     pipe = next(p for p in default_pipelines() if p.name == pipeline)
     cache = CompileCache()
@@ -111,22 +101,18 @@ def inspect_dynamic(name: str, seq_lens=(16, 24), batch_size: int = 2,
         args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len)
         compiles0 = cache.snapshot()
         plans0 = plans_built()
-        compiled, hit, family, outcome = compile_cached_family(
-            pipe, wl, args, cache=cache)
+        compiled, _, family, outcome, _ = fetch(
+            pipe, wl, args, cache=cache, dynamic_shapes=True)
         snap = cache.snapshot()
-        got = compiled(*clone_args(args))
-        want = wl.model_fn(*clone_args(args))
-        got = got if isinstance(got, tuple) else (got,)
-        want = want if isinstance(want, tuple) else (want,)
+        got = profiled_call(compiled, args)[0]
+        want = rt.as_tuple(wl.model_fn(*clone_args(args)))
         steps.append({
             "seq_len": seq_len,
             "family": family.family_id,
             "outcome": outcome,
-            "compiles_added": (snap.misses + snap.guard_misses
-                               - compiles0.misses - compiles0.guard_misses),
+            "compiles_added": snap.compiles - compiles0.compiles,
             "plans_added": plans_built() - plans0,
-            "bit_exact": all(np.array_equal(g, w)
-                             for g, w in zip(got, want)),
+            "bit_exact": rt.bit_exact(got, want),
         })
     families = {f.family_id: f.describe()
                 for f in cache.families.all_families()}

@@ -56,8 +56,8 @@ from ..faults import (Fault, FaultPlan, FaultRule, KIND_LATENCY,
 from ..models import get_workload
 from ..obs import global_tracing, percentile_nearest_rank
 from ..serve import ServePolicy, Server
-from .drive import (open_loop, request_pool, serve_closed_loop, tally,
-                    write_report)
+from .drive import (common_args, open_loop, request_pool,
+                    serve_closed_loop, tally, write_report)
 from .trace import export_trace
 
 #: the two traffic classes the drill mixes
@@ -285,12 +285,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="2x-saturation overload drill: admission control "
                     "vs the reject-on-full baseline")
     parser.add_argument("--workload", type=str, default="lstm")
-    parser.add_argument("--requests", type=int, default=1000,
-                        help="paced requests per campaign mode (long "
-                             "enough that steady-state overload, not "
-                             "the fill transient, dominates)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the traffic mix and chaos plan")
+    common_args(
+        parser, out="results/overload.json",
+        requests=(1000, "paced requests per campaign mode (long enough "
+                        "that steady-state overload, not the fill "
+                        "transient, dominates)"),
+        seed=(0, "seed for the traffic mix and chaos plan"),
+        hang_timeout_s=(30.0, "seconds before an unresolved future "
+                              "counts as a hang"),
+        timeout_s=(0.8, "per-request deadline (the budget every gate "
+                        "measures against)"),
+        workers=2, max_batch=4, batch_wait_ms=2.0,
+        concurrency=(8, "closed-loop clients in the probe"), warmup=16,
+        distinct_inputs=16, pipeline="tensorssa", platform="datacenter")
     parser.add_argument("--overload-factor", type=float, default=2.0,
                         help="paced rate as a multiple of saturation")
     parser.add_argument("--high-fraction", type=float, default=0.25,
@@ -300,36 +307,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--free-quota", type=float, default=1.0,
                         help="free tenant's token rate as a multiple of "
                              "its paced arrival rate")
-    parser.add_argument("--timeout-s", type=float, default=0.8,
-                        help="per-request deadline (the budget every "
-                             "gate measures against)")
-    parser.add_argument("--hang-timeout-s", type=float, default=30.0,
-                        help="seconds before an unresolved future "
-                             "counts as a hang")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--max-batch", type=int, default=4)
-    parser.add_argument("--batch-wait-ms", type=float, default=2.0)
-    parser.add_argument("--concurrency", type=int, default=8,
-                        help="closed-loop clients in the probe")
     parser.add_argument("--probe-requests", type=int, default=96)
-    parser.add_argument("--warmup", type=int, default=16)
     parser.add_argument("--high-seq-len", type=int, default=8,
                         help="sequence length of high-priority requests "
                              "(its own batch group = its own lane)")
     parser.add_argument("--low-seq-len", type=int, default=16,
                         help="sequence length of low-priority requests")
-    parser.add_argument("--distinct-inputs", type=int, default=16)
     parser.add_argument("--shed-window", type=int, default=32,
                         help="sliding-window size of the shed signal")
-    parser.add_argument("--pipeline", type=str, default="tensorssa")
-    parser.add_argument("--platform", type=str, default="datacenter")
     parser.add_argument("--chaos", choices=("off", "latency"),
                         default="latency",
                         help="latency-only fault plan under both "
                              "campaigns (off to disable)")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the batch bit-exactness oracle")
-    parser.add_argument("--out", type=str, default="results/overload.json")
     args = parser.parse_args(argv)
 
     report, failures = run_drill(args)

@@ -34,7 +34,8 @@ from typing import Dict, List, Optional
 
 from ..models import get_workload
 from ..serve import ServePolicy
-from .drive import request_pool, serve_closed_loop, write_report
+from .drive import (common_args, request_pool, serve_closed_loop,
+                    write_report)
 
 
 #: the two policies compared, by ``--dynamic-shapes``: under test first
@@ -94,25 +95,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.tools.serve_bench",
         description="closed-loop serving benchmark: dynamic batching "
                     "vs batch-size-1 serving")
-    parser.add_argument("--workloads", type=str, default="lstm,attention")
-    parser.add_argument("--requests", type=int, default=200,
-                        help="requests per workload per mode")
-    parser.add_argument("--concurrency", type=int, default=8,
-                        help="closed-loop client threads")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="server worker threads")
-    parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--batch-wait-ms", type=float, default=4.0)
-    parser.add_argument("--seq-len", type=int, default=16)
-    parser.add_argument("--pipeline", type=str, default="tensorssa")
-    parser.add_argument("--platform", type=str, default="datacenter")
-    parser.add_argument("--distinct-inputs", type=int, default=32,
-                        help="distinct request payloads cycled through")
-    parser.add_argument("--warmup", type=int, default=16,
-                        help="untimed warmup requests per mode")
+    common_args(
+        parser, workloads="lstm,attention",
+        requests=(200, "requests per workload per mode"), seq_len=16,
+        out="results/serve_bench.json",
+        concurrency=(8, "closed-loop client threads"),
+        workers=(4, "server worker threads"), max_batch=8,
+        batch_wait_ms=4.0, pipeline="tensorssa", platform="datacenter",
+        distinct_inputs=(32, "distinct request payloads cycled through"),
+        warmup=(16, "untimed warmup requests per mode"),
+        timeout_s=(120.0, "per-request deadline"))
     parser.add_argument("--queue-capacity", type=int, default=512)
-    parser.add_argument("--timeout-s", type=float, default=120.0,
-                        help="per-request deadline")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the eager bit-exactness oracle")
     parser.add_argument("--min-speedup", type=float, default=None,
@@ -141,8 +134,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "best-known schedules, and the run FAILS "
                              "if any tuning-time search happens on the "
                              "hot path (warm-serve gate)")
-    parser.add_argument("--out", type=str,
-                        default="results/serve_bench.json")
     args = parser.parse_args(argv)
 
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]

@@ -45,12 +45,13 @@ import tempfile
 import time
 from typing import Dict, List, Optional
 
-from ..eval.harness import clone_args
+from ..eval.cache import clone_args
 from ..faults import (Fault, FaultPlan, FaultRule, SITE_HEARTBEAT_STALL,
                       SITE_PROCESS_KILL)
 from ..models import get_workload
 from ..shard import ShardPolicy, ShardRouter
-from .drive import burst, request_pool, tally, write_report
+from .drive import (burst, common_args, request_pool, tally,
+                    write_report)
 
 #: per-request data seeds start here (campaign c, request j -> BASE+13c+j)
 DATA_SEED0 = 80_000
@@ -199,15 +200,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.tools.sharddrill",
         description="seeded kill-the-worker campaigns against the "
                     "sharded serving fleet")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--campaigns", type=int, default=10)
-    parser.add_argument("--workloads", type=str, default="lstm,attention")
-    parser.add_argument("--requests", type=int, default=6,
-                        help="requests per campaign phase")
-    parser.add_argument("--seq-len", type=int, default=8)
-    parser.add_argument("--hang-timeout-s", type=float, default=60.0)
-    parser.add_argument("--out", type=str,
-                        default="results/sharddrill.json")
+    common_args(parser, seed=0, workloads="lstm,attention",
+                requests=(6, "requests per campaign phase"), seq_len=8,
+                hang_timeout_s=60.0, out="results/sharddrill.json",
+                campaigns=10)
     args = parser.parse_args(argv)
 
     report = run_campaigns(args)

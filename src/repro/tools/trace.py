@@ -32,13 +32,14 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from ..eval.harness import CompileCache, run_workload
+from ..eval.cache import CompileCache
+from ..eval.harness import run_workload
 from ..obs import (chrome_trace, coverage_fraction, global_tracing,
                    null_instrumentation, tracing, validate_chrome_trace,
                    write_chrome_trace)
 from ..obs import trace as obs_trace
 from ..serve import ServePolicy, Server
-from .drive import burst, tally
+from .drive import burst, common_args, tally
 
 
 def _stage_breakdown(trace_obj) -> Dict[str, float]:
@@ -178,12 +179,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="run a workload under structured tracing and export "
                     "Chrome-trace JSON")
     ap.add_argument("--workload", default="lstm")
-    ap.add_argument("--pipeline", default="tensorssa")
-    ap.add_argument("--batch-size", type=int, default=1)
-    ap.add_argument("--seq-len", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default=None,
-                    help="output path (default results/trace_*.json)")
+    common_args(ap, pipeline="tensorssa", batch_size=1, seq_len=16, seed=0,
+                out=(None, "output path (default results/trace_*.json)"))
     ap.add_argument("--min-coverage", type=float, default=0.95,
                     help="root-span coverage gate (fraction of wall)")
     ap.add_argument("--serve", type=int, default=0, metavar="N",

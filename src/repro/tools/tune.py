@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from ..tune.db import TuningDB
 from ..tune.search import tune_workload
-from .drive import write_report
+from .drive import common_args, write_report
 
 #: search sizes: (n_random, n_mutation, top_k, best_of)
 BUDGET_FULL = (8, 6, 3, 5)
@@ -40,14 +40,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.tools.tune",
         description="offline kernel-schedule search with a persistent "
                     "tuning database")
-    parser.add_argument("--workloads", type=str,
-                        default="lstm,attention,nasrnn,seq2seq")
-    parser.add_argument("--pipeline", type=str, default="tensorssa")
-    parser.add_argument("--platform", type=str, default="datacenter")
-    parser.add_argument("--batch-size", type=int, default=4)
-    parser.add_argument("--seq-len", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="search RNG + input seed")
+    common_args(parser, workloads="lstm,attention,nasrnn,seq2seq",
+                seq_len=64, seed=(0, "search RNG + input seed"),
+                out="results/tune.json", pipeline="tensorssa",
+                platform="datacenter", batch_size=4)
     parser.add_argument("--budget-small", action="store_true",
                         help="smoke-sized search (CI)")
     parser.add_argument("--n-random", type=int, default=None,
@@ -63,7 +59,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "structure instead of concrete shapes")
     parser.add_argument("--db", type=str, default="results/tune_db",
                         help="tuning-database root directory")
-    parser.add_argument("--out", type=str, default="results/tune.json")
     args = parser.parse_args(argv)
 
     budget = BUDGET_SMALL if args.budget_small else BUDGET_FULL

@@ -25,10 +25,10 @@ import threading
 from typing import Dict, List, Optional
 
 from ..store import KeyedFileStore
-from .schedule import Schedule
+from .schedule import Schedule, active_schedule
 
 __all__ = ["TUNING_DB_VERSION", "TuningDB", "tuning_key",
-           "shape_key_text"]
+           "shape_key_text", "serving_key", "serving_schedule"]
 
 #: bump on any incompatible change to the record layout
 TUNING_DB_VERSION = 1
@@ -37,27 +37,47 @@ TUNING_DB_VERSION = 1
 def shape_key_text(signature) -> str:
     """Canonical text of a shape signature (concrete or symbolic).
 
-    Accepts the harness's ``_shape_signature`` tuples; any non-JSON
+    Accepts ``repro.eval.cache.shape_signature`` tuples; any non-JSON
     entry (a ``SymInt`` duck dimension, say) is rendered through
     ``str`` so family signatures with ``"*"`` placeholders and concrete
     signatures share one canonical form.
     """
-    def render(entry):
-        if isinstance(entry, (list, tuple)):
-            return [render(e) for e in entry]
-        if isinstance(entry, bool) or entry is None:
-            return entry
-        if isinstance(entry, (int, float, str)):
-            return entry
-        return str(entry)
-
-    return json.dumps(render(signature), sort_keys=True,
-                      separators=(",", ":"))
+    return json.dumps(signature, sort_keys=True, separators=(",", ":"),
+                      default=str)
 
 
 def tuning_key(workload: str, shape_key: str, platform: str) -> tuple:
     """The database key one tuned schedule lives under."""
     return (str(workload), str(shape_key), str(platform))
+
+
+def serving_key(workload: str, platform: str, signature: tuple,
+                family=None) -> tuple:
+    """The key the schedule for one input lives under — where the shape
+    half of a tuning key is decided, for the tuner (which writes under
+    it) and for every run (which reads under it) alike.  Traffic served
+    by a :class:`~repro.symshape.family.ShapeFamily` keys on the
+    family's structure (``family.shape_key()``: symbolic dims as
+    ``"*"``), everything else on the concrete ``signature``."""
+    shape = family.shape_key() if family is not None else signature
+    return tuning_key(workload, shape_key_text(shape), platform)
+
+
+def serving_schedule(db: Optional["TuningDB"], workload: str,
+                     platform: str, signature: tuple, family=None):
+    """Which schedule serves this input: ``(schedule, tuned,
+    schedule_id)``.  An explicit ``schedule_scope`` wins; otherwise a
+    hit in ``db`` under :func:`serving_key` upgrades the run from the
+    default lowering (``tuned`` unless the recorded best *is* the
+    default).  ``schedule`` is None when the ambient schedule should
+    stay — pass it straight to ``schedule_scope``.  A pure read: the
+    serve path never searches."""
+    active = active_schedule()
+    sched = db.best(serving_key(workload, platform, signature, family)) \
+        if db is not None and active.is_default else None
+    if sched is None:
+        return None, False, active.schedule_id
+    return sched, not sched.is_default, sched.schedule_id
 
 
 class TuningDB:

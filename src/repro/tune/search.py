@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import repro.runtime as rt
-from ..eval.harness import CompileCache, _shape_signature, run_workload
+from ..eval import run_workload
+from ..eval.cache import CompileCache, fetch
 from ..models import get_workload
 from ..obs import trace as obs_trace
-from .db import TuningDB, shape_key_text, tuning_key
+from ..pipelines import get_pipeline
+from .db import TuningDB, serving_key
 from .schedule import (DEFAULT_SCHEDULE, Schedule, mutate_schedule,
                        random_schedule, schedule_scope)
 
@@ -134,29 +136,16 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
     wl = get_workload(workload)
     args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len,
                           seed=seed)
-    if dynamic_shapes:
-        # mirror how a dynamic-shape server keys this traffic: via the
-        # duck-shaped family structure (ShapeFamily.shape_key), not
-        # the concrete extents
-        from ..symshape.family import symbolize_signature
-        from ..symshape.symbols import SymInt
-        sym_sig, _ = symbolize_signature(_shape_signature(args))
-
-        def render(entry):
-            if isinstance(entry, tuple):
-                return tuple(render(e) for e in entry)
-            if isinstance(entry, SymInt):
-                return entry.value if entry.is_const else "*"
-            return entry
-        shape_key = shape_key_text(tuple(render(e) for e in sym_sig))
-    else:
-        shape_key = shape_key_text(_shape_signature(args))
-    key = tuning_key(workload, shape_key, platform)
-
-    # measurement runs use a private cache with NO tuning DB attached:
+    # every run below uses a private cache with NO tuning DB attached:
     # the candidate under test must be the only schedule in play (a DB
     # hit would silently override the default baseline)
     cache = CompileCache()
+    # the key is derived from what the cache resolves for these inputs —
+    # the same fetch and the same key function every served run uses —
+    # so the schedule is stored under exactly the key it is read under
+    fetched = fetch(get_pipeline(pipeline), wl, args, cache=cache,
+                    dynamic_shapes=dynamic_shapes)
+    key = serving_key(workload, platform, fetched.signature, fetched.family)
 
     def measure(sched: Schedule, repeats: int):
         with schedule_scope(sched):
@@ -239,7 +228,7 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
     result = TuneResult(
         workload=workload, pipeline=pipeline, platform=platform,
         batch_size=batch_size, seq_len=seq_len,
-        shape_key=shape_key, key=key,
+        shape_key=key[1], key=key,
         default_modeled_us=default_modeled,
         default_wall_us=default_cand.best_wall_us,
         best_schedule=best.schedule,

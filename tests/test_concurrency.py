@@ -10,7 +10,7 @@ Each test class documents the pre-fix failure mode it guards against:
 * ``TestProfilerIsolation`` — the profiler stack was a module-global
   list, so two threads profiling at once interleaved launch/alloc
   events and corrupted each other's ``peak_bytes``;
-* ``TestCounterEpochs`` — ``clear_compile_cache()`` silently reset
+* ``TestCounterEpochs`` — ``process_cache.clear()`` silently reset
   counters, making post-clear ``RunResult`` snapshots incomparable
   with pre-clear ones; the epoch field makes the lifecycle explicit.
 """
@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
-from repro.eval.harness import (CompileCache, clear_compile_cache,
-                                compile_cache_stats, run_workload)
+from repro.eval.cache import CompileCache, process_cache
+from repro.eval.harness import run_workload
 from repro.models import get_workload
 from repro.serve import ServePolicy, Server
 
@@ -32,9 +32,9 @@ pytestmark = pytest.mark.usefixtures("fresh_cache")
 
 @pytest.fixture
 def fresh_cache():
-    clear_compile_cache()
+    process_cache.clear()
     yield
-    clear_compile_cache()
+    process_cache.clear()
 
 
 def run_threads(fns):
@@ -229,7 +229,7 @@ class TestCounterEpochs:
         # regression (bugfix 3): post-clear results must be marked as a
         # new counter epoch, not silently restart from zero
         first = run_workload("attention", "tensorssa", seq_len=8)
-        clear_compile_cache()
+        process_cache.clear()
         second = run_workload("attention", "tensorssa", seq_len=8)
         assert second.cache_epoch == first.cache_epoch + 1
         assert second.cache_misses == 1  # fresh epoch, fresh counters
@@ -237,7 +237,7 @@ class TestCounterEpochs:
 
     def test_snapshot_matches_run_result(self):
         res = run_workload("attention", "tensorssa", seq_len=8)
-        snap = compile_cache_stats()
+        snap = process_cache.snapshot()
         assert (snap.epoch, snap.hits, snap.misses) == \
             (res.cache_epoch, res.cache_hits, res.cache_misses)
 
@@ -245,7 +245,7 @@ class TestCounterEpochs:
         private = CompileCache()
         res = run_workload("attention", "eager", seq_len=8, cache=private)
         assert res.cache_misses == 1 and res.cache_epoch == 0
-        assert compile_cache_stats().misses == 0  # global untouched
+        assert process_cache.snapshot().misses == 0  # global untouched
 
 
 class TestConcurrentRuns:

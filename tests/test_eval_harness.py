@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.eval.harness import (RunResult, clear_compile_cache,
-                                run_workload, speedup_over_eager)
+from repro.eval.cache import CompileCache, process_cache
+from repro.eval.harness import RunResult, run_workload
 from repro.eval.report import format_table, geomean, summarize_speedups
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    clear_compile_cache()
+    process_cache.clear()
     yield
-    clear_compile_cache()
+    process_cache.clear()
 
 
 class TestRunWorkload:
@@ -40,8 +40,9 @@ class TestRunWorkload:
         assert con.latency_us > dc.latency_us
 
     def test_speedup_over_eager(self):
-        s = speedup_over_eager("ssd", "tensorssa", batch_size=1)
-        assert s > 1.0
+        base = run_workload("ssd", "eager", batch_size=1)
+        opt = run_workload("ssd", "tensorssa", batch_size=1)
+        assert base.latency_us / opt.latency_us > 1.0
 
     def test_wallclock_measurement(self):
         res = run_workload("attention", "tensorssa", seq_len=8,
@@ -71,7 +72,6 @@ class TestCompileCache:
         assert not other.cache_hit
 
     def test_lru_eviction_is_bounded(self):
-        from repro.eval.harness import CompileCache
         cache = CompileCache(capacity=3)
         for i in range(5):
             cache.put(("p", "w", i), object())
@@ -80,20 +80,18 @@ class TestCompileCache:
         assert ("p", "w", 4) in cache
 
     def test_lru_order_refreshes_on_hit(self):
-        from repro.eval.harness import CompileCache
         cache = CompileCache(capacity=2)
         cache.put(("a",), object())
         cache.put(("b",), object())
-        assert cache.get(("a",)) is not None  # refresh "a"
+        assert cache.lookup(("a",))[0] is not None  # refresh "a"
         cache.put(("c",), object())           # evicts "b", not "a"
         assert ("a",) in cache and ("b",) not in cache
 
     def test_counters_reset_with_cache(self):
-        from repro.eval.harness import _compile_cache
         run_workload("lstm", "tensorssa", seq_len=8)
-        assert _compile_cache.misses >= 1
-        clear_compile_cache()
-        assert _compile_cache.hits == 0 and _compile_cache.misses == 0
+        assert process_cache.misses >= 1
+        process_cache.clear()
+        assert process_cache.hits == 0 and process_cache.misses == 0
 
 
 class TestReport:

@@ -22,8 +22,8 @@ import pytest
 import repro.runtime as rt
 from repro.backend.interpreter import run_graph
 from repro.errors import GradError
-from repro.eval.harness import (CompileCache, compile_cached_family,
-                                compile_cached_status, run_workload)
+from repro.eval.cache import CompileCache, fetch
+from repro.eval.harness import run_workload
 from repro.grad import build_backward, grad
 from repro.grad.check import (GradCheckConfig, check_workload_grad,
                               gradcheck)
@@ -434,11 +434,9 @@ class TestEndToEnd:
         pipe = get_pipeline("tensorssa")
         args = wl.make_inputs(batch_size=2, seq_len=6, seed=0)
         cache = CompileCache()
-        _, hit1 = compile_cached_status(pipe, wl, args, cache=cache,
-                                        grad=True)
-        _, hit2 = compile_cached_status(pipe, wl, args, cache=cache,
-                                        grad=True)
-        _, hit_fwd = compile_cached_status(pipe, wl, args, cache=cache)
+        hit1 = fetch(pipe, wl, args, cache=cache, grad=True).hit
+        hit2 = fetch(pipe, wl, args, cache=cache, grad=True).hit
+        hit_fwd = fetch(pipe, wl, args, cache=cache).hit
         assert (hit1, hit2) == (False, True)
         assert hit_fwd is False, "forward must not reuse the backward key"
 
@@ -447,11 +445,11 @@ class TestEndToEnd:
         pipe = get_pipeline("tensorssa")
         cache = CompileCache()
         a1 = wl.make_inputs(batch_size=2, seq_len=6, seed=0)
-        c1, hit1, fam1, out1 = compile_cached_family(pipe, wl, a1,
-                                                     cache=cache, grad=True)
+        c1, hit1, fam1, out1, _ = fetch(pipe, wl, a1, cache=cache,
+                                        dynamic_shapes=True, grad=True)
         a2 = wl.make_inputs(batch_size=3, seq_len=6, seed=1)
-        c2, hit2, fam2, out2 = compile_cached_family(pipe, wl, a2,
-                                                     cache=cache, grad=True)
+        c2, hit2, fam2, out2, _ = fetch(pipe, wl, a2, cache=cache,
+                                        dynamic_shapes=True, grad=True)
         assert (hit1, out1) == (False, "new")
         assert (hit2, out2) == (True, "hit")
         assert fam1.family_id == fam2.family_id

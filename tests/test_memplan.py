@@ -311,8 +311,9 @@ class TestPlannedExecution:
         assert prof.peak_bytes < 0.5 * base.peak_bytes
 
     def test_peak_surfaces_in_run_result(self):
-        from repro.eval.harness import clear_compile_cache, run_workload
-        clear_compile_cache()
+        from repro.eval.cache import process_cache
+        from repro.eval.harness import run_workload
+        process_cache.clear()
         try:
             res = run_workload("lstm", "tensorssa", seq_len=8)
             assert res.peak_bytes > 0
@@ -321,4 +322,4 @@ class TestPlannedExecution:
             assert noplan.peak_bytes > res.peak_bytes
             assert noplan.bytes_reused == 0
         finally:
-            clear_compile_cache()
+            process_cache.clear()

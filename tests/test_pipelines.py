@@ -110,9 +110,9 @@ class TestStats:
 
 class TestHarnessCache:
     def test_cache_keys_on_shape_signature(self):
-        from repro.eval.harness import (clear_compile_cache, compile_cached)
+        from repro.eval.cache import compile_cached, process_cache
         from repro.models import get_workload
-        clear_compile_cache()
+        process_cache.clear()
         wl = get_workload("lstm")
         pipe = get_pipeline("tensorssa")
         a = compile_cached(pipe, wl, wl.make_inputs(seq_len=16))
@@ -125,9 +125,9 @@ class TestHarnessCache:
         assert a is not c
 
     def test_dynamo_recompiles_per_shape(self):
-        from repro.eval.harness import (clear_compile_cache, compile_cached)
+        from repro.eval.cache import compile_cached, process_cache
         from repro.models import get_workload
-        clear_compile_cache()
+        process_cache.clear()
         wl = get_workload("lstm")
         pipe = get_pipeline("dynamo_inductor")
         a = compile_cached(pipe, wl, wl.make_inputs(seq_len=16))

@@ -7,13 +7,17 @@ import threading
 import numpy as np
 import pytest
 
+import repro.runtime as rt
 from repro.errors import ArtifactError
-from repro.eval.harness import (CompileCache, compile_cached_family,
-                                compile_key)
+from repro.eval.cache import CompileCache, clone_args, compile_key, fetch
+from repro.eval.harness import run_workload
 from repro.models import get_workload, workload_names
 from repro.pipelines.registry import get_pipeline
 from repro.shard import (ARTIFACT_VERSION, ArtifactStore,
                          deserialize_compiled, serialize_compiled)
+from repro.shard.worker import _publish
+from repro.tune import Schedule, TuningDB
+from repro.tune.db import serving_key
 
 GRAPH_PIPELINES = ("tensorssa", "dynamo_inductor", "ts_nvfuser",
                    "ts_nnc")
@@ -94,9 +98,9 @@ class TestRoundTrip:
         pipe = get_pipeline("tensorssa")
         cache = CompileCache()
         args = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
-        compiled, _, family, _ = compile_cached_family(
-            pipe, wl, args, cache=cache)
-        key = ("tensorssa", wl.name, "family", family.family_id)
+        compiled, _, family, _, _ = fetch(
+            pipe, wl, args, cache=cache, dynamic_shapes=True)
+        key = compile_key(pipe, wl, family=family)
         restored = deserialize_compiled(
             serialize_compiled(compiled, key, family=family))
         assert restored.family is not None
@@ -150,7 +154,7 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 2
+        assert ARTIFACT_VERSION == 3
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
 
@@ -249,3 +253,81 @@ class TestArtifactStore:
         assert sorted(merged.keys()) == sorted(k for k, _ in pairs)
         cache = CompileCache()
         assert merged.warm_start(cache) == len(pairs)
+
+
+class TestBackwardArtifacts:
+    """Backward artifacts through the worker's publish / warm-start
+    loop — the path a respawned shard worker takes."""
+
+    RUN = dict(batch_size=2, seq_len=8, dynamic_shapes=True, grad=True)
+
+    def _published(self, tmp_path, cache):
+        """Publish everything in ``cache`` and warm-start a fresh cache
+        from a fresh handle on the same store."""
+        assert _publish(cache, ArtifactStore(str(tmp_path)), set()) == 1
+        store, warm = ArtifactStore(str(tmp_path)), CompileCache()
+        assert store.warm_start(warm) == 1 and store.errors == 0
+        return warm
+
+    def test_backward_family_artifact_warm_starts(self, tmp_path):
+        """Regression: a backward family key has five elements, and the
+        publisher recognised family entries by key length — so the
+        artifact shipped without its family, failed the plan check on
+        restore, and the next incarnation cold-compiled."""
+        cache = CompileCache()
+        cold = run_workload("lstm", "tensorssa", cache=cache, **self.RUN)
+        assert not cold.cache_hit
+        warm = self._published(tmp_path, cache)
+        again = run_workload("lstm", "tensorssa", cache=warm, **self.RUN)
+        assert again.cache_hit and again.family_outcome == "hit"
+        snap = warm.snapshot()
+        assert snap.misses == 0 and snap.guard_misses == 0
+        assert rt.bit_exact(again.outputs, cold.outputs)
+
+    def test_restored_backward_passes_check(self, tmp_path):
+        """Regression: ``stats["grad_reference"]`` is a closure the
+        stats filter drops, so ``check=True`` on a warm-started cache
+        died with an untyped ``KeyError``; the reference graph now
+        travels in the payload.  (Static key: at the parent this
+        artifact does restore, and only the check fails.)"""
+        run = dict(batch_size=2, seq_len=8, grad=True, check=True)
+        cache = CompileCache()
+        fresh = run_workload("lstm", "tensorssa", cache=cache, **run)
+        warm = self._published(tmp_path, cache)
+        restored = run_workload("lstm", "tensorssa", cache=warm, **run)
+        assert restored.cache_hit
+        assert rt.bit_exact(restored.outputs, fresh.outputs)
+        # forward artifacts carry nothing new
+        _, compiled, key, _ = _fresh("lstm", "tensorssa")
+        assert "grad_reference" not in json.loads(
+            serialize_compiled(compiled, key))["payload"]
+
+    def test_family_x_tuned_schedule_x_artifact_x_backward(self, tmp_path):
+        """The features in combination (ROADMAP aim 3): a symbolic
+        family's backward artifact, restored through the store, served
+        at a *different* member of the family under a tuned non-default
+        schedule read from a TuningDB — bit-exact with the interpreted
+        reference backward of the eager program."""
+        wl, pipe = get_workload("lstm"), get_pipeline("tensorssa")
+        sched = Schedule(loop_order="consumer", tile_elems=4096,
+                         hloop_unroll=2)
+        cache = CompileCache()
+        run_workload("lstm", "tensorssa", cache=cache, **self.RUN)
+        family = cache.families.all_families()[0]
+        db = TuningDB(str(tmp_path / "tune"))
+        db.put(serving_key("lstm", "datacenter", (), family), sched)
+
+        warm = self._published(tmp_path / "store", cache)
+        warm.tuning_db = db
+        served = run_workload("lstm", "tensorssa", cache=warm, check=True,
+                              **{**self.RUN, "batch_size": 3,
+                                 "seq_len": 12})
+        assert served.cache_hit and served.family_outcome == "hit"
+        assert served.tuned and served.schedule_id == sched.schedule_id
+        assert warm.snapshot().misses == 0 and db.searches == 0
+
+        args = wl.make_inputs(batch_size=3, seq_len=12, seed=0)
+        reference = fetch(pipe, wl, args, cache=CompileCache(),
+                          grad=True).compiled.stats["grad_reference"]
+        assert rt.bit_exact(served.outputs,
+                            rt.as_tuple(reference(*clone_args(args))))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
-from repro.eval.harness import (CompileCache, compile_cached_family,
-                                family_key, run_workload)
+from repro.eval.cache import CompileCache, compile_key, fetch
+from repro.eval.harness import run_workload
 from repro.memplan.planner import plans_built
 from repro.models import get_workload
 from repro.pipelines import get_pipeline
@@ -268,6 +268,11 @@ class TestBucketing:
 
 # -- family-keyed compilation -------------------------------------------
 
+def compile_cached_family(pipe, wl, args, cache):
+    """The family-keyed fetch, as (compiled, hit, family, outcome)."""
+    return fetch(pipe, wl, args, cache=cache, dynamic_shapes=True)[:4]
+
+
 class TestFamilyCompile:
     def test_warm_family_zero_compiles_zero_plans(self):
         cache = CompileCache()
@@ -306,7 +311,7 @@ class TestFamilyCompile:
         args = wl.make_inputs(batch_size=2, seq_len=16, seed=0)
         _, _, family, _ = compile_cached_family(pipe, wl, args,
                                                 cache=cache)
-        assert family_key(pipe, wl, family) in cache
+        assert compile_key(pipe, wl, family=family) in cache
 
     def test_specializing_pipeline_guard_misses(self):
         cache = CompileCache()

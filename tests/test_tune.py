@@ -16,8 +16,8 @@ from repro.backend.codegen import (CodegenError, _const_literal,
                                    compile_block_unrolled)
 from repro.backend.fusion_runtime import _tiled_launch
 from repro.errors import CompileError, DeadlineExceeded
-from repro.eval.harness import (CompileCache, _shape_signature,
-                                run_workload)
+from repro.eval.cache import CompileCache, shape_signature
+from repro.eval.harness import run_workload
 from repro.faults import (Fault, FaultPlan, FaultRule, SITE_BATCH_EXEC,
                           SITE_KERNEL_LAUNCH, global_fault_scope)
 from repro.frontend import script
@@ -31,6 +31,7 @@ from repro.tune import (DEFAULT_SCHEDULE, SCHEDULE_SPACE, Schedule,
                         TuningDB, active_schedule, mutate_schedule,
                         random_schedule, schedule_scope, shape_key_text,
                         tune_workload, tuning_key)
+from repro.tune.db import serving_key
 
 ALL_WORKLOADS = ("attention", "fcos", "lstm", "nasrnn", "seq2seq",
                  "ssd", "yolact", "yolov3")
@@ -487,7 +488,7 @@ class TestWarmLookup:
         args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len,
                               seed=0)
         key = tuning_key(workload,
-                         shape_key_text(_shape_signature(args)),
+                         shape_key_text(shape_signature(args)),
                          platform)
         db = TuningDB(tmp_path)
         db.put(key, sched)
@@ -540,6 +541,41 @@ class TestWarmLookup:
         # the warm-serve witness: the hot path never tunes
         assert stats["tune_db"]["searches"] == 0
         assert stats["tune_db"]["hits"] >= 1
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_tuner_harness_and_server_agree_on_the_key(self, tmp_path,
+                                                        dynamic):
+        """The key ``tune_workload`` writes under is the key a harness
+        run and a served batch read under — one function
+        (``serving_key``) decides it for all three."""
+        asked = []
+
+        class RecordingDB(TuningDB):
+            def best(self, key):
+                asked.append(tuple(key))
+                return super().best(key)
+
+        db = RecordingDB(tmp_path)
+        shape = dict(batch_size=1, seq_len=8, seed=0)
+        result = tune_workload("attention", n_random=1, n_mutation=0,
+                               top_k=1, best_of=1, db=db,
+                               dynamic_shapes=dynamic, **shape)
+        cache = CompileCache()
+        cache.tuning_db = db
+        run_workload("attention", "tensorssa", cache=cache,
+                     dynamic_shapes=dynamic, **shape)
+        args = get_workload("attention").make_inputs(**shape)
+        policy = ServePolicy(workers=1, max_batch_size=1,
+                             dynamic_shapes=dynamic)
+        with Server(policy, cache=cache) as srv:
+            resp = srv.submit("attention", args=args,
+                              seq_len=8).result(timeout=60)
+        assert resp.ok and resp.cache_hit
+        assert asked == [result.key, result.key]
+        family = cache.families.all_families()[0] if dynamic else None
+        assert result.key == serving_key(
+            "attention", "datacenter", shape_signature(args), family)
+        assert ('"*"' in result.shape_key) == dynamic
 
 
 # -- executor error taxonomy (the blanket-except fix) --------------------
