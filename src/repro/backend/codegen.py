@@ -27,9 +27,9 @@ Schedule hooks (:mod:`repro.tune`) enter here in three ways:
   results as one flat tuple.
 
 Every compiled kernel carries ``__elementwise_safe__``: True only when
-the body is provably row-independent along axis 0 (whitelisted
-elementwise ops, no container constants, no captured objects), which is
-what licenses the runtime's ``tile_elems`` row tiling.
+the body is provably row-independent along axis 0 (every op's registry
+row says ``elementwise``, no container constants, no captured objects),
+which is what licenses the runtime's ``tile_elems`` row tiling.
 """
 
 from __future__ import annotations
@@ -43,26 +43,6 @@ from .kernels import OP_IMPLS
 class CodegenError(RuntimeError):
     """Raised when a fusion-group body contains an op the kernel codegen cannot compile."""
     pass
-
-
-#: Ops whose outputs are computed independently per element (given all
-#: array operands share one shape), so slicing every array input along
-#: axis 0 and concatenating the outputs reproduces the unsliced result.
-#: Views, reductions, matmuls, and the immut window ops are excluded —
-#: they couple rows.  ``prim::`` scalar arithmetic is row-independent
-#: trivially (it never touches the tiled axis).
-ELEMENTWISE_SAFE_OPS = frozenset(op for op in OP_IMPLS
-                                 if op.startswith("prim::")) | frozenset({
-    "aten::add", "aten::sub", "aten::mul", "aten::div", "aten::pow",
-    "aten::maximum", "aten::minimum", "aten::neg", "aten::abs",
-    "aten::exp", "aten::log", "aten::sqrt", "aten::sigmoid",
-    "aten::tanh", "aten::relu", "aten::floor", "aten::ceil",
-    "aten::clamp", "aten::where", "aten::clone",
-    "aten::full_like", "aten::zeros_like", "aten::ones_like",
-    "aten::gt", "aten::lt", "aten::ge", "aten::le",
-    "aten::eq", "aten::ne",
-    "aten::logical_and", "aten::logical_or", "aten::logical_not",
-})
 
 
 def _const_literal(value) -> str:
@@ -168,7 +148,7 @@ class _Emitter:
                 continue
             if node.op not in OP_IMPLS:
                 raise CodegenError(f"op {node.op} is not compilable")
-            if node.op not in ELEMENTWISE_SAFE_OPS:
+            if not node.schema.elementwise:
                 self.elementwise_safe = False
             args = ", ".join(_name_of(names, v) for v in node.inputs)
             out = f"t{self._tmp}"

@@ -7,11 +7,12 @@ equivalent of mapping the fused loop body across the iteration space on
 device.
 
 Kernels compute on raw numpy arrays, so only the *materialized outputs*
-(wrapped into Tensors by ``_wrap``) allocate ``Storage`` — and those
-allocations route through the active :class:`~repro.runtime.storage.
-MemoryPool` when the interpreter runs under a memory plan, which is how
-fused kernels participate in buffer donation (a dying operand's bytes,
-released just before the launch, serve the outputs).
+(wrapped into Tensors by ``runtime.tensor.wrap``) allocate ``Storage``
+— and those allocations route through the active :class:`~repro.
+runtime.storage.MemoryPool` when the lowered program runs under a
+memory plan, which is how fused kernels participate in buffer donation
+(a dying operand's bytes, released just before the launch, serve the
+outputs).
 
 Schedules: every launch consults :func:`repro.tune.schedule.
 active_schedule` — statement order and unroll/chunk factors select a
@@ -34,7 +35,7 @@ from ..faults import SITE_FUSION_COMPILE, maybe_inject
 from ..ir.graph import Node
 from ..obs import trace as obs_trace
 from ..runtime import profiler
-from ..runtime.tensor import Tensor
+from ..runtime.tensor import Tensor, wrap
 from ..tune.schedule import Schedule, active_schedule
 from .codegen import (compile_block, compile_block_chunked,
                       compile_block_unrolled)
@@ -104,16 +105,6 @@ def _group_kernel(node: Node, sched: Schedule) -> object:
 
 def _unwrap(x):
     return x._array if isinstance(x, Tensor) else x
-
-
-def _wrap(arr):
-    if isinstance(arr, np.ndarray):
-        if arr.base is not None or not arr.flags.owndata:
-            arr = np.array(arr, copy=True)
-        return Tensor.from_array(arr, copy=False)
-    if isinstance(arr, np.generic):
-        return Tensor.from_array(np.asarray(arr), copy=False)
-    return arr
 
 
 def _io_bytes(values) -> int:
@@ -192,7 +183,7 @@ def execute_group(node: Node, inputs: Sequence[object]) -> List[object]:
                 raw = kernel(args)
         else:
             raw = execute_kernel(kernel, args, "fusion_group")
-        outputs = [_wrap(r) for r in raw]
+        outputs = [wrap(r) for r in raw]
         out_elems = sum(o.numel for o in outputs if isinstance(o, Tensor))
         profiler.record_launch("fusion_group",
                                nbytes=_io_bytes(inputs) + _io_bytes(outputs),
@@ -258,7 +249,7 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
                 state = list(results[1:])
                 i += 1
 
-        outputs = [_wrap(s) for s in state]
+        outputs = [wrap(s) for s in state]
         n_ops = node.attrs.get("num_member_ops", len(body.nodes))
         if sp is not None:
             sp.args["trips"] = i
@@ -308,7 +299,7 @@ def run_parallel_map(node: Node, inputs: List[object]) -> List[object]:
             else:
                 per_iter.append(kernel([i] + caps))
                 i += 1
-        outputs = [_wrap(np.stack([r[k] for r in per_iter]))
+        outputs = [wrap(np.stack([r[k] for r in per_iter]))
                    for k in range(len(body.returns))]
         profiler.record_launch(
             "parallel_map",

@@ -1,8 +1,10 @@
-"""Numpy implementations of fusable ops, used inside compiled kernels.
+"""The compiled-kernel side of the operator table, and its launch site.
 
-These run *inside* a fusion group: no Tensor wrapping, no launch
-recording — the whole group is one launch.  Semantics must match the
-eager runtime exactly (fused == unfused is asserted by tests).
+Inside a fusion group an op runs as its registry row's ``kernel`` — the
+same numpy function the eager, in-place and immut forms are derived
+from (:mod:`repro.runtime.kernels`) — with no Tensor wrapping and no
+launch recording: the whole group is one launch.  :data:`OP_IMPLS` is
+that lookup, ``{name: schema.kernel}``.
 
 :func:`pre_launch` is the device-handoff fault checkpoint for compiled
 kernels: it runs once per launch, *before* any member op computes, so
@@ -13,9 +15,12 @@ launches check the same site in ``runtime/profiler.record_launch``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..faults import SITE_KERNEL_LAUNCH, maybe_inject
+from ..ops.registry import all_ops
+
+#: op name -> numpy-level implementation: every compilable operator
+OP_IMPLS = {schema.name: schema.kernel for schema in all_ops()
+            if schema.kernel is not None}
 
 
 def pre_launch(op: str) -> None:
@@ -29,227 +34,3 @@ def execute_kernel(kernel, args, op: str):
     layer (failure raises before compute; latency sleeps before it)."""
     pre_launch(op)
     return kernel(args)
-
-
-def _f32(out, *ins):
-    """Match the runtime's promotion rule: stay in float32 unless an
-    input was float64."""
-    if out.dtype == np.float64 and not any(
-            getattr(i, "dtype", None) == np.float64 for i in ins):
-        return out.astype(np.float32)
-    return out
-
-
-def _norm_dim(dim, ndim):
-    return dim + ndim if dim < 0 else dim
-
-
-def _select(t, dim, index):
-    dim = _norm_dim(int(dim), t.ndim)
-    index = int(index)
-    if index < 0:
-        index += t.shape[dim]
-    key = (slice(None),) * dim + (index,)
-    return t[key]
-
-
-def _slice(t, dim, start=0, end=None, step=1):
-    dim = _norm_dim(int(dim), t.ndim)
-    key = (slice(None),) * dim + (slice(start, end, step),)
-    return t[key]
-
-
-def _narrow(t, dim, start, length):
-    return _slice(t, dim, int(start), int(start) + int(length), 1)
-
-
-def _assign(base, src):
-    out = np.array(base, copy=True)
-    out[...] = np.asarray(src).astype(base.dtype, copy=False)
-    return out
-
-
-def _window_assign(base, src, key):
-    out = np.array(base, copy=True)
-    out[key] = np.asarray(src).astype(base.dtype, copy=False)
-    return out
-
-
-def _select_assign(base, src, dim, index):
-    dim = _norm_dim(int(dim), base.ndim)
-    index = int(index)
-    if index < 0:
-        index += base.shape[dim]
-    return _window_assign(base, src, (slice(None),) * dim + (index,))
-
-
-def _slice_assign(base, src, dim, start=0, end=None, step=1):
-    dim = _norm_dim(int(dim), base.ndim)
-    return _window_assign(base, src,
-                          (slice(None),) * dim + (slice(start, end, step),))
-
-
-def _narrow_assign(base, src, dim, start, length):
-    return _slice_assign(base, src, dim, int(start), int(start) + int(length))
-
-
-def _reshape_assign(base, src, shape):
-    return np.asarray(src).astype(base.dtype, copy=False).reshape(base.shape)
-
-
-def _permute_assign(base, src, dims):
-    inverse = np.argsort(np.asarray(dims))
-    return np.ascontiguousarray(
-        np.asarray(src).astype(base.dtype, copy=False).transpose(
-            tuple(inverse)))
-
-
-def _transpose_assign(base, src, dim0, dim1):
-    dims = list(range(base.ndim))
-    d0, d1 = _norm_dim(int(dim0), base.ndim), _norm_dim(int(dim1), base.ndim)
-    dims[d0], dims[d1] = dims[d1], dims[d0]
-    return np.ascontiguousarray(
-        np.asarray(src).astype(base.dtype, copy=False).transpose(tuple(dims)))
-
-
-def _shape_like_assign(base, src, *_ignored):
-    return np.asarray(src).astype(base.dtype, copy=False).reshape(base.shape)
-
-
-def _squeeze(t, dim=None):
-    if dim is None:
-        return t.squeeze()
-    dim = _norm_dim(int(dim), t.ndim)
-    return t.squeeze(dim) if t.shape[dim] == 1 else t
-
-
-def _flatten(t, start_dim=0, end_dim=-1):
-    start = _norm_dim(int(start_dim), t.ndim)
-    end = _norm_dim(int(end_dim), t.ndim)
-    merged = 1
-    for s in t.shape[start:end + 1]:
-        merged *= s
-    return t.reshape(t.shape[:start] + (merged,) + t.shape[end + 1:])
-
-
-def _clamp(t, lo=None, hi=None):
-    return np.clip(t, -np.inf if lo is None else lo,
-                   np.inf if hi is None else hi)
-
-
-def _sigmoid(t):
-    return _f32(1.0 / (1.0 + np.exp(-t)), t)
-
-
-def _masked_fill(t, mask, value):
-    return np.where(np.broadcast_to(mask, np.shape(t)),
-                    np.asarray(value, dtype=np.asarray(t).dtype), t)
-
-
-def _to(t, dtype):
-    return np.asarray(t).astype(dtype.np)
-
-
-def _expand(t, shape):
-    target = tuple(t.shape[i] if s == -1 else s for i, s in enumerate(shape))
-    return np.broadcast_to(t, target)
-
-
-#: op name -> numpy-level implementation
-OP_IMPLS = {
-    # host-side scalar arithmetic (free inside a compiled kernel)
-    "prim::add": lambda a, b: a + b,
-    "prim::sub": lambda a, b: a - b,
-    "prim::mul": lambda a, b: a * b,
-    "prim::truediv": lambda a, b: a / b,
-    "prim::floordiv": lambda a, b: a // b,
-    "prim::mod": lambda a, b: a % b,
-    "prim::pow": lambda a, b: a ** b,
-    "prim::neg": lambda a: -a,
-    "prim::gt": lambda a, b: a > b,
-    "prim::lt": lambda a, b: a < b,
-    "prim::ge": lambda a, b: a >= b,
-    "prim::le": lambda a, b: a <= b,
-    "prim::eq": lambda a, b: a == b,
-    "prim::ne": lambda a, b: a != b,
-    "prim::and": lambda a, b: a and b,
-    "prim::or": lambda a, b: a or b,
-    "prim::not": lambda a: not a,
-    "prim::min": min,
-    "prim::max": max,
-    # elementwise arithmetic
-    "aten::add": lambda a, b: _f32(np.add(a, b), a, b),
-    "aten::sub": lambda a, b: _f32(np.subtract(a, b), a, b),
-    "aten::mul": lambda a, b: _f32(np.multiply(a, b), a, b),
-    "aten::div": lambda a, b: _f32(np.true_divide(a, b), a, b),
-    "aten::pow": lambda a, b: _f32(np.power(a, b), a, b),
-    "aten::maximum": lambda a, b: _f32(np.maximum(a, b), a, b),
-    "aten::minimum": lambda a, b: _f32(np.minimum(a, b), a, b),
-    "aten::neg": lambda a: np.negative(a),
-    "aten::abs": lambda a: np.abs(a),
-    "aten::exp": lambda a: _f32(np.exp(a), a),
-    "aten::log": lambda a: _f32(np.log(a), a),
-    "aten::sqrt": lambda a: _f32(np.sqrt(a), a),
-    "aten::sigmoid": _sigmoid,
-    "aten::tanh": lambda a: _f32(np.tanh(a), a),
-    "aten::relu": lambda a: np.maximum(a, 0),
-    "aten::floor": lambda a: np.floor(a),
-    "aten::ceil": lambda a: np.ceil(a),
-    "aten::clamp": _clamp,
-    "aten::where": lambda c, a, b: _f32(np.where(c, a, b), a, b),
-    "aten::clone": lambda a: np.array(a, copy=True),
-    "aten::to": _to,
-    "aten::masked_fill": _masked_fill,
-    # shape-propagating fills (functional forms of fill_/zero_)
-    "aten::full_like": lambda t, v: np.full(np.shape(t), v,
-                                            dtype=np.asarray(t).dtype),
-    "aten::zeros_like": lambda t: np.zeros(np.shape(t),
-                                           dtype=np.asarray(t).dtype),
-    "aten::ones_like": lambda t: np.ones(np.shape(t),
-                                         dtype=np.asarray(t).dtype),
-    # comparisons / logic
-    "aten::gt": np.greater, "aten::lt": np.less,
-    "aten::ge": np.greater_equal, "aten::le": np.less_equal,
-    "aten::eq": np.equal, "aten::ne": np.not_equal,
-    "aten::logical_and": np.logical_and,
-    "aten::logical_or": np.logical_or,
-    "aten::logical_not": np.logical_not,
-    # views (pure in a functionalized region)
-    "aten::alias": lambda t: t,
-    "aten::select": _select,
-    "aten::slice": _slice,
-    "aten::narrow": _narrow,
-    "aten::reshape": lambda t, shape: np.reshape(t, tuple(shape)),
-    "aten::view": lambda t, shape: np.reshape(t, tuple(shape)),
-    "aten::permute": lambda t, dims: np.transpose(t, tuple(dims)),
-    "aten::transpose": lambda t, d0, d1: np.swapaxes(t, int(d0), int(d1)),
-    "aten::squeeze": _squeeze,
-    "aten::unsqueeze": lambda t, dim: np.expand_dims(
-        t, _norm_dim(int(dim), t.ndim + 1)),
-    "aten::expand": _expand,
-    "aten::flatten": _flatten,
-    # immut Access
-    "immut::alias": lambda t: np.array(t, copy=True),
-    "immut::select": _select,
-    "immut::slice": _slice,
-    "immut::narrow": _narrow,
-    "immut::reshape": lambda t, shape: np.reshape(t, tuple(shape)),
-    "immut::permute": lambda t, dims: np.transpose(t, tuple(dims)),
-    "immut::transpose": lambda t, d0, d1: np.swapaxes(t, int(d0), int(d1)),
-    "immut::squeeze": _squeeze,
-    "immut::unsqueeze": lambda t, dim: np.expand_dims(
-        t, _norm_dim(int(dim), t.ndim + 1)),
-    "immut::expand": _expand,
-    "immut::flatten": _flatten,
-    # immut Assign
-    "immut::assign": _assign,
-    "immut::select_assign": _select_assign,
-    "immut::slice_assign": _slice_assign,
-    "immut::narrow_assign": _narrow_assign,
-    "immut::reshape_assign": _reshape_assign,
-    "immut::permute_assign": _permute_assign,
-    "immut::transpose_assign": _transpose_assign,
-    "immut::squeeze_assign": _shape_like_assign,
-    "immut::unsqueeze_assign": _shape_like_assign,
-    "immut::flatten_assign": _shape_like_assign,
-}

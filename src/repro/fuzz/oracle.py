@@ -4,7 +4,8 @@ For a generated (or corpus) program the oracle:
 
 1. materializes the source and runs it *eagerly* — the reference
    semantics — over several ``(flag, n)`` input variants that cover
-   both branch arms and zero-trip loops;
+   both branch arms and zero-trip loops, plus the first variant again
+   on a float64 payload (scalar promotion, dtype-following ops);
 2. compiles it through every requested pipeline (shape-specializing
    pipelines recompile per variant, mirroring the harness's cache key)
    and demands **bit-exact** outputs — all pipelines bottom out in the
@@ -131,7 +132,8 @@ class FuzzFailure:
                     # input-mutation | graph-invariant | roundtrip |
                     # profile-invariant | family-split | grad-divergence
     detail: str
-    variant: Optional[Tuple[bool, int]] = None
+    #: ``(flag, n)``, or ``(flag, n, "float64")`` on the float64 payload
+    variant: Optional[tuple] = None
     ir: str = field(default="", repr=False)
 
     def describe(self) -> str:
@@ -397,34 +399,41 @@ def run_oracle(program: FuzzProgram,
         return FuzzFailure(program, "<generator>", "compile-error",
                            f"generated source does not parse: {exc}")
 
+    # every variant on the float32 payload, then the first one again on
+    # a float64 payload (tagged in ``FuzzFailure.variant``): scalar
+    # promotion and dtype-following ops are checked, not just float32
+    runs = [(x_data, v) for v in variants]
+    runs.append((x_data.astype(np.float64), (*variants[0], "float64")))
+
     # -- eager reference ------------------------------------------------
     reference = []
-    for flag, n in variants:
-        x = rt.from_numpy(x_data)
+    for x_in, variant in runs:
+        x = rt.from_numpy(x_in)
         try:
-            expected = fn(x, flag, n)
+            expected = fn(x, *variant[:2])
         except Exception as exc:
             return FuzzFailure(program, "eager-reference", "runtime-error",
                                f"{type(exc).__name__}: {exc}",
-                               variant=(flag, n))
+                               variant=variant)
         reference.append((expected, x.numpy()))
 
     for pipe in _pipeline_instances(config):
         compiled = None
-        for (flag, n), (expected, x_after) in zip(variants, reference):
-            x = rt.from_numpy(x_data)
+        for (x_in, variant), (expected, x_after) in zip(runs, reference):
+            flag, n = variant[:2]
+            x = rt.from_numpy(x_in)
             if compiled is None or pipe.needs_example_inputs:
                 try:
                     compiled = pipe.compile(
-                        fn, example_args=(rt.from_numpy(x_data), flag, n))
+                        fn, example_args=(rt.from_numpy(x_in), flag, n))
                 except (ScriptError, Exception) as exc:
                     return FuzzFailure(
                         program, pipe.name, "compile-error",
-                        f"{type(exc).__name__}: {exc}", variant=(flag, n))
+                        f"{type(exc).__name__}: {exc}", variant=variant)
                 if config.check_graph:
                     failure = _check_graph(compiled, program, config)
                     if failure is not None:
-                        failure.variant = (flag, n)
+                        failure.variant = variant
                         return failure
             ir_text = print_graph(compiled.graph) if compiled.graph \
                 else ""
@@ -434,21 +443,21 @@ def run_oracle(program: FuzzProgram,
             except Exception as exc:
                 return FuzzFailure(program, pipe.name, "runtime-error",
                                    f"{type(exc).__name__}: {exc}",
-                                   variant=(flag, n), ir=ir_text)
+                                   variant=variant, ir=ir_text)
             mismatch = _diff_outputs(expected, got)
             if mismatch is not None:
                 return FuzzFailure(program, pipe.name, "output-mismatch",
-                                   mismatch, variant=(flag, n), ir=ir_text)
+                                   mismatch, variant=variant, ir=ir_text)
             if not rt.bit_exact(x.numpy(), x_after):
                 return FuzzFailure(
                     program, pipe.name, "input-mutation",
                     f"input x state diverged from eager\n"
                     f"eager:\n{x_after}\npipeline:\n{x.numpy()}",
-                    variant=(flag, n), ir=ir_text)
+                    variant=variant, ir=ir_text)
             profile_issue = _check_profile(prof)
             if profile_issue is not None:
                 return FuzzFailure(program, pipe.name, "profile-invariant",
-                                   profile_issue, variant=(flag, n),
+                                   profile_issue, variant=variant,
                                    ir=ir_text)
 
     if config.check_families:

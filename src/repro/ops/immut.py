@@ -11,204 +11,49 @@ counterpart: a pure operator producing a new version of ``base`` whose
 Every function records exactly one kernel launch.  After vertical
 fusion these kernels disappear into fusion groups, which is where the
 paper's speedup comes from — but they must also be individually
-executable so a TensorSSA-converted graph runs standalone.
+executable so a TensorSSA-converted graph runs standalone: each is the
+eager form of its :data:`repro.runtime.kernels.KERNELS` row (an Access
+row is the view's own kernel, materialized) — the code fused groups run.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
-
-from ..runtime import views
-from ..runtime.tensor import Tensor, as_tensor, record_op
+from ..runtime.kernels import eager_op
 
 
-def _fresh(arr: np.ndarray, op: str, inputs) -> Tensor:
-    out = Tensor.from_array(arr, copy=False)
-    record_op(op, [t for t in inputs if isinstance(t, Tensor)], [out],
-              flops=0)
-    return out
+def _access(view: str):
+    return eager_op(f"immut::{view}", f"Access (paper Def. 3.3): materialize "
+                    f"``{view}`` as a fresh tensor — one kernel.")
 
 
-def _np(t) -> np.ndarray:
-    if isinstance(t, float):
-        # Python floats are doubles: keep full precision here and let
-        # _cast round once to the base dtype.  float32 bases see the
-        # identical rounding as the old as_tensor path; float64 bases
-        # (grad-check runs) stop truncating scalar writes through f32.
-        return np.asarray(t, dtype=np.float64)
-    return as_tensor(t)._array
+def _assign(view: str):
+    return eager_op(f"immut::{view}_assign", "Assign (paper Def. 3.4): new "
+                    f"version of ``base`` with its ``{view}`` window replaced "
+                    "by ``src`` — one kernel.")
 
 
-# ---------------------------------------------------------------------------
-# Access operators
-# ---------------------------------------------------------------------------
+access_alias = _access("alias")
+access_select = _access("select")
+access_slice = _access("slice")
+access_narrow = _access("narrow")
+access_reshape = _access("reshape")
+access_permute = _access("permute")
+access_transpose = _access("transpose")
+access_squeeze = _access("squeeze")
+access_unsqueeze = _access("unsqueeze")
+access_expand = _access("expand")
+access_flatten = _access("flatten")
 
-def access_alias(t: Tensor) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``alias`` as a fresh tensor — one kernel."""
-    return _fresh(np.array(_np(t), copy=True), "immut::alias", [t])
-
-
-def access_select(t: Tensor, dim: int, index: int) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``select`` as a fresh tensor — one kernel."""
-    v = views.select(as_tensor(t), int(dim), int(index))
-    return _fresh(v.numpy(), "immut::select", [t])
-
-
-def access_slice(t: Tensor, dim: int, start: int = 0,
-                 end: Optional[int] = None, step: int = 1) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``slice`` as a fresh tensor — one kernel."""
-    v = views.slice_(as_tensor(t), int(dim), start, end, step)
-    return _fresh(v.numpy(), "immut::slice", [t])
-
-
-def access_narrow(t: Tensor, dim: int, start: int, length: int) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``narrow`` as a fresh tensor — one kernel."""
-    v = views.narrow(as_tensor(t), int(dim), int(start), int(length))
-    return _fresh(v.numpy(), "immut::narrow", [t])
-
-
-def access_reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``reshape`` as a fresh tensor — one kernel."""
-    return _fresh(np.array(_np(t).reshape(tuple(shape)), copy=True),
-                  "immut::reshape", [t])
-
-
-def access_permute(t: Tensor, dims: Sequence[int]) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``permute`` as a fresh tensor — one kernel."""
-    return _fresh(np.array(_np(t).transpose(tuple(dims)), copy=True),
-                  "immut::permute", [t])
-
-
-def access_transpose(t: Tensor, dim0: int, dim1: int) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``transpose`` as a fresh tensor — one kernel."""
-    v = views.transpose(as_tensor(t), int(dim0), int(dim1))
-    return _fresh(v.numpy(), "immut::transpose", [t])
-
-
-def access_squeeze(t: Tensor, dim: Optional[int] = None) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``squeeze`` as a fresh tensor — one kernel."""
-    v = views.squeeze(as_tensor(t), dim if dim is None else int(dim))
-    return _fresh(v.numpy(), "immut::squeeze", [t])
-
-
-def access_unsqueeze(t: Tensor, dim: int) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``unsqueeze`` as a fresh tensor — one kernel."""
-    v = views.unsqueeze(as_tensor(t), int(dim))
-    return _fresh(v.numpy(), "immut::unsqueeze", [t])
-
-
-def access_expand(t: Tensor, shape: Sequence[int]) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``expand`` as a fresh tensor — one kernel."""
-    v = views.expand(as_tensor(t), tuple(shape))
-    return _fresh(v.numpy(), "immut::expand", [t])
-
-
-def access_flatten(t: Tensor, start_dim: int = 0,
-                   end_dim: int = -1) -> Tensor:
-    """Access (paper Def. 3.3): materialize ``flatten`` as a fresh tensor — one kernel."""
-    v = views.flatten(as_tensor(t), int(start_dim), int(end_dim))
-    return _fresh(v.numpy(), "immut::flatten", [t])
-
-
-# ---------------------------------------------------------------------------
-# Assign operators
-# ---------------------------------------------------------------------------
-
-def _clone_base(base) -> np.ndarray:
-    return np.array(_np(base), copy=True)
-
-
-def _cast(src_arr: np.ndarray, base_arr: np.ndarray) -> np.ndarray:
-    return src_arr.astype(base_arr.dtype, copy=False)
-
-
-def assign(base: Tensor, src: Tensor) -> Tensor:
-    """Whole-content assign: a new version of ``base`` filled with
-    (broadcast) ``src`` — the innermost Assign of the pass-up chain."""
-    b = _np(base)
-    out = np.array(np.broadcast_to(_cast(_np(src), b), b.shape), copy=True)
-    return _fresh(out, "immut::assign", [base, src])
-
-
-def assign_alias(base: Tensor, src: Tensor) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``alias`` window replaced by ``src`` — one kernel."""
-    return assign(base, src)
-
-
-def assign_select(base: Tensor, src: Tensor, dim: int, index: int) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``select`` window replaced by ``src`` — one kernel."""
-    out = _clone_base(base)
-    key = (slice(None),) * views._norm_dim(int(dim), out.ndim) + (int(index),)
-    out[key] = _cast(_np(src), out)
-    return _fresh(out, "immut::select_assign", [base, src])
-
-
-def assign_slice(base: Tensor, src: Tensor, dim: int, start: int = 0,
-                 end: Optional[int] = None, step: int = 1) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``slice`` window replaced by ``src`` — one kernel."""
-    out = _clone_base(base)
-    d = views._norm_dim(int(dim), out.ndim)
-    key = (slice(None),) * d + (slice(start, end, step),)
-    out[key] = _cast(_np(src), out)
-    return _fresh(out, "immut::slice_assign", [base, src])
-
-
-def assign_narrow(base: Tensor, src: Tensor, dim: int, start: int,
-                  length: int) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``narrow`` window replaced by ``src`` — one kernel."""
-    return assign_slice(base, src, dim, int(start), int(start) + int(length),
-                        1)
-
-
-def assign_reshape(base: Tensor, src: Tensor,
-                   shape: Sequence[int]) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``reshape`` window replaced by ``src`` — one kernel."""
-    b = _np(base)
-    out = np.array(_cast(_np(src), b).reshape(b.shape), copy=True)
-    return _fresh(out, "immut::reshape_assign", [base, src])
-
-
-def assign_permute(base: Tensor, src: Tensor,
-                   dims: Sequence[int]) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``permute`` window replaced by ``src`` — one kernel."""
-    b = _np(base)
-    inverse = np.argsort(np.asarray(dims))
-    out = np.array(_cast(_np(src), b).transpose(tuple(inverse)), copy=True)
-    return _fresh(out, "immut::permute_assign", [base, src])
-
-
-def assign_transpose(base: Tensor, src: Tensor, dim0: int,
-                     dim1: int) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``transpose`` window replaced by ``src`` — one kernel."""
-    b = _np(base)
-    dims = list(range(b.ndim))
-    d0 = views._norm_dim(int(dim0), b.ndim)
-    d1 = views._norm_dim(int(dim1), b.ndim)
-    dims[d0], dims[d1] = dims[d1], dims[d0]
-    out = np.array(_cast(_np(src), b).transpose(tuple(dims)), copy=True)
-    return _fresh(out, "immut::transpose_assign", [base, src])
-
-
-def assign_squeeze(base: Tensor, src: Tensor,
-                   dim: Optional[int] = None) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``squeeze`` window replaced by ``src`` — one kernel."""
-    b = _np(base)
-    out = np.array(_cast(_np(src), b).reshape(b.shape), copy=True)
-    return _fresh(out, "immut::squeeze_assign", [base, src])
-
-
-def assign_unsqueeze(base: Tensor, src: Tensor, dim: int) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``unsqueeze`` window replaced by ``src`` — one kernel."""
-    b = _np(base)
-    out = np.array(_cast(_np(src), b).reshape(b.shape), copy=True)
-    return _fresh(out, "immut::unsqueeze_assign", [base, src])
-
-
-def assign_flatten(base: Tensor, src: Tensor, start_dim: int = 0,
-                   end_dim: int = -1) -> Tensor:
-    """Assign (paper Def. 3.4): new version of ``base`` with its ``flatten`` window replaced by ``src`` — one kernel."""
-    b = _np(base)
-    out = np.array(_cast(_np(src), b).reshape(b.shape), copy=True)
-    return _fresh(out, "immut::flatten_assign", [base, src])
+assign = assign_alias = eager_op(
+    "immut::assign", "Whole-content assign: a new version of ``base`` "
+    "filled with (broadcast) ``src`` — the innermost Assign of the "
+    "pass-up chain.")
+assign_select = _assign("select")
+assign_slice = _assign("slice")
+assign_narrow = _assign("narrow")
+assign_reshape = _assign("reshape")
+assign_permute = _assign("permute")
+assign_transpose = _assign("transpose")
+assign_squeeze = _assign("squeeze")
+assign_unsqueeze = _assign("unsqueeze")
+assign_flatten = _assign("flatten")

@@ -10,11 +10,11 @@ Namespaces follow TorchScript conventions:
 
 from __future__ import annotations
 
-import operator
 from typing import Dict, Iterable
 
 from ..runtime import (creation, elementwise, inplace, linalg, reduction,
                        shape_ops, views)
+from ..runtime.kernels import KERNELS
 from . import immut
 from .schema import GenRule, OpKind, OpSchema
 
@@ -22,9 +22,13 @@ REGISTRY: Dict[str, OpSchema] = {}
 
 
 def register(schema: OpSchema) -> OpSchema:
-    """Register a schema; duplicate names are rejected."""
+    """Register a schema (duplicate names are rejected), completed
+    with the operator's kernel-table row when it has one."""
     if schema.name in REGISTRY:
         raise ValueError(f"duplicate op registration: {schema.name}")
+    row = KERNELS.get(schema.name)
+    if row is not None:
+        vars(schema).update(row._asdict())
     REGISTRY[schema.name] = schema
     return schema
 
@@ -268,22 +272,19 @@ _pure("grad::stash_init", creation.stash_init)
 # prim:: scalar arithmetic (host-side, never launches kernels)
 # ---------------------------------------------------------------------------
 
-for _n, _f, _rt in [
-    ("add", operator.add, "Scalar"), ("sub", operator.sub, "Scalar"),
-    ("mul", operator.mul, "Scalar"), ("truediv", operator.truediv, "float"),
-    ("floordiv", operator.floordiv, "int"), ("mod", operator.mod, "Scalar"),
-    ("pow", operator.pow, "Scalar"), ("neg", operator.neg, "Scalar"),
-    ("gt", operator.gt, "bool"), ("lt", operator.lt, "bool"),
-    ("ge", operator.ge, "bool"), ("le", operator.le, "bool"),
-    ("eq", operator.eq, "bool"), ("ne", operator.ne, "bool"),
-    ("and", lambda a, b: a and b, "bool"),
-    ("or", lambda a, b: a or b, "bool"),
-    ("not", operator.not_, "bool"),
-    ("min", min, "Scalar"), ("max", max, "Scalar"),
+for _n, _rt in [
+    ("add", "Scalar"), ("sub", "Scalar"), ("mul", "Scalar"),
+    ("truediv", "float"), ("floordiv", "int"), ("mod", "Scalar"),
+    ("pow", "Scalar"), ("neg", "Scalar"),
+    ("gt", "bool"), ("lt", "bool"), ("ge", "bool"), ("le", "bool"),
+    ("eq", "bool"), ("ne", "bool"), ("and", "bool"), ("or", "bool"),
+    ("not", "bool"), ("min", "Scalar"), ("max", "Scalar"),
 ]:
     # scalar ops are fusable: NNC-style kernels accept scalar inputs and
-    # fold host arithmetic into the generated code
-    _pure(f"prim::{_n}", _f, fusable=True, result_types=(_rt,))
+    # fold host arithmetic into the generated code (so the eager fn and
+    # the fused kernel are the same callable)
+    _pure(f"prim::{_n}", KERNELS[f"prim::{_n}"].kernel, fusable=True,
+          result_types=(_rt,))
 
 # ---------------------------------------------------------------------------
 # prim:: structure

@@ -72,6 +72,19 @@ class OpSchema:
     num_outputs: int = 1
     #: can the NNC-like fuser pull this op into a fusion group?
     fusable: bool = False
+    #: the operator's row of :data:`repro.runtime.kernels.KERNELS`,
+    #: copied in by ``registry.register``: its one numpy-level kernel
+    #: (arrays and Python scalars in, array out; None when the op is
+    #: not compilable) and the metadata every execution shares — row
+    #: independence (licenses tiling; same-shape propagation), flops
+    #: per output element, the launch name and whether operand bytes
+    #: count as read.  ``fn``, the in-place ``op_`` and the fused call
+    #: are all derived from ``kernel``; none restates the math.
+    kernel: Optional[Callable] = None
+    elementwise: bool = False
+    flops: int = 1
+    launch: str = ""
+    reads: bool = True
     #: for VIEW ops: names of the immutable Access / Assign counterparts
     #: (paper Definitions 3.3 / 3.4); access has the identical signature,
     #: assign takes ``(base, src, *view_params)``.

@@ -17,24 +17,20 @@ is invisible to any later pass because none run after it except DCE.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..ir import types as T
 from ..ir.graph import Graph, Node, Value
+from ..ops import registry
 
-#: assign op -> the view op whose window it writes (None = whole tensor)
-_ASSIGN_TO_VIEW = {
-    "immut::assign": None,
-    "immut::select_assign": "aten::select",
-    "immut::slice_assign": "aten::slice",
-    "immut::narrow_assign": "aten::narrow",
-    "immut::reshape_assign": "aten::reshape",
-    "immut::permute_assign": "aten::permute",
-    "immut::transpose_assign": "aten::transpose",
-    "immut::squeeze_assign": "aten::squeeze",
-    "immut::unsqueeze_assign": "aten::unsqueeze",
-    "immut::flatten_assign": "aten::flatten",
-}
+#: assign op -> the view op whose window it writes (None = whole
+#: tensor): the inverse of the registry's ``assign_op`` links, the first
+#: registered view winning (``aten::reshape`` over ``aten::view``)
+_ASSIGN_TO_VIEW: Dict[str, Optional[str]] = {}
+for _schema in registry.all_ops():
+    if _schema.assign_op:
+        _ASSIGN_TO_VIEW.setdefault(_schema.assign_op, _schema.name)
+_ASSIGN_TO_VIEW["immut::assign"] = None
 
 
 def _protected_values(graph: Graph) -> set:

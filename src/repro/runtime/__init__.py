@@ -7,7 +7,8 @@ views, and a profiler counts simulated kernel launches.  This is the
 against, and the executor its interpreters bottom out in.
 """
 
-from . import creation, elementwise, inplace, linalg, reduction, shape_ops, views
+from . import (creation, elementwise, inplace, kernels, linalg, reduction,
+               shape_ops, views)
 from .dtype import ALL_DTYPES, DType, bool_, float32, float64, int32, int64, promote
 from .profiler import (AllocEvent, KernelEvent, Profile, PythonEvent,
                        current_profile, profile, record_alloc, record_free,
@@ -84,87 +85,21 @@ chunk = shape_ops.chunk
 
 
 def _attach_tensor_methods() -> None:
-    """Give Tensor the PyTorch-style method surface the workloads use."""
-    method_table = {
-        # views
-        "select": views.select,
-        "slice": views.slice_,
-        "narrow": views.narrow,
-        "reshape": views.reshape,
-        "view": views.view,
-        "permute": views.permute,
-        "transpose": views.transpose,
-        "squeeze": views.squeeze,
-        "unsqueeze": views.unsqueeze,
-        "expand": views.expand,
-        "flatten": views.flatten,
-        # pure compute
-        "add": elementwise.add,
-        "sub": elementwise.sub,
-        "mul": elementwise.mul,
-        "div": elementwise.div,
-        "pow": elementwise.pow,
-        "neg": elementwise.neg,
-        "abs": elementwise.abs,
-        "exp": elementwise.exp,
-        "log": elementwise.log,
-        "sqrt": elementwise.sqrt,
-        "sigmoid": elementwise.sigmoid,
-        "tanh": elementwise.tanh,
-        "relu": elementwise.relu,
-        "clamp": elementwise.clamp,
-        "clone": elementwise.clone,
-        "to": elementwise.to,
-        "floor": elementwise.floor,
-        "ceil": elementwise.ceil,
-        "maximum": elementwise.maximum,
-        "minimum": elementwise.minimum,
-        # reductions
-        "sum": reduction.sum,
-        "mean": reduction.mean,
-        "max": reduction.max,
-        "min": reduction.min,
-        "argmax": reduction.argmax,
-        "argmin": reduction.argmin,
-        "cumsum": reduction.cumsum,
-        "softmax": reduction.softmax,
-        # linalg / movement
-        "matmul": linalg.matmul,
-        "gather": shape_ops.gather,
-        "index_select": shape_ops.index_select,
-        "masked_select": shape_ops.masked_select,
-        "masked_fill": shape_ops.masked_fill,
-        "masked_scatter": shape_ops.masked_scatter,
-        "index_put": shape_ops.index_put,
-        "index_fill": shape_ops.index_fill,
-        "topk": shape_ops.topk,
-        "sort": shape_ops.sort,
-        "chunk": shape_ops.chunk,
-        # in-place
-        "copy_": inplace.copy_,
-        "fill_": inplace.fill_,
-        "zero_": inplace.zero_,
-        "add_": inplace.add_,
-        "sub_": inplace.sub_,
-        "mul_": inplace.mul_,
-        "div_": inplace.div_,
-        "pow_": inplace.pow_,
-        "neg_": inplace.neg_,
-        "exp_": inplace.exp_,
-        "sqrt_": inplace.sqrt_,
-        "sigmoid_": inplace.sigmoid_,
-        "tanh_": inplace.tanh_,
-        "relu_": inplace.relu_,
-        "clamp_": inplace.clamp_,
-        "maximum_": inplace.maximum_,
-        "minimum_": inplace.minimum_,
-        "masked_fill_": inplace.masked_fill_,
-        "masked_scatter_": inplace.masked_scatter_,
-        "index_put_": inplace.index_put_,
-        "index_fill_": inplace.index_fill_,
-    }
-    for name, fn in method_table.items():
-        setattr(Tensor, name, fn)
+    """Give Tensor the PyTorch-style method surface the workloads use:
+    every ``aten::`` row of the kernel table under its own name (views,
+    pure elementwise ops and their ``op_`` forms alike), then the
+    operators that have no row."""
+    for name, fn in kernels.EAGER.items():
+        if name.startswith("aten::"):
+            setattr(Tensor, name.split("::")[1], fn)
+    for module, names in (
+            (reduction, "sum mean max min argmax argmin cumsum softmax"),
+            (linalg, "matmul"),
+            (shape_ops, "gather index_select masked_select masked_scatter "
+                        "index_put index_fill topk sort chunk"),
+            (inplace, "copy_ zero_ masked_scatter_ index_put_ index_fill_")):
+        for name in names.split():
+            setattr(Tensor, name, getattr(module, name))
 
 
 _attach_tensor_methods()

@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dtype import DType, float32, int64
+from .kernels import eager_op
 from .tensor import Scalar, Tensor, as_tensor, record_op
 
 #: Active float32-promotion override (see :func:`promoting_f32_to`).
@@ -102,36 +103,18 @@ def arange(start, end=None, step=1, dtype: DType = int64) -> Tensor:
     return out
 
 
-def zeros_like(t: Tensor) -> Tensor:
-    """Create a fresh ``zeros_like`` tensor (one allocation kernel).
-
-    ``*_like`` factories follow their template's dtype *exactly* —
-    the :func:`promoting_f32_to` override never applies (promotion is
-    decided where the template was first allocated).
-    """
-    t = as_tensor(t)
-    out = Tensor.from_array(np.zeros(t.shape, t.dtype.np), copy=False)
-    record_op("zeros", [], [out], flops=0)
-    return out
-
-
-def ones_like(t: Tensor) -> Tensor:
-    """Create a fresh ``ones_like`` tensor (dtype follows the template
-    exactly; one allocation kernel)."""
-    t = as_tensor(t)
-    out = Tensor.from_array(np.ones(t.shape, t.dtype.np), copy=False)
-    record_op("ones", [], [out], flops=0)
-    return out
-
-
-def full_like(t: Tensor, value: Scalar) -> Tensor:
-    """Create a fresh ``full_like`` tensor (dtype follows the template
-    exactly; one allocation kernel)."""
-    t = as_tensor(t)
-    out = Tensor.from_array(np.full(t.shape, value, t.dtype.np),
-                            copy=False)
-    record_op("full", [], [out], flops=0)
-    return out
+# ``*_like`` factories follow their template's dtype *exactly* — the
+# :func:`promoting_f32_to` override never applies (promotion is decided
+# where the template was first allocated).
+zeros_like = eager_op(
+    "aten::zeros_like",
+    "Create a fresh ``zeros_like`` tensor (one allocation kernel).")
+ones_like = eager_op(
+    "aten::ones_like", "Create a fresh ``ones_like`` tensor (dtype follows "
+    "the template exactly; one allocation kernel).")
+full_like = eager_op(
+    "aten::full_like", "Create a fresh ``full_like`` tensor (dtype follows "
+    "the template exactly; one allocation kernel).")
 
 
 def rand(shape: Sequence[int], seed: Optional[int] = None,

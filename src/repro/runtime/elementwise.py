@@ -3,217 +3,55 @@
 Each function launches exactly one kernel (``record_op``) and returns a
 fresh storage-owning tensor.  These are the "memory-intensive" operators
 that dominate the paper's imperative post-processing workloads, and the
-primary fusion candidates for the NNC-like backend.
+primary fusion candidates for the NNC-like backend.  Every one is the
+eager form (:func:`repro.runtime.kernels.eager_op`) of its row in the
+kernel table — the math itself lives there, once.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .tensor import Scalar, Tensor, as_tensor, record_op
+from .kernels import eager_op
 
 
-def _coerce(a, b):
-    ta, tb = as_tensor(a), as_tensor(b)
-    return ta, tb
-
-
-def _binary(op: str, fn, a, b) -> Tensor:
-    ta, tb = _coerce(a, b)
-    out_arr = fn(ta._array, tb._array)
-    # Promote python-float results back to float32 when both inputs were
-    # float32 (numpy promotes scalar ops conservatively).
-    if out_arr.dtype == np.float64 and (ta.dtype.np != np.float64
-                                        and tb.dtype.np != np.float64):
-        out_arr = out_arr.astype(np.float32)
-    out = Tensor.from_array(out_arr, copy=False)
-    record_op(op, [ta, tb], [out])
-    return out
-
-
-def _unary(op: str, fn, a: Tensor, flops_per_elem: int = 1) -> Tensor:
-    ta = as_tensor(a)
-    out_arr = fn(ta._array)
-    if out_arr.dtype == np.float64 and ta.dtype.np != np.float64:
-        out_arr = out_arr.astype(np.float32)
-    out = Tensor.from_array(out_arr, copy=False)
-    record_op(op, [ta], [out], flops=out.numel * flops_per_elem)
-    return out
+def _op(name: str, operands: str = " broadcasted"):
+    return eager_op("aten::" + name, f"Elementwise{operands} ``{name}`` "
+                    "(one kernel launch, fresh output).")
 
 
 # -- arithmetic -------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    """Elementwise broadcasted ``add`` (one kernel launch, fresh output)."""
-    return _binary("add", np.add, a, b)
-
-
-def sub(a, b) -> Tensor:
-    """Elementwise broadcasted ``sub`` (one kernel launch, fresh output)."""
-    return _binary("sub", np.subtract, a, b)
-
-
-def mul(a, b) -> Tensor:
-    """Elementwise broadcasted ``mul`` (one kernel launch, fresh output)."""
-    return _binary("mul", np.multiply, a, b)
-
-
-def div(a, b) -> Tensor:
-    """Elementwise broadcasted ``div`` (one kernel launch, fresh output)."""
-    return _binary("div", np.true_divide, a, b)
-
-
-def pow(a, b) -> Tensor:  # noqa: A001 - mirrors aten::pow
-    """Elementwise broadcasted ``pow`` (one kernel launch, fresh output)."""
-    return _binary("pow", np.power, a, b)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise broadcasted ``maximum`` (one kernel launch, fresh output)."""
-    return _binary("maximum", np.maximum, a, b)
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise broadcasted ``minimum`` (one kernel launch, fresh output)."""
-    return _binary("minimum", np.minimum, a, b)
-
-
-def remainder(a, b) -> Tensor:
-    """Elementwise broadcasted ``remainder`` (one kernel launch, fresh output)."""
-    return _binary("remainder", np.remainder, a, b)
-
-
-def neg(a) -> Tensor:
-    """Elementwise ``neg`` (one kernel launch, fresh output)."""
-    return _unary("neg", np.negative, a)
-
-
-def abs(a) -> Tensor:  # noqa: A001 - mirrors aten::abs
-    """Elementwise ``abs`` (one kernel launch, fresh output)."""
-    return _unary("abs", np.abs, a)
-
-
-def exp(a) -> Tensor:
-    """Elementwise ``exp`` (one kernel launch, fresh output)."""
-    return _unary("exp", np.exp, a, flops_per_elem=4)
-
-
-def log(a) -> Tensor:
-    """Elementwise ``log`` (one kernel launch, fresh output)."""
-    return _unary("log", np.log, a, flops_per_elem=4)
-
-
-def sqrt(a) -> Tensor:
-    """Elementwise ``sqrt`` (one kernel launch, fresh output)."""
-    return _unary("sqrt", np.sqrt, a, flops_per_elem=2)
-
-
-def sigmoid(a) -> Tensor:
-    """Elementwise ``sigmoid`` (one kernel launch, fresh output)."""
-    return _unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)), a,
-                  flops_per_elem=6)
-
-
-def tanh(a) -> Tensor:
-    """Elementwise ``tanh`` (one kernel launch, fresh output)."""
-    return _unary("tanh", np.tanh, a, flops_per_elem=6)
-
-
-def relu(a) -> Tensor:
-    """Elementwise ``relu`` (one kernel launch, fresh output)."""
-    return _unary("relu", lambda x: np.maximum(x, 0), a)
-
-
-def floor(a) -> Tensor:
-    """Elementwise ``floor`` (one kernel launch, fresh output)."""
-    return _unary("floor", np.floor, a)
-
-
-def ceil(a) -> Tensor:
-    """Elementwise ``ceil`` (one kernel launch, fresh output)."""
-    return _unary("ceil", np.ceil, a)
-
-
-def clamp(a, min_val: Scalar = None, max_val: Scalar = None) -> Tensor:
-    """Elementwise ``clamp`` (one kernel launch, fresh output)."""
-    ta = as_tensor(a)
-    lo = -np.inf if min_val is None else min_val
-    hi = np.inf if max_val is None else max_val
-    out = Tensor.from_array(np.clip(ta._array, lo, hi), copy=False)
-    record_op("clamp", [ta], [out], flops=out.numel * 2)
-    return out
-
-
-def where(cond, a, b) -> Tensor:
-    """Elementwise broadcasted ``where`` (one kernel launch, fresh output)."""
-    tc, ta, tb = as_tensor(cond), as_tensor(a), as_tensor(b)
-    out_arr = np.where(tc._array, ta._array, tb._array)
-    if out_arr.dtype == np.float64 and np.float64 not in (
-            ta.dtype.np.type, tb.dtype.np.type):
-        out_arr = out_arr.astype(np.float32)
-    out = Tensor.from_array(out_arr, copy=False)
-    record_op("where", [tc, ta, tb], [out])
-    return out
-
-
-def clone(a: Tensor) -> Tensor:
-    """A fresh deep copy — one memory-bound kernel."""
-    ta = as_tensor(a)
-    out = Tensor.from_array(ta._array, copy=True)
-    record_op("clone", [ta], [out], flops=0)
-    return out
-
-
-def to(a: Tensor, dtype) -> Tensor:
-    """Dtype cast (``aten::to``)."""
-    ta = as_tensor(a)
-    out = Tensor.from_array(ta._array.astype(dtype.np), copy=False)
-    record_op("to", [ta], [out], flops=0)
-    return out
-
+add = _op("add")
+sub = _op("sub")
+mul = _op("mul")
+div = _op("div")
+pow = _op("pow")  # noqa: A001 - mirrors aten::pow
+maximum = _op("maximum")
+minimum = _op("minimum")
+remainder = _op("remainder")
+neg = _op("neg", "")
+abs = _op("abs", "")  # noqa: A001 - mirrors aten::abs
+exp = _op("exp", "")
+log = _op("log", "")
+sqrt = _op("sqrt", "")
+sigmoid = _op("sigmoid", "")
+tanh = _op("tanh", "")
+relu = _op("relu", "")
+floor = _op("floor", "")
+ceil = _op("ceil", "")
+clamp = _op("clamp", "")
+where = _op("where")
+clone = eager_op("aten::clone",
+                 "A fresh deep copy — one memory-bound kernel.")
+to = eager_op("aten::to", "Dtype cast (``aten::to``).")
 
 # -- comparison / logic -----------------------------------------------------
 
-def gt(a, b) -> Tensor:
-    """Elementwise broadcasted ``gt`` (one kernel launch, fresh output)."""
-    return _binary("gt", np.greater, a, b)
-
-
-def lt(a, b) -> Tensor:
-    """Elementwise broadcasted ``lt`` (one kernel launch, fresh output)."""
-    return _binary("lt", np.less, a, b)
-
-
-def ge(a, b) -> Tensor:
-    """Elementwise broadcasted ``ge`` (one kernel launch, fresh output)."""
-    return _binary("ge", np.greater_equal, a, b)
-
-
-def le(a, b) -> Tensor:
-    """Elementwise broadcasted ``le`` (one kernel launch, fresh output)."""
-    return _binary("le", np.less_equal, a, b)
-
-
-def eq(a, b) -> Tensor:
-    """Elementwise broadcasted ``eq`` (one kernel launch, fresh output)."""
-    return _binary("eq", np.equal, a, b)
-
-
-def ne(a, b) -> Tensor:
-    """Elementwise broadcasted ``ne`` (one kernel launch, fresh output)."""
-    return _binary("ne", np.not_equal, a, b)
-
-
-def logical_and(a, b) -> Tensor:
-    """Elementwise broadcasted ``logical_and`` (one kernel launch, fresh output)."""
-    return _binary("logical_and", np.logical_and, a, b)
-
-
-def logical_or(a, b) -> Tensor:
-    """Elementwise broadcasted ``logical_or`` (one kernel launch, fresh output)."""
-    return _binary("logical_or", np.logical_or, a, b)
-
-
-def logical_not(a) -> Tensor:
-    """Elementwise ``logical_not`` (one kernel launch, fresh output)."""
-    return _unary("logical_not", np.logical_not, a)
+gt = _op("gt")
+lt = _op("lt")
+ge = _op("ge")
+le = _op("le")
+eq = _op("eq")
+ne = _op("ne")
+logical_and = _op("logical_and")
+logical_or = _op("logical_or")
+logical_not = _op("logical_not", "")

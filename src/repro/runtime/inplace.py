@@ -4,29 +4,18 @@ Every function here writes through its first argument's storage (and
 therefore through *every alias* of it), bumps the storage version, and
 returns the mutated tensor, mirroring PyTorch's ``op_`` convention.
 These are exactly the operators TensorSSA rewrites into pure
-``immut::*_assign`` forms.
+``immut::*_assign`` forms — and the regular ones *are* that rewrite:
+:func:`repro.runtime.kernels.inplace_op` writes the functional row's
+kernel value through the target.  Only the irregular, non-fusable
+stores keep a body here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .kernels import inplace_op
 from .tensor import Scalar, Tensor, as_tensor, record_op, write_through
-
-
-def _inplace_binary(op: str, fn, target: Tensor, other) -> Tensor:
-    t, o = as_tensor(target), as_tensor(other)
-    write_through(t, fn(t._array, o._array).astype(t.dtype.np, copy=False))
-    record_op(op, [t, o], [t])
-    return t
-
-
-def _inplace_unary(op: str, fn, target: Tensor,
-                   flops_per_elem: int = 1) -> Tensor:
-    t = as_tensor(target)
-    write_through(t, fn(t._array).astype(t.dtype.np, copy=False))
-    record_op(op, [t], [t], flops=t.numel * flops_per_elem)
-    return t
 
 
 def copy_(target: Tensor, src) -> Tensor:
@@ -39,104 +28,27 @@ def copy_(target: Tensor, src) -> Tensor:
     return t
 
 
-def fill_(target: Tensor, value: Scalar) -> Tensor:
-    """In-place ``fill``: writes through the target's storage (and all its aliases)."""
-    t = as_tensor(target)
-    write_through(t, np.full(t.shape, value, dtype=t.dtype.np))
-    record_op("fill_", [t], [t], flops=0)
-    return t
+fill_ = inplace_op("aten::fill_", "aten::full_like")
+add_ = inplace_op("aten::add_", "aten::add")
+sub_ = inplace_op("aten::sub_", "aten::sub")
+mul_ = inplace_op("aten::mul_", "aten::mul")
+div_ = inplace_op("aten::div_", "aten::div")
+pow_ = inplace_op("aten::pow_", "aten::pow")
+maximum_ = inplace_op("aten::maximum_", "aten::maximum")
+minimum_ = inplace_op("aten::minimum_", "aten::minimum")
+neg_ = inplace_op("aten::neg_", "aten::neg")
+exp_ = inplace_op("aten::exp_", "aten::exp")
+sigmoid_ = inplace_op("aten::sigmoid_", "aten::sigmoid")
+tanh_ = inplace_op("aten::tanh_", "aten::tanh")
+relu_ = inplace_op("aten::relu_", "aten::relu")
+sqrt_ = inplace_op("aten::sqrt_", "aten::sqrt")
+clamp_ = inplace_op("aten::clamp_", "aten::clamp")
+masked_fill_ = inplace_op("aten::masked_fill_", "aten::masked_fill")
 
 
 def zero_(target: Tensor) -> Tensor:
     """In-place ``zero``: writes through the target's storage (and all its aliases)."""
     return fill_(target, 0)
-
-
-def add_(target: Tensor, other) -> Tensor:
-    """In-place ``add``: writes through the target's storage (and all its aliases)."""
-    return _inplace_binary("add_", np.add, target, other)
-
-
-def sub_(target: Tensor, other) -> Tensor:
-    """In-place ``sub``: writes through the target's storage (and all its aliases)."""
-    return _inplace_binary("sub_", np.subtract, target, other)
-
-
-def mul_(target: Tensor, other) -> Tensor:
-    """In-place ``mul``: writes through the target's storage (and all its aliases)."""
-    return _inplace_binary("mul_", np.multiply, target, other)
-
-
-def div_(target: Tensor, other) -> Tensor:
-    """In-place ``div``: writes through the target's storage (and all its aliases)."""
-    return _inplace_binary("div_", np.true_divide, target, other)
-
-
-def pow_(target: Tensor, other) -> Tensor:
-    """In-place ``pow``: writes through the target's storage (and all its aliases)."""
-    return _inplace_binary("pow_", np.power, target, other)
-
-
-def maximum_(target: Tensor, other) -> Tensor:
-    """In-place ``maximum``: writes through the target's storage (and all its aliases)."""
-    return _inplace_binary("maximum_", np.maximum, target, other)
-
-
-def minimum_(target: Tensor, other) -> Tensor:
-    """In-place ``minimum``: writes through the target's storage (and all its aliases)."""
-    return _inplace_binary("minimum_", np.minimum, target, other)
-
-
-def neg_(target: Tensor) -> Tensor:
-    """In-place ``neg``: writes through the target's storage (and all its aliases)."""
-    return _inplace_unary("neg_", np.negative, target)
-
-
-def exp_(target: Tensor) -> Tensor:
-    """In-place ``exp``: writes through the target's storage (and all its aliases)."""
-    return _inplace_unary("exp_", np.exp, target, flops_per_elem=4)
-
-
-def sigmoid_(target: Tensor) -> Tensor:
-    """In-place ``sigmoid``: writes through the target's storage (and all its aliases)."""
-    return _inplace_unary("sigmoid_", lambda x: 1.0 / (1.0 + np.exp(-x)),
-                          target, flops_per_elem=6)
-
-
-def tanh_(target: Tensor) -> Tensor:
-    """In-place ``tanh``: writes through the target's storage (and all its aliases)."""
-    return _inplace_unary("tanh_", np.tanh, target, flops_per_elem=6)
-
-
-def relu_(target: Tensor) -> Tensor:
-    """In-place ``relu``: writes through the target's storage (and all its aliases)."""
-    return _inplace_unary("relu_", lambda x: np.maximum(x, 0), target)
-
-
-def sqrt_(target: Tensor) -> Tensor:
-    """In-place ``sqrt``: writes through the target's storage (and all its aliases)."""
-    return _inplace_unary("sqrt_", np.sqrt, target, flops_per_elem=2)
-
-
-def clamp_(target: Tensor, min_val: Scalar = None,
-           max_val: Scalar = None) -> Tensor:
-    """In-place ``clamp``: writes through the target's storage (and all its aliases)."""
-    t = as_tensor(target)
-    lo = -np.inf if min_val is None else min_val
-    hi = np.inf if max_val is None else max_val
-    write_through(t, np.clip(t._array, lo, hi))
-    record_op("clamp_", [t], [t], flops=t.numel * 2)
-    return t
-
-
-def masked_fill_(target: Tensor, mask: Tensor, value: Scalar) -> Tensor:
-    """In-place ``masked_fill``: writes through the target's storage (and all its aliases)."""
-    t, m = as_tensor(target), as_tensor(mask)
-    write_through(t, np.where(np.broadcast_to(m._array, t.shape),
-                              np.asarray(value, dtype=t.dtype.np),
-                              t._array))
-    record_op("masked_fill_", [t, m], [t])
-    return t
 
 
 def masked_scatter_(target: Tensor, mask: Tensor, src: Tensor) -> Tensor:

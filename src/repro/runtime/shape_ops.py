@@ -11,6 +11,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .kernels import eager_op
 from .tensor import Tensor, as_tensor, record_op
 
 
@@ -123,15 +124,8 @@ def chunk(t: Tensor, chunks: int, dim: int = 0) -> List[Tensor]:
 # TensorSSA rewrite to materialize a mutation's value functionally).
 # ---------------------------------------------------------------------------
 
-def masked_fill(t: Tensor, mask: Tensor, value) -> Tensor:
-    """Pure masked fill: where(mask, value, t)."""
-    tt, tm = as_tensor(t), as_tensor(mask)
-    out = Tensor.from_array(
-        np.where(np.broadcast_to(tm._array, tt.shape),
-                 np.asarray(value, dtype=tt.dtype.np), tt._array),
-        copy=False)
-    record_op("masked_fill", [tt, tm], [out])
-    return out
+masked_fill = eager_op("aten::masked_fill",
+                       "Pure masked fill: where(mask, value, t).")
 
 
 def masked_scatter(t: Tensor, mask: Tensor, src: Tensor) -> Tensor:

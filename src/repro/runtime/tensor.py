@@ -157,7 +157,7 @@ class Tensor:
 
     def __rsub__(self, other):
         from . import elementwise
-        return elementwise.sub(as_tensor(other), self)
+        return elementwise.sub(other, self)
 
     def __mul__(self, other):
         from . import elementwise
@@ -173,7 +173,7 @@ class Tensor:
 
     def __rtruediv__(self, other):
         from . import elementwise
-        return elementwise.div(as_tensor(other), self)
+        return elementwise.div(other, self)
 
     def __pow__(self, other):
         from . import elementwise
@@ -302,6 +302,18 @@ def all_close(got, expected, rtol: float = 1e-4,
         for ga, ea in pairs)
 
 
+def wrap(result):
+    """A kernel's result as a storage-owning Tensor: a numpy view (or a
+    numpy scalar) is materialized first, and anything that is not an
+    array — a host scalar out of a ``prim::`` op — passes through."""
+    if isinstance(result, np.ndarray):
+        if result.base is not None or not result.flags.owndata:
+            result = np.array(result, copy=True)
+    elif not isinstance(result, np.generic):
+        return result
+    return Tensor.from_array(result, copy=False)
+
+
 def write_through(target: Tensor, value: np.ndarray) -> None:
     """Mutate ``target``'s data in place (and thus every alias of it)."""
     target._array[...] = value
@@ -318,9 +330,9 @@ def record_op(op: str, inputs, outputs, flops: Optional[int] = None) -> None:
     out_numel = 0
     for t in inputs:
         if isinstance(t, Tensor):
-            nbytes += t.nbytes
+            nbytes += t._array.nbytes
     for t in outputs:
         if isinstance(t, Tensor):
-            nbytes += t.nbytes
-            out_numel += t.numel
+            nbytes += t._array.nbytes
+            out_numel += t._array.size
     profiler.record_launch(op, nbytes, flops if flops is not None else out_numel)

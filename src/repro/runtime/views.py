@@ -12,125 +12,25 @@ op takes plain, explicit parameters (dim, start, end, ...).
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
-import numpy as np
-
+from .kernels import view_op
 from .tensor import Scalar, Tensor, as_tensor
 
-
-def _norm_dim(dim: int, ndim: int, wiggle: int = 0) -> int:
-    """Normalize a possibly-negative dim index."""
-    limit = ndim + wiggle
-    if dim < -limit or dim >= limit:
-        raise IndexError(f"dim {dim} out of range for ndim {ndim}")
-    return dim + limit if dim < 0 else dim
-
-
-def alias(t: Tensor) -> Tensor:
-    """The identity view: a new Tensor aliasing all of ``t``."""
-    return t._view(t._array[...])
-
-
-def select(t: Tensor, dim: int, index: int) -> Tensor:
-    """``t[..., index, ...]`` at dimension ``dim`` (rank reduces by one)."""
-    dim = _norm_dim(dim, t.ndim)
-    index = int(index)
-    size = t.shape[dim]
-    if index < -size or index >= size:
-        raise IndexError(f"select index {index} out of range for size {size}")
-    if index < 0:
-        index += size
-    # Slice-then-squeeze keeps the result a genuine numpy *view* even
-    # when it becomes 0-d (plain integer indexing would return a scalar).
-    key = (slice(None),) * dim + (slice(index, index + 1),)
-    return t._view(np.squeeze(t._array[key], axis=dim))
-
-
-def slice_(t: Tensor, dim: int, start: int = 0, end: int = None,
-           step: int = 1) -> Tensor:
-    """``t[..., start:end:step, ...]`` at dimension ``dim``."""
-    dim = _norm_dim(dim, t.ndim)
-    if step <= 0:
-        raise ValueError("slice step must be positive")
-    key = (slice(None),) * dim + (slice(start, end, step),)
-    return t._view(t._array[key])
-
-
-def narrow(t: Tensor, dim: int, start: int, length: int) -> Tensor:
-    """A length-``length`` window starting at ``start`` along ``dim``."""
-    return slice_(t, dim, start, start + length, 1)
-
-
-def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    """Reshape; returns a view when the data layout allows, else a copy
-    (PyTorch ``reshape`` semantics)."""
-    new = t._array.reshape(tuple(shape))
-    if new.base is not None or new is t._array:
-        return t._view(new)
-    # Layout prevented a view: materialize a copy (owns new storage).
-    from .tensor import record_op
-    out = Tensor.from_array(new, copy=True)
-    record_op("reshape_copy", [t], [out])
-    return out
-
-
-def view(t: Tensor, shape: Sequence[int]) -> Tensor:
-    """Reshape that *must* alias; raises when the layout cannot."""
-    if not t.is_contiguous:
-        raise RuntimeError("view() requires a contiguous tensor; "
-                           "use reshape()")
-    return t._view(t._array.reshape(tuple(shape)))
-
-
-def permute(t: Tensor, dims: Sequence[int]) -> Tensor:
-    """Reorder dimensions (aliasing view)."""
-    dims = tuple(_norm_dim(d, t.ndim) for d in dims)
-    if sorted(dims) != list(range(t.ndim)):
-        raise ValueError(f"invalid permutation {dims} for ndim {t.ndim}")
-    return t._view(t._array.transpose(dims))
-
-
-def transpose(t: Tensor, dim0: int, dim1: int) -> Tensor:
-    """Swap two dimensions (aliasing view)."""
-    dims = list(range(t.ndim))
-    d0, d1 = _norm_dim(dim0, t.ndim), _norm_dim(dim1, t.ndim)
-    dims[d0], dims[d1] = dims[d1], dims[d0]
-    return permute(t, dims)
-
-
-def squeeze(t: Tensor, dim: int = None) -> Tensor:
-    """Drop size-1 dimension(s) (aliasing view)."""
-    if dim is None:
-        return t._view(t._array.squeeze())
-    dim = _norm_dim(dim, t.ndim)
-    if t.shape[dim] != 1:
-        return alias(t)
-    return t._view(t._array.squeeze(dim))
-
-
-def unsqueeze(t: Tensor, dim: int) -> Tensor:
-    """Insert a size-1 dimension at ``dim`` (aliasing view)."""
-    dim = _norm_dim(dim, t.ndim, wiggle=1)
-    return t._view(np.expand_dims(t._array, dim))
-
-
-def expand(t: Tensor, shape: Sequence[int]) -> Tensor:
-    """Broadcast size-1 dims to ``shape`` without copying (stride-0 view)."""
-    target = tuple(t.shape[i] if s == -1 else s
-                   for i, s in enumerate(shape))
-    return t._view(np.broadcast_to(t._array, target))
-
-
-def flatten(t: Tensor, start_dim: int = 0, end_dim: int = -1) -> Tensor:
-    """Merge a dim range into one dimension (view when layout allows)."""
-    start = _norm_dim(start_dim, t.ndim)
-    end = _norm_dim(end_dim, t.ndim)
-    merged = 1
-    for s in t.shape[start:end + 1]:
-        merged *= s
-    shape = t.shape[:start] + (merged,) + t.shape[end + 1:]
-    return reshape(t, shape)
+# Each view is the aliasing form of its kernel-table row: the kernel's
+# numpy view (argument checks included) wrapped over the base's storage.
+alias = view_op("aten::alias")
+select = view_op("aten::select")
+slice_ = view_op("aten::slice")
+narrow = view_op("aten::narrow")
+reshape = view_op("aten::reshape")
+view = view_op("aten::view")
+permute = view_op("aten::permute")
+transpose = view_op("aten::transpose")
+squeeze = view_op("aten::squeeze")
+unsqueeze = view_op("aten::unsqueeze")
+expand = view_op("aten::expand")
+flatten = view_op("aten::flatten")
 
 
 # ---------------------------------------------------------------------------

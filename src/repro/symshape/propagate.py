@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.graph import Block, Graph, Node, Value
+from ..ops import registry
 from ..runtime.dtype import itemsize_of
 from .symbols import DimLike, SymInt
 
@@ -37,23 +38,18 @@ __all__ = ["annotate_symbolic_shapes", "symbolic_shape_of",
 #: a propagated shape: per-dim SymInt | int | None (unknown dim)
 SymShape = Tuple[Optional[DimLike], ...]
 
-#: output shape == (common) input shape; scalars ride along free
-_SAME_SHAPE_OPS = frozenset({
-    "aten::sigmoid", "aten::tanh", "aten::relu", "aten::exp",
-    "aten::log", "aten::neg", "aten::abs", "aten::sqrt", "aten::add",
-    "aten::sub", "aten::mul", "aten::div", "aten::pow",
-    "aten::maximum", "aten::minimum", "aten::softmax", "aten::clone",
-    "aten::full_like", "aten::to", "aten::alias", "immut::alias",
-})
+#: output shape == (common) input shape; scalars ride along free: every
+#: row the registry marks ``elementwise``, plus the few ops that keep
+#: their input's shape without being row-independent compute
+_SAME_SHAPE_OPS = frozenset(s.name for s in registry.all_ops()
+                            if s.elementwise) | {
+    "aten::softmax", "aten::to", "aten::alias", "immut::alias"}
 
-#: functional assignment forms: output shape == destination (input 0)
-_DEST_SHAPE_OPS = frozenset({
-    "immut::assign", "immut::select_assign", "immut::slice_assign",
-    "immut::narrow_assign", "immut::reshape_assign",
-    "immut::permute_assign", "immut::transpose_assign",
-    "immut::squeeze_assign", "immut::unsqueeze_assign",
-    "immut::flatten_assign", "aten::copy_",
-})
+#: functional assignment forms: output shape == destination (input 0) —
+#: every view's ``assign_op`` link, and the in-place store they revert to
+_DEST_SHAPE_OPS = frozenset(s.assign_op for s in registry.all_ops()
+                            if s.assign_op) | {"aten::copy_"}
+
 
 def annotate_symbolic_shapes(graph: Graph,
                              input_shapes: Sequence[Optional[SymShape]]

@@ -4,7 +4,8 @@ These meta-tests pin the invariants the compiler relies on: every view
 op must have a registered Access (and, unless explicitly impossible, an
 Assign) counterpart; every mutator needs a functional equivalent or
 special handling; everything the fuser may admit must be compilable by
-the kernel codegen.
+the kernel codegen — by identity: the codegen's table holds each row's
+own ``kernel``, the one eager execution is derived from as well.
 """
 
 import inspect
@@ -81,17 +82,20 @@ class TestCodegenCoverage:
     @pytest.mark.parametrize("schema", FUSABLE, ids=lambda s: s.name)
     def test_every_fusable_op_is_compilable(self, schema):
         """If the fuser may admit it, the kernel codegen must know it —
-        otherwise fusion groups fail at first execution."""
-        assert schema.name in OP_IMPLS, schema.name
+        otherwise fusion groups fail at first execution — and what the
+        codegen runs is the row's one kernel, not a second copy."""
+        assert schema.kernel is not None, schema.name
+        assert OP_IMPLS[schema.name] is get(schema.name).kernel
 
     def test_immut_ops_all_compilable(self):
-        missing = [s.name for s in all_ops()
-                   if s.name.startswith("immut::")
-                   and s.name not in OP_IMPLS]
-        assert not missing, missing
+        immut = [s for s in all_ops() if s.name.startswith("immut::")]
+        missing = [s.name for s in immut if s.kernel is None
+                   or OP_IMPLS.get(s.name) is not s.kernel]
+        assert immut and not missing, missing
 
     def test_views_all_compilable(self):
-        missing = [s.name for s in VIEWS if s.name not in OP_IMPLS]
+        missing = [s.name for s in VIEWS if s.kernel is None
+                   or OP_IMPLS.get(s.name) is not s.kernel]
         assert not missing, missing
 
 
