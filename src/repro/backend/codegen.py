@@ -8,10 +8,34 @@ single host call — one "kernel launch".
 Generated source for a two-op group looks like::
 
     def _kernel(_args):
-        v_b, v_i = _args
-        t0 = _OPS['immut::select'](v_b, 0, v_i)
+        v0, v1 = _args
+        t0 = _OPS['immut::select'](v0, 0, v1)
         t1 = _OPS['aten::add'](t0, 1)
         return (t1,)
+
+Functional in the IR, destructive in the kernel: a window Assign whose
+base lives in a buffer the kernel owns, with nothing left to read the
+old contents (:func:`repro.analysis.ownership.plan_stores`), is emitted
+as a store through the row's own view kernel, and the outer links of
+its write-through chain as nothing at all.  ``y = zeros_like(x);
+y[:, 0:2] = a`` — three Assign nodes in TensorSSA form — is::
+
+    def _fusion(_args):
+        v0, v1 = _args
+        t0 = _nd(_OPS['aten::zeros_like'](v0))
+        t1 = _OPS['aten::slice'](t0, 0, 0, None, 1)
+        t2 = _OPS['aten::slice'](t1, 1, 0, 2, 1)
+        t2[...] = v1                      # immut::assign(t2, v1)
+        return (t0,)                      # the two slice_assigns: t1, t0
+
+A chain rooted at a kernel *input* is one copy per launch: the body
+runs ``t0 = _OPS['aten::clone'](v0)`` before the first statement that
+uses ``v0``; a loop-carried slot is
+copied by ``run_horizontal_loop`` before the first trip instead (the
+kernel names those slots in ``__stores_into__``).  An Assign the
+analysis cannot prove keeps the row's clone,
+``_OPS['immut::slice_assign'](...)``; ``__assigns__`` counts the three
+outcomes and says why each clone remains (``tools/inspect`` prints it).
 
 Schedule hooks (:mod:`repro.tune`) enter here in three ways:
 
@@ -36,6 +60,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
+from ..analysis.ownership import ASSIGN_TO_VIEW, StorePlan, plan_stores
 from ..ir.graph import Block, Node, Value
 from .kernels import OP_IMPLS
 
@@ -111,10 +138,15 @@ def _ordered_nodes(block: Block, loop_order: str = "program") -> List[Node]:
 
 class _Emitter:
     """Shared statement emission across the plain, unrolled, and
-    chunked kernel shapes; tracks whether the emitted body stayed
-    inside the elementwise-safe fragment."""
+    chunked kernel shapes: one :class:`StorePlan` for the body, in the
+    order it is emitted, however many times it is emitted.  Tracks
+    whether the emitted body stayed inside the elementwise-safe
+    fragment."""
 
-    def __init__(self) -> None:
+    def __init__(self, block: Block, loop_order: str,
+                 carried: bool = False) -> None:
+        self.nodes = _ordered_nodes(block, loop_order)
+        self.plan: StorePlan = plan_stores(self.nodes, block, carried)
         self.lines: List[str] = []
         self.captured: Dict[str, object] = {}
         self._capture_ids: Dict[int, str] = {}
@@ -129,10 +161,26 @@ class _Emitter:
             self._capture_ids[id(value)] = cid
         return cid
 
-    def emit(self, nodes: Sequence[Node], names: Dict[int, str]) -> None:
-        """Append statements for ``nodes`` into ``names`` (mutated:
-        node outputs gain their temp names)."""
-        for node in nodes:
+    def _temp(self) -> str:
+        self._tmp += 1
+        return f"t{self._tmp - 1}"
+
+    def emit(self, names: Dict[int, str]) -> None:
+        """Append the body's statements into ``names`` (mutated: node
+        outputs gain their temp names)."""
+        plan = self.plan
+        # a stored-into parameter is copied right before its first use,
+        # not at entry: the big buffer is then allocated after the
+        # body's small temporaries, as the row's clone was, and glibc's
+        # heap trimming is sensitive to exactly that order
+        uncopied = {id(p): p for p in plan.param_copies}
+        for node in self.nodes:
+            for param in [uncopied.pop(id(v)) for v in node.inputs
+                          if id(v) in uncopied]:
+                out = self._temp()
+                self.lines.append(f"    {out} = _OPS['aten::clone']"
+                                  f"({_name_of(names, param)})")
+                names[id(param)] = out
             if node.op == "prim::Constant":
                 value = node.attrs["value"]
                 try:
@@ -150,21 +198,46 @@ class _Emitter:
                 raise CodegenError(f"op {node.op} is not compilable")
             if not node.schema.elementwise:
                 self.elementwise_safe = False
+            how = plan.lowering.get(id(node))
+            if how is not None:
+                # the base's own array is the result: a store through
+                # the view kernel, or (chain identity) nothing to write
+                base, src, *params = (_name_of(names, v)
+                                      for v in node.inputs)
+                names[id(node.output())] = base
+                view = ASSIGN_TO_VIEW[node.op]
+                if how == "store":
+                    window = base if view is None else \
+                        f"_OPS[{view!r}]({', '.join([base] + params)})"
+                    self.lines.append(f"    {window}[...] = {src}")
+                continue
             args = ", ".join(_name_of(names, v) for v in node.inputs)
-            out = f"t{self._tmp}"
-            self._tmp += 1
+            call = f"_OPS[{node.op!r}]({args})"
+            if id(node) in plan.roots:
+                # a 0-d ufunc result is a numpy scalar, which views
+                # copy instead of aliasing: stored-into roots are arrays
+                call = f"_nd({call})"
+            out = self._temp()
             names[id(node.output())] = out
-            self.lines.append(f"    {out} = _OPS[{node.op!r}]({args})")
+            self.lines.append(f"    {out} = {call}")
 
     def finish(self, name: str, header: str, source_lines: List[str],
                elementwise: bool) -> Callable:
         source = header + "\n".join(source_lines) + "\n"
-        scope = {"_OPS": OP_IMPLS, **self.captured}
+        scope = {"_OPS": OP_IMPLS, "_nd": np.asarray, **self.captured}
         code = compile(source, f"<fusion:{name}>", "exec")
         exec(code, scope)  # noqa: S102 - JIT compilation of our own source
         fn = scope[name]
         fn.__source__ = source
         fn.__elementwise_safe__ = elementwise
+        plan = self.plan
+        #: carried slots the caller must hand in as buffers it owns
+        fn.__stores_into__ = plan.carried_slots
+        ways = list(plan.lowering.values())
+        fn.__assigns__ = {
+            "stores": ways.count("store"),
+            "identities": ways.count("identity"),
+            "clones": [(node.op, why) for node, why in plan.clones]}
         return fn
 
 
@@ -181,7 +254,8 @@ def _bind_params(params: Sequence[Value],
 
 def compile_block(block: Block, name: str = "_kernel",
                   extra_inputs: Sequence[Value] = (),
-                  loop_order: str = "program") -> Callable:
+                  loop_order: str = "program",
+                  carried: bool = False) -> Callable:
     """Compile a fusion-group body into ``fn(args) -> tuple``.
 
     ``args`` must follow ``block.params`` order, then ``extra_inputs``
@@ -189,15 +263,22 @@ def compile_block(block: Block, name: str = "_kernel",
     loops).  Non-inlinable constants (tensors, dtypes) are captured by
     object reference.  ``loop_order`` selects the statement order (see
     :func:`_ordered_nodes`); both orders produce bit-identical results.
+
+    The kernel never writes a buffer it was handed: a parameter it
+    stores into is copied first.  The one exception is ``carried`` (the
+    block is a ``prim::Loop`` body, params ``(i, *carried)``): the
+    carried slots listed in ``fn.__stores_into__`` are stored into as
+    they arrive and returned in the same slot, so the caller copies
+    them once before the first trip and threads them through.
     """
-    em = _Emitter()
+    em = _Emitter(block, loop_order, carried)
     names: Dict[int, str] = {}
     params = list(block.params) + list(extra_inputs)
     bind = _bind_params(params, names)
     if bind is not None:
         em.lines.append(bind)
 
-    em.emit(_ordered_nodes(block, loop_order), names)
+    em.emit(names)
 
     rets = ", ".join(_name_of(names, r) for r in block.returns)
     em.lines.append(
@@ -219,14 +300,15 @@ def compile_block_unrolled(block: Block, factor: int,
     early-exits between emitted iterations when the body's continue
     flag goes false — so a dynamic loop condition stays exact.  Callers
     must only invoke it when at least ``factor`` trips remain before
-    ``max_trip`` (the remainder runs on the plain kernel).
+    ``max_trip`` (the remainder runs on the plain kernel).  Carried
+    slots follow :func:`compile_block`'s ``carried`` contract.
     """
     if factor < 2:
         raise CodegenError("unroll factor must be >= 2")
     if not block.params:
         raise CodegenError("horizontal loop body must take the index")
 
-    em = _Emitter()
+    em = _Emitter(block, loop_order, carried=True)
     names: Dict[int, str] = {}
     params = list(block.params) + list(extra_inputs)
     bind = _bind_params(params, names)
@@ -236,7 +318,6 @@ def compile_block_unrolled(block: Block, factor: int,
     carried_params = list(block.params[1:])
     n_carried = len(carried_params)
 
-    nodes = _ordered_nodes(block, loop_order)
     # carried state names entering the current iteration
     state = [names[id(p)] for p in carried_params]
     cond_name = ""
@@ -246,7 +327,7 @@ def compile_block_unrolled(block: Block, factor: int,
             else f"({index_name} + {k})"
         for p, live in zip(carried_params, state):
             iter_names[id(p)] = live
-        em.emit(nodes, iter_names)
+        em.emit(iter_names)
         cond_name = _name_of(iter_names, block.returns[0])
         state = [_name_of(iter_names, r) for r in block.returns[1:]]
         assert len(state) == n_carried
@@ -277,20 +358,19 @@ def compile_block_chunked(block: Block, chunk: int,
     if not block.params:
         raise CodegenError("parallel-map body must take the index")
 
-    em = _Emitter()
+    em = _Emitter(block, loop_order)
     names: Dict[int, str] = {}
     bind = _bind_params(list(block.params), names)
     if bind is not None:
         em.lines.append(bind)
     index_name = names[id(block.params[0])]
 
-    nodes = _ordered_nodes(block, loop_order)
     flat: List[str] = []
     for k in range(chunk):
         iter_names = dict(names)
         iter_names[id(block.params[0])] = index_name if k == 0 \
             else f"({index_name} + {k})"
-        em.emit(nodes, iter_names)
+        em.emit(iter_names)
         flat.extend(_name_of(iter_names, r) for r in block.returns)
     em.lines.append(f"    return ({', '.join(flat)}"
                     f"{',' if len(flat) == 1 else ''})")

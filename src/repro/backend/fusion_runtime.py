@@ -18,9 +18,10 @@ Schedules: every launch consults :func:`repro.tune.schedule.
 active_schedule` — statement order and unroll/chunk factors select a
 *kernel variant* (compiled lazily, cached per node alongside the
 default kernel), ``tile_elems`` row-tiles elementwise-safe groups at
-launch time.  The default kernel always lives at ``attrs["kernel"]``
-(the shard artifact codec serializes exactly that slot); variants live
-in ``attrs["kernel_variants"]`` and recompile on demand wherever the
+launch time.  The default kernel (:func:`build_kernel`) always lives at
+``attrs["kernel"]`` (the shard artifact codec describes exactly that
+slot and rebuilds it with the same function); variants live in
+``attrs["kernel_variants"]`` and recompile on demand wherever the
 artifact is restored.
 """
 
@@ -32,7 +33,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..faults import SITE_FUSION_COMPILE, maybe_inject
-from ..ir.graph import Node
+from ..ir.graph import Node, free_values
 from ..obs import trace as obs_trace
 from ..runtime import profiler
 from ..runtime.tensor import Tensor, wrap
@@ -48,14 +49,30 @@ from .kernels import execute_kernel, pre_launch
 _kernel_lock = threading.Lock()
 
 
-def _node_kernel(node: Node, build: Callable[[], object],
+def build_kernel(node: Node) -> Callable:
+    """Compile the default-schedule kernel of a kernel-bearing node —
+    the one builder the runtime and the artifact codec share, so a
+    restored graph regenerates byte-identical source."""
+    body = node.blocks[0]
+    if node.op == "prim::FusionGroup":
+        return compile_block(body, name="_fusion")
+    if node.op == "prim::Loop" and node.attrs.get("horizontal"):
+        return compile_block(body, name="_hloop",
+                             extra_inputs=free_values(body), carried=True)
+    if node.op == "prim::ParallelMap":
+        return compile_block(body, name="_pmap")
+    raise ValueError(f"{node.op} does not execute as a compiled kernel")
+
+
+def _node_kernel(node: Node, build: Optional[Callable[[], object]] = None,
                  variant: Optional[tuple] = None) -> object:
     """The node's cached kernel, compiling once under the lock.
 
     ``variant=None`` is the default-schedule kernel at
-    ``attrs["kernel"]`` — the slot the artifact codec round-trips.
-    Schedule variants key ``attrs["kernel_variants"]`` by their knob
-    tuple and never touch the default slot.
+    ``attrs["kernel"]`` — :func:`build_kernel`'s, the slot the artifact
+    codec round-trips.  Schedule variants (``build`` compiles one) key
+    ``attrs["kernel_variants"]`` by their knob tuple and never touch
+    the default slot.
 
     Also the ``fusion_compile`` fault checkpoint: an injected
     :class:`~repro.errors.CompileError` raises before ``attrs`` is
@@ -71,7 +88,7 @@ def _node_kernel(node: Node, build: Callable[[], object],
                     with obs_trace.span("kernel:compile", cat="compile",
                                         op=node.op):
                         maybe_inject(SITE_FUSION_COMPILE, node.op)
-                        kernel = build()
+                        kernel = build_kernel(node)
                         node.attrs["kernel"] = kernel
         return kernel
     variants = node.attrs.get("kernel_variants")
@@ -94,8 +111,7 @@ def _group_kernel(node: Node, sched: Schedule) -> object:
     group-level compile knob)."""
     order = sched.loop_order
     if order == "program":
-        return _node_kernel(
-            node, lambda: compile_block(node.blocks[0], name="_fusion"))
+        return _node_kernel(node)
     return _node_kernel(
         node,
         lambda: compile_block(node.blocks[0], name="_fusion",
@@ -208,27 +224,25 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
     if the loop condition goes false mid-block); the remainder — and
     any trip within ``unroll`` of the cap — runs the plain body kernel,
     so trip counts and dynamic conditions stay exact.
+
+    A body kernel stores into the carried slots it names in
+    ``__stores_into__`` and hands each back in its slot, so those are
+    copied here, once, before the first call that wants them: the
+    caller's tensors are never written and one buffer threads through
+    every trip.
     """
     body = node.blocks[0]
     sched = active_schedule()
-
-    def _build():
-        from ..ir.graph import free_values
-        return compile_block(body, name="_hloop",
-                             extra_inputs=free_values(body))
-
-    kernel = _node_kernel(node, _build)
+    kernel = _node_kernel(node)
     unroll = sched.hloop_unroll
     kernel_u = None
     if unroll > 1 and max_trip >= unroll:
-        def _build_u():
-            from ..ir.graph import free_values
-            return compile_block_unrolled(body, unroll, name="_hloop_u",
-                                          extra_inputs=free_values(body),
-                                          loop_order=sched.loop_order)
-        kernel_u = _node_kernel(node, _build_u,
-                                variant=("unroll", unroll,
-                                         sched.loop_order))
+        kernel_u = _node_kernel(
+            node,
+            lambda: compile_block_unrolled(body, unroll, name="_hloop_u",
+                                           extra_inputs=free_values(body),
+                                           loop_order=sched.loop_order),
+            variant=("unroll", unroll, sched.loop_order))
 
     with obs_trace.span("kernel:parallel_loop", cat="exec",
                         max_trip=max_trip) as sp:
@@ -237,17 +251,24 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
         pre_launch("parallel_loop")  # one launch covers every iteration
         i = 0
         alive = bool(cond)
+        owned = ()  # slots the last kernel run vouches are ours alone
         while alive and i < max_trip:
-            if kernel_u is not None and max_trip - i >= unroll:
-                results = kernel_u([i] + state + caps)
-                i += int(results[0])
-                alive = bool(results[1])
-                state = list(results[2:])
-            else:
-                results = kernel([i] + state + caps)
+            step = kernel_u if kernel_u is not None \
+                and max_trip - i >= unroll else kernel
+            if step.__stores_into__ is not owned:
+                for k in step.__stores_into__:
+                    if k not in owned:
+                        state[k] = np.array(state[k], copy=True)
+                owned = step.__stores_into__
+            results = step([i] + state + caps)
+            if step is kernel:
                 alive = bool(results[0])
                 state = list(results[1:])
                 i += 1
+            else:
+                i += int(results[0])
+                alive = bool(results[1])
+                state = list(results[2:])
 
         outputs = [wrap(s) for s in state]
         n_ops = node.attrs.get("num_member_ops", len(body.nodes))
@@ -274,7 +295,7 @@ def run_parallel_map(node: Node, inputs: List[object]) -> List[object]:
     """
     body = node.blocks[0]
     sched = active_schedule()
-    kernel = _node_kernel(node, lambda: compile_block(body, name="_pmap"))
+    kernel = _node_kernel(node)
     trip = int(inputs[0])
     chunk = sched.pmap_chunk
     kernel_c = None

@@ -17,11 +17,14 @@ Design rules
 * **Deterministic.**  All choices come from one ``random.Random(seed)``
   — the same seed always yields byte-identical source, so any corpus
   entry is reproducible from its seed alone.
-* **Fresh-RHS stores.**  The right-hand side of every subscript store
-  is a freshly-computed tensor (scalar or arithmetic result), never a
-  raw view of the destination: numpy leaves overlapping same-buffer
-  assignment unspecified, and the differential oracle must only ever
-  see programs whose *eager* semantics are well-defined.
+* **Fresh-RHS stores**, with one deliberate exception.  The right-hand
+  side of a subscript store is a freshly-computed tensor (scalar or
+  arithmetic result) — except in the *alias-store* rule, which copies
+  one window of ``y`` onto an overlapping one (numpy defines that as if
+  the source were copied first, so eager is well-defined) and reads a
+  view after a write to its window: the two cases where a compiled
+  kernel that stores Assigns in place must keep the clone or re-derive
+  the view.
 * **Bounded loops by construction.**  ``while`` statements render their
   counter init and increment as fixed (unshrinkable) lines so neither
   the generator nor the shrinker can produce a non-terminating program.
@@ -361,6 +364,30 @@ class ProgramGenerator:
         op = self.rng.choice(["+=", "-=", "*="])
         return Stmt(f"y[{a}:{b}] {op} {self.scalar()}")
 
+    def _stmt_alias_store(self, scope: _Scope) -> List[Stmt]:
+        """Stores whose source lives in the destination's own buffer:
+        ``y[1:4] = y[0:3]`` (overlapping windows, rows or columns), or
+        ``vK = y[a:b]`` taken *before* a write into its window and read
+        *after* it (it aliases: eager sees the new contents)."""
+        if self.rng.random() < 0.5:
+            rows = self.rng.random() < 0.5
+            size = PROGRAM_ROWS if rows else PROGRAM_COLS
+            width = self.rng.randint(1, size - 1)
+            a = self.rng.randint(0, size - width - 1)
+            dst, src = (a, a + 1) if self.rng.random() < 0.5 else (a + 1, a)
+            lead = "" if rows else ":, "
+            return [Stmt(f"y[{lead}{dst}:{dst + width}] = "
+                         f"y[{lead}{src}:{src + width}]")]
+        name = self.fresh_view()
+        a, b = self.span(PROGRAM_ROWS)
+        hit = self.rng.randrange(a, b)  # a row inside the view
+        e = self.rng.randint(0, PROGRAM_ROWS - (b - a))
+        stmts = [Stmt(f"{name} = y[{a}:{b}]"),
+                 Stmt(f"y[{hit}] = {self._row_rhs(scope)}"),
+                 Stmt(f"y[{e}:{e + (b - a)}] = {name} * {self.scalar()}")]
+        scope.tensors[name] = (b - a, PROGRAM_COLS)
+        return stmts
+
     def _stmt_snapshot(self, scope: _Scope) -> Stmt:
         """``acc = acc + y * c``: freezes a value later mutations must
         not retroactively change (paper Figure 1's failure mode)."""
@@ -425,8 +452,10 @@ class ProgramGenerator:
                 out.append(self._stmt_mutate_whole(scope))
             elif roll < 0.52:
                 out.extend(self._stmt_view_mutate(scope))
-            elif roll < 0.72:
+            elif roll < 0.66:
                 out.append(self._stmt_store(scope))
+            elif roll < 0.72:
+                out.extend(self._stmt_alias_store(scope))
             elif roll < 0.82:
                 out.append(self._stmt_snapshot(scope))
             elif depth >= self.MAX_DEPTH:

@@ -77,14 +77,16 @@ class OpSchema:
     #: (arrays and Python scalars in, array out; None when the op is
     #: not compilable) and the metadata every execution shares — row
     #: independence (licenses tiling; same-shape propagation), flops
-    #: per output element, the launch name and whether operand bytes
-    #: count as read.  ``fn``, the in-place ``op_`` and the fused call
-    #: are all derived from ``kernel``; none restates the math.
+    #: per output element, the launch name, whether operand bytes
+    #: count as read, and which operand the result may share memory
+    #: with.  ``fn``, the in-place ``op_`` and the fused call are all
+    #: derived from ``kernel``; none restates the math.
     kernel: Optional[Callable] = None
     elementwise: bool = False
     flops: int = 1
     launch: str = ""
     reads: bool = True
+    aliases: Optional[int] = None
     #: for VIEW ops: names of the immutable Access / Assign counterparts
     #: (paper Definitions 3.3 / 3.4); access has the identical signature,
     #: assign takes ``(base, src, *view_params)``.

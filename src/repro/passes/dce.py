@@ -96,6 +96,21 @@ def _live_values_in_loop(node) -> set:
     return live
 
 
+def _drop_return(block: Block, k: int) -> None:
+    """Delete return slot ``k`` and re-index the later slots' use
+    records — once per value, however many slots return it."""
+    ret = block.returns[k]
+    for use in ret.uses:
+        if use.user is block and use.index == k:
+            ret.uses.remove(use)
+            break
+    del block.returns[k]
+    for r in {id(r): r for r in block.returns[k:]}.values():
+        for use in r.uses:
+            if use.user is block and use.index > k:
+                use.index -= 1
+
+
 def _prune_loop_carries(block: Block) -> bool:
     """Drop loop-carried slots whose body param and node output are both
     unused (dead accumulation left by functionalization)."""
@@ -131,14 +146,7 @@ def _prune_loop_carries(block: Block) -> bool:
             if param_busy or out.uses:
                 continue
             # the return slot's only consumer is the loop plumbing itself
-            for use in list(ret.uses):
-                if use.user is body and use.index == 1 + k:
-                    ret.uses.remove(use)
-            del body.returns[1 + k]
-            for r in body.returns[1 + k:]:
-                for use in r.uses:
-                    if use.user is body and use.index > 1 + k:
-                        use.index -= 1
+            _drop_return(body, 1 + k)
             node.remove_input(2 + k)
             body.params.remove(param)
             node.outputs.remove(out)
@@ -159,15 +167,7 @@ def _prune_if_outputs(block: Block) -> bool:
             if out.uses:
                 continue
             for b in node.blocks:
-                ret = b.returns[k]
-                for use in list(ret.uses):
-                    if use.user is b and use.index == k:
-                        ret.uses.remove(use)
-                del b.returns[k]
-                for r in b.returns[k:]:
-                    for use in r.uses:
-                        if use.user is b and use.index > k:
-                            use.index -= 1
+                _drop_return(b, k)
             node.outputs.remove(out)
             changed = True
     return changed

@@ -13,24 +13,17 @@ references), so the side effect cannot escape.
 
 Runs after fusion in the TensorSSA pipeline; the reintroduced mutation
 is invisible to any later pass because none run after it except DCE.
+The Assigns fusion *did* absorb get the same treatment from the same
+analysis (:mod:`repro.analysis.ownership`) when ``backend/codegen.py``
+generates their kernel — there without touching the IR.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
+from ..analysis.ownership import (ASSIGN_TO_VIEW, buffer_owner, eager_alias,
+                                  later_reader, view_root)
 from ..ir import types as T
 from ..ir.graph import Graph, Node, Value
-from ..ops import registry
-
-#: assign op -> the view op whose window it writes (None = whole
-#: tensor): the inverse of the registry's ``assign_op`` links, the first
-#: registered view winning (``aten::reshape`` over ``aten::view``)
-_ASSIGN_TO_VIEW: Dict[str, Optional[str]] = {}
-for _schema in registry.all_ops():
-    if _schema.assign_op:
-        _ASSIGN_TO_VIEW.setdefault(_schema.assign_op, _schema.name)
-_ASSIGN_TO_VIEW["immut::assign"] = None
 
 
 def _protected_values(graph: Graph) -> set:
@@ -46,56 +39,6 @@ def _protected_values(graph: Graph) -> set:
     return protected
 
 
-def _buffer_owner(base: Value) -> Optional[Node]:
-    """The node whose output buffer we would steal, or None when the
-    base does not own its storage (graph input, constant, block param,
-    or a view/alias — mutating those would write through to storage
-    with uses we have not analyzed)."""
-    from ..ops.schema import OpKind
-    node = base.node
-    if node is None or node.op == "prim::Constant":
-        return None
-    if node.kind not in (OpKind.PURE, OpKind.CONTROL):
-        return None
-    if node.kind is OpKind.CONTROL and node.op != "prim::FusionGroup":
-        return None  # If/Loop outputs are control-flow aliases
-    return node
-
-
-def _only_earlier_readers(base: Value, assign: Node) -> bool:
-    """May we overwrite ``base`` at ``assign``'s position?
-
-    Yes iff every other consumer of ``base`` — and, transitively, every
-    consumer of any *alias* of it (view-op outputs) — is a node earlier
-    in the same block: those executions already happened and read the
-    pre-mutation data.  A later use, a block return, or a use in a
-    nested block (re-executed by a loop) blocks the revert."""
-    from ..ops.schema import OpKind
-    block = assign.owning_block
-    order = {id(n): i for i, n in enumerate(block.nodes)}
-    own_pos = order[id(assign)]
-    stack = [base]
-    seen = {id(base)}
-    while stack:
-        value = stack.pop()
-        for use in value.uses:
-            user = use.user
-            if user is assign and value is base:
-                continue
-            if not isinstance(user, Node):
-                return False  # a return reads the old value at the end
-            pos = order.get(id(user))
-            if pos is None or pos >= own_pos:
-                return False
-            if user.kind in (OpKind.VIEW, OpKind.MUTATING) and \
-                    user.inputs and user.input(0) is value:
-                out = user.output()
-                if id(out) not in seen:
-                    seen.add(id(out))
-                    stack.append(out)
-    return True
-
-
 def _revertible_nodes(block):
     """Walk nodes outside compiled regions: fusion-group bodies and
     horizontal loop bodies execute as kernels and must stay pure."""
@@ -109,26 +52,12 @@ def _revertible_nodes(block):
             yield from _revertible_nodes(inner)
 
 
-def _view_root(value: Value) -> Value:
-    """``value`` followed through VIEW producers to the storage owner."""
-    from ..ops.schema import OpKind
-    seen = set()
-    while value.node is not None and id(value) not in seen:
-        seen.add(id(value))
-        node = value.node
-        if node.kind is OpKind.VIEW and node.inputs:
-            value = node.input(0)
-        else:
-            break
-    return value
-
-
 def _owned_init(init: Value, loop: Node) -> bool:
     """May the loop steal ``init``'s buffer?  Yes iff the loop is its
     only reader and a pure node in the loop's own block produced it."""
     if len(init.uses) != 1 or init.uses[0].user is not loop:
         return False
-    if _buffer_owner(init) is None:
+    if buffer_owner(init) is None:
         return False
     return init.defining_block() is loop.owning_block
 
@@ -147,7 +76,7 @@ def _assign_chain(param: Value, ret: Value):
         if not isinstance(user, Node):
             # the block return: a complete chain ends exactly here
             return chain if (chain and cur is ret) else None
-        if _ASSIGN_TO_VIEW.get(user.op, "missing") == "missing" \
+        if ASSIGN_TO_VIEW.get(user.op, "missing") == "missing" \
                 or use.index != 0:
             return None
         if user.owning_block is not param.defining_block():
@@ -190,11 +119,12 @@ def revert_carried_assigns(graph: Graph) -> int:
                 continue
             forbidden = {id(param), id(init)}
             forbidden.update(id(a.output()) for a in chain)
-            if any(id(_view_root(a.input(1))) in forbidden for a in chain):
+            if any(id(view_root(a.input(1), eager_alias)) in forbidden
+                   for a in chain):
                 continue  # the written window would read itself
             for a in chain:
                 base = a.input(0)
-                view_op = _ASSIGN_TO_VIEW[a.op]
+                view_op = ASSIGN_TO_VIEW[a.op]
                 if view_op is None:
                     target = base
                 else:
@@ -219,20 +149,22 @@ def revert_unfused_assigns(graph: Graph) -> int:
     protected = _protected_values(graph)
     count = 0
     for node in list(_revertible_nodes(graph.block)):
-        view_op = _ASSIGN_TO_VIEW.get(node.op, "missing")
+        view_op = ASSIGN_TO_VIEW.get(node.op, "missing")
         if view_op == "missing":
             continue
         base, src = node.input(0), node.input(1)
         if id(node.output()) in protected or id(base) in protected:
             continue
-        if _buffer_owner(base) is None:
+        if buffer_owner(base) is None:
             continue
         if base.defining_block() is not node.owning_block:
             continue  # crossing a loop would accumulate the mutation
-        if not _only_earlier_readers(base, node):
+        block = node.owning_block
+        order = {id(n): i for i, n in enumerate(block.nodes)}
+        if later_reader(base, order[id(node)], order, {(id(node), 0)},
+                        eager_alias) is not None:
             continue  # a later reader needs the pre-assign contents
 
-        block = node.owning_block
         if view_op is None:
             target = base
         else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import inspect
 import operator
-from typing import Callable, Dict, NamedTuple
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -183,6 +183,10 @@ class Kernel(NamedTuple):
     launch: str = ""
     #: are the tensor operands' bytes read (a ``*_like`` template is not)?
     reads: bool = True
+    #: the operand whose memory the kernel's result may share (None: the
+    #: result is always a new array) — what a compiled kernel must know
+    #: before it stores into a buffer (``analysis/ownership.py``)
+    aliases: Optional[int] = None
 
 
 def _rows(prefix: str, fns: dict, **meta) -> Dict[str, Kernel]:
@@ -239,19 +243,23 @@ KERNELS: Dict[str, Kernel] = {
                                  dtype=np.asarray(t).dtype),
         True, 0, "full", False),
     # views (pure inside a functionalized region) and their Access forms
-    **_rows("aten::", {**_VIEWS, "view": view}),
-    **_rows("immut::", _VIEWS, flops=0),
+    **_rows("aten::", {**_VIEWS, "view": view}, aliases=0),
+    **_rows("immut::", _VIEWS, flops=0, aliases=0),
+    # window Assigns: a fresh copy of the base here, by definition; a
+    # compiled kernel that owns the base's buffer runs the same store
+    # into it instead (``backend/codegen.py``)
     **_rows("immut::", {
         "assign": _assign(alias), "select_assign": _assign(select),
         "slice_assign": _assign(slice_), "narrow_assign": _assign(narrow),
         "permute_assign": _assign(permute),
-        "transpose_assign": _assign(transpose),
+        "transpose_assign": _assign(transpose)}, flops=0),
+    **_rows("immut::", {
         "reshape_assign": lambda base, src, shape: _shape_assign(base, src),
         "squeeze_assign":
             lambda base, src, dim=None: _shape_assign(base, src),
         "unsqueeze_assign": lambda base, src, dim: _shape_assign(base, src),
         "flatten_assign": lambda base, src, start_dim=0, end_dim=-1:
-            _shape_assign(base, src)}, flops=0),
+            _shape_assign(base, src)}, flops=0, aliases=1),
 }
 
 
@@ -286,7 +294,7 @@ def _publish(op: Callable, name: str, doc: str, like: Callable,
 
 def eager_op(name: str, doc: str = "") -> Callable:
     """The eager form of the ``name`` row: one launch, a fresh tensor."""
-    kernel, _, flops, launch, reads = KERNELS[name]
+    kernel, _, flops, launch, reads, _ = KERNELS[name]
     launch = launch or name.replace("aten::", "")
 
     def op(*args, **kwargs):
@@ -304,8 +312,17 @@ def view_op(name: str) -> Callable:
     kernel = KERNELS[name].kernel
 
     def op(t, *params, **kwargs):
-        new = kernel(t._array, *params, **kwargs)
-        if new.base is not None:
+        arr = t._array
+        new = kernel(arr, *params, **kwargs)
+        # ``new.base`` alone does not say "view": under numpy >= 2 a
+        # copying reshape returns an array based on its temporary copy.
+        # A view's base is the operand or the operand's own base; past
+        # that cheap test, ask numpy (an empty view shares no bytes, and
+        # is a view all the same)
+        base = new.base
+        if base is not None and (
+                base is arr or base is arr.base or new.size == 0
+                or np.may_share_memory(new, arr)):
             return t._view(new)
         # layout prevented a view: materialize a copy (owns new storage)
         out = Tensor.from_array(new, copy=False)

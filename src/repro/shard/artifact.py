@@ -62,13 +62,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..backend import fusion_runtime
-from ..backend.codegen import compile_block
 from ..backend.program import lower
 from ..errors import ArtifactError
 from ..eval.cache import CompileCache
 from ..ir import types as T
 from ..ir import verify
-from ..ir.graph import Graph, Node, Value, free_values
+from ..ir.graph import Graph, Node, Value
 from ..memplan import get_or_build_plan
 from ..obs import trace as obs_trace
 from ..ops import registry
@@ -86,8 +85,10 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 
 #: bump on any incompatible change to the payload layout
 #: (2: ``program_sha256`` — the lowered program's source digest;
-#: 3: ``grad_reference`` — a backward artifact's reference graph)
-ARTIFACT_VERSION = 3
+#: 3: ``grad_reference`` — a backward artifact's reference graph;
+#: 4: kernel source changed — owned Assign chains lower to in-place
+#: stores — so every v3 ``source_sha256`` is stale)
+ARTIFACT_VERSION = 4
 
 _MAGIC = "repro-artifact"
 
@@ -399,19 +400,6 @@ def _kernel_kind(node: Node) -> Optional[str]:
     return None
 
 
-def _build_kernel(node: Node, kind: str):
-    """The exact builder :mod:`repro.backend.fusion_runtime` uses."""
-    if kind == "fusion":
-        return compile_block(node.blocks[0], name="_fusion")
-    if kind == "hloop":
-        body = node.blocks[0]
-        return compile_block(body, name="_hloop",
-                             extra_inputs=free_values(body))
-    if kind == "pmap":
-        return compile_block(node.blocks[0], name="_pmap")
-    raise ArtifactError(f"unknown kernel kind {kind!r}")
-
-
 def _encode_kernels(graph: Graph) -> List[dict]:
     """Describe every kernel-bearing node: walk index, builder kind,
     and the sha256 of its generated source (the restore-time proof that
@@ -423,7 +411,7 @@ def _encode_kernels(graph: Graph) -> List[dict]:
             continue
         kernel = node.attrs.get("kernel")
         if kernel is None:
-            kernel = _build_kernel(node, kind)
+            kernel = fusion_runtime.build_kernel(node)
         source = getattr(kernel, "__source__", "")
         out.append({"index": index, "kind": kind, "op": node.op,
                     "source_sha256": _sha256(source)})
@@ -441,12 +429,13 @@ def _restore_kernels(graph: Graph, specs: List[dict]) -> int:
     built = 0
     for spec in specs:
         index = spec["index"]
-        if index >= len(nodes) or nodes[index].op != spec["op"]:
+        if index >= len(nodes) or nodes[index].op != spec["op"] \
+                or _kernel_kind(nodes[index]) != spec["kind"]:
             raise ArtifactError(
                 f"kernel description #{index} does not match the "
                 f"restored graph")
         node = nodes[index]
-        kernel = _build_kernel(node, spec["kind"])
+        kernel = fusion_runtime.build_kernel(node)
         digest = _sha256(getattr(kernel, "__source__", ""))
         if digest != spec["source_sha256"]:
             raise ArtifactError(

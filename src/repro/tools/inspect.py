@@ -2,9 +2,11 @@
 
 ``python -m repro.tools.inspect lstm`` prints, per pipeline: an op
 histogram before/after, fusion-group sizes, horizontal loops, launch
-counts, per-pass wall time / node deltas, memory-pool traffic, and
-modeled latency — the report you reach for when a workload doesn't
-speed up as expected.  ``--plan`` additionally prints the TensorSSA
+counts, per-pass wall time / node deltas, memory-pool traffic, modeled
+latency, and per compiled kernel how many Assigns it runs as in-place
+stores, as chain identities and as clones (with the reason each clone
+remains) — the report you reach for when a workload doesn't speed up
+as expected.  ``--plan`` additionally prints the TensorSSA
 memory plan (slot table, reuse edges, rotating loop slots, peak);
 ``--program`` prints the Python source that plan's graph was lowered to
 (``backend/program.py``) — what a warm call actually executes, release
@@ -40,6 +42,22 @@ def group_sizes(graph: Graph) -> List[int]:
                    if n.op == "prim::FusionGroup"), reverse=True)
 
 
+def kernel_assigns(graph: Graph) -> List[dict]:
+    """How each compiled kernel of ``graph`` executes its Assigns: the
+    ``__assigns__`` counts ``backend/codegen.py`` attaches (stores /
+    chain identities / clones, each clone with its reason), plus the
+    carried slots a loop body stores into.  Kernels compile on first
+    execution, so only nodes that have run are listed."""
+    rows = []
+    for index, node in enumerate(graph.walk()):
+        kernel = node.attrs.get("kernel")
+        if kernel is not None:
+            rows.append({"node": index, "kernel": kernel.__name__,
+                         "stores_into": kernel.__stores_into__,
+                         **kernel.__assigns__})
+    return rows
+
+
 def inspect_workload(name: str, platform: str = "datacenter",
                      batch_size: int = 1, seq_len: int = 32,
                      pipelines=None) -> Dict[str, dict]:
@@ -72,6 +90,7 @@ def inspect_workload(name: str, platform: str = "datacenter",
         if compiled.graph is not None:
             entry["ops"] = op_histogram(compiled.graph)
             entry["group_sizes"] = group_sizes(compiled.graph)
+            entry["kernels"] = kernel_assigns(compiled.graph)
             plan = getattr(compiled.graph, "_memplan", None)
             if plan is not None:
                 entry["plan"] = plan
@@ -178,6 +197,16 @@ def print_report(name: str, report: Dict[str, dict],
             print(f"  fusion groups: {entry['group_sizes']}")
         if "ops" in entry:
             print(f"  compiled ops: {_fmt_hist(entry['ops'])}")
+        if entry.get("kernels"):
+            print("  kernels (Assigns as stores / chain identities / "
+                  "clones):")
+            for k in entry["kernels"]:
+                slots = f"  carried slots {list(k['stores_into'])} " \
+                    "copied once by the caller" if k["stores_into"] else ""
+                print(f"    #{k['node']:<3} {k['kernel']:<8} {k['stores']} / "
+                      f"{k['identities']} / {len(k['clones'])}{slots}")
+                for op, why in k["clones"]:
+                    print(f"         clone {op}: {why}")
         if entry.get("pass_metrics"):
             print("  passes:")
             for m in entry["pass_metrics"]:

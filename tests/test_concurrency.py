@@ -15,6 +15,7 @@ Each test class documents the pre-fix failure mode it guards against:
   with pre-clear ones; the epoch field makes the lifecycle explicit.
 """
 
+import sys
 import threading
 import time
 
@@ -22,9 +23,10 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
-from repro.eval.cache import CompileCache, process_cache
+from repro.eval.cache import CompileCache, clone_args, process_cache
 from repro.eval.harness import run_workload
 from repro.models import get_workload
+from repro.pipelines import get_pipeline
 from repro.serve import ServePolicy, Server
 
 pytestmark = pytest.mark.usefixtures("fresh_cache")
@@ -275,6 +277,41 @@ class TestConcurrentRuns:
             assert len(got) == len(expected[name])
             for g, e in zip(got, expected[name]):
                 np.testing.assert_array_equal(g.numpy(), e.numpy())
+
+    @pytest.mark.parametrize("name", ["yolact", "attention"])
+    def test_shared_inputs_are_never_written(self, name):
+        # serving shares one compiled graph between workers — here one
+        # set of input tensors too: a kernel that stored into a buffer
+        # it had neither allocated nor copied (a group input, a carried
+        # slot's initial value) would corrupt its neighbours' inputs
+        wl = get_workload(name)
+        args = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
+        tensors = [a for a in args if isinstance(a, rt.Tensor)]
+        pristine = [a.numpy() for a in tensors]
+        expected = rt.as_tuple(wl.model_fn(*clone_args(args)))
+        compiled = get_pipeline("tensorssa").compile(wl.model_fn,
+                                                     example_args=args)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(i):
+            def fn():
+                start.wait(timeout=30)
+                for _ in range(4):
+                    results[i] = rt.as_tuple(compiled(*args))
+            return fn
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads([worker(i) for i in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert rt.bit_exact(got, expected)
+        for tensor, before in zip(tensors, pristine):
+            assert tensor.version == 0
+            assert rt.bit_exact(tensor, before)
 
     def test_server_unbatched_bit_exact_vs_sequential_eager(self):
         # through Server.submit with batching disabled: responses are

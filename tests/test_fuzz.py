@@ -48,6 +48,19 @@ class TestGenerator:
         large = scripted_node_count(generate_program(3, max_nodes=192))
         assert small < large
 
+    def test_alias_store_rule_is_drawn(self):
+        """Overlapping window copies and read-after-write views — the
+        shapes an in-place Assign lowering must not get wrong — occur
+        in the seeds the oracle test below replays."""
+        import re
+        sources = [generate_program(s).source for s in range(ORACLE_SEEDS)]
+        overlap = re.compile(r"y\[(:, )?\d+:\d+\] = y\[(:, )?\d+:\d+\]$",
+                             re.M)
+        reread = re.compile(r"(v\d+) = y\[\d+:\d+\]\n\s+y\[\d+\] = .*\n"
+                            r"\s+y\[\d+:\d+\] = \1 \* ")
+        assert sum(bool(overlap.search(s)) for s in sources) >= 5
+        assert sum(bool(reread.search(s)) for s in sources) >= 5
+
     def test_clone_is_deep(self):
         program = generate_program(0)
         copy = program.clone()
@@ -112,7 +125,7 @@ class TestShrinker:
     # the single-op bug is invisible on programs whose first tensor-
     # tensor add has a zero operand (add == sub there); these seeds are
     # known to expose it
-    def _failing_setup(self, seed=2):
+    def _failing_setup(self, seed=5):
         program = generate_program(seed)
         config = OracleConfig(pipelines=[_BuggyTensorSSA()],
                               check_roundtrip=False)
@@ -133,7 +146,7 @@ class TestShrinker:
     def test_shrunk_program_still_fails(self):
         """Monotonicity: the shrunk program reproduces the same failure
         kind on the same pipeline."""
-        program, config, failure = self._failing_setup(seed=3)
+        program, config, failure = self._failing_setup(seed=8)
         predicate = failure_predicate(failure, config)
         small = shrink(program, predicate)
         assert predicate(small), (
@@ -148,7 +161,7 @@ class TestShrinker:
     def test_while_scaffolding_survives_shrinking(self):
         """Counter init/increment render with their loop even after all
         shrinkable body statements are gone (no infinite loops)."""
-        program, config, failure = self._failing_setup(seed=7)
+        program, config, failure = self._failing_setup(seed=6)
         small = shrink(program, failure_predicate(failure, config))
         src = small.source
         for line in src.splitlines():

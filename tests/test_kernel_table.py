@@ -6,7 +6,8 @@ fused groups are all derived from ``OpSchema.kernel``
 compiled pipelines agree with eager in *dtype* as well as value on
 every operand dtype (not just the float32 the workloads feed), argument
 checks made by eager are made by fused kernels too, and each registry
-row's ``fn`` is observably its ``kernel``.
+row's ``fn`` is observably its ``kernel`` — and so is the in-place store
+a compiled kernel runs in place of a window Assign's clone.
 """
 
 import inspect
@@ -15,7 +16,11 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
+from repro.analysis.ownership import ASSIGN_TO_VIEW
+from repro.backend import compile_block
 from repro.fuzz.oracle import materialize
+from repro.ir import Graph
+from repro.ir import types as T
 from repro.ops import OpKind, all_ops, get
 from repro.pipelines import get_pipeline
 
@@ -164,3 +169,75 @@ def test_inplace_is_the_functional_kernel_written_through(schema):
             if k_exc is None:
                 assert f_out is wrapped[0] and f_out.version == 1, where
                 assert rt.bit_exact(f_out, k_out), where
+
+
+# -- the store form of a window Assign == the row's kernel -------------------
+
+_WINDOW_ASSIGNS = [s for s in _KERNEL_ROWS
+                   if s.name in ASSIGN_TO_VIEW and s.aliases is None]
+
+
+def _store_form(schema):
+    """The row compiled alone, its base a kernel input: the body copies
+    the base once and stores through the view kernel into the copy —
+    the execution ``backend/codegen.py`` derives for an owned buffer."""
+    g = Graph()
+    ins = [g.add_input(name, T.TensorType())
+           for name in inspect.signature(schema.kernel).parameters]
+    node = g.block.append(g.create(schema.name, ins, ["out"],
+                                   [T.TensorType()]))
+    g.add_output(node.output())
+    kernel = compile_block(g.block)
+    assert kernel.__assigns__ == {"stores": 1, "identities": 0, "clones": []}
+    assert "[...] = v1" in kernel.__source__
+    assert schema.name not in kernel.__source__
+    return kernel
+
+
+def _same_as_row(schema, store, raw, where):
+    before = np.array(raw[0], copy=True)
+    with np.errstate(all="ignore"):
+        k_exc, k_out = _outcome(lambda: schema.kernel(*raw))
+        s_exc, s_out = _outcome(lambda: store(list(raw))[0])
+    assert s_exc is k_exc, where
+    if k_exc is None:
+        assert rt.bit_exact(s_out, k_out), where
+    assert rt.bit_exact(raw[0], before), where  # the input is never written
+
+
+@pytest.mark.parametrize("schema", _WINDOW_ASSIGNS, ids=lambda s: s.name)
+def test_store_form_is_the_row(schema):
+    """Bit for bit over base dtype x source kind — an int32 base takes a
+    float32 tensor, a Python float rounds once (in the store's cast),
+    bool — with the window's argument checks the view's own."""
+    assert len(_WINDOW_ASSIGNS) == 6
+    store = _store_form(schema)
+    for dtype in DTYPES.values():
+        for operand in _OPERANDS:
+            raw, _ = _arguments(schema, schema.kernel, dtype, operand)
+            where = f"{schema.name} {np.dtype(dtype)} x {operand}"
+            _same_as_row(schema, store, raw, where)
+            if operand == "tensor":  # e.g. int32 base <- float32 source
+                raw[1] = (raw[1] * 1.5).astype(np.float32)
+                _same_as_row(schema, store, raw, where + " <- f32")
+
+
+@pytest.mark.parametrize("op, bad", [
+    ("immut::select_assign", {"index": 3}),
+    ("immut::select_assign", {"index": -4}),
+    ("immut::select_assign", {"dim": 2}),
+    ("immut::slice_assign", {"step": 0}),
+    ("immut::slice_assign", {"step": -1}),
+    ("immut::narrow_assign", {"dim": -3}),
+    ("immut::permute_assign", {"dims": (0, 0)}),
+    ("immut::transpose_assign", {"dim1": 2}),
+])
+def test_store_form_raises_what_the_row_raises(op, bad):
+    schema = get(op)
+    raw, _ = _arguments(schema, schema.kernel, np.float32, "float")
+    names = list(inspect.signature(schema.kernel).parameters)
+    for name, value in bad.items():
+        raw[names.index(name)] = value
+    exc, _ = _outcome(lambda: schema.kernel(*raw))
+    assert exc in (IndexError, ValueError)
+    _same_as_row(schema, _store_form(schema), raw, f"{op} {bad}")

@@ -112,6 +112,19 @@ class TestViewsAlias:
         r.fill_(1)
         assert a.numpy().sum() == 6
 
+    def test_reshape_that_copies_owns_its_storage(self):
+        """numpy >= 2 gives a *copying* reshape a ``.base`` (the
+        temporary copy), so "has a base" no longer means "is a view":
+        the result used to be wrapped as a view sharing no memory."""
+        a = rt.arange(12).to(rt.float32).reshape((3, 4))
+        with rt.profile() as prof:
+            r = a.transpose(0, 1).reshape([12])
+        assert not r.is_view and not r.shares_storage_with(a)
+        assert [e.op for e in prof.events] == ["reshape_copy"]
+        r.add_(100.0)
+        assert a.version == 0 and a.numpy()[0].tolist() == [0, 1, 2, 3]
+        assert a[0:0].reshape((0, 4)).is_view  # an empty view is a view
+
     def test_view_requires_contiguous(self):
         a = rt.zeros((2, 3)).transpose(0, 1)
         with pytest.raises(RuntimeError):

@@ -154,9 +154,31 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 3
+        assert ARTIFACT_VERSION == 4
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
+
+    def test_v3_record_refused_and_compiled_cold(self, tmp_path):
+        """Version 3 kernels cloned per Assign: a store written before
+        the in-place lowering carries stale source digests.  Its records
+        are refused typed, warm start skips them, and the key is served
+        by a cold compile."""
+        _, compiled, key, args = _fresh("attention", "tensorssa")
+        store = ArtifactStore(str(tmp_path))
+        digest = store.put(key, compiled)
+        obj = os.path.join(str(tmp_path), "objects", digest)
+        with open(obj, "rb") as fh:
+            v3 = _tampered(fh.read(),
+                           lambda payload: payload.update(version=3))
+        with open(obj, "wb") as fh:
+            fh.write(v3)
+        with pytest.raises(ArtifactError, match="version 3"):
+            store.load(key)
+        cache = CompileCache()
+        assert store.warm_start(cache) == 0 and store.errors == 2
+        cold, hit = cache.get_or_compile(key, lambda: compiled)
+        assert not hit and cache.snapshot().misses == 1
+        _assert_same_outputs(cold.fn(*args), compiled.fn(*args))
 
     def test_program_digest_mismatch_rejected(self):
         def skew(payload):

@@ -35,6 +35,22 @@ class TestInspect:
         print_report("attention", report)
         out = capsys.readouterr().out
         assert "tensorssa" in out and "launches=" in out
+        # the attention loop body: one store, three chain identities,
+        # no clone — a regression in the proof shows up as a count
+        hloop = [k for k in report["tensorssa"]["kernels"]
+                 if k["kernel"] == "_hloop"]
+        assert [(k["stores"], k["identities"], k["clones"],
+                 k["stores_into"]) for k in hloop] == [(1, 3, [], (0,))]
+        assert "_hloop   1 / 3 / 0  carried slots [0]" in out
+
+    def test_print_report_names_why_a_clone_remains(self, capsys):
+        from repro.pipelines import get_pipeline
+        report = inspect_workload(
+            "ssd", pipelines=[get_pipeline("dynamo_inductor")])
+        print_report("ssd", report)
+        out = capsys.readouterr().out
+        assert "clone immut::slice_assign: %v." in out
+        assert "shares the buffer" in out
 
     def test_print_report_shows_lowered_program(self, capsys):
         report = inspect_workload("lstm", seq_len=8,

@@ -290,6 +290,18 @@ class TestUnrolledKernel:
             short = run_graph(g, [x.clone(), 1])[0]
         _bit_exact([short], [run_graph(clone_graph(g),
                                        [x.clone(), 1])[0]])
+        # both kernels store into the carried slot the runtime copied
+        # once and neither clones, in either order, zero trips included
+        loop, = [n for n in g.walk() if n.attrs.get("horizontal")]
+        unrolled, = loop.attrs["kernel_variants"].values()
+        for kernel in (loop.attrs["kernel"], unrolled):
+            assert kernel.__stores_into__ == (0,)
+            assert kernel.__assigns__["clones"] == []
+        for trips in (0, 5):
+            with schedule_scope(Schedule(hloop_unroll=2,
+                                         loop_order="consumer")):
+                got = run_graph(g, [x.clone(), trips])[0]
+            _bit_exact([got], [f(x.clone(), trips)])
 
 
 # -- kernel accounting (the zero-trip fix) -------------------------------
@@ -445,6 +457,38 @@ class TestScheduleOracle:
                                    seq_len=8, seed=0, cache=cache)
             _bit_exact(run.outputs, base.outputs)
             assert run.schedule_id == sched.schedule_id
+
+    @pytest.mark.parametrize("workload, seq_len", [
+        ("attention", 12), ("attention", 1), ("yolov3", 8), ("fcos", 8)])
+    def test_unrolled_loops_share_the_in_place_lowering(self, workload,
+                                                         seq_len):
+        """11 / 31 / 23 trips leave a remainder under every factor and
+        ``seq_len=1`` is attention's zero-trip loop; the store analysis
+        runs on the order each variant emits."""
+        cache = CompileCache()
+        run = dict(batch_size=1, seq_len=seq_len, seed=0)
+        eager = run_workload(workload, "eager", **run)
+        base = run_workload(workload, "tensorssa", cache=cache, **run)
+        _bit_exact(base.outputs, eager.outputs)
+        for unroll in (2, 4, 8):
+            for order in ("program", "consumer"):
+                with schedule_scope(Schedule(loop_order=order,
+                                             hloop_unroll=unroll)):
+                    got = run_workload(workload, "tensorssa", cache=cache,
+                                       **run)
+                _bit_exact(got.outputs, eager.outputs)
+        (_, compiled, _), = cache.entries()
+        loops = [n for n in compiled.graph.walk()
+                 if n.attrs.get("horizontal")]
+        assert loops
+        for loop in loops:
+            kernels = [loop.attrs["kernel"],
+                       *loop.attrs.get("kernel_variants", {}).values()]
+            assert len(kernels) == (1 if seq_len == 1 else 7)
+            for kernel in kernels:
+                assert kernel.__stores_into__ == (0,)
+                assert kernel.__assigns__["clones"] == []
+                assert "immut::" not in kernel.__source__
 
 
 # -- search --------------------------------------------------------------
