@@ -10,7 +10,9 @@ in :class:`ServePolicy`; observability in :class:`ServerStats`.
 
 There is one scheduler: a request waits for peers in its group queue
 until the group is full, past its deadline-aware wake point, or the
-server is closing; whatever arrived by then rides the batch.  Requests
+server is closing — and not at all while nothing says peers are coming
+(no batch executing, the group's last flush a lone request); whatever
+arrived by then rides the batch.  Requests
 carry a ``priority`` lane and a ``tenant`` label;
 :class:`AdmissionController` enforces per-tenant token-bucket quotas
 and sheds low-priority work while the recent queue-wait percentile

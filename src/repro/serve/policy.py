@@ -2,8 +2,9 @@
 
 One :class:`ServePolicy` object configures a :class:`~repro.serve.
 server.Server`.  The defaults favor throughput (coalesce up to 8
-requests, wait a few milliseconds for peers) while staying safe: a
-bounded queue exerts backpressure on submitters, expired requests are
+requests; linger a few milliseconds for peers, but only while a batch
+is executing or the group's last flush coalesced — an idle server
+serves a lone request at once) while staying safe: a bounded queue exerts backpressure on submitters, expired requests are
 answered with a timeout instead of occupying device time, and requests
 that cannot be compiled (or whose deadline is too close for a cold
 compile) descend the fallback chain to the eager pipeline.
@@ -28,8 +29,10 @@ class ServePolicy:
     workers: int = 4
     #: most requests one executed batch may coalesce (1 = no batching)
     max_batch_size: int = 8
-    #: how long the oldest queued request waits for peers before a
-    #: partial batch is flushed anyway (seconds)
+    #: upper bound of the linger (seconds): the longest the oldest
+    #: queued request waits for peers before a partial batch is flushed
+    #: anyway.  Paid only on evidence that peers are coming
+    #: (``server.flush_reason``); an idle server skips it
     batch_wait_s: float = 0.002
     #: total requests the server will hold queued; submit() blocks
     #: (or rejects, see ``reject_on_full``) beyond this

@@ -4,7 +4,8 @@
 ``submit_many``), parks them in per-(workload, pipeline, platform,
 shape, shared-state) group queues, and lets a pool of worker threads
 drain them.  The group queue is the only place a request waits for
-peers:
+peers, and it lingers there only on evidence that peers are coming
+(:func:`flush_reason` is the whole rule):
 
 * a group is claimable when it holds ``max_batch_size`` requests, when
   it is past its wake point — ``min(oldest.enqueued_at + batch_wait_s,
@@ -12,6 +13,12 @@ peers:
   ``queue[0]``, so a tight-deadline member never starves behind a
   relaxed oldest one — or when the server is closing; an arrival
   before that simply appends to the group and rides its batch;
+* short of that it is claimable *at once* unless a batch is executing
+  right now (its clients come back together) or this group's previous
+  flush coalesced more than one request: an idle server hands a lone
+  request straight to a worker, a loaded or coalescing one keeps the
+  wake point above, so ``batch_wait_s`` is the upper bound of the
+  linger, not its price;
 * among claimable groups the highest lane wins (highest
   ``Request.priority`` of any member), then the most urgent wake point;
 * intake is gated by per-tenant token-bucket quotas and by the
@@ -43,7 +50,8 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
-from typing import Callable, Deque, Iterable, List, Optional, Union
+from typing import (Callable, Deque, Iterable, List, Optional, Tuple,
+                    Union)
 
 from ..errors import ServerShutdown
 from ..eval.cache import CompileCache
@@ -62,6 +70,37 @@ from .stats import ServerStats
 #: capacity of a server's private compile cache (shard workers build
 #: theirs with it too, before the server exists, to warm-start into)
 CACHE_CAPACITY = 128
+
+#: most group keys remembered as "its last flush coalesced"; the least
+#: recently flushed is forgotten first, which costs that group one
+#: un-lingered flush, never correctness
+COALESCED_KEYS_MAX = 256
+
+
+def flush_reason(length: int, max_batch: int, now: float,
+                 wake: Tuple[float, str], executing: int, coalesced: bool,
+                 closed: bool) -> Optional[str]:
+    """Why a non-empty group of ``length`` requests may be claimed at
+    ``now``, or None while it must keep waiting for peers.
+
+    ``wake`` is the group's wake point and which bound set it
+    (``"linger_expired"`` or ``"deadline"``, see
+    ``Server._group_wake_at``).  ``full``, the wake point and
+    ``closing`` hold whatever the load; ``idle`` is the one flush that
+    needs no timer: nothing says a peer is coming — no batch is
+    ``executing`` and the group's last flush was not ``coalesced`` — so
+    lingering would only add ``batch_wait_s`` to a lone request.
+    """
+    if length >= max_batch:
+        return "full"
+    if closed:
+        return "closing"
+    wake_at, why = wake
+    if now >= wake_at:
+        return why
+    if not executing and not coalesced:
+        return "idle"
+    return None
 
 
 class Server:
@@ -91,11 +130,18 @@ class Server:
         self._clock = clock
         self.admission = AdmissionController(self.policy, self.stats,
                                              clock=clock)
-        self._cond = threading.Condition()
+        #: re-entrant on purpose: ``submit_many`` holds it across its
+        #: members' ``submit`` calls
+        self._cond = threading.Condition(threading.RLock())
         #: insertion-ordered so equal-lane, equal-urgency groups drain
         #: oldest-first
         self._groups: "OrderedDict[tuple, Deque[Request]]" = OrderedDict()
         self._pending = 0
+        #: the evidence ``flush_reason`` lingers on: batches claimed and
+        #: not yet finished, and the (bounded, least-recently-flushed
+        #: first out) keys whose last flush coalesced > 1 request
+        self._executing = 0
+        self._coalesced: "OrderedDict[tuple, None]" = OrderedDict()
         self._closed = False
         self._workers: List[threading.Thread] = []
         for i in range(self.policy.workers):
@@ -142,8 +188,13 @@ class Server:
 
     def submit_many(self, submissions: Iterable[dict]
                     ) -> List["Future[Response]"]:
-        """Enqueue a batch of ``submit`` keyword dicts at once."""
-        return [self.submit(**kwargs) for kwargs in submissions]
+        """Enqueue a list of ``submit`` keyword dicts atomically: one
+        lock hold and one wake for all of them (admission, shedding and
+        capacity are still checked per member), so no worker can claim
+        the first member before the last is queued — same-group members
+        ride one batch, up to ``max_batch_size``."""
+        with self._cond:
+            return [self.submit(**kwargs) for kwargs in submissions]
 
     def _enqueue(self, req: Request) -> None:
         with self._cond:
@@ -222,28 +273,33 @@ class Server:
 
     # -- scheduling -----------------------------------------------------
 
-    def _group_wake_at(self, queue: "Deque[Request]") -> float:
-        """When the scheduler must next act on a group: the oldest
-        member's flush point or the *group's* earliest deadline minus
-        slack, whichever lands first.  Using the group minimum (not
-        just ``queue[0]``) fixes two scheduler bugs: a later member
-        with a tighter deadline now triggers the urgent flush, and the
-        condition-wait timeout wakes in time to serve it."""
+    def _group_wake_at(self, queue: "Deque[Request]") -> Tuple[float, str]:
+        """When the scheduler must act on a group whatever the load,
+        and why: the end of the oldest member's linger
+        (``"linger_expired"``) or the *group's* earliest deadline minus
+        slack (``"deadline"``), whichever lands first.  Using the group
+        minimum (not just ``queue[0]``) fixes two scheduler bugs: a
+        later member with a tighter deadline now triggers the urgent
+        flush, and the condition-wait timeout wakes in time to serve
+        it."""
         flush_at = queue[0].enqueued_at + self.policy.batch_wait_s
         min_deadline = group_min_deadline(queue)
-        if min_deadline is None:
-            return flush_at
-        return min(flush_at, min_deadline - self.policy.deadline_slack_s)
+        if min_deadline is not None:
+            urgent_at = min_deadline - self.policy.deadline_slack_s
+            if urgent_at < flush_at:
+                return urgent_at, "deadline"
+        return flush_at, "linger_expired"
 
     def _take_batch(self) -> Optional[List[Request]]:
         """Block until a group is ready to flush; None = shut down and
         drained.
 
-        Readiness: full batch, past the group's wake point (oldest
-        member's flush time or group-min deadline inside the slack
-        window), or draining.  Among claimable groups the highest lane
-        (max member priority) wins; ties break to the most urgent wake
-        point.
+        Readiness is :func:`flush_reason`: full, past the group's wake
+        point, draining — or, with no batch executing and no coalesced
+        last flush to say peers are coming, at once.  Among claimable
+        groups the highest lane (max member priority) wins; ties break
+        to the most urgent wake point.  The claim counts as an
+        executing batch until ``_worker_loop`` is done with it.
         """
         with self._cond:
             while True:
@@ -251,19 +307,22 @@ class Server:
                 next_wake: Optional[float] = None
                 best_key: Optional[tuple] = None
                 best_rank = None
+                best_reason = ""
                 for key, queue in self._groups.items():
                     if not queue:
                         continue
-                    wake_at = self._group_wake_at(queue)
-                    ready = (len(queue) >= self.policy.max_batch_size
-                             or now >= wake_at or self._closed)
-                    if not ready:
-                        next_wake = wake_at if next_wake is None \
-                            else min(next_wake, wake_at)
+                    wake = self._group_wake_at(queue)
+                    reason = flush_reason(
+                        len(queue), self.policy.max_batch_size, now, wake,
+                        self._executing, key in self._coalesced,
+                        self._closed)
+                    if reason is None:
+                        next_wake = wake[0] if next_wake is None \
+                            else min(next_wake, wake[0])
                         continue
-                    rank = (group_lane(queue), -wake_at)
+                    rank = (group_lane(queue), -wake[0])
                     if best_rank is None or rank > best_rank:
-                        best_rank, best_key = rank, key
+                        best_rank, best_key, best_reason = rank, key, reason
                 if best_key is not None:
                     queue = self._groups[best_key]
                     batch = [queue.popleft() for _ in range(
@@ -271,15 +330,32 @@ class Server:
                     if not queue:
                         del self._groups[best_key]
                     self._pending -= len(batch)
+                    self._executing += 1
+                    self._note_flush(best_key, len(batch))
+                    self.stats.on_flush(best_reason)
                     self._cond.notify_all()
                     for member in batch:
-                        member.mark("dequeue", batch=len(batch))
+                        member.mark("dequeue", batch=len(batch),
+                                    reason=best_reason)
                     return batch
                 if self._closed and self._pending == 0:
                     return None
                 timeout = None if next_wake is None \
                     else max(0.0, next_wake - now)
                 self._cond.wait(timeout)
+
+    def _note_flush(self, key: tuple, requests: int) -> None:
+        """Remember whether ``key``'s flush coalesced (caller holds the
+        lock).  A flush of one forgets the key, so unbatchable (solo)
+        keys never enter; the set never outgrows
+        ``COALESCED_KEYS_MAX``."""
+        if requests > 1:
+            self._coalesced[key] = None
+            self._coalesced.move_to_end(key)
+            if len(self._coalesced) > COALESCED_KEYS_MAX:
+                self._coalesced.popitem(last=False)
+        else:
+            self._coalesced.pop(key, None)
 
     def _worker_loop(self) -> None:
         while True:
@@ -298,6 +374,12 @@ class Server:
                 # scattered to the batch as typed error responses, and
                 # the worker survives to drain the next batch.
                 self._scatter_failure(batch, exc)
+            finally:
+                # no wake: whoever lingered because of this batch is
+                # claimed (reason "idle") by this very worker, which is
+                # on its way back into ``_take_batch``
+                with self._cond:
+                    self._executing -= 1
 
     def _scatter_failure(self, batch: List[Request], exc: Exception) -> None:
         for req in batch:

@@ -53,6 +53,9 @@ INSTRUMENTS = (
      "fallback depth -> ok-response count (0 = requested rung)"),
     ("batches_executed", "count", "batches handed to the executor"),
     ("batch_size_hist", "by_label", "batch size -> batches at that size"),
+    ("flushes_by_reason", "by_label",
+     "why the scheduler flushed (full | idle | linger_expired | deadline "
+     "| closing) -> batches claimed for it"),
     ("queue_depth_peak", "peak", "deepest the queue ever got"),
     ("request_cache_hits", "count", "requests whose artifact was cached"),
     ("request_cache_misses", "count", "requests whose artifact was not"),
@@ -160,6 +163,11 @@ class ServerStats:
         worker thread still alive (the requests it then cancelled are
         counted by :meth:`on_cancel`)."""
         self._inst["drain_expired"].inc()
+
+    def on_flush(self, reason: str) -> None:
+        """The scheduler claimed one batch, for ``reason`` (see
+        ``server.flush_reason``)."""
+        self._inst["flushes_by_reason"].inc(reason)
 
     def on_batch(self, n_requests: int) -> None:
         """One batch of ``n_requests`` was handed to the executor."""

@@ -211,16 +211,25 @@ def serve_closed_loop(wl: Workload, pool: List[tuple], policy: ServePolicy,
                       hang_timeout_s: float = 120.0,
                       **common) -> Dict[str, object]:
     """One measured closed-loop run of ``requests`` (cycling ``pool``)
-    against a fresh :class:`~repro.serve.Server`, after an untimed
-    ``warmup`` burst that fills the compile cache for the shapes the
-    steady state will see.  Returns the :func:`tally` counts plus
-    throughput and the server's stats."""
+    against a fresh :class:`~repro.serve.Server`.  Untimed before it:
+    a ``warmup`` burst, then one atomic ``submit_many`` of every size
+    1…``max_batch_size`` — each rides one batch, so the executor itself
+    compiles every batch shape the steady state can form, under its own
+    key.  Returns the :func:`tally` counts plus, over the timed run
+    alone, throughput, mean batch size and the compiles that still
+    landed inside it (``timed_compiles``), and the server's stats."""
     def cycle(n: int) -> List[dict]:
         return [{"args": pool[i % len(pool)]} for i in range(n)]
 
     server = Server(policy)
     try:
         tally(burst(server, wl, cycle(warmup), **common), hang_timeout_s)
+        for rows in range(1, policy.max_batch_size + 1):
+            wait(server.submit_many({"workload": wl, **common, **request}
+                                    for request in cycle(rows)),
+                 timeout=hang_timeout_s)
+        warm_compiles = server.cache.snapshot().compiles
+        warm_batches = server.stats.batches_executed
         load = closed_loop(server, wl, cycle(requests), clients,
                            hang_timeout_s, **common)
         wall = time.perf_counter() - load.started_at
@@ -234,9 +243,9 @@ def serve_closed_loop(wl: Workload, pool: List[tuple], policy: ServePolicy,
         "throughput_rps": requests / wall if wall > 0 else 0.0,
         "dropped": requests - counts["ok"] - counts["wrong"],
         "diverged": counts["wrong"],
+        "timed_compiles": server.cache.snapshot().compiles - warm_compiles,
         "mean_batch_requests": (
-            sum(int(k) * v for k, v in stats["batch_size_hist"].items())
-            / max(1, stats["batches_executed"])),
+            requests / max(1, stats["batches_executed"] - warm_batches)),
         "server": stats,
     }
 

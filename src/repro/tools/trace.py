@@ -107,8 +107,7 @@ def _trace_serve(args: argparse.Namespace) -> int:
     n = args.serve
     with global_tracing(name=f"serve:{args.workload}",
                         seed=args.seed) as trace_obj:
-        policy = ServePolicy(workers=2, max_batch_size=4,
-                             batch_wait_s=0.002)
+        policy = ServePolicy(workers=2, max_batch_size=4)
         with Server(policy) as srv:
             load = burst(srv, args.workload,
                          [{"seed": args.seed + i} for i in range(n)],
@@ -121,7 +120,8 @@ def _trace_serve(args: argparse.Namespace) -> int:
     with_timeline = sum(1 for r in responses if r.timeline)
     events = sorted({e["event"] for r in responses for e in r.timeline})
     print(f"serve replay: {n} requests, {ok} ok, "
-          f"{stats['batches_executed']} batches, "
+          f"{stats['batches_executed']} batches "
+          f"(flushed {stats['flushes_by_reason']}), "
           f"{len(trace_obj.spans)} spans")
     print(f"  request timelines: {with_timeline}/{n} populated, "
           f"events {events}")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import queue
+import threading
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,41 @@ def assert_outputs_equal(got, expected, msg=""):
         assert_tensor_equal(got, expected, msg=msg)
     else:
         assert got == pytest.approx(expected), msg
+
+
+class HeldWorkers:
+    """Parks every batch a worker claims at the executor's door.
+
+    ``taken.get()`` returns ``(batch, gate)`` once a worker *has* the
+    batch — the event tests wait on instead of sleeping — and
+    ``gate.set()`` lets that batch run; ``release_all()`` opens every
+    gate, present and future.
+    """
+
+    def __init__(self, srv):
+        self.taken = queue.Queue()
+        self._open = threading.Event()
+        self._gates = []
+        original = srv.executor.execute
+
+        def held_execute(batch):
+            gate = threading.Event()
+            self._gates.append(gate)
+            if self._open.is_set():
+                gate.set()
+            self.taken.put((batch, gate))
+            gate.wait(30)
+            original(batch)
+
+        srv.executor.execute = held_execute
+
+    def next_taken(self):
+        return self.taken.get(timeout=30)
+
+    def release_all(self):
+        self._open.set()
+        for gate in list(self._gates):
+            gate.set()
 
 
 @pytest.fixture

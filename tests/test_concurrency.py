@@ -407,3 +407,49 @@ class TestContinuousBatchingUnderContention:
         for tid, fs in enumerate(futs):
             for f in fs:
                 assert f.result(timeout=1).priority == tid % 2
+
+
+class TestLingerEvidenceUnderContention:
+    """The scheduler's linger evidence is shared by every worker: the
+    executing-batch count must return to zero whatever the executor
+    does, and every claim must be accounted to exactly one reason."""
+
+    def test_executing_count_balances_under_crashing_batches(self):
+        pol = ServePolicy(workers=4, max_batch_size=4, batch_wait_s=0.0005)
+        srv = Server(pol)
+        claimed = []
+
+        def execute(batch):      # no compile, no run; one in five crashes
+            claimed.append(len(batch))
+            if len(claimed) % 5 == 0:
+                raise ValueError("synthetic executor bug")
+            for req in batch:
+                req.future.set_result(req.answer("ok"))
+
+        srv.executor.execute = execute
+        args = get_workload("attention").make_inputs(batch_size=1,
+                                                     seq_len=4, seed=0)
+        n_threads, per_thread = 8, 150
+        resps = [[] for _ in range(n_threads)]
+
+        def client(tid):
+            def fn():            # closed loop: one request in flight
+                for _ in range(per_thread):
+                    resps[tid].append(srv.submit(
+                        "attention", args=args).result(timeout=30))
+            return fn
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads([client(t) for t in range(n_threads)])
+        finally:
+            sys.setswitchinterval(interval)
+            srv.shutdown(timeout=10.0)
+        assert all(not t.is_alive() for t in srv._workers)
+        total = n_threads * per_thread
+        assert sum(len(r) for r in resps) == total == sum(claimed)
+        assert {r.status for rs in resps for r in rs} <= {"ok", "error"}
+        assert srv._executing == 0
+        assert sum(srv.stats.flushes_by_reason.values()) == len(claimed)
+        assert srv.queue_depth() == 0

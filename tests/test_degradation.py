@@ -7,6 +7,8 @@ import random
 import numpy as np
 import pytest
 
+from conftest import HeldWorkers
+
 from repro.degrade import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
                            BreakerRegistry, CircuitBreaker, DEFAULT_LADDER,
                            RetryPolicy, fallback_chain, run_ladder)
@@ -293,17 +295,24 @@ def test_server_ladder_faultless_depth_zero():
 
 
 def test_shutdown_no_drain_cancels_queued_with_typed_error():
-    # requests sit *queued* (unclaimed) for batch_wait_s, so a
-    # no-drain shutdown must cancel them
-    policy = ServePolicy(workers=1, max_batch_size=64, batch_wait_s=5.0,
+    # the one worker is held inside a batch, so the requests behind it
+    # sit *queued* (unclaimed) and a no-drain shutdown must cancel them
+    policy = ServePolicy(workers=1, max_batch_size=64, batch_wait_s=30.0,
                          request_timeout_s=60.0)
     srv = Server(policy)
-    futs = [srv.submit("lstm", seq_len=8, seed=s) for s in range(3)]
+    held = HeldWorkers(srv)
+    first = srv.submit("lstm", seq_len=8, seed=9)
+    held.next_taken()
+    futs = srv.submit_many({"workload": "lstm", "seq_len": 8, "seed": s}
+                           for s in range(3))
+    # the worker is let go only once the shutdown has cancelled the queue
+    futs[0].add_done_callback(lambda _: held.release_all())
     srv.shutdown(drain=False, timeout=10.0)
     for fut in futs:
         resp = fut.result(timeout=5)  # resolved, not hanging
         assert resp.status == STATUS_CANCELLED
         assert resp.error
+    assert first.result(timeout=5).ok
 
 
 def test_submit_after_shutdown_raises_server_shutdown():

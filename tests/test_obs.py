@@ -157,15 +157,17 @@ class TestServerStats:
         assert st.latency_percentile(50) == 0.01
 
     #: ``to_dict`` key set of a bare ``ServerStats`` at the commit that
-    #: introduced the instrument table (captured from its parent): the
-    #: results/*.json schema must not drift silently
+    #: introduced the instrument table (captured from its parent), plus
+    #: ``flushes_by_reason`` (PR 22): the results/*.json schema must
+    #: not drift silently
     GOLDEN_KEYS = {
         "backpressure_wait_p95_ms", "backpressure_waits",
         "batch_size_hist", "batches_executed", "breaker_transitions",
         "bucket_pad_efficiency", "bucket_padded_units",
         "bucket_real_units", "cache_hit_rate", "cancelled", "completed",
         "degraded", "diverged", "drain_expired", "errors",
-        "fallback_depth_hist", "fallbacks", "lane_completed",
+        "fallback_depth_hist", "fallbacks", "flushes_by_reason",
+        "lane_completed",
         "lane_latency_ms", "lane_submitted", "latency_p50_ms",
         "latency_p95_ms", "queue_depth_peak", "queue_wait_p50_ms",
         "queue_wait_p95_ms", "queue_wait_p99_ms", "quota_rejected",
@@ -421,23 +423,26 @@ class TestPipelineIntegration:
                 "serve:execute"} <= {s.name for s in tr.spans}
 
     def test_serve_timeline_grammar_on_full_batch_flush(self):
-        # no sleeps, no races: batch_wait_s is far away, so the group
-        # can only flush by filling up, and every member must have
-        # queued to get there
+        # no sleeps, no races: ``submit_many`` queues the N members
+        # under one lock hold, so no worker sees the group before it is
+        # full, and every member must have queued to get there
         n = 4
         with global_tracing():
             with Server(ServePolicy(workers=2, max_batch_size=n,
                                     batch_wait_s=60.0)) as srv:
-                futs = [srv.submit("attention", seq_len=8, seed=i)
-                        for i in range(n)]
+                futs = srv.submit_many(
+                    {"workload": "attention", "seq_len": 8, "seed": i}
+                    for i in range(n))
                 responses = [f.result(timeout=60) for f in futs]
         for r in responses:
             assert r.ok and r.batch_requests == n
             events = [e["event"] for e in r.timeline]
             assert events == ["enqueue", "dequeue", "coalesce", "execute",
                               "scatter", "finish"]
+            assert r.timeline[1]["reason"] == "full"
             ts = [e["t_s"] for e in r.timeline]
             assert ts == sorted(ts)
+        assert srv.stats.flushes_by_reason == {"full": 1}
 
     def test_serve_timeline_empty_without_sink(self):
         with Server(ServePolicy(workers=1)) as srv:

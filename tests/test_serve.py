@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
+from conftest import HeldWorkers
 from repro.models import Workload, get_workload
 from repro.serve import (BatchSpec, ServePolicy, Server, coalesce,
                          get_batch_spec, group_key, scatter)
@@ -240,47 +241,35 @@ class TestRobustnessPolicies:
         assert stats.fallbacks == 1
 
     def test_backpressure_rejects_when_full(self):
-        release = threading.Event()
         pol = ServePolicy(workers=1, max_batch_size=1, queue_capacity=1,
                           reject_on_full=True, batch_wait_s=0.0)
         srv = Server(pol)
-        original = srv.executor.execute
-
-        def blocking_execute(batch):
-            release.wait(30)
-            original(batch)
-
-        srv.executor.execute = blocking_execute
+        held = HeldWorkers(srv)
         try:
             first = srv.submit("attention", seq_len=8)   # worker blocks
-            time.sleep(0.1)                              # worker took it
+            held.next_taken()                            # worker took it
             second = srv.submit("attention", seq_len=8)  # fills queue
             third = srv.submit("attention", seq_len=8)   # rejected
             resp3 = third.result(timeout=5)
             assert resp3.status == "rejected"
             assert srv.stats.rejected == 1
-            release.set()
+            held.release_all()
             assert first.result(timeout=60).ok
             assert second.result(timeout=60).ok
         finally:
-            release.set()
+            held.release_all()
             srv.shutdown()
 
     def test_shutdown_no_drain_cancels_queued(self):
-        release = threading.Event()
         pol = ServePolicy(workers=1, max_batch_size=1, batch_wait_s=0.0)
         srv = Server(pol)
-        original = srv.executor.execute
-
-        def blocking_execute(batch):
-            release.wait(30)
-            original(batch)
-
-        srv.executor.execute = blocking_execute
+        held = HeldWorkers(srv)
         first = srv.submit("attention", seq_len=8)
-        time.sleep(0.1)
+        held.next_taken()
         queued = srv.submit("attention", seq_len=8)
-        release.set()
+        # the worker stays held until the shutdown has cancelled the
+        # queued request, so it cannot serve it first
+        queued.add_done_callback(lambda _: held.release_all())
         srv.shutdown(drain=False)
         assert queued.result(timeout=5).status == "cancelled"
         assert first.result(timeout=60).status in ("ok", "cancelled")
@@ -494,21 +483,14 @@ class TestSchedulerRegressions:
         # Bug 3: enqueued_at was re-stamped after the backpressure
         # wait, hiding blocked-submit time from the queue-wait
         # percentiles (the very signal the shedder reads).
-        release = threading.Event()
         pol = ServePolicy(workers=1, max_batch_size=1, queue_capacity=1,
                           reject_on_full=False, submit_timeout_s=10.0,
                           batch_wait_s=0.0)
         srv = Server(pol)
-        original = srv.executor.execute
-
-        def blocking_execute(batch):
-            release.wait(30)
-            original(batch)
-
-        srv.executor.execute = blocking_execute
+        held = HeldWorkers(srv)
         try:
             first = srv.submit("attention", seq_len=8)   # worker blocks
-            time.sleep(0.1)                              # worker took it
+            held.next_taken()                            # worker took it
             second = srv.submit("attention", seq_len=8)  # fills queue
             futs = []
 
@@ -518,7 +500,7 @@ class TestSchedulerRegressions:
             t = threading.Thread(target=blocked_submit)
             t.start()
             time.sleep(0.4)          # third sits in the backpressure wait
-            release.set()
+            held.release_all()
             t.join(timeout=10)
             assert not t.is_alive()
             third = futs[0].result(timeout=30)
@@ -529,37 +511,29 @@ class TestSchedulerRegressions:
             # the blocked ~0.4s must show up in the request's queue wait
             assert third.queue_wait_s >= 0.3, third.queue_wait_s
         finally:
-            release.set()
+            held.release_all()
             srv.shutdown()
 
 
 class TestPriorityLanes:
     def test_high_priority_group_drains_first(self):
-        release = threading.Event()
-        order = []
         pol = ServePolicy(workers=1, max_batch_size=1, batch_wait_s=0.0)
         srv = Server(pol)
-        original = srv.executor.execute
-
-        def gated_execute(batch):
-            order.append(batch[0].priority)
-            release.wait(30)
-            original(batch)
-
-        srv.executor.execute = gated_execute
+        held = HeldWorkers(srv)
         try:
             dummy = srv.submit("attention", seq_len=4)     # occupies worker
-            time.sleep(0.1)
+            order = [held.next_taken()[0][0].priority]
             low = srv.submit("attention", seq_len=8, priority=0)
             high = srv.submit("attention", seq_len=16, priority=2)
-            release.set()
+            held.release_all()
             assert high.result(timeout=30).ok
             assert low.result(timeout=30).ok
             assert dummy.result(timeout=30).ok
+            order += [held.next_taken()[0][0].priority for _ in range(2)]
             # after the dummy, the high lane drained before the low one
             assert order == [0, 2, 0]
         finally:
-            release.set()
+            held.release_all()
             srv.shutdown()
 
     def test_response_echoes_lane_and_tenant(self):
@@ -577,12 +551,18 @@ class TestPriorityLanes:
 
 class TestContinuousBatching:
     def test_window_admits_late_arrival(self):
-        pol = ServePolicy(workers=1, max_batch_size=8, batch_wait_s=0.5)
+        # the worker is held on another group, so f1 waits in its own
+        # and f2 — submitted later, no timer involved — rides its batch
+        pol = ServePolicy(workers=1, max_batch_size=8, batch_wait_s=30.0)
         with Server(pol) as srv:
+            held = HeldWorkers(srv)
+            dummy = srv.submit("attention", seq_len=4)
+            held.next_taken()
             f1 = srv.submit("attention", seq_len=16, seed=1)
-            time.sleep(0.1)      # f1 still waits for peers in its group
             f2 = srv.submit("attention", seq_len=16, seed=2)
+            held.release_all()
             r1, r2 = f1.result(timeout=30), f2.result(timeout=30)
+            assert dummy.result(timeout=30).ok
         assert r1.ok and r2.ok
         assert r1.batch_requests == 2 and r2.batch_requests == 2
 
@@ -599,20 +579,174 @@ class TestContinuousBatching:
     def test_batch_oracle_exact_with_admitted_members(self):
         wl = get_workload("lstm")
         base = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
-        pol = ServePolicy(workers=1, max_batch_size=8, batch_wait_s=0.4,
+        pol = ServePolicy(workers=1, max_batch_size=8, batch_wait_s=30.0,
                           verify="batch")
         with Server(pol) as srv:
-            futs = []
-            for seed in range(1, 5):
-                futs.append(srv.submit(
-                    "lstm", args=shared_args(base, seed=seed)))
-                time.sleep(0.05)
+            held = HeldWorkers(srv)
+            dummy = srv.submit("attention", seq_len=4)
+            held.next_taken()
+            futs = [srv.submit("lstm", args=shared_args(base, seed=seed))
+                    for seed in range(1, 5)]
+            held.release_all()
             resps = [f.result(timeout=60) for f in futs]
+            assert dummy.result(timeout=30).ok
         assert all(r.ok for r in resps), [r.error for r in resps]
         assert all(r.verified for r in resps)
         assert srv.stats.diverged == 0
         # later submits rode the batch the first one was waiting in
-        assert max(r.batch_requests for r in resps) >= 2
+        assert [r.batch_requests for r in resps] == [4] * 4
+
+
+class TestLingerOnEvidence:
+    """A group lingers for peers only when something says they are
+    coming: a batch executing now, or this key's last flush coalesced."""
+
+    def test_flush_reason_truth_table(self):
+        from repro.serve.server import flush_reason
+        wake = (10.0, "linger_expired")
+
+        def reason(length=1, now=0.0, wake=wake, executing=0,
+                   coalesced=False, closed=False):
+            return flush_reason(length, 8, now, wake, executing, coalesced,
+                                closed)
+
+        # no evidence: an idle server claims at once, long before wake
+        assert reason() == "idle"
+        # evidence: the wake point applies, exactly as without the rule
+        assert reason(executing=1) is None
+        assert reason(coalesced=True) is None
+        assert reason(executing=2, coalesced=True) is None
+        assert reason(now=10.0, executing=1) == "linger_expired"
+        assert reason(now=10.0, coalesced=True) == "linger_expired"
+        assert reason(now=3.0, wake=(3.0, "deadline"),
+                      executing=1) == "deadline"
+        assert reason(now=2.9, wake=(3.0, "deadline"), executing=1) is None
+        # full and closing hold whatever the load or the evidence
+        for executing in (0, 1):
+            for coalesced in (False, True):
+                assert reason(length=8, executing=executing,
+                              coalesced=coalesced) == "full"
+                assert reason(length=9, executing=executing,
+                              coalesced=coalesced, closed=True) == "full"
+                assert reason(executing=executing, coalesced=coalesced,
+                              closed=True) == "closing"
+
+    def test_wake_point_names_its_bound_on_fake_clock(self):
+        t = [100.0]
+        pol = ServePolicy(workers=1, batch_wait_s=2.0, deadline_slack_s=0.25)
+        with Server(pol, clock=lambda: t[0]) as srv:
+            relaxed = make_request(deadline=t[0] + 30.0)
+            relaxed.enqueued_at = t[0]
+            assert srv._group_wake_at([relaxed]) == \
+                (102.0, "linger_expired")
+            tight = make_request(deadline=t[0] + 1.0)
+            tight.enqueued_at = t[0] + 0.5
+            assert srv._group_wake_at([relaxed, tight]) == \
+                (100.75, "deadline")
+
+    def test_lone_request_on_idle_server_skips_the_linger(self):
+        from repro.obs import global_tracing
+        pol = ServePolicy(workers=2, max_batch_size=8, batch_wait_s=5.0)
+        with global_tracing():
+            with Server(pol) as srv:
+                resp = srv.submit("attention", seq_len=8).result(timeout=30)
+        assert resp.ok and resp.batch_requests == 1
+        dequeue = [e for e in resp.timeline if e["event"] == "dequeue"]
+        assert [e["reason"] for e in dequeue] == ["idle"]
+        assert resp.queue_wait_s < 0.5, resp.queue_wait_s
+        assert srv.stats.flushes_by_reason == {"idle": 1}
+
+    def test_out_of_phase_clients_still_merge(self):
+        # two full batches held on two workers, released apart: their
+        # clients come back one by one to an idle worker, and because
+        # the key's last flush coalesced they gather into one batch
+        # instead of being grabbed one at a time (no timer: the linger
+        # is 30 s away and the group flushes by filling up)
+        n = 4
+        one = {"workload": "attention", "seq_len": 8}
+        pol = ServePolicy(workers=2, max_batch_size=n, batch_wait_s=30.0)
+        with Server(pol) as srv:
+            held = HeldWorkers(srv)
+            first = srv.submit_many(dict(one, seed=s) for s in range(n))
+            _, gate_a = held.next_taken()
+            second = srv.submit_many(dict(one, seed=s) for s in range(n))
+            _, gate_b = held.next_taken()
+            gate_a.set()
+            assert all(f.result(timeout=30).ok for f in first)
+            back = [srv.submit(**one, seed=s) for s in range(2)]
+            gate_b.set()
+            assert all(f.result(timeout=30).ok for f in second)
+            assert srv.queue_depth() == 2      # both workers idle, none took
+            held.release_all()
+            back += [srv.submit(**one, seed=s) for s in range(2, n)]
+            merged = [f.result(timeout=30) for f in back]
+        assert [r.batch_requests for r in merged] == [n] * n
+        assert srv.stats.flushes_by_reason == {"full": 3}
+
+    def test_coalesced_key_set_stays_bounded(self):
+        from repro.serve.server import COALESCED_KEYS_MAX
+        pol = ServePolicy(workers=1, max_batch_size=2, batch_wait_s=30.0)
+        srv = Server(pol)
+
+        def answer(batch):          # no compile, no run: keys only
+            for req in batch:
+                req.future.set_result(req.answer("ok"))
+
+        srv.executor.execute = answer
+        args = get_workload("attention").make_inputs(batch_size=1,
+                                                     seq_len=4, seed=0)
+        try:
+            for k in range(10_000):  # the platform is part of the key
+                futs = srv.submit_many(
+                    [{"workload": "attention", "args": args,
+                      "platform": f"p{k}"}] * 2)
+                assert all(f.result(timeout=60).ok for f in futs)
+        finally:
+            srv.shutdown()
+        assert srv.stats.flushes_by_reason == {"full": 10_000}
+        assert len(srv._coalesced) == COALESCED_KEYS_MAX
+        # unbatchable workloads get a per-request key: never remembered
+        assert group_key(make_request("yolact"))[3] == "solo"
+        srv._note_flush(group_key(make_request("yolact")), 1)
+        assert len(srv._coalesced) == COALESCED_KEYS_MAX
+
+    def test_batch_oracle_exact_across_light_loaded_light(self):
+        wl = get_workload("lstm")
+        base = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
+        pol = ServePolicy(workers=1, max_batch_size=4, batch_wait_s=0.01,
+                          verify="batch")
+        seeds = iter(range(1, 100))
+
+        def one():
+            return {"workload": "lstm",
+                    "args": shared_args(base, seed=next(seeds))}
+
+        with Server(pol) as srv:
+            def reasons():
+                return dict(srv.stats.flushes_by_reason)
+
+            light = srv.submit(**one()).result(timeout=60)
+            assert reasons() == {"idle": 1}
+            loaded = [f.result(timeout=60)
+                      for f in srv.submit_many(one() for _ in range(4))]
+            assert reasons() == {"idle": 1, "full": 1}
+            # the key just coalesced: a lone follower sits out the linger
+            after = srv.submit(**one()).result(timeout=60)
+            assert reasons() == {"idle": 1, "full": 1, "linger_expired": 1}
+            assert after.queue_wait_s >= 0.01
+            # ... and its solo flush is the evidence that load is gone
+            # (once the worker is out of that batch: the response
+            # resolves a moment before the executing count drops)
+            deadline = time.monotonic() + 10.0
+            while srv._executing and time.monotonic() < deadline:
+                time.sleep(0.0005)
+            again = srv.submit(**one()).result(timeout=60)
+            assert reasons() == {"idle": 2, "full": 1, "linger_expired": 1}
+        resps = [light, *loaded, after, again]
+        assert all(r.ok and r.verified is True for r in resps), \
+            [r.error for r in resps]
+        assert [r.batch_requests for r in resps] == [1, 4, 4, 4, 4, 1, 1]
+        assert srv.stats.diverged == 0
 
 
 class TestQuotasAndShedding:

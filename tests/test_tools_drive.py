@@ -152,3 +152,46 @@ def test_submit_that_raises_is_tallied_not_propagated():
     assert counts["untyped_errors"] == 2
     assert counts["untyped_error_strings"] == \
         ["raised RuntimeError: target is gone"]
+
+
+def test_serve_closed_loop_compiles_every_batch_shape_before_the_clock():
+    from repro.models import get_workload
+    from repro.serve import ServePolicy
+    from repro.tools.drive import request_pool, serve_closed_loop
+
+    wl = get_workload("attention")
+    pool = request_pool(wl, [8] * 8)
+    policy = ServePolicy(workers=2, max_batch_size=4, verify="batch")
+    run = serve_closed_loop(wl, pool, policy, requests=24, clients=4,
+                            warmup=0, hang_timeout_s=60.0)
+    assert run["ok"] == 24 and run["dropped"] == 0 and run["diverged"] == 0
+    # shapes 1..4 were each compiled by the executor, all before the
+    # timed run, whatever batches the closed loop then formed
+    assert run["server"]["compile_cache"]["misses"] == 4
+    assert run["timed_compiles"] == 0
+    assert 1.0 <= run["mean_batch_requests"] <= 4.0
+
+
+@pytest.mark.parametrize("fullest, failed", [(1.5, 1), (7.5, 0)])
+def test_serve_bench_gates_that_some_workload_coalesces(
+        monkeypatch, tmp_path, fullest, failed):
+    from repro.tools import serve_bench
+
+    def canned(name, args, lengths):
+        run = {"dropped": 0, "diverged": 0, "throughput_rps": 100.0,
+               "batch_occupancy": 0.5, "compiles": 8, "timed_compiles": 0,
+               "compiles_per_1k_requests": 40.0,
+               "server": {"latency_p50_ms": 1.0, "latency_p95_ms": 2.0,
+                          "cache_hit_rate": 1.0, "flushes_by_reason": {}}}
+        return {"workload": name, "throughput_speedup": 2.0,
+                "compile_ratio": 1.0, "occupancy_gain": 0.4,
+                "batched": dict(run, mean_batch_requests=(
+                    fullest if name == "attention" else 1.2)),
+                "baseline": dict(run, mean_batch_requests=1.0)}
+
+    monkeypatch.setattr(serve_bench, "bench_workload", canned)
+    argv = ["--workloads", "lstm,attention", "--concurrency", "8",
+            "--workers", "4", "--out", str(tmp_path / "sb.json")]
+    assert serve_bench.main(argv) == failed
+    # one client per worker proves nothing about coalescing: not gated
+    assert serve_bench.main(argv + ["--concurrency", "4"]) == 0
