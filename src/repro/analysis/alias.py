@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Value
 from ..ops.schema import OpKind
@@ -70,7 +68,9 @@ class AliasGraph:
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.g = nx.MultiDiGraph()
+        #: union-find over every edge kind: ``may_alias`` is undirected
+        #: connectivity in the alias graph
+        self._component: Dict[int, int] = {}
         #: memory-dependency parent: value -> (base value, view node)
         self.view_base: Dict[int, Value] = {}
         self.view_node: Dict[int, Node] = {}
@@ -93,12 +93,19 @@ class AliasGraph:
     def _add_value(self, v: Value) -> None:
         if id(v) not in self.by_id:
             self.by_id[id(v)] = v
-            self.g.add_node(id(v))
+            self._component[id(v)] = id(v)
+
+    def _find(self, vid: int) -> int:
+        parent = self._component
+        while parent[vid] != vid:
+            parent[vid] = parent[parent[vid]]  # path halving
+            vid = parent[vid]
+        return vid
 
     def _edge(self, derived: Value, base: Value, kind: str) -> None:
         self._add_value(derived)
         self._add_value(base)
-        self.g.add_edge(id(derived), id(base), kind=kind)
+        self._component[self._find(id(derived))] = self._find(id(base))
         if kind == CONTROL:
             self.control_links.append((derived, base))
 
@@ -213,10 +220,9 @@ class AliasGraph:
 
     def may_alias(self, a: Value, b: Value) -> bool:
         """True unless a and b are in disjoint alias components."""
-        und = self.g.to_undirected(as_view=True)
-        if id(a) not in und or id(b) not in und:
+        if id(a) not in self.by_id or id(b) not in self.by_id:
             return a is b
-        return nx.has_path(und, id(a), id(b))
+        return self._find(id(a)) == self._find(id(b))
 
     # -- T-set extraction ----------------------------------------------------
 

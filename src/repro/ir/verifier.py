@@ -1,13 +1,20 @@
 """IR structural verifier.
 
-Run after every pass in debug/test mode: catches dangling values,
-scope violations, use-list corruption, and malformed control-flow
-conventions long before they surface as wrong numerics.
+Run after every pass (``PassManager.verify_each``): catches dangling
+values, scope violations, use-list corruption, and malformed
+control-flow conventions long before they surface as wrong numerics.
+
+One walk, linear in values plus uses: each value's use list is scanned
+once, where the value is defined, and the ``(user, slot)`` pairs it
+records answer every later "does this input / return have its use
+record" question by set lookup.  The scope is one shared set that a
+block extends on entry and trims on exit, so sibling blocks still
+cannot see each other's values.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Set, Tuple
 
 from ..ops import registry as ops
 from ..ops.schema import OpKind
@@ -23,53 +30,60 @@ def _fail(msg: str) -> None:
     raise VerificationError(msg)
 
 
-def _check_uses(value: Value) -> None:
+def _define(value: Value, scope: Set[int], added: List[int],
+            recorded: Set[Tuple[int, int]]) -> None:
+    """Check every use record of ``value``, add each ``(id(user),
+    index)`` to ``recorded`` (proof that the slot holds ``value``: a slot
+    holds one value), then put ``value`` in scope."""
     for use in value.uses:
-        if isinstance(use.user, Block):
-            if use.index >= len(use.user.returns) or \
-                    use.user.returns[use.index] is not value:
+        user = use.user
+        if isinstance(user, Block):
+            if use.index >= len(user.returns) or \
+                    user.returns[use.index] is not value:
                 _fail(f"use-list of %{value.name} names a block return "
                       f"slot that does not reference it")
-        else:
-            node = use.user
-            if use.index >= len(node.inputs) or \
-                    node.inputs[use.index] is not value:
-                _fail(f"use-list of %{value.name} names input "
-                      f"{use.index} of {node.op}, which holds something else")
+        elif use.index >= len(user._inputs) or \
+                user._inputs[use.index] is not value:
+            _fail(f"use-list of %{value.name} names input "
+                  f"{use.index} of {user.op}, which holds something else")
+        recorded.add((id(user), use.index))
+    if id(value) not in scope:
+        scope.add(id(value))
+        added.append(id(value))
 
 
-def _verify_block(block: Block, in_scope: Set[int]) -> None:
-    scope = set(in_scope)
+def _verify_block(block: Block, scope: Set[int],
+                  recorded: Set[Tuple[int, int]]) -> None:
+    added: List[int] = []  # ids this block put in scope, trimmed on exit
     for p in block.params:
         if p.param_block is not block:
             _fail(f"param %{p.name} does not point back to its block")
-        _check_uses(p)
-        scope.add(id(p))
+        _define(p, scope, added, recorded)
     for node in block.nodes:
         if node.owning_block is not block:
             _fail(f"node {node.op} owning_block backref is wrong")
-        for i, v in enumerate(node.inputs):
+        for i, v in enumerate(node._inputs):
             if id(v) not in scope:
                 _fail(f"node {node.op} input {i} (%{v.name}) is not in "
                       f"scope (defined later, or in a sibling block)")
-            if not any(u.user is node and u.index == i for u in v.uses):
+            if (id(node), i) not in recorded:
                 _fail(f"%{v.name} lacks a use record for {node.op} "
                       f"input {i}")
         _verify_conventions(node)
         for inner in node.blocks:
             if inner.owning_node is not node:
                 _fail(f"block of {node.op} has wrong owning_node")
-            _verify_block(inner, scope)
+            _verify_block(inner, scope, recorded)
         for out in node.outputs:
             if out.node is not node:
                 _fail(f"output %{out.name} does not point back to {node.op}")
-            _check_uses(out)
-            scope.add(id(out))
+            _define(out, scope, added, recorded)
     for i, r in enumerate(block.returns):
         if id(r) not in scope:
             _fail(f"block return {i} (%{r.name}) is not in scope")
-        if not any(u.user is block and u.index == i for u in r.uses):
+        if (id(block), i) not in recorded:
             _fail(f"%{r.name} lacks a use record for block return {i}")
+    scope.difference_update(added)
 
 
 def _verify_conventions(node: Node) -> None:
@@ -127,7 +141,7 @@ def _verify_conventions(node: Node) -> None:
 
 def verify(graph: Graph) -> Graph:
     """Check structural invariants; returns the graph for chaining."""
-    _verify_block(graph.block, set())
+    _verify_block(graph.block, set(), set())
     return graph
 
 

@@ -3,11 +3,18 @@
 Removes pure nodes whose outputs are unused, bottom-up, to a fixed
 point.  Runs after TensorSSA conversion (the paper applies DCE to clean
 the re-access chains, §4.1.3) and after fusion.
+
+One reverse sweep is its own fixed point: inner blocks are swept before
+their owner is judged, and a node judged dead takes every node nested in
+it along, so each input use that dies with it is already counted dead
+when earlier nodes are judged.  Only the loop-carry and
+If-output prunes can expose new dead code, so :func:`dce` sweeps again
+only after one of them changed something.
 """
 
 from __future__ import annotations
 
-from ..ir.graph import Block, Graph, Node
+from ..ir.graph import Block, Graph, Node, bulk_destroy
 from ..ops.schema import OpKind
 
 #: ops that must never be removed even when their outputs are unused
@@ -28,24 +35,21 @@ def has_side_effects(node: Node) -> bool:
 
 
 def _sweep_block(block: Block) -> bool:
-    from ..ir.graph import bulk_destroy
     changed = False
     dead = []
+    # ids of dead nodes and of every node nested in one: an input use by
+    # any of them dies with it
     dead_ids = set()
-
-    def is_dead_use(use) -> bool:
-        from ..ir.graph import Node
-        return isinstance(use.user, Node) and id(use.user) in dead_ids
 
     for node in reversed(block.nodes):
         for inner in node.blocks:
             changed |= _sweep_block(inner)
         if has_side_effects(node):
             continue
-        if all(all(is_dead_use(u) for u in out.uses)
-               for out in node.outputs):
+        if all(id(u.user) in dead_ids for out in node.outputs
+               for u in out.uses):
             dead.append(node)
-            dead_ids.add(id(node))
+            dead_ids.update(id(n) for n in node.walk())
     if dead:
         bulk_destroy(dead)
         changed = True
@@ -175,11 +179,9 @@ def _prune_if_outputs(block: Block) -> bool:
 
 def dce(graph: Graph) -> bool:
     """Run to fixed point; returns True when anything was removed."""
-    any_change = False
-    while True:
-        changed = _sweep_block(graph.block)
-        changed |= _prune_loop_carries(graph.block)
-        changed |= _prune_if_outputs(graph.block)
-        if not changed:
-            return any_change
+    any_change = _sweep_block(graph.block)
+    while _prune_loop_carries(graph.block) | \
+            _prune_if_outputs(graph.block):
         any_change = True
+        _sweep_block(graph.block)
+    return any_change

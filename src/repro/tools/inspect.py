@@ -2,11 +2,11 @@
 
 ``python -m repro.tools.inspect lstm`` prints, per pipeline: an op
 histogram before/after, fusion-group sizes, horizontal loops, launch
-counts, per-pass wall time / node deltas, memory-pool traffic, modeled
-latency, and per compiled kernel how many Assigns it runs as in-place
-stores, as chain identities and as clones (with the reason each clone
-remains) — the report you reach for when a workload doesn't speed up
-as expected.  ``--plan`` additionally prints the TensorSSA
+counts, per-pass wall time / verify time / node deltas, memory-pool
+traffic, modeled latency, and per compiled kernel how many Assigns it
+runs as in-place stores, as chain identities and as clones (with the
+reason each clone remains) — the report you reach for when a workload
+doesn't speed up as expected.  ``--plan`` additionally prints the TensorSSA
 memory plan (slot table, reuse edges, rotating loop slots, peak);
 ``--program`` prints the Python source that plan's graph was lowered to
 (``backend/program.py``) — what a warm call actually executes, release
@@ -212,6 +212,7 @@ def print_report(name: str, report: Dict[str, dict],
             for m in entry["pass_metrics"]:
                 sign = "+" if m.node_delta >= 0 else ""
                 print(f"    {m.name:<16} {m.wall_ms:7.2f}ms  "
+                      f"verify {m.verify_ms:6.2f}ms  "
                       f"{m.nodes_before:>4} -> {m.nodes_after:<4} nodes "
                       f"({sign}{m.node_delta})")
         interesting = {k: v for k, v in entry["stats"].items()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import queue
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,17 @@ def assert_outputs_equal(got, expected, msg=""):
         assert_tensor_equal(got, expected, msg=msg)
     else:
         assert got == pytest.approx(expected), msg
+
+
+def corpus_functions():
+    """``(name, callable)`` for every ``tests/corpus`` entry."""
+    from repro.fuzz.oracle import materialize
+    out = []
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.json")):
+        entry = json.loads(path.read_text())
+        out.append((path.stem, materialize(entry["source"],
+                                           entry.get("fn_name", "f"))))
+    return out
 
 
 class HeldWorkers:

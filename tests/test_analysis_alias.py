@@ -3,8 +3,12 @@
 import pytest
 
 import repro.runtime as rt
+from conftest import corpus_functions
 from repro.analysis import AliasGraph
 from repro.frontend import script
+from repro.ir import types as T
+from repro.models import get_workload, workload_names
+from repro.pipelines import get_pipeline
 
 
 def build(fn):
@@ -207,3 +211,67 @@ class TestEligibility:
         _, alias = build(f)
         tset = alias.tsets()[0]
         assert not tset.eligible
+
+
+# -- may_alias parity ---------------------------------------------------------
+
+def _parity_graphs():
+    """Scripted (what TensorSSA conversion analyzes) and compiled (what
+    the memory planner analyzes) graphs of every workload and corpus
+    entry."""
+    fns = [(m, get_workload(m).model_fn) for m in workload_names()]
+    fns += corpus_functions()
+    pipe = get_pipeline("tensorssa")
+    for name, fn in fns:
+        yield pytest.param(script(fn).graph, id=f"{name}-scripted")
+        yield pytest.param(pipe.compile(fn).graph, id=f"{name}-compiled")
+
+
+def _bfs_components(alias):
+    """Undirected connectivity over the recorded alias edges."""
+    adj = {vid: [] for vid in alias.by_id}
+    edges = [(alias.by_id[d], b) for d, b in alias.view_base.items()]
+    edges += alias.control_links + alias.container_puts + \
+        alias.container_gets + alias.container_forwards
+    for a, b in edges:
+        adj[id(a)].append(id(b))
+        adj[id(b)].append(id(a))
+    comp = {}
+    for start in adj:
+        if start in comp:
+            continue
+        comp[start] = start
+        stack = [start]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in comp:
+                    comp[nxt] = start
+                    stack.append(nxt)
+    return comp
+
+
+def _tensor_values(graph):
+    values = list(graph.inputs)
+    for node in graph.walk():
+        values += node.outputs
+        for block in node.blocks:
+            values += block.params
+    return [v for v in values if isinstance(v.type, T.TensorType)]
+
+
+class TestMayAliasParity:
+    """The union-find ``may_alias`` answers exactly what a BFS over the
+    recorded edges (views, control links, container puts / gets /
+    forwards) answers, for every pair of tensor values."""
+
+    @pytest.mark.parametrize("graph", list(_parity_graphs()))
+    def test_agrees_with_bfs(self, graph):
+        alias = AliasGraph(graph)
+        comp = _bfs_components(alias)
+        values = _tensor_values(graph)
+        for a in values:
+            for b in values:
+                want = comp[id(a)] == comp[id(b)] \
+                    if id(a) in comp and id(b) in comp else a is b
+                assert alias.may_alias(a, b) == want, \
+                    f"%{a.name} vs %{b.name}"

@@ -108,6 +108,77 @@ class TestStats:
         assert loops
 
 
+class TestPassMetrics:
+    TENSORSSA_PASSES = ["dce", "cse", "constant_fold", "canonicalize",
+                        "parallelize", "revert_carried", "fuse", "revert",
+                        "dce2"]
+
+    def test_tensorssa_pass_metrics(self):
+        compiled = TensorSSAPipeline().compile(toy_model)
+        metrics = compiled.stats["pass_metrics"]
+        assert [m.name for m in metrics] == self.TENSORSSA_PASSES
+        # a pass starts from the count the previous one ended at
+        for prev, cur in zip(metrics, metrics[1:]):
+            assert cur.nodes_before == prev.nodes_after
+        assert metrics[-1].nodes_after == \
+            sum(1 for _ in compiled.graph.walk())
+        assert all(m.wall_ms >= 0.0 and m.verify_ms > 0.0 for m in metrics)
+        assert "verify" in repr(metrics[0])
+
+    def test_verify_ms_is_zero_without_verify_each(self):
+        from repro.frontend import script
+        from repro.ir import clone_graph
+        from repro.passes import PASS_METRICS_KEY, PassManager, dce
+        graph = clone_graph(script(toy_model).graph)
+        results = PassManager(verify_each=False).add("dce", dce).run(graph)
+        [metric] = results[PASS_METRICS_KEY]
+        assert metric.verify_ms == 0.0
+        assert metric.nodes_before >= metric.nodes_after
+
+    def test_forward_compile_verifies_after_every_pass(self, monkeypatch):
+        # the script, each of the nine passes, and the finished graph
+        import repro.ir.verifier as verifier
+        real = verifier._verify_block
+        tops = []
+
+        def counting(block, *rest):
+            if block.owning_node is None:
+                tops.append(block)
+            return real(block, *rest)
+        monkeypatch.setattr(verifier, "_verify_block", counting)
+        TensorSSAPipeline().compile(toy_model)
+        assert len(tops) == 11
+
+    def test_networkx_is_not_imported(self):
+        # importing the package and compiling every workload must not
+        # pull networkx in: it is not a dependency
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        code = (
+            "import sys\n"
+            "from repro.models import get_workload, workload_names\n"
+            "from repro.pipelines import get_pipeline\n"
+            "pipe = get_pipeline('tensorssa')\n"
+            "for name in workload_names():\n"
+            "    wl = get_workload(name)\n"
+            "    args = wl.make_inputs(batch_size=1, seq_len=8)\n"
+            "    pipe.compile(wl.model_fn, example_args=args)(*args)\n"
+            "assert 'networkx' not in sys.modules\n"
+            "print('ok')\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+
 class TestHarnessCache:
     def test_cache_keys_on_shape_signature(self):
         from repro.eval.cache import compile_cached, process_cache

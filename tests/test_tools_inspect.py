@@ -42,6 +42,10 @@ class TestInspect:
         assert [(k["stores"], k["identities"], k["clones"],
                  k["stores_into"]) for k in hloop] == [(1, 3, [], (0,))]
         assert "_hloop   1 / 3 / 0  carried slots [0]" in out
+        # each pass line carries the verify that followed it
+        pass_lines = [ln for ln in out.splitlines()
+                      if ln.startswith("    dce2 ")]
+        assert len(pass_lines) == 1 and "ms  verify " in pass_lines[0]
 
     def test_print_report_names_why_a_clone_remains(self, capsys):
         from repro.pipelines import get_pipeline
