@@ -1,26 +1,20 @@
-"""Shared benchmark fixtures and helpers.
+"""Shared fixtures and helpers for the figure-shape assertions.
 
-Two kinds of measurements live here:
-
-* **wall-clock** (pytest-benchmark) — real execution time of each
-  pipeline on the simulated runtime; fusion genuinely removes Python
-  dispatch, so relative ordering is meaningful;
-* **modeled** — the deterministic analytical cost model used to
-  regenerate the paper's figures; shape assertions (who wins, how the
-  curves bend) run against this.
+Every assertion here runs against the deterministic analytical cost
+model that regenerates the paper's figures: who wins, how the curves
+bend.  Wall-clock measurement lives in ``bench/`` (one measurement
+loop), not here.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.runtime as rt
-from repro.eval.cache import clone_args, process_cache
+from repro.eval.cache import process_cache
 from repro.eval.harness import run_workload
-from repro.models import WORKLOADS, get_workload
-from repro.pipelines import get_pipeline
+from repro.models import WORKLOADS
 
-#: smaller-than-default shapes so wall-clock benches stay quick
+#: smaller-than-default shapes so the modeled grids stay quick
 BENCH_SIZES = {"batch_size": 1, "seq_len": 32}
 
 PIPELINES = ["eager", "dynamo_inductor", "ts_nvfuser", "ts_nnc",
@@ -41,20 +35,6 @@ def modeled_fig5():
     return grid
 
 
-def compiled_runner(workload_name: str, pipeline_name: str):
-    """A zero-arg callable executing one inference (compile excluded)."""
-    wl = get_workload(workload_name)
-    pipe = get_pipeline(pipeline_name)
-    args = wl.make_inputs(**BENCH_SIZES)
-    compiled = pipe.compile(wl.model_fn, example_args=args)
-
-    def run():
-        return compiled(*clone_args(args))
-
-    run()  # warm the kernel caches outside the timed region
-    return run
-
-
 @pytest.fixture(autouse=True, scope="module")
 def _fresh_cache():
     process_cache.clear()
@@ -66,5 +46,4 @@ def launches_of(workload_name: str, pipeline_name: str) -> int:
                         **BENCH_SIZES).kernel_launches
 
 
-__all__ = ["BENCH_SIZES", "PIPELINES", "BASELINES", "compiled_runner",
-           "launches_of", "rt"]
+__all__ = ["BENCH_SIZES", "PIPELINES", "BASELINES", "launches_of"]

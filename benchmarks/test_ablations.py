@@ -73,15 +73,3 @@ class TestAblations:
                     g.numpy().astype(float), e.numpy().astype(float),
                     rtol=1e-4, atol=1e-5,
                     err_msg=f"{workload}/{name}")
-
-
-@pytest.mark.parametrize("variant", list(VARIANTS))
-def test_ablation_wallclock(benchmark, variant):
-    benchmark.group = "ablation:lstm"
-    benchmark.extra_info["variant"] = variant
-    wl = get_workload("lstm")
-    pipe = TensorSSAPipeline(name=f"bench_{variant}", **VARIANTS[variant])
-    args = wl.make_inputs(batch_size=1, seq_len=32)
-    compiled = pipe.compile(wl.model_fn)
-    compiled(*clone_args(args))
-    benchmark(lambda: compiled(*clone_args(args)))

@@ -4,14 +4,12 @@ Paper shapes: for SSD, FCOS, and seq2seq the memory-intensive share
 grows with batch size, so TensorSSA's advantage grows; for YOLOv3,
 YOLACT, and Attention the workload turns compute-bound and the speedup
 shrinks.  We assert the *direction* of each trend between the smallest
-and largest batch, and benchmark a batch sweep for the record.
+and largest batch.
 """
 
 import pytest
 
-from repro.eval.harness import clone_args, run_workload
-from repro.models import get_workload
-from repro.pipelines import get_pipeline
+from repro.eval.harness import run_workload
 
 GROWING = ["ssd", "fcos", "seq2seq"]
 SHRINKING = ["yolov3", "yolact", "attention"]
@@ -44,16 +42,3 @@ class TestFig7Shape:
             large = run_workload(workload, "tensorssa", batch_size=16,
                                  seq_len=32)
             assert large.latency_us > small.latency_us, workload
-
-
-@pytest.mark.parametrize("batch_size", BATCHES)
-@pytest.mark.parametrize("workload", ["ssd", "attention"])
-def test_fig7_wallclock(benchmark, workload, batch_size):
-    benchmark.group = f"fig7:{workload}"
-    benchmark.extra_info["batch_size"] = batch_size
-    wl = get_workload(workload)
-    pipe = get_pipeline("tensorssa")
-    args = wl.make_inputs(batch_size=batch_size, seq_len=32)
-    compiled = pipe.compile(wl.model_fn, example_args=args)
-    compiled(*clone_args(args))
-    benchmark(lambda: compiled(*clone_args(args)))

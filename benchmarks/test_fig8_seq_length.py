@@ -8,9 +8,7 @@ breaks the paper's §5.3 attributes Dynamo's overhead to).
 
 import pytest
 
-from repro.eval.harness import clone_args, run_workload
-from repro.models import get_workload
-from repro.pipelines import get_pipeline
+from repro.eval.harness import run_workload
 
 WORKLOADS = ["nasrnn", "lstm", "seq2seq", "attention"]
 SEQ_LENS = (16, 64, 128)
@@ -45,16 +43,3 @@ class TestFig8Shape:
         ratio_large = (_latency("lstm", "dynamo_inductor", 128)
                        / _latency("lstm", "tensorssa", 128))
         assert ratio_large > ratio_small
-
-
-@pytest.mark.parametrize("seq_len", SEQ_LENS)
-@pytest.mark.parametrize("workload", ["lstm", "attention"])
-def test_fig8_wallclock(benchmark, workload, seq_len):
-    benchmark.group = f"fig8:{workload}"
-    benchmark.extra_info["seq_len"] = seq_len
-    wl = get_workload(workload)
-    pipe = get_pipeline("tensorssa")
-    args = wl.make_inputs(batch_size=1, seq_len=seq_len)
-    compiled = pipe.compile(wl.model_fn, example_args=args)
-    compiled(*clone_args(args))
-    benchmark(lambda: compiled(*clone_args(args)))

@@ -37,7 +37,7 @@ analysis cannot prove keeps the row's clone,
 ``_OPS['immut::slice_assign'](...)``; ``__assigns__`` counts the three
 outcomes and says why each clone remains (``tools/inspect`` prints it).
 
-Schedule hooks (:mod:`repro.tune`) enter here in three ways:
+Schedule hooks (:mod:`repro.tune`) enter here in two ways:
 
 * ``loop_order`` reorders the emitted statements (``"program"`` keeps
   the pass ordering, ``"consumer"`` emits depth-first from the returns
@@ -45,10 +45,7 @@ Schedule hooks (:mod:`repro.tune`) enter here in three ways:
   permutation of independent pure statements, bit-exact by construction;
 * :func:`compile_block_unrolled` emits a horizontal-loop body ``u``
   times with carried state threaded through and an early exit between
-  iterations, so one kernel call executes up to ``u`` trips;
-* :func:`compile_block_chunked` emits a ``prim::ParallelMap`` body
-  ``c`` times on consecutive indices, returning the per-iteration
-  results as one flat tuple.
+  iterations, so one kernel call executes up to ``u`` trips.
 
 Every compiled kernel carries ``__elementwise_safe__``: True only when
 the body is provably row-independent along axis 0 (every op's registry
@@ -137,11 +134,10 @@ def _ordered_nodes(block: Block, loop_order: str = "program") -> List[Node]:
 
 
 class _Emitter:
-    """Shared statement emission across the plain, unrolled, and
-    chunked kernel shapes: one :class:`StorePlan` for the body, in the
-    order it is emitted, however many times it is emitted.  Tracks
-    whether the emitted body stayed inside the elementwise-safe
-    fragment."""
+    """Shared statement emission across the plain and unrolled kernel
+    shapes: one :class:`StorePlan` for the body, in the order it is
+    emitted, however many times it is emitted.  Tracks whether the
+    emitted body stayed inside the elementwise-safe fragment."""
 
     def __init__(self, block: Block, loop_order: str,
                  carried: bool = False) -> None:
@@ -336,44 +332,6 @@ def compile_block_unrolled(block: Block, factor: int,
             em.lines.append(f"    if not {cond_name}:")
             em.lines.append(f"        return ({k + 1}, {cond_name}{tail})")
     em.lines.append(f"    return ({factor}, {cond_name}{tail})")
-
-    return em.finish(name, f"def {name}(_args):\n", em.lines, False)
-
-
-def compile_block_chunked(block: Block, chunk: int,
-                          name: str = "_pmap_c",
-                          loop_order: str = "program") -> Callable:
-    """Compile a ``prim::ParallelMap`` body ``chunk`` iterations per
-    call.
-
-    The body's convention is ``(index, *captures) -> returns``; the
-    chunked kernel evaluates indices ``i, i+1, ..., i+chunk-1`` and
-    returns all results as one flat, iteration-major tuple (``chunk *
-    len(returns)`` entries).  Iterations of a parallel map are
-    independent by construction, so no early exit is needed; callers
-    handle the trip-count remainder with the plain kernel.
-    """
-    if chunk < 2:
-        raise CodegenError("chunk must be >= 2")
-    if not block.params:
-        raise CodegenError("parallel-map body must take the index")
-
-    em = _Emitter(block, loop_order)
-    names: Dict[int, str] = {}
-    bind = _bind_params(list(block.params), names)
-    if bind is not None:
-        em.lines.append(bind)
-    index_name = names[id(block.params[0])]
-
-    flat: List[str] = []
-    for k in range(chunk):
-        iter_names = dict(names)
-        iter_names[id(block.params[0])] = index_name if k == 0 \
-            else f"({index_name} + {k})"
-        em.emit(iter_names)
-        flat.extend(_name_of(iter_names, r) for r in block.returns)
-    em.lines.append(f"    return ({', '.join(flat)}"
-                    f"{',' if len(flat) == 1 else ''})")
 
     return em.finish(name, f"def {name}(_args):\n", em.lines, False)
 

@@ -15,7 +15,7 @@ memory plan, which is how fused kernels participate in buffer donation
 outputs).
 
 Schedules: every launch consults :func:`repro.tune.schedule.
-active_schedule` — statement order and unroll/chunk factors select a
+active_schedule` — statement order and the unroll factor select a
 *kernel variant* (compiled lazily, cached per node alongside the
 default kernel), ``tile_elems`` row-tiles elementwise-safe groups at
 launch time.  The default kernel (:func:`build_kernel`) always lives at
@@ -38,8 +38,7 @@ from ..obs import trace as obs_trace
 from ..runtime import profiler
 from ..runtime.tensor import Tensor, wrap
 from ..tune.schedule import Schedule, active_schedule
-from .codegen import (compile_block, compile_block_chunked,
-                      compile_block_unrolled)
+from .codegen import compile_block, compile_block_unrolled
 from .kernels import execute_kernel, pre_launch
 
 #: Guards lazy per-node kernel compilation: compiled graphs are shared
@@ -287,39 +286,16 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
 
 
 def run_parallel_map(node: Node, inputs: List[object]) -> List[object]:
-    """Execute a standalone ``prim::ParallelMap`` (trip, *captures).
-
-    ``pmap_chunk`` batches that many independent iterations per
-    compiled-kernel call (a chunked variant returns them as one flat
-    tuple); the trip-count remainder runs the plain body kernel.
-    """
+    """Execute a standalone ``prim::ParallelMap`` (trip, *captures):
+    the body kernel once per iteration, results stacked along a new
+    leading axis."""
     body = node.blocks[0]
-    sched = active_schedule()
     kernel = _node_kernel(node)
     trip = int(inputs[0])
-    chunk = sched.pmap_chunk
-    kernel_c = None
-    if chunk > 1 and trip >= chunk:
-        kernel_c = _node_kernel(
-            node,
-            lambda: compile_block_chunked(body, chunk, name="_pmap_c",
-                                          loop_order=sched.loop_order),
-            variant=("chunk", chunk, sched.loop_order))
     caps = [_unwrap(c) for c in inputs[1:]]
-    n_ret = len(body.returns)
     with obs_trace.span("kernel:parallel_map", cat="exec", trip=trip):
         pre_launch("parallel_map")  # one launch covers the whole map
-        per_iter = []
-        i = 0
-        while i < trip:
-            if kernel_c is not None and trip - i >= chunk:
-                flat = kernel_c([i] + caps)
-                per_iter.extend(flat[k * n_ret:(k + 1) * n_ret]
-                                for k in range(chunk))
-                i += chunk
-            else:
-                per_iter.append(kernel([i] + caps))
-                i += 1
+        per_iter = [kernel([i] + caps) for i in range(trip)]
         outputs = [wrap(np.stack([r[k] for r in per_iter]))
                    for k in range(len(body.returns))]
         profiler.record_launch(

@@ -2,7 +2,7 @@
 the run on a platform's cost model.
 
 ``run_workload`` is the single entry point the figures, the tuner and
-the pytest-benchmark suites share; ``run_workload_resilient`` is the
+the figure-shape assertions in ``benchmarks/`` share; ``run_workload_resilient`` is the
 same run behind the degradation ladder.  Compilation goes through
 :func:`repro.eval.cache.fetch` (the compile cache lives there, not
 here), the kernel schedule through
@@ -132,7 +132,7 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
                 pipe, wl, args, cache=cache, dynamic_shapes=dynamic_shapes,
                 grad=grad)
         sched, tuned, schedule_id = serving_schedule(
-            cache.tuning_db, workload, platform, signature, family)
+            cache.tuning_db, workload, signature, family)
 
         with obs_trace.span("harness:execute", cat="exec",
                             pipeline=pipeline, workload=workload):

@@ -355,29 +355,34 @@ def bulk_destroy(nodes: Sequence["Node"]) -> None:
     Equivalent to calling :meth:`Node.destroy` on each, but O(total)
     instead of O(total x block size): use-lists are filtered once per
     touched value and block node lists are rebuilt once per block.
+    Every use record whose user dies goes with it: node inputs, and
+    the returns of nested blocks, which may name values of an outer
+    scope (an ``If`` branch returning a parent value).
     """
-    removed = {id(n) for n in nodes}
+    # ids of every destroyed node and nested block: a use by any of them
+    # is not a live use
+    removed: Set[int] = set()
     touched: Dict[int, Value] = {}
+    for node in nodes:
+        for inner in node.walk():
+            removed.add(id(inner))
+            for v in inner._inputs:
+                touched[id(v)] = v
+            for b in inner.blocks:
+                removed.add(id(b))
+                for v in b.returns:
+                    touched[id(v)] = v
     blocks: Dict[int, Block] = {}
     for node in nodes:
         for out in node.outputs:
-            if any(not (isinstance(u.user, Node) and id(u.user) in removed)
-                   for u in out.uses):
+            if any(id(u.user) not in removed for u in out.uses):
                 raise RuntimeError(
                     f"bulk_destroy: node {node.op} output %{out.name} "
                     f"still has live uses")
-        for v in node._inputs:
-            touched[id(v)] = v
         if node.owning_block is not None:
             blocks[id(node.owning_block)] = node.owning_block
-        for inner_block in node.blocks:
-            for inner in inner_block.walk():
-                removed.add(id(inner))
-                for v in inner._inputs:
-                    touched[id(v)] = v
     for v in touched.values():
-        v.uses = [u for u in v.uses
-                  if not (isinstance(u.user, Node) and id(u.user) in removed)]
+        v.uses = [u for u in v.uses if id(u.user) not in removed]
     for node in nodes:
         node._inputs.clear()
         node.owning_block = None

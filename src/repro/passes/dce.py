@@ -5,11 +5,11 @@ point.  Runs after TensorSSA conversion (the paper applies DCE to clean
 the re-access chains, §4.1.3) and after fusion.
 
 One reverse sweep is its own fixed point: inner blocks are swept before
-their owner is judged, and a node judged dead takes every node nested in
-it along, so each input use that dies with it is already counted dead
-when earlier nodes are judged.  Only the loop-carry and
-If-output prunes can expose new dead code, so :func:`dce` sweeps again
-only after one of them changed something.
+their owner is judged, and a node judged dead takes every node and block
+nested in it along, so each input or block-return use that dies with it
+is already counted dead when earlier nodes are judged.  Only the
+loop-carry and If-output prunes can expose new dead code, so
+:func:`dce` sweeps again only after one of them changed something.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ def has_side_effects(node: Node) -> bool:
 def _sweep_block(block: Block) -> bool:
     changed = False
     dead = []
-    # ids of dead nodes and of every node nested in one: an input use by
-    # any of them dies with it
+    # ids of dead nodes and of every node and block nested in one: an
+    # input use or a block-return use by any of them dies with it
     dead_ids = set()
 
     for node in reversed(block.nodes):
@@ -49,7 +49,9 @@ def _sweep_block(block: Block) -> bool:
         if all(id(u.user) in dead_ids for out in node.outputs
                for u in out.uses):
             dead.append(node)
-            dead_ids.update(id(n) for n in node.walk())
+            for n in node.walk():
+                dead_ids.add(id(n))
+                dead_ids.update(id(b) for b in n.blocks)
     if dead:
         bulk_destroy(dead)
         changed = True

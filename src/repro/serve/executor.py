@@ -249,8 +249,8 @@ class BatchExecutor:
         maybe_inject(SITE_BATCH_EXEC, f"{wl.name}/{pipe.name}")
 
         sched, tuned, schedule_id = serving_schedule(
-            self.cache.tuning_db, wl.name, req0.platform,
-            fetched.signature, fetched.family)
+            self.cache.tuning_db, wl.name, fetched.signature,
+            fetched.family)
         for req in plan.requests:
             req.mark("execute", pipeline=pipe.name, cache_hit=hit,
                      schedule=schedule_id)

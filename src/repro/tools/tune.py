@@ -43,7 +43,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     common_args(parser, workloads="lstm,attention,nasrnn,seq2seq",
                 seq_len=64, seed=(0, "search RNG + input seed"),
                 out="results/tune.json", pipeline="tensorssa",
-                platform="datacenter", batch_size=4)
+                batch_size=4)
     parser.add_argument("--budget-small", action="store_true",
                         help="smoke-sized search (CI)")
     parser.add_argument("--n-random", type=int, default=None,
@@ -82,7 +82,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in names:
         start = time.perf_counter()
         result = tune_workload(
-            name, pipeline=args.pipeline, platform=args.platform,
+            name, pipeline=args.pipeline,
             batch_size=args.batch_size, seq_len=args.seq_len,
             seed=args.seed, n_random=n_random, n_mutation=n_mutation,
             top_k=top_k, best_of=best_of, db=db,

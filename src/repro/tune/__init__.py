@@ -3,13 +3,12 @@
 The pipeline lowers every fusion group one fixed way; this package adds
 the missing degree of freedom — a :class:`~repro.tune.schedule.Schedule`
 describing *how* the lowered kernels execute (statement order, runtime
-tiling of elementwise groups, horizontal-loop unrolling, parallel-map
-chunking) — plus an offline seeded search
-(:func:`~repro.tune.search.tune_workload`) that ranks candidates with
-the analytical cost model, measures the survivors best-of-n, proves
-each one bit-exact against the default schedule, and persists the
-winner in a :class:`~repro.tune.db.TuningDB` keyed by
-``(workload, shape key, platform)``.
+tiling of elementwise groups, horizontal-loop unrolling) — plus an
+offline seeded search (:func:`~repro.tune.search.tune_workload`) that
+ranks candidates by measured wall clock, re-measures the survivors
+best-of-n, proves each one bit-exact against the default schedule, and
+persists the winner in a :class:`~repro.tune.db.TuningDB` keyed by
+``(workload, shape key)``.
 
 The serve hot path only ever *reads* the database
 (``CompileCache.tuning_db``): a warm request costs one per-key file

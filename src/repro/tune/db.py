@@ -1,7 +1,7 @@
 """Persistent tuning database: per-key files, atomic replace.
 
 Winners of an offline schedule search live on disk keyed by
-``(workload, shape key, platform)``, one record per key in a
+``(workload, shape key)``, one record per key in a
 :class:`repro.store.KeyedFileStore` at ``<root>/entries/`` (suffix
 ``.json``) — the same store the shard artifact index sits on, so
 concurrent tuners (and tuner-vs-server races) are last-writer-wins per
@@ -31,7 +31,7 @@ __all__ = ["TUNING_DB_VERSION", "TuningDB", "tuning_key",
            "shape_key_text", "serving_key", "serving_schedule"]
 
 #: bump on any incompatible change to the record layout
-TUNING_DB_VERSION = 1
+TUNING_DB_VERSION = 2
 
 
 def shape_key_text(signature) -> str:
@@ -46,13 +46,14 @@ def shape_key_text(signature) -> str:
                       default=str)
 
 
-def tuning_key(workload: str, shape_key: str, platform: str) -> tuple:
-    """The database key one tuned schedule lives under."""
-    return (str(workload), str(shape_key), str(platform))
+def tuning_key(workload: str, shape_key: str) -> tuple:
+    """The database key one tuned schedule lives under.  The schedule
+    is measured on the host that runs it, so no cost-model platform is
+    part of the key: one entry serves requests priced on any platform."""
+    return (str(workload), str(shape_key))
 
 
-def serving_key(workload: str, platform: str, signature: tuple,
-                family=None) -> tuple:
+def serving_key(workload: str, signature: tuple, family=None) -> tuple:
     """The key the schedule for one input lives under — where the shape
     half of a tuning key is decided, for the tuner (which writes under
     it) and for every run (which reads under it) alike.  Traffic served
@@ -60,11 +61,11 @@ def serving_key(workload: str, platform: str, signature: tuple,
     family's structure (``family.shape_key()``: symbolic dims as
     ``"*"``), everything else on the concrete ``signature``."""
     shape = family.shape_key() if family is not None else signature
-    return tuning_key(workload, shape_key_text(shape), platform)
+    return tuning_key(workload, shape_key_text(shape))
 
 
 def serving_schedule(db: Optional["TuningDB"], workload: str,
-                     platform: str, signature: tuple, family=None):
+                     signature: tuple, family=None):
     """Which schedule serves this input: ``(schedule, tuned,
     schedule_id)``.  An explicit ``schedule_scope`` wins; otherwise a
     hit in ``db`` under :func:`serving_key` upgrades the run from the
@@ -73,7 +74,7 @@ def serving_schedule(db: Optional["TuningDB"], workload: str,
     stay — pass it straight to ``schedule_scope``.  A pure read: the
     serve path never searches."""
     active = active_schedule()
-    sched = db.best(serving_key(workload, platform, signature, family)) \
+    sched = db.best(serving_key(workload, signature, family)) \
         if db is not None and active.is_default else None
     if sched is None:
         return None, False, active.schedule_id
@@ -81,7 +82,7 @@ def serving_schedule(db: Optional["TuningDB"], workload: str,
 
 
 class TuningDB:
-    """On-disk map ``(workload, shape key, platform) -> best Schedule``.
+    """On-disk map ``(workload, shape key) -> best Schedule``.
 
     Thread-safe; safe to share one root directory across processes
     (each key owns its own atomically-replaced file).  ``hits`` /
@@ -134,7 +135,7 @@ class TuningDB:
     def put(self, key: tuple, sched: Schedule,
             meta: Optional[dict] = None) -> str:
         """Persist ``sched`` as the best known schedule for ``key``;
-        returns the entry path.  ``meta`` (modeled/wall numbers,
+        returns the entry path.  ``meta`` (wall-clock numbers,
         speedup, ...) rides along for reports."""
         key_text = self._key_text(key)
         record = {

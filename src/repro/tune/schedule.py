@@ -26,11 +26,6 @@ and launches a kernel that the default lowering leaves implicit:
     state threaded through, early-exiting when the loop condition goes
     false).  Cuts per-iteration Python dispatch on real wall-clock.
 
-``pmap_chunk``
-    Horizontal-batch granularity of ``prim::ParallelMap``: iterations
-    per compiled kernel call (the map body is emitted ``c`` times on
-    consecutive indices).
-
 Schedules are *values*: hashable, normalizable, with a stable
 ``schedule_id`` used as the kernel-variant cache key and the tuning-DB
 record id.  This module is a leaf — it must not import the backend,
@@ -56,7 +51,6 @@ SCHEDULE_SPACE: Dict[str, Tuple] = {
     "loop_order": ("program", "consumer"),
     "tile_elems": (0, 4096, 16384, 65536, 262144),
     "hloop_unroll": (1, 2, 4, 8),
-    "pmap_chunk": (1, 2, 4, 8),
 }
 
 
@@ -68,7 +62,6 @@ class Schedule:
     loop_order: str = "program"
     tile_elems: int = 0
     hloop_unroll: int = 1
-    pmap_chunk: int = 1
 
     @property
     def schedule_id(self) -> str:
@@ -77,7 +70,7 @@ class Schedule:
         if self == DEFAULT_SCHEDULE:
             return "default"
         return (f"o{self.loop_order[0]}-t{self.tile_elems}"
-                f"-u{self.hloop_unroll}-c{self.pmap_chunk}")
+                f"-u{self.hloop_unroll}")
 
     @property
     def is_default(self) -> bool:
@@ -90,11 +83,10 @@ class Schedule:
     def from_dict(spec: dict) -> "Schedule":
         """Rebuild from a JSON dict; raises ``ValueError`` on unknown
         keys or out-of-space values (the DB's stale-entry guard)."""
-        known = {"loop_order", "tile_elems", "hloop_unroll", "pmap_chunk"}
-        extra = set(spec) - known
+        extra = set(spec) - set(SCHEDULE_SPACE)
         if extra:
             raise ValueError(f"unknown schedule knobs: {sorted(extra)}")
-        sched = Schedule(**{k: spec[k] for k in known if k in spec})
+        sched = Schedule(**spec)
         validate_schedule(sched)
         return sched
 

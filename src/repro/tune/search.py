@@ -2,19 +2,21 @@
 
 AutoTVM-shaped, scaled to this stack: candidates are points of
 :data:`~repro.tune.schedule.SCHEDULE_SPACE`, ranked in stage one by a
-blend of the analytical cost model (the platform pricing of a profiled
-run) and a single wall-clock sample, then the survivors are re-measured
-best-of-``n`` in stage two.  Every candidate that gets measured is also
-checked *bit-exact* against the default schedule's outputs — a
-divergent candidate is disqualified on the spot (and counted), so a
-tuning bug can cost speed but never correctness.
+single wall-clock sample, then the survivors are re-measured
+best-of-``n`` in stage two.  The analytical cost model has no say: the
+profile it prices is the same for every schedule (tiling and unrolling
+each still record one launch with the same bytes and FLOPs), so it
+cannot rank them.  Every candidate that gets measured is also checked
+*bit-exact* against the default schedule's outputs — a divergent
+candidate is disqualified on the spot (and counted), so a tuning bug
+can cost speed but never correctness.
 
 The winner (or the default schedule, when nothing beat it — recording
 the default too is what lets warm serve traffic *hit* instead of miss)
 is persisted in the :class:`~repro.tune.db.TuningDB` under
-``(workload, shape key, platform)``.  ``db.searches`` is bumped here
-and only here: a serving process whose DB snapshot shows
-``searches == 0`` provably spent zero time tuning.
+``(workload, shape key)``.  ``db.searches`` is bumped here and only
+here: a serving process whose DB snapshot shows ``searches == 0``
+provably spent zero time tuning.
 """
 
 from __future__ import annotations
@@ -41,10 +43,8 @@ class Candidate:
     """One measured point of the schedule space."""
 
     schedule: Schedule
-    modeled_us: float
+    #: stage-one single-sample wall-clock (the stage-one rank)
     wall_us: float
-    #: stage-one rank: blended ratio vs the default (lower is better)
-    score: float
     #: bit-exact against the default schedule's outputs
     exact: bool
     #: best-of-n wall-clock from stage two (NaN if not a finalist)
@@ -58,9 +58,7 @@ class Candidate:
     def to_dict(self) -> dict:
         return {"schedule_id": self.schedule_id,
                 "schedule": self.schedule.to_dict(),
-                "modeled_us": self.modeled_us,
                 "wall_us": self.wall_us,
-                "score": self.score,
                 "exact": self.exact,
                 "measured": self.measured,
                 "best_wall_us": None if self.best_wall_us
@@ -73,12 +71,10 @@ class TuneResult:
 
     workload: str
     pipeline: str
-    platform: str
     batch_size: int
     seq_len: int
     shape_key: str
     key: tuple
-    default_modeled_us: float
     default_wall_us: float
     best_schedule: Schedule
     best_wall_us: float
@@ -98,10 +94,8 @@ class TuneResult:
 
     def to_dict(self) -> dict:
         return {"workload": self.workload, "pipeline": self.pipeline,
-                "platform": self.platform,
                 "batch_size": self.batch_size, "seq_len": self.seq_len,
                 "shape_key": self.shape_key, "key": list(self.key),
-                "default_modeled_us": self.default_modeled_us,
                 "default_wall_us": self.default_wall_us,
                 "best_schedule_id": self.best_schedule_id,
                 "best_schedule": self.best_schedule.to_dict(),
@@ -113,21 +107,20 @@ class TuneResult:
 
 
 def tune_workload(workload: str, pipeline: str = "tensorssa",
-                  platform: str = "datacenter", batch_size: int = 4,
-                  seq_len: int = 64, seed: int = 0,
+                  batch_size: int = 4, seq_len: int = 64, seed: int = 0,
                   n_random: int = 8, n_mutation: int = 6,
                   top_k: int = 3, best_of: int = 3,
                   db: Optional[TuningDB] = None,
                   dynamic_shapes: bool = False) -> TuneResult:
-    """Search the schedule space for one (workload, shapes, platform).
+    """Search the schedule space for one (workload, shapes).
 
     Stage one (``tune:search`` span): the default schedule plus
     ``n_random`` random points plus ``n_mutation`` greedy mutations of
-    the best-so-far each run once, scored
-    ``0.5 * modeled/default_modeled + 0.5 * wall/default_wall`` and
-    oracle-checked bit-exact against the default outputs.  Stage two
-    (``tune:measure`` spans): the ``top_k`` exact survivors and the
-    default re-measure best-of-``best_of``; lowest wall-clock wins.
+    the fastest-so-far each run once, ranked by that one wall-clock
+    sample and oracle-checked bit-exact against the default outputs.
+    Stage two (``tune:measure`` spans): the ``top_k`` exact survivors
+    and the default re-measure best-of-``best_of``; lowest wall-clock
+    wins.
 
     The result is recorded into ``db`` (when given) whether or not the
     search improved on the default — serve lookups should always hit.
@@ -145,14 +138,14 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
     # so the schedule is stored under exactly the key it is read under
     fetched = fetch(get_pipeline(pipeline), wl, args, cache=cache,
                     dynamic_shapes=dynamic_shapes)
-    key = serving_key(workload, platform, fetched.signature, fetched.family)
+    key = serving_key(workload, fetched.signature, fetched.family)
 
     def measure(sched: Schedule, repeats: int):
         with schedule_scope(sched):
             return run_workload(
-                workload, pipeline, platform=platform,
-                batch_size=batch_size, seq_len=seq_len, seed=seed,
-                measure_wallclock=True, repeats=repeats, cache=cache,
+                workload, pipeline, batch_size=batch_size,
+                seq_len=seq_len, seed=seed, measure_wallclock=True,
+                repeats=repeats, cache=cache,
                 dynamic_shapes=dynamic_shapes)
 
     if db is not None:
@@ -162,12 +155,10 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
     candidates: List[Candidate] = []
     seen = {DEFAULT_SCHEDULE}
     with obs_trace.span("tune:search", cat="tune", workload=workload,
-                        platform=platform, seed=seed):
+                        seed=seed):
         base = measure(DEFAULT_SCHEDULE, repeats=1)
-        default_modeled = base.latency_us
-        default_wall = base.wallclock_s * 1e6
-        default_cand = Candidate(DEFAULT_SCHEDULE, default_modeled,
-                                 default_wall, score=1.0, exact=True)
+        default_cand = Candidate(DEFAULT_SCHEDULE, base.wallclock_s * 1e6,
+                                 exact=True)
         candidates.append(default_cand)
 
         def evaluate(sched: Schedule) -> Optional[Candidate]:
@@ -179,12 +170,7 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
             exact = rt.bit_exact(run.outputs, base.outputs)
             if not exact:
                 divergences += 1
-            wall = run.wallclock_s * 1e6
-            cand = Candidate(
-                sched, run.latency_us, wall,
-                score=0.5 * run.latency_us / max(default_modeled, 1e-9)
-                + 0.5 * wall / max(default_wall, 1e-9),
-                exact=exact)
+            cand = Candidate(sched, run.wallclock_s * 1e6, exact=exact)
             candidates.append(cand)
             return cand
 
@@ -194,7 +180,7 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
             evaluate(random_schedule(rng))
         for _ in range(n_mutation):
             exact_cands = [c for c in candidates if c.exact]
-            parent = min(exact_cands, key=lambda c: c.score)
+            parent = min(exact_cands, key=lambda c: c.wall_us)
             mutant = mutate_schedule(parent.schedule, rng)
             for _ in range(8):  # re-draw around already-seen points
                 if mutant not in seen:
@@ -204,7 +190,7 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
 
     finalists = sorted((c for c in candidates if c.exact
                         and not c.schedule.is_default),
-                       key=lambda c: c.score)[:top_k]
+                       key=lambda c: c.wall_us)[:top_k]
     for cand in [default_cand] + finalists:
         with obs_trace.span("tune:measure", cat="tune",
                             workload=workload,
@@ -226,10 +212,9 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
     best = winner if improved else default_cand
 
     result = TuneResult(
-        workload=workload, pipeline=pipeline, platform=platform,
+        workload=workload, pipeline=pipeline,
         batch_size=batch_size, seq_len=seq_len,
         shape_key=key[1], key=key,
-        default_modeled_us=default_modeled,
         default_wall_us=default_cand.best_wall_us,
         best_schedule=best.schedule,
         best_wall_us=best.best_wall_us,
@@ -238,11 +223,9 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
         candidates=candidates)
     if db is not None:
         result.db_path = db.put(key, best.schedule, meta={
-            "workload": workload, "platform": platform,
-            "pipeline": pipeline,
+            "workload": workload, "pipeline": pipeline,
             "default_wall_us": default_cand.best_wall_us,
             "best_wall_us": best.best_wall_us,
             "speedup": result.speedup,
-            "modeled_us": best.modeled_us,
             "divergences": divergences})
     return result

@@ -7,7 +7,7 @@ import pytest
 from repro.ir import (Graph, VerificationError, clone_graph, print_graph,
                       verify)
 from repro.ir import types as T
-from repro.ir.graph import Block, Use
+from repro.ir.graph import Block, Use, bulk_destroy
 from repro.ir.parser import parse_graph
 
 
@@ -90,6 +90,28 @@ class TestMutationAPI:
         mul.set_input(0, b)
         add.destroy()
         assert add not in g.block.nodes
+        verify(g)
+
+    def test_bulk_destroy_drops_nested_block_return_uses(self):
+        g = parse_graph("""
+graph g(%c.0 : Bool, %x.0 : Tensor):
+  %v.0 = aten::neg(%x.0)
+  %o.0 = prim::If(%c.0)
+    block0():
+      -> (%v.0)
+    block1():
+      %w.0 = aten::exp(%v.0)
+      -> (%x.0)
+  return (%v.0)
+""")
+        neg, branch = g.block.nodes
+        x, v = g.inputs[1], neg.output()
+        bulk_destroy([branch])
+        # the branches' returns died with the If: only the graph's own
+        # return and neg's input are left, no phantom record on v or x
+        assert [(u.user, u.index) for u in v.uses] == [(g.block, 0)]
+        assert [(u.user, u.index) for u in x.uses] == [(neg, 0)]
+        assert g.inputs[0].uses == []
         verify(g)
 
     def test_insert_before_after_and_is_before(self):

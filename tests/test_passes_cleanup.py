@@ -131,6 +131,25 @@ graph g(%c.0 : Bool, %x.0 : Tensor):
         assert g.block.nodes == []
         verify(g)
 
+    def test_dead_if_takes_the_values_its_branches_return(self):
+        g = parse_graph("""
+graph g(%c.0 : Bool, %x.0 : Tensor):
+  %v.0 = aten::neg(%x.0)
+  %o.0 = prim::If(%c.0)
+    block0():
+      -> (%v.0)
+    block1():
+      -> (%x.0)
+  return (%x.0)
+""")
+        # %v.0's only use is a return of the dead If's branch: it dies in
+        # the same sweep, and no branch leaves a use record on %x.0
+        assert _sweep_block(g.block)
+        assert g.block.nodes == []
+        assert [(u.user, u.index) for u in g.inputs[1].uses] == \
+            [(g.block, 0)]
+        verify(g)
+
     @staticmethod
     def _assert_idempotent(g):
         text = print_graph(g)

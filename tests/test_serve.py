@@ -136,12 +136,14 @@ class TestServerBasics:
         wl = get_workload("lstm")
         pol = ServePolicy(workers=1, max_batch_size=4, batch_wait_s=0.05,
                           verify="batch")
+        inputs = [wl.make_inputs(batch_size=1, seq_len=8, seed=10 + s)
+                  for s in range(4)]
         with Server(pol) as srv:
-            futs = []
-            for s in range(4):
-                a = wl.make_inputs(batch_size=1, seq_len=8, seed=10 + s)
-                args = (a[0],) + base[1:4] + (a[4], a[5])
-                futs.append(srv.submit("lstm", args=args))
+            # atomic: an idle worker claims a lone request at once, so
+            # one-by-one submits race a warm lstm call and may run solo
+            futs = srv.submit_many(
+                {"workload": "lstm", "args": (a[0],) + base[1:4] + a[4:6]}
+                for a in inputs)
             rs = [f.result(timeout=60) for f in futs]
         assert all(r.ok for r in rs)
         assert any(r.batch_requests > 1 for r in rs)

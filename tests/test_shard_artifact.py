@@ -337,7 +337,7 @@ class TestBackwardArtifacts:
         run_workload("lstm", "tensorssa", cache=cache, **self.RUN)
         family = cache.families.all_families()[0]
         db = TuningDB(str(tmp_path / "tune"))
-        db.put(serving_key("lstm", "datacenter", (), family), sched)
+        db.put(serving_key("lstm", (), family), sched)
 
         warm = self._published(tmp_path / "store", cache)
         warm.tuning_db = db

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
-from repro.backend import run_graph
+from repro.backend import fusion_runtime, run_graph
 from repro.backend.codegen import (CodegenError, _const_literal,
                                    _ordered_nodes, compile_block,
                                    compile_block_unrolled)
@@ -58,9 +58,9 @@ class TestSchedule:
 
     def test_round_trip(self):
         s = Schedule(loop_order="consumer", tile_elems=4096,
-                     hloop_unroll=2, pmap_chunk=4)
+                     hloop_unroll=2)
         assert not s.is_default
-        assert s.schedule_id == "oc-t4096-u2-c4"
+        assert s.schedule_id == "oc-t4096-u2"
         assert Schedule.from_dict(s.to_dict()) == s
 
     def test_from_dict_rejects_unknown_knob(self):
@@ -348,7 +348,7 @@ class TestLoopAccounting:
 
 class TestTuningDB:
     def test_round_trip_across_instances(self, tmp_path):
-        key = tuning_key("lstm", "((4,16,8),)", "datacenter")
+        key = tuning_key("lstm", "((4,16,8),)")
         sched = Schedule(loop_order="consumer", tile_elems=16384)
         TuningDB(tmp_path).put(key, sched, meta={"speedup": 1.2})
         fresh = TuningDB(tmp_path)
@@ -359,7 +359,7 @@ class TestTuningDB:
 
     def test_miss_returns_none_and_counts(self, tmp_path):
         db = TuningDB(tmp_path)
-        key = tuning_key("lstm", "x", "datacenter")
+        key = tuning_key("lstm", "x")
         assert db.best(key) is None
         assert db.best(key) is None  # memoized miss
         snap = db.snapshot()
@@ -368,7 +368,7 @@ class TestTuningDB:
 
     def test_corrupt_entry_rejected_to_default(self, tmp_path):
         db = TuningDB(tmp_path)
-        key = tuning_key("lstm", "x", "datacenter")
+        key = tuning_key("lstm", "x")
         path = db.put(key, Schedule(tile_elems=4096))
         with open(path, "w") as fh:
             fh.write("{ not json")
@@ -378,7 +378,7 @@ class TestTuningDB:
 
     def test_stale_version_rejected(self, tmp_path):
         db = TuningDB(tmp_path)
-        key = tuning_key("lstm", "x", "datacenter")
+        key = tuning_key("lstm", "x")
         path = db.put(key, Schedule(tile_elems=4096))
         record = json.load(open(path))
         record["version"] = 999
@@ -391,8 +391,8 @@ class TestTuningDB:
         # an entry file whose recorded key disagrees with its filename
         # (hash collision, manual tampering) must not serve
         db = TuningDB(tmp_path)
-        key = tuning_key("lstm", "x", "datacenter")
-        other = tuning_key("lstm", "y", "datacenter")
+        key = tuning_key("lstm", "x")
+        other = tuning_key("lstm", "y")
         path = db.put(key, Schedule(tile_elems=4096))
         record = json.load(open(path))
         record["key"] = list(other)
@@ -402,7 +402,7 @@ class TestTuningDB:
 
     def test_out_of_space_schedule_rejected(self, tmp_path):
         db = TuningDB(tmp_path)
-        key = tuning_key("lstm", "x", "datacenter")
+        key = tuning_key("lstm", "x")
         path = db.put(key, Schedule(tile_elems=4096))
         record = json.load(open(path))
         record["schedule"]["tile_elems"] = 777  # not in SCHEDULE_SPACE
@@ -414,9 +414,9 @@ class TestTuningDB:
 
 def _db_put_worker(root, i):
     db = TuningDB(root)
-    key = tuning_key(f"wl{i}", f"shape{i}", "datacenter")
+    key = tuning_key(f"wl{i}", f"shape{i}")
     db.put(key, Schedule(tile_elems=4096), meta={"i": i})
-    shared = tuning_key("shared", "s", "datacenter")
+    shared = tuning_key("shared", "s")
     db.put(shared, Schedule(hloop_unroll=2), meta={"i": i})
     return db.best(key) is not None
 
@@ -432,10 +432,10 @@ class TestTuningDBConcurrency:
         db = TuningDB(tmp_path)
         assert len(db.keys()) == n + 1
         for i in range(n):
-            key = tuning_key(f"wl{i}", f"shape{i}", "datacenter")
+            key = tuning_key(f"wl{i}", f"shape{i}")
             assert db.best(key) == Schedule(tile_elems=4096)
         # the contended key: last atomic replace wins, file never torn
-        shared = db.best(tuning_key("shared", "s", "datacenter"))
+        shared = db.best(tuning_key("shared", "s"))
         assert shared == Schedule(hloop_unroll=2)
 
 
@@ -449,9 +449,8 @@ class TestScheduleOracle:
         base = run_workload(workload, "tensorssa", batch_size=1,
                             seq_len=8, seed=0, cache=cache)
         for sched in (Schedule(loop_order="consumer", tile_elems=4096,
-                               hloop_unroll=2, pmap_chunk=2),
-                      Schedule(tile_elems=65536, hloop_unroll=4,
-                               pmap_chunk=4)):
+                               hloop_unroll=2),
+                      Schedule(tile_elems=65536, hloop_unroll=4)):
             with schedule_scope(sched):
                 run = run_workload(workload, "tensorssa", batch_size=1,
                                    seq_len=8, seed=0, cache=cache)
@@ -491,6 +490,48 @@ class TestScheduleOracle:
                 assert "immut::" not in kernel.__source__
 
 
+class TestScheduleSpace:
+    #: the eight workloads at the oracle's shape, plus lstm at a batch
+    #: whose (batch, 256) carried-state group outgrows the largest tile
+    RUNS = [(w, dict(batch_size=1, seq_len=8)) for w in ALL_WORKLOADS] \
+        + [("lstm", dict(batch_size=1025, seq_len=2))]
+
+    def test_every_value_is_read_by_some_kernel(self, monkeypatch):
+        """A knob value no kernel reads only re-measures a program the
+        search already measured.  Read means: the default kernel (the
+        default value), a compiled ``kernel_variants`` entry (order,
+        unroll) or a launch that actually tiled (``tile_elems``)."""
+        read = {knob: {getattr(DEFAULT_SCHEDULE, knob)}
+                for knob in SCHEDULE_SPACE}
+        tiled_launch = fusion_runtime._tiled_launch
+
+        def recording_tiled_launch(kernel, raw, tile_elems, n_returns):
+            out = tiled_launch(kernel, raw, tile_elems, n_returns)
+            if out is not None:
+                read["tile_elems"].add(tile_elems)
+            return out
+
+        monkeypatch.setattr(fusion_runtime, "_tiled_launch",
+                            recording_tiled_launch)
+        for workload, shape in self.RUNS:
+            cache = CompileCache()
+            for knob, values in SCHEDULE_SPACE.items():
+                for value in values:
+                    with schedule_scope(Schedule(**{knob: value})):
+                        run_workload(workload, "tensorssa", cache=cache,
+                                     **shape)
+            (_, compiled, _), = cache.entries()
+            for node in compiled.graph.walk():
+                for variant in node.attrs.get("kernel_variants", {}):
+                    if variant[0] == "order":
+                        read["loop_order"].add(variant[1])
+                    elif variant[0] == "unroll":
+                        read["hloop_unroll"].add(variant[1])
+                        read["loop_order"].add(variant[2])
+        for knob, values in SCHEDULE_SPACE.items():
+            assert set(values) == read[knob], knob
+
+
 # -- search --------------------------------------------------------------
 
 
@@ -526,14 +567,11 @@ class TestSearch:
 
 
 class TestWarmLookup:
-    def _seed_db(self, tmp_path, workload, batch_size, seq_len,
-                 sched, platform="datacenter"):
+    def _seed_db(self, tmp_path, workload, batch_size, seq_len, sched):
         wl = get_workload(workload)
         args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len,
                               seed=0)
-        key = tuning_key(workload,
-                         shape_key_text(shape_signature(args)),
-                         platform)
+        key = tuning_key(workload, shape_key_text(shape_signature(args)))
         db = TuningDB(tmp_path)
         db.put(key, sched)
         return db, args
@@ -586,6 +624,25 @@ class TestWarmLookup:
         assert stats["tune_db"]["searches"] == 0
         assert stats["tune_db"]["hits"] >= 1
 
+    def test_one_entry_serves_every_platform(self, tmp_path):
+        """The schedule was measured on the host, not priced on a
+        platform: requests priced as ``consumer`` and as ``datacenter``
+        both run the one recorded entry."""
+        sched = Schedule(tile_elems=4096, hloop_unroll=2)
+        _, args = self._seed_db(tmp_path, "attention", 1, 8, sched)
+        policy = ServePolicy(workers=1, max_batch_size=1,
+                             tuning_db_path=str(tmp_path))
+        with Server(policy) as srv:
+            resps = [srv.submit("attention", args=args, seq_len=8,
+                                platform=platform).result(timeout=60)
+                     for platform in ("consumer", "datacenter")]
+        stats = srv.stats.to_dict()  # drained: counters are final
+        for resp in resps:
+            assert resp.ok and resp.tuned
+            assert resp.schedule_id == sched.schedule_id
+        assert stats["tune_db"]["searches"] == 0
+        assert stats["tune_db"]["misses"] == 0
+
     @pytest.mark.parametrize("dynamic", [False, True])
     def test_tuner_harness_and_server_agree_on_the_key(self, tmp_path,
                                                         dynamic):
@@ -618,7 +675,7 @@ class TestWarmLookup:
         assert asked == [result.key, result.key]
         family = cache.families.all_families()[0] if dynamic else None
         assert result.key == serving_key(
-            "attention", "datacenter", shape_signature(args), family)
+            "attention", shape_signature(args), family)
         assert ('"*"' in result.shape_key) == dynamic
 
 
