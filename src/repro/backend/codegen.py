@@ -37,20 +37,10 @@ analysis cannot prove keeps the row's clone,
 ``_OPS['immut::slice_assign'](...)``; ``__assigns__`` counts the three
 outcomes and says why each clone remains (``tools/inspect`` prints it).
 
-Schedule hooks (:mod:`repro.tune`) enter here in two ways:
-
-* ``loop_order`` reorders the emitted statements (``"program"`` keeps
-  the pass ordering, ``"consumer"`` emits depth-first from the returns
-  so each value is computed right before its first use) — a pure
-  permutation of independent pure statements, bit-exact by construction;
-* :func:`compile_block_unrolled` emits a horizontal-loop body ``u``
-  times with carried state threaded through and an early exit between
-  iterations, so one kernel call executes up to ``u`` trips.
-
-Every compiled kernel carries ``__elementwise_safe__``: True only when
-the body is provably row-independent along axis 0 (every op's registry
-row says ``elementwise``, no container constants, no captured objects),
-which is what licenses the runtime's ``tile_elems`` row tiling.
+The one schedule hook (:mod:`repro.tune`) is
+:func:`compile_block_unrolled`: it emits a horizontal-loop body ``u``
+times with carried state threaded through and an early exit between
+iterations, so one kernel call executes up to ``u`` trips.
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..analysis.ownership import ASSIGN_TO_VIEW, StorePlan, plan_stores
-from ..ir.graph import Block, Node, Value
+from ..ir.graph import Block, Value
 from .kernels import OP_IMPLS
 
 
@@ -92,62 +82,18 @@ def _const_literal(value) -> str:
     raise CodegenError(f"cannot inline constant {value!r}")
 
 
-def _ordered_nodes(block: Block, loop_order: str = "program") -> List[Node]:
-    """The statement order a schedule asks for.
-
-    ``"program"`` is the order the fusion pass left; ``"consumer"`` is
-    a depth-first post-order from the returns (producers emitted
-    immediately before their first consumer, shortening live ranges).
-    Both orders contain exactly the block's nodes and respect def-use —
-    they are bit-exact permutations of each other.
-    """
-    if loop_order == "program" or len(block.nodes) < 2:
-        return list(block.nodes)
-    if loop_order != "consumer":
-        raise CodegenError(f"unknown loop order {loop_order!r}")
-    producer: Dict[int, Node] = {}
-    for node in block.nodes:
-        for out in node.outputs:
-            producer[id(out)] = node
-    ordered: List[Node] = []
-    visited = set()
-
-    def visit(node: Node) -> None:
-        if id(node) in visited:
-            return
-        visited.add(id(node))
-        for v in node.inputs:
-            dep = producer.get(id(v))
-            if dep is not None:
-                visit(dep)
-        ordered.append(node)
-
-    for ret in block.returns:
-        dep = producer.get(id(ret))
-        if dep is not None:
-            visit(dep)
-    # keep dead-but-present nodes (program order) so emission never
-    # loses a statement the default kernel would have run
-    for node in block.nodes:
-        visit(node)
-    return ordered
-
-
 class _Emitter:
     """Shared statement emission across the plain and unrolled kernel
     shapes: one :class:`StorePlan` for the body, in the order it is
-    emitted, however many times it is emitted.  Tracks whether the
-    emitted body stayed inside the elementwise-safe fragment."""
+    emitted, however many times it is emitted."""
 
-    def __init__(self, block: Block, loop_order: str,
-                 carried: bool = False) -> None:
-        self.nodes = _ordered_nodes(block, loop_order)
+    def __init__(self, block: Block, carried: bool = False) -> None:
+        self.nodes = list(block.nodes)
         self.plan: StorePlan = plan_stores(self.nodes, block, carried)
         self.lines: List[str] = []
         self.captured: Dict[str, object] = {}
         self._capture_ids: Dict[int, str] = {}
         self._tmp = 0
-        self.elementwise_safe = True
 
     def capture(self, value) -> str:
         cid = self._capture_ids.get(id(value))
@@ -181,19 +127,12 @@ class _Emitter:
                 value = node.attrs["value"]
                 try:
                     literal = _const_literal(value)
-                    if isinstance(value, (list, tuple)):
-                        # an inline container could broadcast against
-                        # a tiled axis; keep tiling off such kernels
-                        self.elementwise_safe = False
                 except CodegenError:
                     literal = self.capture(value)
-                    self.elementwise_safe = False
                 names[id(node.output())] = literal
                 continue
             if node.op not in OP_IMPLS:
                 raise CodegenError(f"op {node.op} is not compilable")
-            if not node.schema.elementwise:
-                self.elementwise_safe = False
             how = plan.lowering.get(id(node))
             if how is not None:
                 # the base's own array is the result: a store through
@@ -217,15 +156,14 @@ class _Emitter:
             names[id(node.output())] = out
             self.lines.append(f"    {out} = {call}")
 
-    def finish(self, name: str, header: str, source_lines: List[str],
-               elementwise: bool) -> Callable:
+    def finish(self, name: str, header: str,
+               source_lines: List[str]) -> Callable:
         source = header + "\n".join(source_lines) + "\n"
         scope = {"_OPS": OP_IMPLS, "_nd": np.asarray, **self.captured}
         code = compile(source, f"<fusion:{name}>", "exec")
         exec(code, scope)  # noqa: S102 - JIT compilation of our own source
         fn = scope[name]
         fn.__source__ = source
-        fn.__elementwise_safe__ = elementwise
         plan = self.plan
         #: carried slots the caller must hand in as buffers it owns
         fn.__stores_into__ = plan.carried_slots
@@ -250,15 +188,13 @@ def _bind_params(params: Sequence[Value],
 
 def compile_block(block: Block, name: str = "_kernel",
                   extra_inputs: Sequence[Value] = (),
-                  loop_order: str = "program",
                   carried: bool = False) -> Callable:
     """Compile a fusion-group body into ``fn(args) -> tuple``.
 
     ``args`` must follow ``block.params`` order, then ``extra_inputs``
     (free values captured from enclosing scopes — used by horizontal
     loops).  Non-inlinable constants (tensors, dtypes) are captured by
-    object reference.  ``loop_order`` selects the statement order (see
-    :func:`_ordered_nodes`); both orders produce bit-identical results.
+    object reference.
 
     The kernel never writes a buffer it was handed: a parameter it
     stores into is copied first.  The one exception is ``carried`` (the
@@ -267,7 +203,7 @@ def compile_block(block: Block, name: str = "_kernel",
     they arrive and returned in the same slot, so the caller copies
     them once before the first trip and threads them through.
     """
-    em = _Emitter(block, loop_order, carried)
+    em = _Emitter(block, carried)
     names: Dict[int, str] = {}
     params = list(block.params) + list(extra_inputs)
     bind = _bind_params(params, names)
@@ -280,14 +216,12 @@ def compile_block(block: Block, name: str = "_kernel",
     em.lines.append(
         f"    return ({rets}{',' if len(block.returns) == 1 else ''})")
 
-    return em.finish(name, f"def {name}(_args):\n", em.lines,
-                     em.elementwise_safe and bool(params))
+    return em.finish(name, f"def {name}(_args):\n", em.lines)
 
 
 def compile_block_unrolled(block: Block, factor: int,
                            name: str = "_hloop_u",
-                           extra_inputs: Sequence[Value] = (),
-                           loop_order: str = "program") -> Callable:
+                           extra_inputs: Sequence[Value] = ()) -> Callable:
     """Compile a horizontal-loop body unrolled ``factor`` times.
 
     The body's calling convention is ``(index, *carried, *captures) ->
@@ -304,7 +238,7 @@ def compile_block_unrolled(block: Block, factor: int,
     if not block.params:
         raise CodegenError("horizontal loop body must take the index")
 
-    em = _Emitter(block, loop_order, carried=True)
+    em = _Emitter(block, carried=True)
     names: Dict[int, str] = {}
     params = list(block.params) + list(extra_inputs)
     bind = _bind_params(params, names)
@@ -333,7 +267,7 @@ def compile_block_unrolled(block: Block, factor: int,
             em.lines.append(f"        return ({k + 1}, {cond_name}{tail})")
     em.lines.append(f"    return ({factor}, {cond_name}{tail})")
 
-    return em.finish(name, f"def {name}(_args):\n", em.lines, False)
+    return em.finish(name, f"def {name}(_args):\n", em.lines)
 
 
 def _name_of(names: Dict[int, str], v: Value) -> str:

@@ -14,15 +14,14 @@ memory plan, which is how fused kernels participate in buffer donation
 (a dying operand's bytes, released just before the launch, serve the
 outputs).
 
-Schedules: every launch consults :func:`repro.tune.schedule.
-active_schedule` — statement order and the unroll factor select a
-*kernel variant* (compiled lazily, cached per node alongside the
-default kernel), ``tile_elems`` row-tiles elementwise-safe groups at
-launch time.  The default kernel (:func:`build_kernel`) always lives at
-``attrs["kernel"]`` (the shard artifact codec describes exactly that
-slot and rebuilds it with the same function); variants live in
-``attrs["kernel_variants"]`` and recompile on demand wherever the
-artifact is restored.
+Schedules: only a horizontal loop consults :func:`repro.tune.schedule.
+active_schedule` — its unroll factor selects a *kernel variant*
+(compiled lazily, cached per node alongside the default kernel); fusion
+groups and parallel maps always run the default kernel.  The default
+kernel (:func:`build_kernel`) always lives at ``attrs["kernel"]`` (the
+shard artifact codec describes exactly that slot and rebuilds it with
+the same function); variants live in ``attrs["kernel_variants"]`` and
+recompile on demand wherever the artifact is restored.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from ..ir.graph import Node, free_values
 from ..obs import trace as obs_trace
 from ..runtime import profiler
 from ..runtime.tensor import Tensor, wrap
-from ..tune.schedule import Schedule, active_schedule
+from ..tune.schedule import active_schedule
 from .codegen import compile_block, compile_block_unrolled
 from .kernels import execute_kernel, pre_launch
 
@@ -69,8 +68,8 @@ def _node_kernel(node: Node, build: Optional[Callable[[], object]] = None,
 
     ``variant=None`` is the default-schedule kernel at
     ``attrs["kernel"]`` — :func:`build_kernel`'s, the slot the artifact
-    codec round-trips.  Schedule variants (``build`` compiles one) key
-    ``attrs["kernel_variants"]`` by their knob tuple and never touch
+    codec round-trips.  Unroll variants (``build`` compiles one) key
+    ``attrs["kernel_variants"]`` by ``("unroll", u)`` and never touch
     the default slot.
 
     Also the ``fusion_compile`` fault checkpoint: an injected
@@ -105,19 +104,6 @@ def _node_kernel(node: Node, build: Optional[Callable[[], object]] = None,
     return kernel
 
 
-def _group_kernel(node: Node, sched: Schedule) -> object:
-    """The fusion-group kernel for ``sched`` (loop order is the only
-    group-level compile knob)."""
-    order = sched.loop_order
-    if order == "program":
-        return _node_kernel(node)
-    return _node_kernel(
-        node,
-        lambda: compile_block(node.blocks[0], name="_fusion",
-                              loop_order=order),
-        variant=("order", order))
-
-
 def _unwrap(x):
     return x._array if isinstance(x, Tensor) else x
 
@@ -132,72 +118,14 @@ def _io_bytes(values) -> int:
     return total
 
 
-def _tiled_launch(kernel, raw: List[object], tile_elems: int,
-                  n_returns: int) -> Optional[List[object]]:
-    """Row-tiled launch of an elementwise-safe kernel; None when the
-    inputs don't qualify (caller falls back to the whole launch).
-
-    Splits every array argument into row blocks of ~``tile_elems``
-    elements along axis 0 and concatenates the per-tile outputs.  Only
-    sound when all array args share one shape (no broadcasting across
-    the tiled axis) — checked here per launch, and double-checked on
-    the first tile's output shapes, so a mis-tuned schedule can never
-    change results, only skip the optimization.
-    """
-    arrays = [(i, a) for i, a in enumerate(raw)
-              if isinstance(a, np.ndarray)]
-    if not arrays:
-        return None
-    shape = arrays[0][1].shape
-    if len(shape) < 2 or any(a.shape != shape for _, a in arrays[1:]):
-        return None
-    rows = shape[0]
-    per_row = int(np.prod(shape[1:], dtype=np.int64))
-    tile_rows = max(1, tile_elems // max(per_row, 1))
-    if rows <= tile_rows:
-        return None
-
-    outs: Optional[List[List[np.ndarray]]] = None
-    for start in range(0, rows, tile_rows):
-        stop = min(start + tile_rows, rows)
-        tile_args = list(raw)
-        for i, a in arrays:
-            tile_args[i] = a[start:stop]
-        result = kernel(tile_args)
-        if outs is None:
-            # first tile validates the static analysis dynamically:
-            # every output must be row-shaped or tiling is off
-            if len(result) != n_returns or any(
-                    not isinstance(r, np.ndarray) or r.ndim < 1
-                    or r.shape[0] != stop - start for r in result):
-                return None
-            outs = [[r] for r in result]
-        else:
-            for k, r in enumerate(result):
-                outs[k].append(r)
-    return [np.concatenate(chunks, axis=0) for chunks in outs]
-
-
 def execute_group(node: Node, inputs: Sequence[object]) -> List[object]:
     """Run a ``prim::FusionGroup``: compile-once, launch-once."""
-    sched = active_schedule()
-    kernel = _group_kernel(node, sched)
+    kernel = _node_kernel(node)
     n_ops = node.attrs.get("num_member_ops", len(node.blocks[0].nodes))
     with obs_trace.span("kernel:fusion_group", cat="exec",
-                        fused_ops=n_ops) as sp:
-        raw = None
-        args = [_unwrap(x) for x in inputs]
-        if sched.tile_elems > 0 \
-                and getattr(kernel, "__elementwise_safe__", False):
-            pre_launch("fusion_group")  # one launch covers every tile
-            raw = _tiled_launch(kernel, args, sched.tile_elems,
-                                len(node.blocks[0].returns))
-            if raw is not None and sp is not None:
-                sp.args["tiled"] = True
-            if raw is None:
-                raw = kernel(args)
-        else:
-            raw = execute_kernel(kernel, args, "fusion_group")
+                        fused_ops=n_ops):
+        raw = execute_kernel(kernel, [_unwrap(x) for x in inputs],
+                             "fusion_group")
         outputs = [wrap(r) for r in raw]
         out_elems = sum(o.numel for o in outputs if isinstance(o, Tensor))
         profiler.record_launch("fusion_group",
@@ -231,17 +159,15 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
     every trip.
     """
     body = node.blocks[0]
-    sched = active_schedule()
     kernel = _node_kernel(node)
-    unroll = sched.hloop_unroll
+    unroll = active_schedule().hloop_unroll
     kernel_u = None
     if unroll > 1 and max_trip >= unroll:
         kernel_u = _node_kernel(
             node,
             lambda: compile_block_unrolled(body, unroll, name="_hloop_u",
-                                           extra_inputs=free_values(body),
-                                           loop_order=sched.loop_order),
-            variant=("unroll", unroll, sched.loop_order))
+                                           extra_inputs=free_values(body)),
+            variant=("unroll", unroll))
 
     with obs_trace.span("kernel:parallel_loop", cat="exec",
                         max_trip=max_trip) as sp:

@@ -173,9 +173,8 @@ class Kernel(NamedTuple):
     """One operator's row: its kernel and how a launch of it is charged."""
 
     kernel: Callable
-    #: outputs are independent per element (given same-shape array
-    #: operands), so row-slicing every array input and concatenating
-    #: the outputs is exact — what licenses ``tile_elems`` row tiling
+    #: outputs are independent per element and take the (broadcast)
+    #: shape of the operands — what symbolic shape propagation reads
     elementwise: bool = False
     #: flops charged per output element
     flops: int = 1

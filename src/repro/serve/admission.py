@@ -10,12 +10,12 @@ a request may occupy queue space:
 * :class:`AdmissionController` — percentile-driven load shedding.
   When the *recent* queue-wait p99 (:data:`SHED_PERCENTILE`, over a
   sliding window of responses) crosses the deadline budget,
-  low-priority requests (``priority <= shed_priority_max``) are
+  low-priority requests (``priority <= SHED_PRIORITY_MAX``) are
   answered with a ``shed`` response instead of queueing — the
   overload response the paper-stack previously lacked (reject-on-full
-  was the only lever).  Hysteresis (``shed_recover_fraction``) keeps
-  the shedder from flapping: once shedding, it recovers only after
-  the percentile falls below ``budget * fraction``.
+  was the only lever).  Hysteresis (:data:`SHED_RECOVER_FRACTION`)
+  keeps the shedder from flapping: once shedding, it recovers only
+  after the percentile falls below ``budget * fraction``.
 
 Every clock is injectable so tests drive time explicitly (the same
 discipline as :class:`repro.degrade.CircuitBreaker`).
@@ -33,6 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: the recent queue-wait percentile the shedder compares to its budget
 SHED_PERCENTILE = 99.0
+#: only requests at or below this priority are sheddable (lanes above
+#: it ride through overload untouched)
+SHED_PRIORITY_MAX = 0
+#: hysteresis: once shedding, recover only after the percentile falls
+#: below ``budget * SHED_RECOVER_FRACTION``
+SHED_RECOVER_FRACTION = 0.5
 
 
 class TokenBucket:
@@ -138,18 +144,18 @@ class AdmissionController:
                     pending: Optional[int] = None) -> bool:
         """Must a request of this priority be shed right now?
 
-        High-priority requests (above ``shed_priority_max``) are never
+        High-priority requests (above :data:`SHED_PRIORITY_MAX`) are never
         shed and never flip the hysteresis state; sheddable traffic
         trips the shedder when the recent queue-wait percentile
         exceeds the budget and recovers once it falls below
-        ``budget * shed_recover_fraction``.  With ``pending`` given,
+        ``budget * SHED_RECOVER_FRACTION``.  With ``pending`` given,
         shedding stays work-conserving: below ``keep_busy_floor``
         queued requests nothing is shed even while tripped — the
         percentile signal lags the live queue, and a near-empty queue
         already satisfies the wait bound shedding exists to protect.
         """
         if not self.policy.shed_enabled \
-                or priority > self.policy.shed_priority_max:
+                or priority > SHED_PRIORITY_MAX:
             return False
         if pending is not None and pending < self.keep_busy_floor:
             return False
@@ -159,7 +165,7 @@ class AdmissionController:
         p = self.stats.recent_queue_wait_percentile(SHED_PERCENTILE)
         with self._lock:
             if self._shedding:
-                if p < budget * self.policy.shed_recover_fraction:
+                if p < budget * SHED_RECOVER_FRACTION:
                     self._shedding = False
             elif p > budget:
                 self._shedding = True

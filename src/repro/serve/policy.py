@@ -89,20 +89,14 @@ class ServePolicy:
     #: intake with a "tenant quota exceeded" response.
     tenant_rates: Optional[Dict[str, Tuple[float, float]]] = None
     #: percentile-driven load shedding: when the recent queue-wait
-    #: p99 crosses the deadline budget, requests with
-    #: ``priority <= shed_priority_max`` are answered ``shed`` at
-    #: intake instead of queueing (the overload response; reject-on-
-    #: full remains only as the last-resort capacity backstop)
+    #: p99 crosses the deadline budget, requests with ``priority <=
+    #: admission.SHED_PRIORITY_MAX`` are answered ``shed`` at intake
+    #: instead of queueing (the overload response; reject-on-full
+    #: remains only as the last-resort capacity backstop)
     shed_enabled: bool = True
     #: queue-wait budget (s) the percentile is compared against; None
     #: derives ``request_timeout_s - deadline_slack_s``
     shed_budget_s: Optional[float] = None
-    #: only requests at or below this priority are sheddable (lanes
-    #: above it ride through overload untouched)
-    shed_priority_max: int = 0
-    #: hysteresis: once shedding, recover only after the percentile
-    #: falls below ``budget * shed_recover_fraction``
-    shed_recover_fraction: float = 0.5
     #: work-conservation floor: never shed while fewer than this many
     #: requests are pending (the percentile signal lags the live queue,
     #: and shedding into a near-empty server trades goodput for
@@ -142,8 +136,6 @@ class ServePolicy:
                 "dynamic_shapes requires verify='batch' or 'off': the "
                 "solo oracle compares against unpadded inputs and would "
                 "flag padded recurrent state as divergence")
-        if not 0.0 < self.shed_recover_fraction <= 1.0:
-            raise ValueError("shed_recover_fraction must be in (0, 1]")
         if self.shed_window < 1:
             raise ValueError("shed_window must be >= 1")
         if self.shed_min_pending is not None and self.shed_min_pending < 0:

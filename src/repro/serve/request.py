@@ -47,7 +47,7 @@ class Request:
     #: absolute monotonic deadline; None = no deadline
     deadline: Optional[float] = None
     #: scheduling lane: higher priorities drain first and are exempt
-    #: from load shedding above ``ServePolicy.shed_priority_max``
+    #: from load shedding above ``admission.SHED_PRIORITY_MAX``
     priority: int = 0
     #: tenant label for token-bucket quotas and lane-labeled metrics
     tenant: str = "default"

@@ -166,7 +166,7 @@ class Server:
         generation).  ``timeout_s`` overrides the policy deadline
         (``None`` = policy default, ``0`` or negative = no deadline).
         ``priority`` picks the scheduling lane (higher drains first and
-        is exempt from shedding above ``shed_priority_max``);
+        is exempt from shedding above ``admission.SHED_PRIORITY_MAX``);
         ``tenant`` names the token-bucket quota the request draws from.
         """
         wl = get_workload(workload) if isinstance(workload, str) else workload

@@ -142,8 +142,6 @@ class ShardPolicy:
     #: only a slot's first incarnation runs it — respawns come back
     #: healthy
     fault_spec: Optional[dict] = None
-    #: virtual nodes per worker on the hash ring
-    virtual_nodes: int = 64
     #: seed for respawn-backoff jitter
     seed: int = 0
 
@@ -159,8 +157,6 @@ class ShardPolicy:
             raise ValueError("max_respawns must be >= 0")
         if self.redeliver_max < 0:
             raise ValueError("redeliver_max must be >= 0")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
 
 
 class RouterStats:
@@ -227,7 +223,7 @@ class ShardRouter:
     def __init__(self, policy: Optional[ShardPolicy] = None) -> None:
         self.policy = policy or ShardPolicy()
         self.stats = RouterStats()
-        self.ring = HashRing(virtual_nodes=self.policy.virtual_nodes)
+        self.ring = HashRing()
         worker_cfg = {
             "store_root": self.policy.store_root,
             "policy": dict(self.policy.worker_policy or {}),

@@ -2,12 +2,11 @@
 
 The pipeline lowers every fusion group one fixed way; this package adds
 the missing degree of freedom — a :class:`~repro.tune.schedule.Schedule`
-describing *how* the lowered kernels execute (statement order, runtime
-tiling of elementwise groups, horizontal-loop unrolling) — plus an
-offline seeded search (:func:`~repro.tune.search.tune_workload`) that
-ranks candidates by measured wall clock, re-measures the survivors
-best-of-n, proves each one bit-exact against the default schedule, and
-persists the winner in a :class:`~repro.tune.db.TuningDB` keyed by
+describing *how* the lowered kernels execute (horizontal-loop
+unrolling) — plus an offline search (:func:`~repro.tune.search.
+tune_workload`) that measures every schedule the compiled graph can
+read best-of-n, proves each one bit-exact against the default schedule,
+and persists the winner in a :class:`~repro.tune.db.TuningDB` keyed by
 ``(workload, shape key)``.
 
 The serve hot path only ever *reads* the database
@@ -23,13 +22,11 @@ cycle here would break interpreter import.  :mod:`repro.tune.search`
 
 from .db import TuningDB, tuning_key, shape_key_text
 from .schedule import (DEFAULT_SCHEDULE, SCHEDULE_SPACE, Schedule,
-                       active_schedule, mutate_schedule, random_schedule,
-                       schedule_scope, validate_schedule)
+                       active_schedule, schedule_scope, validate_schedule)
 
 __all__ = [
     "Schedule", "DEFAULT_SCHEDULE", "SCHEDULE_SPACE",
-    "active_schedule", "schedule_scope",
-    "random_schedule", "mutate_schedule", "validate_schedule",
+    "active_schedule", "schedule_scope", "validate_schedule",
     "TuningDB", "tuning_key", "shape_key_text",
     "tune_workload", "TuneResult",
 ]

@@ -31,7 +31,7 @@ __all__ = ["TUNING_DB_VERSION", "TuningDB", "tuning_key",
            "shape_key_text", "serving_key", "serving_schedule"]
 
 #: bump on any incompatible change to the record layout
-TUNING_DB_VERSION = 2
+TUNING_DB_VERSION = 3
 
 
 def shape_key_text(signature) -> str:

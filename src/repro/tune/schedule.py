@@ -1,76 +1,54 @@
 """The schedule record and its knob space.
 
-A :class:`Schedule` pins every choice the backend makes when it builds
-and launches a kernel that the default lowering leaves implicit:
-
-``loop_order``
-    Statement order inside a generated kernel body.  ``"program"``
-    emits nodes as the fusion pass left them; ``"consumer"`` emits a
-    depth-first producer->consumer order (each value is computed as
-    late as possible, immediately before its first use), shortening
-    live ranges.  Pure reordering of independent statements — bit-exact
-    by construction.
-
-``tile_elems``
-    Runtime row-tiling of *elementwise-safe* fusion groups: the group
-    kernel is applied to blocks of ~``tile_elems`` elements along axis
-    0 and the per-tile outputs concatenated, trading Python call
-    overhead for cache locality.  ``0`` disables tiling.  Groups that
-    are not elementwise-safe (views, matmuls, reductions, captured
-    array constants, mismatched operand shapes) ignore the knob — the
-    guard is checked per launch, so the knob can never change results.
+A :class:`Schedule` pins the one choice the backend makes when it
+builds a kernel that the default lowering leaves implicit:
 
 ``hloop_unroll``
     How many iterations of a ``horizontal`` ``prim::Loop`` one compiled
     kernel call executes (the body is emitted ``u`` times with carried
     state threaded through, early-exiting when the loop condition goes
-    false).  Cuts per-iteration Python dispatch on real wall-clock.
+    false).  Cuts per-iteration Python dispatch on real wall-clock.  A
+    graph without a horizontal loop has nothing that reads it: every
+    schedule runs the default program there.
 
 Schedules are *values*: hashable, normalizable, with a stable
-``schedule_id`` used as the kernel-variant cache key and the tuning-DB
-record id.  This module is a leaf — it must not import the backend,
-the harness, or anything else that could cycle back into kernel code.
+``schedule_id`` used as the tuning-DB record id.  This module is a
+leaf — it must not import the backend, the harness, or anything else
+that could cycle back into kernel code.
 """
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = [
     "Schedule", "DEFAULT_SCHEDULE", "SCHEDULE_SPACE",
-    "active_schedule", "schedule_scope",
-    "random_schedule", "mutate_schedule", "validate_schedule",
+    "active_schedule", "schedule_scope", "validate_schedule",
 ]
 
 #: the legal value set of every knob (the search space)
 SCHEDULE_SPACE: Dict[str, Tuple] = {
-    "loop_order": ("program", "consumer"),
-    "tile_elems": (0, 4096, 16384, 65536, 262144),
     "hloop_unroll": (1, 2, 4, 8),
 }
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """One point in the schedule space (all knobs at defaults = the
-    fixed lowering every compile used before tuning existed)."""
+    """One point in the schedule space (the default = the fixed
+    lowering every compile used before tuning existed)."""
 
-    loop_order: str = "program"
-    tile_elems: int = 0
     hloop_unroll: int = 1
 
     @property
     def schedule_id(self) -> str:
-        """Stable, human-readable identity ("default" for the default
-        schedule; knob-derived otherwise)."""
+        """Stable, human-readable identity: "default", else
+        ``u<factor>``."""
         if self == DEFAULT_SCHEDULE:
             return "default"
-        return (f"o{self.loop_order[0]}-t{self.tile_elems}"
-                f"-u{self.hloop_unroll}")
+        return f"u{self.hloop_unroll}"
 
     @property
     def is_default(self) -> bool:
@@ -102,22 +80,6 @@ def validate_schedule(sched: Schedule) -> None:
             raise ValueError(
                 f"schedule knob {knob}={value!r} outside the space "
                 f"{allowed}")
-
-
-def random_schedule(rng: random.Random) -> Schedule:
-    """A uniformly random point of the space."""
-    return Schedule(**{knob: rng.choice(allowed)
-                       for knob, allowed in SCHEDULE_SPACE.items()})
-
-
-def mutate_schedule(sched: Schedule, rng: random.Random) -> Schedule:
-    """Greedy-mutation move: re-draw exactly one knob (to a different
-    value when the knob has any alternative)."""
-    knob = rng.choice(sorted(SCHEDULE_SPACE))
-    allowed = [v for v in SCHEDULE_SPACE[knob] if v != getattr(sched, knob)]
-    if not allowed:
-        return sched
-    return replace(sched, **{knob: rng.choice(allowed)})
 
 
 #: The ambient schedule consulted by the fusion runtime at kernel-build

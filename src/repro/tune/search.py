@@ -1,15 +1,16 @@
-"""Seeded schedule search: random exploration + greedy mutation.
+"""Schedule search over exactly the points a compiled graph can read.
 
-AutoTVM-shaped, scaled to this stack: candidates are points of
-:data:`~repro.tune.schedule.SCHEDULE_SPACE`, ranked in stage one by a
-single wall-clock sample, then the survivors are re-measured
-best-of-``n`` in stage two.  The analytical cost model has no say: the
-profile it prices is the same for every schedule (tiling and unrolling
-each still record one launch with the same bytes and FLOPs), so it
-cannot rank them.  Every candidate that gets measured is also checked
-*bit-exact* against the default schedule's outputs — a divergent
-candidate is disqualified on the spot (and counted), so a tuning bug
-can cost speed but never correctness.
+The space (:data:`~repro.tune.schedule.SCHEDULE_SPACE`) is small enough
+to measure whole, and almost none of it matters on most graphs: the one
+knob, ``hloop_unroll``, is read only by a ``horizontal`` ``prim::Loop``.
+So :func:`tune_workload` compiles the graph once and derives the
+candidates from it — every unroll factor when it has a horizontal loop,
+the default alone when it has none (recorded without measuring
+anything: every schedule runs the same program there).  Each candidate
+is measured best-of-``n`` and checked *bit-exact* against the default
+schedule's outputs — a divergent candidate is disqualified on the spot
+(and counted), so a tuning bug can cost speed but never correctness.
+The fastest exact candidate wins.
 
 The winner (or the default schedule, when nothing beat it — recording
 the default too is what lets warm serve traffic *hit* instead of miss)
@@ -21,9 +22,8 @@ provably spent zero time tuning.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import repro.runtime as rt
 from ..eval import run_workload
@@ -32,24 +32,22 @@ from ..models import get_workload
 from ..obs import trace as obs_trace
 from ..pipelines import get_pipeline
 from .db import TuningDB, serving_key
-from .schedule import (DEFAULT_SCHEDULE, Schedule, mutate_schedule,
-                       random_schedule, schedule_scope)
+from .schedule import (DEFAULT_SCHEDULE, SCHEDULE_SPACE, Schedule,
+                       schedule_scope)
 
-__all__ = ["Candidate", "TuneResult", "tune_workload"]
+__all__ = ["Candidate", "TuneResult", "candidate_schedules",
+           "tune_workload"]
 
 
 @dataclass
 class Candidate:
-    """One measured point of the schedule space."""
+    """One point of the schedule space the graph can read."""
 
     schedule: Schedule
-    #: stage-one single-sample wall-clock (the stage-one rank)
-    wall_us: float
     #: bit-exact against the default schedule's outputs
-    exact: bool
-    #: best-of-n wall-clock from stage two (NaN if not a finalist)
-    best_wall_us: float = float("nan")
-    measured: bool = False
+    exact: bool = True
+    #: best-of-n wall-clock (None when nothing was measured)
+    best_wall_us: Optional[float] = None
 
     @property
     def schedule_id(self) -> str:
@@ -58,11 +56,8 @@ class Candidate:
     def to_dict(self) -> dict:
         return {"schedule_id": self.schedule_id,
                 "schedule": self.schedule.to_dict(),
-                "wall_us": self.wall_us,
                 "exact": self.exact,
-                "measured": self.measured,
-                "best_wall_us": None if self.best_wall_us
-                != self.best_wall_us else self.best_wall_us}
+                "best_wall_us": self.best_wall_us}
 
 
 @dataclass
@@ -75,9 +70,10 @@ class TuneResult:
     seq_len: int
     shape_key: str
     key: tuple
-    default_wall_us: float
+    #: None when the graph left nothing to measure
+    default_wall_us: Optional[float]
     best_schedule: Schedule
-    best_wall_us: float
+    best_wall_us: Optional[float]
     #: default best-of-n wall divided by winner best-of-n wall
     speedup: float
     #: True when a non-default schedule beat the default
@@ -106,26 +102,32 @@ class TuneResult:
                 "db_path": self.db_path}
 
 
+def candidate_schedules(graph) -> Tuple[Schedule, ...]:
+    """The schedules ``graph`` can tell apart: every space point when it
+    has a horizontal loop (the only reader of ``hloop_unroll``), else
+    the default alone."""
+    if graph is None or not any(
+            n.op == "prim::Loop" and n.attrs.get("horizontal")
+            for n in graph.walk()):
+        return (DEFAULT_SCHEDULE,)
+    return tuple(Schedule(hloop_unroll=u)
+                 for u in SCHEDULE_SPACE["hloop_unroll"])
+
+
 def tune_workload(workload: str, pipeline: str = "tensorssa",
                   batch_size: int = 4, seq_len: int = 64, seed: int = 0,
-                  n_random: int = 8, n_mutation: int = 6,
-                  top_k: int = 3, best_of: int = 3,
-                  db: Optional[TuningDB] = None,
+                  best_of: int = 3, db: Optional[TuningDB] = None,
                   dynamic_shapes: bool = False) -> TuneResult:
-    """Search the schedule space for one (workload, shapes).
+    """Measure every schedule the compiled graph of one (workload,
+    shapes) can read and keep the fastest bit-exact one.
 
-    Stage one (``tune:search`` span): the default schedule plus
-    ``n_random`` random points plus ``n_mutation`` greedy mutations of
-    the fastest-so-far each run once, ranked by that one wall-clock
-    sample and oracle-checked bit-exact against the default outputs.
-    Stage two (``tune:measure`` spans): the ``top_k`` exact survivors
-    and the default re-measure best-of-``best_of``; lowest wall-clock
-    wins.
-
-    The result is recorded into ``db`` (when given) whether or not the
-    search improved on the default — serve lookups should always hit.
+    Each candidate (:func:`candidate_schedules`, the default first) is
+    measured best-of-``best_of``, one ``tune:measure`` span per sample,
+    in ``best_of`` rounds that each sample every candidate once;
+    ``seed`` drives the inputs.  The result is recorded into ``db`` (when given)
+    whether or not a candidate beat the default — serve lookups should
+    always hit.
     """
-    rng = random.Random(seed)
     wl = get_workload(workload)
     args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len,
                           seed=seed)
@@ -139,77 +141,47 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
     fetched = fetch(get_pipeline(pipeline), wl, args, cache=cache,
                     dynamic_shapes=dynamic_shapes)
     key = serving_key(workload, fetched.signature, fetched.family)
-
-    def measure(sched: Schedule, repeats: int):
-        with schedule_scope(sched):
-            return run_workload(
-                workload, pipeline, batch_size=batch_size,
-                seq_len=seq_len, seed=seed, measure_wallclock=True,
-                repeats=repeats, cache=cache,
-                dynamic_shapes=dynamic_shapes)
+    candidates = [Candidate(s)
+                  for s in candidate_schedules(fetched.compiled.graph)]
 
     if db is not None:
         db.record_search()
 
     divergences = 0
-    candidates: List[Candidate] = []
-    seen = {DEFAULT_SCHEDULE}
-    with obs_trace.span("tune:search", cat="tune", workload=workload,
-                        seed=seed):
-        base = measure(DEFAULT_SCHEDULE, repeats=1)
-        default_cand = Candidate(DEFAULT_SCHEDULE, base.wallclock_s * 1e6,
-                                 exact=True)
-        candidates.append(default_cand)
-
-        def evaluate(sched: Schedule) -> Optional[Candidate]:
-            nonlocal divergences
-            if sched in seen:
-                return None
-            seen.add(sched)
-            run = measure(sched, repeats=1)
-            exact = rt.bit_exact(run.outputs, base.outputs)
-            if not exact:
-                divergences += 1
-            cand = Candidate(sched, run.wallclock_s * 1e6, exact=exact)
-            candidates.append(cand)
-            return cand
-
-        for _ in range(n_random * 4):  # bounded draw for n uniques
-            if len(candidates) > n_random:
-                break
-            evaluate(random_schedule(rng))
-        for _ in range(n_mutation):
-            exact_cands = [c for c in candidates if c.exact]
-            parent = min(exact_cands, key=lambda c: c.wall_us)
-            mutant = mutate_schedule(parent.schedule, rng)
-            for _ in range(8):  # re-draw around already-seen points
-                if mutant not in seen:
-                    break
-                mutant = mutate_schedule(parent.schedule, rng)
-            evaluate(mutant)
-
-    finalists = sorted((c for c in candidates if c.exact
-                        and not c.schedule.is_default),
-                       key=lambda c: c.wall_us)[:top_k]
-    for cand in [default_cand] + finalists:
-        with obs_trace.span("tune:measure", cat="tune",
-                            workload=workload,
-                            schedule=cand.schedule_id, n=best_of):
-            run = measure(cand.schedule, repeats=best_of)
-            if not cand.schedule.is_default \
-                    and not rt.bit_exact(run.outputs, base.outputs):
+    base_outputs = None
+    # rounds, not per-candidate blocks: a process's wall clock drifts
+    # (warm-up, heap layout), and each round samples every candidate
+    rounds = best_of if len(candidates) > 1 else 0
+    for round_ in range(rounds):
+        for cand in candidates:
+            if not cand.exact:
+                continue
+            with obs_trace.span("tune:measure", cat="tune",
+                                workload=workload,
+                                schedule=cand.schedule_id, round=round_), \
+                    schedule_scope(cand.schedule):
+                run = run_workload(
+                    workload, pipeline, batch_size=batch_size,
+                    seq_len=seq_len, seed=seed, measure_wallclock=True,
+                    repeats=1, cache=cache,
+                    dynamic_shapes=dynamic_shapes)
+            if base_outputs is None:
+                base_outputs = run.outputs  # the default runs first
+            elif not rt.bit_exact(run.outputs, base_outputs):
                 divergences += 1
                 cand.exact = False
+                cand.best_wall_us = None
                 continue
-            cand.best_wall_us = run.wallclock_s * 1e6
-            cand.measured = True
+            wall_us = run.wallclock_s * 1e6
+            cand.best_wall_us = wall_us if cand.best_wall_us is None \
+                else min(cand.best_wall_us, wall_us)
 
-    measured = [c for c in finalists if c.measured]
-    winner = min(measured, key=lambda c: c.best_wall_us,
-                 default=default_cand)
-    improved = winner.measured and not winner.schedule.is_default \
-        and winner.best_wall_us < default_cand.best_wall_us
-    best = winner if improved else default_cand
+    default_cand = candidates[0]
+    best = min((c for c in candidates if c.best_wall_us is not None),
+               key=lambda c: c.best_wall_us, default=default_cand)
+    improved = not best.schedule.is_default
+    speedup = default_cand.best_wall_us / best.best_wall_us \
+        if improved else 1.0
 
     result = TuneResult(
         workload=workload, pipeline=pipeline,
@@ -218,14 +190,13 @@ def tune_workload(workload: str, pipeline: str = "tensorssa",
         default_wall_us=default_cand.best_wall_us,
         best_schedule=best.schedule,
         best_wall_us=best.best_wall_us,
-        speedup=default_cand.best_wall_us / max(best.best_wall_us, 1e-9),
-        improved=improved, divergences=divergences,
+        speedup=speedup, improved=improved, divergences=divergences,
         candidates=candidates)
     if db is not None:
         result.db_path = db.put(key, best.schedule, meta={
             "workload": workload, "pipeline": pipeline,
             "default_wall_us": default_cand.best_wall_us,
             "best_wall_us": best.best_wall_us,
-            "speedup": result.speedup,
+            "speedup": speedup,
             "divergences": divergences})
     return result

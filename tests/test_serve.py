@@ -369,7 +369,7 @@ class TestTokenBucket:
 
 class TestAdmissionController:
     def test_hysteresis_trip_and_recover(self):
-        pol = ServePolicy(shed_budget_s=1.0, shed_recover_fraction=0.5)
+        pol = ServePolicy(shed_budget_s=1.0)
         stub = _StubStats()
         ctrl = AdmissionController(pol, stub)
         stub.p = 0.5
@@ -383,7 +383,7 @@ class TestAdmissionController:
         assert not ctrl.shedding
 
     def test_high_priority_never_shed(self):
-        pol = ServePolicy(shed_budget_s=0.1, shed_priority_max=0)
+        pol = ServePolicy(shed_budget_s=0.1)
         stub = _StubStats(p=10.0)
         ctrl = AdmissionController(pol, stub)
         assert ctrl.should_shed(0)
@@ -770,7 +770,7 @@ class TestQuotasAndShedding:
 
     def test_shed_then_recover_through_server(self):
         pol = ServePolicy(workers=1, shed_budget_s=0.5, shed_window=8,
-                          shed_priority_max=0, shed_min_pending=0)
+                          shed_min_pending=0)
         with Server(pol) as srv:
             # simulate a queue-wait spike crossing the budget
             for _ in range(8):

@@ -329,10 +329,11 @@ class TestBackwardArtifacts:
         family's backward artifact, restored through the store, served
         at a *different* member of the family under a tuned non-default
         schedule read from a TuningDB — bit-exact with the interpreted
-        reference backward of the eager program."""
+        reference backward of the eager program.  lstm's backward has a
+        horizontal loop, so the tuned schedule runs a different kernel,
+        not only a different id."""
         wl, pipe = get_workload("lstm"), get_pipeline("tensorssa")
-        sched = Schedule(loop_order="consumer", tile_elems=4096,
-                         hloop_unroll=2)
+        sched = Schedule(hloop_unroll=2)
         cache = CompileCache()
         run_workload("lstm", "tensorssa", cache=cache, **self.RUN)
         family = cache.families.all_families()[0]
@@ -347,6 +348,11 @@ class TestBackwardArtifacts:
         assert served.cache_hit and served.family_outcome == "hit"
         assert served.tuned and served.schedule_id == sched.schedule_id
         assert warm.snapshot().misses == 0 and db.searches == 0
+        (_, restored, _), = warm.entries()
+        loops = [n for n in restored.graph.walk()
+                 if n.attrs.get("horizontal")]
+        assert loops and all(list(n.attrs.get("kernel_variants", {}))
+                             == [("unroll", 2)] for n in loops)
 
         args = wl.make_inputs(batch_size=3, seq_len=12, seed=0)
         reference = fetch(pipe, wl, args, cache=CompileCache(),

@@ -146,7 +146,6 @@ class TestShardPolicy:
         {"heartbeat_interval_s": 0.5, "heartbeat_timeout_s": 0.5},
         {"max_respawns": -1},
         {"redeliver_max": -1},
-        {"virtual_nodes": 0},
     ])
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):

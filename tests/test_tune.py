@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
-from repro.backend import fusion_runtime, run_graph
+from repro.backend import run_graph
 from repro.backend.codegen import (CodegenError, _const_literal,
-                                   _ordered_nodes, compile_block,
-                                   compile_block_unrolled)
-from repro.backend.fusion_runtime import _tiled_launch
+                                   compile_block, compile_block_unrolled)
 from repro.errors import CompileError, DeadlineExceeded
 from repro.eval.cache import CompileCache, shape_signature
 from repro.eval.harness import run_workload
@@ -28,10 +26,10 @@ from repro.passes import FuserConfig, dce, fuse, parallelize_loops
 from repro.serve import ServePolicy, Server
 from repro.tensorssa import convert_to_tensorssa
 from repro.tune import (DEFAULT_SCHEDULE, SCHEDULE_SPACE, Schedule,
-                        TuningDB, active_schedule, mutate_schedule,
-                        random_schedule, schedule_scope, shape_key_text,
-                        tune_workload, tuning_key)
+                        TuningDB, active_schedule, schedule_scope,
+                        shape_key_text, tune_workload, tuning_key)
 from repro.tune.db import serving_key
+from repro.tune.search import candidate_schedules
 
 ALL_WORKLOADS = ("attention", "fcos", "lstm", "nasrnn", "seq2seq",
                  "ssd", "yolact", "yolov3")
@@ -57,37 +55,27 @@ class TestSchedule:
         assert active_schedule() is DEFAULT_SCHEDULE
 
     def test_round_trip(self):
-        s = Schedule(loop_order="consumer", tile_elems=4096,
-                     hloop_unroll=2)
+        s = Schedule(hloop_unroll=2)
         assert not s.is_default
-        assert s.schedule_id == "oc-t4096-u2"
+        assert s.schedule_id == "u2"
         assert Schedule.from_dict(s.to_dict()) == s
+        assert Schedule(hloop_unroll=1).schedule_id == "default"
+
+    def test_space_is_the_unroll_factor_alone(self):
+        assert SCHEDULE_SPACE == {"hloop_unroll": (1, 2, 4, 8)}
 
     def test_from_dict_rejects_unknown_knob(self):
         with pytest.raises(ValueError):
-            Schedule.from_dict({"loop_order": "program",
-                                "warp_size": 32})
+            Schedule.from_dict({"hloop_unroll": 2, "warp_size": 32})
+        with pytest.raises(ValueError):  # a knob this space dropped
+            Schedule.from_dict({"hloop_unroll": 2, "tile_elems": 0})
 
     def test_from_dict_rejects_out_of_space_value(self):
         with pytest.raises(ValueError):
-            Schedule.from_dict({"tile_elems": 12345})
-        with pytest.raises(ValueError):
-            Schedule.from_dict({"loop_order": "zigzag"})
-
-    def test_random_and_mutate_stay_in_space(self):
-        import random
-        rng = random.Random(7)
-        for _ in range(50):
-            s = random_schedule(rng)
-            m = mutate_schedule(s, rng)
-            for cand in (s, m):
-                d = cand.to_dict()
-                for knob, values in SCHEDULE_SPACE.items():
-                    assert d[knob] in values
-            assert m != s  # mutation re-draws exactly one knob
+            Schedule.from_dict({"hloop_unroll": 3})
 
     def test_scope_restores(self):
-        s = Schedule(tile_elems=4096)
+        s = Schedule(hloop_unroll=4)
         with schedule_scope(s):
             assert active_schedule() is s
             with schedule_scope(None):  # passthrough
@@ -136,100 +124,11 @@ class TestConstLiteral:
             pytest.skip("no constant in the fused body")
         kernel = compile_block(group.blocks[0], name="_k")
         assert "_c0" in kernel.__source__
-        assert not kernel.__elementwise_safe__
         # the captured object is threaded through untouched: the add
         # receives it, so numpy raises a *type* error, not a NameError
         # from broken generated source
         with pytest.raises(TypeError):
             kernel([np.ones(2, np.float32)])
-
-
-class TestConsumerOrder:
-    def _group(self, fn):
-        g = clone_graph(script(fn).graph)
-        fuse(g, FuserConfig(name="t", fuse_views=True))
-        return g.nodes_of("prim::FusionGroup")[0]
-
-    def test_permutation_respects_def_use(self):
-        def f(x, y):
-            a = x + y
-            b = x * 2.0
-            return a.sigmoid() + b
-        block = self._group(f).blocks[0]
-        ordered = _ordered_nodes(block, "consumer")
-        assert sorted(map(id, ordered)) == \
-            sorted(map(id, block.nodes))
-        pos = {id(n): i for i, n in enumerate(ordered)}
-        producer = {id(out): n for n in block.nodes for out in n.outputs}
-        for node in block.nodes:
-            for v in node.inputs:
-                dep = producer.get(id(v))
-                if dep is not None:
-                    assert pos[id(dep)] < pos[id(node)]
-
-    def test_consumer_kernel_bit_exact(self):
-        def f(x, y):
-            a = x + y
-            b = x * 2.0
-            return a.sigmoid() + b
-        block = self._group(f).blocks[0]
-        args = [np.random.default_rng(0).standard_normal(
-            (4, 3)).astype(np.float32) for _ in range(2)]
-        default = compile_block(block, name="_d")(list(args))
-        consumer = compile_block(block, name="_c",
-                                 loop_order="consumer")(list(args))
-        _bit_exact(consumer, default)
-
-    def test_unknown_order_rejected(self):
-        def f(x):
-            return x + 1.0 + 2.0
-        block = self._group(f).blocks[0]
-        with pytest.raises(CodegenError):
-            compile_block(block, loop_order="zigzag")
-
-
-# -- tiled launches ------------------------------------------------------
-
-
-class TestTiledLaunch:
-    @staticmethod
-    def _add(args):
-        a, b = args
-        return (a + b, a * b)
-
-    def test_tiled_matches_whole_launch(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((16, 4)).astype(np.float32)
-        b = rng.standard_normal((16, 4)).astype(np.float32)
-        tiled = _tiled_launch(self._add, [a, b], tile_elems=8,
-                              n_returns=2)
-        assert tiled is not None
-        _bit_exact(tiled, self._add([a, b]))
-
-    def test_scalar_extra_arg_not_tiled(self):
-        a = np.ones((16, 4), np.float32)
-        out = _tiled_launch(lambda args: (args[0] + args[1],),
-                            [a, 2.0], tile_elems=8, n_returns=1)
-        # the scalar rides along whole; array rows are tiled
-        assert out is not None
-        _bit_exact(out, [a + 2.0])
-
-    @pytest.mark.parametrize("raw", [
-        [np.ones((16, 4), np.float32), np.ones((8, 4), np.float32)],
-        [np.ones(16, np.float32)],       # ndim < 2
-        [2.0, 3],                        # no arrays at all
-        [np.ones((2, 4), np.float32)],   # fits in one tile
-    ])
-    def test_unsafe_inputs_fall_back(self, raw):
-        assert _tiled_launch(lambda args: (args[0],), raw,
-                             tile_elems=16, n_returns=1) is None
-
-    def test_non_row_shaped_output_falls_back(self):
-        # a reduction sneaking through static analysis is caught on
-        # the first tile: output rows != tile rows -> whole launch
-        a = np.ones((16, 4), np.float32)
-        assert _tiled_launch(lambda args: (args[0].sum(axis=0),), [a],
-                             tile_elems=8, n_returns=1) is None
 
 
 # -- unrolled horizontal-loop kernels ------------------------------------
@@ -298,8 +197,7 @@ class TestUnrolledKernel:
             assert kernel.__stores_into__ == (0,)
             assert kernel.__assigns__["clones"] == []
         for trips in (0, 5):
-            with schedule_scope(Schedule(hloop_unroll=2,
-                                         loop_order="consumer")):
+            with schedule_scope(sched):
                 got = run_graph(g, [x.clone(), trips])[0]
             _bit_exact([got], [f(x.clone(), trips)])
 
@@ -349,7 +247,7 @@ class TestLoopAccounting:
 class TestTuningDB:
     def test_round_trip_across_instances(self, tmp_path):
         key = tuning_key("lstm", "((4,16,8),)")
-        sched = Schedule(loop_order="consumer", tile_elems=16384)
+        sched = Schedule(hloop_unroll=8)
         TuningDB(tmp_path).put(key, sched, meta={"speedup": 1.2})
         fresh = TuningDB(tmp_path)
         assert fresh.best(key) == sched
@@ -369,7 +267,7 @@ class TestTuningDB:
     def test_corrupt_entry_rejected_to_default(self, tmp_path):
         db = TuningDB(tmp_path)
         key = tuning_key("lstm", "x")
-        path = db.put(key, Schedule(tile_elems=4096))
+        path = db.put(key, Schedule(hloop_unroll=4))
         with open(path, "w") as fh:
             fh.write("{ not json")
         db.invalidate(key)
@@ -379,7 +277,7 @@ class TestTuningDB:
     def test_stale_version_rejected(self, tmp_path):
         db = TuningDB(tmp_path)
         key = tuning_key("lstm", "x")
-        path = db.put(key, Schedule(tile_elems=4096))
+        path = db.put(key, Schedule(hloop_unroll=4))
         record = json.load(open(path))
         record["version"] = 999
         json.dump(record, open(path, "w"))
@@ -393,7 +291,7 @@ class TestTuningDB:
         db = TuningDB(tmp_path)
         key = tuning_key("lstm", "x")
         other = tuning_key("lstm", "y")
-        path = db.put(key, Schedule(tile_elems=4096))
+        path = db.put(key, Schedule(hloop_unroll=4))
         record = json.load(open(path))
         record["key"] = list(other)
         json.dump(record, open(path, "w"))
@@ -403,9 +301,9 @@ class TestTuningDB:
     def test_out_of_space_schedule_rejected(self, tmp_path):
         db = TuningDB(tmp_path)
         key = tuning_key("lstm", "x")
-        path = db.put(key, Schedule(tile_elems=4096))
+        path = db.put(key, Schedule(hloop_unroll=4))
         record = json.load(open(path))
-        record["schedule"]["tile_elems"] = 777  # not in SCHEDULE_SPACE
+        record["schedule"]["hloop_unroll"] = 3  # not in SCHEDULE_SPACE
         json.dump(record, open(path, "w"))
         db.invalidate(key)
         assert db.best(key) is None
@@ -415,7 +313,7 @@ class TestTuningDB:
 def _db_put_worker(root, i):
     db = TuningDB(root)
     key = tuning_key(f"wl{i}", f"shape{i}")
-    db.put(key, Schedule(tile_elems=4096), meta={"i": i})
+    db.put(key, Schedule(hloop_unroll=4), meta={"i": i})
     shared = tuning_key("shared", "s")
     db.put(shared, Schedule(hloop_unroll=2), meta={"i": i})
     return db.best(key) is not None
@@ -433,7 +331,7 @@ class TestTuningDBConcurrency:
         assert len(db.keys()) == n + 1
         for i in range(n):
             key = tuning_key(f"wl{i}", f"shape{i}")
-            assert db.best(key) == Schedule(tile_elems=4096)
+            assert db.best(key) == Schedule(hloop_unroll=4)
         # the contended key: last atomic replace wins, file never torn
         shared = db.best(tuning_key("shared", "s"))
         assert shared == Schedule(hloop_unroll=2)
@@ -448,9 +346,7 @@ class TestScheduleOracle:
         cache = CompileCache()
         base = run_workload(workload, "tensorssa", batch_size=1,
                             seq_len=8, seed=0, cache=cache)
-        for sched in (Schedule(loop_order="consumer", tile_elems=4096,
-                               hloop_unroll=2),
-                      Schedule(tile_elems=65536, hloop_unroll=4)):
+        for sched in (Schedule(hloop_unroll=2), Schedule(hloop_unroll=8)):
             with schedule_scope(sched):
                 run = run_workload(workload, "tensorssa", batch_size=1,
                                    seq_len=8, seed=0, cache=cache)
@@ -463,19 +359,17 @@ class TestScheduleOracle:
                                                          seq_len):
         """11 / 31 / 23 trips leave a remainder under every factor and
         ``seq_len=1`` is attention's zero-trip loop; the store analysis
-        runs on the order each variant emits."""
+        runs on every unrolled body."""
         cache = CompileCache()
         run = dict(batch_size=1, seq_len=seq_len, seed=0)
         eager = run_workload(workload, "eager", **run)
         base = run_workload(workload, "tensorssa", cache=cache, **run)
         _bit_exact(base.outputs, eager.outputs)
         for unroll in (2, 4, 8):
-            for order in ("program", "consumer"):
-                with schedule_scope(Schedule(loop_order=order,
-                                             hloop_unroll=unroll)):
-                    got = run_workload(workload, "tensorssa", cache=cache,
-                                       **run)
-                _bit_exact(got.outputs, eager.outputs)
+            with schedule_scope(Schedule(hloop_unroll=unroll)):
+                got = run_workload(workload, "tensorssa", cache=cache,
+                                   **run)
+            _bit_exact(got.outputs, eager.outputs)
         (_, compiled, _), = cache.entries()
         loops = [n for n in compiled.graph.walk()
                  if n.attrs.get("horizontal")]
@@ -483,7 +377,7 @@ class TestScheduleOracle:
         for loop in loops:
             kernels = [loop.attrs["kernel"],
                        *loop.attrs.get("kernel_variants", {}).values()]
-            assert len(kernels) == (1 if seq_len == 1 else 7)
+            assert len(kernels) == (1 if seq_len == 1 else 4)
             for kernel in kernels:
                 assert kernel.__stores_into__ == (0,)
                 assert kernel.__assigns__["clones"] == []
@@ -491,45 +385,44 @@ class TestScheduleOracle:
 
 
 class TestScheduleSpace:
-    #: the eight workloads at the oracle's shape, plus lstm at a batch
-    #: whose (batch, 256) carried-state group outgrows the largest tile
-    RUNS = [(w, dict(batch_size=1, seq_len=8)) for w in ALL_WORKLOADS] \
-        + [("lstm", dict(batch_size=1025, seq_len=2))]
-
-    def test_every_value_is_read_by_some_kernel(self, monkeypatch):
+    def test_every_value_is_read_by_some_kernel(self):
         """A knob value no kernel reads only re-measures a program the
         search already measured.  Read means: the default kernel (the
-        default value), a compiled ``kernel_variants`` entry (order,
-        unroll) or a launch that actually tiled (``tile_elems``)."""
+        default value) or a compiled ``kernel_variants`` entry."""
         read = {knob: {getattr(DEFAULT_SCHEDULE, knob)}
                 for knob in SCHEDULE_SPACE}
-        tiled_launch = fusion_runtime._tiled_launch
-
-        def recording_tiled_launch(kernel, raw, tile_elems, n_returns):
-            out = tiled_launch(kernel, raw, tile_elems, n_returns)
-            if out is not None:
-                read["tile_elems"].add(tile_elems)
-            return out
-
-        monkeypatch.setattr(fusion_runtime, "_tiled_launch",
-                            recording_tiled_launch)
-        for workload, shape in self.RUNS:
+        for workload in ALL_WORKLOADS:
             cache = CompileCache()
             for knob, values in SCHEDULE_SPACE.items():
                 for value in values:
                     with schedule_scope(Schedule(**{knob: value})):
                         run_workload(workload, "tensorssa", cache=cache,
-                                     **shape)
+                                     batch_size=1, seq_len=8)
             (_, compiled, _), = cache.entries()
             for node in compiled.graph.walk():
-                for variant in node.attrs.get("kernel_variants", {}):
-                    if variant[0] == "order":
-                        read["loop_order"].add(variant[1])
-                    elif variant[0] == "unroll":
-                        read["hloop_unroll"].add(variant[1])
-                        read["loop_order"].add(variant[2])
+                for kind, factor in node.attrs.get("kernel_variants", {}):
+                    assert kind == "unroll"
+                    read["hloop_unroll"].add(factor)
         for knob, values in SCHEDULE_SPACE.items():
             assert set(values) == read[knob], knob
+
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS)
+    def test_candidates_are_what_the_graph_can_read(self, workload):
+        """Every space point on a graph with a horizontal loop; the
+        default alone on one without, where no schedule compiles a
+        different kernel."""
+        cache = CompileCache()
+        run_workload(workload, "tensorssa", cache=cache, batch_size=1,
+                     seq_len=8)
+        (_, compiled, _), = cache.entries()
+        horizontal = any(n.attrs.get("horizontal")
+                         for n in compiled.graph.walk())
+        assert horizontal == (workload in ("attention", "fcos", "ssd",
+                                           "yolov3"))
+        expected = tuple(Schedule(hloop_unroll=u)
+                         for u in SCHEDULE_SPACE["hloop_unroll"]) \
+            if horizontal else (DEFAULT_SCHEDULE,)
+        assert candidate_schedules(compiled.graph) == expected
 
 
 # -- search --------------------------------------------------------------
@@ -539,11 +432,12 @@ class TestSearch:
     def test_small_search_records_winner(self, tmp_path):
         db = TuningDB(tmp_path)
         result = tune_workload("attention", batch_size=1, seq_len=8,
-                               seed=0, n_random=3, n_mutation=1,
-                               top_k=1, best_of=2, db=db)
+                               seed=0, best_of=2, db=db)
         assert result.divergences == 0
-        assert len(result.candidates) >= 4  # default + explored
-        assert all(c.exact for c in result.candidates)
+        ids = [c.schedule_id for c in result.candidates]
+        assert ids == ["default", "u2", "u4", "u8"]
+        assert all(c.exact and c.best_wall_us > 0
+                   for c in result.candidates)
         assert db.best(result.key) == result.best_schedule
         snap = db.snapshot()
         assert snap["searches"] == 1 and snap["puts"] == 1
@@ -553,11 +447,28 @@ class TestSearch:
         else:
             assert result.best_schedule.is_default
 
+    def test_graph_without_horizontal_loop_records_the_default(
+            self, tmp_path, monkeypatch):
+        """lstm has no horizontal loop: no schedule changes its program,
+        so the default is recorded without measuring anything."""
+        from repro.tune import search
+        measured = []
+        monkeypatch.setattr(search, "run_workload",
+                            lambda *a, **kw: measured.append(a))
+        db = TuningDB(tmp_path)
+        result = tune_workload("lstm", batch_size=1, seq_len=8, seed=0,
+                               db=db)
+        assert [c.schedule for c in result.candidates] == \
+            [DEFAULT_SCHEDULE]
+        assert not result.improved and result.speedup == 1.0
+        assert result.best_schedule.is_default
+        assert measured == [] and result.default_wall_us is None
+        assert db.best(result.key) == DEFAULT_SCHEDULE
+
     def test_dynamic_shape_key_uses_family_wildcards(self, tmp_path):
         db = TuningDB(tmp_path)
         result = tune_workload("attention", batch_size=1, seq_len=8,
-                               seed=0, n_random=1, n_mutation=0,
-                               top_k=1, best_of=1, db=db,
+                               seed=0, best_of=1, db=db,
                                dynamic_shapes=True)
         assert '"*"' in result.shape_key  # symbolic dims wildcarded
         assert db.best(result.key) is not None
@@ -577,7 +488,7 @@ class TestWarmLookup:
         return db, args
 
     def test_harness_runs_best_known_schedule(self, tmp_path):
-        sched = Schedule(loop_order="consumer", tile_elems=4096)
+        sched = Schedule(hloop_unroll=2)
         db, _ = self._seed_db(tmp_path, "lstm", 1, 8, sched)
         cache = CompileCache()
         base = run_workload("lstm", "tensorssa", batch_size=1,
@@ -592,7 +503,7 @@ class TestWarmLookup:
 
     def test_explicit_scope_beats_db(self, tmp_path):
         db, _ = self._seed_db(tmp_path, "lstm", 1, 8,
-                              Schedule(tile_elems=4096))
+                              Schedule(hloop_unroll=4))
         cache = CompileCache()
         cache.tuning_db = db
         pinned = Schedule(hloop_unroll=2)
@@ -603,7 +514,7 @@ class TestWarmLookup:
         assert run.schedule_id == pinned.schedule_id
 
     def test_server_serves_tuned_without_searching(self, tmp_path):
-        sched = Schedule(loop_order="consumer", tile_elems=4096)
+        sched = Schedule(hloop_unroll=2)
         db, args = self._seed_db(tmp_path, "attention", 1, 8, sched)
         policy = ServePolicy(workers=1, max_batch_size=1,
                              verify="batch",
@@ -628,7 +539,7 @@ class TestWarmLookup:
         """The schedule was measured on the host, not priced on a
         platform: requests priced as ``consumer`` and as ``datacenter``
         both run the one recorded entry."""
-        sched = Schedule(tile_elems=4096, hloop_unroll=2)
+        sched = Schedule(hloop_unroll=4)
         _, args = self._seed_db(tmp_path, "attention", 1, 8, sched)
         policy = ServePolicy(workers=1, max_batch_size=1,
                              tuning_db_path=str(tmp_path))
@@ -658,8 +569,7 @@ class TestWarmLookup:
 
         db = RecordingDB(tmp_path)
         shape = dict(batch_size=1, seq_len=8, seed=0)
-        result = tune_workload("attention", n_random=1, n_mutation=0,
-                               top_k=1, best_of=1, db=db,
+        result = tune_workload("attention", best_of=1, db=db,
                                dynamic_shapes=dynamic, **shape)
         cache = CompileCache()
         cache.tuning_db = db
@@ -754,8 +664,7 @@ class TestTuneCLI:
         out = tmp_path / "tune.json"
         rc = tune_main(["--workloads", "attention", "--seed", "0",
                         "--batch-size", "1", "--seq-len", "8",
-                        "--n-random", "2", "--n-mutation", "1",
-                        "--top-k", "1", "--best-of", "2",
+                        "--best-of", "2",
                         "--db", str(db_root), "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
