@@ -169,12 +169,10 @@ class StorePlan(NamedTuple):
     lowering: Dict[int, str]
     #: the Assigns that keep the row's clone, each with the reason
     clones: List[Tuple[Node, str]]
-    #: params the body copies before their first use (a chain rooted at
-    #: a kernel input pays one copy per launch)
-    param_copies: List[Value]
-    #: loop-carried slots (0-based among the carried params) the body
-    #: stores into: the caller hands those in as buffers it owns
-    carried_slots: Tuple[int, ...]
+    #: positions in ``block.params`` whose buffer the body stores into:
+    #: copied per launch unless the planner donated it, or (a carried
+    #: slot) handed in by the caller as a buffer it owns
+    stored: Tuple[int, ...]
     #: id(node) of in-kernel producers whose result is stored into
     roots: Set[int]
 
@@ -188,7 +186,8 @@ def plan_stores(nodes: Sequence[Node], block: Block,
     views and earlier in-place Assigns — in a buffer the kernel owns: an
     array some member op allocated, or a block parameter (copied once,
     by the body before its first use or, for a ``carried`` slot of a
-    loop body, by the caller before the first trip); and (2) no alias
+    loop body, by the caller before the first trip — unless the memory
+    planner donated its dying buffer); and (2) no alias
     of that buffer is read, returned or used as the source at or after
     the store (:func:`later_reader`).  The write-through chain TensorSSA emits
     around it — ``X_assign(b, s, p)`` where ``s`` is the in-place result
@@ -201,24 +200,40 @@ def plan_stores(nodes: Sequence[Node], block: Block,
     exclusively owned buffer threads through every trip.
     """
     order = {id(n): i for i, n in enumerate(nodes)}
-    slots = list(block.params[1:]) if carried else []
-    ownable = {id(p) for p in (slots if carried else block.params)}
+    params = block.params
+    ownable = {id(p) for p in (params[1:] if carried else params)}
     while True:
-        plan = _plan_once(nodes, order, ownable, slots)
+        plan = _plan_once(nodes, order, ownable, params)
+        if not carried:
+            return plan
         alias = _alias_given(plan.lowering)
-        shared = {id(slots[k]) for k in plan.carried_slots
-                  if any((view_root(ret, alias) is slots[k]) != (j == k + 1)
+        shared = {id(params[i]) for i in plan.stored
+                  if any((view_root(ret, alias) is params[i]) != (j == i)
                          for j, ret in enumerate(block.returns))}
         if not shared:
             return plan
         ownable -= shared
 
 
+def returned_params(plan: StorePlan, block: Block) -> Set[int]:
+    """Positions of ``block.params`` the kernel returns as the very array
+    it was handed: a return reached from the param through in-place
+    stores and chain identities alone."""
+    index = {id(p): i for i, p in enumerate(block.params)}
+    out: Set[int] = set()
+    for ret in block.returns:
+        while ret.node is not None and id(ret.node) in plan.lowering:
+            ret = ret.node.input(0)
+        if id(ret) in index:
+            out.add(index[id(ret)])
+    return out
+
+
 def _plan_once(nodes: Sequence[Node], order: Dict[int, int],
-               ownable: Set[int], slots: List[Value]) -> StorePlan:
+               ownable: Set[int], params: Sequence[Value]) -> StorePlan:
     lowering: Dict[int, str] = {}
     clones: List[Tuple[Node, str]] = []
-    stored_params: Dict[int, Value] = {}
+    stored: Set[int] = set()
     roots: Set[int] = set()
     alias = _alias_given(lowering)
 
@@ -251,16 +266,13 @@ def _plan_once(nodes: Sequence[Node], order: Dict[int, int],
         for link in links:
             lowering[id(link)] = "identity"
         if root.node is None:
-            stored_params[id(root)] = root
+            stored.add(id(root))
         else:
             roots.add(id(root.node))
 
-    slot_of = {id(s): k for k, s in enumerate(slots)}
-    return StorePlan(
-        lowering, clones,
-        [p for i, p in stored_params.items() if i not in slot_of],
-        tuple(sorted(slot_of[i] for i in stored_params if i in slot_of)),
-        roots)
+    return StorePlan(lowering, clones,
+                     tuple(i for i, p in enumerate(params) if id(p) in stored),
+                     roots)
 
 
 def _not_owned(root: Value, order: Dict[int, int],

@@ -28,14 +28,19 @@ y[:, 0:2] = a`` — three Assign nodes in TensorSSA form — is::
         t2[...] = v1                      # immut::assign(t2, v1)
         return (t0,)                      # the two slice_assigns: t1, t0
 
-A chain rooted at a kernel *input* is one copy per launch: the body
-runs ``t0 = _OPS['aten::clone'](v0)`` before the first statement that
-uses ``v0``; a loop-carried slot is
-copied by ``run_horizontal_loop`` before the first trip instead (the
-kernel names those slots in ``__stores_into__``).  An Assign the
-analysis cannot prove keeps the row's clone,
-``_OPS['immut::slice_assign'](...)``; ``__assigns__`` counts the three
-outcomes and says why each clone remains (``tools/inspect`` prints it).
+A chain rooted at a kernel *input* writes that input's buffer in place
+when the memory plan donated it — the buffer dies at this launch
+(:mod:`repro.memplan.liveness`), and the fusion runtime hands an output
+that *is* it back as the input's own Tensor.  An undonated input costs
+one copy per launch: the body runs ``t0 = _OPS['aten::clone'](v0)``
+before the first statement that uses ``v0``; an undonated loop-carried
+slot is copied by ``run_horizontal_loop`` before the first trip instead
+(the kernel names the slots it stores into in ``__stores_into__``).
+``__donated__`` and ``__copies__`` list the argument positions written
+in place and copied first.  An Assign the analysis cannot prove keeps
+the row's clone, ``_OPS['immut::slice_assign'](...)``; ``__assigns__``
+counts the three outcomes and says why each clone remains
+(``tools/inspect`` prints it, and the plan's reason for each copy).
 
 The one schedule hook (:mod:`repro.tune`) is
 :func:`compile_block_unrolled`: it emits a horizontal-loop body ``u``
@@ -87,9 +92,17 @@ class _Emitter:
     shapes: one :class:`StorePlan` for the body, in the order it is
     emitted, however many times it is emitted."""
 
-    def __init__(self, block: Block, carried: bool = False) -> None:
+    def __init__(self, block: Block, carried: bool = False,
+                 donated: Sequence[int] = ()) -> None:
         self.nodes = list(block.nodes)
         self.plan: StorePlan = plan_stores(self.nodes, block, carried)
+        self.carried = carried
+        #: stored-into params written in place: their buffer was donated
+        self.donated = tuple(i for i in self.plan.stored if i in donated)
+        #: stored-into params copied first (by the caller, if carried)
+        self.copies = tuple(i for i in self.plan.stored
+                            if i not in self.donated)
+        self.params = block.params
         self.lines: List[str] = []
         self.captured: Dict[str, object] = {}
         self._capture_ids: Dict[int, str] = {}
@@ -115,7 +128,8 @@ class _Emitter:
         # not at entry: the big buffer is then allocated after the
         # body's small temporaries, as the row's clone was, and glibc's
         # heap trimming is sensitive to exactly that order
-        uncopied = {id(p): p for p in plan.param_copies}
+        uncopied = {} if self.carried else {
+            id(self.params[i]): self.params[i] for i in self.copies}
         for node in self.nodes:
             for param in [uncopied.pop(id(v)) for v in node.inputs
                           if id(v) in uncopied]:
@@ -166,7 +180,13 @@ class _Emitter:
         fn.__source__ = source
         plan = self.plan
         #: carried slots the caller must hand in as buffers it owns
-        fn.__stores_into__ = plan.carried_slots
+        fn.__stores_into__ = tuple(i - 1 for i in plan.stored) \
+            if self.carried else ()
+        #: argument positions written in place: dying buffers the
+        #: planner donated, an output that *is* one is that input
+        fn.__donated__ = self.donated
+        #: argument positions copied before the first write
+        fn.__copies__ = self.copies
         ways = list(plan.lowering.values())
         fn.__assigns__ = {
             "stores": ways.count("store"),
@@ -188,7 +208,8 @@ def _bind_params(params: Sequence[Value],
 
 def compile_block(block: Block, name: str = "_kernel",
                   extra_inputs: Sequence[Value] = (),
-                  carried: bool = False) -> Callable:
+                  carried: bool = False,
+                  donated: Sequence[int] = ()) -> Callable:
     """Compile a fusion-group body into ``fn(args) -> tuple``.
 
     ``args`` must follow ``block.params`` order, then ``extra_inputs``
@@ -196,14 +217,16 @@ def compile_block(block: Block, name: str = "_kernel",
     loops).  Non-inlinable constants (tensors, dtypes) are captured by
     object reference.
 
-    The kernel never writes a buffer it was handed: a parameter it
-    stores into is copied first.  The one exception is ``carried`` (the
-    block is a ``prim::Loop`` body, params ``(i, *carried)``): the
-    carried slots listed in ``fn.__stores_into__`` are stored into as
-    they arrive and returned in the same slot, so the caller copies
-    them once before the first trip and threads them through.
+    The kernel writes a buffer it was handed only when that parameter's
+    position is in ``donated`` (the memory planner proved the buffer
+    dies at this launch); any other parameter it stores into is copied
+    first.  With ``carried`` (the block is a ``prim::Loop`` body, params
+    ``(i, *carried)``) the carried slots listed in ``fn.__stores_into__``
+    are stored into as they arrive and returned in the same slot, so
+    the caller copies the undonated ones once before the first trip and
+    threads them through.
     """
-    em = _Emitter(block, carried)
+    em = _Emitter(block, carried, donated)
     names: Dict[int, str] = {}
     params = list(block.params) + list(extra_inputs)
     bind = _bind_params(params, names)
@@ -221,7 +244,8 @@ def compile_block(block: Block, name: str = "_kernel",
 
 def compile_block_unrolled(block: Block, factor: int,
                            name: str = "_hloop_u",
-                           extra_inputs: Sequence[Value] = ()) -> Callable:
+                           extra_inputs: Sequence[Value] = (),
+                           donated: Sequence[int] = ()) -> Callable:
     """Compile a horizontal-loop body unrolled ``factor`` times.
 
     The body's calling convention is ``(index, *carried, *captures) ->
@@ -238,7 +262,7 @@ def compile_block_unrolled(block: Block, factor: int,
     if not block.params:
         raise CodegenError("horizontal loop body must take the index")
 
-    em = _Emitter(block, carried=True)
+    em = _Emitter(block, carried=True, donated=donated)
     names: Dict[int, str] = {}
     params = list(block.params) + list(extra_inputs)
     bind = _bind_params(params, names)

@@ -12,7 +12,10 @@ Kernels compute on raw numpy arrays, so only the *materialized outputs*
 runtime.storage.MemoryPool` when the lowered program runs under a
 memory plan, which is how fused kernels participate in buffer donation
 (a dying operand's bytes, released just before the launch, serve the
-outputs).
+outputs).  An input the plan *donates* (:func:`repro.memplan.
+donated_args`) is written in place instead of copied, and an output
+that is its array comes back as that input's Tensor: same Storage, no
+new pool charge.
 
 Schedules: only a horizontal loop consults :func:`repro.tune.schedule.
 active_schedule` — its unroll factor selects a *kernel variant*
@@ -33,6 +36,7 @@ import numpy as np
 
 from ..faults import SITE_FUSION_COMPILE, maybe_inject
 from ..ir.graph import Node, free_values
+from ..memplan import donated_args
 from ..obs import trace as obs_trace
 from ..runtime import profiler
 from ..runtime.tensor import Tensor, wrap
@@ -53,10 +57,12 @@ def build_kernel(node: Node) -> Callable:
     restored graph regenerates byte-identical source."""
     body = node.blocks[0]
     if node.op == "prim::FusionGroup":
-        return compile_block(body, name="_fusion")
+        return compile_block(body, name="_fusion",
+                             donated=donated_args(node))
     if node.op == "prim::Loop" and node.attrs.get("horizontal"):
         return compile_block(body, name="_hloop",
-                             extra_inputs=free_values(body), carried=True)
+                             extra_inputs=free_values(body), carried=True,
+                             donated=donated_args(node))
     if node.op == "prim::ParallelMap":
         return compile_block(body, name="_pmap")
     raise ValueError(f"{node.op} does not execute as a compiled kernel")
@@ -108,6 +114,29 @@ def _unwrap(x):
     return x._array if isinstance(x, Tensor) else x
 
 
+def _outputs(results, inputs: Sequence[object],
+             donated: Sequence[int]) -> List[object]:
+    """A kernel's results as Tensors.  A result that *is* a donated
+    input's array comes back as that input's Tensor (same Storage, no
+    new pool charge); any other result that is an input's array — a
+    zero-trip pass-through — is copied, so every other output owns
+    fresh storage, as the planner assumes."""
+    given = {id(x._array): x for x in inputs if isinstance(x, Tensor)}
+    handed = {id(inputs[i]._array) for i in donated
+              if isinstance(inputs[i], Tensor)}
+    outputs = []
+    for r in results:
+        x = given.get(id(r))
+        if x is None:
+            outputs.append(wrap(r))
+        elif id(r) in handed:
+            handed.discard(id(r))
+            outputs.append(x)
+        else:
+            outputs.append(wrap(np.array(r, copy=True)))
+    return outputs
+
+
 def _io_bytes(values) -> int:
     total = 0
     for v in values:
@@ -126,7 +155,7 @@ def execute_group(node: Node, inputs: Sequence[object]) -> List[object]:
                         fused_ops=n_ops):
         raw = execute_kernel(kernel, [_unwrap(x) for x in inputs],
                              "fusion_group")
-        outputs = [wrap(r) for r in raw]
+        outputs = _outputs(raw, inputs, kernel.__donated__)
         out_elems = sum(o.numel for o in outputs if isinstance(o, Tensor))
         profiler.record_launch("fusion_group",
                                nbytes=_io_bytes(inputs) + _io_bytes(outputs),
@@ -154,9 +183,9 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
 
     A body kernel stores into the carried slots it names in
     ``__stores_into__`` and hands each back in its slot, so those are
-    copied here, once, before the first call that wants them: the
-    caller's tensors are never written and one buffer threads through
-    every trip.
+    copied here, once, before the first call that wants them — except a
+    slot whose init the planner donated (``__donated__``): its dying
+    buffer threads through every trip and comes back as the output.
     """
     body = node.blocks[0]
     kernel = _node_kernel(node)
@@ -166,7 +195,8 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
         kernel_u = _node_kernel(
             node,
             lambda: compile_block_unrolled(body, unroll, name="_hloop_u",
-                                           extra_inputs=free_values(body)),
+                                           extra_inputs=free_values(body),
+                                           donated=donated_args(node)),
             variant=("unroll", unroll))
 
     with obs_trace.span("kernel:parallel_loop", cat="exec",
@@ -176,15 +206,17 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
         pre_launch("parallel_loop")  # one launch covers every iteration
         i = 0
         alive = bool(cond)
-        owned = ()  # slots the last kernel run vouches are ours alone
+        owned = {p - 1 for p in kernel.__donated__}  # slots that are ours
+        ready = None  # the last kernel whose stored slots are all owned
         while alive and i < max_trip:
             step = kernel_u if kernel_u is not None \
                 and max_trip - i >= unroll else kernel
-            if step.__stores_into__ is not owned:
+            if step is not ready:
                 for k in step.__stores_into__:
                     if k not in owned:
                         state[k] = np.array(state[k], copy=True)
-                owned = step.__stores_into__
+                        owned.add(k)
+                ready = step
             results = step([i] + state + caps)
             if step is kernel:
                 alive = bool(results[0])
@@ -195,7 +227,8 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
                 alive = bool(results[1])
                 state = list(results[2:])
 
-        outputs = [wrap(s) for s in state]
+        outputs = _outputs(state, list(carried) + list(captures),
+                           [p - 1 for p in kernel.__donated__])
         n_ops = node.attrs.get("num_member_ops", len(body.nodes))
         if sp is not None:
             sp.args["trips"] = i

@@ -22,8 +22,9 @@ Three layers:
 """
 
 from .liveness import LifetimeClass, Liveness, compute_liveness
-from .planner import (MemoryPlan, PlanSlot, ReuseEdge, format_plan,
-                      get_or_build_plan, plan_graph, plans_built)
+from .planner import (MemoryPlan, PlanSlot, ReuseEdge, donated_args,
+                      format_plan, get_or_build_plan, plan_graph,
+                      plans_built)
 
 __all__ = [
     "LifetimeClass",
@@ -36,4 +37,5 @@ __all__ = [
     "get_or_build_plan",
     "format_plan",
     "plans_built",
+    "donated_args",
 ]

@@ -23,24 +23,33 @@ memory planner.  Three structural facts drive the analysis:
   per-iteration — the dominant reclamation on RNN-style workloads,
   where functionalization otherwise materializes one full output
   version per timestep.
+
+* **Donation.** A kernel input that the kernel stores into, whose
+  class dies at that launch and whose buffer no other name can reach,
+  is *donated*: the kernel writes it in place instead of copying it
+  (:class:`_Donations`), and an output that is that buffer inherits it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..analysis.alias import AliasGraph
+from ..analysis.ownership import plan_stores, returned_params
 from ..ir import types as T
-from ..ir.graph import Block, Graph, Node, Value
+from ..ir.graph import Block, Graph, Node, Use, Value
 from ..ops.schema import OpKind
 
-__all__ = ["LifetimeClass", "Liveness", "compute_liveness"]
+__all__ = ["LifetimeClass", "Liveness", "compute_liveness", "kernel_input"]
 
 #: control ops whose bodies the interpreter executes node-by-node
 _INTERPRETED_BLOCKS = ("prim::If", "prim::Loop")
 #: ops whose outputs are freshly-allocated storages at runtime
 _FRESH_KERNEL_OPS = ("prim::FusionGroup", "prim::ParallelMap")
+#: ops that put a tensor into a container (an alias no class follows)
+_CONTAINER_PUTS = ("prim::ListConstruct", "prim::TupleConstruct",
+                   "aten::append")
 
 
 def _is_tensor(value: Value) -> bool:
@@ -95,6 +104,13 @@ class Liveness:
         default_factory=dict)
     #: id(loop node) -> carried-slot indices safe to recycle per iteration
     rotating_slots: Dict[int, List[int]] = field(default_factory=dict)
+    #: id(kernel node) -> kernel argument positions whose dying buffer
+    #: the kernel writes in place (no copy; an output that *is* it
+    #: inherits it) — see :func:`kernel_input`
+    donated: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    #: id(kernel node) -> {argument position: why the kernel still
+    #: copies a buffer it stores into}
+    kept: Dict[int, Dict[int, str]] = field(default_factory=dict)
 
 
 def _interpreted_values(graph: Graph) -> List[Value]:
@@ -119,6 +135,16 @@ def _interpreted_values(graph: Graph) -> List[Value]:
             out.append(p)
     visit(graph.block)
     return out
+
+
+def _interpreted_nodes(block: Block):
+    """Nodes the interpreter executes, nested ``If``/``Loop`` bodies
+    included (kernel bodies are not)."""
+    for node in block.nodes:
+        yield node
+        if node.op == "prim::If" or _is_interpreted_loop(node):
+            for b in node.blocks:
+                yield from _interpreted_nodes(b)
 
 
 def _ancestor_at(block_or_node, home: Block) -> Optional[Node]:
@@ -170,7 +196,13 @@ def compute_liveness(graph: Graph,
     for cls in live.classes:
         _judge_and_schedule(cls, live, captures, positions)
 
-    # -- 3. release schedule indices ------------------------------------
+    # -- 3. donations: dying inputs a kernel writes in place ------------
+    donations = _Donations(live, captures, positions)
+    for node in _interpreted_nodes(graph.block):
+        if node.op == "prim::FusionGroup" or _is_hloop(node):
+            donations.plan(node)
+
+    # -- 4. release schedule indices ------------------------------------
     for cls in live.classes:
         if not cls.plannable or cls.release_node is None:
             continue
@@ -178,7 +210,7 @@ def compute_liveness(graph: Graph,
             else live.release_after
         table.setdefault(id(cls.release_node), []).append(cls)
 
-    # -- 4. rotating loop-carried slots ---------------------------------
+    # -- 5. rotating loop-carried slots ---------------------------------
     for node in graph.walk():
         if node.op != "prim::Loop" or node.attrs.get("horizontal"):
             continue
@@ -240,23 +272,38 @@ def _judge_and_schedule(cls: LifetimeClass, live: Liveness,
     if def_pos is None:
         return fail("origin detached from its block")
 
-    last_pos = def_pos
-    last_node: Node = origin.node
-    # may the class's bytes be donated to the last user's own outputs?
-    # True only when the final use is a direct operand of a node that
-    # reads its inputs exactly once (simple op or fused kernel).
+    last = _last_use(cls.values, home, pos_of, captures, def_pos,
+                     origin.node)
+    if isinstance(last, str):
+        return fail(last)
+    last_pos, last_node, donation_ok = last
+    cls.home = home
+    cls.interval = (def_pos, last_pos)
+    cls.plannable = True
+    cls.release_node = last_node
+    cls.release_before = donation_ok and last_node is not origin.node
+
+
+def _last_use(values: List[Value], home: Block, pos_of: Dict[int, int],
+              captures: Dict[int, List[Node]], last_pos: int,
+              last_node: Optional[Node]
+              ) -> Union[str, Tuple[int, Optional[Node], bool]]:
+    """``(position, node, donation_ok)`` of the last use, in ``home``,
+    of any of ``values`` — or why there is none to plan around (an
+    escape).  ``donation_ok``: the final use is a direct operand of a
+    node that reads its inputs exactly once (simple op or kernel), so
+    the class's bytes may serve that node's outputs."""
     donation_ok = False
-    for v in cls.values:
+    for v in values:
         for use in v.uses:
             user = use.user
             if isinstance(user, Block) and user is home:
                 if home.owning_node is None:
-                    return fail("escapes as a graph output")
-                return fail("escapes through the home block's return")
+                    return "escapes as a graph output"
+                return "escapes through the home block's return"
             anchor = _ancestor_at(user, home)
             if anchor is None:
-                return fail(f"use of %{v.name} outside the home block "
-                            f"subtree")
+                return f"use of %{v.name} outside the home block subtree"
             pos = pos_of[id(anchor)]
             direct = anchor is user
             # a horizontal loop reads carried-in state once (iteration 0;
@@ -266,8 +313,7 @@ def _judge_and_schedule(cls: LifetimeClass, live: Liveness,
             # its outputs, which a pre-release could not protect
             reads_once = direct and (
                 not anchor.blocks or anchor.op in _FRESH_KERNEL_OPS or
-                (anchor.op == "prim::Loop" and
-                 bool(anchor.attrs.get("horizontal"))))
+                _is_hloop(anchor))
             if pos > last_pos:
                 last_pos, last_node = pos, anchor
                 donation_ok = reads_once
@@ -276,17 +322,180 @@ def _judge_and_schedule(cls: LifetimeClass, live: Liveness,
         for cap_node in captures.get(id(v), ()):
             anchor = _ancestor_at(cap_node, home)
             if anchor is None:
-                return fail("captured by a loop outside the home block")
+                return "captured by a loop outside the home block"
             pos = pos_of[id(anchor)]
             if pos >= last_pos:
                 last_pos, last_node = pos, anchor
                 donation_ok = False
+    return last_pos, last_node, donation_ok
 
-    cls.home = home
-    cls.interval = (def_pos, last_pos)
-    cls.plannable = True
-    cls.release_node = last_node
-    cls.release_before = donation_ok and last_node is not origin.node
+
+def kernel_input(node: Node, arg: int) -> Value:
+    """The input of kernel ``node`` bound to kernel argument ``arg``: a
+    horizontal loop's carried inputs follow its trip count and
+    condition, its body's params follow the index."""
+    return node.input(arg + 1 if node.op == "prim::Loop" else arg)
+
+
+def _is_hloop(node: Node) -> bool:
+    return node.op == "prim::Loop" and bool(node.attrs.get("horizontal"))
+
+
+def _is_interpreted_loop(node) -> bool:
+    return isinstance(node, Node) and node.op == "prim::Loop" \
+        and not node.attrs.get("horizontal")
+
+
+def _flows(value: Value) -> List[Use]:
+    """Uses that hand ``value``'s buffer on to another name without a
+    copy: a block return (an ``If``/``Loop`` output or the next trip's
+    carried param), an interpreted loop's carried init, or a container
+    put.  Lifetime classes follow views, not these."""
+    return [use for use in value.uses
+            if isinstance(use.user, Block)
+            or (_is_interpreted_loop(use.user) and use.index >= 2)
+            or use.user.op in _CONTAINER_PUTS]
+
+
+class _Donations:
+    """Which stored-into kernel inputs may be written in place
+    (:func:`compute_liveness` step 3).
+
+    An input is *donated* when (1) its class dies at the kernel: the
+    kernel is the last use, as a direct operand passed once, and no
+    member hands the buffer on (:func:`_flows`) — so nothing reads the
+    old contents afterwards; and (2) no other name can reach its buffer
+    (:meth:`owned`): it is fresh storage, or an interpreted loop's
+    carried value whose every source is.  Each refusal names the copy's
+    reason: the caller's buffer, a live alias, or an interpreted
+    zero-trip pass-through.
+    """
+
+    def __init__(self, live: Liveness, captures: Dict[int, List[Node]],
+                 positions: Dict[int, Dict[int, int]]) -> None:
+        self.live = live
+        self.captures = captures
+        self.positions = positions
+
+    def plan(self, node: Node) -> None:
+        body = node.blocks[0]
+        donated: List[int] = []
+        kept: Dict[int, str] = {}
+        stores = plan_stores(list(body.nodes), body, _is_hloop(node))
+        returned = returned_params(stores, body)
+        for arg in stores.stored:
+            why = self.refusal(node, kernel_input(node, arg))
+            if why:
+                kept[arg] = why
+                continue
+            donated.append(arg)
+            if arg in returned:
+                # the buffer lives on as the output that *is* it: release
+                # it after the launch, where that output keeps it
+                cls = self.live.class_of[id(kernel_input(node, arg))]
+                cls.release_before = False
+        if donated:
+            self.live.donated[id(node)] = tuple(donated)
+        if kept:
+            self.live.kept[id(node)] = kept
+
+    def refusal(self, node: Node, v: Value) -> str:
+        cls = self.live.class_of.get(id(v))
+        if cls is None:
+            return f"caller's buffer: %{v.name} is not an interpreter value"
+        if cls.origin is not v:
+            return f"live alias: %{v.name} is a view of %{cls.origin.name}"
+        if sum(self.live.class_of.get(id(x)) is cls
+               for x in node.inputs) > 1:
+            return f"live alias: %{v.name} reaches the launch twice"
+        for x in cls.values:
+            if _flows(x):
+                return (f"live alias: %{x.name} is handed on "
+                        "(returned, loop-carried or put in a container)")
+        home = v.defining_block()
+        last = _last_use(cls.values, home,
+                         _block_positions(home, self.positions),
+                         self.captures, -1, None)
+        if isinstance(last, str):
+            return f"live alias: %{v.name} {last}"
+        _, last_node, reads_once = last
+        if last_node is not node or not reads_once:
+            return f"live alias: %{v.name} is read after the launch"
+        return self.owned(v, set())
+
+    def owned(self, v: Value, active: Set[Tuple[int, int]]) -> str:
+        """Why some other name may reach ``v``'s buffer ("" when none
+        can): its sources, followed back through loop-carried slots."""
+        if v.is_param:
+            loop = v.param_block.owning_node
+            if loop is None:
+                return f"caller's buffer: %{v.name} is a graph input"
+            if not _is_interpreted_loop(loop) or \
+                    v is v.param_block.params[0]:
+                return (f"caller's buffer: %{v.name} is a {loop.op} "
+                        "parameter")
+            return self.carried(loop, v.param_block.params.index(v) - 1,
+                                active)
+        node = v.node
+        if node.kind is OpKind.CONSTANT:
+            return f"caller's buffer: %{v.name} is a captured constant"
+        if _fresh_storage_origin(v):
+            return ""
+        if _is_interpreted_loop(node):
+            return self.carried(node, node.outputs.index(v), active,
+                                output=True)
+        return f"live alias: %{v.name} ({node.op}) may share a buffer"
+
+    def carried(self, loop: Node, k: int, active: Set[Tuple[int, int]],
+                output: bool = False) -> str:
+        """Why carried slot ``k`` of an interpreted loop may share its
+        buffer ("" when it cannot): the buffer enters from an init the
+        loop alone reads, or from a back edge that hands on nothing but
+        its return, and the param hands it on only through its own slot
+        or wholly into an inner loop."""
+        key = (id(loop), k)
+        if key in active:
+            return ""  # the buffer only circulates through this slot
+        active = active | {key}
+        body = loop.blocks[0]
+        param, init = body.params[1 + k], loop.input(2 + k)
+        ret = body.returns[1 + k]
+        for x in self._members(param):
+            for use in _flows(x):
+                moves = (use.user is body and use.index == 1 + k) or (
+                    _is_interpreted_loop(use.user)
+                    and sum(len(m.uses) for m in self._members(param)) == 1)
+                if not moves:
+                    return (f"live alias: %{x.name} is handed on besides "
+                            f"carried slot {k}")
+        why = self.owned(init, active) or self._sole_reader(init, loop)
+        if why:
+            return f"interpreted zero-trip pass-through: {why}" \
+                if output else why
+        if ret is param:
+            return ""
+        rcls = self.live.class_of.get(id(ret))
+        if rcls is None or rcls.origin is not ret \
+                or not body.contains(ret.defining_block()):
+            return (f"live alias: %{ret.name} is not a buffer the loop "
+                    "body allocates")
+        flows = [use for x in rcls.values for use in _flows(x)]
+        if len(flows) != 1:
+            return (f"live alias: %{ret.name} is handed on besides "
+                    f"carried slot {k}")
+        return self.owned(ret, active)
+
+    def _members(self, v: Value) -> List[Value]:
+        cls = self.live.class_of.get(id(v))
+        return cls.values if cls is not None else [v]
+
+    def _sole_reader(self, init: Value, loop: Node) -> str:
+        cls = self.live.class_of.get(id(init))
+        uses = [use for x in self._members(init) for use in x.uses]
+        if cls is None or cls.origin is not init or len(uses) != 1 \
+                or any(self.captures.get(id(x)) for x in cls.values):
+            return f"live alias: %{init.name} is read besides the loop"
+        return ""
 
 
 def _rotating_slots(loop: Node, live: Liveness) -> List[int]:
@@ -323,9 +532,7 @@ def _rotating_slots(loop: Node, live: Liveness) -> List[int]:
                         not any(b is body for b in user_block.ancestors()):
                     inside = False
                     break
-                if isinstance(user, Node) and \
-                        user.op in ("prim::ListConstruct",
-                                    "prim::TupleConstruct", "aten::append"):
+                if isinstance(user, Node) and user.op in _CONTAINER_PUTS:
                     inside = False
                     break
             if not inside:

@@ -28,10 +28,11 @@ from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Value
 from ..obs import trace as obs_trace
 from ..runtime.dtype import itemsize_of
-from .liveness import LifetimeClass, Liveness, compute_liveness
+from .liveness import LifetimeClass, Liveness, compute_liveness, kernel_input
 
 __all__ = ["MemoryPlan", "PlanSlot", "ReuseEdge", "plan_graph",
-           "get_or_build_plan", "format_plan", "plans_built"]
+           "get_or_build_plan", "format_plan", "plans_built",
+           "donated_args"]
 
 def _static_nbytes(value: Value,
                    size_env: Optional[Dict[str, int]] = None
@@ -190,6 +191,16 @@ def get_or_build_plan(graph: Graph,
     return plan
 
 
+def donated_args(node: Node) -> Tuple[int, ...]:
+    """Argument positions of the kernel ``node`` runs whose dying buffer
+    the plan of ``node``'s graph donates (() when the graph is
+    unplanned: its kernels copy every input they write)."""
+    plan = getattr(node.graph, "_memplan", None)
+    if plan is None:
+        return ()
+    return plan.liveness.donated.get(id(node), ())
+
+
 def _assign_slots(plan: MemoryPlan,
                   size_env: Optional[Dict[str, int]] = None) -> None:
     """Greedy linear scan, per home block (lifetimes in different blocks
@@ -241,18 +252,24 @@ def _best_fit(free: List[PlanSlot], hint: Optional[int]) -> \
 
 
 def _collect_reuse_edges(plan: MemoryPlan) -> None:
-    """Pair each donation-released class with the consumer's outputs."""
-    for classes in plan.liveness.release_before.values():
-        for cls in classes:
-            node = cls.release_node
-            if node is None:
-                continue
-            for out in node.outputs:
-                out_cls = plan.liveness.class_of.get(id(out))
-                if out_cls is not None and out_cls is not cls:
-                    plan.reuse_edges.append(
-                        ReuseEdge(node=node, donor=cls.origin, output=out))
-                    break  # one representative edge per donation
+    """Pair each donation — a class released before its consumer runs,
+    or an input the consumer's kernel writes in place — with the
+    consumer's outputs."""
+    live = plan.liveness
+    donors = [(cls.release_node, cls.origin)
+              for classes in live.release_before.values()
+              for cls in classes if cls.release_node is not None]
+    for node in plan.graph.walk():
+        donors += [(node, kernel_input(node, arg))
+                   for arg in live.donated.get(id(node), ())]
+    for node, donor in donors:
+        cls = live.class_of.get(id(donor))
+        for out in node.outputs:
+            out_cls = live.class_of.get(id(out))
+            if out_cls is not None and out_cls is not cls:
+                plan.reuse_edges.append(
+                    ReuseEdge(node=node, donor=donor, output=out))
+                break  # one representative edge per donation
 
 
 def format_plan(plan: MemoryPlan) -> str:

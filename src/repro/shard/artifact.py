@@ -87,8 +87,10 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: (2: ``program_sha256`` — the lowered program's source digest;
 #: 3: ``grad_reference`` — a backward artifact's reference graph;
 #: 4: kernel source changed — owned Assign chains lower to in-place
-#: stores — so every v3 ``source_sha256`` is stale)
-ARTIFACT_VERSION = 4
+#: stores — so every v3 ``source_sha256`` is stale;
+#: 5: a kernel writes the inputs the memory plan donates in place
+#: instead of copying them, so the same graph lowers to other source)
+ARTIFACT_VERSION = 5
 
 _MAGIC = "repro-artifact"
 

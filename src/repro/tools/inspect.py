@@ -45,16 +45,25 @@ def group_sizes(graph: Graph) -> List[int]:
 def kernel_assigns(graph: Graph) -> List[dict]:
     """How each compiled kernel of ``graph`` executes its Assigns: the
     ``__assigns__`` counts ``backend/codegen.py`` attaches (stores /
-    chain identities / clones, each clone with its reason), plus the
-    carried slots a loop body stores into.  Kernels compile on first
+    chain identities / clones, each clone with its reason), the carried
+    slots a loop body stores into, the argument positions it writes in
+    place because the memory plan donated them, and each argument it
+    still copies first with the plan's reason.  Kernels compile on first
     execution, so only nodes that have run are listed."""
+    plan = getattr(graph, "_memplan", None)
     rows = []
     for index, node in enumerate(graph.walk()):
         kernel = node.attrs.get("kernel")
-        if kernel is not None:
-            rows.append({"node": index, "kernel": kernel.__name__,
-                         "stores_into": kernel.__stores_into__,
-                         **kernel.__assigns__})
+        if kernel is None:
+            continue
+        kept = plan.liveness.kept.get(id(node), {}) if plan else {}
+        rows.append({"node": index, "kernel": kernel.__name__,
+                     "stores_into": kernel.__stores_into__,
+                     "donated": kernel.__donated__,
+                     "copies": [(arg, kept.get(arg, "no memory plan "
+                                               "donated it"))
+                                for arg in kernel.__copies__],
+                     **kernel.__assigns__})
     return rows
 
 
@@ -201,12 +210,18 @@ def print_report(name: str, report: Dict[str, dict],
             print("  kernels (Assigns as stores / chain identities / "
                   "clones):")
             for k in entry["kernels"]:
-                slots = f"  carried slots {list(k['stores_into'])} " \
-                    "copied once by the caller" if k["stores_into"] else ""
+                slots = f"  carried slots {list(k['stores_into'])}" \
+                    if k["stores_into"] else ""
+                if k["donated"]:
+                    slots += f"  donated args {list(k['donated'])}"
+                if k["donated"] or k["copies"]:
+                    slots += f"  param copies per launch: {len(k['copies'])}"
                 print(f"    #{k['node']:<3} {k['kernel']:<8} {k['stores']} / "
                       f"{k['identities']} / {len(k['clones'])}{slots}")
                 for op, why in k["clones"]:
                     print(f"         clone {op}: {why}")
+                for arg, why in k["copies"]:
+                    print(f"         copy of arg {arg}: {why}")
         if entry.get("pass_metrics"):
             print("  passes:")
             for m in entry["pass_metrics"]:

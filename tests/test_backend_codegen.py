@@ -190,6 +190,48 @@ class TestHorizontalRuntime:
         assert loop.attrs["kernel"].__stores_into__ == (0,)
         assert "immut::" not in loop.attrs["kernel"].__source__
 
+    def test_donated_carried_init_threads_through_without_a_copy(self):
+        from repro.backend.fusion_runtime import run_horizontal_loop
+        from repro.memplan import get_or_build_plan
+
+        def f(x, n: int):
+            y = x.clone()
+            for i in range(n):
+                y[i] = y[i] * 2.0
+            return y
+        g, n = self._prep(f)
+        assert n == 1
+        plan = get_or_build_plan(g)
+        loop, = g.nodes_of("prim::Loop")
+        assert plan.liveness.donated[id(loop)] == (1,)
+        x = rt.rand((4, 2), seed=7)
+        kept = x.clone()
+        got = run_graph(g, [x, 4], plan=plan)[0]
+        assert rt.bit_exact(got, f(kept.clone(), 4))
+        assert rt.bit_exact(x, kept)
+        assert loop.attrs["kernel"].__donated__ == (1,)
+        buffer = x.clone()
+        out, = run_horizontal_loop(loop, 4, True, [buffer], [True])
+        assert out is buffer  # the init's own Tensor, written in place
+        assert rt.bit_exact(out, f(kept.clone(), 4))
+
+    def test_zero_trip_output_owns_fresh_storage(self):
+        from repro.backend.fusion_runtime import run_horizontal_loop
+
+        def f(x, n: int):
+            y = x.clone()
+            for i in range(n):
+                y[i] = y[i] * 2.0
+            return y
+        g, _ = self._prep(f)
+        loop, = g.nodes_of("prim::Loop")
+        x = rt.rand((4, 2), seed=8)
+        # undonated: the output may be donated downstream, so it must
+        # never be the caller's buffer under a second Storage
+        out, = run_horizontal_loop(loop, 0, True, [x], [True])
+        assert rt.bit_exact(out, x)
+        assert not np.shares_memory(out._array, x._array)
+
     def test_zero_trip_horizontal(self):
         def f(x, n: int):
             y = x.clone()
@@ -267,6 +309,22 @@ class TestAssignStores:
         assert kernel.__source__.count("aten::clone") == 1
         assert kernel.__assigns__["stores"] == 2
         _agrees(block, kernel, _X, _S)
+
+    def test_donated_input_root_is_written_in_place(self):
+        block = parse_graph(f"""graph g(%x : Tensor, %s : Tensor):{_CONSTS}
+  %a = immut::slice_assign(%x, %s, %c0, %c0, %c2, %c1)
+  %b = immut::slice_assign(%a, %s, %c0, %c2, %c4, %c1)
+  return (%b)""").block
+        kernel = compile_block(block, donated=(0, 1))
+        # %s is only read: the one stored-into param is the donation
+        assert kernel.__donated__ == (0,) and kernel.__copies__ == ()
+        assert "aten::clone" not in kernel.__source__
+        x = _X.copy()
+        got, = kernel([x, _S])
+        assert got is x
+        assert rt.bit_exact([got], _reference(block, [_X, _S]))
+        undonated = compile_block(block)
+        assert undonated.__donated__ == () and undonated.__copies__ == (0,)
 
     def test_overlapping_source_keeps_the_clone(self):
         def f(x):

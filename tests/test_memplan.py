@@ -6,6 +6,7 @@ import pytest
 import repro.runtime as rt
 from repro.backend.interpreter import run_graph
 from repro.frontend import script
+from repro.ir import parse_graph
 from repro.memplan import (compute_liveness, format_plan, get_or_build_plan,
                            plan_graph)
 from repro.models import registry as models
@@ -323,3 +324,177 @@ class TestPlannedExecution:
             assert noplan.bytes_reused == 0
         finally:
             process_cache.clear()
+
+
+# -- donation: a kernel writes the dying buffer it is handed ---------------
+
+#: a loop whose body kernel stores row ``i`` into its carried param
+_CARRIED = """graph g(%x : Tensor, %s : Tensor, %n : Int):
+  %one = prim::Constant[value=1.0]()
+  %t = prim::Constant[value=True]()
+  %a = aten::add(%x, %one)
+  %y = prim::Loop(%n, %t, INIT)
+    block0(%i : Int, %p : Tensor):
+      %r = prim::FusionGroup(%p, %s, %i)
+        block0(%q : Tensor, %src : Tensor, %j : Int):
+          %c0 = prim::Constant[value=0]()
+          %w = immut::select_assign(%q, %src, %c0, %j)
+          -> (%w)
+      -> (%t, %r)
+  return (%y)"""
+
+#: the same store, by one group at the top level, into BASE
+_GROUP = """graph g(%x : Tensor, %s : Tensor, %n : Int):
+  %one = prim::Constant[value=1.0]()
+  %t = prim::Constant[value=True]()
+  %c = prim::Constant[value=0]()
+  %a = aten::add(%x, %one)
+  %v = aten::select(%a, %c, %c)
+  %y = prim::Loop(%n, %t, %x)
+    block0(%i : Int, %p : Tensor):
+      %m = aten::tanh(%p)
+      -> (%t, %m)
+  %r = prim::FusionGroup(BASE, %s, %c)
+    block0(%q : Tensor, %src : Tensor, %j : Int):
+      %c0 = prim::Constant[value=0]()
+      %w = immut::select_assign(%q, %src, %c0, %j)
+      -> (%w)
+  %after = aten::mul(READ, %one)
+  return (%r, %after)"""
+
+
+def _donation_case(text):
+    """Parse and plan ``text``; returns (graph, plan, its one group)."""
+    graph = parse_graph(text)
+    plan = get_or_build_plan(graph)
+    group, = graph.nodes_of("prim::FusionGroup")
+    return graph, plan, group
+
+
+def _runs_like_the_interpreter(graph, plan, x, s, reference):
+    """Planned runs, twice and at 0 and 6 trips, match the unplanned
+    walk of ``reference`` — the same program, never planned, so its
+    kernels copy every input they write — bit for bit, and leave every
+    graph input as it was."""
+    before = [x.numpy(), s.numpy()]
+    for trips in (6, 0):
+        want = run_graph(reference, [x.clone(), s.clone(), trips])
+        assert rt.bit_exact(run_graph(graph, [x, s, trips], plan=plan), want)
+        assert rt.bit_exact(run_graph(graph, [x, s, trips], plan=plan), want)
+    for tensor, kept in zip((x, s), before):
+        assert tensor.version == 0 and rt.bit_exact(tensor, kept)
+
+
+class TestDonation:
+    X = staticmethod(lambda: rt.rand((6, 3, 4), seed=2))
+    S = staticmethod(lambda: rt.rand((3, 4), seed=3))
+
+    @pytest.mark.parametrize("name", models.workload_names())
+    def test_two_calls_bit_exact_and_inputs_untouched(self, name):
+        wl = models.get_workload(name)
+        args = wl.make_inputs(2, 8, 0)
+        inputs = [a for a in args if isinstance(a, rt.Tensor)]
+        before = [a.numpy() for a in inputs]
+        expected = rt.as_tuple(get_pipeline("eager").compile(
+            wl.model_fn, args)(*[a.clone() if isinstance(a, rt.Tensor)
+                                 else a for a in args]))
+        compiled = get_pipeline("tensorssa").compile(wl.model_fn, args)
+        first = rt.as_tuple(compiled(*args))
+        first_copy = [o.clone() if isinstance(o, rt.Tensor) else o
+                      for o in first]
+        second = rt.as_tuple(compiled(*args))
+        assert rt.bit_exact(first_copy, expected)
+        assert rt.bit_exact(second, expected)
+        for tensor, kept in zip(inputs, before):
+            assert tensor.version == 0 and rt.bit_exact(tensor, kept)
+        # every buffer a kernel stores into is donated: no copy remains
+        for node in compiled.graph.walk():
+            kernel = node.attrs.get("kernel")
+            if kernel is not None:
+                assert kernel.__copies__ == ()
+
+    @pytest.mark.parametrize("name", ["lstm", "nasrnn"])
+    def test_rnn_output_buffer_threads_through_the_loop(self, name):
+        wl = models.get_workload(name)
+        args = wl.make_inputs(2, 8, 0)
+        compiled = get_pipeline("tensorssa").compile(wl.model_fn, args)
+        compiled(*args)
+        loop, = compiled.graph.nodes_of("prim::Loop")
+        group, = [n for n in loop.blocks[0].nodes
+                  if n.op == "prim::FusionGroup"]
+        (i,) = compiled.graph._memplan.liveness.donated[id(group)]
+        # the carried [T, B, H] output, written in place every step
+        assert group.input(i).param_block is loop.blocks[0]
+        assert group.attrs["kernel"].__donated__ == (i,)
+        assert "aten::clone" not in group.attrs["kernel"].__source__
+
+    def test_fresh_carried_init_is_donated(self):
+        text = _CARRIED.replace("INIT", "%a")
+        graph, plan, group = _donation_case(text)
+        assert plan.liveness.donated[id(group)] == (0,)
+        assert id(group) not in plan.liveness.kept
+        _runs_like_the_interpreter(graph, plan, self.X(), self.S(),
+                                   parse_graph(text))
+        assert group.attrs["kernel"].__donated__ == (0,)
+        assert group.attrs["kernel"].__copies__ == ()
+
+    def test_carried_init_that_is_a_graph_input_keeps_the_copy(self):
+        text = _CARRIED.replace("INIT", "%x")
+        graph, plan, group = _donation_case(text)
+        assert id(group) not in plan.liveness.donated
+        assert plan.liveness.kept[id(group)] == {
+            0: "caller's buffer: %x is a graph input"}
+        _runs_like_the_interpreter(graph, plan, self.X(), self.S(),
+                                   parse_graph(text))
+        assert group.attrs["kernel"].__copies__ == (0,)
+
+    def test_carried_init_that_is_a_captured_constant_keeps_the_copy(self):
+        weights = self.X()
+        pristine = weights.numpy()
+
+        def build():
+            graph = parse_graph(_CARRIED.replace("INIT", "%a"))
+            const = graph.constant(weights, "k")
+            graph.block.insert(0, const)
+            loop, = graph.nodes_of("prim::Loop")
+            loop.set_input(2, const.output())
+            return graph
+
+        graph = build()
+        plan = get_or_build_plan(graph)
+        group, = graph.nodes_of("prim::FusionGroup")
+        assert plan.liveness.kept[id(group)][0].startswith(
+            "caller's buffer: %k")
+        # a second call would read the constant the first one wrote
+        _runs_like_the_interpreter(graph, plan, self.X(), self.S(), build())
+        assert rt.bit_exact(weights, pristine)
+
+    def test_view_read_after_the_launch_keeps_the_copy(self):
+        text = _GROUP.replace("BASE", "%a").replace("READ", "%v")
+        graph, plan, group = _donation_case(text)
+        assert plan.liveness.kept[id(group)] == {
+            0: "live alias: %a is read after the launch"}
+        _runs_like_the_interpreter(graph, plan, self.X(), self.S(),
+                                   parse_graph(text))
+        # without the late reader the same group takes the buffer
+        graph, plan, group = _donation_case(
+            _GROUP.replace("BASE", "%a").replace("READ", "%s"))
+        assert plan.liveness.donated[id(group)] == (0,)
+
+    def test_zero_trip_interpreted_loop_keeps_the_copy(self):
+        text = _GROUP.replace("BASE", "%y").replace("READ", "%s")
+        graph, plan, group = _donation_case(text)
+        assert plan.liveness.kept[id(group)] == {
+            0: "interpreted zero-trip pass-through: caller's buffer: "
+               "%x is a graph input"}
+        # 0 trips: the loop output is %x itself, which the group copies
+        _runs_like_the_interpreter(graph, plan, self.X(), self.S(),
+                                   parse_graph(text))
+
+    def test_donated_output_is_the_input_tensor(self):
+        from repro.backend.fusion_runtime import execute_group
+        graph, plan, group = _donation_case(_CARRIED.replace("INIT", "%a"))
+        buffer = self.X()
+        out, = execute_group(group, [buffer, self.S(), 2])
+        assert out is buffer  # same Storage: no new pool charge
+        assert rt.bit_exact(out.select(0, 2), self.S())

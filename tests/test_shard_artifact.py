@@ -93,6 +93,25 @@ class TestRoundTrip:
         assert json.loads(serialize_compiled(nnc, nnc_key))[
             "payload"]["program_sha256"] is None
 
+    def test_restored_kernels_keep_their_donations(self):
+        """Donation is a plan product: the restore replans, so every
+        rebuilt kernel writes the same inputs in place and lowers to
+        byte-identical source."""
+        wl, compiled, key, args = _fresh("lstm", "tensorssa")
+        compiled.fn(*args)
+        restored = deserialize_compiled(serialize_compiled(compiled, key))
+
+        def kernels(graph):
+            return [(n.attrs["kernel"].__donated__,
+                     n.attrs["kernel"].__source__)
+                    for n in graph.walk() if "kernel" in n.attrs]
+
+        want = kernels(compiled.graph)
+        assert any(donated for donated, _ in want)
+        assert kernels(restored.compiled.graph) == want
+        _assert_same_outputs(restored.compiled.fn(*args),
+                             compiled.fn(*args))
+
     def test_family_guards_round_trip(self):
         wl = get_workload("lstm")
         pipe = get_pipeline("tensorssa")
@@ -154,7 +173,7 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 4
+        assert ARTIFACT_VERSION == 5
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
 

@@ -66,3 +66,17 @@ class TestInspect:
         assert "while " in out and "_fr.execute_group(" in out
         # release statements: pool accounting, eviction, loop rotation
         assert "_free((" in out and "\n        del " in out
+
+    def test_kernel_rows_show_donations_and_why_copies_remain(self, capsys):
+        from repro.pipelines import get_pipeline
+        report = inspect_workload(
+            "lstm", seq_len=8,
+            pipelines=[TensorSSAPipeline(), get_pipeline("dynamo_inductor")])
+        body = [k for k in report["tensorssa"]["kernels"] if k["donated"]]
+        # the loop-body group writes the carried output in place
+        assert [(k["donated"], k["copies"]) for k in body] == [((4,), [])]
+        print_report("lstm", report)
+        out = capsys.readouterr().out
+        assert "donated args [4]  param copies per launch: 0" in out
+        # an unplanned pipeline's kernels copy, each with the reason
+        assert "copy of arg 3: no memory plan donated it" in out
