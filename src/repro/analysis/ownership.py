@@ -18,7 +18,9 @@ The pieces: :data:`ASSIGN_TO_VIEW` (which window an Assign writes),
 :func:`view_root` (whose buffer that is) and :func:`later_reader` (does
 anything still expect the old contents).  Whatever they cannot prove
 keeps the clone, so the ``KERNELS`` row stays the definition and the
-store is a derived execution of it.
+store is a derived execution of it.  :func:`later_reader` also says
+which kernel inputs a binary member may overwrite with its result
+(:func:`plan_outs`, the ``out=`` form).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 from ..ir.graph import Block, Node, Value
 from ..ops import registry
 from ..ops.schema import OpKind
+from ..runtime.kernels import INTO
 
 #: assign op -> the view op whose window it writes (None = whole
 #: tensor): the inverse of the registry's ``assign_op`` links, the first
@@ -215,15 +218,53 @@ def plan_stores(nodes: Sequence[Node], block: Block,
         ownable -= shared
 
 
-def returned_params(plan: StorePlan, block: Block) -> Set[int]:
+#: the binary rows a kernel may run into a dying operand's buffer
+OUT_OPS = frozenset(name for name, _ in INTO)
+
+#: ``block.params`` position -> (the member that may write its result
+#: into that param's buffer, which of the member's operands it is)
+Outs = Dict[int, Tuple[Node, int]]
+
+
+def plan_outs(nodes: Sequence[Node], block: Block, plan: StorePlan) -> Outs:
+    """Which block parameters an ``out=`` member may overwrite: a direct
+    operand of an :data:`OUT_OPS` member that nothing at or after it
+    reads, through any alias (:func:`later_reader`), and that no Assign
+    stores into.  Whether the caller's buffer may be written at all is
+    the memory planner's question (``memplan/liveness.py``)."""
+    order = {id(n): i for i, n in enumerate(nodes)}
+    index = {id(p): i for i, p in enumerate(block.params)}
+    alias = _alias_given(plan.lowering)
+    outs: Outs = {}
+    for pos, node in enumerate(nodes):
+        if node.op not in OUT_OPS:
+            continue
+        for k, v in enumerate(node.inputs):
+            arg = index.get(id(v))
+            if arg is not None and arg not in plan.stored and \
+                    later_reader(v, pos, order, {(id(node), k)},
+                                 alias) is None:
+                outs[arg] = (node, k)
+                break
+    return outs
+
+
+def returned_params(plan: StorePlan, block: Block,
+                    outs: Optional[Outs] = None) -> Set[int]:
     """Positions of ``block.params`` the kernel returns as the very array
     it was handed: a return reached from the param through in-place
-    stores and chain identities alone."""
+    stores, chain identities and ``out=`` members alone."""
     index = {id(p): i for i, p in enumerate(block.params)}
+    into = {id(node): k for node, k in (outs or {}).values()}
     out: Set[int] = set()
     for ret in block.returns:
-        while ret.node is not None and id(ret.node) in plan.lowering:
-            ret = ret.node.input(0)
+        while ret.node is not None:
+            if id(ret.node) in plan.lowering:
+                ret = ret.node.input(0)
+            elif id(ret.node) in into:
+                ret = ret.node.input(into[id(ret.node)])
+            else:
+                break
         if id(ret) in index:
             out.add(index[id(ret)])
     return out

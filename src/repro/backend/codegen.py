@@ -37,10 +37,17 @@ before the first statement that uses ``v0``; an undonated loop-carried
 slot is copied by ``run_horizontal_loop`` before the first trip instead
 (the kernel names the slots it stores into in ``__stores_into__``).
 ``__donated__`` and ``__copies__`` list the argument positions written
-in place and copied first.  An Assign the analysis cannot prove keeps
-the row's clone, ``_OPS['immut::slice_assign'](...)``; ``__assigns__``
-counts the three outcomes and says why each clone remains
-(``tools/inspect`` prints it, and the plan's reason for each copy).
+in place and copied first.  A donated input may instead be the operand
+of a binary member that nothing later reads
+(:func:`repro.analysis.ownership.plan_outs`): that member runs as the
+row's ``out=`` form, ``t0 = _INTO['aten::add', 0](v0, v1)``, which
+writes into ``v0`` where that gives the row's own bits and allocates
+otherwise (``runtime/kernels.py::INTO``); ``__outs__`` lists each such
+member with the argument it writes.  An Assign the analysis cannot
+prove keeps the row's clone, ``_OPS['immut::slice_assign'](...)``;
+``__assigns__`` counts the three outcomes and says why each clone
+remains (``tools/inspect`` prints it, and the plan's reason for each
+copy).
 
 The one schedule hook (:mod:`repro.tune`) is
 :func:`compile_block_unrolled`: it emits a horizontal-loop body ``u``
@@ -54,8 +61,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.ownership import ASSIGN_TO_VIEW, StorePlan, plan_stores
+from ..analysis.ownership import (ASSIGN_TO_VIEW, StorePlan, plan_outs,
+                                  plan_stores)
 from ..ir.graph import Block, Value
+from ..runtime.kernels import INTO
 from .kernels import OP_IMPLS
 
 
@@ -97,8 +106,15 @@ class _Emitter:
         self.nodes = list(block.nodes)
         self.plan: StorePlan = plan_stores(self.nodes, block, carried)
         self.carried = carried
-        #: stored-into params written in place: their buffer was donated
-        self.donated = tuple(i for i in self.plan.stored if i in donated)
+        outs = {} if carried else plan_outs(self.nodes, block, self.plan)
+        #: id(member) -> (its operand written, that operand's param
+        #: position): ``out=`` members whose target buffer was donated
+        self.outs = {id(node): (k, arg) for arg, (node, k) in outs.items()
+                     if arg in donated}
+        #: params written in place: their buffer was donated
+        self.donated = tuple(sorted(
+            [i for i in self.plan.stored if i in donated]
+            + [arg for _, arg in self.outs.values()]))
         #: stored-into params copied first (by the caller, if carried)
         self.copies = tuple(i for i in self.plan.stored
                             if i not in self.donated)
@@ -161,7 +177,9 @@ class _Emitter:
                     self.lines.append(f"    {window}[...] = {src}")
                 continue
             args = ", ".join(_name_of(names, v) for v in node.inputs)
-            call = f"_OPS[{node.op!r}]({args})"
+            into = self.outs.get(id(node))
+            call = f"_OPS[{node.op!r}]({args})" if into is None \
+                else f"_INTO[{node.op!r}, {into[0]}]({args})"
             if id(node) in plan.roots:
                 # a 0-d ufunc result is a numpy scalar, which views
                 # copy instead of aliasing: stored-into roots are arrays
@@ -173,7 +191,8 @@ class _Emitter:
     def finish(self, name: str, header: str,
                source_lines: List[str]) -> Callable:
         source = header + "\n".join(source_lines) + "\n"
-        scope = {"_OPS": OP_IMPLS, "_nd": np.asarray, **self.captured}
+        scope = {"_OPS": OP_IMPLS, "_INTO": INTO, "_nd": np.asarray,
+                 **self.captured}
         code = compile(source, f"<fusion:{name}>", "exec")
         exec(code, scope)  # noqa: S102 - JIT compilation of our own source
         fn = scope[name]
@@ -185,6 +204,10 @@ class _Emitter:
         #: argument positions written in place: dying buffers the
         #: planner donated, an output that *is* one is that input
         fn.__donated__ = self.donated
+        #: (member op, argument position) per ``out=`` member: the
+        #: donated argument whose buffer that member's result is
+        fn.__outs__ = tuple((node.op, self.outs[id(node)][1])
+                            for node in self.nodes if id(node) in self.outs)
         #: argument positions copied before the first write
         fn.__copies__ = self.copies
         ways = list(plan.lowering.values())

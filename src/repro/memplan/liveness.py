@@ -24,10 +24,12 @@ memory planner.  Three structural facts drive the analysis:
   where functionalization otherwise materializes one full output
   version per timestep.
 
-* **Donation.** A kernel input that the kernel stores into, whose
-  class dies at that launch and whose buffer no other name can reach,
-  is *donated*: the kernel writes it in place instead of copying it
-  (:class:`_Donations`), and an output that is that buffer inherits it.
+* **Donation.** A kernel input that the kernel stores into, or that a
+  fused group's binary member may overwrite (``out=``), whose class
+  dies at that launch and whose buffer no other name can reach, is
+  *donated*: the kernel writes it in place instead of copying it or
+  allocating beside it (:class:`_Donations`), and an output that is
+  that buffer inherits it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..analysis.alias import AliasGraph
-from ..analysis.ownership import plan_stores, returned_params
+from ..analysis.ownership import plan_outs, plan_stores, returned_params
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Use, Value
 from ..ops.schema import OpKind
@@ -358,8 +360,9 @@ def _flows(value: Value) -> List[Use]:
 
 
 class _Donations:
-    """Which stored-into kernel inputs may be written in place
-    (:func:`compute_liveness` step 3).
+    """Which kernel inputs may be written in place
+    (:func:`compute_liveness` step 3): those the body stores into, and a
+    fused group's ``out=`` targets (``ownership.plan_outs``).
 
     An input is *donated* when (1) its class dies at the kernel: the
     kernel is the last use, as a direct operand passed once, and no
@@ -382,11 +385,14 @@ class _Donations:
         donated: List[int] = []
         kept: Dict[int, str] = {}
         stores = plan_stores(list(body.nodes), body, _is_hloop(node))
-        returned = returned_params(stores, body)
-        for arg in stores.stored:
+        outs = {} if _is_hloop(node) else \
+            plan_outs(list(body.nodes), body, stores)
+        returned = returned_params(stores, body, outs)
+        for arg in sorted((*stores.stored, *outs)):
             why = self.refusal(node, kernel_input(node, arg))
             if why:
-                kept[arg] = why
+                if arg in stores.stored:
+                    kept[arg] = why  # an out= member just allocates
                 continue
             donated.append(arg)
             if arg in returned:

@@ -14,7 +14,7 @@ from typing import Dict, Iterable
 
 from ..runtime import (creation, elementwise, inplace, linalg, reduction,
                        shape_ops, views)
-from ..runtime.kernels import KERNELS
+from ..runtime.kernels import KERNELS, eager_op
 from . import immut
 from .schema import GenRule, OpKind, OpSchema
 
@@ -260,12 +260,16 @@ for _n, _f in [
 # ---------------------------------------------------------------------------
 
 # unbroadcast is the adjoint of implicit broadcasting (and casting);
-# reshape_like the adjoint of the whole reshape family.  stash_init
-# allocates the per-iteration state buffer of the scan-style Loop
-# adjoint.  All plain pure ops, so every existing pass / the planner /
-# the interpreter handle backward graphs with zero special cases.
-_pure("grad::unbroadcast", shape_ops.unbroadcast)
-_pure("grad::reshape_like", shape_ops.reshape_like)
+# reshape_like the adjoint of the whole reshape family.  Both are
+# ``KERNELS`` rows whose result may be the operand itself (``aliases``),
+# fusable like the elementwise ops they follow, so the adjoint of a
+# fused body fuses and a reverse scan can run as one horizontal launch.
+# stash_init allocates the per-iteration state buffer of the scan-style
+# Loop adjoint.  All plain pure ops, so every existing pass / the
+# planner / the interpreter handle backward graphs with zero special
+# cases.
+for _n in ("unbroadcast", "reshape_like"):
+    _pure(f"grad::{_n}", eager_op(f"grad::{_n}"), fusable=True)
 _pure("grad::stash_init", creation.stash_init)
 
 # ---------------------------------------------------------------------------

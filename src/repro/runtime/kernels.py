@@ -7,7 +7,8 @@ recording) and the accounting ``record_op`` needs.  Every execution is
 programs agree bit for bit by construction: :func:`eager_op` (the
 ``aten::*`` / ``immut::*`` op), :func:`view_op` (the aliasing view),
 :func:`inplace_op` (``op_``), and the fused call — ``backend/codegen.py``
-runs ``OpSchema.kernel``, which ``ops.registry`` fills from this table.
+runs ``OpSchema.kernel``, which ``ops.registry`` fills from this table,
+or a binary row's ``out=`` form (:data:`INTO`) into a dying operand.
 
 Scalar promotion: Python scalars reach numpy as Python scalars, so NEP 50
 weak promotion — PyTorch's rule — decides (``int32 + 2`` stays int32,
@@ -169,6 +170,34 @@ def _shape_assign(base, src):
     return np.asarray(src).astype(base.dtype, copy=False).reshape(base.shape)
 
 
+# -- the reverse pass's glue (``grad::``): each may return its operand -------
+
+def unbroadcast(g, template):
+    """Reduce a broadcast gradient back to ``template``'s shape and dtype.
+
+    The adjoint of numpy-style broadcasting: extra leading dims are
+    summed away and stretched size-1 dims are summed with ``keepdims``,
+    then the result is cast to ``template``'s dtype (the adjoint of an
+    implicit up-cast is the matching down-cast).  Where nothing was
+    broadcast or cast, the result is ``g`` itself."""
+    shape = np.shape(template)
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if g.shape[axis] != size:
+            g = g.sum(axis=axis, keepdims=True)
+    g = g.astype(np.asarray(template).dtype, copy=False)
+    return g if g.flags.c_contiguous else np.ascontiguousarray(g)
+
+
+def reshape_like(src, template):
+    """``src`` reshaped to ``template``'s shape: the adjoint of every
+    reshape-family op (reshape / view / squeeze / unsqueeze / flatten and
+    their Assign duals) — the gradient flows back with the original
+    geometry restored."""
+    return np.reshape(src, np.shape(template))
+
+
 class Kernel(NamedTuple):
     """One operator's row: its kernel and how a launch of it is charged."""
 
@@ -192,6 +221,12 @@ def _rows(prefix: str, fns: dict, **meta) -> Dict[str, Kernel]:
     return {prefix + n: Kernel(f, **meta) for n, f in fns.items()}
 
 
+#: the correctly-rounded binary rows: written into an operand's buffer
+#: (``out=``) they give the bits they give into a fresh one
+_INTO_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+                "div": np.true_divide, "maximum": np.maximum,
+                "minimum": np.minimum}
+
 _VIEWS = {"alias": alias, "select": select, "slice": slice_,
           "narrow": narrow, "reshape": reshape, "permute": permute,
           "transpose": transpose, "squeeze": squeeze,
@@ -208,9 +243,7 @@ KERNELS: Dict[str, Kernel] = {
         "and": lambda a, b: a and b, "or": lambda a, b: a or b,
         "not": operator.not_, "min": min, "max": max}, elementwise=True),
     **_rows("aten::", {n: _binary(u) for n, u in {
-        "add": np.add, "sub": np.subtract, "mul": np.multiply,
-        "div": np.true_divide, "pow": np.power, "maximum": np.maximum,
-        "minimum": np.minimum, "remainder": np.remainder,
+        **_INTO_UFUNCS, "pow": np.power, "remainder": np.remainder,
         "gt": np.greater, "lt": np.less, "ge": np.greater_equal,
         "le": np.less_equal, "eq": np.equal, "ne": np.not_equal,
         "logical_and": np.logical_and, "logical_or": np.logical_or,
@@ -259,6 +292,10 @@ KERNELS: Dict[str, Kernel] = {
         "unsqueeze_assign": lambda base, src, dim: _shape_assign(base, src),
         "flatten_assign": lambda base, src, start_dim=0, end_dim=-1:
             _shape_assign(base, src)}, flops=0, aliases=1),
+    "grad::unbroadcast": Kernel(unbroadcast, launch="unbroadcast",
+                                aliases=0),
+    "grad::reshape_like": Kernel(reshape_like, launch="reshape_like",
+                                 aliases=0),
 }
 
 
@@ -292,14 +329,19 @@ def _publish(op: Callable, name: str, doc: str, like: Callable,
 
 
 def eager_op(name: str, doc: str = "") -> Callable:
-    """The eager form of the ``name`` row: one launch, a fresh tensor."""
-    kernel, _, flops, launch, reads, _ = KERNELS[name]
+    """The eager form of the ``name`` row: one launch, a fresh tensor
+    (copied when the kernel hands back the operand it ``aliases``)."""
+    kernel, _, flops, launch, reads, aliases = KERNELS[name]
     launch = launch or name.replace("aten::", "")
 
     def op(*args, **kwargs):
         if kwargs:
             args = _positional(kernel, args, kwargs)
-        out = wrap(kernel(*_raw(args)))
+        raw = _raw(args)
+        res = kernel(*raw)
+        if aliases is not None and res is raw[aliases]:
+            res = np.array(res, copy=True)
+        out = wrap(res)
         record_op(launch, args if reads else (), (out,),
                   flops=out._array.size * flops)
         return out
@@ -328,6 +370,30 @@ def view_op(name: str) -> Callable:
         record_op("reshape_copy", [t], [out])
         return out
     return _publish(op, name, "", kernel)
+
+
+def _into(ufunc, row: Callable, k: int) -> Callable:
+    def kernel(a, b):
+        out, other = (a, b) if k == 0 else (b, a)
+        if out.__class__ is np.ndarray and out.dtype.kind == "f" and (
+                other.__class__ is float or (
+                    other.__class__ is np.ndarray
+                    and other.dtype == out.dtype
+                    and other.shape == out.shape)):
+            return ufunc(a, b, out=out)
+        return row(a, b)
+    return kernel
+
+
+#: ``(name, k) ->`` the ``out=`` form of binary row ``name`` into operand
+#: ``k``'s buffer, for a compiled kernel that proved that buffer dead
+#: (``analysis/ownership.py::plan_outs``).  It writes in place only where
+#: that gives the row's own value, dtype and shape — a float buffer, the
+#: other operand a Python float or an array of the same shape and dtype
+#: — and otherwise runs the row's kernel, leaving the operand untouched.
+INTO: Dict[tuple, Callable] = {
+    ("aten::" + n, k): _into(u, KERNELS["aten::" + n].kernel, k)
+    for n, u in _INTO_UFUNCS.items() for k in (0, 1)}
 
 
 def inplace_op(name: str, functional: str) -> Callable:

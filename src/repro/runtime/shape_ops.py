@@ -160,37 +160,3 @@ def index_fill(t: Tensor, dim: int, index: Tensor, value) -> Tensor:
     record_op("index_fill", [tt, ti], [out])
     return out
 
-
-def unbroadcast(g: Tensor, template: Tensor) -> Tensor:
-    """Reduce a broadcast gradient back to ``template``'s shape/dtype.
-
-    The adjoint of numpy-style broadcasting: extra leading dims are
-    summed away and stretched size-1 dims are summed with ``keepdims``,
-    then the result is cast to ``template``'s dtype (the adjoint of an
-    implicit up-cast is the matching down-cast).  Identity shapes pass
-    through as a cheap copy-free cast.
-    """
-    gg, tt = as_tensor(g), as_tensor(template)
-    arr = gg._array
-    while arr.ndim > tt.ndim:
-        arr = arr.sum(axis=0)
-    for axis, size in enumerate(tt.shape):
-        if arr.shape[axis] != size:
-            arr = arr.sum(axis=axis, keepdims=True)
-    arr = np.ascontiguousarray(arr.astype(tt.dtype.np, copy=False))
-    out = Tensor.from_array(arr, copy=arr is gg._array)
-    record_op("unbroadcast", [gg], [out])
-    return out
-
-
-def reshape_like(src: Tensor, template: Tensor) -> Tensor:
-    """``src`` reshaped to ``template``'s shape (fresh storage).
-
-    The adjoint of every metadata-only reshape-family op (reshape /
-    view / squeeze / unsqueeze / flatten and their Assign duals): the
-    gradient just flows back with the original geometry restored.
-    """
-    ss, tt = as_tensor(src), as_tensor(template)
-    out = Tensor.from_array(ss._array.reshape(tt.shape), copy=True)
-    record_op("reshape_like", [ss], [out])
-    return out

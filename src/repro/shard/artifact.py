@@ -89,8 +89,10 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: 4: kernel source changed — owned Assign chains lower to in-place
 #: stores — so every v3 ``source_sha256`` is stale;
 #: 5: a kernel writes the inputs the memory plan donates in place
-#: instead of copying them, so the same graph lowers to other source)
-ARTIFACT_VERSION = 5
+#: instead of copying them, so the same graph lowers to other source;
+#: 6: ``out=`` members write dying inputs, and the gradient glue
+#: (``grad::unbroadcast`` / ``grad::reshape_like``) fuses)
+ARTIFACT_VERSION = 6
 
 _MAGIC = "repro-artifact"
 

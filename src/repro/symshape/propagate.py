@@ -333,6 +333,14 @@ def _rule_unsqueeze(node, shapes, scalars) -> None:
     shapes[id(node.output())] = shape[:dim] + (1,) + shape[dim:]
 
 
+def _rule_template(node, shapes, scalars) -> None:
+    # grad::unbroadcast / grad::reshape_like(src, template): the
+    # adjoint takes its template's shape
+    shape = shapes.get(id(node.input(1)))
+    if shape is not None:
+        shapes[id(node.output())] = shape
+
+
 def _rule_scalar_arith(node, shapes, scalars) -> None:
     # prim::add/sub/mul on tracked ints -> SymInt arithmetic
     a = _const_or_scalar(node.input(0), scalars)
@@ -362,6 +370,8 @@ _RULES = {
     "aten::slice": _rule_slice,
     "immut::slice": _rule_slice,
     "aten::unsqueeze": _rule_unsqueeze,
+    "grad::unbroadcast": _rule_template,
+    "grad::reshape_like": _rule_template,
     "prim::add": _rule_scalar_arith,
     "prim::sub": _rule_scalar_arith,
     "prim::mul": _rule_scalar_arith,

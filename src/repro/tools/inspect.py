@@ -47,9 +47,11 @@ def kernel_assigns(graph: Graph) -> List[dict]:
     ``__assigns__`` counts ``backend/codegen.py`` attaches (stores /
     chain identities / clones, each clone with its reason), the carried
     slots a loop body stores into, the argument positions it writes in
-    place because the memory plan donated them, and each argument it
-    still copies first with the plan's reason.  Kernels compile on first
-    execution, so only nodes that have run are listed."""
+    place because the memory plan donated them (``outs``: the ``out=``
+    member that writes each one it does not store into), and each
+    argument it still copies first with the plan's reason.  Kernels
+    compile on first execution, so only nodes that have run are
+    listed."""
     plan = getattr(graph, "_memplan", None)
     rows = []
     for index, node in enumerate(graph.walk()):
@@ -60,6 +62,7 @@ def kernel_assigns(graph: Graph) -> List[dict]:
         rows.append({"node": index, "kernel": kernel.__name__,
                      "stores_into": kernel.__stores_into__,
                      "donated": kernel.__donated__,
+                     "outs": kernel.__outs__,
                      "copies": [(arg, kept.get(arg, "no memory plan "
                                                "donated it"))
                                 for arg in kernel.__copies__],
@@ -214,6 +217,9 @@ def print_report(name: str, report: Dict[str, dict],
                     if k["stores_into"] else ""
                 if k["donated"]:
                     slots += f"  donated args {list(k['donated'])}"
+                if k["outs"]:
+                    slots += "  out= " + ", ".join(
+                        f"arg {arg} by {op}" for op, arg in k["outs"])
                 if k["donated"] or k["copies"]:
                     slots += f"  param copies per launch: {len(k['copies'])}"
                 print(f"    #{k['node']:<3} {k['kernel']:<8} {k['stores']} / "

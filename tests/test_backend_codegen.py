@@ -423,3 +423,74 @@ class TestAssignStores:
         assert "immut::" not in kernel.__source__
         assert kernel.__assigns__ == {"stores": 4, "identities": 12,
                                       "clones": []}
+
+
+class TestOutMembers:
+    """A binary member writes its result into a donated operand's buffer
+    (``out=``) only when nothing in the kernel reads that operand later;
+    every other case keeps allocating, asserted on the generated source."""
+
+    def test_dying_operand_is_the_result_buffer(self):
+        block = parse_graph(f"""graph g(%x : Tensor, %s : Tensor):{_CONSTS}
+  %r = aten::add(%x, %s)
+  %m = aten::mul(%r, %one)
+  return (%r, %m)""").block
+        kernel = compile_block(block, donated=(0,))
+        assert kernel.__donated__ == (0,)
+        assert kernel.__outs__ == (("aten::add", 0),)
+        assert "_INTO['aten::add', 0](v0, v1)" in kernel.__source__
+        x, s = _X.copy(), _X[::-1].copy()
+        r, m = kernel([x, s])
+        assert r is x
+        assert rt.bit_exact([r, m], _reference(block, [_X, s]))
+        # no donation, no out=: the row's allocating call
+        assert compile_block(block).__outs__ == ()
+
+    def test_fallback_leaves_the_operand_untouched(self):
+        """A broadcast operand: the row runs, into a fresh array."""
+        block = parse_graph("""graph g(%x : Tensor, %s : Tensor):
+  %r = aten::sub(%x, %s)
+  return (%r)""").block
+        kernel = compile_block(block, donated=(0,))
+        assert kernel.__outs__ == (("aten::sub", 0),)
+        x = _X.copy()
+        got, = kernel([x, _S[0]])
+        assert got is not x and rt.bit_exact(x, _X)
+        assert rt.bit_exact([got], _reference(block, [_X, _S[0]]))
+
+    @pytest.mark.parametrize("body", [
+        # read later through a view taken before the write
+        """%v = aten::select(%x, %c0, %c0)
+  %r = aten::add(%x, %s)
+  %w = aten::mul(%v, %one)
+  return (%r, %w)""",
+        # read later directly, and returned as itself
+        """%r = aten::add(%x, %s)
+  %w = aten::tanh(%x)
+  return (%r, %w)""",
+        """%r = aten::add(%x, %s)
+  return (%r, %x)""",
+        # both operands
+        """%r = aten::add(%x, %x)
+  return (%r)""",
+        # an Assign stores into it: the store path owns that buffer
+        """%r = aten::add(%x, %s)
+  %v = aten::select(%s, %c0, %c0)
+  %b = immut::select_assign(%x, %v, %c0, %c1)
+  return (%r, %b)"""], ids=["earlier-view", "later-reader", "returned",
+                            "both-operands", "assign-stores"])
+    def test_operand_read_again_keeps_allocating(self, body):
+        block = parse_graph(f"""graph g(%x : Tensor, %s : Tensor):{_CONSTS}
+  {body}""").block
+        kernel = compile_block(block, donated=(0,))
+        assert kernel.__outs__ == () and "_INTO" not in kernel.__source__
+        _agrees(block, compile_block(block), _X, _X[::-1].copy())
+
+    def test_loop_body_member_keeps_allocating(self):
+        """Out of scope: a horizontal-loop body never writes out=."""
+        block = parse_graph("""graph g(%i : Int, %p : Tensor, %s : Tensor):
+  %t = prim::Constant[value=True]()
+  %r = aten::add(%p, %s)
+  return (%t, %r)""").block
+        kernel = compile_block(block, carried=True, donated=(1,))
+        assert kernel.__outs__ == () and "_INTO" not in kernel.__source__

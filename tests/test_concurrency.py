@@ -278,22 +278,31 @@ class TestConcurrentRuns:
             for g, e in zip(got, expected[name]):
                 np.testing.assert_array_equal(g.numpy(), e.numpy())
 
-    @pytest.mark.parametrize("name", ["yolact", "attention", "lstm",
-                                      "nasrnn", "seq2seq"])
-    def test_shared_inputs_are_never_written(self, name):
+    @pytest.mark.parametrize("name, grad", [
+        *[pytest.param(n, False, id=n)
+          for n in ("yolact", "attention", "lstm", "nasrnn", "seq2seq")],
+        pytest.param("lstm", True, id="lstm-grad"),
+        pytest.param("attention", True, id="attention-grad")])
+    def test_shared_inputs_are_never_written(self, name, grad):
         # serving shares one compiled graph between workers — here one
         # set of input tensors too: a kernel that stored into a buffer
         # it had neither allocated, copied nor been donated by the plan
         # (a group input, a carried slot's initial value) would corrupt
         # its neighbours' inputs; lstm, nasrnn and seq2seq kernels write
-        # donated per-call buffers in place
+        # donated per-call buffers in place, and the backward's
+        # gradient accumulators run out= into theirs
         wl = get_workload(name)
         args = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
         tensors = [a for a in args if isinstance(a, rt.Tensor)]
         pristine = [a.numpy() for a in tensors]
-        expected = rt.as_tuple(wl.model_fn(*clone_args(args)))
-        compiled = get_pipeline("tensorssa").compile(wl.model_fn,
-                                                     example_args=args)
+        pipeline = get_pipeline("tensorssa")
+        if grad:
+            compiled = pipeline.compile_grad(wl.model_fn, example_args=args)
+            reference = compiled.stats["grad_reference"]
+        else:
+            compiled = pipeline.compile(wl.model_fn, example_args=args)
+            reference = wl.model_fn
+        expected = rt.as_tuple(reference(*clone_args(args)))
         start = threading.Barrier(8)
         results = [None] * 8
 

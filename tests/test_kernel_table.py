@@ -23,6 +23,7 @@ from repro.ir import Graph
 from repro.ir import types as T
 from repro.ops import OpKind, all_ops, get
 from repro.pipelines import get_pipeline
+from repro.runtime.kernels import INTO
 
 DTYPES = {"f32": np.float32, "f64": np.float64, "i32": np.int32,
           "i64": np.int64, "bool": np.bool_}
@@ -241,3 +242,61 @@ def test_store_form_raises_what_the_row_raises(op, bad):
     exc, _ = _outcome(lambda: schema.kernel(*raw))
     assert exc in (IndexError, ValueError)
     _same_as_row(schema, _store_form(schema), raw, f"{op} {bad}")
+
+
+# -- the gradient glue may hand back its operand; its eager form may not ----
+
+@pytest.mark.parametrize("op", ["grad::unbroadcast", "grad::reshape_like"])
+def test_glue_eager_form_returns_fresh_storage(op):
+    """Nothing to reduce or reshape: the row's kernel returns (a view
+    of) the operand itself — what a fused body may use — while the
+    eager op still returns a tensor with its own storage."""
+    schema = get(op)
+    assert schema.aliases == 0 and schema.fusable
+    g = rt.from_numpy(_payload(np.float32))
+    assert np.shares_memory(schema.kernel(g._array, g._array), g._array)
+    out = schema.fn(g, g)
+    assert not np.shares_memory(out._array, g._array)
+    assert out._storage is not g._storage and rt.bit_exact(out, g)
+
+
+# -- the out= form of a binary row == the row ------------------------------
+
+def _others(dtype):
+    """(other operand, does the out= form write in place?) for a
+    ``_payload(dtype)`` target: a same-shape same-dtype array or a
+    Python float into a float buffer, and the fallbacks — a broadcast
+    either way, an int / float mix, a numpy scalar, a Python int."""
+    same = _payload(dtype)[::-1].copy()
+    into = np.dtype(dtype).kind == "f"
+    mixed = _payload(np.int32 if into else np.float32)
+    return [(same, into), (0.5, into), (same[0].copy(), False),
+            (np.stack([same, same]), False), (mixed, False),
+            (np.float32(0.5), False), (2, False)]
+
+
+@pytest.mark.parametrize("name, k", sorted(INTO),
+                         ids=lambda v: str(v))
+def test_out_form_is_the_row(name, k):
+    """Bit for bit over target dtype x other operand: the result is the
+    row's, the target's own buffer exactly where the form applies, and
+    otherwise the target is left as it was."""
+    row = get(name).kernel
+    for dtype in DTYPES.values():
+        for other, in_place in _others(dtype):
+            target = _payload(dtype)
+            before = target.copy()
+            args = (target, other) if k == 0 else (other, target)
+            where = f"{name} into {k}: {np.dtype(dtype)} x {other!r}"
+            with np.errstate(all="ignore"):
+                want_exc, want = _outcome(
+                    lambda: row(*((before, other) if k == 0
+                                  else (other, before))))
+                got_exc, got = _outcome(lambda: INTO[name, k](*args))
+            assert got_exc is want_exc, where
+            if want_exc is not None:
+                continue
+            assert rt.bit_exact(np.asarray(got), np.asarray(want)), where
+            assert (got is target) is in_place, where
+            if not in_place:
+                assert rt.bit_exact(target, before), where

@@ -413,8 +413,14 @@ class TestDonation:
             if kernel is not None:
                 assert kernel.__copies__ == ()
 
-    @pytest.mark.parametrize("name", ["lstm", "nasrnn"])
-    def test_rnn_output_buffer_threads_through_the_loop(self, name):
+    @pytest.mark.parametrize("name, donated, outs", [
+        # lstm: the gates' pre-activation sum and the cell state die in
+        # the step that updates them, and are written by out= members
+        pytest.param("lstm", (0, 3, 4),
+                     (("aten::add", 0), ("aten::mul", 3)), id="lstm"),
+        pytest.param("nasrnn", (3,), (), id="nasrnn")])
+    def test_rnn_output_buffer_threads_through_the_loop(self, name, donated,
+                                                         outs):
         wl = models.get_workload(name)
         args = wl.make_inputs(2, 8, 0)
         compiled = get_pipeline("tensorssa").compile(wl.model_fn, args)
@@ -422,11 +428,13 @@ class TestDonation:
         loop, = compiled.graph.nodes_of("prim::Loop")
         group, = [n for n in loop.blocks[0].nodes
                   if n.op == "prim::FusionGroup"]
-        (i,) = compiled.graph._memplan.liveness.donated[id(group)]
+        kernel = group.attrs["kernel"]
+        assert compiled.graph._memplan.liveness.donated[id(group)] == donated
+        assert kernel.__donated__ == donated and kernel.__outs__ == outs
         # the carried [T, B, H] output, written in place every step
+        (i,) = set(donated) - {arg for _, arg in outs}
         assert group.input(i).param_block is loop.blocks[0]
-        assert group.attrs["kernel"].__donated__ == (i,)
-        assert "aten::clone" not in group.attrs["kernel"].__source__
+        assert "aten::clone" not in kernel.__source__
 
     def test_fresh_carried_init_is_donated(self):
         text = _CARRIED.replace("INIT", "%a")
@@ -498,3 +506,105 @@ class TestDonation:
         out, = execute_group(group, [buffer, self.S(), 2])
         assert out is buffer  # same Storage: no new pool charge
         assert rt.bit_exact(out.select(0, 2), self.S())
+
+
+#: a group whose add may run into BASE's buffer
+_OUT = """graph g(%x : Tensor, %s : Tensor, %n : Int):
+  %one = prim::Constant[value=1.0]()
+  %a = aten::mul(%x, %one)
+  %b = aten::select(%s, %n, %n)
+  %r = prim::FusionGroup(BASE, %b)
+    block0(%q : Tensor, %src : Tensor):
+      %w = aten::add(%q, %src)
+      %m = aten::tanh(%w)
+      -> (%m)
+  return (%r)"""
+
+#: the same group in an interpreted loop, its carried slot the target
+_OUT_LOOP = """graph g(%x : Tensor, %s : Tensor, %n : Int):
+  %one = prim::Constant[value=1.0]()
+  %t = prim::Constant[value=True]()
+  %a = aten::mul(%x, %one)
+  %y = prim::Loop(%n, %t, %a)
+    block0(%i : Int, %p : Tensor):
+      %r = prim::FusionGroup(%p, %s)
+        block0(%q : Tensor, %src : Tensor):
+          %w = aten::add(%q, %src)
+          -> (%w)
+      -> (%t, %r)
+  return (%y, READ)"""
+
+
+class TestOutDonation:
+    """``out=``: the planner donates a group input an out= member may
+    overwrite only when the stored-into inputs' refusal test passes — the
+    buffer dies at the launch and no other name reaches it."""
+
+    X = staticmethod(lambda: rt.rand((3, 4), seed=2))
+    S = staticmethod(lambda: rt.rand((3, 4), seed=3))
+
+    def _runs(self, text, n, donated):
+        graph, plan, group = _donation_case(text)
+        assert plan.liveness.donated.get(id(group), ()) == donated
+        x, s = self.X(), self.S()
+        kept = [x.numpy(), s.numpy()]
+        want = run_graph(parse_graph(text), [x.clone(), s.clone(), n])
+        for _ in range(2):
+            assert rt.bit_exact(run_graph(graph, [x, s, n], plan=plan), want)
+        for tensor, before in zip((x, s), kept):
+            assert tensor.version == 0 and rt.bit_exact(tensor, before)
+        kernel = group.attrs["kernel"]
+        assert kernel.__donated__ == donated and kernel.__copies__ == ()
+        assert kernel.__outs__ == ((("aten::add", 0),) if donated else ())
+        return plan, group
+
+    def test_fresh_dying_input_is_the_result_buffer(self):
+        self._runs(_OUT.replace("BASE", "%a"), 0, (0,))
+
+    def test_graph_input_keeps_allocating(self):
+        plan, group = self._runs(_OUT.replace("BASE", "%x"), 0, ())
+        # an out= refusal is no copy: nothing is listed as kept
+        assert id(group) not in plan.liveness.kept
+
+    def test_captured_constant_keeps_allocating(self):
+        weights = self.X()
+        pristine = weights.numpy()
+        graph = parse_graph(_OUT.replace("BASE", "%a"))
+        const = graph.constant(weights, "k")
+        graph.block.insert(0, const)
+        group, = graph.nodes_of("prim::FusionGroup")
+        group.set_input(0, const.output())
+        plan = get_or_build_plan(graph)
+        assert id(group) not in plan.liveness.donated
+        for _ in range(2):
+            run_graph(graph, [self.X(), self.S(), 0], plan=plan)
+        assert rt.bit_exact(weights, pristine)
+
+    def test_loop_carried_slot_is_the_result_buffer(self):
+        self._runs(_OUT_LOOP.replace("READ", "%x"), 3, (0,))
+
+    def test_shared_loop_init_keeps_allocating(self):
+        # the init is read again after the loop: a zero-trip run hands
+        # it through, so the slot's buffer is not the group's to write
+        self._runs(_OUT_LOOP.replace("READ", "%a"), 3, ())
+
+    def test_horizontal_loop_body_keeps_allocating(self):
+        graph = parse_graph(_OUT_LOOP.replace("READ", "%x"))
+        loop, = graph.nodes_of("prim::Loop")
+        body = loop.blocks[0]
+        group, = [n for n in body.nodes if n.op == "prim::FusionGroup"]
+        # the loop body as raw ops, run as one horizontal launch
+        add, = group.blocks[0].nodes
+        w = body.insert_before(group, graph.create(
+            "aten::add", [body.params[1], graph.inputs[1]], ["w"],
+            [add.output().type]))
+        group.output().replace_all_uses_with(w.output())
+        group.destroy()
+        loop.attrs["horizontal"] = True
+        plan = get_or_build_plan(graph)
+        assert id(loop) not in plan.liveness.donated
+        want = run_graph(parse_graph(_OUT_LOOP.replace("READ", "%x")),
+                         [self.X(), self.S(), 3])
+        assert rt.bit_exact(run_graph(graph, [self.X(), self.S(), 3],
+                                      plan=plan), want)
+        assert loop.attrs["kernel"].__outs__ == ()

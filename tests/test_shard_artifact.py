@@ -173,7 +173,7 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 5
+        assert ARTIFACT_VERSION == 6
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
 
@@ -342,6 +342,35 @@ class TestBackwardArtifacts:
         _, compiled, key, _ = _fresh("lstm", "tensorssa")
         assert "grad_reference" not in json.loads(
             serialize_compiled(compiled, key))["payload"]
+
+    def test_restored_backward_keeps_its_out_members(self):
+        """The backward's gradient accumulators run ``out=`` into donated
+        buffers.  The restore replans, so every rebuilt kernel donates
+        the same inputs, names the same out= members and lowers to
+        byte-identical source; a version 5 record, whose kernels
+        allocated there, is refused typed."""
+        wl, pipe = get_workload("lstm"), get_pipeline("tensorssa")
+        args = wl.make_inputs(batch_size=2, seq_len=8, seed=0)
+        compiled = pipe.compile_grad(wl.model_fn, example_args=args)
+        compiled.fn(*args)
+        data = serialize_compiled(compiled, compile_key(pipe, wl, args,
+                                                        grad=True))
+        restored = deserialize_compiled(data)
+
+        def kernels(graph):
+            return [(k.__donated__, k.__outs__, k.__source__)
+                    for k in (n.attrs["kernel"] for n in graph.walk()
+                              if "kernel" in n.attrs)]
+
+        want = kernels(compiled.graph)
+        assert any(outs for _, outs, _ in want)
+        assert any("grad::unbroadcast" in source for _, _, source in want)
+        assert kernels(restored.compiled.graph) == want
+        _assert_same_outputs(restored.compiled.fn(*args),
+                             compiled.fn(*args))
+        with pytest.raises(ArtifactError, match="version 5"):
+            deserialize_compiled(_tampered(
+                data, lambda payload: payload.update(version=5)))
 
     def test_family_x_tuned_schedule_x_artifact_x_backward(self, tmp_path):
         """The features in combination (ROADMAP aim 3): a symbolic

@@ -333,6 +333,36 @@ class TestFamilyCompile:
                                                      cache=cache)
         assert outcome == "hit" and hit and fam is fam16
 
+    @pytest.mark.parametrize("name", ["lstm", "attention"])
+    def test_grad_glue_takes_its_template_shape(self, name):
+        """A family-keyed backward prices every fused / horizontal
+        ``grad::unbroadcast`` and ``grad::reshape_like`` at its
+        template's symbolic shape, and serves a second extent warm."""
+        cache = CompileCache()
+        pipe = get_pipeline("tensorssa")
+        wl = get_workload(name)
+        args = wl.make_inputs(batch_size=2, seq_len=16, seed=0)
+        compiled = fetch(pipe, wl, args, cache=cache, dynamic_shapes=True,
+                         grad=True).compiled
+        shapes = compiled.graph._symshapes
+        glue = [n for n in compiled.graph.walk()
+                if n.op in ("grad::unbroadcast", "grad::reshape_like")]
+        assert glue and all(n.owning_block.owning_node is not None
+                            for n in glue)  # inside kernels, all of them
+        priced = [n for n in glue if id(n.input(1)) in shapes]
+        for node in priced:
+            assert shapes[id(node.output())] == shapes[id(node.input(1))]
+        assert any(isinstance(d, SymInt) for n in priced
+                   for d in shapes[id(n.output())])
+        warm = wl.make_inputs(batch_size=3, seq_len=24, seed=1)
+        again = fetch(pipe, wl, warm, cache=cache, dynamic_shapes=True,
+                      grad=True)
+        assert again.hit and again.compiled is compiled
+        got = compiled(*[rt.from_numpy(a.numpy()) for a in warm])
+        want = compiled.stats["grad_reference"](
+            *[rt.from_numpy(a.numpy()) for a in warm])
+        assert rt.bit_exact(rt.as_tuple(got), rt.as_tuple(want))
+
     def test_run_workload_surfaces_family_fields(self):
         cache = CompileCache()
         r1 = run_workload("lstm", "tensorssa", batch_size=2, seq_len=16,

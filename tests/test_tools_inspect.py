@@ -73,10 +73,13 @@ class TestInspect:
             "lstm", seq_len=8,
             pipelines=[TensorSSAPipeline(), get_pipeline("dynamo_inductor")])
         body = [k for k in report["tensorssa"]["kernels"] if k["donated"]]
-        # the loop-body group writes the carried output in place
-        assert [(k["donated"], k["copies"]) for k in body] == [((4,), [])]
+        # the loop-body group writes the carried output in place, and
+        # two dying inputs through out= members
+        assert [(k["donated"], k["outs"], k["copies"]) for k in body] == [
+            ((0, 3, 4), (("aten::add", 0), ("aten::mul", 3)), [])]
         print_report("lstm", report)
         out = capsys.readouterr().out
-        assert "donated args [4]  param copies per launch: 0" in out
+        assert ("donated args [0, 3, 4]  out= arg 0 by aten::add, arg 3 by "
+                "aten::mul  param copies per launch: 0") in out
         # an unplanned pipeline's kernels copy, each with the reason
         assert "copy of arg 3: no memory plan donated it" in out
