@@ -3,12 +3,12 @@
 Assigns every releasable lifetime class to an arena *slot* by greedy
 linear-scan interval allocation: classes are visited in order of their
 definition point; a class whose interval does not overlap a previously
-assigned class may inherit its slot (best-fit by static size hint when
-shapes are known, first-expired otherwise).  The slot table is the
-plan's observable skeleton — the runtime :class:`~repro.runtime.storage.
-MemoryPool` performs the byte-exact version of the same policy with
-size-bucketed free lists, because most shapes are only known at run
-time (the backend JIT-specializes, see ``repro.ir.types``).
+assigned class inherits the first slot that expired.  The slot table is
+the plan's observable skeleton and a function of the graph alone — it
+carries no sizes.  Bytes are sized in one place, the runtime
+:class:`~repro.runtime.storage.MemoryPool`, which best-fits the actual
+buffers with size-bucketed free lists (IR tensor types carry no shapes;
+the backend JIT-specializes, see ``repro.ir.types``).
 
 The plan also records *reuse edges* — statically provable donations
 where a node's fresh output can take over a dying operand's buffer
@@ -24,43 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.alias import AliasGraph
-from ..ir import types as T
-from ..ir.graph import Block, Graph, Node, Value
+from ..ir.graph import Graph, Node, Value
 from ..obs import trace as obs_trace
-from ..runtime.dtype import itemsize_of
 from .liveness import LifetimeClass, Liveness, compute_liveness, kernel_input
 
 __all__ = ["MemoryPlan", "PlanSlot", "ReuseEdge", "plan_graph",
            "get_or_build_plan", "format_plan", "plans_built",
            "donated_args"]
-
-def _static_nbytes(value: Value,
-                   size_env: Optional[Dict[str, int]] = None
-                   ) -> Optional[int]:
-    """Byte size of a value when its type carries full shape/dtype.
-
-    Falls back to the graph's propagated symbolic shapes
-    (``graph._symshapes``, see :mod:`repro.symshape.propagate`)
-    evaluated under ``size_env`` — a shape family's max-extent bounds —
-    so dynamic-shape artifacts still get best-fit hints.  Hints only
-    order slot packing; the runtime pool re-fits by actual bytes.
-    """
-    typ = value.type
-    if isinstance(typ, T.TensorType) and typ.shape is not None:
-        numel = 1
-        for dim in typ.shape:
-            numel *= int(dim)
-        return numel * itemsize_of(typ.dtype)
-    if size_env is None:
-        return None
-    graph = value.node.graph if value.node is not None else (
-        value.param_block.graph if value.param_block is not None else None)
-    if graph is None:
-        return None
-    from ..symshape.propagate import symbolic_nbytes, symbolic_shape_of
-    shape = symbolic_shape_of(graph, value)
-    dtype = typ.dtype if isinstance(typ, T.TensorType) else None
-    return symbolic_nbytes(shape, dtype, size_env)
 
 
 @dataclass
@@ -69,8 +39,6 @@ class PlanSlot:
 
     index: int
     classes: List[LifetimeClass] = field(default_factory=list)
-    #: static byte hint — the max over occupant hints, None if unknown
-    size_hint: Optional[int] = None
 
     def occupants(self) -> List[str]:
         """Origin names of every class assigned to this slot."""
@@ -145,17 +113,12 @@ class MemoryPlan:
         }
 
 
-def plan_graph(graph: Graph, alias: Optional[AliasGraph] = None,
-               size_env: Optional[Dict[str, int]] = None) -> MemoryPlan:
-    """Compute liveness and assign slots; the full planning entry point.
-
-    ``size_env`` (symbol name -> max extent, from a shape family's
-    bounds) lets symbolic shapes price best-fit hints; omit it for
-    fully concrete graphs.
-    """
+def plan_graph(graph: Graph, alias: Optional[AliasGraph] = None
+               ) -> MemoryPlan:
+    """Compute liveness and assign slots; the full planning entry point."""
     liveness = compute_liveness(graph, alias=alias)
     plan = MemoryPlan(graph=graph, liveness=liveness)
-    _assign_slots(plan, size_env=size_env)
+    _assign_slots(plan)
     _collect_reuse_edges(plan)
     return plan
 
@@ -171,9 +134,7 @@ def plans_built() -> int:
     return _plans_built
 
 
-def get_or_build_plan(graph: Graph,
-                      size_env: Optional[Dict[str, int]] = None
-                      ) -> MemoryPlan:
+def get_or_build_plan(graph: Graph) -> MemoryPlan:
     """The memoized plan for a graph (cached on the graph object, so a
     compiled artifact plans exactly once — the lock keeps that true
     when concurrent serving workers share the artifact)."""
@@ -185,7 +146,7 @@ def get_or_build_plan(graph: Graph,
             if plan is None or plan.graph is not graph:
                 with obs_trace.span("memplan:plan", cat="compile",
                                     graph=graph.name):
-                    plan = plan_graph(graph, size_env=size_env)
+                    plan = plan_graph(graph)
                 _plans_built += 1
                 graph._memplan = plan
     return plan
@@ -201,8 +162,7 @@ def donated_args(node: Node) -> Tuple[int, ...]:
     return plan.liveness.donated.get(id(node), ())
 
 
-def _assign_slots(plan: MemoryPlan,
-                  size_env: Optional[Dict[str, int]] = None) -> None:
+def _assign_slots(plan: MemoryPlan) -> None:
     """Greedy linear scan, per home block (lifetimes in different blocks
     use block-local coordinates and are not comparable)."""
     by_block: Dict[int, List[LifetimeClass]] = {}
@@ -220,35 +180,16 @@ def _assign_slots(plan: MemoryPlan,
                 if other.interval[1] < start:
                     active.remove(other)
                     free.append(plan.slots[other.slot])
-            hint = _static_nbytes(cls.origin, size_env=size_env)
-            slot = _best_fit(free, hint)
-            if slot is None:
+            if free:
+                slot = free.pop(0)
+            else:
                 slot = PlanSlot(index=len(plan.slots))
                 plan.slots.append(slot)
-            else:
-                free.remove(slot)
             slot.classes.append(cls)
-            if hint is not None:
-                slot.size_hint = max(slot.size_hint or 0, hint)
             cls.slot = slot.index
             active.append(cls)
             plan.static_peak_slots = max(plan.static_peak_slots,
                                          len(active))
-
-
-def _best_fit(free: List[PlanSlot], hint: Optional[int]) -> \
-        Optional[PlanSlot]:
-    """Smallest free slot whose hint covers the request; any slot when
-    sizes are unknown (the runtime pool re-fits by actual bytes)."""
-    if not free:
-        return None
-    if hint is None:
-        return free[0]
-    fitting = [s for s in free if s.size_hint is None or
-               s.size_hint >= hint]
-    pool = fitting if fitting else free
-    return min(pool, key=lambda s: s.size_hint
-               if s.size_hint is not None else 1 << 62)
 
 
 def _collect_reuse_edges(plan: MemoryPlan) -> None:
@@ -280,9 +221,7 @@ def format_plan(plan: MemoryPlan) -> str:
              f"static peak {plan.static_peak_slots} slots"]
     lines.append(f"  slot table ({len(plan.slots)} slots):")
     for slot in plan.slots:
-        hint = f"{slot.size_hint}B" if slot.size_hint is not None else "?"
-        lines.append(f"    s{slot.index:<3} [{hint:>8}] "
-                     f"{' -> '.join(slot.occupants())}")
+        lines.append(f"    s{slot.index:<3} {' -> '.join(slot.occupants())}")
     if plan.reuse_edges:
         lines.append(f"  reuse edges ({len(plan.reuse_edges)}):")
         for edge in plan.reuse_edges:

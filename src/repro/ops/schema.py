@@ -75,14 +75,12 @@ class OpSchema:
     #: the operator's row of :data:`repro.runtime.kernels.KERNELS`,
     #: copied in by ``registry.register``: its one numpy-level kernel
     #: (arrays and Python scalars in, array out; None when the op is
-    #: not compilable) and the metadata every execution shares — row
-    #: independence (licenses tiling; same-shape propagation), flops
+    #: not compilable) and the metadata every execution shares — flops
     #: per output element, the launch name, whether operand bytes
     #: count as read, and which operand the result may share memory
     #: with.  ``fn``, the in-place ``op_`` and the fused call are all
     #: derived from ``kernel``; none restates the math.
     kernel: Optional[Callable] = None
-    elementwise: bool = False
     flops: int = 1
     launch: str = ""
     reads: bool = True

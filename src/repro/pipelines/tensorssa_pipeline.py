@@ -22,8 +22,6 @@ from ..obs import trace as obs_trace
 from ..passes import (FuserConfig, PassManager, canonicalize, constant_fold,
                       cse, dce, fuse, parallelize_loops)
 from ..passes.revert import revert_carried_assigns, revert_unfused_assigns
-from ..symshape.family import active_family
-from ..symshape.propagate import annotate_symbolic_shapes
 from ..tensorssa import convert_to_tensorssa
 from .base import Compiled, Pipeline, count_graph_stats, graph_runner
 
@@ -141,14 +139,6 @@ class TensorSSAPipeline(Pipeline):
 
         plan = None
         if self.plan_memory:
-            # under a shape-family compile, plan sizes symbolically:
-            # propagate the family's duck-shaped input dims and price
-            # best-fit hints at the family's max observed extents
-            family = active_family()
-            size_env = None
-            if family is not None:
-                annotate_symbolic_shapes(graph, family.input_symshapes())
-                size_env = family.extent_bounds()
-            plan = get_or_build_plan(graph, size_env=size_env)
+            plan = get_or_build_plan(graph)
             stats.update(plan.summary())
         return stats, plan

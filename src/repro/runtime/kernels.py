@@ -202,9 +202,6 @@ class Kernel(NamedTuple):
     """One operator's row: its kernel and how a launch of it is charged."""
 
     kernel: Callable
-    #: outputs are independent per element and take the (broadcast)
-    #: shape of the operands — what symbolic shape propagation reads
-    elementwise: bool = False
     #: flops charged per output element
     flops: int = 1
     #: KernelEvent name; "" = the op's own (``add``, ``immut::select``)
@@ -241,24 +238,24 @@ KERNELS: Dict[str, Kernel] = {
         "gt": operator.gt, "lt": operator.lt, "ge": operator.ge,
         "le": operator.le, "eq": operator.eq, "ne": operator.ne,
         "and": lambda a, b: a and b, "or": lambda a, b: a or b,
-        "not": operator.not_, "min": min, "max": max}, elementwise=True),
+        "not": operator.not_, "min": min, "max": max}),
     **_rows("aten::", {n: _binary(u) for n, u in {
         **_INTO_UFUNCS, "pow": np.power, "remainder": np.remainder,
         "gt": np.greater, "lt": np.less, "ge": np.greater_equal,
         "le": np.less_equal, "eq": np.equal, "ne": np.not_equal,
         "logical_and": np.logical_and, "logical_or": np.logical_or,
-    }.items()}, elementwise=True),
-    **{"aten::" + n: Kernel(_unary(u), True, flops) for n, (u, flops) in {
+    }.items()}),
+    **{"aten::" + n: Kernel(_unary(u), flops) for n, (u, flops) in {
         "neg": (np.negative, 1), "abs": (np.abs, 1), "exp": (np.exp, 4),
         "log": (np.log, 4), "sqrt": (np.sqrt, 2), "tanh": (np.tanh, 6),
         "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)), 6),
         "relu": (lambda x: np.maximum(x, 0), 1), "floor": (np.floor, 1),
         "ceil": (np.ceil, 1), "logical_not": (np.logical_not, 1),
     }.items()},
-    "aten::clamp": Kernel(_clamp, True, flops=2),
+    "aten::clamp": Kernel(_clamp, flops=2),
     "aten::where": Kernel(
-        lambda cond, a, b: _f32(np.where(cond, a, b), a, b), True),
-    "aten::clone": Kernel(lambda a: _f32(np.array(a, copy=True), a), True,
+        lambda cond, a, b: _f32(np.where(cond, a, b), a, b)),
+    "aten::clone": Kernel(lambda a: _f32(np.array(a, copy=True), a),
                           flops=0),
     "aten::to": Kernel(lambda a, dtype: np.asarray(a).astype(dtype.np),
                        flops=0),
@@ -266,14 +263,14 @@ KERNELS: Dict[str, Kernel] = {
     # shape-propagating fills (functional forms of fill_/zero_)
     "aten::zeros_like": Kernel(
         lambda t: np.zeros(np.shape(t), dtype=np.asarray(t).dtype),
-        True, 0, "zeros", False),
+        0, "zeros", False),
     "aten::ones_like": Kernel(
         lambda t: np.ones(np.shape(t), dtype=np.asarray(t).dtype),
-        True, 0, "ones", False),
+        0, "ones", False),
     "aten::full_like": Kernel(
         lambda t, value: np.full(np.shape(t), value,
                                  dtype=np.asarray(t).dtype),
-        True, 0, "full", False),
+        0, "full", False),
     # views (pure inside a functionalized region) and their Access forms
     **_rows("aten::", {**_VIEWS, "view": view}, aliases=0),
     **_rows("immut::", _VIEWS, flops=0, aliases=0),
@@ -331,7 +328,7 @@ def _publish(op: Callable, name: str, doc: str, like: Callable,
 def eager_op(name: str, doc: str = "") -> Callable:
     """The eager form of the ``name`` row: one launch, a fresh tensor
     (copied when the kernel hands back the operand it ``aliases``)."""
-    kernel, _, flops, launch, reads, aliases = KERNELS[name]
+    kernel, flops, launch, reads, aliases = KERNELS[name]
     launch = launch or name.replace("aten::", "")
 
     def op(*args, **kwargs):

@@ -13,7 +13,7 @@ with a fresh compile.
 Format (envelope)::
 
     {"magic": "repro-artifact", "checksum": sha256(payload-json),
-     "payload": {"version": 3, "pipeline": ..., "key": ...,
+     "payload": {"version": 7, "pipeline": ..., "key": ...,
                  "graph": ..., "memplan": ..., "family": ...,
                  "kernels": [...], "program_sha256": ...,
                  "stats": {...}, "grad_reference": ...}}
@@ -77,7 +77,6 @@ from ..runtime.tensor import Tensor
 from ..store import KeyedFileStore, atomic_write
 from ..symshape.family import ShapeFamily
 from ..symshape.guards import Guard
-from ..symshape.propagate import annotate_symbolic_shapes
 from ..symshape.symbols import SymInt
 
 __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
@@ -91,8 +90,10 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: 5: a kernel writes the inputs the memory plan donates in place
 #: instead of copying them, so the same graph lowers to other source;
 #: 6: ``out=`` members write dying inputs, and the gradient glue
-#: (``grad::unbroadcast`` / ``grad::reshape_like``) fuses)
-ARTIFACT_VERSION = 6
+#: (``grad::unbroadcast`` / ``grad::reshape_like``) fuses;
+#: 7: slots and families drop their byte / extent bounds, so the
+#: plan is a function of the graph alone)
+ARTIFACT_VERSION = 7
 
 _MAGIC = "repro-artifact"
 
@@ -307,10 +308,7 @@ def decode_graph(spec: dict) -> Graph:
 def _encode_symint(sym: SymInt) -> dict:
     if sym.is_symbol:
         return {"k": "sym", "name": sym.name}
-    if sym.is_const:
-        return {"k": "const", "value": sym.value}
-    return {"k": "expr", "op": sym.op,
-            "args": [_encode_symint(a) for a in sym.args]}
+    return {"k": "const", "value": sym.value}
 
 
 def _decode_symint(spec: dict) -> SymInt:
@@ -319,9 +317,6 @@ def _decode_symint(spec: dict) -> SymInt:
         return SymInt.sym(spec["name"])
     if kind == "const":
         return SymInt.const(spec["value"])
-    if kind == "expr":
-        return SymInt(spec["op"],
-                      tuple(_decode_symint(a) for a in spec["args"]))
     raise ArtifactError(f"unknown symint tag {kind!r}")
 
 
@@ -361,7 +356,6 @@ def _encode_family(family: ShapeFamily) -> dict:
         "signature": _encode_sym_signature(family.signature),
         "seed_signature": _encode_payload(tuple(family.seed_signature)),
         "seed_env": seed_env,
-        "max_extents": family.extent_bounds(),
         "guards": [{"kind": g.kind, "lhs": _encode_symint(g.lhs),
                     "rhs": g.rhs, "aux": g.aux}
                    for g in family.guards],
@@ -386,8 +380,6 @@ def _decode_family(spec: dict) -> ShapeFamily:
         except ValueError as exc:
             raise ArtifactError(f"invalid guard in artifact: {exc}") \
                 from exc
-    family._max_extents = {str(k): int(v)
-                           for k, v in spec["max_extents"].items()}
     family.seal()
     return family
 
@@ -458,18 +450,17 @@ def _encode_plan(plan) -> Optional[dict]:
         return None
     return {
         "summary": plan.summary(),
-        "slots": [{"index": s.index, "size_hint": s.size_hint,
-                   "occupants": s.occupants()} for s in plan.slots],
+        "slots": [{"index": s.index, "occupants": s.occupants()}
+                  for s in plan.slots],
     }
 
 
-def _restore_plan(graph: Graph, spec: Optional[dict],
-                  size_env: Optional[Dict[str, int]]):
+def _restore_plan(graph: Graph, spec: Optional[dict]):
     """Replan the restored graph and verify it matches the recorded
     slot table — the plan itself is never trusted from the wire."""
     if spec is None:
         return None
-    plan = get_or_build_plan(graph, size_env=size_env)
+    plan = get_or_build_plan(graph)
     got = _encode_plan(plan)
     if got != spec:
         raise ArtifactError(
@@ -596,11 +587,7 @@ def deserialize_compiled(data: bytes) -> RestoredArtifact:
             graph = decode_graph(payload["graph"])
             family = _decode_family(payload["family"]) \
                 if payload.get("family") is not None else None
-            size_env = None
-            if family is not None:
-                annotate_symbolic_shapes(graph, family.input_symshapes())
-                size_env = family.extent_bounds()
-            plan = _restore_plan(graph, payload.get("memplan"), size_env)
+            plan = _restore_plan(graph, payload.get("memplan"))
             built = _restore_kernels(graph, payload.get("kernels", ()))
             _restore_program(graph, plan, payload.get("program_sha256"))
             stats = dict(payload.get("stats", {}))

@@ -91,9 +91,7 @@ class ShapeFamily:
         self.seed_signature = seed_signature
         self.guards = GuardSet()
         self.pending = True
-        self.admitted = 0
         self._lock = threading.RLock()
-        self._max_extents: Dict[str, int] = dict(seed_env)
         # every duck symbol was minted from an extent >= 2 (0/1
         # specialize), and the artifact may rely on that range
         for name in sorted(seed_env):
@@ -160,15 +158,6 @@ class ShapeFamily:
         with self._lock:
             return self.guards.add(guard)
 
-    def observe(self, env: Dict[str, int]) -> None:
-        """Track the largest extent each symbol has served (the memory
-        planner's per-family size bound)."""
-        with self._lock:
-            self.admitted += 1
-            for name, extent in env.items():
-                if extent > self._max_extents.get(name, 0):
-                    self._max_extents[name] = extent
-
     # -- introspection --------------------------------------------------
 
     def symbol_at(self, arg_index: int,
@@ -185,16 +174,6 @@ class ShapeFamily:
                 or not 0 <= dim_index < len(entry):
             return None
         return entry[dim_index]
-
-    def extent_bounds(self) -> Dict[str, int]:
-        """symbol name -> max extent observed (a copy)."""
-        with self._lock:
-            return dict(self._max_extents)
-
-    def input_symshapes(self) -> List[Optional[Tuple[SymInt, ...]]]:
-        """Per-argument symbolic shapes (None for scalar arguments)."""
-        return [entry if isinstance(entry, tuple) else None
-                for entry in self.signature]
 
     def shape_key(self) -> tuple:
         """Structural identity of the symbolic signature, stable across
@@ -270,10 +249,10 @@ class FamilyTable:
         self.guard_misses = 0
 
     def _admitting(self, prefix: tuple, signature: tuple):
-        """``(family, env, guard_rejected)``: the first family that
-        serves ``signature`` with its binding (None, None when there is
-        none) and whether some family bound it structurally but a guard
-        said no.  Lock held by the caller."""
+        """``(family, guard_rejected)``: the first family that serves
+        ``signature`` (None when there is none) and whether some family
+        bound it structurally but a guard said no.  Lock held by the
+        caller."""
         guard_rejected = False
         for family in self._families.get(prefix, ()):
             if family.pending and signature != family.seed_signature:
@@ -282,9 +261,9 @@ class FamilyTable:
             if env is None:
                 continue
             if failing is None:
-                return family, env, guard_rejected
+                return family, guard_rejected
             guard_rejected = True
-        return None, None, guard_rejected
+        return None, guard_rejected
 
     def resolve(self, prefix: tuple, signature: tuple,
                 mod_hints: Sequence[Tuple[int, int, int]] = ()
@@ -302,7 +281,7 @@ class FamilyTable:
         """
         with obs_trace.span("symshape:resolve", cat="symshape",
                             prefix=str(prefix)) as sp, self._lock:
-            family, env, guard_rejected = self._admitting(prefix, signature)
+            family, guard_rejected = self._admitting(prefix, signature)
             if family is not None:
                 outcome = "hit"
                 self.hits += 1
@@ -323,7 +302,6 @@ class FamilyTable:
                     self.guard_misses += 1
                 else:
                     self.news += 1
-            family.observe(env)
             if sp is not None:
                 sp.args["outcome"] = outcome
                 sp.args["family"] = family.family_id

@@ -24,10 +24,12 @@ from ..eval.cache import CompileCache, clone_args, fetch, process_cache
 from ..eval.harness import profiled_call
 from ..eval.platforms import get_platform
 from ..frontend import script
+from ..errors import ArtifactError
 from ..ir.graph import Graph
 from ..memplan.planner import plans_built
 from ..models import get_workload
 from ..pipelines import default_pipelines
+from ..shard import deserialize_compiled, serialize_compiled
 
 
 def op_histogram(graph: Graph) -> Dict[str, int]:
@@ -122,7 +124,10 @@ def inspect_dynamic(name: str, seq_lens=(16, 24), batch_size: int = 2,
     plans the step added, and whether the output matched eager
     bit-exactly.  On the family pipeline a warm step should add **zero**
     of both — that is the "second length in the family is free" claim
-    of the symbolic-shape design, made observable.
+    of the symbolic-shape design, made observable.  The walkthrough
+    ends by serializing every family artifact the cache now holds and
+    restoring it, as a respawned shard worker would; ``restore_errors``
+    lists each refusal.
     """
     wl = get_workload(name)
     pipe = next(p for p in default_pipelines() if p.name == pipeline)
@@ -147,17 +152,24 @@ def inspect_dynamic(name: str, seq_lens=(16, 24), batch_size: int = 2,
         })
     families = {f.family_id: f.describe()
                 for f in cache.families.all_families()}
+    restore_errors = []
+    for key, compiled, family in cache.entries():
+        try:
+            deserialize_compiled(serialize_compiled(compiled, key,
+                                                    family=family))
+        except ArtifactError as exc:
+            restore_errors.append(f"{family.family_id}: {exc}")
     return {"workload": name, "pipeline": pipeline, "steps": steps,
-            "families": families}
+            "families": families, "restore_errors": restore_errors}
 
 
 def print_dynamic_report(report: Dict[str, object]) -> int:
     """Pretty-print an :func:`inspect_dynamic` report.
 
     Returns the number of violations: every step must be bit-exact,
-    and every warm step (after the first) must be a family ``hit``
-    that added 0 compiles and 0 memory plans — which makes this
-    directly usable as a CI gate.
+    every warm step (after the first) must be a family ``hit`` that
+    added 0 compiles and 0 memory plans, and every family artifact
+    must restore — which makes this directly usable as a CI gate.
     """
     print(f"=== {report['workload']} ({report['pipeline']}, "
           f"dynamic shapes) ===")
@@ -176,7 +188,11 @@ def print_dynamic_report(report: Dict[str, object]) -> int:
               + ("" if ok else "  <-- VIOLATION"))
     for fid, desc in report["families"].items():
         print(f"  {desc}")
-    return violations
+    for error in report["restore_errors"]:
+        print(f"  restore {error}  <-- VIOLATION")
+    if not report["restore_errors"]:
+        print("  artifact restore: ok")
+    return violations + len(report["restore_errors"])
 
 
 def _fmt_hist(hist: Dict[str, int], top: int = 8) -> str:
@@ -256,7 +272,7 @@ def print_report(name: str, report: Dict[str, dict],
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; with ``--dynamic`` the exit status counts
     warm-family violations (non-hit / extra compile / extra plan /
-    divergent steps), otherwise it is 0."""
+    divergent steps / refused artifact restores), otherwise it is 0."""
     argv = argv if argv is not None else sys.argv[1:]
     show_plan = "--plan" in argv
     show_program = "--program" in argv

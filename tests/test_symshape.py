@@ -16,42 +16,23 @@ from repro.serve.request import Request
 from repro.symshape import (DEGENERATE_EXTENTS, FamilyTable, Guard,
                             GuardSet, PadSpec, ShapeFamily,
                             SizeVarAllocator, SymInt, bucket_extent,
-                            compiling_family, evaluate_dim,
-                            get_pad_spec, guard_eq, guard_ge,
-                            guard_mod, pad_args,
-                            record_specialization_guard, sym_max,
+                            compiling_family, get_pad_spec, guard_eq,
+                            guard_ge, guard_mod, pad_args,
+                            record_specialization_guard,
                             symbolize_signature, unpad_outputs)
 
 
 # -- symbols -------------------------------------------------------------
 
 class TestSymInt:
-    def test_arithmetic_evaluates(self):
-        s = SymInt.sym("s0")
-        expr = (s * 4 + 2) // 3 % 5
-        assert expr.evaluate({"s0": 7}) == ((7 * 4 + 2) // 3) % 5
-
-    def test_constant_folding(self):
-        assert (SymInt.const(6) * SymInt.const(7)).value == 42
-
-    def test_identity_simplification(self):
-        s = SymInt.sym("s0")
-        assert s + 0 == s
-        assert s * 1 == s
-        assert s - s == SymInt.const(0)
-        assert s // 1 == s
-        assert s % 1 == SymInt.const(0)
-        assert sym_max(s, s) == s
-
     def test_value_equality_and_hash(self):
-        a = SymInt.sym("s0") + 1
-        b = SymInt.sym("s0") + 1
+        a, b = SymInt.sym("s0"), SymInt.sym("s0")
         assert a == b and hash(a) == hash(b)
-        assert a != SymInt.sym("s1") + 1
-
-    def test_evaluate_dim_accepts_plain_ints(self):
-        assert evaluate_dim(5, {}) == 5
-        assert evaluate_dim(SymInt.sym("s0"), {"s0": 9}) == 9
+        assert a != SymInt.sym("s1")
+        c = SymInt.const(7)
+        assert c == SymInt.const(7) and hash(c) == hash(SymInt.const(7))
+        assert c == 7 and c != a
+        assert a.evaluate({"s0": 9}) == 9 and c.evaluate({}) == 7
 
 
 class TestSizeVarAllocator:
@@ -192,11 +173,6 @@ class TestShapeFamily:
         assert after.hits == before.hits
         assert after.families == before.families
 
-    def test_observe_tracks_max_extents(self):
-        table, family, _ = self._mint(((4, 6),))
-        table.resolve(("p", "w"), ((32, 6),))
-        assert 32 in family.extent_bounds().values()
-
     def test_record_specialization_guard_via_context(self):
         table, family, _ = self._mint(((4, 6), 3))
         with compiling_family(family):
@@ -335,25 +311,19 @@ class TestFamilyCompile:
 
     @pytest.mark.parametrize("name", ["lstm", "attention"])
     def test_grad_glue_takes_its_template_shape(self, name):
-        """A family-keyed backward prices every fused / horizontal
-        ``grad::unbroadcast`` and ``grad::reshape_like`` at its
-        template's symbolic shape, and serves a second extent warm."""
+        """A family-keyed backward fuses every ``grad::unbroadcast`` and
+        ``grad::reshape_like``, and serves a second extent warm: each
+        glue node takes its template's shape at run time."""
         cache = CompileCache()
         pipe = get_pipeline("tensorssa")
         wl = get_workload(name)
         args = wl.make_inputs(batch_size=2, seq_len=16, seed=0)
         compiled = fetch(pipe, wl, args, cache=cache, dynamic_shapes=True,
                          grad=True).compiled
-        shapes = compiled.graph._symshapes
         glue = [n for n in compiled.graph.walk()
                 if n.op in ("grad::unbroadcast", "grad::reshape_like")]
         assert glue and all(n.owning_block.owning_node is not None
                             for n in glue)  # inside kernels, all of them
-        priced = [n for n in glue if id(n.input(1)) in shapes]
-        for node in priced:
-            assert shapes[id(node.output())] == shapes[id(node.input(1))]
-        assert any(isinstance(d, SymInt) for n in priced
-                   for d in shapes[id(n.output())])
         warm = wl.make_inputs(batch_size=3, seq_len=24, seed=1)
         again = fetch(pipe, wl, warm, cache=cache, dynamic_shapes=True,
                       grad=True)

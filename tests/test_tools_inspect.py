@@ -1,7 +1,8 @@
 """Introspection tooling."""
 
 from repro.pipelines import EagerPipeline, TensorSSAPipeline
-from repro.tools import inspect_workload, op_histogram, print_report
+from repro.tools import (inspect_dynamic, inspect_workload, op_histogram,
+                         print_dynamic_report, print_report)
 
 
 class TestInspect:
@@ -83,3 +84,13 @@ class TestInspect:
                 "aten::mul  param copies per launch: 0") in out
         # an unplanned pipeline's kernels copy, each with the reason
         assert "copy of arg 3: no memory plan donated it" in out
+
+    def test_dynamic_walkthrough_restores_the_family_artifact(self, capsys):
+        """The second, longer length is a 0-compile family hit, and the
+        artifact serialized afterwards restores: the plan check does not
+        depend on which extents the family has served."""
+        report = inspect_dynamic("attention")
+        assert [s["outcome"] for s in report["steps"]] == ["new", "hit"]
+        assert report["restore_errors"] == []
+        assert print_dynamic_report(report) == 0
+        assert "artifact restore: ok" in capsys.readouterr().out
