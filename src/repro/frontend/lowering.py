@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Value
 from ..ops import registry
+from ..runtime.kernels import SUGAR
 from .errors import ScriptError, unsupported
 
 MAX_WHILE_TRIP = 2 ** 31 - 1
@@ -333,37 +334,39 @@ class Lowerer:
                               target, self.source_name)
 
     def lower_aug_assign(self, stmt: ast.AugAssign) -> None:
+        """``x op= v`` as Python runs it: ``x = x.__iop__(v)`` — the
+        operator's in-place op on a tensor when it has one, else
+        ``x op v`` — then, for a subscript target, ``x[k] = result``."""
         rhs = self.lower_expr(stmt.value)
-        if isinstance(stmt.target, ast.Name):
-            cur = self.lookup(stmt.target.id, stmt)
-            if cur.type.is_tensor:
-                op = {"Add": "aten::add_", "Sub": "aten::sub_",
-                      "Mult": "aten::mul_", "Div": "aten::div_",
-                      "Pow": "aten::pow_"}.get(type(stmt.op).__name__)
-                if op is None:
-                    raise unsupported(
-                        f"augmented {type(stmt.op).__name__} on tensor",
-                        stmt, self.source_name)
-                out = self.emit_op(op, [cur, rhs],
-                                   out_name=stmt.target.id)
-                self.env[stmt.target.id] = out
-            else:
-                op = self._scalar_binop(type(stmt.op).__name__, stmt)
-                self.env[stmt.target.id] = self.emit_op(
-                    op, [cur, rhs], out_name=stmt.target.id)
-        elif isinstance(stmt.target, ast.Subscript):
-            view = self.lower_expr(stmt.target)  # the view chain
-            op = {"Add": "aten::add_", "Sub": "aten::sub_",
-                  "Mult": "aten::mul_", "Div": "aten::div_"}.get(
-                      type(stmt.op).__name__)
-            if op is None:
-                raise unsupported(
-                    f"augmented {type(stmt.op).__name__} on subscript",
-                    stmt, self.source_name)
-            self.emit_op(op, [view, rhs])
+        target = stmt.target
+        if isinstance(target, ast.Name):
+            cur = self.lookup(target.id, stmt)
+        elif isinstance(target, ast.Subscript):
+            cur = self.lower_expr(target)  # a view chain or a gathered copy
+            if not cur.type.is_tensor:
+                raise ScriptError("list item assignment is not scriptable",
+                                  target, self.source_name)
         else:
             raise unsupported("augmented assignment target", stmt,
                               self.source_name)
+        sugar = SUGAR.get(type(stmt.op))
+        inplace = sugar.inplace if sugar and cur.type.is_tensor else None
+        out = self.emit_op(
+            inplace or self._operator(stmt.op, [cur, rhs], stmt), [cur, rhs],
+            out_name=target.id if isinstance(target, ast.Name) else "v")
+        if isinstance(target, ast.Name):
+            self.env[target.id] = out
+            return
+        # ``x[k] = result``: a tensor key gathered a copy, scattered back
+        # here; an in-place op has already written through a view
+        load = cur.node
+        if load.op == "aten::masked_select":
+            self.emit_op("aten::masked_scatter_", [*load.inputs, out])
+        elif load.op == "aten::index_select":
+            self.emit_op("aten::index_put_", [load.inputs[0], load.inputs[2],
+                                              out])
+        elif inplace is None:
+            self._emit_store(cur, out)
 
     # -- subscripts ------------------------------------------------------
 
@@ -672,29 +675,24 @@ class Lowerer:
             return out
         raise unsupported(type(expr).__name__, expr, self.source_name)
 
-    def _scalar_binop(self, op_name: str, where: ast.AST) -> str:
-        table = {"Add": "prim::add", "Sub": "prim::sub",
-                 "Mult": "prim::mul", "Div": "prim::truediv",
-                 "FloorDiv": "prim::floordiv", "Mod": "prim::mod",
-                 "Pow": "prim::pow"}
-        if op_name not in table:
-            raise unsupported(f"scalar operator {op_name}", where,
+    def _operator(self, op: ast.AST, operands: Sequence[Value],
+                  where: ast.AST) -> str:
+        """The op Python operator ``op`` means on ``operands``
+        (:data:`~repro.runtime.kernels.SUGAR`): its tensor op if any
+        operand is a tensor, else its ``prim::`` scalar op."""
+        on_tensor = any(v.type.is_tensor for v in operands)
+        sugar = SUGAR.get(type(op))
+        name = sugar and (sugar.tensor if on_tensor else sugar.scalar)
+        if name is None:
+            raise unsupported(f"{'tensor' if on_tensor else 'scalar'} "
+                              f"operator {type(op).__name__}", where,
                               self.source_name)
-        return table[op_name]
+        return name
 
     def lower_binop(self, expr: ast.BinOp) -> Value:
-        lhs = self.lower_expr(expr.left)
-        rhs = self.lower_expr(expr.right)
-        op_name = type(expr.op).__name__
-        if lhs.type.is_tensor or rhs.type.is_tensor:
-            table = {"Add": "aten::add", "Sub": "aten::sub",
-                     "Mult": "aten::mul", "Div": "aten::div",
-                     "Pow": "aten::pow", "MatMult": "aten::matmul"}
-            if op_name not in table:
-                raise unsupported(f"tensor operator {op_name}", expr,
-                                  self.source_name)
-            return self.emit_op(table[op_name], [lhs, rhs])
-        return self.emit_op(self._scalar_binop(op_name, expr), [lhs, rhs])
+        operands = [self.lower_expr(expr.left), self.lower_expr(expr.right)]
+        return self.emit_op(self._operator(expr.op, operands, expr),
+                            operands)
 
     def lower_unaryop(self, expr: ast.UnaryOp) -> Value:
         # fold negative numeric literals straight into constants
@@ -704,32 +702,21 @@ class Lowerer:
                 not isinstance(expr.operand.value, bool):
             return self.const(-expr.operand.value)
         operand = self.lower_expr(expr.operand)
-        if isinstance(expr.op, ast.USub):
-            op = "aten::neg" if operand.type.is_tensor else "prim::neg"
-            return self.emit_op(op, [operand])
-        if isinstance(expr.op, ast.Not):
-            if operand.type.is_tensor:
-                return self.emit_op("aten::logical_not", [operand])
-            return self.emit_op("prim::not",
-                                [self._to_bool(operand, expr)])
         if isinstance(expr.op, ast.UAdd):
             return operand
-        raise unsupported(f"unary {type(expr.op).__name__}", expr,
-                          self.source_name)
+        if isinstance(expr.op, ast.Not):  # a truth test, tensors included
+            operand = self._to_bool(operand, expr)
+        return self.emit_op(self._operator(expr.op, [operand], expr),
+                            [operand])
 
     def lower_compare(self, expr: ast.Compare) -> Value:
         if len(expr.ops) != 1:
             raise ScriptError("chained comparisons are not scriptable",
                               expr, self.source_name)
-        lhs = self.lower_expr(expr.left)
-        rhs = self.lower_expr(expr.comparators[0])
-        name = type(expr.ops[0]).__name__
-        table = {"Gt": "gt", "Lt": "lt", "GtE": "ge", "LtE": "le",
-                 "Eq": "eq", "NotEq": "ne"}
-        if name not in table:
-            raise unsupported(f"comparison {name}", expr, self.source_name)
-        ns = "aten" if (lhs.type.is_tensor or rhs.type.is_tensor) else "prim"
-        return self.emit_op(f"{ns}::{table[name]}", [lhs, rhs])
+        operands = [self.lower_expr(expr.left),
+                    self.lower_expr(expr.comparators[0])]
+        return self.emit_op(self._operator(expr.ops[0], operands, expr),
+                            operands)
 
     # -- calls -------------------------------------------------------------
 

@@ -1,8 +1,7 @@
-"""repro.ops — operator schemas, the registry, and immut kernels."""
+"""repro.ops — operator schemas and the registry derived from the kernel table."""
 
-from . import immut
 from .registry import REGISTRY, all_ops, get, has, register
 from .schema import OpKind, OpSchema
 
 __all__ = ["OpKind", "OpSchema", "REGISTRY", "get", "has", "register",
-           "all_ops", "immut"]
+           "all_ops"]

@@ -5,17 +5,29 @@ Namespaces follow TorchScript conventions:
 * ``aten::*``  — tensor ops (pure, view, or mutating) and scalar helpers.
 * ``immut::*`` — the TensorSSA Access/Assign operator sets (paper §3.2).
 * ``prim::*``  — constants, control flow, containers, scalar arithmetic.
+* ``grad::*``  — helper ops only the reverse-mode pass emits.
 * ``tssa::*``  — the Update annotation (paper Definition 3.5).
+
+Every row of :data:`repro.runtime.kernels.KERNELS` is registered by one
+loop, its schema derived from the row: an ``aten::`` row that
+``aliases`` operand 0 is a VIEW whose Access / Assign twins are
+``immut::<view>`` / ``immut::<view>_assign``; every other row is PURE
+and fusable; each :data:`~repro.runtime.kernels.INPLACE` entry is
+MUTATING with its row as ``functional_op``.  ``fn`` is always the row's
+eager form in :data:`~repro.runtime.kernels.EAGER`.  What a row does not
+imply sits in three small tables here — the fuzzer's :class:`GenRule`
+per op, the ``prim::`` result types, and the two views whose twins are
+named otherwise — and ops without a row (reductions, linalg, data
+movement, creation, host-scalar extraction, structure) are listed by
+hand.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from ..runtime import (creation, elementwise, inplace, linalg, reduction,
-                       shape_ops, views)
-from ..runtime.kernels import KERNELS, eager_op
-from . import immut
+from ..runtime import creation, inplace, linalg, reduction, shape_ops
+from ..runtime.kernels import EAGER, INPLACE, KERNELS
 from .schema import GenRule, OpKind, OpSchema
 
 REGISTRY: Dict[str, OpSchema] = {}
@@ -23,12 +35,14 @@ REGISTRY: Dict[str, OpSchema] = {}
 
 def register(schema: OpSchema) -> OpSchema:
     """Register a schema (duplicate names are rejected), completed
-    with the operator's kernel-table row when it has one."""
+    with the operator's kernel-table row and fuzzer rule when it has
+    them."""
     if schema.name in REGISTRY:
         raise ValueError(f"duplicate op registration: {schema.name}")
     row = KERNELS.get(schema.name)
     if row is not None:
         vars(schema).update(row._asdict())
+    schema.gen = _GEN.get(schema.name, schema.gen)
     REGISTRY[schema.name] = schema
     return schema
 
@@ -52,20 +66,13 @@ def all_ops() -> Iterable[OpSchema]:
     return REGISTRY.values()
 
 
-def _pure(name, fn, fusable=False, num_outputs=1, result_types=("Tensor",),
-          gen=None):
+def _pure(name, fn, fusable=False, num_outputs=1, result_types=("Tensor",)):
     register(OpSchema(name, OpKind.PURE, fn, num_outputs=num_outputs,
-                      fusable=fusable, result_types=result_types, gen=gen))
+                      fusable=fusable, result_types=result_types))
 
 
-def _view(name, fn, access_op, assign_op):
-    register(OpSchema(name, OpKind.VIEW, fn, access_op=access_op,
-                      assign_op=assign_op))
-
-
-def _mutating(name, fn, functional_op, gen=None):
-    register(OpSchema(name, OpKind.MUTATING, fn, functional_op=functional_op,
-                      gen=gen))
+def _mutating(name, fn, functional_op):
+    register(OpSchema(name, OpKind.MUTATING, fn, functional_op=functional_op))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +84,9 @@ def _mutating(name, fn, functional_op, gen=None):
 
 _EW_BINARY = GenRule("elementwise", arity=2, scalar_ok=True)
 _EW_UNARY = GenRule("elementwise", arity=1)
-_GEN_PURE = {
+_MUT_BINARY = GenRule("mutating", arity=2, scalar_ok=True)
+_MUT_UNARY = GenRule("mutating", arity=1)
+_GEN: Dict[str, GenRule] = {"aten::" + n: rule for n, rule in {
     "add": _EW_BINARY, "sub": _EW_BINARY, "mul": _EW_BINARY,
     "maximum": _EW_BINARY, "minimum": _EW_BINARY,
     "div": GenRule("elementwise", arity=2, scalar_ok=True,
@@ -86,10 +95,6 @@ _GEN_PURE = {
     "tanh": _EW_UNARY, "relu": _EW_UNARY, "floor": _EW_UNARY,
     "ceil": _EW_UNARY,
     "clamp": GenRule("elementwise", arity=1, scalar_args=2),
-}
-_MUT_BINARY = GenRule("mutating", arity=2, scalar_ok=True)
-_MUT_UNARY = GenRule("mutating", arity=1)
-_GEN_MUTATING = {
     "add_": _MUT_BINARY, "sub_": _MUT_BINARY, "mul_": _MUT_BINARY,
     "maximum_": _MUT_BINARY, "minimum_": _MUT_BINARY,
     "div_": GenRule("mutating", arity=2, scalar_ok=True,
@@ -98,40 +103,49 @@ _GEN_MUTATING = {
     "relu_": _MUT_UNARY, "zero_": _MUT_UNARY,
     "fill_": GenRule("mutating", arity=1, scalar_args=1),
     "clamp_": GenRule("mutating", arity=1, scalar_args=2),
-}
-_GEN_REDUCE = {"sum": GenRule("reduction"), "mean": GenRule("reduction"),
-               "max": GenRule("reduction"), "min": GenRule("reduction")}
+    "sum": GenRule("reduction"), "mean": GenRule("reduction"),
+    "max": GenRule("reduction"), "min": GenRule("reduction"),
+}.items()}
+
+#: ``prim::`` result types (host scalar arithmetic)
+_PRIM_RESULT = {
+    "add": "Scalar", "sub": "Scalar", "mul": "Scalar", "truediv": "float",
+    "floordiv": "int", "mod": "Scalar", "pow": "Scalar", "neg": "Scalar",
+    "gt": "bool", "lt": "bool", "ge": "bool", "le": "bool", "eq": "bool",
+    "ne": "bool", "and": "bool", "or": "bool", "not": "bool",
+    "min": "Scalar", "max": "Scalar"}
+
+#: views whose Access / Assign twins are not ``immut::<view>`` /
+#: ``immut::<view>_assign``
+_TWINS = {"aten::alias": ("immut::alias", "immut::assign"),
+          "aten::view": ("immut::reshape", "immut::reshape_assign")}
 
 
 # ---------------------------------------------------------------------------
-# aten:: pure elementwise (the fusable set)
+# Every KERNELS row, and the in-place forms of INPLACE
 # ---------------------------------------------------------------------------
 
-for _n, _f in [
-    ("add", elementwise.add), ("sub", elementwise.sub),
-    ("mul", elementwise.mul), ("div", elementwise.div),
-    ("pow", elementwise.pow), ("neg", elementwise.neg),
-    ("abs", elementwise.abs), ("exp", elementwise.exp),
-    ("log", elementwise.log), ("sqrt", elementwise.sqrt),
-    ("sigmoid", elementwise.sigmoid), ("tanh", elementwise.tanh),
-    ("relu", elementwise.relu), ("clamp", elementwise.clamp),
-    ("floor", elementwise.floor), ("ceil", elementwise.ceil),
-    ("maximum", elementwise.maximum), ("minimum", elementwise.minimum),
-    ("where", elementwise.where), ("clone", elementwise.clone),
-    ("gt", elementwise.gt), ("lt", elementwise.lt),
-    ("ge", elementwise.ge), ("le", elementwise.le),
-    ("eq", elementwise.eq), ("ne", elementwise.ne),
-    ("logical_and", elementwise.logical_and),
-    ("logical_or", elementwise.logical_or),
-    ("logical_not", elementwise.logical_not),
-    ("masked_fill", shape_ops.masked_fill),
-]:
-    _pure(f"aten::{_n}", _f, fusable=True, gen=_GEN_PURE.get(_n))
+for _name, _row in KERNELS.items():
+    _ns, _base = _name.split("::")
+    if _ns == "aten" and _row.aliases == 0:
+        _access, _assign = _TWINS.get(
+            _name, (f"immut::{_base}", f"immut::{_base}_assign"))
+        register(OpSchema(_name, OpKind.VIEW, EAGER[_name],
+                          access_op=_access,
+                          assign_op=_assign if _assign in KERNELS else None))
+    else:
+        # scalar ops are fusable too: NNC-style kernels accept scalar
+        # inputs and fold host arithmetic into the generated code
+        _pure(_name, EAGER[_name], fusable=True,
+              result_types=(_PRIM_RESULT[_base] if _ns == "prim"
+                            else "Tensor",))
 
-_pure("aten::to", elementwise.to, fusable=True)
+for _name, _functional in INPLACE.items():
+    _mutating(_name, EAGER[_name], _functional)
 
 # ---------------------------------------------------------------------------
-# aten:: pure non-fusable (reductions, linalg, data movement, creation)
+# Ops without a row: not fusable (reductions, linalg, data movement,
+# creation, host-scalar extraction) and the irregular stores
 # ---------------------------------------------------------------------------
 
 for _n, _f in [
@@ -153,13 +167,7 @@ for _n, _f in [
     ("zeros", creation.zeros), ("ones", creation.ones),
     ("full", creation.full), ("arange", creation.arange),
 ]:
-    _pure(f"aten::{_n}", _f, gen=_GEN_REDUCE.get(_n))
-
-# like-fills are elementwise writes: fusable (NNC folds constant fills)
-for _n, _f in [("zeros_like", creation.zeros_like),
-               ("ones_like", creation.ones_like),
-               ("full_like", creation.full_like)]:
-    _pure(f"aten::{_n}", _f, fusable=True)
+    _pure(f"aten::{_n}", _f)
 
 _pure("aten::topk", shape_ops.topk, num_outputs=2,
       result_types=("Tensor", "Tensor"))
@@ -180,115 +188,13 @@ _pure("aten::size", lambda t, dim=None: (t.shape if dim is None
 _pure("aten::numel", lambda t: t.numel, result_types=("int",))
 _pure("aten::dim", lambda t: t.ndim, result_types=("int",))
 
-# ---------------------------------------------------------------------------
-# aten:: view operators with their immut:: counterparts
-# ---------------------------------------------------------------------------
-
-_view("aten::alias", views.alias, "immut::alias", "immut::assign")
-_view("aten::select", views.select, "immut::select", "immut::select_assign")
-_view("aten::slice", views.slice_, "immut::slice", "immut::slice_assign")
-_view("aten::narrow", views.narrow, "immut::narrow", "immut::narrow_assign")
-_view("aten::reshape", views.reshape, "immut::reshape",
-      "immut::reshape_assign")
-_view("aten::view", views.view, "immut::reshape", "immut::reshape_assign")
-_view("aten::permute", views.permute, "immut::permute",
-      "immut::permute_assign")
-_view("aten::transpose", views.transpose, "immut::transpose",
-      "immut::transpose_assign")
-_view("aten::squeeze", views.squeeze, "immut::squeeze",
-      "immut::squeeze_assign")
-_view("aten::unsqueeze", views.unsqueeze, "immut::unsqueeze",
-      "immut::unsqueeze_assign")
-_view("aten::expand", views.expand, "immut::expand", None)
-_view("aten::flatten", views.flatten, "immut::flatten",
-      "immut::flatten_assign")
-
-# ---------------------------------------------------------------------------
-# aten:: mutating operators and their functional equivalents
-# ---------------------------------------------------------------------------
-
-_mutating("aten::copy_", inplace.copy_, functional_op=None)  # value == src
-for _n, _f, _fop in [
-    ("fill_", inplace.fill_, "aten::full_like"),
-    ("zero_", inplace.zero_, "aten::zeros_like"),
-    ("add_", inplace.add_, "aten::add"),
-    ("sub_", inplace.sub_, "aten::sub"),
-    ("mul_", inplace.mul_, "aten::mul"),
-    ("div_", inplace.div_, "aten::div"),
-    ("pow_", inplace.pow_, "aten::pow"),
-    ("neg_", inplace.neg_, "aten::neg"),
-    ("exp_", inplace.exp_, "aten::exp"),
-    ("sqrt_", inplace.sqrt_, "aten::sqrt"),
-    ("sigmoid_", inplace.sigmoid_, "aten::sigmoid"),
-    ("tanh_", inplace.tanh_, "aten::tanh"),
-    ("relu_", inplace.relu_, "aten::relu"),
-    ("clamp_", inplace.clamp_, "aten::clamp"),
-    ("maximum_", inplace.maximum_, "aten::maximum"),
-    ("minimum_", inplace.minimum_, "aten::minimum"),
-    ("masked_fill_", inplace.masked_fill_, "aten::masked_fill"),
-    ("masked_scatter_", inplace.masked_scatter_, "aten::masked_scatter"),
-    ("index_put_", inplace.index_put_, "aten::index_put"),
-    ("index_fill_", inplace.index_fill_, "aten::index_fill"),
-]:
-    _mutating(f"aten::{_n}", _f, _fop, gen=_GEN_MUTATING.get(_n))
-
-# ---------------------------------------------------------------------------
-# immut:: Access / Assign (paper §3.2) — all pure and fusable
-# ---------------------------------------------------------------------------
-
-for _n, _f in [
-    ("alias", immut.access_alias), ("select", immut.access_select),
-    ("slice", immut.access_slice), ("narrow", immut.access_narrow),
-    ("reshape", immut.access_reshape), ("permute", immut.access_permute),
-    ("transpose", immut.access_transpose),
-    ("squeeze", immut.access_squeeze), ("unsqueeze", immut.access_unsqueeze),
-    ("expand", immut.access_expand), ("flatten", immut.access_flatten),
-    ("assign", immut.assign), ("select_assign", immut.assign_select),
-    ("slice_assign", immut.assign_slice),
-    ("narrow_assign", immut.assign_narrow),
-    ("reshape_assign", immut.assign_reshape),
-    ("permute_assign", immut.assign_permute),
-    ("transpose_assign", immut.assign_transpose),
-    ("squeeze_assign", immut.assign_squeeze),
-    ("unsqueeze_assign", immut.assign_unsqueeze),
-    ("flatten_assign", immut.assign_flatten),
-]:
-    _pure(f"immut::{_n}", _f, fusable=True)
-
-# ---------------------------------------------------------------------------
-# grad:: helper operators emitted only by the reverse-mode pass
-# ---------------------------------------------------------------------------
-
-# unbroadcast is the adjoint of implicit broadcasting (and casting);
-# reshape_like the adjoint of the whole reshape family.  Both are
-# ``KERNELS`` rows whose result may be the operand itself (``aliases``),
-# fusable like the elementwise ops they follow, so the adjoint of a
-# fused body fuses and a reverse scan can run as one horizontal launch.
 # stash_init allocates the per-iteration state buffer of the scan-style
-# Loop adjoint.  All plain pure ops, so every existing pass / the
-# planner / the interpreter handle backward graphs with zero special
-# cases.
-for _n in ("unbroadcast", "reshape_like"):
-    _pure(f"grad::{_n}", eager_op(f"grad::{_n}"), fusable=True)
+# Loop adjoint (the reverse pass's other helpers are rows)
 _pure("grad::stash_init", creation.stash_init)
 
-# ---------------------------------------------------------------------------
-# prim:: scalar arithmetic (host-side, never launches kernels)
-# ---------------------------------------------------------------------------
-
-for _n, _rt in [
-    ("add", "Scalar"), ("sub", "Scalar"), ("mul", "Scalar"),
-    ("truediv", "float"), ("floordiv", "int"), ("mod", "Scalar"),
-    ("pow", "Scalar"), ("neg", "Scalar"),
-    ("gt", "bool"), ("lt", "bool"), ("ge", "bool"), ("le", "bool"),
-    ("eq", "bool"), ("ne", "bool"), ("and", "bool"), ("or", "bool"),
-    ("not", "bool"), ("min", "Scalar"), ("max", "Scalar"),
-]:
-    # scalar ops are fusable: NNC-style kernels accept scalar inputs and
-    # fold host arithmetic into the generated code (so the eager fn and
-    # the fused kernel are the same callable)
-    _pure(f"prim::{_n}", KERNELS[f"prim::{_n}"].kernel, fusable=True,
-          result_types=(_rt,))
+_mutating("aten::copy_", inplace.copy_, functional_op=None)  # value == src
+for _n in ("masked_scatter", "index_put", "index_fill"):
+    _mutating(f"aten::{_n}_", getattr(inplace, f"{_n}_"), f"aten::{_n}")
 
 # ---------------------------------------------------------------------------
 # prim:: structure

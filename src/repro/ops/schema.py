@@ -1,11 +1,13 @@
-"""Operator schemas: the single source of truth about op behaviour.
+"""Operator schemas: what every pass asks about an op.
 
 Every IR node's semantics — purity, aliasing, mutability, fusibility,
 its runtime kernel, and (for view ops) its immutable Access/Assign
 counterparts — is described by an :class:`OpSchema`.  The frontend, the
 alias analysis (paper §2.3), the TensorSSA conversion (paper §4.1), the
 fusers, and the interpreter all consult this table instead of hardcoding
-op lists.
+op lists.  For an op with a :data:`repro.runtime.kernels.KERNELS` row
+the schema is derived from the row (``repro.ops.registry``): the row is
+where the op is declared, the schema is its compiler-facing view.
 
 Calling convention: *all* operands are IR inputs (dims, slice bounds,
 shapes included), fed through ``prim::Constant`` nodes when static.
@@ -78,8 +80,9 @@ class OpSchema:
     #: not compilable) and the metadata every execution shares — flops
     #: per output element, the launch name, whether operand bytes
     #: count as read, and which operand the result may share memory
-    #: with.  ``fn``, the in-place ``op_`` and the fused call are all
-    #: derived from ``kernel``; none restates the math.
+    #: with.  ``fn`` (``kernels.EAGER[name]``), the in-place ``op_``
+    #: and the fused call are all derived from ``kernel``; none
+    #: restates the math.
     kernel: Optional[Callable] = None
     flops: int = 1
     launch: str = ""

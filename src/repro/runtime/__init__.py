@@ -7,8 +7,10 @@ views, and a profiler counts simulated kernel launches.  This is the
 against, and the executor its interpreters bottom out in.
 """
 
-from . import (creation, elementwise, inplace, kernels, linalg, reduction,
-               shape_ops, views)
+import ast as _ast
+
+from . import (creation, inplace, kernels, linalg, reduction, shape_ops,
+               views)
 from .dtype import ALL_DTYPES, DType, bool_, float32, float64, int32, int64, promote
 from .profiler import (AllocEvent, KernelEvent, Profile, PythonEvent,
                        current_profile, profile, record_alloc, record_free,
@@ -25,34 +27,15 @@ ones = creation.ones
 full = creation.full
 empty = creation.empty
 arange = creation.arange
-zeros_like = creation.zeros_like
-ones_like = creation.ones_like
-full_like = creation.full_like
 rand = creation.rand
 randn = creation.randn
 
-# Elementwise / shape / reduction / linalg functional API
-add = elementwise.add
-sub = elementwise.sub
-mul = elementwise.mul
-div = elementwise.div
-neg = elementwise.neg
-exp = elementwise.exp
-log = elementwise.log
-sqrt = elementwise.sqrt
-sigmoid = elementwise.sigmoid
-tanh = elementwise.tanh
-relu = elementwise.relu
-clamp = elementwise.clamp
-where = elementwise.where
-clone = elementwise.clone
-maximum = elementwise.maximum
-minimum = elementwise.minimum
-floor = elementwise.floor
-ceil = elementwise.ceil
-logical_and = elementwise.logical_and
-logical_or = elementwise.logical_or
-logical_not = elementwise.logical_not
+# The functional API: every ``aten::`` row that is not a view (``add``,
+# ``where``, ``clone``, ``masked_fill``, ``zeros_like``, ...), then the
+# reduction / linalg / data-movement operators that have no row
+globals().update({name.split("::")[1]: kernels.EAGER[name]
+                  for name, row in kernels.KERNELS.items()
+                  if name.startswith("aten::") and row.aliases != 0})
 
 sum = reduction.sum  # noqa: A001
 mean = reduction.mean
@@ -77,18 +60,23 @@ topk = shape_ops.topk
 sort = shape_ops.sort
 nonzero = shape_ops.nonzero
 embedding = shape_ops.embedding
-masked_fill = shape_ops.masked_fill
 masked_scatter = shape_ops.masked_scatter
 index_put = shape_ops.index_put
 index_fill = shape_ops.index_fill
 chunk = shape_ops.chunk
 
 
+def _reflected(fn):
+    return lambda self, other: fn(other, self)
+
+
 def _attach_tensor_methods() -> None:
     """Give Tensor the PyTorch-style method surface the workloads use:
-    every ``aten::`` row of the kernel table under its own name (views,
-    pure elementwise ops and their ``op_`` forms alike), then the
-    operators that have no row."""
+    every ``aten::`` entry of ``kernels.EAGER`` under its own name
+    (views, pure ops and their ``op_`` forms alike), then the operators
+    that have no row — and then the operator dunders of
+    ``kernels.SUGAR``: forward, reflected for an arithmetic operator,
+    and in-place where the operator has an in-place op."""
     for name, fn in kernels.EAGER.items():
         if name.startswith("aten::"):
             setattr(Tensor, name.split("::")[1], fn)
@@ -97,9 +85,20 @@ def _attach_tensor_methods() -> None:
             (linalg, "matmul"),
             (shape_ops, "gather index_select masked_select masked_scatter "
                         "index_put index_fill topk sort chunk"),
-            (inplace, "copy_ zero_ masked_scatter_ index_put_ index_fill_")):
+            (inplace, "copy_ masked_scatter_ index_put_ index_fill_")):
         for name in names.split():
             setattr(Tensor, name, getattr(module, name))
+    for syntax, sugar in kernels.SUGAR.items():
+        if sugar.tensor is None:
+            continue
+        fn = getattr(Tensor, sugar.tensor.split("::")[1])
+        setattr(Tensor, f"__{sugar.dunder}__", fn)
+        if issubclass(syntax, _ast.operator):
+            setattr(Tensor, f"__r{sugar.dunder}__",
+                    fn if sugar.commutes else _reflected(fn))
+        if sugar.inplace:
+            setattr(Tensor, f"__i{sugar.dunder}__",
+                    getattr(Tensor, sugar.inplace.split("::")[1]))
 
 
 _attach_tensor_methods()

@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dtype import DType, float32, int64
-from .kernels import eager_op
 from .tensor import Scalar, Tensor, as_tensor, record_op
 
 #: Active float32-promotion override (see :func:`promoting_f32_to`).
@@ -101,20 +100,6 @@ def arange(start, end=None, step=1, dtype: DType = int64) -> Tensor:
                             copy=False)
     record_op("arange", [], [out], flops=0)
     return out
-
-
-# ``*_like`` factories follow their template's dtype *exactly* — the
-# :func:`promoting_f32_to` override never applies (promotion is decided
-# where the template was first allocated).
-zeros_like = eager_op(
-    "aten::zeros_like",
-    "Create a fresh ``zeros_like`` tensor (one allocation kernel).")
-ones_like = eager_op(
-    "aten::ones_like", "Create a fresh ``ones_like`` tensor (dtype follows "
-    "the template exactly; one allocation kernel).")
-full_like = eager_op(
-    "aten::full_like", "Create a fresh ``full_like`` tensor (dtype follows "
-    "the template exactly; one allocation kernel).")
 
 
 def rand(shape: Sequence[int], seed: Optional[int] = None,

@@ -1,20 +1,19 @@
-"""In-place (mutating) operators — the paper's ``Mutate`` set.
+"""The irregular in-place stores of the paper's ``Mutate`` set.
 
-Every function here writes through its first argument's storage (and
+An in-place op writes through its first argument's storage (and
 therefore through *every alias* of it), bumps the storage version, and
 returns the mutated tensor, mirroring PyTorch's ``op_`` convention.
-These are exactly the operators TensorSSA rewrites into pure
-``immut::*_assign`` forms — and the regular ones *are* that rewrite:
-:func:`repro.runtime.kernels.inplace_op` writes the functional row's
-kernel value through the target.  Only the irregular, non-fusable
-stores keep a body here.
+TensorSSA rewrites each into a pure ``immut::*_assign`` form.  The
+regular ones *are* that rewrite and have no body anywhere:
+:func:`repro.runtime.kernels.inplace_op` writes a row's kernel value
+through the target for every :data:`~repro.runtime.kernels.INPLACE`
+entry.  Only the four stores no row describes live here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import inplace_op
 from .tensor import Scalar, Tensor, as_tensor, record_op, write_through
 
 
@@ -26,29 +25,6 @@ def copy_(target: Tensor, src) -> Tensor:
         s._array.astype(t.dtype.np, copy=False), t.shape))
     record_op("copy_", [t, s], [t], flops=0)
     return t
-
-
-fill_ = inplace_op("aten::fill_", "aten::full_like")
-add_ = inplace_op("aten::add_", "aten::add")
-sub_ = inplace_op("aten::sub_", "aten::sub")
-mul_ = inplace_op("aten::mul_", "aten::mul")
-div_ = inplace_op("aten::div_", "aten::div")
-pow_ = inplace_op("aten::pow_", "aten::pow")
-maximum_ = inplace_op("aten::maximum_", "aten::maximum")
-minimum_ = inplace_op("aten::minimum_", "aten::minimum")
-neg_ = inplace_op("aten::neg_", "aten::neg")
-exp_ = inplace_op("aten::exp_", "aten::exp")
-sigmoid_ = inplace_op("aten::sigmoid_", "aten::sigmoid")
-tanh_ = inplace_op("aten::tanh_", "aten::tanh")
-relu_ = inplace_op("aten::relu_", "aten::relu")
-sqrt_ = inplace_op("aten::sqrt_", "aten::sqrt")
-clamp_ = inplace_op("aten::clamp_", "aten::clamp")
-masked_fill_ = inplace_op("aten::masked_fill_", "aten::masked_fill")
-
-
-def zero_(target: Tensor) -> Tensor:
-    """In-place ``zero``: writes through the target's storage (and all its aliases)."""
-    return fill_(target, 0)
 
 
 def masked_scatter_(target: Tensor, mask: Tensor, src: Tensor) -> Tensor:

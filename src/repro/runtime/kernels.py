@@ -1,14 +1,29 @@
-"""One numpy kernel per compilable operator, and every way to run it.
+"""The operator table: one numpy kernel per compilable operator, and
+every way to run it.
 
 :data:`KERNELS` holds one row per operator: its numpy-level kernel
 (arrays and Python scalars in, array out — no Tensor wrapping, no launch
-recording) and the accounting ``record_op`` needs.  Every execution is
-*derived* from that row, so imperative, functionalized and fused
-programs agree bit for bit by construction: :func:`eager_op` (the
-``aten::*`` / ``immut::*`` op), :func:`view_op` (the aliasing view),
-:func:`inplace_op` (``op_``), and the fused call — ``backend/codegen.py``
-runs ``OpSchema.kernel``, which ``ops.registry`` fills from this table,
-or a binary row's ``out=`` form (:data:`INTO`) into a dying operand.
+recording) and the accounting ``record_op`` needs.  A row is the only
+place an operator is declared; every other layer derives from it, so
+imperative, functionalized and fused programs agree bit for bit by
+construction:
+
+* :data:`EAGER` holds each row's eager form — :func:`view_op` for an
+  ``aten::`` row that ``aliases`` its operand 0 (a view), the kernel
+  itself for a ``prim::`` host-scalar row, :func:`eager_op` (one launch,
+  a fresh tensor) for the rest — plus the in-place ``op_`` form
+  (:func:`inplace_op`) of every :data:`INPLACE` entry.
+  ``repro.runtime`` binds its functional API and Tensor's methods from
+  it, and ``repro.ops.registry`` registers one schema per row from it.
+* The fused call: ``backend/codegen.py`` runs ``OpSchema.kernel``, the
+  row's own kernel, or a binary row's ``out=`` form (:data:`INTO`) into
+  a dying operand.
+* :data:`SUGAR` maps Python operator syntax to ops: Tensor's dunders
+  and the frontend's operator lowering both read it.
+
+Adding an operator is one row (plus an :data:`INPLACE` entry for its
+``op_`` form, a :data:`SUGAR` entry if Python syntax spells it, and a
+VJP in ``repro.grad.vjp`` if it is differentiable).
 
 Scalar promotion: Python scalars reach numpy as Python scalars, so NEP 50
 weak promotion — PyTorch's rule — decides (``int32 + 2`` stays int32,
@@ -20,6 +35,7 @@ and nowhere else, so the fused path raises what eager raises.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import operator
 from typing import Callable, Dict, NamedTuple, Optional
@@ -260,7 +276,9 @@ KERNELS: Dict[str, Kernel] = {
     "aten::to": Kernel(lambda a, dtype: np.asarray(a).astype(dtype.np),
                        flops=0),
     "aten::masked_fill": Kernel(_masked_fill),
-    # shape-propagating fills (functional forms of fill_/zero_)
+    # shape-propagating fills (functional forms of fill_/zero_): the
+    # dtype follows the template exactly, whatever float promotion
+    # ``creation.promoting_f32_to`` sets
     "aten::zeros_like": Kernel(
         lambda t: np.zeros(np.shape(t), dtype=np.asarray(t).dtype),
         0, "zeros", False),
@@ -296,11 +314,62 @@ KERNELS: Dict[str, Kernel] = {
 }
 
 
+#: ``op_`` -> the row whose value it writes through its target (operand 0)
+INPLACE: Dict[str, str] = {
+    **{f"aten::{n}_": f"aten::{n}" for n in (
+        "add", "sub", "mul", "div", "pow", "maximum", "minimum", "neg",
+        "exp", "sigmoid", "tanh", "relu", "sqrt", "clamp", "masked_fill")},
+    "aten::fill_": "aten::full_like", "aten::zero_": "aten::zeros_like"}
+
+
+class Sugar(NamedTuple):
+    """What one Python operator means: on a tensor operand, on host
+    scalars, and as ``x op= y`` on a tensor (PyTorch's meanings)."""
+
+    #: the op when any operand is a tensor (None: no tensor meaning)
+    tensor: Optional[str]
+    #: the ``prim::`` op on host scalars — Python's own operator
+    #: function, so its name is the dunder's (None: no scalar meaning)
+    scalar: Optional[str]
+    #: the in-place op (None: ``x op= y`` rebinds ``x`` to ``x op y``)
+    inplace: Optional[str] = None
+    #: the reflected dunder keeps the tensor first (``2 + t`` runs
+    #: ``add(t, 2)``); otherwise it swaps (``2 - t`` runs ``sub(2, t)``)
+    commutes: bool = False
+
+    @property
+    def dunder(self) -> str:
+        """The dunder stem: ``add`` names ``__add__`` / ``__radd__`` /
+        ``__iadd__``."""
+        return (self.scalar or self.tensor).split("::")[1]
+
+
+#: Python operator (its ``ast`` class) -> what it means.  ``Tensor``'s
+#: dunders and the frontend's BinOp / Compare / UnaryOp / AugAssign
+#: lowering both derive from this table, so eager and compiled code
+#: read an operator the same way.  ``not`` has no tensor meaning: it
+#: tests truth (``bool(t)``), as it does in Python.
+SUGAR: Dict[type, Sugar] = {
+    ast.Add: Sugar("aten::add", "prim::add", "aten::add_", commutes=True),
+    ast.Sub: Sugar("aten::sub", "prim::sub", "aten::sub_"),
+    ast.Mult: Sugar("aten::mul", "prim::mul", "aten::mul_", commutes=True),
+    ast.Div: Sugar("aten::div", "prim::truediv", "aten::div_"),
+    ast.Pow: Sugar("aten::pow", "prim::pow", "aten::pow_"),
+    ast.Mod: Sugar("aten::remainder", "prim::mod"),
+    ast.FloorDiv: Sugar(None, "prim::floordiv"),
+    ast.MatMult: Sugar("aten::matmul", None),
+    ast.Gt: Sugar("aten::gt", "prim::gt"),
+    ast.Lt: Sugar("aten::lt", "prim::lt"),
+    ast.GtE: Sugar("aten::ge", "prim::ge"),
+    ast.LtE: Sugar("aten::le", "prim::le"),
+    ast.Eq: Sugar("aten::eq", "prim::eq"),
+    ast.NotEq: Sugar("aten::ne", "prim::ne"),
+    ast.USub: Sugar("aten::neg", "prim::neg"),
+    ast.Not: Sugar(None, "prim::not"),
+}
+
+
 # -- the derived executions --------------------------------------------------
-
-#: op name -> its derived callable; ``aten::`` entries become Tensor methods
-EAGER: Dict[str, Callable] = {}
-
 
 def _positional(kernel: Callable, args, kwargs) -> tuple:
     """Keyword arguments (rare) bound to their positions."""
@@ -320,12 +389,11 @@ def _publish(op: Callable, name: str, doc: str, like: Callable,
         params[0] = params[0].replace(name=first)
     op.__signature__ = inspect.Signature(params)
     op.__name__ = op.__qualname__ = name.split("::")[1]
-    op.__doc__ = doc or like.__doc__
-    EAGER[name] = op
+    op.__doc__ = doc
     return op
 
 
-def eager_op(name: str, doc: str = "") -> Callable:
+def eager_op(name: str) -> Callable:
     """The eager form of the ``name`` row: one launch, a fresh tensor
     (copied when the kernel hands back the operand it ``aliases``)."""
     kernel, flops, launch, reads, aliases = KERNELS[name]
@@ -342,7 +410,8 @@ def eager_op(name: str, doc: str = "") -> Callable:
         record_op(launch, args if reads else (), (out,),
                   flops=out._array.size * flops)
         return out
-    return _publish(op, name, doc, kernel)
+    return _publish(op, name, kernel.__doc__ or f"``{name}``, eagerly: one "
+                    "kernel launch, a fresh tensor.", kernel)
 
 
 def view_op(name: str) -> Callable:
@@ -366,7 +435,7 @@ def view_op(name: str) -> Callable:
         out = Tensor.from_array(new, copy=False)
         record_op("reshape_copy", [t], [out])
         return out
-    return _publish(op, name, "", kernel)
+    return _publish(op, name, kernel.__doc__, kernel)
 
 
 def _into(ufunc, row: Callable, k: int) -> Callable:
@@ -393,11 +462,11 @@ INTO: Dict[tuple, Callable] = {
     for n, u in _INTO_UFUNCS.items() for k in (0, 1)}
 
 
-def inplace_op(name: str, functional: str) -> Callable:
-    """``op_`` from the ``functional`` row: the kernel's value is written
+def inplace_op(name: str) -> Callable:
+    """``op_`` from its :data:`INPLACE` row: the kernel's value is written
     through the target's storage (cast to its dtype by the store), which
     is exactly TensorSSA's ``immut::assign(x, aten::op(x, ...))``."""
-    kernel, flops = KERNELS[functional].kernel, KERNELS[functional].flops
+    kernel, flops = KERNELS[INPLACE[name]][:2]
     method = name.split("::")[1]
 
     def op(*args, **kwargs):
@@ -411,3 +480,12 @@ def inplace_op(name: str, functional: str) -> Callable:
     return _publish(op, name, f"In-place ``{method[:-1]}``: writes through "
                     "the target's storage (and all its aliases).",
                     kernel, first="target")
+
+
+#: op name -> its eager form: every row (views alias, ``prim::`` rows run
+#: on host scalars, the rest launch once) and every :data:`INPLACE` op
+EAGER: Dict[str, Callable] = {
+    **{name: (view_op(name) if name.startswith("aten::") and aliases == 0
+              else kernel if name.startswith("prim::") else eager_op(name))
+       for name, (kernel, *_, aliases) in KERNELS.items()},
+    **{name: inplace_op(name) for name in INPLACE}}

@@ -11,7 +11,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .kernels import eager_op
+from .kernels import EAGER
 from .tensor import Tensor, as_tensor, record_op
 
 
@@ -110,22 +110,20 @@ def embedding(weight: Tensor, index: Tensor) -> Tensor:
 
 def chunk(t: Tensor, chunks: int, dim: int = 0) -> List[Tensor]:
     """Split into equal views along ``dim`` (views, no kernels)."""
-    from .views import narrow
     tt = as_tensor(t)
     size = tt.shape[int(dim)]
     if size % chunks != 0:
         raise ValueError(f"chunk: size {size} not divisible by {chunks}")
     step = size // chunks
-    return [narrow(tt, int(dim), i * step, step) for i in range(chunks)]
+    return [EAGER["aten::narrow"](tt, int(dim), i * step, step)
+            for i in range(chunks)]
 
 
 # ---------------------------------------------------------------------------
 # Pure counterparts of the indexed/masked mutation ops (used by the
-# TensorSSA rewrite to materialize a mutation's value functionally).
+# TensorSSA rewrite to materialize a mutation's value functionally;
+# ``masked_fill``'s is a ``KERNELS`` row).
 # ---------------------------------------------------------------------------
-
-masked_fill = eager_op("aten::masked_fill",
-                       "Pure masked fill: where(mask, value, t).")
 
 
 def masked_scatter(t: Tensor, mask: Tensor, src: Tensor) -> Tensor:

@@ -141,94 +141,9 @@ class Tensor:
     def __int__(self) -> int:
         return int(self.item())
 
-    # -- operator sugar (implementations live in sibling modules) -------
-
-    def __add__(self, other):
-        from . import elementwise
-        return elementwise.add(self, other)
-
-    def __radd__(self, other):
-        from . import elementwise
-        return elementwise.add(self, other)
-
-    def __sub__(self, other):
-        from . import elementwise
-        return elementwise.sub(self, other)
-
-    def __rsub__(self, other):
-        from . import elementwise
-        return elementwise.sub(other, self)
-
-    def __mul__(self, other):
-        from . import elementwise
-        return elementwise.mul(self, other)
-
-    def __rmul__(self, other):
-        from . import elementwise
-        return elementwise.mul(self, other)
-
-    def __truediv__(self, other):
-        from . import elementwise
-        return elementwise.div(self, other)
-
-    def __rtruediv__(self, other):
-        from . import elementwise
-        return elementwise.div(other, self)
-
-    def __pow__(self, other):
-        from . import elementwise
-        return elementwise.pow(self, other)
-
-    def __neg__(self):
-        from . import elementwise
-        return elementwise.neg(self)
-
-    def __matmul__(self, other):
-        from . import linalg
-        return linalg.matmul(self, other)
-
-    def __gt__(self, other):
-        from . import elementwise
-        return elementwise.gt(self, other)
-
-    def __lt__(self, other):
-        from . import elementwise
-        return elementwise.lt(self, other)
-
-    def __ge__(self, other):
-        from . import elementwise
-        return elementwise.ge(self, other)
-
-    def __le__(self, other):
-        from . import elementwise
-        return elementwise.le(self, other)
-
-    def __eq__(self, other):  # type: ignore[override]
-        from . import elementwise
-        return elementwise.eq(self, other)
-
-    def __ne__(self, other):  # type: ignore[override]
-        from . import elementwise
-        return elementwise.ne(self, other)
-
-    __hash__ = object.__hash__
-
+    # Operator dunders (``+``, ``**=``, ``<`` ...) are attached by
+    # ``repro.runtime`` from ``kernels.SUGAR``, the frontend's table too.
     # Augmented assignment is *in-place* mutation, as in PyTorch.
-    def __iadd__(self, other):
-        from . import inplace
-        return inplace.add_(self, other)
-
-    def __isub__(self, other):
-        from . import inplace
-        return inplace.sub_(self, other)
-
-    def __imul__(self, other):
-        from . import inplace
-        return inplace.mul_(self, other)
-
-    def __itruediv__(self, other):
-        from . import inplace
-        return inplace.div_(self, other)
 
     # Subscripts: loads are views, stores are mutations.
     def __getitem__(self, key):

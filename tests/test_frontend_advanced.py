@@ -86,6 +86,13 @@ def abs_builtin(a: int, x):
     return x * float(abs(a))
 
 
+def index_key_aug_assign(x, index):
+    y = x.clone()
+    y[index] += 1.0   # an in-place op on the gathered rows, scattered back
+    y[index] %= 0.75  # no in-place op: y[index] = y[index] % 0.75
+    return y
+
+
 def while_with_break_condition(x):
     total = x.clone()
     steps = 0
@@ -139,6 +146,12 @@ class TestAdvanced:
 
     def test_while_counting(self):
         check(while_with_break_condition, rt.rand((2,), seed=12))
+
+    def test_index_key_aug_assign_writes_back(self):
+        """``y[i] op= v`` with a tensor key: Python stores the result
+        back (the load was a copy), so the update must reach ``y``."""
+        check(index_key_aug_assign, rt.rand((4, 3), seed=13),
+              rt.tensor([0, 2]))
 
 
 class TestDiagnostics:

@@ -10,6 +10,7 @@ row's ``fn`` is observably its ``kernel`` — and so is the in-place store
 a compiled kernel runs in place of a window Assign's clone.
 """
 
+import ast
 import inspect
 
 import numpy as np
@@ -18,12 +19,13 @@ import pytest
 import repro.runtime as rt
 from repro.analysis.ownership import ASSIGN_TO_VIEW
 from repro.backend import compile_block
-from repro.fuzz.oracle import materialize
+from repro.frontend import ScriptError
+from repro.fuzz.oracle import all_pipeline_names, materialize
 from repro.ir import Graph
 from repro.ir import types as T
 from repro.ops import OpKind, all_ops, get
 from repro.pipelines import get_pipeline
-from repro.runtime.kernels import INTO
+from repro.runtime.kernels import INTO, SUGAR
 
 DTYPES = {"f32": np.float32, "f64": np.float64, "i32": np.int32,
           "i64": np.int64, "bool": np.bool_}
@@ -55,6 +57,83 @@ def test_out_of_range_select_raises_on_every_pipeline(pipeline):
         compiled = get_pipeline(pipeline).compile(
             fn, example_args=(rt.from_numpy(x),))
         compiled(rt.from_numpy(x))
+
+
+# -- a row is an op on every pipeline: aten::remainder scripts -------------
+
+_REMAINDER = """def f(x):
+    return (x.remainder(3), x.remainder(x.add(2)), rt.remainder(x, 0.75))
+"""
+
+
+@pytest.mark.parametrize("pipeline",
+                         [p for p in all_pipeline_names() if p != "eager"])
+@pytest.mark.parametrize("dtype", ["f32", "i32"])
+def test_remainder_scripts_on_every_pipeline(dtype, pipeline):
+    """``aten::remainder`` had a row and a Tensor method but no schema,
+    so scripting ``x.remainder(y)`` raised ScriptError."""
+    fn = materialize(_REMAINDER)
+    x = _payload(DTYPES[dtype])
+    want = fn(rt.from_numpy(x))
+    got = get_pipeline(pipeline).compile(
+        fn, example_args=(rt.from_numpy(x),))(rt.from_numpy(x))
+    assert rt.bit_exact(got, want), (got, want)
+
+
+# -- one operator table: Python syntax means the same eager and compiled ---
+
+def _spelling(op):
+    """The source spelling of an operator: ``+``, ``**=``'s ``**``,
+    ``>=``, unary ``-`` and ``not ``."""
+    a, b = ast.Name("a"), ast.Name("b")
+    if issubclass(op, ast.unaryop):
+        return ast.unparse(ast.UnaryOp(op(), a))[:-1]
+    node = ast.Compare(a, [op()], [b]) if issubclass(op, ast.cmpop) \
+        else ast.BinOp(a, op(), b)
+    return ast.unparse(node).split()[1]
+
+
+_SUGAR_FORMS = {
+    "tensor_tensor": "    return a {op} b\n",
+    "tensor_float": "    return a {op} 0.75\n",
+    "float_tensor": "    return 0.75 {op} a\n",
+    "name": "    y = a.clone()\n    z = y\n    z {op}= b\n    return (y, z)\n",
+    "subscript": "    y = a.clone()\n    y[0:2] {op}= 0.75\n    return y\n",
+}
+_SUGAR_CASES = [
+    pytest.param(op, form, id=f"{op.__name__}-{form}")
+    for op in SUGAR for form in (
+        ["unary"] if issubclass(op, ast.unaryop) else
+        list(_SUGAR_FORMS)[:3] if issubclass(op, ast.cmpop) else
+        list(_SUGAR_FORMS))]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "i32"])
+@pytest.mark.parametrize("op, form", _SUGAR_CASES)
+def test_operator_sugar_agrees_eager_and_compiled(op, form, dtype):
+    """Every ``SUGAR`` entry, spelled as Python syntax: eager Tensor
+    dunders and the ``tensorssa`` frontend agree bit for bit in value
+    and dtype, or raise the same exception type — where Python raises
+    TypeError for an operator a tensor lacks (``//``), the frontend
+    rejects the same source at compile time with ScriptError."""
+    body = "    return {op}a\n" if form == "unary" else _SUGAR_FORMS[form]
+    fn = materialize("def f(a, b):\n" + body.format(op=_spelling(op)))
+    x = (np.arange(9).reshape(3, 3) % 7 + 1).astype(DTYPES[dtype])
+    if dtype == "f32":
+        x /= 4
+
+    def args():
+        return rt.from_numpy(x), rt.from_numpy(x.T[::-1].copy())
+
+    with np.errstate(all="ignore"):
+        want_exc, want = _outcome(lambda: fn(*args()))
+        got_exc, got = _outcome(lambda: get_pipeline("tensorssa").compile(
+            fn, example_args=args())(*args()))
+    if got_exc is ScriptError and want_exc is TypeError:
+        return
+    assert got_exc is want_exc, (got_exc, want_exc)
+    if want_exc is None:
+        assert rt.bit_exact(got, want), (got, want)
 
 
 # -- satellite: the dtype matrix -------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from repro.backend.kernels import OP_IMPLS
 from repro.ops import OpKind, all_ops, get, has
 from repro.ops.schema import OpSchema
+from repro.runtime.kernels import EAGER, INPLACE, KERNELS
 
 
 VIEWS = [s for s in all_ops() if s.kind is OpKind.VIEW]
@@ -97,6 +98,40 @@ class TestCodegenCoverage:
         missing = [s.name for s in VIEWS if s.kernel is None
                    or OP_IMPLS.get(s.name) is not s.kernel]
         assert not missing, missing
+
+
+class TestRowsAreTheOps:
+    """``KERNELS`` is the only place an op with a row is declared: the
+    registry holds one schema per row, derived from it, and no kernel
+    that is not a row's."""
+
+    def test_every_row_has_exactly_one_schema(self):
+        counts = {name: 0 for name in KERNELS}
+        for schema in all_ops():
+            if schema.name in counts:
+                counts[schema.name] += 1
+        assert {n: c for n, c in counts.items() if c != 1} == {}
+
+    def test_schema_is_derived_from_its_row(self):
+        wrong = []
+        for name, row in KERNELS.items():
+            schema = get(name)
+            view = name.startswith("aten::") and row.aliases == 0
+            if (schema.kernel is not row.kernel or schema.fn is not EAGER[name]
+                    or (schema.kind is OpKind.VIEW) is not view
+                    or schema.fusable is view):
+                wrong.append(name)
+        for name, functional in INPLACE.items():
+            schema = get(name)
+            if (schema.kind is not OpKind.MUTATING or schema.kernel is not None
+                    or schema.fn is not EAGER[name]
+                    or schema.functional_op != functional):
+                wrong.append(name)
+        assert wrong == []
+
+    def test_every_kernel_is_a_row(self):
+        assert [s.name for s in all_ops()
+                if s.kernel is not None and s.name not in KERNELS] == []
 
 
 class TestSchemaBasics:
