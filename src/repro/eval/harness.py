@@ -45,6 +45,7 @@ class RunResult:
     host_us: float
     kernel_launches: int
     fused_ops: int
+    flops: int = 0
     #: memory-planner observability (arena high-water and reuse traffic)
     peak_bytes: int = 0
     bytes_allocated: int = 0
@@ -177,6 +178,7 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
             host_us=plat.host_time_us(prof, pipe.host_profile),
             kernel_launches=prof.num_launches,
             fused_ops=sum(e.fused_ops for e in prof.events),
+            flops=prof.total_flops,
             peak_bytes=prof.peak_bytes,
             bytes_allocated=prof.bytes_allocated,
             bytes_reused=prof.bytes_reused,

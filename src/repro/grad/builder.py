@@ -17,15 +17,14 @@ Control flow differentiates structurally:
   with the demanded output adjoints, back-propagates, and returns one
   adjoint per *captured tensor* (the union over both branches, zeros
   where a branch does not touch a capture).
-* ``prim::Loop`` — a tape-free scan: a counting loop measures the trip
-  count ``N`` (``while`` loops carry ``max_trip`` = 2**31-1, so it
-  cannot be read off the graph), a replay loop re-runs the body
-  stashing each iteration's *entering* carried state into
-  ``grad::stash_init`` buffers, and a reverse loop runs ``N``
-  iterations backwards, re-cloning the body at iteration ``j = N-1-r``
-  from the stashed state and sweeping it.  Carried adjoints thread
-  through the reverse loop; captured-tensor adjoints accumulate in
-  extra carried slots.
+* ``prim::Loop`` — a tape-free scan: the forward loop stashes each
+  iteration's *entering* carried state into ``grad::stash_init``
+  buffers (a ``while`` loop, whose trip count ``N`` exists only at
+  runtime, counts its trips and a replay loop fills the stash), and a
+  reverse loop runs ``N`` iterations backwards, re-cloning the body at
+  iteration ``j = N-1-r`` from the stashed state and sweeping it.
+  Carried adjoints thread through the reverse loop; captured-tensor
+  adjoints accumulate in extra carried slots.
 
 Recompute-over-store is a deliberate trade: the forward graph is pure,
 so re-running regions is always legal, and the existing pass pipeline
@@ -342,6 +341,12 @@ def _clone_body(body: Block, dst: Block, graph: Graph, trip: Value,
     return clone_region(body, dst, graph, vmap)
 
 
+#: the scalar a 0-d stash row converts back to, by carried type
+#: (``_loop_adjoint`` refuses every other non-tensor carried type)
+_FROM_ROW = {T.IntType: "aten::Int", T.FloatType: "aten::Float",
+             T.BoolType: "aten::Bool"}
+
+
 def _unstash(builder: GradBuilder, stash: Value, j: Value,
              typ: T.Type) -> Value:
     """Read iteration ``j``'s stashed row back as its original type."""
@@ -349,40 +354,53 @@ def _unstash(builder: GradBuilder, stash: Value, j: Value,
                      name="row")
     if typ.is_tensor:
         return row
-    if isinstance(typ, T.IntType):
-        return builder.e1("aten::Int", row, name="row_i")
-    if isinstance(typ, T.FloatType):
-        return builder.e1("aten::Float", row, name="row_f")
-    if isinstance(typ, T.BoolType):
-        return builder.e1("aten::Bool", row, name="row_b")
-    raise GradError(f"loop carries a value of type {typ} that the "
-                    "scan adjoint cannot stash")
+    return builder.e1(_FROM_ROW[type(typ)], row, name="row_s")
+
+
+def _thread(builder: GradBuilder, loop: Node, inits: Sequence[Value],
+            step) -> None:
+    """Thread extra carried slots through ``loop`` (whose outputs the
+    caller added): ``inits`` enter them, and ``step(params, slots)``
+    emits their next values first in the body."""
+    body = loop.block(0)
+    params = list(body.params)
+    slots = [body.add_param(v.name.split(".")[0], v.type) for v in inits]
+    saved, builder.block, mark = builder.block, body, len(body.nodes)
+    try:
+        nexts = step(params, slots)
+    finally:
+        builder.block = saved
+    body.nodes[:] = body.nodes[mark:] + body.nodes[:mark]
+    for v, nxt in zip(inits, nexts):
+        loop.add_input(v)
+        body.add_return(nxt)
 
 
 def _loop_adjoint(builder: GradBuilder, node: Node,
                   adjoints: Dict[int, Value]) -> None:
-    """Differentiate a ``Loop`` with the three-loop scan construction.
+    """Differentiate a ``Loop`` with a tape-free scan.
 
-    1. *Count*: re-run the loop with an extra integer carried slot to
-       measure the realized trip count ``N`` (``while`` loops advertise
-       ``max_trip`` = 2**31-1, so ``N`` only exists at runtime).
-    2. *Replay*: re-run ``N`` iterations stashing each iteration's
-       entering carried state into ``grad::stash_init`` buffers
-       (row ``i`` = state entering iteration ``i``; scalar carried
-       values stash as 0-d rows).
-    3. *Reverse*: run ``N`` iterations with ``j = N-1-r``, re-clone the
+    1. *Stash*: row ``i`` of a ``grad::stash_init`` buffer per carried
+       value is the state entering iteration ``i`` (scalars as 0-d
+       rows).  A ``for`` loop (entry condition and continue-return both
+       constant ``True``) runs ``N = max(max_trip, 0)`` iterations, so
+       its stash is sized up front and the forward loop fills it
+       through extra carried slots.  A ``while`` loop learns ``N`` only
+       by running: its forward loop carries a counter, and a *replay*
+       loop re-runs the ``N`` iterations to fill the stash.
+    2. *Reverse*: run ``N`` iterations with ``j = N-1-r``, re-clone the
        body at the unstashed state for iteration ``j``, sweep it, and
        thread carried-output adjoints to carried-input adjoints.
        Captured-tensor adjoints accumulate in extra carried slots.
 
-    A zero-trip loop degenerates correctly: the reverse loop runs zero
-    iterations and passes the output adjoints straight through to the
-    carried inits.
+    Both clone the body before the forward loop gains its slots.  A
+    zero-trip loop runs zero reverse iterations, passing the output
+    adjoints straight through to the carried inits.
     """
     grads = [adjoints.get(id(o)) for o in node.outputs]
     if not any(g is not None for g in grads):
         return
-    graph, body = builder.graph, node.block(0)
+    graph, body, outer = builder.graph, node.block(0), builder.block
     carried_inits = [node.input(2 + k) for k in range(len(node.outputs))]
     n_car = len(carried_inits)
     for p in body.params[1:]:
@@ -390,64 +408,45 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
             raise GradError(f"loop carries non-differentiable value "
                             f"%{p.name} of type {p.type}")
     captures = _free_tensors([body])
+    is_for = all(v.node is not None and v.node.op == "prim::Constant"
+                 and v.node.attrs["value"] is True
+                 for v in (node.input(1), body.returns[0]))
 
-    # -- 1. counting loop ----------------------------------------------
-    zero, one = builder.const(0), builder.const(1)
-    true_c = builder.const(True)
-    cnode = graph.create("prim::Loop",
-                         [node.input(0), node.input(1)]
-                         + carried_inits + [zero])
-    cb = cnode.add_block()
-    ci = cb.add_param("i", T.IntType())
-    ccar = [cb.add_param(p.name.split(".")[0], p.type)
-            for p in body.params[1:]]
-    ccnt = cb.add_param("cnt", T.IntType())
-    saved = builder.block
-    builder.block = cb
-    try:
-        rets, _ = _clone_body(body, cb, graph, ci, ccar)
-        cinc = builder.e1("prim::add", ccnt, one, name="cnt")
-        cb.add_return(rets[0])
-        for r in rets[1:]:
-            cb.add_return(r)
-        cb.add_return(cinc)
-    finally:
-        builder.block = saved
-    for p in body.params[1:]:
-        cnode.add_output(p.name.split(".")[0], p.type)
-    trip_n = cnode.add_output("trip_n", T.IntType())
-    builder.block.append(cnode)
+    # -- 1. the forward loop's slot inits, placed before it ------------
+    mark = len(outer.nodes)
+    zero, one, true_c = (builder.const(v) for v in (0, 1, True))
+    if is_for:
+        trip_n = builder.e1("prim::max", node.input(0), zero, name="trip_n")
+        inits = [builder.e1("grad::stash_init", init, trip_n, name="stash")
+                 for init in carried_inits]
+    else:
+        inits = [builder.const(0, name="trip_n")]
+    at = outer.nodes.index(node)
+    outer.nodes[at:] = outer.nodes[mark:] + outer.nodes[at:mark]
+    outs = [node.add_output(v.name.split(".")[0], v.type) for v in inits]
 
-    # -- 2. replay loop with stashes -----------------------------------
-    stash_inits = [builder.e1("grad::stash_init", init, trip_n, name="stash")
+    def stash(params, slots):
+        return [builder.e1("immut::select_assign", st, cv, zero, params[0],
+                           name="stash")
+                for st, cv in zip(slots, params[1:])]
+
+    stash_outs = outs
+    if not is_for:
+        trip_n = outs[0]
+        stashes = [builder.e1("grad::stash_init", init, trip_n, name="stash")
                    for init in carried_inits]
-    rnode = graph.create("prim::Loop",
-                         [trip_n, true_c] + carried_inits + stash_inits)
-    rb = rnode.add_block()
-    ri = rb.add_param("i", T.IntType())
-    rcar = [rb.add_param(p.name.split(".")[0], p.type)
-            for p in body.params[1:]]
-    rstash = [rb.add_param("stash", T.TensorType()) for _ in carried_inits]
-    builder.block = rb
-    try:
-        new_stash = [builder.e1("immut::select_assign", st, cv, zero, ri,
-                                name="stash")
-                     for st, cv in zip(rstash, rcar)]
-        rets, _ = _clone_body(body, rb, graph, ri, rcar)
-        rb.add_return(true_c)
-        for r in rets[1:]:
+        rnode = graph.create("prim::Loop", [trip_n, true_c] + carried_inits)
+        rb = rnode.add_block()
+        rp = [rb.add_param(p.name.split(".")[0], p.type) for p in body.params]
+        rets, _ = _clone_body(body, rb, graph, rp[0], rp[1:])
+        for r in [true_c] + rets[1:]:
             rb.add_return(r)
-        for st in new_stash:
-            rb.add_return(st)
-    finally:
-        builder.block = saved
-    for p in body.params[1:]:
-        rnode.add_output(p.name.split(".")[0], p.type)
-    stash_outs = [rnode.add_output("stash", T.TensorType())
-                  for _ in carried_inits]
-    builder.block.append(rnode)
+        stash_outs = [rnode.add_output(v.name.split(".")[0], v.type)
+                      for v in rp[1:] + stashes][n_car:]
+        _thread(builder, rnode, stashes, stash)
+        builder.block.append(rnode)
 
-    # -- 3. reverse loop -----------------------------------------------
+    # -- 2. reverse loop -----------------------------------------------
     tensor_idx = [k for k in range(n_car) if carried_inits[k].type.is_tensor]
     g_inits = [grads[k] if grads[k] is not None
                else builder.zeros_like(node.output(k))
@@ -481,17 +480,16 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
             vb.add_return(acc if gf is None
                           else builder.e1("aten::add", acc, gf, name="g_f"))
     finally:
-        builder.block = saved
-    g_car_outs = [vnode.add_output("g_init", T.TensorType())
-                  for _ in tensor_idx]
-    g_free_outs = [vnode.add_output("g_cap", T.TensorType())
-                   for _ in captures]
+        builder.block = outer
     builder.block.append(vnode)
+    for pos, v in enumerate([carried_inits[k] for k in tensor_idx]
+                            + captures):
+        builder.accumulate(adjoints, v, vnode.add_output(
+            "g_init" if pos < len(tensor_idx) else "g_cap", T.TensorType()))
 
-    for pos, k in enumerate(tensor_idx):
-        builder.accumulate(adjoints, carried_inits[k], g_car_outs[pos])
-    for f, o in zip(captures, g_free_outs):
-        builder.accumulate(adjoints, f, o)
+    _thread(builder, node, inits, stash if is_for else
+            lambda params, slots: [builder.e1("prim::add", slots[0], one,
+                                              name="trip_n")])
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,12 @@ def stash_init(template, n) -> Tensor:
 
     The gradient pass's scan-style Loop adjoint records each
     iteration's entering carried state into one of these (row ``i`` =
-    iteration ``i``), sized by the loop's *measured* trip count ``n``
-    so even ``while``-style loops (``max_trip`` = 2**31-1) stash
-    exactly what ran.  Scalar carried values stash as 0-d rows; Python
-    floats stash at float64 so replay-from-stash never truncates the
-    precision a float64 grad-check run depends on.
+    iteration ``i``), sized by the trip count ``n``: a ``for`` loop's
+    ``max(max_trip, 0)``, or the trips a ``while`` loop (``max_trip``
+    = 2**31-1) counted, so the stash holds exactly what ran.  Scalar
+    carried values stash as 0-d rows; Python floats stash at float64 so
+    recompute-from-stash never truncates the precision a float64
+    grad-check run depends on.
     """
     if isinstance(template, float):
         out = Tensor.from_array(np.zeros((int(n),), np.float64), copy=False)

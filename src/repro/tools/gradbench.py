@@ -5,8 +5,11 @@ each training-relevant workload twice — through the full TensorSSA
 pipeline (parallelize + fuse + revert + memory plan) and through the
 ``tensorssa_interp`` ablation (no optimization at all) — then compares
 modeled latency (the analytical cost model priced from the profiler)
-and measured wall-clock.  With ``--check`` it additionally runs the
-finite-difference grad-check harness and enforces the accuracy gate.
+and measured wall-clock.  Each row also counts the backward graph's
+top-level ``prim::Loop``s (a differentiated ``for`` loop costs two: the
+forward-with-stash and the reverse scan) and the profiler's flops.
+With ``--check`` it additionally runs the finite-difference grad-check
+harness and enforces the accuracy gate.
 
 Results land in ``results/gradbench.json`` (``--out``) backing the
 EXPERIMENTS.md backward table.  Exit status is the number of
@@ -21,9 +24,11 @@ import argparse
 import sys
 from typing import List
 
-from ..eval.cache import process_cache
+from ..eval.cache import fetch, process_cache
 from ..eval.harness import run_workload
 from ..grad.check import check_workload_grad
+from ..models import get_workload
+from ..pipelines.registry import get_pipeline
 from .drive import common_args, write_report
 
 #: workloads with meaningful training loops (the paper's module-level
@@ -40,18 +45,25 @@ def bench_one(workload: str, batch_size: int, seq_len: int,
     """Benchmark fused vs interpreted backward for one workload."""
     row = {"workload": workload, "batch_size": batch_size,
            "seq_len": seq_len}
+    wl = get_workload(workload)
+    args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len, seed=0)
     for label, pipeline in (("fused", "tensorssa"),
                             ("interpreted", "tensorssa_interp")):
         r = run_workload(workload, pipeline, batch_size=batch_size,
                          seq_len=seq_len, grad=True, check=True,
                          measure_wallclock=True, repeats=repeats)
+        graph = fetch(get_pipeline(pipeline), wl, args, grad=True,
+                      cold=False).compiled.graph
         row[label] = {
             "pipeline": pipeline,
             "latency_us": r.latency_us,
             "wallclock_s": r.wallclock_s,
             "kernel_launches": r.kernel_launches,
             "fused_ops": r.fused_ops,
+            "flops": r.flops,
             "peak_bytes": r.peak_bytes,
+            "top_level_loops": sum(n.op == "prim::Loop"
+                                   for n in graph.block.nodes),
         }
     row["speedup_modeled"] = (row["interpreted"]["latency_us"]
                               / row["fused"]["latency_us"])
@@ -103,7 +115,9 @@ def main(argv: List[str] = None) -> int:
         print(f"{name:12s} modeled {row['speedup_modeled']:.2f}x  "
               f"wallclock {row['speedup_wallclock']:.2f}x  "
               f"launches {row['fused']['kernel_launches']} vs "
-              f"{row['interpreted']['kernel_launches']}  [{verdict}]")
+              f"{row['interpreted']['kernel_launches']}  "
+              f"loops {row['fused']['top_level_loops']}  "
+              f"flops {row['fused']['flops'] / 1e6:.1f}M  [{verdict}]")
         if not row["fused_wins"]:
             bad += 1
         if args.check:

@@ -302,8 +302,15 @@ class TestIfAdjoint:
         np.testing.assert_allclose(gy.numpy(), np.zeros(3), atol=0.0)
 
 
+def _top_loops(graph):
+    return [n for n in graph.block.nodes if n.op == "prim::Loop"]
+
+
 class TestLoopAdjoint:
-    """The tape-free count/replay-stash/reverse scan over prim::Loop."""
+    """The tape-free scan over prim::Loop: a ``for`` loop stashes its
+    entering state from the forward loop itself (forward-with-stash,
+    then reverse); a ``while`` loop counts its trips in the forward loop
+    and replays them to fill the stash (forward, replay, reverse)."""
 
     def test_for_loop_matches_fd(self):
         def f(x, n: int):
@@ -325,6 +332,73 @@ class TestLoopAdjoint:
         (gx,) = _grads(f, x, 0)
         np.testing.assert_allclose(gx.numpy(), 2.0 * x.numpy(), rtol=1e-12)
         _assert_grad_matches_fd(f, x, 0, wrt=[0])
+
+    def test_negative_trip_count_passes_seed_through(self):
+        """``range(n - 2)`` at n in {0, 1} has a negative ``max_trip``;
+        the stash is sized ``max(max_trip, 0)``, so no step runs."""
+        def f(x, n: int):
+            y = x.clone()
+            for t in range(n - 2):
+                y = y * 0.5
+            return (y * y).sum()
+
+        x = _randn(3, 4, seed=47)
+        compiled = get_pipeline("tensorssa").compile_grad(f)
+        for n in (0, 1):
+            (gx,) = _grads(f, x, n)
+            np.testing.assert_allclose(gx.numpy(), 2.0 * x.numpy(),
+                                       rtol=1e-12)
+            got = rt.as_tuple(compiled(x.clone(), n))
+            want = rt.as_tuple(compiled.stats["grad_reference"](x, n))
+            assert rt.bit_exact(got, want)
+        _assert_grad_matches_fd(f, x, 3, wrt=[0])
+
+    def test_for_loop_backward_is_forward_with_stash_and_reverse(self):
+        """The forward loop fills the stash the reverse loop reads: no
+        count loop, no replay loop."""
+        def f(x, n: int):
+            y = x.clone()
+            for i in range(n):
+                y = y * x.sigmoid() + y.tanh()
+            return (y * y).sum()
+
+        _, bwd = build_backward(f)
+        forward, reverse = _top_loops(bwd)
+        stashes = [v for v in forward.inputs
+                   if v.node is not None and v.node.op == "grad::stash_init"]
+        assert len(stashes) == 1
+        assert any(u.user.owning_block.owning_node is reverse
+                   for u in forward.outputs[-1].uses)
+
+    @pytest.mark.parametrize("workload", ["lstm", "attention"])
+    def test_compiled_workload_backward_runs_two_loops(self, workload):
+        wl = get_workload(workload)
+        args = wl.make_inputs(batch_size=2, seq_len=6, seed=0)
+        compiled = get_pipeline("tensorssa").compile_grad(
+            wl.model_fn, example_args=args)
+        assert len(_top_loops(compiled.graph)) == 2
+
+    def test_while_loop_backward_counts_in_the_forward_loop(self):
+        """A while loop cannot size its stash up front: the forward loop
+        carries a trip counter, a replay loop fills the stash, and the
+        reverse loop reads it.  None of the three is a count loop (one
+        whose only used result is the trip count)."""
+        def f(x, n: int):
+            y = x.clone()
+            s = y.sum()
+            while bool(s < float(n)):
+                y = y + y.sigmoid()
+                s = y.sum()
+            return (y * y,)
+
+        _, bwd = build_backward(f)
+        loops = _top_loops(bwd)
+        assert len(loops) == 3
+        for loop in loops:
+            assert any(o.type.is_tensor and o.uses for o in loop.outputs)
+        trip_n = loops[0].outputs[-1]
+        assert not trip_n.type.is_tensor
+        assert {u.user for u in trip_n.uses} >= set(loops[1:])
 
     def test_capture_adjoints_accumulate_across_iterations(self):
         """x enters the loop body every iteration; its adjoint is the

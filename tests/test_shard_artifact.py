@@ -396,22 +396,23 @@ class TestBackwardArtifacts:
         family's backward artifact, restored through the store, served
         at a *different* member of the family under a tuned non-default
         schedule read from a TuningDB — bit-exact with the interpreted
-        reference backward of the eager program.  lstm's backward has a
-        horizontal loop, so the tuned schedule runs a different kernel,
-        not only a different id."""
-        wl, pipe = get_workload("lstm"), get_pipeline("tensorssa")
+        reference backward of the eager program.  attention's backward
+        runs its forward-with-stash and its reverse scan as horizontal
+        loops, so the tuned schedule runs different kernels, not only a
+        different id."""
+        wl, pipe = get_workload("attention"), get_pipeline("tensorssa")
         sched = Schedule(hloop_unroll=2)
         cache = CompileCache()
-        run_workload("lstm", "tensorssa", cache=cache, **self.RUN)
+        run_workload("attention", "tensorssa", cache=cache, **self.RUN)
         family = cache.families.all_families()[0]
         db = TuningDB(str(tmp_path / "tune"))
-        db.put(serving_key("lstm", (), family), sched)
+        db.put(serving_key("attention", (), family), sched)
 
         warm = self._published(tmp_path / "store", cache)
         warm.tuning_db = db
-        served = run_workload("lstm", "tensorssa", cache=warm, check=True,
-                              **{**self.RUN, "batch_size": 3,
-                                 "seq_len": 12})
+        served = run_workload("attention", "tensorssa", cache=warm,
+                              check=True, **{**self.RUN, "batch_size": 3,
+                                             "seq_len": 12})
         assert served.cache_hit and served.family_outcome == "hit"
         assert served.tuned and served.schedule_id == sched.schedule_id
         assert warm.snapshot().misses == 0 and db.searches == 0
