@@ -156,11 +156,12 @@ def execute_group(node: Node, inputs: Sequence[object]) -> List[object]:
         raw = execute_kernel(kernel, [_unwrap(x) for x in inputs],
                              "fusion_group")
         outputs = _outputs(raw, inputs, kernel.__donated__)
-        out_elems = sum(o.numel for o in outputs if isinstance(o, Tensor))
-        profiler.record_launch("fusion_group",
-                               nbytes=_io_bytes(inputs) + _io_bytes(outputs),
-                               flops=out_elems * max(n_ops, 1),
-                               fused_ops=n_ops)
+        if profiler.listening():
+            out_elems = sum(o.numel for o in outputs
+                            if isinstance(o, Tensor))
+            profiler.record_launch(
+                "fusion_group", nbytes=_io_bytes(inputs) + _io_bytes(outputs),
+                flops=out_elems * max(n_ops, 1), fused_ops=n_ops)
     return outputs
 
 
@@ -232,15 +233,17 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
         n_ops = node.attrs.get("num_member_ops", len(body.nodes))
         if sp is not None:
             sp.args["trips"] = i
-        # a zero-trip loop did no fused work: 0 ops, 0 flops (the
-        # launch itself still happened and is recorded)
-        out_elems = sum(o.numel for o in outputs if isinstance(o, Tensor))
-        profiler.record_launch(
-            "parallel_loop",
-            nbytes=_io_bytes(carried) + _io_bytes(captures)
-            + _io_bytes(outputs),
-            flops=out_elems * max(n_ops, 1) * min(i, 1),
-            fused_ops=n_ops * i)
+        if profiler.listening():
+            # a zero-trip loop did no fused work: 0 ops, 0 flops (the
+            # launch itself still happened and is recorded)
+            out_elems = sum(o.numel for o in outputs
+                            if isinstance(o, Tensor))
+            profiler.record_launch(
+                "parallel_loop",
+                nbytes=_io_bytes(carried) + _io_bytes(captures)
+                + _io_bytes(outputs),
+                flops=out_elems * max(n_ops, 1) * min(i, 1),
+                fused_ops=n_ops * i)
     return outputs
 
 
@@ -257,9 +260,10 @@ def run_parallel_map(node: Node, inputs: List[object]) -> List[object]:
         per_iter = [kernel([i] + caps) for i in range(trip)]
         outputs = [wrap(np.stack([r[k] for r in per_iter]))
                    for k in range(len(body.returns))]
-        profiler.record_launch(
-            "parallel_map",
-            nbytes=_io_bytes(inputs) + _io_bytes(outputs),
-            flops=sum(o.numel for o in outputs if isinstance(o, Tensor)),
-            fused_ops=max(len(body.nodes), 1) * max(trip, 1))
+        if profiler.listening():
+            profiler.record_launch(
+                "parallel_map",
+                nbytes=_io_bytes(inputs) + _io_bytes(outputs),
+                flops=sum(o.numel for o in outputs if isinstance(o, Tensor)),
+                fused_ops=max(len(body.nodes), 1) * max(trip, 1))
     return outputs

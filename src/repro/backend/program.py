@@ -47,6 +47,11 @@ def _free(pool: MemoryPool, released: Set[int], keep: Sequence[object],
                 pool.release(st.nbytes)
 
 
+def _no_free(keep: Sequence[object], dead: Sequence[object]) -> None:
+    """``_free`` of a call nothing observes: there is no pool to return
+    bytes to (the generated ``del`` still evicts the values)."""
+
+
 def _unpack(result, n: int, what: str):
     if not isinstance(result, (tuple, list)) or len(result) < n:
         raise InterpreterError(f"{what} expected {n} results")
@@ -201,7 +206,13 @@ def run_planned(graph: Graph, args: Sequence[object], plan) -> List[object]:
     """Run ``graph`` through its plan's program, lowered on first use —
     once, under the lock.  A compile step: the ``fusion_compile`` fault
     checkpoint precedes any caching, so after a failed lowering the plan
-    has no program and a later call (a retried rung) lowers cleanly."""
+    has no program and a later call (a retried rung) lowers cleanly.
+
+    Whether anything listens (``profiler.listening``) is read once, on
+    entry: an observed call runs against a fresh ``MemoryPool`` whose
+    ``_free`` releases are its alloc / reuse / free events; an
+    unobserved one runs the same program with ``_free`` a no-op and
+    no pool."""
     fn = plan.program
     if fn is None:
         with _lower_lock:
@@ -211,10 +222,12 @@ def run_planned(graph: Graph, args: Sequence[object], plan) -> List[object]:
                                     graph=graph.name):
                     maybe_inject(SITE_FUSION_COMPILE, "program")
                     fn = plan.program = lower(graph, plan)
-    pool = MemoryPool()
-    with pool_scope(pool):
-        try:
+    try:
+        if not profiler.listening():
+            return fn(_no_free, *args)
+        pool = MemoryPool()
+        with pool_scope(pool):
             return fn(partial(_free, pool, set()), *args)
-        except UnboundLocalError as exc:
-            raise InterpreterError(
-                f"{exc}: value read before definition") from None
+    except UnboundLocalError as exc:
+        raise InterpreterError(
+            f"{exc}: value read before definition") from None

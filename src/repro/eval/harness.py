@@ -8,8 +8,9 @@ same run behind the degradation ladder.  Compilation goes through
 here), the kernel schedule through
 :func:`repro.tune.db.serving_schedule`, and the measured execution
 through :func:`profiled_call` — the one "clone the inputs, enter the
-schedule, run under the profiler" sequence the serving executor and
-``tools/inspect`` use too.  Runs verify numerical equivalence against
+schedule, run under the profiler" sequence ``tools/inspect`` uses too;
+the serving executor runs the same sequence unprofiled
+(:func:`timed_call`).  Runs verify numerical equivalence against
 eager on demand.
 """
 
@@ -83,17 +84,31 @@ class RunResult:
         return self.latency_us / 1000.0
 
 
-def profiled_call(compiled, args, schedule=None):
-    """One measured execution of ``compiled`` (any callable) on a fresh
-    clone of ``args`` under ``schedule`` (None = the ambient one):
-    ``(outputs as a tuple, the profile, wall seconds)``.  The wall clock
-    covers the input clone; the profile does not (input prep is not part
-    of the measured run)."""
+def timed_call(compiled, args, schedule=None):
+    """One execution of ``compiled`` (any callable) on a fresh clone of
+    ``args`` under ``schedule`` (None = the ambient one): ``(outputs as
+    a tuple, wall seconds)``.  The wall clock covers the input clone."""
     start = time.perf_counter()
     run_args = clone_args(args)
-    with schedule_scope(schedule), rt.profile() as prof:
+    with schedule_scope(schedule):
         outputs = compiled(*run_args)
-    return rt.as_tuple(outputs), prof, time.perf_counter() - start
+    return rt.as_tuple(outputs), time.perf_counter() - start
+
+
+def profiled_call(compiled, args, schedule=None):
+    """:func:`timed_call` with ``compiled`` run under ``rt.profile()``:
+    ``(outputs as a tuple, the profile, wall seconds)``.  The profile
+    does not cover the input clone (input prep is not part of the
+    measured run)."""
+    profiles = []
+
+    def observed(*run_args):
+        with rt.profile() as prof:
+            profiles.append(prof)
+            return compiled(*run_args)
+
+    outputs, wall = timed_call(observed, args, schedule)
+    return outputs, profiles[0], wall
 
 
 def run_workload(workload: str, pipeline: str, platform: str = "datacenter",

@@ -39,6 +39,7 @@ Plans install two ways:
 
 When no plan is installed, :func:`maybe_inject` is a single contextvar
 read plus a global load — cheap enough to sit on the hot path.
+:func:`plan_active` is the same read as a predicate.
 
 :class:`StateAuditor` is the crash-consistency half: it snapshots the
 process state a fault could tear (profiler stack depth, pool-scope
@@ -64,7 +65,8 @@ __all__ = [
     "SITE_PASS", "SITE_BATCH_EXEC", "SITE_PROCESS_KILL",
     "SITE_HEARTBEAT_STALL", "ALL_SITES",
     "Fault", "FaultRule", "FaultRecord", "FaultPlan",
-    "fault_scope", "global_fault_scope", "active_plan", "maybe_inject",
+    "fault_scope", "global_fault_scope", "active_plan", "plan_active",
+    "maybe_inject",
     "StateAuditor",
 ]
 
@@ -277,6 +279,14 @@ def active_plan() -> Optional[FaultPlan]:
     """The plan in effect for this context (context-local wins)."""
     plan = _plan_var.get()
     return plan if plan is not None else _global_plan
+
+
+def plan_active() -> bool:
+    """Whether any fault plan, context-local or global, is installed.
+    A planned call reads this once at entry (``profiler.listening``):
+    the ``alloc`` checkpoint lives in the accounting pool, which an
+    unobserved call does not build."""
+    return _plan_var.get() is not None or _global_plan is not None
 
 
 @contextmanager

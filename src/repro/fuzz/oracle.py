@@ -10,7 +10,8 @@ For a generated (or corpus) program the oracle:
    pipelines recompile per variant, mirroring the harness's cache key)
    and demands **bit-exact** outputs — all pipelines bottom out in the
    same numpy kernels, so even fused/planned execution must agree to
-   the last ulp;
+   the last ulp — once under a profile, and once more with nothing
+   installed, the unaccounted path production runs;
 3. re-checks caller-visible *input mutation semantics* (a program that
    only mutates its internal clone must leave ``x`` untouched in every
    pipeline);
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -421,7 +423,6 @@ def run_oracle(program: FuzzProgram,
         compiled = None
         for (x_in, variant), (expected, x_after) in zip(runs, reference):
             flag, n = variant[:2]
-            x = rt.from_numpy(x_in)
             if compiled is None or pipe.needs_example_inputs:
                 try:
                     compiled = pipe.compile(
@@ -437,28 +438,35 @@ def run_oracle(program: FuzzProgram,
                         return failure
             ir_text = print_graph(compiled.graph) if compiled.graph \
                 else ""
-            try:
-                with rt.profile() as prof:
-                    got = compiled(x, flag, n)
-            except Exception as exc:
-                return FuzzFailure(program, pipe.name, "runtime-error",
-                                   f"{type(exc).__name__}: {exc}",
-                                   variant=variant, ir=ir_text)
-            mismatch = _diff_outputs(expected, got)
-            if mismatch is not None:
-                return FuzzFailure(program, pipe.name, "output-mismatch",
-                                   mismatch, variant=variant, ir=ir_text)
-            if not rt.bit_exact(x.numpy(), x_after):
-                return FuzzFailure(
-                    program, pipe.name, "input-mutation",
-                    f"input x state diverged from eager\n"
-                    f"eager:\n{x_after}\npipeline:\n{x.numpy()}",
-                    variant=variant, ir=ir_text)
-            profile_issue = _check_profile(prof)
-            if profile_issue is not None:
-                return FuzzFailure(program, pipe.name, "profile-invariant",
-                                   profile_issue, variant=variant,
-                                   ir=ir_text)
+            # profiled, then once with nothing installed: the path
+            # production runs (no pool, no launch accounting)
+            for scope, tag in ((rt.profile, ""),
+                               (nullcontext, "unobserved run: ")):
+                x = rt.from_numpy(x_in)
+                try:
+                    with scope() as prof:
+                        got = compiled(x, flag, n)
+                except Exception as exc:
+                    return FuzzFailure(program, pipe.name, "runtime-error",
+                                       f"{tag}{type(exc).__name__}: {exc}",
+                                       variant=variant, ir=ir_text)
+                mismatch = _diff_outputs(expected, got)
+                if mismatch is not None:
+                    return FuzzFailure(program, pipe.name, "output-mismatch",
+                                       tag + mismatch, variant=variant,
+                                       ir=ir_text)
+                if not rt.bit_exact(x.numpy(), x_after):
+                    return FuzzFailure(
+                        program, pipe.name, "input-mutation",
+                        f"{tag}input x state diverged from eager\n"
+                        f"eager:\n{x_after}\npipeline:\n{x.numpy()}",
+                        variant=variant, ir=ir_text)
+                profile_issue = None if prof is None \
+                    else _check_profile(prof)
+                if profile_issue is not None:
+                    return FuzzFailure(program, pipe.name,
+                                       "profile-invariant", profile_issue,
+                                       variant=variant, ir=ir_text)
 
     if config.check_families:
         failure = _check_families(program, fn, config)

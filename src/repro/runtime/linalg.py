@@ -20,6 +20,8 @@ def _matmul_flops(a_shape, b_shape) -> int:
     m = a_shape[-2] if len(a_shape) >= 2 else 1
     k = a_shape[-1]
     n = b_shape[-1] if len(b_shape) >= 2 else 1
+    if len(a_shape) <= 2 and len(b_shape) <= 2:
+        return 2 * m * n * k
     batch = 1
     for s in np.broadcast_shapes(tuple(a_shape[:-2]), tuple(b_shape[:-2])):
         batch *= s

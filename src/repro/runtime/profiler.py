@@ -27,7 +27,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from ..faults import SITE_KERNEL_LAUNCH, maybe_inject
+from ..faults import SITE_KERNEL_LAUNCH, maybe_inject, plan_active
 from ..obs import trace as obs_trace
 
 #: Launch kinds whose fault checkpoint already ran *before* compute in
@@ -150,6 +150,16 @@ def current_profile() -> Optional[Profile]:
     """The innermost active profile, or None when not profiling."""
     stack = _stack_var.get()
     return stack[-1] if stack else None
+
+
+def listening() -> bool:
+    """Whether anything observes this context's execution: a profile on
+    its stack, a trace sink or a fault plan (context-local or global).
+    When nothing does, launch sites skip their byte / flop accounting
+    and a planned call runs without its accounting pool — the event
+    sequence nobody records, not the computation, is what is skipped."""
+    return bool(_stack_var.get()) or obs_trace.tracing_active() \
+        or plan_active()
 
 
 def push_profile(prof: Profile) -> None:

@@ -14,7 +14,11 @@ arena growth — the ``peak_bytes`` every profile reports — stays close to
 the true working set instead of the sum of all intermediates.  While a
 pool is installed (see :func:`pool_scope`), every ``Storage`` creation
 is routed through it; otherwise creations are charged to the profiler
-as fresh, unreusable allocations (what an unplanned run pays).
+as fresh, unreusable allocations (what an unplanned run pays).  A
+planned call installs a pool only when something listens — a profile,
+a trace sink or a fault plan (``profiler.listening``): the pool is an
+accounting arena, and its ``allocate`` is the ``alloc`` fault
+checkpoint, so a call nobody observes has nothing to account.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ _active_pool: ContextVar[Tuple["MemoryPool", ...]] = ContextVar(
 class Storage:
     """A flat, owning buffer of elements plus a mutation version counter."""
 
-    __slots__ = ("buffer", "version", "id", "pooled")
+    __slots__ = ("buffer", "version", "id")
 
     def __init__(self, buffer: np.ndarray) -> None:
         # The buffer is kept as the *owning* ndarray; views into it are
@@ -50,11 +54,9 @@ class Storage:
         self.buffer = buffer
         self.version = 0
         self.id = next(_storage_ids)
-        #: did a pool free-list block serve this storage's bytes?
-        self.pooled = False
         pool = current_pool()
         if pool is not None:
-            self.pooled = pool.allocate(self.nbytes)
+            pool.allocate(self.nbytes)
         else:
             profiler.record_alloc(self.nbytes, reused=False)
 

@@ -239,8 +239,13 @@ def record_op(op: str, inputs, outputs, flops: Optional[int] = None) -> None:
     """Record one kernel launch for a compute op.
 
     ``bytes`` is the total data moved (inputs read + outputs written);
-    ``flops`` defaults to one op per output element.
+    ``flops`` defaults to one op per output element.  When nothing
+    listens, neither is counted; the launch is still recorded, as the
+    eager ``kernel_launch`` fault checkpoint.
     """
+    if not profiler.listening():
+        profiler.record_launch(op)
+        return
     nbytes = 0
     out_numel = 0
     for t in inputs:

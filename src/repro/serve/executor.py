@@ -1,12 +1,12 @@
-"""Batch execution: compile-or-fetch, run, price, verify, scatter.
+"""Batch execution: compile-or-fetch, run, verify, scatter.
 
 The executor is where a coalesced batch meets the existing pipelines:
 it routes compilation through :func:`repro.eval.cache.fetch` into the
 server's injectable :class:`~repro.eval.cache.CompileCache`
 (shape-specialized, in-flight deduplicated), picks the schedule with
 :func:`repro.tune.db.serving_schedule`, runs the compiled callable with
-:func:`repro.eval.harness.profiled_call` (a context-local profiler),
-prices the run on the request's platform cost model, and scatters
+:func:`repro.eval.harness.timed_call` (unprofiled: a batch pays for its
+kernels only, unless a trace or fault plan listens), and scatters
 outputs back per request.
 
 One failure path.  Every batch walks a fallback chain through
@@ -48,9 +48,8 @@ import repro.runtime as rt
 from ..degrade import (BreakerRegistry, RetryPolicy, fallback_chain,
                        run_ladder)
 from ..errors import CompileError, DeadlineExceeded, classify
-from ..eval import profiled_call
+from ..eval import timed_call
 from ..eval.cache import CompileCache, clone_args, fetch
-from ..eval.platforms import get_platform
 from ..faults import SITE_BATCH_EXEC, maybe_inject
 from ..obs import trace as obs_trace
 from ..pipelines import Pipeline, get_pipeline
@@ -258,11 +257,8 @@ class BatchExecutor:
                             requests=len(plan.requests),
                             rows=plan.total_rows, cache_hit=hit,
                             schedule=schedule_id):
-            outputs, prof, wall = profiled_call(compiled, plan.args, sched)
+            outputs, wall = timed_call(compiled, plan.args, sched)
 
-        plat = get_platform(req0.platform)
-        latency_us = plat.latency_us(prof, pipe.host_profile,
-                                     pipe.device_penalty)
         with obs_trace.span("serve:scatter", cat="serve",
                             requests=len(plan.requests)):
             per_request = scatter(outputs, plan)
@@ -280,8 +276,6 @@ class BatchExecutor:
                 fallback_depth=depth, degraded=depth > 0,
                 batch_requests=len(plan.requests),
                 batch_rows=plan.total_rows,
-                batch_latency_us=latency_us,
-                kernel_launches=prof.num_launches,
                 queue_wait_s=done - req.enqueued_at - wall,
                 exec_wall_s=wall, cache_hit=hit, tuned=tuned,
                 schedule_id=schedule_id, verified=verified),
@@ -340,8 +334,7 @@ class BatchExecutor:
         with obs_trace.span("serve:eager", cat="serve",
                             workload=req.workload.name, depth=depth,
                             attempt=retries):
-            outs, prof, wall = profiled_call(req.workload.model_fn, req.args)
-        plat = get_platform(req.platform)
+            outs, wall = timed_call(req.workload.model_fn, req.args)
         verified: Optional[bool] = None
         if self.policy.verify != VERIFY_OFF:
             verified = rt.bit_exact(outs, rt.as_tuple(
@@ -350,8 +343,6 @@ class BatchExecutor:
             STATUS_OK, served_by="eager", outputs=outs,
             fallback_depth=depth, degraded=depth > 0,
             batch_requests=1, batch_rows=req.batch_rows,
-            batch_latency_us=plat.latency_us(prof, "eager", 1.0),
-            kernel_launches=prof.num_launches,
             queue_wait_s=time.monotonic() - req.enqueued_at - wall,
             exec_wall_s=wall, verified=verified, retries=retries),
             fallback=depth > 0)

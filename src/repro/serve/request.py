@@ -119,9 +119,6 @@ class Response:
     #: how many requests / total batch rows rode in the same executed batch
     batch_requests: int = 0
     batch_rows: int = 0
-    #: modeled device+host latency of the whole executed batch (µs)
-    batch_latency_us: float = 0.0
-    kernel_launches: int = 0
     queue_wait_s: float = 0.0
     exec_wall_s: float = 0.0
     cache_hit: bool = False

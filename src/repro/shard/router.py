@@ -493,7 +493,6 @@ class ShardRouter:
             priority=rec.priority, tenant=rec.tenant, outputs=outputs,
             batch_requests=int(payload.get("batch_requests", 0)),
             batch_rows=int(payload.get("batch_rows", 0)),
-            kernel_launches=int(payload.get("kernel_launches", 0)),
             queue_wait_s=float(payload.get("queue_wait_s", 0.0)),
             exec_wall_s=float(payload.get("exec_wall_s", 0.0)),
             cache_hit=bool(payload.get("cache_hit", False)),

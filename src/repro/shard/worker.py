@@ -223,7 +223,6 @@ def _serve(cfg: dict, worker_id: str) -> None:
                "degraded": resp.degraded, "cache_hit": resp.cache_hit,
                "batch_requests": resp.batch_requests,
                "batch_rows": resp.batch_rows,
-               "kernel_launches": resp.kernel_launches,
                "queue_wait_s": resp.queue_wait_s,
                "exec_wall_s": resp.exec_wall_s,
                "compiles": cache.snapshot().compiles,

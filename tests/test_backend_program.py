@@ -3,6 +3,7 @@ function against its two oracles — the reference interpreter
 (``run_graph(plan=None)``) and eager — plus the properties the
 plan-guided interpreter used to provide by construction."""
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -10,13 +11,16 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
-from repro.backend import InterpreterError, fusion_runtime, run_graph
+from repro.backend import InterpreterError, fusion_runtime, program, run_graph
 from repro.backend.program import lower
+from repro.errors import OOMError
 from repro.eval.harness import clone_args
+from repro.faults import SITE_ALLOC, FaultPlan, FaultRule, fault_scope
 from repro.fuzz.generator import make_inputs
 from repro.fuzz.oracle import materialize
 from repro.ir.parser import parse_graph
 from repro.models import get_workload, workload_names
+from repro.obs import trace as obs_trace
 from repro.ops import registry
 from repro.pipelines import get_pipeline
 
@@ -178,3 +182,50 @@ def test_wrong_argument_count_raises():
     _, args, compiled = _compile("attention")
     with pytest.raises(InterpreterError, match="expects"):
         compiled(*args[:-1])
+
+
+# -- a call nothing observes runs without the accounting pool ----------
+
+@pytest.mark.parametrize("observer", [None, "profile", "trace", "faults"])
+def test_pool_is_built_only_when_something_listens(monkeypatch, observer):
+    """One warm call builds one ``MemoryPool`` under a profile, a trace
+    sink or a fault plan alone, and none when nothing is installed."""
+    _, args, compiled = _compile("lstm")
+    compiled(*clone_args(args))  # lowers
+    built = []
+
+    class CountingPool(rt.MemoryPool):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(program, "MemoryPool", CountingPool)
+    scope = {None: contextlib.nullcontext, "profile": rt.profile,
+             "trace": obs_trace.tracing,
+             "faults": lambda: fault_scope(FaultPlan())}[observer]
+    fresh = clone_args(args)
+    with scope():
+        compiled(*fresh)
+    assert len(built) == (observer is not None)
+
+
+@pytest.mark.parametrize("workload,grad", [(w, False) for w in workload_names()]
+                         + [("lstm", True), ("attention", True)])
+def test_unobserved_outputs_match_the_profiled_call(workload, grad):
+    _, args, compiled = _compile(workload, grad=grad)
+    with rt.profile() as prof:
+        observed = compiled(*clone_args(args))
+    assert prof.num_launches > 0
+    assert rt.bit_exact(compiled(*clone_args(args)), observed)
+
+
+def test_fault_plan_alone_keeps_the_alloc_checkpoint():
+    """With no profile installed, a fault plan still makes the call run
+    against the pool, whose ``allocate`` raises the scheduled OOM."""
+    _, args, compiled = _compile("lstm")
+    compiled(*clone_args(args))  # warm
+    fresh = clone_args(args)
+    plan = FaultPlan([FaultRule(site=SITE_ALLOC, nth=0)])
+    with fault_scope(plan), pytest.raises(OOMError):
+        compiled(*fresh)
+    assert plan.num_fired == 1
