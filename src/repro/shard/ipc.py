@@ -15,7 +15,13 @@ Tensor arguments and outputs cross the boundary as tagged numpy arrays
 (:func:`encode_args` / :func:`decode_args`): a
 :class:`~repro.runtime.tensor.Tensor` owns live ``Storage`` that must
 not leak between processes, so only its bytes travel and each side
-rebuilds a storage-owning tensor.
+rebuilds a storage-owning tensor.  A request argument of at least
+:data:`REF_MIN_BYTES` travels as ``("tensor", ndarray, token)`` the
+first time the router ships it to a worker incarnation and as
+``("ref", token)`` after that; both sides keep those arrays in an
+:class:`ArrayLRU` bounded by :data:`REF_CACHE_BYTES`.  A worker that no
+longer holds a referenced array answers ``status="ref-miss"`` and the
+router resends the request once with full bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Optional, Tuple
+from collections import OrderedDict
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -32,8 +39,9 @@ from ..runtime.tensor import Tensor
 
 __all__ = ["MAGIC", "HEADER", "MAX_FRAME", "MSG_HELLO", "MSG_SUBMIT",
            "MSG_RESULT", "MSG_HEARTBEAT", "MSG_SHUTDOWN", "MSG_GOODBYE",
-           "Channel", "read_message", "write_message", "encode_args",
-           "decode_args"]
+           "REF_MIN_BYTES", "REF_CACHE_BYTES", "STATUS_REF_MISS",
+           "ArrayLRU", "Channel", "read_message", "write_message",
+           "encode_args", "decode_args"]
 
 #: frame magic: "Repro SHard v1"
 MAGIC = b"RSH1"
@@ -53,13 +61,26 @@ MSG_HEARTBEAT = 4  # worker -> router: liveness beacon
 MSG_SHUTDOWN = 5   # router -> worker: drain and exit
 MSG_GOODBYE = 6    # worker -> router: clean exit acknowledgement
 
+#: a tensor argument this large ships once per worker incarnation and
+#: travels as a ``("ref", token)`` afterwards
+REF_MIN_BYTES = 64 * 1024
 
-def write_message(sock: socket.socket, msg_type: int, payload) -> None:
-    """Serialize ``payload`` and send it as one framed message."""
+#: byte budget of the router's kept copies and of each worker's held
+#: arrays
+REF_CACHE_BYTES = 32 * 1024 * 1024
+
+#: a worker's RESULT status for a ref it does not hold (the NACK)
+STATUS_REF_MISS = "ref-miss"
+
+
+def write_message(sock: socket.socket, msg_type: int, payload) -> int:
+    """Serialize ``payload`` and send it as one framed message; returns
+    the bytes written (header plus payload)."""
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     if len(data) > MAX_FRAME:
         raise ValueError(f"frame too large: {len(data)} bytes")
     sock.sendall(HEADER.pack(MAGIC, msg_type, len(data)) + data)
+    return HEADER.size + len(data)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -111,13 +132,14 @@ class Channel:
         self._wlock = threading.Lock()
         self._closed = False
 
-    def send(self, msg_type: int, payload) -> None:
-        """Send one message; ConnectionError if the peer is gone."""
+    def send(self, msg_type: int, payload) -> int:
+        """Send one message and return its frame length;
+        ConnectionError if the peer is gone."""
         with self._wlock:
             if self._closed:
                 raise ConnectionError("channel closed")
             try:
-                write_message(self._sock, msg_type, payload)
+                return write_message(self._sock, msg_type, payload)
             except (BrokenPipeError, OSError) as exc:
                 raise ConnectionError(f"send failed: {exc}") from exc
 
@@ -170,11 +192,58 @@ def encode_args(args) -> list:
 
 
 def decode_args(spec) -> tuple:
-    """Inverse of :func:`encode_args`: rebuild storage-owning tensors."""
+    """Inverse of :func:`encode_args`: rebuild storage-owning tensors.
+    A token-tagged ``("tensor", ndarray, token)`` entry decodes like an
+    untagged one; ``("ref", token)`` entries must be resolved first."""
     out = []
-    for tag, value in spec:
+    for tag, value, *_token in spec:
         if tag == "tensor":
             out.append(Tensor.from_array(value, copy=True))
         else:
             out.append(value)
     return tuple(out)
+
+
+class ArrayLRU:
+    """A byte-bounded, thread-safe LRU of shipped arrays.
+
+    The router keeps its shipped copies here (key: the argument's
+    storage identity, value: ``(copy, token)``) and each worker keeps
+    the arrays it received (key: token).  ``put`` evicts least recently
+    used entries until the held bytes fit ``capacity``; an array larger
+    than the whole budget is not kept at all.
+    """
+
+    def __init__(self, capacity: int = REF_CACHE_BYTES) -> None:
+        self.capacity = capacity
+        self._items: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable):
+        """The value under ``key`` (now most recently used), or None."""
+        with self._lock:
+            item = self._items.get(key)
+            if item is None:
+                return None
+            self._items.move_to_end(key)
+            return item[0]
+
+    def put(self, key: Hashable, value, nbytes: int) -> None:
+        """Keep ``value`` (``nbytes`` large) under ``key``."""
+        with self._lock:
+            old = self._items.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            if nbytes > self.capacity:
+                return
+            self._items[key] = (value, nbytes)
+            self._bytes += nbytes
+            while self._bytes > self.capacity:
+                _, (_, dropped) = self._items.popitem(last=False)
+                self._bytes -= dropped
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes currently held."""
+        return self._bytes

@@ -26,6 +26,12 @@ Crash handling is the router's whole reason to exist:
 * when every worker is down (respawn budget exhausted) the router
   degrades to an **in-process eager floor** — answers stay correct and
   available, just slower and marked ``degraded``.
+
+Large tensor arguments ship once per worker incarnation (see
+:meth:`ShardRouter._encode`): functionalized programs never write their
+inputs, so the weights a client passes on every request keep their
+bytes, and a bitwise compare against the copy shipped earlier — no
+content hash — decides that a ``("ref", token)`` may go instead.
 """
 
 from __future__ import annotations
@@ -39,13 +45,16 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..models import Workload, get_workload
 from ..obs import MetricsRegistry
 from ..obs import trace as obs_trace
 from ..runtime.tensor import Tensor, as_tuple
 from ..serve.request import (Response, STATUS_CANCELLED, STATUS_ERROR,
                              STATUS_OK)
-from .ipc import MSG_RESULT, MSG_SUBMIT, decode_args, encode_args
+from .ipc import (MSG_RESULT, MSG_SUBMIT, REF_MIN_BYTES, STATUS_REF_MISS,
+                  ArrayLRU, decode_args, encode_args)
 from .supervisor import Supervisor, WorkerHandle
 
 __all__ = ["HashRing", "RouterStats", "ShardPolicy", "ShardRouter"]
@@ -167,7 +176,8 @@ class RouterStats:
 
     _FIELDS = ("submitted", "answered", "ok", "errors", "redelivered",
                "duplicates_dropped", "replayed", "eager_floor",
-               "parked", "crash_failures")
+               "parked", "crash_failures", "tensor_refs", "ref_misses",
+               "submit_bytes")
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
@@ -244,6 +254,10 @@ class ShardRouter:
         self._inflight: Dict[int, _Inflight] = {}
         self._parked: List[_Inflight] = []
         self._rids = itertools.count()
+        #: shipped copies of large tensor arguments: view key ->
+        #: (read-only copy, ref token)
+        self._kept = ArrayLRU()
+        self._tokens = itertools.count()
         self._closed = False
         self.supervisor.start()
 
@@ -282,6 +296,31 @@ class ShardRouter:
                     for a in args)
         return f"{workload}/{pipeline}/{platform}/{sig}"
 
+    def _encode(self, args: tuple) -> list:
+        """The request's wire arguments: :func:`encode_args`, except
+        that a tensor of at least ``REF_MIN_BYTES`` becomes
+        ``("tensor", copy, token)`` with a kept read-only copy, keyed by
+        its storage id and view — the copy shipped earlier when that
+        view still holds bitwise-equal bytes."""
+        wire = []
+        for arg in args:
+            if not isinstance(arg, Tensor) or arg.nbytes < REF_MIN_BYTES:
+                wire.extend(encode_args((arg,)))
+                continue
+            arr = arg._array
+            offset = (arr.__array_interface__["data"][0]
+                      - arg.storage.buffer.__array_interface__["data"][0])
+            key = (arg.storage.id, offset, arr.shape, arr.strides,
+                   arr.dtype.str)
+            kept = self._kept.get(key)
+            if kept is None or not _same_bits(kept[0], arr):
+                copy = np.array(arr, order="C")
+                copy.flags.writeable = False
+                kept = (copy, next(self._tokens))
+                self._kept.put(key, kept, copy.nbytes)
+            wire.append(("tensor",) + kept)
+        return wire
+
     def submit(self, workload: Union[str, Workload], args: tuple = None,
                *, pipeline: str = "tensorssa",
                platform: str = "datacenter", batch_size: int = 1,
@@ -299,7 +338,7 @@ class ShardRouter:
             else timeout_s
         rec = _Inflight(
             rid=next(self._rids), workload=wl.name, pipeline=pipeline,
-            platform=platform, args_wire=encode_args(tuple(args)),
+            platform=platform, args_wire=self._encode(tuple(args)),
             ring_key=self.ring_key(wl.name, pipeline, platform,
                                    tuple(args)),
             future=Future(), priority=priority, tenant=tenant,
@@ -317,9 +356,11 @@ class ShardRouter:
 
     # -- dispatch & redelivery ------------------------------------------
 
-    def _dispatch(self, rec: _Inflight) -> None:
+    def _dispatch(self, rec: _Inflight, full: bool = False) -> None:
         """Route one in-flight record: hash ring first, then the
-        parked queue (workers respawning), then the eager floor."""
+        parked queue (workers respawning), then the eager floor.  A
+        token the chosen incarnation already received travels as a
+        ref unless ``full`` (the resend after a ref miss)."""
         with obs_trace.span("shard:route", cat="shard",
                             key=rec.ring_key,
                             redelivered=rec.redelivered):
@@ -333,9 +374,18 @@ class ShardRouter:
                 return
             rec.worker = handle.worker_id
             rec.generation = handle.generation
+            held = () if full else handle.tokens
+            args, tokens, refs = [], [], 0
+            for item in rec.args_wire:
+                if len(item) == 3:
+                    tokens.append(item[2])
+                    if item[2] in held:
+                        item = ("ref", item[2])
+                        refs += 1
+                args.append(item)
             payload = {"rid": rec.rid, "workload": rec.workload,
                        "pipeline": rec.pipeline,
-                       "platform": rec.platform, "args": rec.args_wire,
+                       "platform": rec.platform, "args": args,
                        "timeout_s": rec.timeout_s,
                        "priority": rec.priority, "tenant": rec.tenant,
                        "redelivered": rec.redelivered}
@@ -343,7 +393,12 @@ class ShardRouter:
                 with obs_trace.span("shard:ipc", cat="shard",
                                     worker=handle.worker_id,
                                     rid=rec.rid):
-                    handle.channel.send(MSG_SUBMIT, payload)
+                    sent = handle.channel.send(MSG_SUBMIT, payload)
+                # writes are serialized: a ref sent after this returns
+                # cannot overtake the full bytes it names
+                handle.tokens.update(tokens)
+                self.stats.inc("submit_bytes", sent)
+                self.stats.inc("tensor_refs", refs)
             except ConnectionError:
                 # the worker died under the send.  If its death is
                 # already declared, the on_death redelivery sweep has
@@ -469,6 +524,9 @@ class ShardRouter:
         worker = str(payload.get("worker", handle.worker_id))
         if "compiles" in payload:
             self.stats.worker_compiles[worker] = int(payload["compiles"])
+        if payload.get("status") == STATUS_REF_MISS:
+            self._resend_full(handle, rid)
+            return
         with self._lock:
             rec = self._inflight.pop(rid, None)
         if rec is None:
@@ -498,6 +556,19 @@ class ShardRouter:
             cache_hit=bool(payload.get("cache_hit", False)),
             error=str(payload.get("error", "")), worker=worker,
             redelivered=rec.redelivered))
+
+    def _resend_full(self, handle: WorkerHandle, rid) -> None:
+        """A worker NACKed a ref it does not hold: forget everything
+        that incarnation was sent and resend the request once with full
+        bytes.  Not a redelivery — nothing died."""
+        handle.tokens.clear()
+        self.stats.inc("ref_misses")
+        with self._lock:
+            rec = self._inflight.get(rid)
+        if rec is None or (rec.worker, rec.generation) != (
+                handle.worker_id, handle.generation):
+            return  # answered or redelivered meanwhile
+        self._dispatch(rec, full=True)
 
     def report(self) -> Dict[str, object]:
         """One merged observability snapshot: router counters plus the
@@ -537,3 +608,10 @@ class ShardRouter:
                     rec, STATUS_CANCELLED,
                     "ServerShutdown: router shut down with the request "
                     "still in flight"))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two same-dtype, same-shape arrays: value
+    ``==`` would equate -0.0 with 0.0 and never match a NaN."""
+    bits = f"u{a.dtype.itemsize}"
+    return np.array_equal(a.view(bits), b.view(bits))

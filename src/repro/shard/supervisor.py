@@ -78,6 +78,9 @@ class WorkerHandle:
         #: set when the supervisor asked it to exit (a clean 0 exit
         #: after this is a shutdown, not a crash)
         self.stopping = threading.Event()
+        #: ref tokens whose full bytes this incarnation has received
+        #: (the router adds a token only after its frame is written)
+        self.tokens: set = set()
 
     @property
     def alive(self) -> bool:

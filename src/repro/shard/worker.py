@@ -31,6 +31,10 @@ when the router redelivers a request that actually completed before
 the crash was detected, the worker replays the recorded result with
 ``duplicate=True`` instead of executing it again (the at-most-once
 guard's worker half).
+
+A ``ref-miss`` NACK (a ``("ref", token)`` argument the worker does not
+hold) never enters that cache: the router's full resend reuses the
+request id and must execute.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from ..serve.policy import ServePolicy
 from ..serve.server import CACHE_CAPACITY, Server
 from .artifact import ArtifactError, ArtifactStore
 from .ipc import (Channel, MSG_GOODBYE, MSG_HEARTBEAT, MSG_HELLO,
-                  MSG_RESULT, MSG_SHUTDOWN, MSG_SUBMIT, decode_args,
-                  encode_args)
+                  MSG_RESULT, MSG_SHUTDOWN, MSG_SUBMIT, STATUS_REF_MISS,
+                  ArrayLRU, decode_args, encode_args)
 
 __all__ = ["worker_main"]
 
@@ -103,6 +107,22 @@ def _heartbeat_loop(chan: Channel, worker_id: str, interval_s: float,
         except ConnectionError:
             return  # router is gone; the main loop will notice too
         seq += 1
+
+
+def _resolve(spec: list, held: ArrayLRU):
+    """Hold every token-tagged array of ``spec`` and swap each
+    ``("ref", token)`` for the held array; None when a ref misses."""
+    out = []
+    for item in spec:
+        if item[0] == "ref":
+            arr = held.get(item[1])
+            if arr is None:
+                return None
+            item = ("tensor", arr)
+        elif len(item) == 3:
+            held.put(item[2], item[1], item[1].nbytes)
+        out.append(item)
+    return out
 
 
 def _publish(cache: CompileCache, store: ArtifactStore,
@@ -187,6 +207,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
 
     results: "OrderedDict[object, dict]" = OrderedDict()
     results_lock = threading.Lock()
+    held = ArrayLRU()
 
     def reply(payload: dict) -> None:
         rid = payload["rid"]
@@ -260,8 +281,16 @@ def _serve(cfg: dict, worker_id: str) -> None:
                 except ConnectionError:
                     break
                 continue
+            args = _resolve(payload["args"], held)
+            if args is None:
+                try:
+                    chan.send(MSG_RESULT, {"rid": rid, "worker": worker_id,
+                                           "status": STATUS_REF_MISS})
+                except ConnectionError:
+                    break
+                continue
             fut = server.submit(
-                payload["workload"], args=decode_args(payload["args"]),
+                payload["workload"], args=decode_args(args),
                 pipeline=payload.get("pipeline", "tensorssa"),
                 platform=payload.get("platform", "datacenter"),
                 timeout_s=payload.get("timeout_s"),

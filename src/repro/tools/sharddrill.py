@@ -30,7 +30,10 @@ directly):
 * 100% availability — redelivery plus the eager floor answer
   everything OK despite the kills;
 * zero warm-restart compiles — no drill-phase worker ever cold
-  compiles.
+  compiles;
+* weights travel as refs — when the pool shares a large tensor
+  argument between requests, the drill phase sends at least one
+  ``("ref", token)`` instead of its bytes.
 
 Writes ``results/sharddrill.json``.
 """
@@ -49,7 +52,9 @@ from ..eval.cache import clone_args
 from ..faults import (Fault, FaultPlan, FaultRule, SITE_HEARTBEAT_STALL,
                       SITE_PROCESS_KILL)
 from ..models import get_workload
+from ..runtime.tensor import Tensor
 from ..shard import ShardPolicy, ShardRouter
+from ..shard.ipc import REF_MIN_BYTES
 from .drive import (burst, common_args, request_pool, tally,
                     write_report)
 
@@ -61,7 +66,8 @@ KINDS = ("control", "kill_submit", "kill_reply", "stall", "kill_boot")
 
 #: the router's crash-handling ledger, copied per campaign and summed
 LEDGER = ("deaths", "respawned", "redelivered", "duplicates_dropped",
-           "replayed", "eager_floor")
+           "replayed", "eager_floor", "tensor_refs", "ref_misses",
+           "submit_bytes")
 
 
 def build_spec(kind: str, seed: int, index: int) -> Optional[dict]:
@@ -102,6 +108,19 @@ def fleet_policy(spec: Optional[dict], hang_timeout_s: float,
         max_respawns=2, redeliver_max=3,
         request_timeout_s=hang_timeout_s,
         worker_policy={"workers": 2, "max_batch_size": 1, **worker_policy})
+
+
+def _reuses_weights(pool: List[tuple]) -> bool:
+    """Whether two requests of ``pool`` pass the same tensor of at
+    least ``REF_MIN_BYTES`` — the case that must travel as a ref."""
+    seen: set = set()
+    for args in pool:
+        big = {id(a) for a in args
+               if isinstance(a, Tensor) and a.nbytes >= REF_MIN_BYTES}
+        if big & seen:
+            return True
+        seen |= big
+    return False
 
 
 def _phase(spec: Optional[dict], store: str, wl, pool: List[tuple],
@@ -167,6 +186,10 @@ def run_campaign(kind: str, workload: str, index: int,
         # a kill campaign where nothing died never drilled anything
         violations += 1
         result["no_fault_fired"] = True
+    if _reuses_weights(pool) and report["tensor_refs"] == 0:
+        # the weights were shipped in full on every request
+        violations += 1
+        result["no_tensor_refs"] = True
     result["violations"] = violations
     return result
 
@@ -218,6 +241,8 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{t['duplicates_dropped']}  replayed {t['replayed']}")
     print(f"  eager-floor answers {t['eager_floor']}  warm-restart "
           f"compiles {t['warm_compiles']}")
+    print(f"  tensor refs {t['tensor_refs']}  ref misses "
+          f"{t['ref_misses']}  submit bytes {t['submit_bytes']}")
 
     return write_report(report, args, t["violations"])
 

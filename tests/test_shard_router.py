@@ -1,18 +1,29 @@
-"""Router building blocks: hash ring, IPC framing, policy, stats."""
+"""Router building blocks: hash ring, IPC framing, policy, stats, and
+shipping large tensor arguments once per worker incarnation."""
 
+import os
+import shutil
 import socket
 import struct
+import sys
+import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.eval.cache import clone_args
+from repro.faults import Fault, FaultPlan, FaultRule, SITE_PROCESS_KILL
 from repro.models import get_workload
+from repro.runtime.tensor import bit_exact
 from repro.shard import (Channel, HashRing, MSG_HEARTBEAT, MSG_RESULT,
                          MSG_SUBMIT, RouterStats, ShardPolicy,
                          ShardRouter, decode_args, encode_args,
-                         read_message, write_message)
-from repro.shard.ipc import HEADER, MAGIC, MAX_FRAME
+                         read_message, write_message, worker_main)
+from repro.shard.ipc import (HEADER, MAGIC, MAX_FRAME, MSG_HELLO,
+                             MSG_SHUTDOWN, STATUS_REF_MISS, ArrayLRU)
+from repro.tools.drive import request_pool
 
 
 class TestHashRing:
@@ -108,6 +119,16 @@ class TestFraming:
             left.close()
             right.close()
 
+    def test_send_returns_the_frame_length(self):
+        left, right = socket.socketpair()
+        try:
+            sent = Channel(left).send(MSG_SUBMIT, {"rid": 1})
+            assert sent == HEADER.size + struct.unpack(
+                ">4sBI", right.recv(HEADER.size))[2]
+        finally:
+            left.close()
+            right.close()
+
     def test_channel_send_after_close_raises(self):
         left, right = socket.socketpair()
         chan = Channel(left)
@@ -134,6 +155,57 @@ class TestArgCodec:
         wire = encode_args((3, "datacenter", None))
         assert [tag for tag, _ in wire] == ["py", "py", "py"]
         assert decode_args(wire) == (3, "datacenter", None)
+
+    def test_token_tagged_tensors_decode_like_untagged_ones(self):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        (got,) = decode_args([("tensor", arr, 5)])
+        assert np.array_equal(got.numpy(), arr)
+
+
+class TestArrayLRU:
+    def test_evicts_least_recently_used_past_the_byte_budget(self):
+        lru = ArrayLRU(capacity=100)
+        lru.put("a", "A", 40)
+        lru.put("b", "B", 40)
+        assert lru.get("a") == "A"  # "b" is now the oldest
+        lru.put("c", "C", 40)
+        assert lru.get("b") is None
+        assert (lru.get("a"), lru.get("c")) == ("A", "C")
+        assert lru.nbytes == 80
+
+    def test_an_entry_beyond_the_budget_is_not_kept(self):
+        lru = ArrayLRU(capacity=100)
+        lru.put("a", "A", 40)
+        lru.put("big", "B", 101)
+        assert lru.get("big") is None and lru.get("a") == "A"
+        lru.put("a", "A2", 10)  # replacing re-counts the bytes
+        assert lru.nbytes == 10
+
+    def test_concurrent_puts_keep_the_byte_count(self):
+        lru = ArrayLRU(capacity=1000)
+        sizes = {}
+
+        def churn(k: int) -> None:
+            for i in range(500):
+                key = (k, i % 40)
+                sizes[key] = 7 + (i * k) % 90
+                lru.put(key, key, sizes[key])
+                lru.get((k, (i + 3) % 40))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(k,))
+                       for k in range(1, 7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        held = [key for key in sizes if lru.get(key) is not None]
+        assert lru.nbytes == sum(sizes[key] for key in held) <= 1000
 
 
 class TestShardPolicy:
@@ -164,6 +236,8 @@ class TestRouterStats:
         snap = stats.to_dict()
         assert snap["submitted"] == 3 and snap["redelivered"] == 1
         assert snap["worker_compiles"] == {"w0": 4}
+        assert snap["tensor_refs"] == snap["ref_misses"] == 0
+        assert snap["submit_bytes"] == 0
 
     def test_snapshot_is_detached(self):
         stats = RouterStats()
@@ -188,3 +262,223 @@ class TestRingKey:
                                     "datacenter", other_shape) != key
         assert ShardRouter.ring_key("attention", "eager",
                                     "datacenter", a) != key
+
+
+# -- large tensor arguments ship once per incarnation ------------------------
+
+LSTM = get_workload("lstm")
+
+
+def _fleet(**kwargs) -> ShardRouter:
+    router = ShardRouter(ShardPolicy(
+        num_workers=1, worker_policy={"workers": 1, "max_batch_size": 1},
+        **kwargs))
+    assert router.wait_ready(1, timeout=60) == 1
+    return router
+
+
+def _serve(router: ShardRouter, args) -> int:
+    """Submit one lstm request, check it bit-exact against eager on the
+    same inputs, and return the SUBMIT bytes it wrote."""
+    want = LSTM.model_fn(*clone_args(args))
+    before = router.stats.get("submit_bytes")
+    resp = router.submit(LSTM, args=args).result(60)
+    assert resp.ok, resp.error
+    assert bit_exact(resp.outputs, want)
+    return router.stats.get("submit_bytes") - before
+
+
+def _submit_tags(handle, full_delay_s: float = 0.0) -> list:
+    """Record the argument tags of every SUBMIT frame sent to
+    ``handle`` (a list that fills as frames go out), holding a frame
+    that carries token-tagged bytes back for ``full_delay_s`` first."""
+    frames = []
+    send = handle.channel.send
+
+    def recording(msg_type, payload):
+        if msg_type == MSG_SUBMIT:
+            frames.append([item[0] for item in payload["args"]])
+            if any(len(item) == 3 for item in payload["args"]):
+                time.sleep(full_delay_s)
+        return send(msg_type, payload)
+
+    handle.channel.send = recording
+    return frames
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    router = _fleet()
+    yield router
+    router.shutdown(drain=False)
+
+
+class TestTensorRefs:
+    def test_warm_request_sends_the_weights_as_refs(self, fleet):
+        first, second = request_pool(LSTM, [8, 8], seed0=100)
+        assert first[1] is second[1]  # the pool shares its weights
+        refs = fleet.stats.get("tensor_refs")
+        cold = _serve(fleet, first)
+        assert fleet.stats.get("tensor_refs") == refs
+        warm = _serve(fleet, second)
+        assert fleet.stats.get("tensor_refs") - refs >= 2
+        assert warm < 0.05 * cold
+
+    @pytest.mark.parametrize("edit", ["inplace_op", "negative_zero"])
+    def test_changed_weights_ship_full_bytes(self, fleet, edit):
+        args = request_pool(LSTM, [8], seed0=200)[0]
+        wx = args[1]
+        if edit == "negative_zero":
+            wx[0, 0] = 0.0
+        _serve(fleet, args)
+        warm = _serve(fleet, args)
+        before = wx.numpy()
+        if edit == "inplace_op":
+            wx.mul_(1.5)
+        else:
+            wx[0, 0] = -0.0
+            # value == cannot see the flip; only the bits differ
+            assert np.array_equal(before, wx.numpy())
+            assert np.signbit(wx.numpy()[0, 0])
+        refs = fleet.stats.get("tensor_refs")
+        changed = _serve(fleet, args)
+        assert fleet.stats.get("tensor_refs") - refs == 1  # wh only
+        assert changed - warm >= wx.nbytes
+        refs = fleet.stats.get("tensor_refs")
+        _serve(fleet, args)  # the new copy is shipped, and reused
+        assert fleet.stats.get("tensor_refs") - refs == 2
+
+    def test_a_ref_the_worker_never_held_costs_one_full_resend(self,
+                                                               fleet):
+        args = request_pool(LSTM, [8], seed0=300)[0]
+        (handle,) = fleet.supervisor.handles()
+        # the tokens this request's weights will travel under, marked
+        # as received although the worker never saw them
+        handle.tokens.update(item[2] for item in fleet._encode(args)
+                             if len(item) == 3)
+        frames = _submit_tags(handle)
+        misses = fleet.stats.get("ref_misses")
+        redelivered = fleet.stats.get("redelivered")
+        try:
+            _serve(fleet, args)
+        finally:
+            del handle.channel.send
+        assert fleet.stats.get("ref_misses") - misses == 1
+        assert fleet.stats.get("redelivered") == redelivered
+        assert len(frames) == 2
+        assert frames[0].count("ref") == 2
+        assert "ref" not in frames[1]
+
+
+def test_concurrent_clients_never_send_a_ref_ahead_of_its_bytes(fleet):
+    """Six clients share one weight pair on a two-core box, and every
+    frame carrying full bytes is slow to start writing: a token is
+    marked received only after its frame is written, so no ref can
+    reach the worker before the bytes it names."""
+    pool = request_pool(LSTM, [8] * 12, seed0=500)
+    wants = [LSTM.model_fn(*clone_args(args)) for args in pool]
+    misses = fleet.stats.get("ref_misses")
+    refs = fleet.stats.get("tensor_refs")
+    results = [None] * len(pool)
+    (handle,) = fleet.supervisor.handles()
+    _submit_tags(handle, full_delay_s=0.02)
+
+    def client(k: int) -> None:
+        for i in range(k, len(pool), 6):
+            results[i] = fleet.submit(LSTM, args=pool[i]).result(60)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(k,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+        del handle.channel.send
+    assert not any(t.is_alive() for t in threads)
+    for resp, want in zip(results, wants):
+        assert resp.ok and bit_exact(resp.outputs, want)
+    assert fleet.stats.get("ref_misses") == misses
+    assert fleet.stats.get("tensor_refs") > refs
+
+
+def test_respawned_incarnation_receives_full_bytes():
+    kill = FaultRule(site=SITE_PROCESS_KILL, match="submit", nth=1,
+                     fault=Fault())
+    router = _fleet(fault_spec=FaultPlan([kill], seed=0).to_spec(),
+                    max_respawns=1)
+    try:
+        first, second = request_pool(LSTM, [8, 8], seed0=400)
+        cold = _serve(router, first)
+        # the ref frame kills the first incarnation on receipt; the
+        # redelivery reaches its successor, which holds nothing
+        resent = _serve(router, second)
+        assert router.stats.get("redelivered") == 1
+        assert router.stats.get("ref_misses") == 0
+        assert router.stats.get("tensor_refs") == 2
+        assert resent > cold
+        (handle,) = router.supervisor.handles()
+        assert handle.generation > 1 and len(handle.tokens) == 2
+    finally:
+        router.shutdown(drain=False)
+
+
+class TestWorkerRefs:
+    """One worker driven frame by frame over its socket."""
+
+    @pytest.fixture()
+    def worker(self):
+        root = tempfile.mkdtemp(prefix="refs-")
+        path = os.path.join(root, "w.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+        thread = threading.Thread(target=worker_main, daemon=True, args=(
+            {"worker_id": "w0", "socket_path": path, "store_root": None,
+             "policy": {"workers": 1, "max_batch_size": 1},
+             "heartbeat_interval_s": 0.05},))
+        thread.start()
+        conn, _ = listener.accept()
+        chan = Channel(conn)
+        assert chan.recv(timeout=60)[0] == MSG_HELLO
+        yield chan
+        chan.send(MSG_SHUTDOWN, {"drain": False, "timeout": 1.0})
+        thread.join(10)
+        chan.close()
+        listener.close()
+        shutil.rmtree(root, ignore_errors=True)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def _ask(chan: Channel, rid: int, args: list) -> dict:
+        chan.send(MSG_SUBMIT, {"rid": rid, "workload": "lstm",
+                               "pipeline": "tensorssa",
+                               "platform": "datacenter", "args": args,
+                               "timeout_s": 60.0})
+        while True:
+            msg_type, payload = chan.recv(timeout=60)
+            if msg_type == MSG_RESULT:
+                return payload
+
+    def test_a_nack_is_never_replayed(self, worker):
+        args = LSTM.make_inputs(batch_size=1, seq_len=8, seed=0)
+        want = LSTM.model_fn(*clone_args(args))
+        full = encode_args(args)
+        full[1] = full[1] + (11,)
+        by_ref = list(full)
+        by_ref[1] = ("ref", 11)
+        for _ in range(2):  # the retry misses again, it is not replayed
+            nack = self._ask(worker, 1, by_ref)
+            assert nack["status"] == STATUS_REF_MISS
+            assert not nack.get("duplicate")
+        answer = self._ask(worker, 1, full)
+        assert answer["status"] == "ok" and not answer["duplicate"]
+        assert bit_exact(decode_args(answer["outputs"]), want)
+        # the held array now resolves, and the model never wrote it
+        answer = self._ask(worker, 2, by_ref)
+        assert answer["status"] == "ok"
+        assert bit_exact(decode_args(answer["outputs"]), want)
