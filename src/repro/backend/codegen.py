@@ -48,16 +48,11 @@ prove keeps the row's clone, ``_OPS['immut::slice_assign'](...)``;
 ``__assigns__`` counts the three outcomes and says why each clone
 remains (``tools/inspect`` prints it, and the plan's reason for each
 copy).
-
-The one schedule hook (:mod:`repro.tune`) is
-:func:`compile_block_unrolled`: it emits a horizontal-loop body ``u``
-times with carried state threaded through and an early exit between
-iterations, so one kernel call executes up to ``u`` trips.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -97,9 +92,9 @@ def _const_literal(value) -> str:
 
 
 class _Emitter:
-    """Shared statement emission across the plain and unrolled kernel
-    shapes: one :class:`StorePlan` for the body, in the order it is
-    emitted, however many times it is emitted."""
+    """One kernel's source under construction: the body's statements,
+    emitted under one :class:`StorePlan`, and the objects they
+    capture."""
 
     def __init__(self, block: Block, carried: bool = False,
                  donated: Sequence[int] = ()) -> None:
@@ -188,9 +183,8 @@ class _Emitter:
             names[id(node.output())] = out
             self.lines.append(f"    {out} = {call}")
 
-    def finish(self, name: str, header: str,
-               source_lines: List[str]) -> Callable:
-        source = header + "\n".join(source_lines) + "\n"
+    def finish(self, name: str) -> Callable:
+        source = f"def {name}(_args):\n" + "\n".join(self.lines) + "\n"
         scope = {"_OPS": OP_IMPLS, "_INTO": INTO, "_nd": np.asarray,
                  **self.captured}
         code = compile(source, f"<fusion:{name}>", "exec")
@@ -218,17 +212,6 @@ class _Emitter:
         return fn
 
 
-def _bind_params(params: Sequence[Value],
-                 names: Dict[int, str]) -> Optional[str]:
-    for i, p in enumerate(params):
-        names[id(p)] = f"v{i}"
-    if not params:
-        return None
-    unpack = ", ".join(names[id(p)] for p in params)
-    return (f"    {unpack}{',' if len(params) == 1 else ''}"
-            f" = _args")
-
-
 def compile_block(block: Block, name: str = "_kernel",
                   extra_inputs: Sequence[Value] = (),
                   carried: bool = False,
@@ -250,11 +233,12 @@ def compile_block(block: Block, name: str = "_kernel",
     threads them through.
     """
     em = _Emitter(block, carried, donated)
-    names: Dict[int, str] = {}
     params = list(block.params) + list(extra_inputs)
-    bind = _bind_params(params, names)
-    if bind is not None:
-        em.lines.append(bind)
+    names = {id(p): f"v{i}" for i, p in enumerate(params)}
+    if params:
+        unpack = ", ".join(names[id(p)] for p in params)
+        em.lines.append(
+            f"    {unpack}{',' if len(params) == 1 else ''} = _args")
 
     em.emit(names)
 
@@ -262,59 +246,7 @@ def compile_block(block: Block, name: str = "_kernel",
     em.lines.append(
         f"    return ({rets}{',' if len(block.returns) == 1 else ''})")
 
-    return em.finish(name, f"def {name}(_args):\n", em.lines)
-
-
-def compile_block_unrolled(block: Block, factor: int,
-                           name: str = "_hloop_u",
-                           extra_inputs: Sequence[Value] = (),
-                           donated: Sequence[int] = ()) -> Callable:
-    """Compile a horizontal-loop body unrolled ``factor`` times.
-
-    The body's calling convention is ``(index, *carried, *captures) ->
-    (continue, *carried)``; the unrolled kernel keeps the argument
-    shape but returns ``(trips_done, continue, *carried)`` and
-    early-exits between emitted iterations when the body's continue
-    flag goes false — so a dynamic loop condition stays exact.  Callers
-    must only invoke it when at least ``factor`` trips remain before
-    ``max_trip`` (the remainder runs on the plain kernel).  Carried
-    slots follow :func:`compile_block`'s ``carried`` contract.
-    """
-    if factor < 2:
-        raise CodegenError("unroll factor must be >= 2")
-    if not block.params:
-        raise CodegenError("horizontal loop body must take the index")
-
-    em = _Emitter(block, carried=True, donated=donated)
-    names: Dict[int, str] = {}
-    params = list(block.params) + list(extra_inputs)
-    bind = _bind_params(params, names)
-    if bind is not None:
-        em.lines.append(bind)
-    index_name = names[id(block.params[0])]
-    carried_params = list(block.params[1:])
-    n_carried = len(carried_params)
-
-    # carried state names entering the current iteration
-    state = [names[id(p)] for p in carried_params]
-    cond_name = ""
-    for k in range(factor):
-        iter_names = dict(names)
-        iter_names[id(block.params[0])] = index_name if k == 0 \
-            else f"({index_name} + {k})"
-        for p, live in zip(carried_params, state):
-            iter_names[id(p)] = live
-        em.emit(iter_names)
-        cond_name = _name_of(iter_names, block.returns[0])
-        state = [_name_of(iter_names, r) for r in block.returns[1:]]
-        assert len(state) == n_carried
-        tail = "".join(f", {s}" for s in state)
-        if k < factor - 1:
-            em.lines.append(f"    if not {cond_name}:")
-            em.lines.append(f"        return ({k + 1}, {cond_name}{tail})")
-    em.lines.append(f"    return ({factor}, {cond_name}{tail})")
-
-    return em.finish(name, f"def {name}(_args):\n", em.lines)
+    return em.finish(name)
 
 
 def _name_of(names: Dict[int, str], v: Value) -> str:

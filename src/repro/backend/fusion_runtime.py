@@ -17,20 +17,15 @@ donated_args`) is written in place instead of copied, and an output
 that is its array comes back as that input's Tensor: same Storage, no
 new pool charge.
 
-Schedules: only a horizontal loop consults :func:`repro.tune.schedule.
-active_schedule` — its unroll factor selects a *kernel variant*
-(compiled lazily, cached per node alongside the default kernel); fusion
-groups and parallel maps always run the default kernel.  The default
-kernel (:func:`build_kernel`) always lives at ``attrs["kernel"]`` (the
-shard artifact codec describes exactly that slot and rebuilds it with
-the same function); variants live in ``attrs["kernel_variants"]`` and
-recompile on demand wherever the artifact is restored.
+Each kernel-bearing node has exactly one kernel, :func:`build_kernel`'s,
+cached at ``attrs["kernel"]`` — the slot the shard artifact codec
+describes and rebuilds with the same function.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -40,8 +35,7 @@ from ..memplan import donated_args
 from ..obs import trace as obs_trace
 from ..runtime import profiler
 from ..runtime.tensor import Tensor, wrap
-from ..tune.schedule import active_schedule
-from .codegen import compile_block, compile_block_unrolled
+from .codegen import compile_block
 from .kernels import execute_kernel, pre_launch
 
 #: Guards lazy per-node kernel compilation: compiled graphs are shared
@@ -52,9 +46,9 @@ _kernel_lock = threading.Lock()
 
 
 def build_kernel(node: Node) -> Callable:
-    """Compile the default-schedule kernel of a kernel-bearing node —
-    the one builder the runtime and the artifact codec share, so a
-    restored graph regenerates byte-identical source."""
+    """Compile the kernel of a kernel-bearing node — the one builder
+    the runtime and the artifact codec share, so a restored graph
+    regenerates byte-identical source."""
     body = node.blocks[0]
     if node.op == "prim::FusionGroup":
         return compile_block(body, name="_fusion",
@@ -68,45 +62,25 @@ def build_kernel(node: Node) -> Callable:
     raise ValueError(f"{node.op} does not execute as a compiled kernel")
 
 
-def _node_kernel(node: Node, build: Optional[Callable[[], object]] = None,
-                 variant: Optional[tuple] = None) -> object:
-    """The node's cached kernel, compiling once under the lock.
-
-    ``variant=None`` is the default-schedule kernel at
-    ``attrs["kernel"]`` — :func:`build_kernel`'s, the slot the artifact
-    codec round-trips.  Unroll variants (``build`` compiles one) key
-    ``attrs["kernel_variants"]`` by ``("unroll", u)`` and never touch
-    the default slot.
+def _node_kernel(node: Node) -> Callable:
+    """The node's cached kernel at ``attrs["kernel"]``, compiling once
+    under the lock.
 
     Also the ``fusion_compile`` fault checkpoint: an injected
     :class:`~repro.errors.CompileError` raises before ``attrs`` is
     touched, so the node simply stays uncompiled — a later execution
     (e.g. on a retried rung) compiles it cleanly.
     """
-    if variant is None:
-        kernel = node.attrs.get("kernel")
-        if kernel is None:
-            with _kernel_lock:
-                kernel = node.attrs.get("kernel")
-                if kernel is None:
-                    with obs_trace.span("kernel:compile", cat="compile",
-                                        op=node.op):
-                        maybe_inject(SITE_FUSION_COMPILE, node.op)
-                        kernel = build_kernel(node)
-                        node.attrs["kernel"] = kernel
-        return kernel
-    variants = node.attrs.get("kernel_variants")
-    kernel = variants.get(variant) if variants is not None else None
+    kernel = node.attrs.get("kernel")
     if kernel is None:
         with _kernel_lock:
-            variants = node.attrs.setdefault("kernel_variants", {})
-            kernel = variants.get(variant)
+            kernel = node.attrs.get("kernel")
             if kernel is None:
                 with obs_trace.span("kernel:compile", cat="compile",
-                                    op=node.op, variant=str(variant)):
+                                    op=node.op):
                     maybe_inject(SITE_FUSION_COMPILE, node.op)
-                    kernel = build()
-                    variants[variant] = kernel
+                    kernel = build_kernel(node)
+                    node.attrs["kernel"] = kernel
     return kernel
 
 
@@ -176,30 +150,14 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
     the independent-slot case runs in parallel, which only changes time,
     not values).
 
-    Under a schedule with ``hloop_unroll > 1``, blocks of that many
-    iterations run through an unrolled kernel variant (which early-exits
-    if the loop condition goes false mid-block); the remainder — and
-    any trip within ``unroll`` of the cap — runs the plain body kernel,
-    so trip counts and dynamic conditions stay exact.
-
     A body kernel stores into the carried slots it names in
     ``__stores_into__`` and hands each back in its slot, so those are
-    copied here, once, before the first call that wants them — except a
-    slot whose init the planner donated (``__donated__``): its dying
-    buffer threads through every trip and comes back as the output.
+    copied here, once, before the first trip — except a slot whose
+    init the planner donated (``__donated__``): its dying buffer
+    threads through every trip and comes back as the output.
     """
     body = node.blocks[0]
     kernel = _node_kernel(node)
-    unroll = active_schedule().hloop_unroll
-    kernel_u = None
-    if unroll > 1 and max_trip >= unroll:
-        kernel_u = _node_kernel(
-            node,
-            lambda: compile_block_unrolled(body, unroll, name="_hloop_u",
-                                           extra_inputs=free_values(body),
-                                           donated=donated_args(node)),
-            variant=("unroll", unroll))
-
     with obs_trace.span("kernel:parallel_loop", cat="exec",
                         max_trip=max_trip) as sp:
         state = [_unwrap(c) for c in carried]
@@ -207,26 +165,16 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
         pre_launch("parallel_loop")  # one launch covers every iteration
         i = 0
         alive = bool(cond)
-        owned = {p - 1 for p in kernel.__donated__}  # slots that are ours
-        ready = None  # the last kernel whose stored slots are all owned
+        if alive and max_trip > 0:
+            owned = {p - 1 for p in kernel.__donated__}  # slots that are ours
+            for k in kernel.__stores_into__:
+                if k not in owned:
+                    state[k] = np.array(state[k], copy=True)
         while alive and i < max_trip:
-            step = kernel_u if kernel_u is not None \
-                and max_trip - i >= unroll else kernel
-            if step is not ready:
-                for k in step.__stores_into__:
-                    if k not in owned:
-                        state[k] = np.array(state[k], copy=True)
-                        owned.add(k)
-                ready = step
-            results = step([i] + state + caps)
-            if step is kernel:
-                alive = bool(results[0])
-                state = list(results[1:])
-                i += 1
-            else:
-                i += int(results[0])
-                alive = bool(results[1])
-                state = list(results[2:])
+            results = kernel([i] + state + caps)
+            alive = bool(results[0])
+            state = list(results[1:])
+            i += 1
 
         outputs = _outputs(state, list(carried) + list(captures),
                            [p - 1 for p in kernel.__donated__])

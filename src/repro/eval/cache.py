@@ -5,7 +5,7 @@ shapes, forward-or-backward); shapes are part of the key because
 artifacts carry shape-derived state (traced graphs, cached memory
 plans, specialized kernels).  :func:`compile_key` is the only place the
 key is built and :func:`fetch` the only compile-or-reuse path, for the
-harness, the serving executor, the tuner and the tools alike.  Nothing
+harness, the serving executor and the tools alike.  Nothing
 outside this module takes a key apart: a family entry keeps its
 :class:`~repro.symshape.family.ShapeFamily` beside it, and that is what
 artifact publishing and warm start read.
@@ -102,11 +102,6 @@ class CompileCache:
         #: shape families for dynamic-shape lookups; cleared with the
         #: entries on every epoch boundary
         self.families = FamilyTable()
-        #: optional :class:`repro.tune.db.TuningDB` — when set, every
-        #: run looks up the best-known schedule for its input
-        #: (:func:`repro.tune.db.serving_schedule`) and executes under
-        #: it; a persistent store, it deliberately survives ``clear()``
-        self.tuning_db = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -281,14 +276,12 @@ class Fetched(NamedTuple):
     """What one :func:`fetch` found or built: the artifact; this call's
     own cache verdict (never diff the global counters); under
     ``dynamic_shapes`` the shape family that served it and the family
-    table's verdict (``hit`` / ``new`` / ``guard_miss``); and the
-    concrete shape signature of the inputs."""
+    table's verdict (``hit`` / ``new`` / ``guard_miss``)."""
 
     compiled: Compiled
     hit: bool
     family: Optional[ShapeFamily] = None
     outcome: str = ""
-    signature: tuple = ()
 
 
 def fetch(pipeline: Pipeline, workload: Workload, args=None,
@@ -318,9 +311,9 @@ def fetch(pipeline: Pipeline, workload: Workload, args=None,
     executor's "don't start a compile the deadline cannot absorb").
     """
     cache = cache if cache is not None else process_cache
-    signature = shape_signature(args)
     family, outcome = None, ""
     if dynamic_shapes:
+        signature = shape_signature(args)
         prefix = (pipeline.name, workload.name) + (("grad",) if grad else ())
         if not cold and cache.families.peek(prefix, signature) is None:
             return None
@@ -345,7 +338,7 @@ def fetch(pipeline: Pipeline, workload: Workload, args=None,
         # the family may now admit other members; seal() is idempotent
         if family is not None:
             family.seal()
-    return Fetched(compiled, hit, family, outcome, signature)
+    return Fetched(compiled, hit, family, outcome)
 
 
 def compile_cached(pipeline: Pipeline, workload: Workload,

@@ -1,17 +1,15 @@
 """Measurement harness: compile, execute under the profiler, and price
 the run on a platform's cost model.
 
-``run_workload`` is the single entry point the figures, the tuner and
-the figure-shape assertions in ``benchmarks/`` share; ``run_workload_resilient`` is the
-same run behind the degradation ladder.  Compilation goes through
-:func:`repro.eval.cache.fetch` (the compile cache lives there, not
-here), the kernel schedule through
-:func:`repro.tune.db.serving_schedule`, and the measured execution
-through :func:`profiled_call` — the one "clone the inputs, enter the
-schedule, run under the profiler" sequence ``tools/inspect`` uses too;
-the serving executor runs the same sequence unprofiled
-(:func:`timed_call`).  Runs verify numerical equivalence against
-eager on demand.
+``run_workload`` is the single entry point the figures and the
+figure-shape assertions in ``benchmarks/`` share;
+``run_workload_resilient`` is the same run behind the degradation
+ladder.  Compilation goes through :func:`repro.eval.cache.fetch` (the
+compile cache lives there, not here), and the measured execution
+through :func:`profiled_call` — the one "clone the inputs, run under
+the profiler" sequence ``tools/inspect`` uses too; the serving executor
+runs the same sequence unprofiled (:func:`timed_call`).  Runs verify
+numerical equivalence against eager on demand.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ import repro.runtime as rt
 from ..models import get_workload
 from ..obs import trace as obs_trace
 from ..pipelines import get_pipeline
-from ..tune.db import serving_schedule
-from ..tune.schedule import schedule_scope
 # compile_cached and compile_key are not used below: bench/ imports
 # them (with CompileCache and clone_args) from this module
 from .cache import (CompileCache, clone_args, compile_cached,  # noqa: F401
@@ -64,11 +60,6 @@ class RunResult:
     #: which family served it and the table verdict (hit/new/guard_miss)
     family_id: str = ""
     family_outcome: str = ""
-    #: kernel-schedule observability: the schedule this run executed
-    #: under, and whether it came from a tuning-DB hit (``tuned``) as
-    #: opposed to the default or an explicit ``schedule_scope``
-    tuned: bool = False
-    schedule_id: str = "default"
     wallclock_s: Optional[float] = None
     #: degradation-ladder observability (``run_workload_resilient``):
     #: which rung actually served the run, how far down the chain it
@@ -84,18 +75,16 @@ class RunResult:
         return self.latency_us / 1000.0
 
 
-def timed_call(compiled, args, schedule=None):
+def timed_call(compiled, args):
     """One execution of ``compiled`` (any callable) on a fresh clone of
-    ``args`` under ``schedule`` (None = the ambient one): ``(outputs as
-    a tuple, wall seconds)``.  The wall clock covers the input clone."""
+    ``args``: ``(outputs as a tuple, wall seconds)``.  The wall clock
+    covers the input clone."""
     start = time.perf_counter()
-    run_args = clone_args(args)
-    with schedule_scope(schedule):
-        outputs = compiled(*run_args)
+    outputs = compiled(*clone_args(args))
     return rt.as_tuple(outputs), time.perf_counter() - start
 
 
-def profiled_call(compiled, args, schedule=None):
+def profiled_call(compiled, args):
     """:func:`timed_call` with ``compiled`` run under ``rt.profile()``:
     ``(outputs as a tuple, the profile, wall seconds)``.  The profile
     does not cover the input clone (input prep is not part of the
@@ -107,7 +96,7 @@ def profiled_call(compiled, args, schedule=None):
             profiles.append(prof)
             return compiled(*run_args)
 
-    outputs, wall = timed_call(observed, args, schedule)
+    outputs, wall = timed_call(observed, args)
     return outputs, profiles[0], wall
 
 
@@ -144,20 +133,18 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
                               seed=seed)
         with obs_trace.span("harness:compile", cat="compile",
                             pipeline=pipeline, workload=workload):
-            compiled, was_hit, family, family_outcome, signature = fetch(
+            compiled, was_hit, family, family_outcome = fetch(
                 pipe, wl, args, cache=cache, dynamic_shapes=dynamic_shapes,
                 grad=grad)
-        sched, tuned, schedule_id = serving_schedule(
-            cache.tuning_db, workload, signature, family)
 
         with obs_trace.span("harness:execute", cat="exec",
                             pipeline=pipeline, workload=workload):
             if grad:
                 with obs_trace.span("harness:backward", cat="exec",
                                     pipeline=pipeline, workload=workload):
-                    outputs, prof, _ = profiled_call(compiled, args, sched)
+                    outputs, prof, _ = profiled_call(compiled, args)
             else:
-                outputs, prof, _ = profiled_call(compiled, args, sched)
+                outputs, prof, _ = profiled_call(compiled, args)
 
         if check:
             with obs_trace.span("harness:check", cat="verify"):
@@ -173,9 +160,8 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
         wallclock = None
         if measure_wallclock:
             best = float("inf")
-            with schedule_scope(sched), \
-                    obs_trace.span("harness:wallclock", cat="exec",
-                                   repeats=repeats):
+            with obs_trace.span("harness:wallclock", cat="exec",
+                                repeats=repeats):
                 for _ in range(repeats):
                     run_args = clone_args(args)
                     start = time.perf_counter()
@@ -204,8 +190,6 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
             cache_guard_misses=snap.guard_misses,
             family_id=family.family_id if family is not None else "",
             family_outcome=family_outcome,
-            tuned=tuned,
-            schedule_id=schedule_id,
             wallclock_s=wallclock,
             served_by=pipeline,
             outputs=outputs,

@@ -3,11 +3,10 @@
 The executor is where a coalesced batch meets the existing pipelines:
 it routes compilation through :func:`repro.eval.cache.fetch` into the
 server's injectable :class:`~repro.eval.cache.CompileCache`
-(shape-specialized, in-flight deduplicated), picks the schedule with
-:func:`repro.tune.db.serving_schedule`, runs the compiled callable with
-:func:`repro.eval.harness.timed_call` (unprofiled: a batch pays for its
-kernels only, unless a trace or fault plan listens), and scatters
-outputs back per request.
+(shape-specialized, in-flight deduplicated), runs the compiled
+callable with :func:`repro.eval.harness.timed_call` (unprofiled: a
+batch pays for its kernels only, unless a trace or fault plan listens),
+and scatters outputs back per request.
 
 One failure path.  Every batch walks a fallback chain through
 :func:`repro.degrade.run_ladder` — ``ServePolicy.fallback_chain``
@@ -54,7 +53,6 @@ from ..faults import SITE_BATCH_EXEC, maybe_inject
 from ..obs import trace as obs_trace
 from ..pipelines import Pipeline, get_pipeline
 from ..symshape.bucketing import get_pad_spec
-from ..tune.db import serving_schedule
 from .batching import BatchPlan, coalesce, scatter
 from .policy import VERIFY_BATCH, VERIFY_OFF, VERIFY_SOLO, ServePolicy
 from .request import (Request, Response, STATUS_ERROR, STATUS_OK,
@@ -247,17 +245,12 @@ class BatchExecutor:
         # failure raises here, after compilation but before device time
         maybe_inject(SITE_BATCH_EXEC, f"{wl.name}/{pipe.name}")
 
-        sched, tuned, schedule_id = serving_schedule(
-            self.cache.tuning_db, wl.name, fetched.signature,
-            fetched.family)
         for req in plan.requests:
-            req.mark("execute", pipeline=pipe.name, cache_hit=hit,
-                     schedule=schedule_id)
+            req.mark("execute", pipeline=pipe.name, cache_hit=hit)
         with obs_trace.span("serve:execute", cat="serve", pipeline=pipe.name,
                             requests=len(plan.requests),
-                            rows=plan.total_rows, cache_hit=hit,
-                            schedule=schedule_id):
-            outputs, wall = timed_call(compiled, plan.args, sched)
+                            rows=plan.total_rows, cache_hit=hit):
+            outputs, wall = timed_call(compiled, plan.args)
 
         with obs_trace.span("serve:scatter", cat="serve",
                             requests=len(plan.requests)):
@@ -277,8 +270,7 @@ class BatchExecutor:
                 batch_requests=len(plan.requests),
                 batch_rows=plan.total_rows,
                 queue_wait_s=done - req.enqueued_at - wall,
-                exec_wall_s=wall, cache_hit=hit, tuned=tuned,
-                schedule_id=schedule_id, verified=verified),
+                exec_wall_s=wall, cache_hit=hit, verified=verified),
                 fallback=depth > 0)
 
     def _deadline_near(self, plan: BatchPlan) -> bool:
@@ -358,8 +350,7 @@ class BatchExecutor:
             cache_hit=resp.cache_hit, fallback=fallback,
             retries=resp.retries, verified=resp.verified,
             fallback_depth=resp.fallback_depth, degraded=resp.degraded,
-            priority=req.priority, tuned=resp.tuned,
-            schedule_id=resp.schedule_id if resp.ok else "")
+            priority=req.priority)
         req.mark("finish", status=resp.status,
                  served_by=resp.served_by or resp.pipeline)
         if req.timeline:

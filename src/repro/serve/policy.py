@@ -105,12 +105,6 @@ class ServePolicy:
     shed_min_pending: Optional[int] = None
     #: sliding-window size (responses) for the recent-percentile signal
     shed_window: int = 256
-    #: root directory of a persistent :class:`repro.tune.db.TuningDB`;
-    #: when set, the server's compile cache consults it per batch and
-    #: executes under the best-known schedule for (workload, shape key,
-    #: platform).  The serve path only *reads* the DB — tuning happens
-    #: offline via ``tools/tune`` — so warm traffic pays zero searches.
-    tuning_db_path: Optional[str] = None
     #: drain deadline for ``shutdown(drain=True)``: how long the whole
     #: worker join may take before requests still queued are answered
     #: with a typed ``ServerShutdown`` cancellation (a wedged worker

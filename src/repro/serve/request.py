@@ -122,10 +122,6 @@ class Response:
     queue_wait_s: float = 0.0
     exec_wall_s: float = 0.0
     cache_hit: bool = False
-    #: True when the batch executed under a tuning-DB schedule instead
-    #: of the default lowering; ``schedule_id`` names it either way
-    tuned: bool = False
-    schedule_id: str = "default"
     #: None = verification off; True/False = oracle verdict
     verified: Optional[bool] = None
     retries: int = 0

@@ -115,11 +115,6 @@ class Server:
         #: figure sweeps; inject a cache to share compilations
         self.cache = cache if cache is not None \
             else CompileCache(capacity=CACHE_CAPACITY)
-        if self.policy.tuning_db_path and self.cache.tuning_db is None:
-            # read-side attach: the serve path only ever looks up
-            # best-known schedules; tools/tune writes the entries
-            from ..tune.db import TuningDB
-            self.cache.tuning_db = TuningDB(self.policy.tuning_db_path)
         self.stats = stats or ServerStats(
             recent_window=self.policy.shed_window)
         self.executor = BatchExecutor(self.policy, self.cache, self.stats)

@@ -12,8 +12,8 @@ instead of freezing on the first ``MAX_SAMPLES`` responses.
 
 State owned elsewhere — the compile cache's counters (hit rate *and*
 epoch, so readers can tell when they were reset — see the
-counter-lifecycle note in ``eval/cache.py``), the circuit breakers'
-transition counts, the tuning DB's counters — is never copied in:
+counter-lifecycle note in ``eval/cache.py``) and the circuit
+breakers' transition counts — is never copied in:
 ``to_dict`` *pulls* a snapshot from each bound source when asked
 (:meth:`ServerStats.bind`), so a batch pays nothing for being
 observable.
@@ -69,8 +69,6 @@ INSTRUMENTS = (
     ("backpressure_waits", "count", "submits blocked on a full queue"),
     ("drain_expired", "count",
      "shutdowns whose drain deadline passed with a worker still alive"),
-    ("tuned", "count", "requests served under a tuning-DB schedule"),
-    ("schedule_hist", "by_label", "schedule id -> ok responses under it"),
 )
 _KIND_OF = {attr: kind for attr, kind, _ in INSTRUMENTS}
 
@@ -115,9 +113,8 @@ class ServerStats:
 
     def bind(self, cache, breakers) -> None:
         """Name the live sources ``to_dict`` pulls its ``compile_cache``
-        / ``tune_db`` / ``breaker_transitions`` sections from: the
-        server's :class:`~repro.eval.cache.CompileCache` (and the
-        tuning DB attached to it, if any) and its executor's
+        / ``breaker_transitions`` sections from: the server's
+        :class:`~repro.eval.cache.CompileCache` and its executor's
         :class:`~repro.degrade.BreakerRegistry`."""
         self._cache, self._breakers = cache, breakers
 
@@ -187,9 +184,7 @@ class ServerStats:
                     verified: Optional[bool],
                     fallback_depth: int = 0,
                     degraded: bool = False,
-                    priority: int = 0,
-                    tuned: bool = False,
-                    schedule_id: str = "") -> None:
+                    priority: int = 0) -> None:
         """One request's future resolved; record its outcome."""
         inst = self._inst
         if status == "ok":
@@ -215,10 +210,6 @@ class ServerStats:
             inst["retries"].inc(retries)
         inst["request_cache_hits" if cache_hit
              else "request_cache_misses"].inc()
-        if tuned:
-            inst["tuned"].inc()
-        if schedule_id:
-            inst["schedule_hist"].inc(schedule_id)
         if verified is not None:
             inst["verified"].inc()
             if not verified:
@@ -291,6 +282,4 @@ class ServerStats:
             if self._breakers is not None else {}
         if self._cache is not None:
             out["compile_cache"] = self._cache.snapshot().to_dict()
-            if self._cache.tuning_db is not None:
-                out["tune_db"] = self._cache.tuning_db.snapshot()
         return out

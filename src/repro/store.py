@@ -1,13 +1,12 @@
 """The one keyed file store: per-key JSON records, replaced atomically.
 
-Both persistent maps in the stack sit on :class:`KeyedFileStore` — the
-tuning database (:class:`repro.tune.db.TuningDB`) and the compile-
-artifact index (:class:`repro.shard.artifact.ArtifactStore`): one tiny
-JSON record per key under ``<directory>/<sha256(key)><suffix>``.  A
-monolithic index file is a cross-process read-modify-write that
-measurably *lost* concurrent puts in the artifact store's history;
-per-key files make concurrent writers last-writer-wins per key, and a
-reader sees the old record or the new one, never a torn one.
+The compile-artifact index (:class:`repro.shard.artifact.ArtifactStore`)
+sits on :class:`KeyedFileStore`: one tiny JSON record per key under
+``<directory>/<sha256(key)>``.  A monolithic index file is a
+cross-process read-modify-write that measurably *lost* concurrent puts
+in the artifact store's history; per-key files make concurrent writers
+last-writer-wins per key, and a reader sees the old record or the new
+one, never a torn one.
 """
 
 from __future__ import annotations
@@ -54,15 +53,14 @@ class KeyedFileStore:
     shareable across threads and processes.  What a record means —
     validation, memoization, counters — belongs to the map on top."""
 
-    def __init__(self, directory: str, suffix: str = "") -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = str(directory)
-        self.suffix = suffix
         os.makedirs(self.directory, exist_ok=True)
 
     def path(self, key_text: str) -> str:
         """The file ``key_text``'s record lives in."""
         digest = hashlib.sha256(key_text.encode("utf-8")).hexdigest()
-        return os.path.join(self.directory, digest + self.suffix)
+        return os.path.join(self.directory, digest)
 
     def read(self, key_text: str) -> Optional[dict]:
         """The record stored under ``key_text``; None when absent.
@@ -86,8 +84,7 @@ class KeyedFileStore:
             names = os.listdir(self.directory)
         except OSError:
             return []
-        return [n for n in names if n.endswith(self.suffix)
-                and not n.startswith(_TMP_PREFIX)]
+        return [n for n in names if not n.startswith(_TMP_PREFIX)]
 
     def __len__(self) -> int:
         return len(self._names())

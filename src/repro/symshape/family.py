@@ -175,21 +175,6 @@ class ShapeFamily:
             return None
         return entry[dim_index]
 
-    def shape_key(self) -> tuple:
-        """Structural identity of the symbolic signature, stable across
-        processes: every symbolic dim renders as ``"*"``, constants
-        stay concrete.  ``family_id`` is a table-local counter (the
-        same program mints ``f0`` in every process), so persistent
-        stores — the tuning DB keys dynamic-shape traffic on this —
-        must use the structure, never the id."""
-        def render(entry):
-            if isinstance(entry, tuple):
-                return tuple(render(e) for e in entry)
-            if isinstance(entry, SymInt):
-                return entry.value if entry.is_const else "*"
-            return entry
-        return tuple(render(e) for e in self.signature)
-
     def describe(self) -> str:
         """One line: id, symbolic signature, and guard conjunction."""
         sig = ", ".join(

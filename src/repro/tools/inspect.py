@@ -137,7 +137,7 @@ def inspect_dynamic(name: str, seq_lens=(16, 24), batch_size: int = 2,
         args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len)
         compiles0 = cache.snapshot()
         plans0 = plans_built()
-        compiled, _, family, outcome, _ = fetch(
+        compiled, _, family, outcome = fetch(
             pipe, wl, args, cache=cache, dynamic_shapes=True)
         snap = cache.snapshot()
         got = profiled_call(compiled, args)[0]

@@ -28,8 +28,7 @@ to ``results/serve_bench.json``.  Always gated: with at least two
 clients per worker, some workload's ``batched`` run must average 2 or
 more requests a batch — none doing so means the scheduler grabs
 requests one at a time.  Exit status = dropped +
-diverging requests + failed gates (+ tuning-time searches under
-``--tune-db``, which must be 0 on the hot path).
+diverging requests + failed gates.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ def bench_workload(name: str, args: argparse.Namespace,
     common = dict(workers=args.workers, batch_wait_s=args.batch_wait_ms / 1e3,
                   queue_capacity=args.queue_capacity,
                   request_timeout_s=args.timeout_s,
-                  verify=("off" if args.no_verify else "batch"),
-                  tuning_db_path=args.tune_db)
+                  verify=("off" if args.no_verify else "batch"))
     if args.dynamic_shapes:
         differing = (dict(max_batch_size=args.max_batch, dynamic_shapes=True,
                           bucket_min=args.bucket_min),
@@ -135,12 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "concrete/family compile ratio is below "
                              "this (and require strictly higher family "
                              "batch occupancy)")
-    parser.add_argument("--tune-db", type=str, default=None,
-                        help="read-only tuning database root "
-                             "(tools/tune output): serve runs pick up "
-                             "best-known schedules, and the run FAILS "
-                             "if any tuning-time search happens on the "
-                             "hot path (warm-serve gate)")
     args = parser.parse_args(argv)
 
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
@@ -178,15 +170,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"dropped {e['dropped']}  diverged {e['diverged']}")
             print(f"            flushes "
                   f"{e['server']['flushes_by_reason']}")
-            if args.tune_db is not None:
-                # the server only ever *reads* the tuning DB; searching
-                # is offline work for ``tools/tune``
-                searches = e["server"]["tune_db"]["searches"]
-                failures += searches
-                print(f"            tuned {e['server']['tuned']}  "
-                      f"schedules {e['server']['schedule_hist']}  "
-                      f"tuning-time searches {searches}"
-                      + ("  FAIL: hot path searched" if searches else ""))
         print(f"  speedup {entry['throughput_speedup']:.2f}x  "
               f"compile ratio {entry['compile_ratio']:.1f}x  "
               f"occupancy gain {entry['occupancy_gain']:+.2f}")

@@ -1,10 +1,14 @@
 """Kernel codegen and the fusion runtime."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import repro.runtime as rt
 from repro.backend import CodegenError, compile_block, run_graph
+from repro.backend.codegen import _const_literal
 from repro.backend.fusion_runtime import build_kernel, execute_group
 from repro.backend.kernels import OP_IMPLS
 from repro.frontend import script
@@ -85,6 +89,54 @@ class TestCompileBlock:
         assert out.dtype is rt.float32
 
 
+# -- codegen: recursive constant validation (the _const_literal fix) ----
+
+
+class TestConstLiteral:
+    @pytest.mark.parametrize("value", [
+        3, 2.5, True, None, "s", (1, 2), (1,), [1, (2.0, None)], [],
+    ])
+    def test_literals_eval_back_equal(self, value):
+        assert eval(_const_literal(value)) == value
+
+    def test_singleton_tuple_stays_a_tuple(self):
+        assert eval(_const_literal((7,))) == (7,)
+
+    @pytest.mark.parametrize("value", [
+        object(), np.float32, [object()], (1, object()),
+        [1, [2, np.dtype("f4")]],
+    ])
+    def test_non_literals_rejected_recursively(self, value):
+        # before the fix, containers were repr'd blind: [<object ...>]
+        # compiled to a SyntaxError (or rebuilt the wrong object)
+        with pytest.raises(CodegenError):
+            _const_literal(value)
+
+    def test_unliteralizable_const_captured_by_reference(self):
+        # a fusion-group kernel whose constant cannot be inlined must
+        # still compile (capture-by-reference) and compute correctly
+        def f(x):
+            return (x + 1.0) * 2.0
+        g = clone_graph(script(f).graph)
+        fuse(g, FuserConfig(name="t", fuse_views=True))
+        group = g.nodes_of("prim::FusionGroup")[0]
+        marker = object()
+        for node in group.blocks[0].nodes:
+            if node.op == "prim::Constant":
+                node.attrs["value"] = marker
+                node.output().type = None
+                break
+        else:
+            pytest.skip("no constant in the fused body")
+        kernel = compile_block(group.blocks[0], name="_k")
+        assert "_c0" in kernel.__source__
+        # the captured object is threaded through untouched: the add
+        # receives it, so numpy raises a *type* error, not a NameError
+        # from broken generated source
+        with pytest.raises(TypeError):
+            kernel([np.ones(2, np.float32)])
+
+
 class TestExecuteGroup:
     def test_single_launch_and_fused_ops(self):
         def f(x):
@@ -141,6 +193,31 @@ class TestHorizontalRuntime:
         np.testing.assert_allclose(got.numpy(), expected.numpy())
         loop_events = [e for e in prof.events if e.op == "parallel_loop"]
         assert len(loop_events) == 1
+
+    def test_loop_bit_exact_at_every_trip_count(self):
+        """Full, single and zero trips: one launch each, bit-exact
+        against the reference interpreter and eager, and the body
+        stores into the carried slot the runtime copied once."""
+        def f(x, n: int):
+            y = x.clone()
+            for i in range(n):
+                y[i] = y[i] * 2.0 + 1.0
+            return y
+        g, n = self._prep(f)
+        assert n == 1
+        x = rt.rand((5, 2), seed=9)
+        for trips in (5, 1, 0):
+            with rt.profile() as prof:
+                got = run_graph(g, [x.clone(), trips])[0]
+            reference = run_graph(clone_graph(g), [x.clone(), trips])[0]
+            assert rt.bit_exact(got, reference)
+            assert rt.bit_exact(got, f(x.clone(), trips))
+            loop_events = [e for e in prof.events
+                           if e.op == "parallel_loop"]
+            assert len(loop_events) == 1
+        loop, = g.nodes_of("prim::Loop")
+        assert loop.attrs["kernel"].__stores_into__ == (0,)
+        assert loop.attrs["kernel"].__assigns__["clones"] == []
 
     def test_sequential_dependency_still_correct(self):
         # carried-state loops execute sequentially inside one launch —
@@ -232,15 +309,116 @@ class TestHorizontalRuntime:
         assert rt.bit_exact(out, x)
         assert not np.shares_memory(out._array, x._array)
 
-    def test_zero_trip_horizontal(self):
+    def _accumulating_loop(self):
         def f(x, n: int):
             y = x.clone()
             for i in range(n):
                 y = y + 100.0
             return y
         g, n = self._prep(f)
+        assert n == 1
+        return g
+
+    def test_zero_trip_horizontal(self):
+        g = self._accumulating_loop()
         got = run_graph(g, [rt.ones((2,)), 0])[0]
         assert got.numpy().tolist() == [1.0, 1.0]
+
+    def test_zero_trip_records_zero_fused_work(self):
+        g = self._accumulating_loop()
+        with rt.profile() as prof:
+            out = run_graph(g, [rt.ones((2,)), 0])[0]
+        assert out.numpy().tolist() == [1.0, 1.0]
+        ev = [e for e in prof.events if e.op == "parallel_loop"]
+        assert len(ev) == 1  # the launch itself still happened
+        # a zero-trip loop is billed no fused ops and no flops
+        assert ev[0].fused_ops == 0
+        assert ev[0].flops == 0
+
+    def test_trips_scale_fused_ops(self):
+        g = self._accumulating_loop()
+        with rt.profile() as prof:
+            run_graph(g, [rt.ones((2,)), 4])
+        ev = [e for e in prof.events if e.op == "parallel_loop"]
+        assert len(ev) == 1
+        assert ev[0].fused_ops > 0
+        assert ev[0].fused_ops % 4 == 0  # n_ops * trips
+        assert ev[0].flops > 0
+
+    def test_data_dependent_condition_exits_early(self):
+        """A loop whose body computes its own continue flag stops at the
+        first trip that clears it, short of ``max_trip``; the cap still
+        bounds a condition that never clears."""
+        g = parse_graph("""
+graph g(%x.0 : Tensor, %limit.0 : Float):
+  %trip.0 = prim::Constant[value=10]()
+  %go.0 = prim::Constant[value=True]()
+  %y.0 = prim::Loop(%trip.0, %go.0, %x.0)
+    block0(%i.0 : Int, %y.1 : Tensor):
+      %two.0 = prim::Constant[value=2.0]()
+      %v.0 = aten::mul(%y.1, %two.0)
+      %zero.0 = prim::Constant[value=0]()
+      %s.0 = aten::select(%v.0, %zero.0, %zero.0)
+      %more.0 = aten::lt(%s.0, %limit.0)
+      -> (%more.0, %v.0)
+  return (%y.0)
+""")
+        assert parallelize_loops(g) == 1
+        loop, = g.nodes_of("prim::Loop")
+        n_ops = len(loop.blocks[0].nodes)
+        # y[0] is 2, 4, 8, 16, 32: the fifth trip clears ``< 20``
+        for limit, trips in ((20.0, 5), (1.0, 1), (1e9, 10)):
+            x = rt.ones((3,))
+            with rt.profile() as prof:
+                got, = run_graph(g, [x, limit])
+            assert got.numpy().tolist() == [2.0 ** trips] * 3
+            assert x.numpy().tolist() == [1.0] * 3
+            ev, = [e for e in prof.events if e.op == "parallel_loop"]
+            assert ev.fused_ops == n_ops * trips
+
+    def test_body_kernel_compiles_once_under_concurrent_callers(
+            self, monkeypatch):
+        """Callers racing on an uncompiled loop build its kernel once,
+        under ``_kernel_lock``, and all run that one kernel."""
+        from repro.backend import fusion_runtime
+
+        def f(x, n: int):
+            y = x.clone()
+            for i in range(n):
+                y[i] = y[i] * 2.0
+            return y
+        g, n = self._prep(f)
+        assert n == 1
+        loop, = g.nodes_of("prim::Loop")
+        built = []
+        real_build = fusion_runtime.build_kernel
+
+        def slow_build(node):
+            built.append(node)
+            time.sleep(0.05)  # widen the race window
+            return real_build(node)
+
+        monkeypatch.setattr(fusion_runtime, "build_kernel", slow_build)
+        x = rt.rand((4, 2), seed=9)
+        callers = 4
+        barrier = threading.Barrier(callers)
+        outs = [None] * callers
+
+        def call(k):
+            barrier.wait()
+            outs[k], = fusion_runtime.run_horizontal_loop(
+                loop, 4, True, [x.clone()], [True])
+
+        threads = [threading.Thread(target=call, args=(k,))
+                   for k in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert built == [loop]
+        expected = f(x.clone(), 4)
+        assert all(rt.bit_exact(out, expected) for out in outs)
 
 
 def _reference(block, args):

@@ -14,7 +14,8 @@ import repro.runtime as rt
 from repro.backend import InterpreterError, fusion_runtime, program, run_graph
 from repro.backend.program import lower
 from repro.errors import OOMError
-from repro.eval.harness import clone_args
+from repro.eval.cache import CompileCache
+from repro.eval.harness import clone_args, run_workload
 from repro.faults import SITE_ALLOC, FaultPlan, FaultRule, fault_scope
 from repro.fuzz.generator import make_inputs
 from repro.fuzz.oracle import materialize
@@ -51,10 +52,47 @@ def _check_against_oracles(compiled, args, expected):
     assert prof.peak_bytes == prof.bytes_allocated
 
 
+#: the workloads whose compiled forward has a horizontal loop
+HORIZONTAL = ("attention", "fcos", "ssd", "yolov3")
+
+
 @pytest.mark.parametrize("workload", workload_names())
 def test_forward_matches_interpreter_and_eager(workload):
     wl, args, compiled = _compile(workload)
     _check_against_oracles(compiled, args, wl.model_fn(*clone_args(args)))
+
+
+@pytest.mark.parametrize("workload", workload_names())
+def test_warm_cached_run_bit_exact_with_cold(workload):
+    """The cold compile and the cache hit that reuses its graph (and
+    the kernels the first run compiled into it) agree with eager."""
+    cache = CompileCache()
+    run = dict(batch_size=1, seq_len=8, seed=0)
+    cold = run_workload(workload, "tensorssa", cache=cache, **run)
+    warm = run_workload(workload, "tensorssa", cache=cache, **run)
+    assert (cache.misses, cache.hits) == (1, 1)
+    assert rt.bit_exact(cold.outputs, warm.outputs)
+    assert rt.bit_exact(warm.outputs,
+                        run_workload(workload, "eager", **run).outputs)
+
+
+@pytest.mark.parametrize("workload", workload_names())
+def test_each_horizontal_loop_compiles_one_kernel(workload):
+    """Exactly the workloads in ``HORIZONTAL`` lower a horizontal loop;
+    each such loop compiles its plain body kernel on the first call and
+    every later call steps that same kernel."""
+    cache = CompileCache()
+    run_workload(workload, "tensorssa", cache=cache, batch_size=1,
+                 seq_len=8)
+    (_, compiled, _), = cache.entries()
+    loops = [n for n in compiled.graph.walk() if n.attrs.get("horizontal")]
+    assert bool(loops) == (workload in HORIZONTAL)
+    kernels = [loop.attrs["kernel"] for loop in loops]
+    for kernel in kernels:
+        assert "def _hloop(" in kernel.__source__
+    run_workload(workload, "tensorssa", cache=cache, batch_size=1,
+                 seq_len=8)
+    assert [loop.attrs["kernel"] for loop in loops] == kernels
 
 
 @pytest.mark.parametrize("workload", ["lstm", "attention"])
@@ -73,6 +111,26 @@ def test_corpus_entry_matches_interpreter_and_eager(path):
     for flag, n in variants:  # both branches and a zero-trip loop
         args = (rt.Tensor.from_array(x.copy()), flag, n)
         _check_against_oracles(compiled, args, fn(*clone_args(args)))
+
+
+@pytest.mark.parametrize("workload, seq_len", [
+    ("attention", 12), ("attention", 1), ("yolov3", 8), ("fcos", 8)])
+def test_horizontal_loops_store_in_place(workload, seq_len):
+    """11 / 31 / 23 trips, and ``seq_len=1`` is attention's zero-trip
+    loop: the program matches both oracles, and every horizontal loop's
+    one kernel stores into its carried slot with no clone left."""
+    wl = get_workload(workload)
+    args = wl.make_inputs(batch_size=1, seq_len=seq_len, seed=0)
+    compiled = get_pipeline("tensorssa").compile(wl.model_fn,
+                                                 example_args=args)
+    _check_against_oracles(compiled, args, wl.model_fn(*clone_args(args)))
+    loops = [n for n in compiled.graph.walk() if n.attrs.get("horizontal")]
+    assert loops
+    for loop in loops:
+        kernel = loop.attrs["kernel"]
+        assert kernel.__stores_into__ == (0,)
+        assert kernel.__assigns__["clones"] == []
+        assert "immut::" not in kernel.__source__
 
 
 def test_release_one_node_early_fails_loudly():

@@ -12,10 +12,11 @@ from conftest import HeldWorkers
 from repro.degrade import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
                            BreakerRegistry, CircuitBreaker, DEFAULT_LADDER,
                            RetryPolicy, fallback_chain, run_ladder)
-from repro.errors import CircuitOpen, KernelError, ServerShutdown
+from repro.errors import (CircuitOpen, CompileError, DeadlineExceeded,
+                          KernelError, ServerShutdown)
 from repro.eval.harness import (CompileCache, run_workload,
                                 run_workload_resilient)
-from repro.faults import (FaultPlan, FaultRule, SITE_BATCH_EXEC,
+from repro.faults import (Fault, FaultPlan, FaultRule, SITE_BATCH_EXEC,
                           SITE_KERNEL_LAUNCH, SITE_PASS, fault_scope,
                           global_fault_scope)
 from repro.serve import (STATUS_CANCELLED, STATUS_ERROR, ServePolicy,
@@ -355,3 +356,68 @@ def test_shutdown_drain_serves_everything_queued():
     srv.shutdown(drain=True, timeout=30.0)
     for fut in futs:
         assert fut.result(timeout=5).ok
+
+
+# -- executor error taxonomy (the blanket-except fix) --------------------
+
+
+class TestExecutorErrorRouting:
+    def _policy(self, **kw):
+        base = dict(workers=1, max_batch_size=2, batch_wait_s=0.001,
+                    verify="off", retry_base_delay_s=0.0001)
+        base.update(kw)
+        return ServePolicy(**base)
+
+    def test_batch_fault_surfaces_typed_error(self):
+        plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC,
+                                    probability=1.0, times=None)])
+        with Server(self._policy(max_retries=0,
+                                 fallback_chain=("tensorssa",))) as srv:
+            with global_fault_scope(plan):
+                resp = srv.submit("attention",
+                                  seq_len=8).result(timeout=30)
+        assert resp.status == "error"
+        # before the fix the blanket handler stringified the raw
+        # exception; now the classified type name is part of the answer
+        assert "KernelError" in resp.error
+        assert "('tensorssa',) failed" in resp.error
+
+    def test_retryable_batch_fault_recovers_solo(self):
+        plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC,
+                                    probability=1.0, times=None)])
+        with Server(self._policy(max_retries=2)) as srv:
+            with global_fault_scope(plan):
+                resp = srv.submit("attention",
+                                  seq_len=8).result(timeout=30)
+        # every batched rung burns its retries, then the eager floor
+        # (which has no batch step to fault) serves the request solo
+        assert resp.ok and resp.served_by == "eager"
+        assert plan.fired_by_site()[SITE_BATCH_EXEC] == 3 * 3
+
+    def test_non_retryable_fault_not_hammered(self):
+        # CompileError is non-retryable: one attempt per rung, then
+        # descend — before the fix the retry loop hammered every typed
+        # error alike
+        plan = FaultPlan([FaultRule(
+            site=SITE_KERNEL_LAUNCH, probability=1.0, times=None,
+            fault=Fault(error=CompileError))])
+        with Server(self._policy(
+                max_retries=3,
+                fallback_chain=("tensorssa", "eager"))) as srv:
+            with global_fault_scope(plan):
+                resp = srv.submit("attention",
+                                  seq_len=8).result(timeout=30)
+        assert resp.status == "error"
+        assert "CompileError" in resp.error
+        fired = plan.fired_by_site().get(SITE_KERNEL_LAUNCH, 0)
+        assert fired <= 2  # batch attempt + one eager attempt, no more
+
+    def test_injected_deadline_classified_as_timeout(self):
+        plan = FaultPlan([FaultRule(
+            site=SITE_BATCH_EXEC,
+            fault=Fault(error=DeadlineExceeded))])
+        with Server(self._policy(max_retries=2)) as srv:
+            with global_fault_scope(plan):
+                resp = srv.submit("attention",
+                                  seq_len=8).result(timeout=30)
+        assert resp.status == "timeout"

@@ -519,11 +519,11 @@ class TestEndToEnd:
         pipe = get_pipeline("tensorssa")
         cache = CompileCache()
         a1 = wl.make_inputs(batch_size=2, seq_len=6, seed=0)
-        c1, hit1, fam1, out1, _ = fetch(pipe, wl, a1, cache=cache,
-                                        dynamic_shapes=True, grad=True)
+        c1, hit1, fam1, out1 = fetch(pipe, wl, a1, cache=cache,
+                                     dynamic_shapes=True, grad=True)
         a2 = wl.make_inputs(batch_size=3, seq_len=6, seed=1)
-        c2, hit2, fam2, out2, _ = fetch(pipe, wl, a2, cache=cache,
-                                        dynamic_shapes=True, grad=True)
+        c2, hit2, fam2, out2 = fetch(pipe, wl, a2, cache=cache,
+                                     dynamic_shapes=True, grad=True)
         assert (hit1, out1) == (False, "new")
         assert (hit2, out2) == (True, "hit")
         assert fam1.family_id == fam2.family_id

@@ -158,8 +158,9 @@ class TestServerStats:
 
     #: ``to_dict`` key set of a bare ``ServerStats`` at the commit that
     #: introduced the instrument table (captured from its parent), plus
-    #: ``flushes_by_reason`` (PR 22): the results/*.json schema must
-    #: not drift silently
+    #: ``flushes_by_reason``, minus the schedule tuner's ``tuned`` and
+    #: ``schedule_hist``: the results/*.json schema must not drift
+    #: silently
     GOLDEN_KEYS = {
         "backpressure_wait_p95_ms", "backpressure_waits",
         "batch_size_hist", "batches_executed", "breaker_transitions",
@@ -172,8 +173,8 @@ class TestServerStats:
         "latency_p95_ms", "queue_depth_peak", "queue_wait_p50_ms",
         "queue_wait_p95_ms", "queue_wait_p99_ms", "quota_rejected",
         "quota_rejected_by_tenant", "rejected", "request_cache_hits",
-        "request_cache_misses", "retries", "schedule_hist", "shed",
-        "shed_by_lane", "submitted", "timeouts", "tuned", "verified"}
+        "request_cache_misses", "retries", "shed",
+        "shed_by_lane", "submitted", "timeouts", "verified"}
 
     def test_to_dict_key_set_golden(self):
         d = ServerStats().to_dict()
@@ -186,16 +187,14 @@ class TestServerStats:
         with pytest.raises(AttributeError):
             st.no_such_counter
 
-    def test_idle_server_reports_pulled_sections(self, tmp_path):
+    def test_idle_server_reports_pulled_sections(self):
         # nothing is pushed per batch any more: a server that never
-        # executed one still reports its cache, breakers and tuning DB
-        pol = ServePolicy(workers=1, tuning_db_path=str(tmp_path))
-        with Server(pol) as srv:
+        # executed one still reports its cache and breakers
+        with Server(ServePolicy(workers=1)) as srv:
             d = srv.stats.to_dict()
-        assert set(d) == self.GOLDEN_KEYS | {"compile_cache", "tune_db"}
+        assert set(d) == self.GOLDEN_KEYS | {"compile_cache"}
         assert d["batches_executed"] == 0
         assert d["compile_cache"]["misses"] == 0
-        assert d["tune_db"]["searches"] == 0 and d["tune_db"]["size"] == 0
         assert d["breaker_transitions"] == {}
 
     def test_latency_reservoir_not_frozen_after_cap(self):

@@ -15,9 +15,8 @@ from repro.models import get_workload, workload_names
 from repro.pipelines.registry import get_pipeline
 from repro.shard import (ARTIFACT_VERSION, ArtifactStore,
                          deserialize_compiled, serialize_compiled)
+from repro.serve import ServePolicy, Server
 from repro.shard.worker import _publish
-from repro.tune import Schedule, TuningDB
-from repro.tune.db import serving_key
 
 GRAPH_PIPELINES = ("tensorssa", "dynamo_inductor", "ts_nvfuser",
                    "ts_nnc")
@@ -117,7 +116,7 @@ class TestRoundTrip:
         pipe = get_pipeline("tensorssa")
         cache = CompileCache()
         args = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
-        compiled, _, family, _, _ = fetch(
+        compiled, _, family, _ = fetch(
             pipe, wl, args, cache=cache, dynamic_shapes=True)
         key = compile_key(pipe, wl, family=family)
         restored = deserialize_compiled(
@@ -391,36 +390,48 @@ class TestBackwardArtifacts:
             deserialize_compiled(_tampered(
                 data, lambda payload: payload.update(version=5)))
 
-    def test_family_x_tuned_schedule_x_artifact_x_backward(self, tmp_path):
-        """The features in combination (ROADMAP aim 3): a symbolic
-        family's backward artifact, restored through the store, served
-        at a *different* member of the family under a tuned non-default
-        schedule read from a TuningDB — bit-exact with the interpreted
-        reference backward of the eager program.  attention's backward
-        runs its forward-with-stash and its reverse scan as horizontal
-        loops, so the tuned schedule runs different kernels, not only a
-        different id."""
+    def test_family_x_artifact_x_batched_server_x_backward(self, tmp_path):
+        """The features in combination (ROADMAP aim 3): attention's
+        forward and backward family artifacts, restored through the
+        store, each served at a *different* member of its family — the
+        forward by a batched ``Server`` that coalesces three requests
+        into one call, the backward by the harness — bit-exact with
+        eager on the coalesced batch and with the interpreted reference
+        backward.  Every horizontal loop of both restored graphs (the
+        forward's, and the backward's forward-with-stash and reverse
+        scan) runs its one kernel."""
         wl, pipe = get_workload("attention"), get_pipeline("tensorssa")
-        sched = Schedule(hloop_unroll=2)
         cache = CompileCache()
         run_workload("attention", "tensorssa", cache=cache, **self.RUN)
-        family = cache.families.all_families()[0]
-        db = TuningDB(str(tmp_path / "tune"))
-        db.put(serving_key("attention", (), family), sched)
+        run_workload("attention", "tensorssa", cache=cache,
+                     **{**self.RUN, "grad": False})
+        assert _publish(cache, ArtifactStore(str(tmp_path)), set()) == 2
+        store, warm = ArtifactStore(str(tmp_path)), CompileCache()
+        assert store.warm_start(warm) == 2 and store.errors == 0
 
-        warm = self._published(tmp_path / "store", cache)
-        warm.tuning_db = db
+        policy = ServePolicy(workers=1, max_batch_size=3,
+                             dynamic_shapes=True, verify="batch")
+        with Server(policy, cache=warm) as srv:
+            futs = srv.submit_many(
+                [dict(workload="attention", seq_len=12, seed=seed)
+                 for seed in range(3)])
+            resps = [f.result(timeout=60) for f in futs]
+        for resp in resps:
+            assert resp.ok and resp.served_by == "tensorssa"
+            assert resp.cache_hit and resp.batch_requests == 3
+            assert resp.verified is True
         served = run_workload("attention", "tensorssa", cache=warm,
                               check=True, **{**self.RUN, "batch_size": 3,
                                              "seq_len": 12})
         assert served.cache_hit and served.family_outcome == "hit"
-        assert served.tuned and served.schedule_id == sched.schedule_id
-        assert warm.snapshot().misses == 0 and db.searches == 0
-        (_, restored, _), = warm.entries()
-        loops = [n for n in restored.graph.walk()
-                 if n.attrs.get("horizontal")]
-        assert loops and all(list(n.attrs.get("kernel_variants", {}))
-                             == [("unroll", 2)] for n in loops)
+        assert warm.snapshot().misses == 0
+        assert warm.snapshot().guard_misses == 0
+        for _, restored, _ in warm.entries():
+            loops = [n for n in restored.graph.walk()
+                     if n.attrs.get("horizontal")]
+            assert loops and all(
+                [k for k in n.attrs if "kernel" in k] == ["kernel"]
+                for n in loops)
 
         args = wl.make_inputs(batch_size=3, seq_len=12, seed=0)
         reference = fetch(pipe, wl, args, cache=CompileCache(),

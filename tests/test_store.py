@@ -1,24 +1,20 @@
-"""The keyed file store both persistent maps sit on."""
+"""The keyed file store the artifact index sits on."""
 
-import json
+import multiprocessing
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.store import KeyedFileStore, atomic_write
-from repro.tune import TuningDB
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def test_round_trip_scan_and_layout(tmp_path):
-    store = KeyedFileStore(tmp_path / "entries", ".json")
+    store = KeyedFileStore(tmp_path / "entries")
     assert store.read("k1") is None and len(store) == 0
     path = store.write("k1", {"key": "k1", "v": 1}, indent=1)
     store.write("k2", {"key": "k2", "v": 2})
     store.write("k1", {"key": "k1", "v": 3})  # replace, not append
-    assert path == store.path("k1") and path.endswith(".json")
+    assert path == store.path("k1")
     assert os.path.dirname(path) == str(tmp_path / "entries")
     assert store.read("k1") == {"key": "k1", "v": 3}
     assert len(store) == 2
@@ -40,17 +36,24 @@ def test_corrupt_entries_raise_on_read_and_are_skipped_by_scan(tmp_path):
     assert [r["key"] for r in store.scan()] == ["good"]
 
 
-def test_committed_tune_db_still_loads():
-    """The on-disk layout is unchanged: every record of the committed
-    ``results/tune_db`` (written before the store was extracted) is
-    found under its key and accepted."""
-    root = REPO / "results" / "tune_db"
-    db = TuningDB(str(root))
-    keys = db.keys()
-    assert keys and len(keys) == len(os.listdir(root / "entries"))
-    for key in keys:
-        assert db.best(key) is not None
-        assert json.loads(db.get_record(key)["key"]) == list(key)
-    snap = db.snapshot()
-    assert snap["rejected"] == 0 and snap["misses"] == 0
-    assert snap["size"] == len(keys)
+def _put_worker(directory, i):
+    store = KeyedFileStore(directory)
+    store.write(f"k{i}", {"key": f"k{i}", "i": i})
+    store.write("shared", {"key": "shared", "i": i})
+    return store.read(f"k{i}") is not None
+
+
+def test_cross_process_writes_all_land(tmp_path):
+    """Writers in separate processes never lose each other's keys, and
+    a key they all replace holds one whole record: the last writer's."""
+    n = 8
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(4) as pool:
+        oks = pool.starmap(_put_worker, [(str(tmp_path), i)
+                                         for i in range(n)])
+    assert all(oks)
+    store = KeyedFileStore(tmp_path)
+    assert len(store) == n + 1
+    for i in range(n):
+        assert store.read(f"k{i}") == {"key": f"k{i}", "i": i}
+    assert store.read("shared")["i"] in range(n)
