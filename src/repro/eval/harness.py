@@ -54,12 +54,6 @@ class RunResult:
     cache_misses: int = 0
     cache_hit: bool = False
     cache_epoch: int = 0
-    #: guard-flip recompiles (family keying; see ``dynamic_shapes``)
-    cache_guard_misses: int = 0
-    #: shape-family observability when the run used ``dynamic_shapes``:
-    #: which family served it and the table verdict (hit/new/guard_miss)
-    family_id: str = ""
-    family_outcome: str = ""
     wallclock_s: Optional[float] = None
     #: degradation-ladder observability (``run_workload_resilient``):
     #: which rung actually served the run, how far down the chain it
@@ -105,14 +99,8 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
                  check: bool = False, measure_wallclock: bool = False,
                  repeats: int = 3,
                  cache: Optional[CompileCache] = None,
-                 dynamic_shapes: bool = False,
                  grad: bool = False) -> RunResult:
     """Execute one (workload, pipeline) pair and price it.
-
-    ``dynamic_shapes`` keys the compile cache on the shape *family* of
-    the inputs instead of their concrete signature, so new batch sizes
-    or sequence lengths inside an existing family replay the cached
-    artifact (0 compiles) instead of recompiling.
 
     ``grad=True`` compiles and executes the *backward* graph (input
     gradients of the sum-of-outputs loss) instead of the forward one;
@@ -133,9 +121,8 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
                               seed=seed)
         with obs_trace.span("harness:compile", cat="compile",
                             pipeline=pipeline, workload=workload):
-            compiled, was_hit, family, family_outcome = fetch(
-                pipe, wl, args, cache=cache, dynamic_shapes=dynamic_shapes,
-                grad=grad)
+            compiled, was_hit = fetch(pipe, wl, args, cache=cache,
+                                      grad=grad)
 
         with obs_trace.span("harness:execute", cat="exec",
                             pipeline=pipeline, workload=workload):
@@ -187,9 +174,6 @@ def run_workload(workload: str, pipeline: str, platform: str = "datacenter",
             cache_misses=snap.misses,
             cache_hit=was_hit,
             cache_epoch=snap.epoch,
-            cache_guard_misses=snap.guard_misses,
-            family_id=family.family_id if family is not None else "",
-            family_outcome=family_outcome,
             wallclock_s=wallclock,
             served_by=pipeline,
             outputs=outputs,

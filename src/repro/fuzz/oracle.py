@@ -22,12 +22,10 @@ For a generated (or corpus) program the oracle:
 5. asserts profiler conservation laws — a memory pool may only reuse
    bytes that were previously released (``bytes_reused <=
    bytes_freed``), and the arena peak equals fresh growth;
-6. replays the program at several *row extents* through the symbolic
-   shape-family path (``repro.symshape``): all extents must resolve to
-   **one** family on the TensorSSA pipeline (first ``new``, rest
-   ``hit``) and the single compiled artifact must stay bit-exact
-   against eager at every extent — the fuzzed counterpart of the
-   serving layer's duck-shaped compile cache;
+6. compiles the program once on the TensorSSA pipeline and replays
+   that one artifact at several *row extents*, bit-exact against eager
+   at every extent — the fuzzed counterpart of the compile cache
+   serving every shape of a program from one artifact;
 7. builds the **backward graph** of differentiable programs
    (``repro.grad``) and demands the optimized backward be bit-exact
    with the raw interpreted backward at every variant, and the
@@ -56,7 +54,6 @@ from ..ir import parse_graph, print_graph, verify, verify_mutations
 from ..ir.verifier import VerificationError
 from ..pipelines import registry as pipeline_registry
 from ..pipelines.base import Pipeline
-from ..symshape.family import FamilyTable, compiling_family
 from .generator import FuzzProgram, PROGRAM_COLS, make_inputs
 
 __all__ = ["CorpusProgram", "FuzzFailure", "OracleConfig",
@@ -111,10 +108,10 @@ class OracleConfig:
     pipelines: Optional[Sequence] = None
     check_graph: bool = True
     check_roundtrip: bool = True
-    #: replay at several row extents through one shape family (check 6)
-    check_families: bool = True
-    #: row extents for the family replay; first one seeds the family
-    family_extents: Tuple[int, ...] = (4, 6, 8)
+    #: replay one artifact at several row extents (check 6)
+    check_extents: bool = True
+    #: row extents for that replay; the artifact compiles at the first
+    replay_extents: Tuple[int, ...] = (4, 6, 8)
     #: build the backward graph, FD grad-check it, and demand the
     #: optimized backward be bit-exact with the interpreted one (check 7)
     check_grad: bool = True
@@ -132,7 +129,7 @@ class FuzzFailure:
     pipeline: str
     kind: str       # compile-error | runtime-error | output-mismatch |
                     # input-mutation | graph-invariant | roundtrip |
-                    # profile-invariant | family-split | grad-divergence
+                    # profile-invariant | grad-divergence
     detail: str
     #: ``(flag, n)``, or ``(flag, n, "float64")`` on the float64 payload
     variant: Optional[tuple] = None
@@ -215,82 +212,57 @@ def _check_profile(prof) -> Optional[str]:
     return None
 
 
-def _check_families(program: FuzzProgram, fn: Callable,
-                    config: OracleConfig) -> Optional[FuzzFailure]:
-    """Oracle check 6: many extents, one family, one artifact, bit-exact.
+def _check_extents(program: FuzzProgram, fn: Callable,
+                   config: OracleConfig) -> Optional[FuzzFailure]:
+    """Oracle check 6: one artifact, many extents, bit-exact.
 
-    Replays the program on the TensorSSA pipeline (the paper pipeline,
-    whose artifacts are shape-polymorphic) at each row extent in
-    ``config.family_extents``, resolving every extent's input signature
-    against one private :class:`~repro.symshape.FamilyTable`.  The
-    first extent must mint the family (outcome ``new``); every later
-    extent must land in it (outcome ``hit``) and be served by the
-    artifact compiled at the first extent, bit-exactly.
+    Compiles the program once on the TensorSSA pipeline (the paper
+    pipeline, whose compile reads no input shapes) at the first row
+    extent in ``config.replay_extents``, and demands that one artifact
+    be bit-exact with eager at every extent.
 
     Generated programs may hard-code row windows (``y[0:4]``) whose
     *eager* semantics only hold near the generator's shape — an extent
     where the eager reference itself raises is skipped rather than
-    reported, because the family contract only covers shapes the
-    program is defined on.
+    reported, because the contract only covers shapes the program is
+    defined on.
     """
     pipe = pipeline_registry.get_pipeline("tensorssa")
     _, default_variants = make_inputs(program.seed)
     flag, n = list(config.variants or default_variants)[0]
-    families = FamilyTable()
     compiled = None
-    seed_family = None
-    step = 0
-    for rows in config.family_extents:
+    for rows in config.replay_extents:
         rng = np.random.RandomState((program.seed ^ 0x5EED) + rows)
         x_data = rng.uniform(-1.0, 1.0,
                              size=(rows, PROGRAM_COLS)).astype(np.float32)
         try:
             expected = fn(rt.from_numpy(x_data), flag, n)
         except Exception:
-            if step == 0:
-                return None  # not even the seed extent is runnable
+            if compiled is None:
+                return None  # not even the first extent is runnable
             continue  # program not shape-polymorphic at this extent
-        signature = ((rows, PROGRAM_COLS), flag, n)
-        family, outcome = families.resolve((pipe.name, program.name),
-                                           signature)
-        expect = "new" if step == 0 else "hit"
-        if outcome != expect:
-            detail = (f"extent rows={rows} resolved as {outcome!r} "
-                      f"(expected {expect!r})")
-            if seed_family is not None:
-                detail += f"; seed family was {seed_family.describe()}"
-            return FuzzFailure(program, pipe.name, "family-split", detail,
-                               variant=(flag, n))
-        if step == 0:
-            seed_family = family
+        if compiled is None:
             try:
-                try:
-                    with compiling_family(family):
-                        compiled = pipe.compile(
-                            fn, example_args=(rt.from_numpy(x_data),
-                                              flag, n))
-                finally:
-                    family.seal()
+                compiled = pipe.compile(fn)
             except Exception as exc:
                 return FuzzFailure(program, pipe.name, "compile-error",
-                                   f"family compile: "
+                                   f"extent replay compile: "
                                    f"{type(exc).__name__}: {exc}",
                                    variant=(flag, n))
         try:
             got = compiled(rt.from_numpy(x_data), flag, n)
         except Exception as exc:
             return FuzzFailure(program, pipe.name, "runtime-error",
-                               f"family artifact at rows={rows}: "
+                               f"artifact at rows={rows}: "
                                f"{type(exc).__name__}: {exc}",
                                variant=(flag, n))
         mismatch = _diff_outputs(expected, got)
         if mismatch is not None:
             return FuzzFailure(
                 program, pipe.name, "output-mismatch",
-                f"family artifact (compiled at rows="
-                f"{config.family_extents[0]}) diverges at rows={rows}: "
+                f"artifact (compiled at rows="
+                f"{config.replay_extents[0]}) diverges at rows={rows}: "
                 f"{mismatch}", variant=(flag, n))
-        step += 1
     return None
 
 
@@ -468,8 +440,8 @@ def run_oracle(program: FuzzProgram,
                                        "profile-invariant", profile_issue,
                                        variant=variant, ir=ir_text)
 
-    if config.check_families:
-        failure = _check_families(program, fn, config)
+    if config.check_extents:
+        failure = _check_extents(program, fn, config)
         if failure is not None:
             return failure
 

@@ -2,8 +2,8 @@
 
 ``repro.grad`` turns a functionalized forward graph into a plain
 TensorSSA backward graph — no tape, no runtime autograd state — so the
-whole existing stack (pass pipeline, memory planner, compile cache and
-shape families, serve batcher) optimizes and executes gradients with
+whole existing stack (pass pipeline, memory planner, compile cache,
+serve batcher) optimizes and executes gradients with
 zero special cases.  See DESIGN.md §15 for the construction.
 
 Public surface:

@@ -129,8 +129,8 @@ _plans_built = 0
 
 def plans_built() -> int:
     """How many plans this process has actually computed (memoized
-    replays do not count) — the observable the warm-family acceptance
-    check reads: a family hit must add 0 to this."""
+    replays do not count) — the observable the warm-shape acceptance
+    check reads: a cache hit at a new input shape must add 0 to this."""
     return _plans_built
 
 

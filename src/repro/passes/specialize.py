@@ -7,12 +7,10 @@ shapes (guards re-check them per call).  This pass folds
 constant and unrollable.  Scripted pipelines (TorchScript, TensorSSA)
 deliberately do **not** run it — they stay shape-generic, as in PyTorch.
 
-When a shape-family compile is active (``repro.symshape``), every fold
-records the matching equality guard (``s_k == extent``) on the family:
-the folded constant is only correct while that dim keeps its example
-extent, so a later lookup at a different extent must be a guard miss
-(recompile) rather than a wrong replay — exactly Dynamo's guard
-behaviour.
+A folded constant is only correct at the example shapes, which is why
+the compile cache keys a specializing pipeline's artifact on the
+inputs' shape signature (``Pipeline.needs_example_inputs``): another
+shape is a miss that recompiles, never a wrong replay.
 """
 
 from __future__ import annotations
@@ -21,25 +19,20 @@ from typing import Sequence
 
 from ..ir.graph import Graph
 from ..runtime.tensor import Tensor
-from ..symshape.family import record_specialization_guard
 
 
 def specialize_shapes(graph: Graph, example_args: Sequence[object]) -> int:
     """Fold input shape queries given example arguments; returns the
     number of folded nodes."""
     shapes = {}
-    arg_index = {}
-    for i, (param, arg) in enumerate(zip(graph.inputs, example_args)):
+    for param, arg in zip(graph.inputs, example_args):
         if isinstance(arg, Tensor):
             shapes[id(param)] = arg.shape
-            arg_index[id(param)] = i
         elif isinstance(arg, (int, bool)):
             shapes[id(param)] = arg  # scalar inputs specialize too
-            arg_index[id(param)] = i
     folded = 0
     for node in list(graph.walk()):
         value = None
-        guard_dims: Sequence[int] = ()
         if node.op == "aten::size" and node.inputs and \
                 id(node.input(0)) in shapes:
             shape = shapes[id(node.input(0))]
@@ -47,40 +40,28 @@ def specialize_shapes(graph: Graph, example_args: Sequence[object]) -> int:
             if dim_v is not None and dim_v.node is not None and \
                     dim_v.node.op == "prim::Constant" and \
                     isinstance(shape, tuple):
-                dim = dim_v.node.attrs["value"]
-                value = shape[dim]
-                guard_dims = (dim % len(shape),)
+                value = shape[dim_v.node.attrs["value"]]
         elif node.op == "aten::numel" and id(node.input(0)) in shapes:
             shape = shapes[id(node.input(0))]
             if isinstance(shape, tuple):
                 value = 1
                 for s in shape:
                     value *= s
-                # the product is only stable if every extent is
-                guard_dims = range(len(shape))
         elif node.op == "aten::dim" and id(node.input(0)) in shapes:
             shape = shapes[id(node.input(0))]
             if isinstance(shape, tuple):
-                value = len(shape)  # rank is structural: no guard
+                value = len(shape)
         if value is None:
             continue
-        src = arg_index.get(id(node.input(0)))
-        if src is not None:
-            shape = shapes[id(node.input(0))]
-            for dim in guard_dims:
-                record_specialization_guard(src, dim, shape[dim])
         const = graph.constant(value)
         node.owning_block.insert_before(node, const)
         node.output().replace_all_uses_with(const.output())
         node.destroy()
         folded += 1
     # specialize *scalar* graph inputs (Dynamo guards on int args)
-    for i, (param, arg) in enumerate(zip(graph.inputs, example_args)):
+    for param, arg in zip(graph.inputs, example_args):
         if isinstance(arg, (int, bool)) and not isinstance(arg, Tensor) \
                 and param.uses:
-            if not isinstance(arg, bool):
-                # bools split families structurally; ints need a guard
-                record_specialization_guard(i, None, arg)
             const = graph.constant(arg)
             graph.block.insert(0, const)
             param.replace_all_uses_with(const.output())

@@ -14,7 +14,7 @@ batch axis (and where it sits) and which are shared model state
 * their *shared* arguments are the same tensors (object identity —
   the server contract is that model state is loaded once and reused),
 * their batched arguments agree on every non-batch dimension and dtype
-  (the same shape-specialization rule the compile cache keys on), and
+  (so they concatenate), and
 * their non-tensor arguments are equal.
 
 Workloads without a spec still serve — each request just executes
@@ -38,8 +38,8 @@ import numpy as np
 
 import repro.runtime as rt
 
-from ..symshape.bucketing import (PadSpec, bucket_extent, get_pad_spec,
-                                  pad_args, request_extent, unpad_outputs)
+from .bucketing import (PadSpec, bucket_extent, get_pad_spec, pad_args,
+                        request_extent, unpad_outputs)
 from .request import Request
 
 
@@ -121,10 +121,10 @@ def request_rows(spec: Optional[BatchSpec], args: Sequence) -> int:
 def group_key(req: Request, bucket_min: Optional[int] = None) -> tuple:
     """Coalescing key: requests with equal keys may share one batch.
 
-    Built from the same ingredients as the compile cache's
-    shape-specialization key, minus the batch extent itself (which the
-    coalesced run sums), plus the identity of shared model state.
-    Requests without a spec get a key unique to themselves.
+    Built from each batched argument's shape and dtype, minus the
+    batch extent itself (which the coalesced run sums), plus the
+    identity of shared model state.  Requests without a spec get a key
+    unique to themselves.
 
     With ``bucket_min`` set (dynamic-shape serving), each argument's
     padded sequence extent is replaced by its power-of-two bucket, so

@@ -1,15 +1,14 @@
 """Bucketed padding: coalesce near-miss sequence lengths into one run.
 
-Even with shape families, a batcher that groups on *exact* sequence
-length fragments diverse traffic into tiny per-length batches.  The
-standard serving fix is bucketing: round each request's variable
-extent up to a power-of-two bucket (``>= bucket_min``), zero-pad the
-sequence axis to the bucket, run one fused kernel per bucket, and
-slice the real rows back out on scatter.  Padding happens host-side
-(no device launches), and the un-padded region's bit-exactness is
-enforced by the executor's existing ``verify="batch"`` oracle, which
-runs eager on the *identical padded inputs* and un-pads both sides the
-same way.
+A batcher that groups on *exact* sequence length fragments diverse
+traffic into tiny per-length batches.  The standard serving fix is
+bucketing: round each request's variable extent up to a power-of-two
+bucket (``>= bucket_min``), zero-pad the sequence axis to the bucket,
+run one batch per bucket, and slice the real rows back out on
+scatter.  Padding happens host-side (no device launches), and the
+un-padded region's bit-exactness is enforced by the executor's
+existing ``verify="batch"`` oracle, which runs eager on the *identical
+padded inputs* and un-pads both sides the same way.
 
 A :class:`PadSpec` names, per workload, which argument carries the
 padded extent (and on which axis) and which *axes of each output*

@@ -3,7 +3,7 @@
 The executor is where a coalesced batch meets the existing pipelines:
 it routes compilation through :func:`repro.eval.cache.fetch` into the
 server's injectable :class:`~repro.eval.cache.CompileCache`
-(shape-specialized, in-flight deduplicated), runs the compiled
+(one artifact per program, in-flight deduplicated), runs the compiled
 callable with :func:`repro.eval.harness.timed_call` (unprofiled: a
 batch pays for its kernels only, unless a trace or fault plan listens),
 and scatters outputs back per request.
@@ -52,7 +52,6 @@ from ..eval.cache import CompileCache, clone_args, fetch
 from ..faults import SITE_BATCH_EXEC, maybe_inject
 from ..obs import trace as obs_trace
 from ..pipelines import Pipeline, get_pipeline
-from ..symshape.bucketing import get_pad_spec
 from .batching import BatchPlan, coalesce, scatter
 from .policy import VERIFY_BATCH, VERIFY_OFF, VERIFY_SOLO, ServePolicy
 from .request import (Request, Response, STATUS_ERROR, STATUS_OK,
@@ -98,9 +97,10 @@ class BatchExecutor:
 
     def _coalesce(self, requests: List[Request]) -> BatchPlan:
         """Coalesce under a ``serve:coalesce`` span, stamping each
-        member's timeline with the batch it rode in.  Under dynamic
-        shapes the plan pads to the group's bucket and the pad traffic
-        (real vs padded sequence units) is recorded on the stats."""
+        member's timeline with the batch it rode in.  Under
+        ``dynamic_shapes`` the plan pads to the group's bucket and the
+        pad traffic (real vs padded sequence units) is recorded on the
+        stats."""
         bucket_min = self.policy.bucket_min \
             if self.policy.dynamic_shapes else None
         with obs_trace.span("serve:coalesce", cat="serve",
@@ -226,8 +226,6 @@ class BatchExecutor:
             # near a deadline only an already-resident artifact will do:
             # don't start a cold compile the deadline cannot absorb
             fetched = fetch(pipe, wl, plan.args, cache=self.cache,
-                            dynamic_shapes=self.policy.dynamic_shapes,
-                            mod_hints=self._mod_hints(wl, plan),
                             cold=not self._deadline_near(plan))
         except Exception as exc:
             err = classify(exc)
@@ -278,19 +276,6 @@ class BatchExecutor:
         now = time.monotonic()
         return any(r.remaining(now) < self.policy.deadline_slack_s
                    for r in plan.requests)
-
-    def _mod_hints(self, wl, plan: BatchPlan):
-        """Divisibility hints for a padded plan: every padded axis is a
-        multiple of ``bucket_min`` (buckets are ``bucket_min * 2^k``),
-        so a freshly minted family may guard on it."""
-        if plan.pad_bucket is None:
-            return ()
-        pad_spec = get_pad_spec(wl.name)
-        if pad_spec is None:
-            return ()
-        return tuple((i, axis, self.policy.bucket_min)
-                     for i, axis in enumerate(pad_spec.arg_axes)
-                     if axis is not None)
 
     # -- oracles --------------------------------------------------------
 

@@ -73,10 +73,9 @@ class ServePolicy:
     retry_max_delay_s: float = 0.05
     #: seed of the executor's jitter RNG (deterministic backoff in tests)
     retry_seed: int = 0
-    #: key compiles on shape *families* (repro.symshape) instead of
-    #: concrete signatures, and bucket variable sequence lengths into
-    #: power-of-two pads so near-miss lengths share one batch and one
-    #: artifact.  Requires ``verify`` "off" or "batch": the batch
+    #: pad variable sequence lengths to power-of-two buckets
+    #: (``serve.bucketing``) so near-miss lengths coalesce into one
+    #: batch.  Requires ``verify`` "off" or "batch": the batch
     #: oracle runs eager on the identical padded inputs, whereas
     #: "solo" would compare against the unpadded request and flag
     #: legitimate padded-state differences (e.g. an LSTM's final

@@ -6,9 +6,9 @@ onto N supervised *worker* processes, each running the existing
 continuous-batching :class:`repro.serve.server.Server` internally.
 Compiled programs cross the process boundary as versioned, checksummed
 *artifacts* (:mod:`repro.shard.artifact`): mutation-free TensorSSA
-graphs, their memory plans, shape-family guards, and compiled-kernel
-descriptions, persisted in a content-addressed store so a restarted
-worker warm-starts with zero cold compiles.
+graphs, their memory plans and compiled-kernel descriptions, persisted
+in a content-addressed store so a restarted worker warm-starts with
+zero cold compiles.
 
 Robustness is the point: per-worker heartbeats with deadline
 detection, crash detection via sentinel + join, typed

@@ -1,9 +1,8 @@
 """Versioned, checksummed serialization of compiled programs.
 
 A compiled artifact — the functional TensorSSA graph, its memory-plan
-slot table, the shape-family guards it was specialized under, and
-descriptions of its fused kernels — is exactly the state a worker
-process must rebuild after a crash.  Because holistic
+slot table, and descriptions of its fused kernels — is exactly the
+state a worker process must rebuild after a crash.  Because holistic
 functionalization leaves the graph mutation-free, that state is a pure
 value: this module flattens it to canonical JSON, seals it in a
 checksummed envelope, and restores it to a runnable
@@ -13,8 +12,8 @@ with a fresh compile.
 Format (envelope)::
 
     {"magic": "repro-artifact", "checksum": sha256(payload-json),
-     "payload": {"version": 7, "pipeline": ..., "key": ...,
-                 "graph": ..., "memplan": ..., "family": ...,
+     "payload": {"version": 8, "pipeline": ..., "key": ...,
+                 "graph": ..., "memplan": ...,
                  "kernels": [...], "program_sha256": ...,
                  "stats": {...}, "grad_reference": ...}}
 
@@ -75,9 +74,6 @@ from ..pipelines.base import Compiled, graph_runner
 from ..runtime.dtype import DType
 from ..runtime.tensor import Tensor
 from ..store import KeyedFileStore, atomic_write
-from ..symshape.family import ShapeFamily
-from ..symshape.guards import Guard
-from ..symshape.symbols import SymInt
 
 __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
            "deserialize_compiled", "ArtifactStore"]
@@ -92,8 +88,10 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: 6: ``out=`` members write dying inputs, and the gradient glue
 #: (``grad::unbroadcast`` / ``grad::reshape_like``) fuses;
 #: 7: slots and families drop their byte / extent bounds, so the
-#: plan is a function of the graph alone)
-ARTIFACT_VERSION = 7
+#: plan is a function of the graph alone;
+#: 8: the shape-family record is gone — the key says what the compile
+#: read)
+ARTIFACT_VERSION = 8
 
 _MAGIC = "repro-artifact"
 
@@ -303,87 +301,6 @@ def decode_graph(spec: dict) -> Graph:
     return graph
 
 
-# -- symbolic-shape codec ----------------------------------------------
-
-def _encode_symint(sym: SymInt) -> dict:
-    if sym.is_symbol:
-        return {"k": "sym", "name": sym.name}
-    return {"k": "const", "value": sym.value}
-
-
-def _decode_symint(spec: dict) -> SymInt:
-    kind = spec.get("k")
-    if kind == "sym":
-        return SymInt.sym(spec["name"])
-    if kind == "const":
-        return SymInt.const(spec["value"])
-    raise ArtifactError(f"unknown symint tag {kind!r}")
-
-
-def _encode_sym_signature(signature) -> list:
-    out = []
-    for entry in signature:
-        if isinstance(entry, tuple):
-            out.append({"k": "dims",
-                        "dims": [_encode_symint(d) for d in entry]})
-        elif isinstance(entry, SymInt):
-            out.append(_encode_symint(entry))
-        else:
-            out.append({"k": "lit", "value": _encode_payload(entry)})
-    return out
-
-
-def _decode_sym_signature(spec: list) -> tuple:
-    out = []
-    for entry in spec:
-        kind = entry.get("k") if isinstance(entry, dict) else None
-        if kind == "dims":
-            out.append(tuple(_decode_symint(d) for d in entry["dims"]))
-        elif kind == "lit":
-            out.append(_decode_payload(entry["value"]))
-        else:
-            out.append(_decode_symint(entry))
-    return tuple(out)
-
-
-def _encode_family(family: ShapeFamily) -> dict:
-    # the seed env is not stored on the family; rebinding the seed
-    # signature against the symbolic one recovers it exactly
-    seed_env = family.bind(family.seed_signature) or {}
-    return {
-        "family_id": family.family_id,
-        "prefix": _encode_payload(tuple(family.prefix)),
-        "signature": _encode_sym_signature(family.signature),
-        "seed_signature": _encode_payload(tuple(family.seed_signature)),
-        "seed_env": seed_env,
-        "guards": [{"kind": g.kind, "lhs": _encode_symint(g.lhs),
-                    "rhs": g.rhs, "aux": g.aux}
-                   for g in family.guards],
-    }
-
-
-def _decode_family(spec: dict) -> ShapeFamily:
-    seed_env = {str(k): int(v) for k, v in spec["seed_env"].items()}
-    family = ShapeFamily(
-        family_id=spec["family_id"],
-        prefix=_decode_payload(spec["prefix"]),
-        signature=_decode_sym_signature(spec["signature"]),
-        seed_signature=_decode_payload(spec["seed_signature"]),
-        seed_env=seed_env)
-    # GuardSet deduplicates, so re-adding the implicit >=2 guards that
-    # __init__ already minted is harmless
-    for gspec in spec["guards"]:
-        try:
-            family.guards.add(Guard(gspec["kind"],
-                                    _decode_symint(gspec["lhs"]),
-                                    gspec["rhs"], gspec.get("aux", 0)))
-        except ValueError as exc:
-            raise ArtifactError(f"invalid guard in artifact: {exc}") \
-                from exc
-    family.seal()
-    return family
-
-
 # -- kernel descriptions -----------------------------------------------
 
 def _kernel_kind(node: Node) -> Optional[str]:
@@ -513,20 +430,16 @@ class RestoredArtifact:
     compiled: Compiled
     key: tuple
     pipeline: str
-    family: Optional[ShapeFamily] = None
     #: kernels pre-compiled during restore (all of them — the warm
     #: path never compiles lazily)
     kernels_built: int = 0
 
 
-def serialize_compiled(compiled: Compiled, key: tuple,
-                       family: Optional[ShapeFamily] = None) -> bytes:
+def serialize_compiled(compiled: Compiled, key: tuple) -> bytes:
     """Flatten one compiled program to a checksummed artifact.
 
     ``key`` is the compile-cache key the artifact should be restored
-    under (see :func:`repro.eval.cache.compile_key`); ``family`` is
-    the shape family it was compiled inside, when family-keyed.
-    Graph-free pipelines (eager) raise :class:`ArtifactError` — there
+    under (see :func:`repro.eval.cache.compile_key`).  Graph-free pipelines (eager) raise :class:`ArtifactError` — there
     is nothing stable to ship.
     """
     if compiled.graph is None:
@@ -542,8 +455,6 @@ def serialize_compiled(compiled: Compiled, key: tuple,
             "key": _encode_payload(tuple(key)),
             "graph": encode_graph(compiled.graph),
             "memplan": _encode_plan(plan),
-            "family": _encode_family(family) if family is not None
-            else None,
             "kernels": _encode_kernels(compiled.graph),
             "program_sha256": _program_digest(compiled.graph, plan),
             "stats": _jsonable_stats(compiled.stats),
@@ -585,8 +496,6 @@ def deserialize_compiled(data: bytes) -> RestoredArtifact:
         try:
             key = _decode_payload(payload["key"])
             graph = decode_graph(payload["graph"])
-            family = _decode_family(payload["family"]) \
-                if payload.get("family") is not None else None
             plan = _restore_plan(graph, payload.get("memplan"))
             built = _restore_kernels(graph, payload.get("kernels", ()))
             _restore_program(graph, plan, payload.get("program_sha256"))
@@ -605,7 +514,7 @@ def deserialize_compiled(data: bytes) -> RestoredArtifact:
                             graph=graph, stats=stats)
         return RestoredArtifact(compiled=compiled, key=key,
                                 pipeline=payload["pipeline"],
-                                family=family, kernels_built=built)
+                                kernels_built=built)
 
 
 # -- content-addressed store -------------------------------------------
@@ -637,12 +546,11 @@ class ArtifactStore:
     def _key_text(key: tuple) -> str:
         return _canonical(_encode_payload(tuple(key)))
 
-    def put(self, key: tuple, compiled: Compiled,
-            family: Optional[ShapeFamily] = None) -> str:
+    def put(self, key: tuple, compiled: Compiled) -> str:
         """Serialize and persist one compiled program; returns the
         object digest.  Idempotent: identical content maps to the same
         object."""
-        data = serialize_compiled(compiled, key, family=family)
+        data = serialize_compiled(compiled, key)
         digest = hashlib.sha256(data).hexdigest()
         key_text = self._key_text(key)
         with self._lock:
@@ -696,11 +604,9 @@ class ArtifactStore:
 
         Entries land via :meth:`CompileCache.put`, so the cache's miss
         counters stay untouched — a warm-started worker that then
-        serves only stored keys reports **zero** compiles.  A family
-        artifact's restored :class:`~repro.symshape.family.ShapeFamily`
-        goes in beside it (and so into the cache's family table), so
-        family-keyed lookups resolve to a hit.
-        Corrupt entries are skipped (counted in ``errors``), never
+        serves only stored keys reports **zero** compiles, at any input
+        shape of a stored program whose pipeline does not specialize on
+        shapes.  Corrupt entries are skipped (counted in ``errors``), never
         fatal: a missing warm entry just costs one cold compile.
         """
         warmed = 0
@@ -712,7 +618,6 @@ class ArtifactStore:
                     continue
                 if restored is None:
                     continue
-                cache.put(tuple(restored.key), restored.compiled,
-                          family=restored.family)
+                cache.put(tuple(restored.key), restored.compiled)
                 warmed += 1
         return warmed

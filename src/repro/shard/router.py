@@ -289,9 +289,8 @@ class ShardRouter:
     @staticmethod
     def ring_key(workload: str, pipeline: str, platform: str,
                  args: tuple) -> str:
-        """The shape-specialization key a request hashes on: every
-        request sharing it shares one compiled artifact and one batch
-        population, so they must share one worker."""
+        """The shape key a request hashes on: every request sharing it
+        shares one batch population, so they must share one worker."""
         sig = tuple(tuple(a.shape) if isinstance(a, Tensor) else repr(a)
                     for a in args)
         return f"{workload}/{pipeline}/{platform}/{sig}"

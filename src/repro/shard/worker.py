@@ -129,17 +129,15 @@ def _publish(cache: CompileCache, store: ArtifactStore,
              published: set) -> int:
     """Persist every not-yet-published compiled entry into the shared
     artifact store, so the *next* incarnation of any worker warm-starts
-    over this one's compilation work.  Family-keyed entries (forward
-    or backward) ship the :class:`~repro.symshape.family.ShapeFamily`
-    the cache keeps beside them.  Unserializable entries (eager,
+    over this one's compilation work.  Unserializable entries (eager,
     graph-free) are skipped silently — a missing artifact only costs a
     future cold compile."""
     count = 0
-    for key, compiled, family in cache.entries():
+    for key, compiled in cache.entries():
         if key in published or getattr(compiled, "graph", None) is None:
             continue
         try:
-            store.put(key, compiled, family=family)
+            store.put(key, compiled)
         except (ArtifactError, OSError):
             published.add(key)  # don't retry a hopeless entry forever
             continue
@@ -195,7 +193,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
     server = Server(policy=policy, cache=cache)
     chan.send(MSG_HELLO, {"worker": worker_id, "pid": os.getpid(),
                           "warmed": warmed,
-                          "compiles": cache.snapshot().compiles})
+                          "compiles": cache.snapshot().misses})
 
     stop_beacon = threading.Event()
     beacon = threading.Thread(
@@ -232,7 +230,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
             reply({"rid": rid, "worker": worker_id, "status": "error",
                    "error": f"{type(exc).__name__}: {exc}",
                    "typed": isinstance(exc, ReproError),
-                   "outputs": [], "compiles": cache.snapshot().compiles,
+                   "outputs": [], "compiles": cache.snapshot().misses,
                    "duplicate": False})
             return
         resp = fut.result()
@@ -246,7 +244,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
                "batch_rows": resp.batch_rows,
                "queue_wait_s": resp.queue_wait_s,
                "exec_wall_s": resp.exec_wall_s,
-               "compiles": cache.snapshot().compiles,
+               "compiles": cache.snapshot().misses,
                "duplicate": False})
 
     try:
@@ -261,7 +259,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
                 try:
                     chan.send(MSG_GOODBYE, {
                         "worker": worker_id,
-                        "compiles": cache.snapshot().compiles})
+                        "compiles": cache.snapshot().misses})
                 except ConnectionError:
                     pass
                 break

@@ -213,9 +213,9 @@ def serve_closed_loop(wl: Workload, pool: List[tuple], policy: ServePolicy,
     """One measured closed-loop run of ``requests`` (cycling ``pool``)
     against a fresh :class:`~repro.serve.Server`.  Untimed before it:
     a ``warmup`` burst, then one atomic ``submit_many`` of every size
-    1…``max_batch_size`` — each rides one batch, so the executor itself
-    compiles every batch shape the steady state can form, under its own
-    key.  Returns the :func:`tally` counts plus, over the timed run
+    1…``max_batch_size`` — each rides one batch, so every batch shape
+    the steady state can form has run, and every artifact it needs has
+    compiled, before the clock starts.  Returns the :func:`tally` counts plus, over the timed run
     alone, throughput, mean batch size and the compiles that still
     landed inside it (``timed_compiles``), and the server's stats."""
     def cycle(n: int) -> List[dict]:
@@ -228,7 +228,7 @@ def serve_closed_loop(wl: Workload, pool: List[tuple], policy: ServePolicy,
             wait(server.submit_many({"workload": wl, **common, **request}
                                     for request in cycle(rows)),
                  timeout=hang_timeout_s)
-        warm_compiles = server.cache.snapshot().compiles
+        warm_compiles = server.cache.snapshot().misses
         warm_batches = server.stats.batches_executed
         load = closed_loop(server, wl, cycle(requests), clients,
                            hang_timeout_s, **common)
@@ -243,7 +243,7 @@ def serve_closed_loop(wl: Workload, pool: List[tuple], policy: ServePolicy,
         "throughput_rps": requests / wall if wall > 0 else 0.0,
         "dropped": requests - counts["ok"] - counts["wrong"],
         "diverged": counts["wrong"],
-        "timed_compiles": server.cache.snapshot().compiles - warm_compiles,
+        "timed_compiles": server.cache.snapshot().misses - warm_compiles,
         "mean_batch_requests": (
             requests / max(1, stats["batches_executed"] - warm_batches)),
         "server": stats,

@@ -72,12 +72,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write minimized failures as JSON entries")
     parser.add_argument("--no-shrink", action="store_true",
                         help="report raw failures without minimizing")
-    parser.add_argument("--no-family-check", action="store_true",
-                        help="skip the multi-extent shape-family replay "
+    parser.add_argument("--no-extent-check", action="store_true",
+                        help="skip the one-artifact multi-extent replay "
                              "(oracle check 6)")
-    parser.add_argument("--family-extents", type=str, default="4,6,8",
-                        help="comma-separated row extents for the "
-                             "family replay (first seeds the family)")
+    parser.add_argument("--replay-extents", type=str, default="4,6,8",
+                        help="comma-separated row extents for that "
+                             "replay (the artifact compiles at the first)")
     parser.add_argument("--no-grad-check", action="store_true",
                         help="skip backward-graph construction and the "
                              "FD grad-check (oracle check 7)")
@@ -91,9 +91,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     pipelines = args.pipelines.split(",") if args.pipelines else None
     config = OracleConfig(
         pipelines=pipelines,
-        check_families=not args.no_family_check,
-        family_extents=tuple(int(e) for e in
-                             args.family_extents.split(",") if e.strip()),
+        check_extents=not args.no_extent_check,
+        replay_extents=tuple(int(e) for e in
+                             args.replay_extents.split(",") if e.strip()),
         check_grad=not args.no_grad_check,
         grad_samples=args.grad_samples)
     shown = pipelines or all_pipeline_names()

@@ -115,19 +115,17 @@ def inspect_workload(name: str, platform: str = "datacenter",
 
 def inspect_dynamic(name: str, seq_lens=(16, 24), batch_size: int = 2,
                     pipeline: str = "tensorssa") -> Dict[str, object]:
-    """Warm-family walkthrough: serve several lengths off one compile.
+    """Warm-shape walkthrough: serve several lengths off one compile.
 
-    Compiles ``name`` through the family-keyed cache path at the first
-    sequence length, then looks up each subsequent length; for every
-    step the report records the family id, the resolve outcome
-    (``new`` / ``hit`` / ``guard_miss``), how many compiles and memory
-    plans the step added, and whether the output matched eager
-    bit-exactly.  On the family pipeline a warm step should add **zero**
-    of both — that is the "second length in the family is free" claim
-    of the symbolic-shape design, made observable.  The walkthrough
-    ends by serializing every family artifact the cache now holds and
-    restoring it, as a respawned shard worker would; ``restore_errors``
-    lists each refusal.
+    Fetches ``name`` at each sequence length through one fresh compile
+    cache; for every step the report records whether the lookup hit,
+    how many compiles and memory plans the step added, and whether the
+    output matched eager bit-exactly.  On a pipeline that reads no
+    input shapes a warm step should add **zero** of both — one
+    artifact per program, made observable.  The walkthrough ends by
+    serializing every artifact the cache now holds and restoring it,
+    as a respawned shard worker would; ``restore_errors`` lists each
+    refusal.
     """
     wl = get_workload(name)
     pipe = next(p for p in default_pipelines() if p.name == pipeline)
@@ -135,59 +133,52 @@ def inspect_dynamic(name: str, seq_lens=(16, 24), batch_size: int = 2,
     steps: List[dict] = []
     for seq_len in seq_lens:
         args = wl.make_inputs(batch_size=batch_size, seq_len=seq_len)
-        compiles0 = cache.snapshot()
+        misses0 = cache.snapshot().misses
         plans0 = plans_built()
-        compiled, _, family, outcome = fetch(
-            pipe, wl, args, cache=cache, dynamic_shapes=True)
-        snap = cache.snapshot()
+        compiled, hit = fetch(pipe, wl, args, cache=cache)
         got = profiled_call(compiled, args)[0]
         want = rt.as_tuple(wl.model_fn(*clone_args(args)))
         steps.append({
             "seq_len": seq_len,
-            "family": family.family_id,
-            "outcome": outcome,
-            "compiles_added": snap.compiles - compiles0.compiles,
+            "hit": hit,
+            "compiles_added": cache.snapshot().misses - misses0,
             "plans_added": plans_built() - plans0,
             "bit_exact": rt.bit_exact(got, want),
         })
-    families = {f.family_id: f.describe()
-                for f in cache.families.all_families()}
+    entries = cache.entries()
     restore_errors = []
-    for key, compiled, family in cache.entries():
+    for key, compiled in entries:
         try:
-            deserialize_compiled(serialize_compiled(compiled, key,
-                                                    family=family))
+            deserialize_compiled(serialize_compiled(compiled, key))
         except ArtifactError as exc:
-            restore_errors.append(f"{family.family_id}: {exc}")
+            restore_errors.append(f"{key}: {exc}")
     return {"workload": name, "pipeline": pipeline, "steps": steps,
-            "families": families, "restore_errors": restore_errors}
+            "artifacts": len(entries), "restore_errors": restore_errors}
 
 
 def print_dynamic_report(report: Dict[str, object]) -> int:
     """Pretty-print an :func:`inspect_dynamic` report.
 
     Returns the number of violations: every step must be bit-exact,
-    every warm step (after the first) must be a family ``hit`` that
-    added 0 compiles and 0 memory plans, and every family artifact
-    must restore — which makes this directly usable as a CI gate.
+    every warm step (after the first) must be a cache hit that added 0
+    compiles and 0 memory plans, and every artifact must restore —
+    which makes this directly usable as a CI gate.
     """
     print(f"=== {report['workload']} ({report['pipeline']}, "
           f"dynamic shapes) ===")
     violations = 0
     for i, step in enumerate(report["steps"]):
-        warm_ok = (i == 0 or (step["outcome"] == "hit"
+        warm_ok = (i == 0 or (step["hit"]
                               and step["compiles_added"] == 0
                               and step["plans_added"] == 0))
         ok = warm_ok and step["bit_exact"]
         violations += 0 if ok else 1
-        print(f"  seq_len={step['seq_len']:<4} family={step['family']} "
-              f"outcome={step['outcome']:<10} "
+        print(f"  seq_len={step['seq_len']:<4} hit={step['hit']!s:<5} "
               f"compiles+{step['compiles_added']} "
               f"plans+{step['plans_added']} "
               f"bit_exact={step['bit_exact']}"
               + ("" if ok else "  <-- VIOLATION"))
-    for fid, desc in report["families"].items():
-        print(f"  {desc}")
+    print(f"  artifacts: {report['artifacts']}")
     for error in report["restore_errors"]:
         print(f"  restore {error}  <-- VIOLATION")
     if not report["restore_errors"]:
@@ -210,7 +201,6 @@ def print_report(name: str, report: Dict[str, dict],
     if cache:
         print(f"compile cache: epoch={cache['epoch']} "
               f"hits={cache['hits']} misses={cache['misses']} "
-              f"guard_misses={cache.get('guard_misses', 0)} "
               f"size={cache['size']}/{cache['capacity']}")
     for pipe, entry in report.items():
         if pipe.startswith("__"):
@@ -271,7 +261,7 @@ def print_report(name: str, report: Dict[str, dict],
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; with ``--dynamic`` the exit status counts
-    warm-family violations (non-hit / extra compile / extra plan /
+    warm-shape violations (non-hit / extra compile / extra plan /
     divergent steps / refused artifact restores), otherwise it is 0."""
     argv = argv if argv is not None else sys.argv[1:]
     show_plan = "--plan" in argv

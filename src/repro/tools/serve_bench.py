@@ -10,21 +10,21 @@ request pool, under two policies that differ in one thing:
   ``baseline`` (``max_batch_size=1``: same queues, same workers, no
   coalescing); ``--min-speedup`` gates the throughput ratio;
 * ``--dynamic-shapes`` — every request draws a *seeded random* length
-  from ``[--dyn-seq-min, --dyn-seq-max]``; ``family`` (lengths bucketed
-  to powers of two, cache keyed on shape families) vs ``concrete``
-  (exact-shape keys, so every novel length is a fresh compile and its
-  own batch group); ``--min-compile-ratio`` (default 5.0) gates that
-  the family path compiles that many times less often *and* achieves
-  strictly higher batch occupancy (mean batch size / max batch).
+  from ``[--dyn-seq-min, --dyn-seq-max]``; ``bucketed`` (lengths padded
+  to power-of-two buckets, so near-miss lengths share a batch) vs
+  ``exact`` (every length its own batch group).  Gated: each mode
+  compiles **exactly once** per (pipeline, workload) — one artifact
+  serves every length — and ``bucketed`` achieves strictly higher
+  batch occupancy (mean batch size / max batch).
 
 Every response is verified bit-exact against eager on the identical
 executed (padded) batch inputs (``verify="batch"``).  Every batch shape
-1…``--max-batch`` is compiled before the clock starts
+1…``--max-batch`` runs before the clock starts
 (``drive.serve_closed_loop``), so the ratio compares serving, not
 compile luck; each run reports throughput, latency percentiles,
-compiles per 1k requests (cache misses + guard misses; those inside the
-timed run separately), occupancy and the scheduler's flushes by reason
-to ``results/serve_bench.json``.  Always gated: with at least two
+compiles per 1k requests (cache misses; those inside the timed run
+separately), occupancy and the scheduler's flushes by reason to
+``results/serve_bench.json``.  Always gated: with at least two
 clients per worker, some workload's ``batched`` run must average 2 or
 more requests a batch — none doing so means the scheduler grabs
 requests one at a time.  Exit status = dropped +
@@ -45,14 +45,15 @@ from .drive import (common_args, request_pool, serve_closed_loop,
 
 
 #: the two policies compared, by ``--dynamic-shapes``: under test first
-MODES = {False: ("batched", "baseline"), True: ("family", "concrete")}
+MODES = {False: ("batched", "baseline"), True: ("bucketed", "exact")}
 
 
 def bench_workload(name: str, args: argparse.Namespace,
                    lengths: List[int]) -> Dict[str, object]:
     """One workload served under both policies of the mode (see the
     module docstring) over one request pool, an input tuple per entry
-    of ``lengths``; returns both runs and their three ratios."""
+    of ``lengths``; returns both runs, the throughput speedup and the
+    occupancy gain."""
     wl = get_workload(name)
     pool = request_pool(wl, lengths)
     common = dict(workers=args.workers, batch_wait_s=args.batch_wait_ms / 1e3,
@@ -76,8 +77,7 @@ def bench_workload(name: str, args: argparse.Namespace,
                     else min(args.warmup, args.max_batch)),
             hang_timeout_s=args.timeout_s,
             pipeline=args.pipeline, platform=args.platform)
-        cache = run["server"]["compile_cache"]  # guard miss = recompile
-        run["compiles"] = cache["misses"] + cache["guard_misses"]
+        run["compiles"] = run["server"]["compile_cache"]["misses"]
         run["compiles_per_1k_requests"] = (
             run["compiles"] / max(1, args.requests) * 1000.0)
         run["batch_occupancy"] = (
@@ -87,8 +87,6 @@ def bench_workload(name: str, args: argparse.Namespace,
     entry["throughput_speedup"] = (
         test["throughput_rps"] / ref["throughput_rps"]
         if ref["throughput_rps"] else float("inf"))
-    entry["compile_ratio"] = (ref["compiles"] / test["compiles"]
-                              if test["compiles"] else float("inf"))
     entry["occupancy_gain"] = (test["batch_occupancy"]
                                - ref["batch_occupancy"])
     return entry
@@ -118,8 +116,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "throughput beats baseline by this factor")
     parser.add_argument("--dynamic-shapes", action="store_true",
                         help="serve seeded randomized sequence lengths "
-                             "and compare family-keyed (bucketed) "
-                             "compilation against concrete shape keys")
+                             "and compare bucketed padding against "
+                             "exact-length batch groups")
     parser.add_argument("--dyn-seq-min", type=int, default=8,
                         help="shortest randomized sequence length")
     parser.add_argument("--dyn-seq-max", type=int, default=48,
@@ -127,12 +125,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--shape-seed", type=int, default=0,
                         help="seed for the random length draws")
     parser.add_argument("--bucket-min", type=int, default=8,
-                        help="smallest padding bucket in family mode")
-    parser.add_argument("--min-compile-ratio", type=float, default=5.0,
-                        help="dynamic mode: fail a workload whose "
-                             "concrete/family compile ratio is below "
-                             "this (and require strictly higher family "
-                             "batch occupancy)")
+                        help="smallest padding bucket in bucketed mode")
     args = parser.parse_args(argv)
 
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
@@ -171,16 +164,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"            flushes "
                   f"{e['server']['flushes_by_reason']}")
         print(f"  speedup {entry['throughput_speedup']:.2f}x  "
-              f"compile ratio {entry['compile_ratio']:.1f}x  "
               f"occupancy gain {entry['occupancy_gain']:+.2f}")
         if args.dynamic_shapes:
-            if entry["compile_ratio"] < args.min_compile_ratio:
-                print(f"  FAIL: compile ratio {entry['compile_ratio']:.1f}x"
-                      f" < required {args.min_compile_ratio:.1f}x")
-                failures += 1
+            for mode in MODES[True]:
+                if entry[mode]["compiles"] != 1:
+                    print(f"  FAIL: {mode} compiled "
+                          f"{entry[mode]['compiles']} times, not once")
+                    failures += 1
             if entry["occupancy_gain"] <= 0:
-                print("  FAIL: family occupancy not strictly above "
-                      "concrete")
+                print("  FAIL: bucketed occupancy not strictly above "
+                      "exact")
                 failures += 1
 
     best = max((e["throughput_speedup"] for e in report["workloads"]),

@@ -84,7 +84,7 @@ def test_each_horizontal_loop_compiles_one_kernel(workload):
     cache = CompileCache()
     run_workload(workload, "tensorssa", cache=cache, batch_size=1,
                  seq_len=8)
-    (_, compiled, _), = cache.entries()
+    (_, compiled), = cache.entries()
     loops = [n for n in compiled.graph.walk() if n.attrs.get("horizontal")]
     assert bool(loops) == (workload in HORIZONTAL)
     kernels = [loop.attrs["kernel"] for loop in loops]

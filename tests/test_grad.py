@@ -7,7 +7,7 @@ zero-trip and data-dependent while loops), gradient flow through
 functionalized mutations (grad-of-view aliasing), end-to-end grad-checks
 of the lstm/attention workloads against the 1e-4 acceptance gate,
 bit-exactness of the optimized backward vs the interpreted one, the
-harness/serve integration (``grad=True`` caching, family keying, obs
+harness/serve integration (``grad=True`` caching, obs
 spans), and the typed :class:`~repro.errors.GradError` taxonomy.
 
 Every analytic gradient is validated against central finite differences
@@ -22,11 +22,12 @@ import pytest
 import repro.runtime as rt
 from repro.backend.interpreter import run_graph
 from repro.errors import GradError
-from repro.eval.cache import CompileCache, fetch
+from repro.eval.cache import CompileCache, clone_args, fetch
 from repro.eval.harness import run_workload
 from repro.grad import build_backward, grad
 from repro.grad.check import (GradCheckConfig, check_workload_grad,
                               gradcheck)
+from repro.memplan.planner import plans_built
 from repro.models import get_workload
 from repro.obs import coverage_fraction, tracing
 from repro.ops import registry as op_registry
@@ -514,25 +515,24 @@ class TestEndToEnd:
         assert (hit1, hit2) == (False, True)
         assert hit_fwd is False, "forward must not reuse the backward key"
 
-    def test_double_compile_through_family_cache_is_idempotent(self):
+    def test_double_compile_through_cache_is_idempotent(self):
         wl = get_workload("attention")
         pipe = get_pipeline("tensorssa")
         cache = CompileCache()
         a1 = wl.make_inputs(batch_size=2, seq_len=6, seed=0)
-        c1, hit1, fam1, out1 = fetch(pipe, wl, a1, cache=cache,
-                                     dynamic_shapes=True, grad=True)
+        c1, hit1 = fetch(pipe, wl, a1, cache=cache, grad=True)
+        c1(*clone_args(a1))
         a2 = wl.make_inputs(batch_size=3, seq_len=6, seed=1)
-        c2, hit2, fam2, out2 = fetch(pipe, wl, a2, cache=cache,
-                                     dynamic_shapes=True, grad=True)
-        assert (hit1, out1) == (False, "new")
-        assert (hit2, out2) == (True, "hit")
-        assert fam1.family_id == fam2.family_id
-        assert c1 is c2, "one family, one backward artifact"
-        g1 = c1(*a1)
-        g2 = c2(*a2)  # different batch size through the same artifact
-        g1 = g1 if isinstance(g1, tuple) else (g1,)
-        g2 = g2 if isinstance(g2, tuple) else (g2,)
-        assert g1[0].shape[0] == 2 and g2[0].shape[0] == 3
+        plans_before = plans_built()
+        c2, hit2 = fetch(pipe, wl, a2, cache=cache, grad=True)
+        assert (hit1, hit2) == (False, True)
+        assert c1 is c2, "one program, one backward artifact"
+        assert cache.snapshot().misses == 1
+        g2 = c2(*clone_args(a2))  # another batch size, same artifact
+        assert plans_built() == plans_before
+        assert rt.as_tuple(g2)[0].shape[0] == 3
+        assert rt.bit_exact(rt.as_tuple(g2), rt.as_tuple(
+            c2.stats["grad_reference"](*clone_args(a2))))
 
 
 class TestObsIntegration:

@@ -12,6 +12,8 @@ from repro.models import Workload, get_workload
 from repro.serve import (BatchSpec, ServePolicy, Server, coalesce,
                          get_batch_spec, group_key, scatter)
 from repro.serve.batching import request_rows
+from repro.serve.bucketing import (PadSpec, bucket_extent, get_pad_spec,
+                                   pad_args, unpad_outputs)
 from repro.serve.executor import BatchExecutor
 from repro.serve.request import Request
 from repro.serve.stats import ServerStats
@@ -855,3 +857,101 @@ class TestDrainDeadline:
         srv.shutdown(drain=True)
         assert all(f.result(timeout=0).ok for f in futs)
         assert srv.stats.drain_expired == 0
+
+
+class TestBucketing:
+    def test_bucket_extent_powers_of_two(self):
+        assert bucket_extent(3, bucket_min=8) == 8
+        assert bucket_extent(8, bucket_min=8) == 8
+        assert bucket_extent(9, bucket_min=8) == 16
+        assert bucket_extent(33, bucket_min=8) == 64
+
+    def test_pad_round_trip_is_exact(self):
+        spec = get_pad_spec("attention")
+        assert spec is not None
+        wl = get_workload("attention")
+        args = wl.make_inputs(batch_size=2, seq_len=11, seed=3)
+        padded = pad_args(args, spec, target=16)
+        for orig, pad, axis in zip(args, padded, spec.arg_axes):
+            if axis is None:
+                continue
+            assert pad.shape[axis] == 16
+            sl = [slice(None)] * pad.numpy().ndim
+            sl[axis] = slice(0, 11)
+            np.testing.assert_array_equal(pad.numpy()[tuple(sl)],
+                                          orig.numpy())
+        round_trip = PadSpec(
+            arg_axes=spec.arg_axes,
+            out_axes=tuple((a,) if a is not None else None
+                           for a in spec.arg_axes))
+        outs = unpad_outputs(padded, round_trip, extent=11)
+        for out, orig in zip(outs, args):
+            np.testing.assert_array_equal(out.numpy(), orig.numpy())
+
+    def test_pad_down_raises(self):
+        spec = get_pad_spec("lstm")
+        wl = get_workload("lstm")
+        args = wl.make_inputs(batch_size=1, seq_len=16, seed=0)
+        with pytest.raises(ValueError):
+            pad_args(args, spec, target=8)
+
+    def test_group_key_buckets_pad_axis(self):
+        wl = get_workload("lstm")
+        spec = get_batch_spec("lstm")
+        base = wl.make_inputs(batch_size=1, seq_len=48, seed=0)
+
+        def req(seq_len):
+            fresh = wl.make_inputs(batch_size=1, seq_len=seq_len, seed=0)
+            args = tuple(fresh[k] if axis is not None else base[k]
+                         for k, axis in enumerate(spec.arg_axes))
+            return Request(workload=wl, pipeline="tensorssa",
+                           platform="datacenter", args=args,
+                           batch_rows=1)
+
+        k10 = group_key(req(10), bucket_min=8)
+        k14 = group_key(req(14), bucket_min=8)
+        k20 = group_key(req(20), bucket_min=8)
+        assert k10 == k14            # both pad to bucket 16
+        assert k10 != k20            # bucket 32
+        assert group_key(req(10)) != group_key(req(14))  # exact lengths
+
+
+class TestDynamicServing:
+    """``dynamic_shapes``: lengths padded to power-of-two buckets."""
+
+    def test_policy_rejects_solo_verify(self):
+        with pytest.raises(ValueError):
+            ServePolicy(dynamic_shapes=True, verify="solo")
+
+    def test_mixed_lengths_bit_exact_one_compile(self):
+        policy = ServePolicy(workers=2, max_batch_size=4,
+                             batch_wait_s=0.02, dynamic_shapes=True,
+                             verify="batch")
+        lengths = [9, 12, 16, 14, 10, 24, 30, 13]
+        with Server(policy) as srv:
+            futs = [srv.submit("attention", pipeline="tensorssa",
+                               batch_size=1, seq_len=length, seed=i)
+                    for i, length in enumerate(lengths)]
+            resps = [f.result(timeout=120) for f in futs]
+        assert all(r.ok for r in resps)
+        assert all(r.verified for r in resps)
+        assert srv.stats.diverged == 0
+        # one artifact serves every bucket and batch size
+        assert srv.cache.snapshot().misses == 1
+        assert srv.stats.bucket_padded_units >= \
+            srv.stats.bucket_real_units > 0
+        assert 0.0 < srv.stats.bucket_pad_efficiency <= 1.0
+
+    def test_stats_dict_carries_bucket_metrics(self):
+        policy = ServePolicy(workers=1, max_batch_size=2,
+                             batch_wait_s=0.01, dynamic_shapes=True,
+                             verify="batch")
+        with Server(policy) as srv:
+            futs = [srv.submit("lstm", pipeline="tensorssa",
+                               batch_size=1, seq_len=sl, seed=sl)
+                    for sl in (10, 18)]
+            for f in futs:
+                assert f.result(timeout=120).ok
+        d = srv.stats.to_dict()
+        assert "bucket_pad_efficiency" in d
+        assert d["compile_cache"]["misses"] == 1

@@ -11,6 +11,7 @@ import repro.runtime as rt
 from repro.errors import ArtifactError
 from repro.eval.cache import CompileCache, clone_args, compile_key, fetch
 from repro.eval.harness import run_workload
+from repro.memplan.planner import plans_built
 from repro.models import get_workload, workload_names
 from repro.pipelines.registry import get_pipeline
 from repro.shard import (ARTIFACT_VERSION, ArtifactStore,
@@ -111,22 +112,6 @@ class TestRoundTrip:
         _assert_same_outputs(restored.compiled.fn(*args),
                              compiled.fn(*args))
 
-    def test_family_guards_round_trip(self):
-        wl = get_workload("lstm")
-        pipe = get_pipeline("tensorssa")
-        cache = CompileCache()
-        args = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
-        compiled, _, family, _ = fetch(
-            pipe, wl, args, cache=cache, dynamic_shapes=True)
-        key = compile_key(pipe, wl, family=family)
-        restored = deserialize_compiled(
-            serialize_compiled(compiled, key, family=family))
-        assert restored.family is not None
-        assert restored.family.family_id == family.family_id
-        assert {(g.kind, str(g.lhs), g.rhs) for g in
-                restored.family.guards} \
-            == {(g.kind, str(g.lhs), g.rhs) for g in family.guards}
-
     def test_eager_pipeline_is_not_serializable(self):
         _, compiled, key, _ = _fresh("attention", "tensorssa")
         eager = get_pipeline("eager").compile(
@@ -170,9 +155,29 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 7
+        assert ARTIFACT_VERSION == 8
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
+
+    def _refused_and_compiled_cold(self, tmp_path, version, mutate):
+        """Rewrite a stored record through ``mutate(payload)``: the load
+        is refused typed naming ``version``, warm start skips the
+        record, and the key is served by a cold compile."""
+        _, compiled, key, args = _fresh("attention", "tensorssa")
+        store = ArtifactStore(str(tmp_path))
+        digest = store.put(key, compiled)
+        obj = os.path.join(str(tmp_path), "objects", digest)
+        with open(obj, "rb") as fh:
+            old = _tampered(fh.read(), mutate)
+        with open(obj, "wb") as fh:
+            fh.write(old)
+        with pytest.raises(ArtifactError, match=f"version {version}"):
+            store.load(key)
+        cache = CompileCache()
+        assert store.warm_start(cache) == 0 and store.errors == 2
+        cold, hit = cache.get_or_compile(key, lambda: compiled)
+        assert not hit and cache.snapshot().misses == 1
+        _assert_same_outputs(cold.fn(*args), compiled.fn(*args))
 
     def test_v6_record_refused_and_compiled_cold(self, tmp_path):
         """Version 6 slot tables carried size hints priced at the
@@ -180,22 +185,18 @@ class TestRejection:
         the recorded plan.  A store written before the plan became a
         function of the graph alone is refused typed, warm start skips
         its records, and the key is served by a cold compile."""
-        _, compiled, key, args = _fresh("attention", "tensorssa")
-        store = ArtifactStore(str(tmp_path))
-        digest = store.put(key, compiled)
-        obj = os.path.join(str(tmp_path), "objects", digest)
-        with open(obj, "rb") as fh:
-            v6 = _tampered(fh.read(),
-                           lambda payload: payload.update(version=6))
-        with open(obj, "wb") as fh:
-            fh.write(v6)
-        with pytest.raises(ArtifactError, match="version 6"):
-            store.load(key)
-        cache = CompileCache()
-        assert store.warm_start(cache) == 0 and store.errors == 2
-        cold, hit = cache.get_or_compile(key, lambda: compiled)
-        assert not hit and cache.snapshot().misses == 1
-        _assert_same_outputs(cold.fn(*args), compiled.fn(*args))
+        self._refused_and_compiled_cold(
+            tmp_path, 6, lambda payload: payload.update(version=6))
+
+    def test_v7_family_record_refused_and_compiled_cold(self, tmp_path):
+        """Version 7 records carried a shape-family record (symbolic
+        signature and guards) beside the graph.  The key now says what
+        the compile read, so such a record is refused typed and its key
+        compiles cold."""
+        family = {"signature": [], "seed_env": {}, "guards": []}
+        self._refused_and_compiled_cold(
+            tmp_path, 7,
+            lambda payload: payload.update(version=7, family=family))
 
     def test_program_digest_mismatch_rejected(self):
         def skew(payload):
@@ -264,8 +265,7 @@ class TestArtifactStore:
         hit_compiled, hit = cache.get_or_compile(
             key, lambda: pytest.fail("warm cache must not compile"))
         assert hit
-        snap = cache.snapshot()
-        assert snap.misses == 0 and snap.guard_misses == 0
+        assert cache.snapshot().misses == 0
         _assert_same_outputs(hit_compiled.fn(*args), compiled.fn(*args))
 
     def test_concurrent_store_handles_do_not_lose_puts(self, tmp_path):
@@ -273,13 +273,10 @@ class TestArtifactStore:
         two store handles (two worker processes in production) putting
         distinct keys concurrently can never lose each other's entries
         the way a monolithic read-modify-write index file did."""
-        wl = get_workload("attention")
-        pipe = get_pipeline("tensorssa")
         pairs = []
-        for seq_len in (8, 12, 16, 20, 24, 28):
-            args = wl.make_inputs(batch_size=1, seq_len=seq_len, seed=0)
-            pairs.append((compile_key(pipe, wl, args),
-                          pipe.compile(wl.model_fn, example_args=args)))
+        for name in workload_names()[:6]:
+            _, compiled, key, _ = _fresh(name, "tensorssa")
+            pairs.append((key, compiled))
         stores = [ArtifactStore(str(tmp_path)) for _ in range(2)]
         threads = [threading.Thread(
             target=lambda i=i, k=k, c=c: stores[i % 2].put(k, c))
@@ -298,7 +295,7 @@ class TestBackwardArtifacts:
     """Backward artifacts through the worker's publish / warm-start
     loop — the path a respawned shard worker takes."""
 
-    RUN = dict(batch_size=2, seq_len=8, dynamic_shapes=True, grad=True)
+    RUN = dict(batch_size=2, seq_len=8, grad=True)
 
     def _published(self, tmp_path, cache):
         """Publish everything in ``cache`` and warm-start a fresh cache
@@ -309,31 +306,29 @@ class TestBackwardArtifacts:
         return warm
 
     def _warm_starts_after_second_extent(self, tmp_path, name, grad):
-        """Serve two extents through one family, publish, warm-start a
+        """Serve two extents off one artifact, publish, warm-start a
         fresh cache, and serve the first extent again: a hit with 0
         misses, bit-exact with the cold run."""
         run = {**self.RUN, "grad": grad}
         cache = CompileCache()
         cold = run_workload(name, "tensorssa", cache=cache, **run)
         assert not cold.cache_hit
-        longer = run_workload(name, "tensorssa", cache=cache,
+        plans_before = plans_built()
+        longer = run_workload(name, "tensorssa", cache=cache, check=True,
                               **{**run, "seq_len": 24})
-        assert longer.cache_hit and longer.family_outcome == "hit"
+        assert longer.cache_hit and cache.snapshot().misses == 1
+        assert plans_built() == plans_before
         warm = self._published(tmp_path, cache)
         again = run_workload(name, "tensorssa", cache=warm, **run)
-        assert again.cache_hit and again.family_outcome == "hit"
-        snap = warm.snapshot()
-        assert snap.misses == 0 and snap.guard_misses == 0
+        assert again.cache_hit and warm.snapshot().misses == 0
         assert rt.bit_exact(again.outputs, cold.outputs)
 
-    def test_backward_family_artifact_warm_starts(self, tmp_path):
-        """Regression, twice over: a backward family key has five
-        elements, and the publisher recognised family entries by key
-        length — so the artifact shipped without its family; and the
-        plan check once priced slots at the longest extent the family
-        had served, so an artifact published after a second, longer
-        extent failed the check on restore.  Either way the next
-        incarnation cold-compiled."""
+    def test_backward_artifact_warm_starts_after_a_second_extent(
+            self, tmp_path):
+        """Regression: the plan check once priced slots at the longest
+        extent the artifact had served, so a backward artifact
+        published after a second, longer extent failed the check on
+        restore and the next incarnation cold-compiled."""
         self._warm_starts_after_second_extent(tmp_path, "lstm", True)
 
     @pytest.mark.parametrize("grad", [False, True],
@@ -390,10 +385,11 @@ class TestBackwardArtifacts:
             deserialize_compiled(_tampered(
                 data, lambda payload: payload.update(version=5)))
 
-    def test_family_x_artifact_x_batched_server_x_backward(self, tmp_path):
+    def test_new_extent_x_artifact_x_batched_server_x_backward(
+            self, tmp_path):
         """The features in combination (ROADMAP aim 3): attention's
-        forward and backward family artifacts, restored through the
-        store, each served at a *different* member of its family — the
+        forward and backward artifacts, restored through the store,
+        each served at an extent it was never compiled or run at — the
         forward by a batched ``Server`` that coalesces three requests
         into one call, the backward by the harness — bit-exact with
         eager on the coalesced batch and with the interpreted reference
@@ -411,6 +407,7 @@ class TestBackwardArtifacts:
 
         policy = ServePolicy(workers=1, max_batch_size=3,
                              dynamic_shapes=True, verify="batch")
+        plans_before = plans_built()
         with Server(policy, cache=warm) as srv:
             futs = srv.submit_many(
                 [dict(workload="attention", seq_len=12, seed=seed)
@@ -423,10 +420,9 @@ class TestBackwardArtifacts:
         served = run_workload("attention", "tensorssa", cache=warm,
                               check=True, **{**self.RUN, "batch_size": 3,
                                              "seq_len": 12})
-        assert served.cache_hit and served.family_outcome == "hit"
-        assert warm.snapshot().misses == 0
-        assert warm.snapshot().guard_misses == 0
-        for _, restored, _ in warm.entries():
+        assert served.cache_hit and warm.snapshot().misses == 0
+        assert plans_built() == plans_before
+        for _, restored in warm.entries():
             loops = [n for n in restored.graph.walk()
                      if n.attrs.get("horizontal")]
             assert loops and all(

@@ -85,12 +85,16 @@ class TestInspect:
         # an unplanned pipeline's kernels copy, each with the reason
         assert "copy of arg 3: no memory plan donated it" in out
 
-    def test_dynamic_walkthrough_restores_the_family_artifact(self, capsys):
-        """The second, longer length is a 0-compile family hit, and the
-        artifact serialized afterwards restores: the plan check does not
-        depend on which extents the family has served."""
+    def test_dynamic_walkthrough_restores_the_artifact(self, capsys):
+        """The second, longer length is a hit that adds 0 compiles and
+        0 plans and runs bit-exact, and the one artifact serialized
+        afterwards restores: the plan check does not depend on which
+        extents the artifact has served."""
         report = inspect_dynamic("attention")
-        assert [s["outcome"] for s in report["steps"]] == ["new", "hit"]
-        assert report["restore_errors"] == []
+        warm = report["steps"][1]
+        assert [s["hit"] for s in report["steps"]] == [False, True]
+        assert (warm["compiles_added"], warm["plans_added"]) == (0, 0)
+        assert warm["bit_exact"]
+        assert report["artifacts"] == 1 and report["restore_errors"] == []
         assert print_dynamic_report(report) == 0
         assert "artifact restore: ok" in capsys.readouterr().out
