@@ -18,7 +18,8 @@ rung from eating every request's retry budget: past a failure-rate
 threshold the breaker opens (requests skip the rung instantly), and
 after a cooldown one half-open probe decides whether to close it again.
 :class:`RetryPolicy` bounds in-rung retries with jittered exponential
-backoff (seeded RNG — deterministic in tests).
+backoff (seeded RNG — deterministic in tests).  Every ladder walk runs
+at one setting, :data:`RETRY` and :data:`BREAKER_RESET_S`.
 
 :func:`run_ladder` is the one descend-and-retry loop over all of that;
 ``eval/harness.run_workload_resilient`` (single runs) and
@@ -41,7 +42,7 @@ __all__ = [
     "DEFAULT_LADDER", "fallback_chain",
     "BREAKER_CLOSED", "BREAKER_OPEN", "BREAKER_HALF_OPEN",
     "CircuitBreaker", "BreakerRegistry", "RetryPolicy",
-    "run_ladder", "default_breakers",
+    "BREAKER_RESET_S", "RETRY", "run_ladder", "default_breakers",
 ]
 
 #: The full degradation ladder, most- to least-optimized.
@@ -68,6 +69,13 @@ def fallback_chain(pipeline: str,
     return chain
 
 
+#: How long an open breaker refuses its rung before the half-open
+#: probe: half of the retry-and-breaker setting every ladder walk uses
+#: (the serving executor's and ``run_workload_resilient``'s alike;
+#: :data:`RETRY` is the other half).  Short enough that a rung which
+#: recovers is probed back within one chaos campaign.
+BREAKER_RESET_S = 0.02
+
 #: Breaker states.
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -88,7 +96,8 @@ class CircuitBreaker:
     """
 
     def __init__(self, failure_rate: float = 0.5, window: int = 8,
-                 min_calls: int = 4, reset_timeout_s: float = 0.05,
+                 min_calls: int = 4,
+                 reset_timeout_s: float = BREAKER_RESET_S,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.failure_rate = failure_rate
         self.window = window
@@ -159,7 +168,8 @@ class BreakerRegistry:
     """Per-(workload, pipeline) breakers, created on first use."""
 
     def __init__(self, failure_rate: float = 0.5, window: int = 8,
-                 min_calls: int = 4, reset_timeout_s: float = 0.05,
+                 min_calls: int = 4,
+                 reset_timeout_s: float = BREAKER_RESET_S,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self._kwargs = dict(failure_rate=failure_rate, window=window,
                             min_calls=min_calls,
@@ -211,6 +221,11 @@ class RetryPolicy:
     def delay_s(self, retry_index: int, rng) -> float:
         base = min(self.base_delay_s * (2 ** retry_index), self.max_delay_s)
         return base * (1.0 + self.jitter * rng.random())
+
+
+#: In-rung retries of every ladder walk: one retry of a retryable fault
+#: after a 1-1.5 ms backoff (the defaults above).
+RETRY = RetryPolicy()
 
 
 def run_ladder(chain: Sequence[str], workload: str,

@@ -214,7 +214,7 @@ def run_workload_resilient(workload: str, pipeline: str = "tensorssa",
         degrade.fallback_chain(pipeline, ladder=ladder), workload, attempt,
         breakers=breakers if breakers is not None
         else degrade.default_breakers(),
-        retry=retry if retry is not None else degrade.RetryPolicy(),
+        retry=retry if retry is not None else degrade.RETRY,
         rng=retry_rng if retry_rng is not None else random.Random(seed),
         scope="harness")
     result.served_by = rung

@@ -76,14 +76,6 @@ def _annotation_to_type(annotation: Optional[ast.expr]) -> T.Type:
     return T.TensorType()
 
 
-def _scalar_result(values: Sequence[Value]) -> T.Type:
-    if any(isinstance(v.type, T.FloatType) for v in values):
-        return T.FloatType()
-    if all(isinstance(v.type, T.BoolType) for v in values):
-        return T.BoolType()
-    return T.IntType()
-
-
 class Lowerer:
     """Lowers one Python function into a Graph."""
 
@@ -163,38 +155,15 @@ class Lowerer:
     def as_value(self, x) -> Value:
         return x if isinstance(x, Value) else self.const(x)
 
-    def _result_types(self, op: str, operands: Sequence[Value]) -> list:
-        schema = registry.get(op)
-        out = []
-        for template in schema.result_types[:max(schema.num_outputs, 1)]:
-            if template == "Tensor":
-                out.append(T.TensorType())
-            elif template == "int":
-                out.append(T.IntType())
-            elif template == "float":
-                out.append(T.FloatType())
-            elif template == "bool":
-                out.append(T.BoolType())
-            elif template == "Scalar":
-                out.append(_scalar_result(
-                    [v for v in operands if v.type.is_scalar] or operands))
-            elif template == "List":
-                elem = operands[0].type if operands else T.AnyType()
-                out.append(T.ListType(elem))
-            elif template == "Tuple":
-                out.append(T.TupleType([v.type for v in operands]))
-            else:
-                out.append(T.AnyType())
-        return out
-
     def emit_op(self, op: str, operands: Sequence[Value],
                 out_name: str = "v"):
         """Emit op; returns its single output Value, or a list for
         multi-output ops."""
         schema = registry.get(op)
-        types_ = self._result_types(op, operands)
-        node = self.emit(op, operands, types_[:schema.num_outputs] or types_,
-                         out_name)
+        types_ = T.infer_types(
+            schema.result_types[:max(schema.num_outputs, 1)],
+            [v.type for v in operands])
+        node = self.emit(op, operands, types_, out_name)
         if schema.num_outputs == 1:
             return node.output()
         return list(node.outputs)

@@ -97,8 +97,9 @@ class GradBuilder:
         """Emit ``op`` over ``inputs`` in the current block, typing the
         outputs from the schema's result templates."""
         schema = registry.get(op)
-        types_ = [self._result_type(tpl, inputs)
-                  for tpl in schema.result_types[:max(schema.num_outputs, 1)]]
+        types_ = T.infer_types(
+            schema.result_types[:max(schema.num_outputs, 1)],
+            [v.type for v in inputs])
         node = self.graph.create(op, inputs,
                                  output_names=[name] * len(types_),
                                  output_types=types_)
@@ -116,29 +117,6 @@ class GradBuilder:
     def ones_like(self, v: Value) -> Value:
         """The seed adjoint for a loss output."""
         return self.e1("aten::ones_like", v, name="seed")
-
-    @staticmethod
-    def _result_type(template: str, operands: Sequence[Value]) -> T.Type:
-        if template == "Tensor":
-            return T.TensorType()
-        if template == "int":
-            return T.IntType()
-        if template == "float":
-            return T.FloatType()
-        if template == "bool":
-            return T.BoolType()
-        if template == "Scalar":
-            cands = [v for v in operands if v.type.is_scalar] or operands
-            if any(isinstance(v.type, T.FloatType) for v in cands):
-                return T.FloatType()
-            if cands and all(isinstance(v.type, T.BoolType) for v in cands):
-                return T.BoolType()
-            return T.IntType()
-        if template == "List":
-            return T.ListType(operands[0].type if operands else T.AnyType())
-        if template == "Tuple":
-            return T.TupleType([v.type for v in operands])
-        return T.AnyType()
 
     # -- adjoint bookkeeping -------------------------------------------
 

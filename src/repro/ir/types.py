@@ -8,7 +8,7 @@ op selection) and the verifier.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class Type:
@@ -131,3 +131,41 @@ def type_of_constant(value) -> Type:
     if isinstance(value, DType):
         return StrType()
     raise TypeError(f"unsupported constant payload: {value!r}")
+
+
+#: result templates that name one type whatever the operands
+_FIXED_TEMPLATES = {"Tensor": TensorType, "int": IntType,
+                    "float": FloatType, "bool": BoolType}
+
+
+def infer_types(templates: Sequence[str],
+                operands: Sequence[Type]) -> List[Type]:
+    """The output types of an op applied to operands of types
+    ``operands``, one per ``OpSchema.result_types`` template.
+
+    ``"Scalar"`` promotes over the scalar operands (all operands when
+    none is scalar): float if any is float, else bool if every one is
+    bool, else int — so an op with no operands gives int.  ``"List"``
+    holds the first operand's type, ``"Tuple"`` every operand's; an
+    unknown template is Any.  The frontend and the gradient builder both
+    type the nodes they emit with this one rule.
+    """
+    out: List[Type] = []
+    for template in templates:
+        if template in _FIXED_TEMPLATES:
+            out.append(_FIXED_TEMPLATES[template]())
+        elif template == "Scalar":
+            cands = [t for t in operands if t.is_scalar] or operands
+            if any(isinstance(t, FloatType) for t in cands):
+                out.append(FloatType())
+            elif cands and all(isinstance(t, BoolType) for t in cands):
+                out.append(BoolType())
+            else:
+                out.append(IntType())
+        elif template == "List":
+            out.append(ListType(operands[0] if operands else None))
+        elif template == "Tuple":
+            out.append(TupleType(operands))
+        else:
+            out.append(AnyType())
+    return out

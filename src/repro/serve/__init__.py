@@ -5,8 +5,9 @@ The production-facing layer over the compilation pipelines: a
 ones along each workload's batch axis (``batching.BatchSpec``),
 executes them as single kernel-launch-profiled runs through the shared
 compile cache, and answers with per-request :class:`Response` objects.
-Policies (deadlines, backpressure, fallback chain, bounded retry) live
-in :class:`ServePolicy`; observability in :class:`ServerStats`.
+Policies (deadlines, backpressure, fallback chain) live in
+:class:`ServePolicy`, bounded retry in ``degrade.RETRY``; observability
+in :class:`ServerStats`.
 
 There is one scheduler: a request waits for peers in its group queue
 until the group is full, past its deadline-aware wake point, or the

@@ -8,8 +8,8 @@ a request may occupy queue space:
   bucket refilled at ``rate`` tokens/s up to ``burst``; an empty
   bucket rejects the request before it can occupy queue space.
 * :class:`AdmissionController` — percentile-driven load shedding.
-  When the *recent* queue-wait p99 (:data:`SHED_PERCENTILE`, over a
-  sliding window of responses) crosses the deadline budget,
+  When the *recent* queue-wait p99 (:data:`SHED_PERCENTILE`, over the
+  last :data:`SHED_WINDOW` responses) crosses the deadline budget,
   low-priority requests (``priority <= SHED_PRIORITY_MAX``) are
   answered with a ``shed`` response instead of queueing — the
   overload response the paper-stack previously lacked (reject-on-full
@@ -27,12 +27,16 @@ import threading
 import time
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
+from .policy import DEADLINE_SLACK_S
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .policy import ServePolicy
     from .stats import ServerStats
 
 #: the recent queue-wait percentile the shedder compares to its budget
 SHED_PERCENTILE = 99.0
+#: sliding-window size (responses) behind that percentile
+SHED_WINDOW = 256
 #: only requests at or below this priority are sheddable (lanes above
 #: it ride through overload untouched)
 SHED_PRIORITY_MAX = 0
@@ -101,11 +105,8 @@ class AdmissionController:
             for tenant, (rate, burst) in (policy.tenant_rates or {}).items()
         }
         #: work-conservation floor: below this many pending requests
-        #: shedding never fires (None in the policy derives one
-        #: in-flight wave, ``workers * max_batch_size``)
-        self.keep_busy_floor = (
-            policy.shed_min_pending if policy.shed_min_pending is not None
-            else policy.workers * policy.max_batch_size)
+        #: shedding never fires (one in-flight wave)
+        self.keep_busy_floor = policy.workers * policy.max_batch_size
         self._shedding = False
         self._lock = threading.Lock()
 
@@ -121,18 +122,15 @@ class AdmissionController:
     def shed_budget_s(self) -> Optional[float]:
         """The queue-wait budget the shedder compares against.
 
-        Explicit ``shed_budget_s`` wins; otherwise the budget derives
-        from the default deadline: ``request_timeout_s −
-        deadline_slack_s`` (the point past which a queued request is
+        It derives from the default deadline: ``request_timeout_s −
+        DEADLINE_SLACK_S`` (the point past which a queued request is
         all but guaranteed to blow its deadline).  None disables
         shedding (no deadline, nothing to protect).
         """
-        if self.policy.shed_budget_s is not None:
-            return self.policy.shed_budget_s
         timeout = self.policy.request_timeout_s
         if not timeout or timeout <= 0:
             return None
-        return max(0.0, timeout - self.policy.deadline_slack_s)
+        return max(0.0, timeout - DEADLINE_SLACK_S)
 
     @property
     def shedding(self) -> bool:

@@ -3,7 +3,7 @@
 A batcher that groups on *exact* sequence length fragments diverse
 traffic into tiny per-length batches.  The standard serving fix is
 bucketing: round each request's variable extent up to a power-of-two
-bucket (``>= bucket_min``), zero-pad the sequence axis to the bucket,
+bucket (``>= BUCKET_MIN``), zero-pad the sequence axis to the bucket,
 run one batch per bucket, and slice the real rows back out on
 scatter.  Padding happens host-side (no device launches), and the
 un-padded region's bit-exactness is enforced by the executor's
@@ -29,8 +29,11 @@ import numpy as np
 
 import repro.runtime as rt
 
-__all__ = ["PadSpec", "PAD_SPECS", "get_pad_spec", "bucket_extent",
-           "pad_args", "unpad_outputs", "request_extent"]
+__all__ = ["BUCKET_MIN", "PadSpec", "PAD_SPECS", "get_pad_spec",
+           "bucket_extent", "pad_args", "unpad_outputs", "request_extent"]
+
+#: smallest padding bucket; buckets are ``BUCKET_MIN * 2**k``
+BUCKET_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ def get_pad_spec(workload_name: str) -> Optional[PadSpec]:
     return PAD_SPECS.get(workload_name)
 
 
-def bucket_extent(extent: int, bucket_min: int = 8) -> int:
+def bucket_extent(extent: int, bucket_min: int = BUCKET_MIN) -> int:
     """The power-of-two bucket an extent rounds up into.
 
     Extents at or below ``bucket_min`` share the smallest bucket;

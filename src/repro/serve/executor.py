@@ -16,7 +16,7 @@ rung (``served_by == pipeline``, depth 0):
 
 1. deadline already expired at dequeue -> timeout response, no device
    time spent;
-2. no cached artifact and the deadline is within ``deadline_slack_s``
+2. no cached artifact and the deadline is within ``DEADLINE_SLACK_S``
    -> serve eagerly (skip the cold compile);
 3. compilation raises (a typed :class:`~repro.errors.CompileError`) or
    batch execution raises -> the walk retries a *retryable* fault on
@@ -44,8 +44,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 import repro.runtime as rt
-from ..degrade import (BreakerRegistry, RetryPolicy, fallback_chain,
-                       run_ladder)
+from ..degrade import RETRY, BreakerRegistry, fallback_chain, run_ladder
 from ..errors import CompileError, DeadlineExceeded, classify
 from ..eval import timed_call
 from ..eval.cache import CompileCache, clone_args, fetch
@@ -53,7 +52,9 @@ from ..faults import SITE_BATCH_EXEC, maybe_inject
 from ..obs import trace as obs_trace
 from ..pipelines import Pipeline, get_pipeline
 from .batching import BatchPlan, coalesce, scatter
-from .policy import VERIFY_BATCH, VERIFY_OFF, VERIFY_SOLO, ServePolicy
+from .bucketing import BUCKET_MIN
+from .policy import (DEADLINE_SLACK_S, VERIFY_BATCH, VERIFY_OFF,
+                     VERIFY_SOLO, ServePolicy)
 from .request import (Request, Response, STATUS_ERROR, STATUS_OK,
                       STATUS_TIMEOUT)
 from .stats import ServerStats
@@ -68,13 +69,9 @@ class BatchExecutor:
         self.cache = cache
         self.stats = stats
         self._pipelines: Dict[str, Pipeline] = {}
-        self.breakers = BreakerRegistry(
-            reset_timeout_s=policy.breaker_reset_s)
-        self._retry = RetryPolicy(
-            max_retries=policy.max_retries,
-            base_delay_s=policy.retry_base_delay_s,
-            max_delay_s=policy.retry_max_delay_s)
-        self._rng = random.Random(policy.retry_seed)
+        self.breakers = BreakerRegistry()
+        #: the backoff's jitter RNG (seeded: deterministic in tests)
+        self._rng = random.Random(0)
 
     # -- lookups (memoized: get_pipeline builds its table per call) ------
 
@@ -101,8 +98,7 @@ class BatchExecutor:
         ``dynamic_shapes`` the plan pads to the group's bucket and the
         pad traffic (real vs padded sequence units) is recorded on the
         stats."""
-        bucket_min = self.policy.bucket_min \
-            if self.policy.dynamic_shapes else None
+        bucket_min = BUCKET_MIN if self.policy.dynamic_shapes else None
         with obs_trace.span("serve:coalesce", cat="serve",
                             requests=len(requests)):
             plan = coalesce(requests, bucket_min=bucket_min)
@@ -163,7 +159,7 @@ class BatchExecutor:
         if floor:
             try:
                 run_ladder(chain[:floor], req0.workload.name, attempt,
-                           breakers=self.breakers, retry=self._retry,
+                           breakers=self.breakers, retry=RETRY,
                            rng=self._rng, scope="serve",
                            on_failure=on_failure)
                 return
@@ -200,7 +196,7 @@ class BatchExecutor:
                     ("eager",), req.workload.name,
                     lambda rung, d, retry_index:
                         self._run_one_eager(req, retry_index, d),
-                    breakers=self.breakers, retry=self._retry,
+                    breakers=self.breakers, retry=RETRY,
                     rng=self._rng, scope="serve", on_failure=on_failure,
                     first_depth=depth)
             except DeadlineExceeded as exc:
@@ -208,7 +204,7 @@ class BatchExecutor:
             except Exception as exc:
                 self._finish(req, req.answer(
                     STATUS_ERROR, served_by="eager", fallback_depth=depth,
-                    degraded=depth > 0, retries=self.policy.max_retries,
+                    degraded=depth > 0, retries=RETRY.max_retries,
                     error=f"eager floor failed: "
                           f"{type(exc).__name__}: {exc}"),
                     fallback=True)
@@ -274,7 +270,7 @@ class BatchExecutor:
     def _deadline_near(self, plan: BatchPlan) -> bool:
         """Is any member's remaining budget inside the slack window?"""
         now = time.monotonic()
-        return any(r.remaining(now) < self.policy.deadline_slack_s
+        return any(r.remaining(now) < DEADLINE_SLACK_S
                    for r in plan.requests)
 
     # -- oracles --------------------------------------------------------

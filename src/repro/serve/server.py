@@ -9,7 +9,7 @@ peers, and it lingers there only on evidence that peers are coming
 
 * a group is claimable when it holds ``max_batch_size`` requests, when
   it is past its wake point — ``min(oldest.enqueued_at + batch_wait_s,
-  group-min-deadline − deadline_slack_s)``, tracked per group, not just
+  group-min-deadline − DEADLINE_SLACK_S)``, tracked per group, not just
   ``queue[0]``, so a tight-deadline member never starves behind a
   relaxed oldest one — or when the server is closing; an arrival
   before that simply appends to the group and rides its batch;
@@ -60,8 +60,10 @@ from ..obs import trace as obs_trace
 from .admission import SHED_PERCENTILE, AdmissionController
 from .batching import (get_batch_spec, group_key, group_lane,
                        group_min_deadline, request_rows)
+from .bucketing import BUCKET_MIN
 from .executor import BatchExecutor
-from .policy import ServePolicy
+from .policy import (DEADLINE_SLACK_S, DRAIN_TIMEOUT_S, SUBMIT_TIMEOUT_S,
+                     ServePolicy)
 from .request import (Request, Response, STATUS_CANCELLED, STATUS_ERROR,
                       STATUS_REJECTED, STATUS_SHED)
 from .stats import ServerStats
@@ -115,8 +117,7 @@ class Server:
         #: figure sweeps; inject a cache to share compilations
         self.cache = cache if cache is not None \
             else CompileCache(capacity=CACHE_CAPACITY)
-        self.stats = stats or ServerStats(
-            recent_window=self.policy.shed_window)
+        self.stats = stats or ServerStats()
         self.executor = BatchExecutor(self.policy, self.cache, self.stats)
         self.stats.bind(self.cache, self.executor.breakers)
         #: injectable for deterministic scheduler/quota tests; the
@@ -214,7 +215,7 @@ class Server:
                 # percentiles the shedder reads; the wait itself is
                 # additionally recorded as its own phase/metric
                 wait_start = self._clock()
-                deadline = wait_start + self.policy.submit_timeout_s
+                deadline = wait_start + SUBMIT_TIMEOUT_S
                 while self._pending >= self.policy.queue_capacity \
                         and not self._closed:
                     remaining = deadline - self._clock()
@@ -228,8 +229,7 @@ class Server:
                 waited = self._clock() - wait_start
                 self.stats.on_backpressure(waited)
             key = group_key(req, bucket_min=(
-                self.policy.bucket_min
-                if self.policy.dynamic_shapes else None))
+                BUCKET_MIN if self.policy.dynamic_shapes else None))
             queue = self._groups.get(key)
             if queue is None:
                 queue = deque()
@@ -280,7 +280,7 @@ class Server:
         flush_at = queue[0].enqueued_at + self.policy.batch_wait_s
         min_deadline = group_min_deadline(queue)
         if min_deadline is not None:
-            urgent_at = min_deadline - self.policy.deadline_slack_s
+            urgent_at = min_deadline - DEADLINE_SLACK_S
             if urgent_at < flush_at:
                 return urgent_at, "deadline"
         return flush_at, "linger_expired"
@@ -396,9 +396,9 @@ class Server:
         then join the workers.
 
         The drain is *bounded*: the whole worker join shares one
-        deadline — ``timeout`` when given, else the policy's
-        ``drain_timeout_s`` — so a wedged worker thread can never make
-        shutdown wait indefinitely.  Guarantee: no waiter blocks on a
+        deadline — ``timeout`` when given, else ``DRAIN_TIMEOUT_S`` —
+        so a wedged worker thread can never make shutdown wait
+        indefinitely.  Guarantee: no waiter blocks on a
         future that never resolves.  After the workers are joined (or
         the deadline expires), anything still queued — requests a
         dead/stuck worker would have served — is answered with a typed
@@ -411,13 +411,10 @@ class Server:
                 self._flush_queued(STATUS_CANCELLED, "server shut down")
             self._closed = True
             self._cond.notify_all()
-        budget = self.policy.drain_timeout_s if timeout is None else timeout
-        deadline = None if budget is None else time.monotonic() + budget
+        deadline = time.monotonic() + (
+            DRAIN_TIMEOUT_S if timeout is None else timeout)
         for t in self._workers:
-            if deadline is None:
-                t.join()
-            else:
-                t.join(max(0.0, deadline - time.monotonic()))
+            t.join(max(0.0, deadline - time.monotonic()))
         expired = any(t.is_alive() for t in self._workers)
         with self._cond:
             # drain=True normally leaves nothing here; a worker that

@@ -26,6 +26,7 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from ..obs import Histogram, MetricsRegistry, percentile_nearest_rank
+from .admission import SHED_WINDOW
 
 #: how a row of :data:`INSTRUMENTS` is created in the registry and read
 #: back: kind -> (MetricsRegistry constructor, reader)
@@ -87,7 +88,7 @@ class ServerStats:
     #: cap on retained latency samples (reservoir replaces beyond it)
     MAX_SAMPLES = 100_000
 
-    def __init__(self, seed: int = 0, recent_window: int = 256) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._lock = threading.Lock()
         self.registry = MetricsRegistry(seed=seed)
         self._inst = {
@@ -103,7 +104,7 @@ class ServerStats:
         #: sliding window of the most recent queue waits — the
         #: overload shedder's signal (the whole-run reservoir would
         #: recover far too slowly after a spike)
-        self._recent_queue_wait: Deque[float] = deque(maxlen=recent_window)
+        self._recent_queue_wait: Deque[float] = deque(maxlen=SHED_WINDOW)
         #: pulled at ``to_dict`` time, never pushed (see :meth:`bind`)
         self._cache = None
         self._breakers = None
@@ -234,7 +235,7 @@ class ServerStats:
     def recent_queue_wait_percentile(self, q: float) -> float:
         """Nearest-rank percentile of the *recent* queue waits (s).
 
-        Computed over the sliding window (``recent_window`` most recent
+        Computed over the sliding window (``SHED_WINDOW`` most recent
         responses), not the whole-run reservoir, so the overload
         shedder sees spikes quickly and recovers once they drain.
         Returns 0.0 before any response completes.

@@ -61,6 +61,11 @@ MSG_HEARTBEAT = 4  # worker -> router: liveness beacon
 MSG_SHUTDOWN = 5   # router -> worker: drain and exit
 MSG_GOODBYE = 6    # worker -> router: clean exit acknowledgement
 
+#: worker heartbeat beacon period (seconds)
+HEARTBEAT_INTERVAL_S = 0.1
+#: beacon silence beyond this declares a ready worker hung
+HEARTBEAT_TIMEOUT_S = 1.0
+
 #: a tensor argument this large ships once per worker incarnation and
 #: travels as a ``("ref", token)`` afterwards
 REF_MIN_BYTES = 64 * 1024

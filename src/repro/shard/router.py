@@ -15,7 +15,7 @@ Crash handling is the router's whole reason to exist:
 * the :class:`~repro.shard.supervisor.Supervisor` reports each worker
   death; the dead worker leaves the hash ring and its in-flight
   requests are **redelivered** to the surviving ring — at most
-  ``redeliver_max`` times per request, after which the caller gets a
+  :data:`REDELIVER_MAX` times per request, after which the caller gets a
   typed :class:`~repro.errors.WorkerCrashed` response instead of a
   hang;
 * redelivery is **at-most-once** on the answer side: request ids are
@@ -58,6 +58,10 @@ from .ipc import (MSG_RESULT, MSG_SUBMIT, REF_MIN_BYTES, STATUS_REF_MISS,
 from .supervisor import Supervisor, WorkerHandle
 
 __all__ = ["HashRing", "RouterStats", "ShardPolicy", "ShardRouter"]
+
+#: per-request redelivery budget after worker deaths; exceeded => a
+#: typed WorkerCrashed error response (never a hang)
+REDELIVER_MAX = 2
 
 
 class HashRing:
@@ -127,19 +131,13 @@ class HashRing:
 
 @dataclass(frozen=True)
 class ShardPolicy:
-    """All tunables of the sharded serving layer."""
+    """The settings of the sharded serving layer.  Liveness and crash
+    budgets are constants: ``ipc.HEARTBEAT_INTERVAL_S`` /
+    ``HEARTBEAT_TIMEOUT_S``, ``supervisor.MAX_RESPAWNS`` and
+    :data:`REDELIVER_MAX`."""
 
     #: worker processes on the hash ring
     num_workers: int = 2
-    #: worker heartbeat beacon period (seconds)
-    heartbeat_interval_s: float = 0.1
-    #: beacon silence beyond this declares a ready worker hung
-    heartbeat_timeout_s: float = 1.0
-    #: per-slot respawn budget; an exhausted slot is retired for good
-    max_respawns: int = 2
-    #: per-request redelivery budget after worker deaths; exceeded =>
-    #: a typed WorkerCrashed error response (never a hang)
-    redeliver_max: int = 2
     #: default per-request deadline passed through to workers
     request_timeout_s: float = 30.0
     #: artifact store directory shared by all workers (None = each
@@ -151,21 +149,10 @@ class ShardPolicy:
     #: only a slot's first incarnation runs it — respawns come back
     #: healthy
     fault_spec: Optional[dict] = None
-    #: seed for respawn-backoff jitter
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be > 0")
-        if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
-            raise ValueError("heartbeat_timeout_s must exceed "
-                             "heartbeat_interval_s")
-        if self.max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0")
-        if self.redeliver_max < 0:
-            raise ValueError("redeliver_max must be >= 0")
 
 
 class RouterStats:
@@ -241,11 +228,7 @@ class ShardRouter:
         }
         self.supervisor = Supervisor(
             num_workers=self.policy.num_workers,
-            worker_cfg=worker_cfg,
-            heartbeat_interval_s=self.policy.heartbeat_interval_s,
-            heartbeat_timeout_s=self.policy.heartbeat_timeout_s,
-            max_respawns=self.policy.max_respawns,
-            seed=self.policy.seed)
+            worker_cfg=worker_cfg)
         self.supervisor.on_message = self._on_message
         self.supervisor.on_ready = self._on_ready
         self.supervisor.on_death = self._on_death
@@ -422,9 +405,9 @@ class ShardRouter:
 
     def _redeliver(self, rec: _Inflight, reason: str) -> None:
         """One delivery attempt died with the worker; try again on the
-        surviving ring, bounded by ``redeliver_max``."""
+        surviving ring, bounded by :data:`REDELIVER_MAX`."""
         rec.redelivered += 1
-        if rec.redelivered > self.policy.redeliver_max:
+        if rec.redelivered > REDELIVER_MAX:
             with self._lock:
                 self._inflight.pop(rec.rid, None)
             self.stats.inc("crash_failures")
@@ -432,7 +415,7 @@ class ShardRouter:
                 rec, STATUS_ERROR,
                 f"WorkerCrashed: worker {rec.worker or '?'} died "
                 f"({reason}); redelivery budget "
-                f"({self.policy.redeliver_max}) exhausted"))
+                f"({REDELIVER_MAX}) exhausted"))
             return
         self.stats.inc("redelivered")
         with obs_trace.span("shard:redeliver", cat="shard",

@@ -12,13 +12,13 @@ failures:
 * **crash** — the process object reports a non-None exitcode (the
   sentinel fired).  SIGKILL, ``os._exit``, segfault: all land here.
 * **hang** — the process is alive but its heartbeat beacon has been
-  silent past ``heartbeat_timeout_s``.  The supervisor kills it
+  silent past ``ipc.HEARTBEAT_TIMEOUT_S``.  The supervisor kills it
   (escalating terminate → kill) and treats it as a crash; a process
   that can't prove liveness doesn't get to keep its slot.
 
 On death the supervisor invokes the router's ``on_death`` callback
 (inflight redelivery happens there), then respawns the slot with
-seeded, jittered exponential backoff — up to ``max_respawns`` times,
+seeded, jittered exponential backoff — up to :data:`MAX_RESPAWNS` times,
 after which the slot is *retired* and ``on_retired`` fires (the router
 drops it from the hash ring for good).  All spawning after the first
 happens on a dedicated respawn thread so a backoff sleep never blocks
@@ -39,8 +39,8 @@ from typing import Callable, Dict, List, Optional
 
 from ..degrade import RetryPolicy
 from ..obs import trace as obs_trace
-from .ipc import (Channel, MSG_GOODBYE, MSG_HEARTBEAT, MSG_HELLO,
-                  MSG_SHUTDOWN)
+from .ipc import (HEARTBEAT_INTERVAL_S, HEARTBEAT_TIMEOUT_S, Channel,
+                  MSG_GOODBYE, MSG_HEARTBEAT, MSG_HELLO, MSG_SHUTDOWN)
 from .worker import worker_main
 
 __all__ = ["Supervisor", "WorkerHandle"]
@@ -49,6 +49,8 @@ __all__ = ["Supervisor", "WorkerHandle"]
 READY_TIMEOUT_S = 60.0
 #: respawn backoff: seeded, jittered exponential
 RESPAWN_BACKOFF = RetryPolicy(base_delay_s=0.05, max_delay_s=1.0)
+#: per-slot respawn budget; an exhausted slot is retired for good
+MAX_RESPAWNS = 2
 
 
 class WorkerHandle:
@@ -110,21 +112,15 @@ class Supervisor:
     """
 
     def __init__(self, num_workers: int,
-                 worker_cfg: Optional[dict] = None,
-                 heartbeat_interval_s: float = 0.1,
-                 heartbeat_timeout_s: float = 1.0,
-                 max_respawns: int = 2,
-                 seed: int = 0) -> None:
+                 worker_cfg: Optional[dict] = None) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
         #: template for worker_main cfg; per-spawn keys (worker_id,
-        #: socket_path, heartbeat_interval_s) are filled in here
+        #: socket_path, incarnation) are filled in here
         self.worker_cfg = dict(worker_cfg or {})
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.max_respawns = max_respawns
-        self._rng = random.Random(seed)
+        #: the respawn backoff's jitter RNG (seeded: deterministic)
+        self._rng = random.Random(0)
         self._ctx = multiprocessing.get_context("spawn")
         self._dir = tempfile.mkdtemp(prefix="repro-shard-")
         self._lock = threading.RLock()
@@ -219,7 +215,6 @@ class Supervisor:
         listener.listen(1)
         cfg = dict(self.worker_cfg)
         cfg.update(worker_id=worker_id, socket_path=path,
-                   heartbeat_interval_s=self.heartbeat_interval_s,
                    incarnation=self._respawns.get(worker_id, 0) + 1)
         proc = self._ctx.Process(target=worker_main, args=(cfg,),
                                  name=f"shard-{worker_id}", daemon=True)
@@ -280,7 +275,7 @@ class Supervisor:
     def _monitor_loop(self) -> None:
         """Poll for crashes (exitcode set) and hangs (beacon silent
         past the deadline)."""
-        tick = max(0.01, self.heartbeat_interval_s / 2)
+        tick = HEARTBEAT_INTERVAL_S / 2
         while not self._closed.is_set():
             time.sleep(tick)
             now = time.monotonic()
@@ -293,7 +288,7 @@ class Supervisor:
                     self._declare_dead(handle, reason)
                     continue
                 if handle.ready.is_set():
-                    if now - handle.last_beat > self.heartbeat_timeout_s:
+                    if now - handle.last_beat > HEARTBEAT_TIMEOUT_S:
                         self._declare_dead(handle, "hang")
                 elif now - handle.spawned_at > READY_TIMEOUT_S:
                     self._declare_dead(handle, "boot")
@@ -324,7 +319,7 @@ class Supervisor:
         if self._closed.is_set():
             return
         count = self._respawns.get(handle.worker_id, 0)
-        if count >= self.max_respawns:
+        if count >= MAX_RESPAWNS:
             with self._lock:
                 self._retired.add(handle.worker_id)
                 self._handles.pop(handle.worker_id, None)

@@ -52,9 +52,10 @@ from ..faults import (FaultPlan, SITE_HEARTBEAT_STALL, SITE_PROCESS_KILL,
 from ..serve.policy import ServePolicy
 from ..serve.server import CACHE_CAPACITY, Server
 from .artifact import ArtifactError, ArtifactStore
-from .ipc import (Channel, MSG_GOODBYE, MSG_HEARTBEAT, MSG_HELLO,
-                  MSG_RESULT, MSG_SHUTDOWN, MSG_SUBMIT, STATUS_REF_MISS,
-                  ArrayLRU, decode_args, encode_args)
+from .ipc import (HEARTBEAT_INTERVAL_S, Channel, MSG_GOODBYE,
+                  MSG_HEARTBEAT, MSG_HELLO, MSG_RESULT, MSG_SHUTDOWN,
+                  MSG_SUBMIT, STATUS_REF_MISS, ArrayLRU, decode_args,
+                  encode_args)
 
 __all__ = ["worker_main"]
 
@@ -89,14 +90,14 @@ def _connect(path: str, timeout_s: float = 5.0) -> socket.socket:
             time.sleep(0.05)
 
 
-def _heartbeat_loop(chan: Channel, worker_id: str, interval_s: float,
+def _heartbeat_loop(chan: Channel, worker_id: str,
                     stop: threading.Event) -> None:
     """Beacon liveness until told to stop.  A fired ``heartbeat_stall``
     fault silences the beacon *permanently* while the worker keeps
     serving — the hung-worker signature the router's deadline detector
     exists for."""
     seq = 0
-    while not stop.wait(interval_s):
+    while not stop.wait(HEARTBEAT_INTERVAL_S):
         try:
             maybe_inject(SITE_HEARTBEAT_STALL, worker_id)
         except ReproError:
@@ -158,7 +159,6 @@ def worker_main(cfg: dict) -> None:
       cold cache)
     - ``policy``: :class:`~repro.serve.policy.ServePolicy` kwargs for
       the inner server
-    - ``heartbeat_interval_s``: beacon period
     - ``fault_spec``: :meth:`~repro.faults.FaultPlan.to_spec` dict, or
       None for a fault-free worker
     - ``incarnation``: 1-based per-slot spawn count (supervisor-set)
@@ -198,8 +198,7 @@ def _serve(cfg: dict, worker_id: str) -> None:
     stop_beacon = threading.Event()
     beacon = threading.Thread(
         target=_heartbeat_loop,
-        args=(chan, worker_id, cfg.get("heartbeat_interval_s", 0.1),
-              stop_beacon),
+        args=(chan, worker_id, stop_beacon),
         name=f"shard-heartbeat-{worker_id}", daemon=True)
     beacon.start()
 

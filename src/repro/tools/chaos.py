@@ -43,7 +43,7 @@ import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional
 
-from ..degrade import BreakerRegistry, RetryPolicy
+from ..degrade import BreakerRegistry
 from ..eval.cache import CompileCache, clone_args
 from ..eval.harness import run_workload, run_workload_resilient
 from ..faults import (ALL_SITES, Fault, FaultPlan, FaultRule,
@@ -54,6 +54,7 @@ from ..faults import (ALL_SITES, Fault, FaultPlan, FaultRule,
 from ..models import get_workload
 from ..serve import Response, STATUS_OK, ServePolicy, Server
 from ..shard import ShardRouter
+from ..shard.ipc import HEARTBEAT_TIMEOUT_S
 from .drive import (burst, common_args, request_pool, tally,
                     write_report)
 from .sharddrill import LEDGER, fleet_policy
@@ -132,9 +133,7 @@ class _Harness:
     def __init__(self, ladder: bool) -> None:
         self.ladder = ladder
         self.cache = CompileCache()
-        self.breakers = BreakerRegistry(reset_timeout_s=0.01)
-        self.retry = RetryPolicy(max_retries=1, base_delay_s=0.0005,
-                                 max_delay_s=0.005)
+        self.breakers = BreakerRegistry()
 
     def submit(self, workload: str, *, seq_len: int, seed: int) -> Future:
         """Run one request now; returns its already-resolved future."""
@@ -143,8 +142,7 @@ class _Harness:
             if self.ladder:
                 r = run_workload_resilient(
                     workload, "tensorssa", seq_len=seq_len, seed=seed,
-                    cache=self.cache, breakers=self.breakers,
-                    retry=self.retry)
+                    cache=self.cache, breakers=self.breakers)
             else:
                 r = run_workload(workload, "tensorssa", seq_len=seq_len,
                                  seed=seed, cache=self.cache)
@@ -200,10 +198,7 @@ def run_serve_campaign(workload: str, plan: Optional[FaultPlan],
     policy = ServePolicy(
         workers=2, max_batch_size=4, batch_wait_s=0.001,
         verify="batch", fallback_chain=None if ladder else _NO_FALLBACK,
-        max_retries=1,
-        retry_base_delay_s=0.0005, retry_max_delay_s=0.005,
-        breaker_reset_s=0.02, request_timeout_s=hang_timeout_s,
-        retry_seed=index)
+        request_timeout_s=hang_timeout_s)
     server = Server(policy)
     auditor = StateAuditor(cache=server.cache)
     try:
@@ -234,9 +229,7 @@ def run_shard_campaign(workload: str, plan: Optional[FaultPlan],
     refs = [wl.model_fn(*clone_args(args)) for args in pool]
     policy = fleet_policy(
         plan.to_spec() if plan else None, hang_timeout_s,
-        fallback_chain=None if ladder else _NO_FALLBACK, max_retries=1,
-        retry_base_delay_s=0.0005, retry_max_delay_s=0.005,
-        breaker_reset_s=0.02, retry_seed=index)
+        fallback_chain=None if ladder else _NO_FALLBACK)
     auditor = StateAuditor()
     with ShardRouter(policy) as router:
         router.wait_ready(2, timeout=60)
@@ -248,8 +241,7 @@ def run_shard_campaign(workload: str, plan: Optional[FaultPlan],
             # death detection is asynchronous (a stalled beacon only
             # shows after the heartbeat deadline): hold the fleet open
             # one detection window so the supervisor can witness it
-            wait_until = time.monotonic() \
-                + policy.heartbeat_timeout_s + 1.0
+            wait_until = time.monotonic() + HEARTBEAT_TIMEOUT_S + 1.0
             while time.monotonic() < wait_until \
                     and router.supervisor.deaths == 0:
                 time.sleep(0.05)

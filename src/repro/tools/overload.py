@@ -126,7 +126,7 @@ def _campaign_policy(mode: str, args: argparse.Namespace,
     if mode == "baseline":
         return _policy(args, shed_enabled=False, **common)
     return _policy(
-        args, shed_enabled=True, shed_window=args.shed_window,
+        args, shed_enabled=True,
         tenant_rates={"free": (free_rate, max(8.0, free_rate))},
         **common)
 
@@ -313,8 +313,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(its own batch group = its own lane)")
     parser.add_argument("--low-seq-len", type=int, default=16,
                         help="sequence length of low-priority requests")
-    parser.add_argument("--shed-window", type=int, default=32,
-                        help="sliding-window size of the shed signal")
     parser.add_argument("--chaos", choices=("off", "latency"),
                         default="latency",
                         help="latency-only fault plan under both "

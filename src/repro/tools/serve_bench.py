@@ -61,8 +61,7 @@ def bench_workload(name: str, args: argparse.Namespace,
                   request_timeout_s=args.timeout_s,
                   verify=("off" if args.no_verify else "batch"))
     if args.dynamic_shapes:
-        differing = (dict(max_batch_size=args.max_batch, dynamic_shapes=True,
-                          bucket_min=args.bucket_min),
+        differing = (dict(max_batch_size=args.max_batch, dynamic_shapes=True),
                      dict(max_batch_size=args.max_batch))
     else:
         differing = (dict(max_batch_size=args.max_batch),
@@ -124,8 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="longest randomized sequence length")
     parser.add_argument("--shape-seed", type=int, default=0,
                         help="seed for the random length draws")
-    parser.add_argument("--bucket-min", type=int, default=8,
-                        help="smallest padding bucket in bucketed mode")
     args = parser.parse_args(argv)
 
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]

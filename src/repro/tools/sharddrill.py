@@ -104,8 +104,6 @@ def fleet_policy(spec: Optional[dict], hang_timeout_s: float,
     keys the populate phase published)."""
     return ShardPolicy(
         num_workers=2, store_root=store, fault_spec=spec,
-        heartbeat_interval_s=0.05, heartbeat_timeout_s=0.6,
-        max_respawns=2, redeliver_max=3,
         request_timeout_s=hang_timeout_s,
         worker_policy={"workers": 2, "max_batch_size": 1, **worker_policy})
 

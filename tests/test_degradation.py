@@ -11,7 +11,7 @@ from conftest import HeldWorkers
 
 from repro.degrade import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
                            BreakerRegistry, CircuitBreaker, DEFAULT_LADDER,
-                           RetryPolicy, fallback_chain, run_ladder)
+                           RETRY, RetryPolicy, fallback_chain, run_ladder)
 from repro.errors import (CircuitOpen, CompileError, DeadlineExceeded,
                           KernelError, ServerShutdown)
 from repro.eval.harness import (CompileCache, run_workload,
@@ -240,9 +240,7 @@ def test_resilient_raises_typed_error_when_all_rungs_fail():
 
 def _ladder_policy(**kw):
     base = dict(workers=2, max_batch_size=4, batch_wait_s=0.001,
-                verify="batch", max_retries=1,
-                retry_base_delay_s=0.0001, retry_max_delay_s=0.001,
-                breaker_reset_s=0.02)
+                verify="batch")
     base.update(kw)
     return ServePolicy(**base)
 
@@ -364,15 +362,14 @@ def test_shutdown_drain_serves_everything_queued():
 class TestExecutorErrorRouting:
     def _policy(self, **kw):
         base = dict(workers=1, max_batch_size=2, batch_wait_s=0.001,
-                    verify="off", retry_base_delay_s=0.0001)
+                    verify="off")
         base.update(kw)
         return ServePolicy(**base)
 
     def test_batch_fault_surfaces_typed_error(self):
         plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC,
                                     probability=1.0, times=None)])
-        with Server(self._policy(max_retries=0,
-                                 fallback_chain=("tensorssa",))) as srv:
+        with Server(self._policy(fallback_chain=("tensorssa",))) as srv:
             with global_fault_scope(plan):
                 resp = srv.submit("attention",
                                   seq_len=8).result(timeout=30)
@@ -385,14 +382,15 @@ class TestExecutorErrorRouting:
     def test_retryable_batch_fault_recovers_solo(self):
         plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC,
                                     probability=1.0, times=None)])
-        with Server(self._policy(max_retries=2)) as srv:
+        with Server(self._policy()) as srv:
             with global_fault_scope(plan):
                 resp = srv.submit("attention",
                                   seq_len=8).result(timeout=30)
         # every batched rung burns its retries, then the eager floor
         # (which has no batch step to fault) serves the request solo
         assert resp.ok and resp.served_by == "eager"
-        assert plan.fired_by_site()[SITE_BATCH_EXEC] == 3 * 3
+        assert plan.fired_by_site()[SITE_BATCH_EXEC] == \
+            3 * (RETRY.max_retries + 1)
 
     def test_non_retryable_fault_not_hammered(self):
         # CompileError is non-retryable: one attempt per rung, then
@@ -401,8 +399,8 @@ class TestExecutorErrorRouting:
         plan = FaultPlan([FaultRule(
             site=SITE_KERNEL_LAUNCH, probability=1.0, times=None,
             fault=Fault(error=CompileError))])
+        assert RETRY.max_retries >= 1  # a retry was on offer
         with Server(self._policy(
-                max_retries=3,
                 fallback_chain=("tensorssa", "eager"))) as srv:
             with global_fault_scope(plan):
                 resp = srv.submit("attention",
@@ -416,7 +414,7 @@ class TestExecutorErrorRouting:
         plan = FaultPlan([FaultRule(
             site=SITE_BATCH_EXEC,
             fault=Fault(error=DeadlineExceeded))])
-        with Server(self._policy(max_retries=2)) as srv:
+        with Server(self._policy()) as srv:
             with global_fault_scope(plan):
                 resp = srv.submit("attention",
                                   seq_len=8).result(timeout=30)

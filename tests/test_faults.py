@@ -204,9 +204,7 @@ def test_batch_exec_site_fires_in_server():
     batch execution by design) — degraded but served."""
     plan = FaultPlan([FaultRule(site=SITE_BATCH_EXEC, probability=1.0,
                                 times=None)])
-    policy = ServePolicy(workers=1, max_batch_size=2, batch_wait_s=0.001,
-                         max_retries=0,
-                         retry_base_delay_s=0.0001, breaker_reset_s=5.0)
+    policy = ServePolicy(workers=1, max_batch_size=2, batch_wait_s=0.001)
     with Server(policy) as srv:
         auditor = StateAuditor(cache=srv.cache)
         with global_fault_scope(plan):
@@ -229,9 +227,7 @@ def test_server_answers_typed_errors_when_every_rung_fails():
         FaultRule(site=SITE_BATCH_EXEC, probability=1.0, times=None),
         FaultRule(site=SITE_KERNEL_LAUNCH, probability=1.0, times=None),
     ])
-    policy = ServePolicy(workers=1, max_batch_size=2, batch_wait_s=0.001,
-                         max_retries=0,
-                         retry_base_delay_s=0.0001, breaker_reset_s=5.0)
+    policy = ServePolicy(workers=1, max_batch_size=2, batch_wait_s=0.001)
     with Server(policy) as srv:
         auditor = StateAuditor(cache=srv.cache)
         with global_fault_scope(plan):

@@ -13,6 +13,7 @@ import inspect
 import pytest
 
 from repro.backend.kernels import OP_IMPLS
+from repro.ir import types as T
 from repro.ops import OpKind, all_ops, get, has
 from repro.ops.schema import OpSchema
 from repro.runtime.kernels import EAGER, INPLACE, KERNELS
@@ -157,3 +158,31 @@ class TestSchemaBasics:
         from repro.ops import register
         with pytest.raises(ValueError):
             register(OpSchema("aten::add", OpKind.PURE))
+
+
+class TestResultTypes:
+    """``ir.types.infer_types`` is the one template-to-type rule the
+    frontend and the gradient builder type emitted nodes with."""
+
+    def test_templates(self):
+        i, f, b = T.IntType(), T.FloatType(), T.BoolType()
+        x = T.TensorType()
+        assert T.infer_types(["Tensor", "int", "float", "bool"], [x]) == \
+            [x, i, f, b]
+        assert T.infer_types(["Scalar"], [i, f]) == [f]
+        assert T.infer_types(["Scalar"], [b, b]) == [b]
+        assert T.infer_types(["Scalar"], [b, i]) == [i]
+        assert T.infer_types(["Scalar"], [x, i]) == [i]  # scalars only
+        assert T.infer_types(["List"], [f, i]) == [T.ListType(f)]
+        assert T.infer_types(["Tuple"], [f, x]) == [T.TupleType([f, x])]
+        assert T.infer_types(["List", "mystery"], []) == \
+            [T.ListType(), T.AnyType()]
+
+    def test_scalar_of_no_operands_is_int(self):
+        # every Scalar op below takes operands, so no graph reaches
+        # this case; the rule still answers one way, everywhere
+        assert T.infer_types(["Scalar"], []) == [T.IntType()]
+        assert {s.name for s in all_ops() if "Scalar" in s.result_types} \
+            == {"aten::item", "prim::add", "prim::sub", "prim::mul",
+                "prim::mod", "prim::pow", "prim::neg", "prim::min",
+                "prim::max"}

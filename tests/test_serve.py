@@ -1,5 +1,6 @@
 """Serving layer: batcher units, server behavior, policies, oracles."""
 
+import dataclasses
 import threading
 import time
 
@@ -14,7 +15,9 @@ from repro.serve import (BatchSpec, ServePolicy, Server, coalesce,
 from repro.serve.batching import request_rows
 from repro.serve.bucketing import (PadSpec, bucket_extent, get_pad_spec,
                                    pad_args, unpad_outputs)
+from repro.serve.admission import SHED_WINDOW
 from repro.serve.executor import BatchExecutor
+from repro.serve.policy import DEADLINE_SLACK_S
 from repro.serve.request import Request
 from repro.serve.stats import ServerStats
 from repro.eval.harness import CompileCache
@@ -216,7 +219,7 @@ class TestRobustnessPolicies:
 
     def test_compile_failure_without_fallback_errors(self):
         pol = ServePolicy(workers=1, max_batch_size=1,
-                          fallback_chain=("tensorssa",), max_retries=0)
+                          fallback_chain=("tensorssa",))
         with Server(pol) as srv:
             resp = srv.submit(UNSCRIPTABLE, seq_len=8).result(timeout=60)
         assert resp.status == "error"
@@ -235,10 +238,10 @@ class TestRobustnessPolicies:
         # no cached artifact + deadline inside the slack window -> the
         # executor serves eagerly instead of starting a cold compile
         stats = ServerStats()
-        pol = ServePolicy(deadline_slack_s=10.0, verify="solo")
+        pol = ServePolicy(verify="solo")
         ex = BatchExecutor(pol, CompileCache(), stats)
         req = make_request("attention",
-                           deadline=time.monotonic() + 1.0)
+                           deadline=time.monotonic() + DEADLINE_SLACK_S / 2)
         ex.execute([req])
         resp = req.future.result(timeout=30)
         assert resp.ok and resp.served_by == "eager"
@@ -328,6 +331,11 @@ def shared_args(base, workload="lstm", seq_len=8, seed=1):
                  for i, ax in enumerate(spec.arg_axes))
 
 
+def _budget_policy(budget_s, **kw):
+    """A policy whose derived shed budget is ``budget_s``."""
+    return ServePolicy(request_timeout_s=budget_s + DEADLINE_SLACK_S, **kw)
+
+
 class _StubStats:
     """Feeds AdmissionController a hand-set queue-wait percentile."""
 
@@ -371,7 +379,7 @@ class TestTokenBucket:
 
 class TestAdmissionController:
     def test_hysteresis_trip_and_recover(self):
-        pol = ServePolicy(shed_budget_s=1.0)
+        pol = _budget_policy(1.0)
         stub = _StubStats()
         ctrl = AdmissionController(pol, stub)
         stub.p = 0.5
@@ -385,7 +393,7 @@ class TestAdmissionController:
         assert not ctrl.shedding
 
     def test_high_priority_never_shed(self):
-        pol = ServePolicy(shed_budget_s=0.1)
+        pol = _budget_policy(0.1)
         stub = _StubStats(p=10.0)
         ctrl = AdmissionController(pol, stub)
         assert ctrl.should_shed(0)
@@ -393,9 +401,9 @@ class TestAdmissionController:
         assert not ctrl.should_shed(2)
 
     def test_budget_derives_from_request_timeout(self):
-        pol = ServePolicy(request_timeout_s=2.0, deadline_slack_s=0.5)
+        pol = ServePolicy(request_timeout_s=2.0)
         ctrl = AdmissionController(pol, _StubStats())
-        assert ctrl.shed_budget_s() == pytest.approx(1.5)
+        assert ctrl.shed_budget_s() == pytest.approx(2.0 - DEADLINE_SLACK_S)
 
     def test_no_deadline_disables_shedding(self):
         pol = ServePolicy(request_timeout_s=0)
@@ -404,26 +412,26 @@ class TestAdmissionController:
         assert not ctrl.should_shed(0)
 
     def test_disabled_flag_wins(self):
-        pol = ServePolicy(shed_enabled=False, shed_budget_s=0.01)
+        pol = _budget_policy(0.01, shed_enabled=False)
         ctrl = AdmissionController(pol, _StubStats(p=100.0))
         assert not ctrl.should_shed(0)
 
     def test_work_conservation_floor(self):
         # even while tripped, a near-empty queue is never shed into:
         # the lagging percentile must not idle the server
-        pol = ServePolicy(workers=2, max_batch_size=4,
-                          shed_budget_s=0.1)
+        pol = _budget_policy(0.1, workers=2, max_batch_size=4)
         ctrl = AdmissionController(pol, _StubStats(p=10.0))
         assert ctrl.keep_busy_floor == 8    # derived workers*max_batch
         assert ctrl.should_shed(0, pending=100)
         assert ctrl.shedding
         assert not ctrl.should_shed(0, pending=7)
         assert ctrl.should_shed(0, pending=8)
-        explicit = AdmissionController(
-            ServePolicy(shed_budget_s=0.1, shed_min_pending=3),
+        small = AdmissionController(
+            _budget_policy(0.1, workers=1, max_batch_size=3),
             _StubStats(p=10.0))
-        assert explicit.keep_busy_floor == 3
-        assert not explicit.should_shed(0, pending=2)
+        assert small.keep_busy_floor == 3
+        assert not small.should_shed(0, pending=2)
+        assert small.should_shed(0, pending=3)
 
 
 class TestGroupLaneHelpers:
@@ -488,8 +496,7 @@ class TestSchedulerRegressions:
         # wait, hiding blocked-submit time from the queue-wait
         # percentiles (the very signal the shedder reads).
         pol = ServePolicy(workers=1, max_batch_size=1, queue_capacity=1,
-                          reject_on_full=False, submit_timeout_s=10.0,
-                          batch_wait_s=0.0)
+                          reject_on_full=False, batch_wait_s=0.0)
         srv = Server(pol)
         held = HeldWorkers(srv)
         try:
@@ -637,7 +644,7 @@ class TestLingerOnEvidence:
 
     def test_wake_point_names_its_bound_on_fake_clock(self):
         t = [100.0]
-        pol = ServePolicy(workers=1, batch_wait_s=2.0, deadline_slack_s=0.25)
+        pol = ServePolicy(workers=1, batch_wait_s=2.0)
         with Server(pol, clock=lambda: t[0]) as srv:
             relaxed = make_request(deadline=t[0] + 30.0)
             relaxed.enqueued_at = t[0]
@@ -646,7 +653,7 @@ class TestLingerOnEvidence:
             tight = make_request(deadline=t[0] + 1.0)
             tight.enqueued_at = t[0] + 0.5
             assert srv._group_wake_at([relaxed, tight]) == \
-                (100.75, "deadline")
+                (101.0 - DEADLINE_SLACK_S, "deadline")
 
     def test_lone_request_on_idle_server_skips_the_linger(self):
         from repro.obs import global_tracing
@@ -771,26 +778,43 @@ class TestQuotasAndShedding:
         assert srv.stats.quota_rejected_by_tenant == {"free": 1}
 
     def test_shed_then_recover_through_server(self):
-        pol = ServePolicy(workers=1, shed_budget_s=0.5, shed_window=8,
-                          shed_min_pending=0)
-        with Server(pol) as srv:
+        # a 0.5 s wait budget; one worker at batch 1 makes the
+        # work-conservation floor one queued request
+        pol = ServePolicy(workers=1, max_batch_size=1,
+                          request_timeout_s=0.5 + DEADLINE_SLACK_S)
+        srv = Server(pol)
+        held = HeldWorkers(srv)
+
+        def submit(priority):
+            return srv.submit("attention", seq_len=8, priority=priority,
+                              timeout_s=30.0)
+
+        try:
             # simulate a queue-wait spike crossing the budget
-            for _ in range(8):
+            for _ in range(SHED_WINDOW):
                 srv.stats.on_response("ok", 0.01, 1.0, False, False, 0,
                                       None)
-            shed = srv.submit("attention", seq_len=8, priority=0)
-            kept = srv.submit("attention", seq_len=8, priority=1)
+            running = submit(1)
+            held.next_taken()
+            queued = submit(1)               # the floor: one pending
+            shed = submit(0)
+            kept = submit(1)
             r_shed = shed.result(timeout=30)
             assert r_shed.status == "shed"
             assert "shed" in r_shed.error
-            assert kept.result(timeout=30).ok
             assert srv.admission.shedding
             # the spike drains: recent waits fall below budget * frac
-            for _ in range(8):
+            for _ in range(SHED_WINDOW):
                 srv.stats.on_response("ok", 0.01, 0.01, False, False, 0,
                                       None)
-            recovered = srv.submit("attention", seq_len=8, priority=0)
-            assert recovered.result(timeout=30).ok
+            recovered = submit(0)
+            assert not srv.admission.shedding
+            held.release_all()
+            for fut in (running, queued, kept, recovered):
+                assert fut.result(timeout=30).ok
+        finally:
+            held.release_all()
+            srv.shutdown()
         assert srv.stats.shed == 1
         assert srv.stats.shed_by_lane == {0: 1}
 
@@ -811,13 +835,13 @@ class TestDrainDeadline:
     def test_wedged_worker_cannot_stall_shutdown(self):
         from repro.faults import global_fault_scope
         policy = ServePolicy(workers=1, max_batch_size=1,
-                             batch_wait_s=0.001, drain_timeout_s=0.3)
+                             batch_wait_s=0.001)
         srv = Server(policy)
         with global_fault_scope(self._wedge_plan(8.0)):
             futs = [srv.submit("attention", seq_len=8, seed=s)
                     for s in range(3)]
             start = time.monotonic()
-            srv.shutdown(drain=True)
+            srv.shutdown(drain=True, timeout=0.3)
             elapsed = time.monotonic() - start
         assert elapsed < 4.0  # bounded by the deadline, not the wedge
         assert srv.stats.drain_expired >= 1
@@ -833,10 +857,13 @@ class TestDrainDeadline:
             assert "ServerShutdown" in resp.error \
                 or "shut down" in resp.error
 
-    def test_explicit_timeout_overrides_policy(self):
+    def test_explicit_timeout_overrides_policy(self, monkeypatch):
+        """An explicit ``timeout`` wins over the default deadline."""
         from repro.faults import global_fault_scope
+        from repro.serve import server as server_module
+        monkeypatch.setattr(server_module, "DRAIN_TIMEOUT_S", 30.0)
         policy = ServePolicy(workers=1, max_batch_size=1,
-                             batch_wait_s=0.001, drain_timeout_s=30.0)
+                             batch_wait_s=0.001)
         srv = Server(policy)
         with global_fault_scope(self._wedge_plan(8.0)):
             futs = [srv.submit("attention", seq_len=8, seed=s)
@@ -850,7 +877,7 @@ class TestDrainDeadline:
 
     def test_clean_drain_leaves_no_expiry(self):
         policy = ServePolicy(workers=1, max_batch_size=2,
-                             batch_wait_s=0.001, drain_timeout_s=10.0)
+                             batch_wait_s=0.001)
         srv = Server(policy)
         futs = [srv.submit("attention", seq_len=8, seed=s)
                 for s in range(4)]
@@ -955,3 +982,21 @@ class TestDynamicServing:
         d = srv.stats.to_dict()
         assert "bucket_pad_efficiency" in d
         assert d["compile_cache"]["misses"] == 1
+
+
+class TestPolicyFields:
+    def test_fields_are_the_audited_sets(self):
+        """A policy field is a setting two callers need at different
+        values, or a deployment setting; every other knob is a module
+        constant.  EXPERIMENTS.md ("Serving knobs: one value each")
+        holds the drill sweep that decided each removed field: a new
+        field needs a row there showing a drill number it moves."""
+        from repro.shard import ShardPolicy
+        assert {f.name for f in dataclasses.fields(ServePolicy)} == {
+            "workers", "max_batch_size", "batch_wait_s", "queue_capacity",
+            "reject_on_full", "request_timeout_s", "verify",
+            "fallback_chain", "dynamic_shapes", "tenant_rates",
+            "shed_enabled"}
+        assert {f.name for f in dataclasses.fields(ShardPolicy)} == {
+            "num_workers", "request_timeout_s", "store_root",
+            "worker_policy", "fault_spec"}

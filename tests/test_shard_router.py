@@ -214,10 +214,6 @@ class TestShardPolicy:
 
     @pytest.mark.parametrize("kwargs", [
         {"num_workers": 0},
-        {"heartbeat_interval_s": 0.0},
-        {"heartbeat_interval_s": 0.5, "heartbeat_timeout_s": 0.5},
-        {"max_respawns": -1},
-        {"redeliver_max": -1},
     ])
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -409,8 +405,7 @@ def test_concurrent_clients_never_send_a_ref_ahead_of_its_bytes(fleet):
 def test_respawned_incarnation_receives_full_bytes():
     kill = FaultRule(site=SITE_PROCESS_KILL, match="submit", nth=1,
                      fault=Fault())
-    router = _fleet(fault_spec=FaultPlan([kill], seed=0).to_spec(),
-                    max_respawns=1)
+    router = _fleet(fault_spec=FaultPlan([kill], seed=0).to_spec())
     try:
         first, second = request_pool(LSTM, [8, 8], seed0=400)
         cold = _serve(router, first)
@@ -439,8 +434,7 @@ class TestWorkerRefs:
         listener.listen(1)
         thread = threading.Thread(target=worker_main, daemon=True, args=(
             {"worker_id": "w0", "socket_path": path, "store_root": None,
-             "policy": {"workers": 1, "max_batch_size": 1},
-             "heartbeat_interval_s": 0.05},))
+             "policy": {"workers": 1, "max_batch_size": 1}},))
         thread.start()
         conn, _ = listener.accept()
         chan = Channel(conn)
