@@ -38,8 +38,6 @@ import numpy as np
 
 import repro.runtime as rt
 
-from .bucketing import (PadSpec, bucket_extent, get_pad_spec, pad_args,
-                        request_extent, unpad_outputs)
 from .request import Request
 
 
@@ -118,24 +116,19 @@ def request_rows(spec: Optional[BatchSpec], args: Sequence) -> int:
     return 1
 
 
-def group_key(req: Request, bucket_min: Optional[int] = None) -> tuple:
+def group_key(req: Request) -> tuple:
     """Coalescing key: requests with equal keys may share one batch.
 
     Built from each batched argument's shape and dtype, minus the
     batch extent itself (which the coalesced run sums), plus the
     identity of shared model state.  Requests without a spec get a key
-    unique to themselves.
-
-    With ``bucket_min`` set (dynamic-shape serving), each argument's
-    padded sequence extent is replaced by its power-of-two bucket, so
-    near-miss lengths (12, 13, 16 -> bucket 16) land in one group and
-    ``coalesce`` pads them to a common extent.
+    unique to themselves.  Every other extent is exact: two sequence
+    lengths are two groups, and one compiled artifact serves both.
     """
     spec = get_batch_spec(req.workload.name)
     if spec is None:
         return (req.workload.name, req.pipeline, req.platform,
                 "solo", req.id)
-    pad_spec = get_pad_spec(req.workload.name) if bucket_min else None
     parts: List[object] = [req.workload.name, req.pipeline, req.platform]
     for i, axis in enumerate(spec.arg_axes):
         arg = req.args[i] if i < len(req.args) else None
@@ -149,11 +142,6 @@ def group_key(req: Request, bucket_min: Optional[int] = None) -> tuple:
                         "solo", req.id)
             shape = list(arg.shape)
             shape[axis] = -1  # batch extent is free
-            if pad_spec is not None and i < len(pad_spec.arg_axes):
-                pad_axis = pad_spec.arg_axes[i]
-                if pad_axis is not None and pad_axis != axis:
-                    shape[pad_axis] = -bucket_extent(shape[pad_axis],
-                                                     bucket_min)
             parts.append(("batched", axis, tuple(shape), str(arg.dtype)))
     return tuple(parts)
 
@@ -167,43 +155,18 @@ class BatchPlan:
     spec: Optional[BatchSpec]
     #: per-request (row_start, row_end) along the batch axis
     segments: List[Tuple[int, int]]
-    #: bucketed-padding bookkeeping (dynamic-shape serving only):
-    #: the pad spec, the common bucket extent the args were padded to,
-    #: and each request's real (pre-pad) extent for un-padding
-    pad_spec: Optional[PadSpec] = None
-    pad_bucket: Optional[int] = None
-    pad_extents: Optional[List[int]] = None
 
     @property
     def total_rows(self) -> int:
         return self.segments[-1][1] if self.segments else 0
 
-    @property
-    def padded_units(self) -> int:
-        """Sequence units executed after padding (0 when not padded)."""
-        if self.pad_bucket is None or self.pad_extents is None:
-            return 0
-        return self.pad_bucket * len(self.pad_extents)
 
-    @property
-    def real_units(self) -> int:
-        """Sequence units the requests actually asked for."""
-        return sum(self.pad_extents) if self.pad_extents else 0
-
-
-def coalesce(requests: Sequence[Request],
-             bucket_min: Optional[int] = None) -> BatchPlan:
+def coalesce(requests: Sequence[Request]) -> BatchPlan:
     """Compose one batch from same-group requests (order preserved).
 
     A single request passes through without concatenation, so solo
     execution costs nothing extra and stays bitwise identical to an
     unserved ``run_workload`` call.
-
-    With ``bucket_min`` set, every request's sequence axis is
-    zero-padded up to the group's power-of-two bucket before
-    composition (host-side) and the plan records each request's real
-    extent so :func:`scatter` can un-pad; solo requests are padded too,
-    keeping the compiled shape stream bucketed.
     """
     reqs = list(requests)
     spec = get_batch_spec(reqs[0].workload.name)
@@ -214,35 +177,17 @@ def coalesce(requests: Sequence[Request],
         segments.append((row, row + rows))
         row += rows
 
-    pad_spec = None
-    pad_bucket = None
-    pad_extents = None
-    req_args: List[tuple] = [r.args for r in reqs]
-    if bucket_min and spec is not None:
-        pspec = get_pad_spec(reqs[0].workload.name)
-        if pspec is not None:
-            extents = [request_extent(pspec, r.args) for r in reqs]
-            if all(e is not None for e in extents):
-                pad_spec = pspec
-                pad_extents = [int(e) for e in extents]
-                pad_bucket = max(bucket_extent(e, bucket_min)
-                                 for e in pad_extents)
-                req_args = [pad_args(a, pspec, pad_bucket)
-                            for a in req_args]
-
     if len(reqs) == 1 or spec is None:
-        return BatchPlan(requests=reqs, args=req_args[0], spec=spec,
-                         segments=segments[:1], pad_spec=pad_spec,
-                         pad_bucket=pad_bucket, pad_extents=pad_extents)
+        return BatchPlan(requests=reqs, args=reqs[0].args, spec=spec,
+                         segments=segments[:1])
     composed: List[object] = []
     for i, axis in enumerate(spec.arg_axes):
         if axis is None:
-            composed.append(req_args[0][i])
+            composed.append(reqs[0].args[i])
         else:
-            composed.append(rt.cat([a[i] for a in req_args], axis))
+            composed.append(rt.cat([r.args[i] for r in reqs], axis))
     return BatchPlan(requests=reqs, args=tuple(composed), spec=spec,
-                     segments=segments, pad_spec=pad_spec,
-                     pad_bucket=pad_bucket, pad_extents=pad_extents)
+                     segments=segments)
 
 
 def _slice_rows(t: rt.Tensor, axis: int, start: int, end: int) -> rt.Tensor:
@@ -256,26 +201,19 @@ def _slice_rows(t: rt.Tensor, axis: int, start: int, end: int) -> rt.Tensor:
 
 
 def scatter(outputs, plan: BatchPlan) -> List[tuple]:
-    """Split batched outputs back into per-request output tuples,
-    un-padding each back to its real sequence extent when the plan
-    was bucketed."""
+    """Split batched outputs back into per-request output tuples."""
     outs = rt.as_tuple(outputs)
     if plan.spec is None or len(plan.requests) == 1:
-        per_request = [outs]
-    else:
-        per_request = []
-        for start, end in plan.segments:
-            sliced = []
-            for k, out in enumerate(outs):
-                axis = plan.spec.out_axes[k] \
-                    if k < len(plan.spec.out_axes) else None
-                if axis is None or not isinstance(out, rt.Tensor):
-                    sliced.append(out)
-                else:
-                    sliced.append(_slice_rows(out, axis, start, end))
-            per_request.append(tuple(sliced))
-    if plan.pad_spec is not None and plan.pad_extents:
-        per_request = [
-            unpad_outputs(outs_i, plan.pad_spec, extent)
-            for outs_i, extent in zip(per_request, plan.pad_extents)]
+        return [outs]
+    per_request = []
+    for start, end in plan.segments:
+        sliced = []
+        for k, out in enumerate(outs):
+            axis = plan.spec.out_axes[k] \
+                if k < len(plan.spec.out_axes) else None
+            if axis is None or not isinstance(out, rt.Tensor):
+                sliced.append(out)
+            else:
+                sliced.append(_slice_rows(out, axis, start, end))
+        per_request.append(tuple(sliced))
     return per_request

@@ -52,7 +52,6 @@ from ..faults import SITE_BATCH_EXEC, maybe_inject
 from ..obs import trace as obs_trace
 from ..pipelines import Pipeline, get_pipeline
 from .batching import BatchPlan, coalesce, scatter
-from .bucketing import BUCKET_MIN
 from .policy import (DEADLINE_SLACK_S, VERIFY_BATCH, VERIFY_OFF,
                      VERIFY_SOLO, ServePolicy)
 from .request import (Request, Response, STATUS_ERROR, STATUS_OK,
@@ -94,20 +93,13 @@ class BatchExecutor:
 
     def _coalesce(self, requests: List[Request]) -> BatchPlan:
         """Coalesce under a ``serve:coalesce`` span, stamping each
-        member's timeline with the batch it rode in.  Under
-        ``dynamic_shapes`` the plan pads to the group's bucket and the
-        pad traffic (real vs padded sequence units) is recorded on the
-        stats."""
-        bucket_min = BUCKET_MIN if self.policy.dynamic_shapes else None
+        member's timeline with the batch it rode in."""
         with obs_trace.span("serve:coalesce", cat="serve",
                             requests=len(requests)):
-            plan = coalesce(requests, bucket_min=bucket_min)
-        if plan.padded_units:
-            self.stats.on_bucket(plan.real_units, plan.padded_units)
+            plan = coalesce(requests)
         for req in requests:
             req.mark("coalesce", batch_requests=len(requests),
-                     batch_rows=plan.total_rows,
-                     pad_bucket=plan.pad_bucket)
+                     batch_rows=plan.total_rows)
         return plan
 
     def _drop_expired(self, requests: Sequence[Request]) -> List[Request]:

@@ -12,11 +12,11 @@ compile) descend the fallback chain to the eager pipeline.
 A field is a setting some caller needs at two values; what every
 caller ran at one value is a constant: :data:`SUBMIT_TIMEOUT_S`,
 :data:`DEADLINE_SLACK_S` and :data:`DRAIN_TIMEOUT_S` here,
-``admission.SHED_WINDOW``, ``bucketing.BUCKET_MIN``, and the ladder's
-retry-and-breaker setting (``degrade.RETRY`` /
-``degrade.BREAKER_RESET_S``).  The shedder's wait budget
-(``request_timeout_s - DEADLINE_SLACK_S``) and work-conservation floor
-(``workers * max_batch_size``) derive from the fields.
+``admission.SHED_WINDOW``, and the ladder's retry-and-breaker setting
+(``degrade.RETRY`` / ``degrade.BREAKER_RESET_S``).  The shedder's wait
+budget (``request_timeout_s - DEADLINE_SLACK_S``) and
+work-conservation floor (``workers * max_batch_size``) derive from the
+fields.
 """
 
 from __future__ import annotations
@@ -77,14 +77,6 @@ class ServePolicy:
     #: the requested pipeline down; an explicit tuple is walked
     #: verbatim, so ``(pipeline,)`` means "no fallback"
     fallback_chain: Optional[Tuple[str, ...]] = None
-    #: pad variable sequence lengths to power-of-two buckets
-    #: (``serve.bucketing``, from ``BUCKET_MIN``) so near-miss lengths
-    #: coalesce into one batch.  Requires ``verify`` "off" or "batch":
-    #: the batch oracle runs eager on the identical padded inputs,
-    #: whereas "solo" would compare against the unpadded request and
-    #: flag legitimate padded-state differences (e.g. an LSTM's final
-    #: h/c reflect the padded-length run) as divergence.
-    dynamic_shapes: bool = False
     #: per-tenant token-bucket quotas: tenant name -> (tokens/s, burst).
     #: Tenants not listed are unlimited; a drained bucket rejects at
     #: intake with a "tenant quota exceeded" response.
@@ -107,11 +99,6 @@ class ServePolicy:
             raise ValueError(f"unknown verify mode {self.verify!r}")
         if self.fallback_chain is not None and not self.fallback_chain:
             raise ValueError("fallback_chain must name at least one rung")
-        if self.dynamic_shapes and self.verify == VERIFY_SOLO:
-            raise ValueError(
-                "dynamic_shapes requires verify='batch' or 'off': the "
-                "solo oracle compares against unpadded inputs and would "
-                "flag padded recurrent state as divergence")
         for tenant, (rate, burst) in (self.tenant_rates or {}).items():
             if rate < 0 or burst <= 0:
                 raise ValueError(

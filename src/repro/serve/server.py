@@ -60,7 +60,6 @@ from ..obs import trace as obs_trace
 from .admission import SHED_PERCENTILE, AdmissionController
 from .batching import (get_batch_spec, group_key, group_lane,
                        group_min_deadline, request_rows)
-from .bucketing import BUCKET_MIN
 from .executor import BatchExecutor
 from .policy import (DEADLINE_SLACK_S, DRAIN_TIMEOUT_S, SUBMIT_TIMEOUT_S,
                      ServePolicy)
@@ -228,8 +227,7 @@ class Server:
                         "for queue space")
                 waited = self._clock() - wait_start
                 self.stats.on_backpressure(waited)
-            key = group_key(req, bucket_min=(
-                BUCKET_MIN if self.policy.dynamic_shapes else None))
+            key = group_key(req)
             queue = self._groups.get(key)
             if queue is None:
                 queue = deque()
@@ -370,11 +368,14 @@ class Server:
                 # the worker survives to drain the next batch.
                 self._scatter_failure(batch, exc)
             finally:
-                # no wake: whoever lingered because of this batch is
-                # claimed (reason "idle") by this very worker, which is
-                # on its way back into ``_take_batch``
+                # whoever lingered because of this batch is claimed
+                # (reason "idle") by this very worker, which is on its
+                # way back into ``_take_batch``; the only wake is for
+                # a waiter on the server going idle
                 with self._cond:
                     self._executing -= 1
+                    if not self._executing:
+                        self._cond.notify_all()
 
     def _scatter_failure(self, batch: List[Request], exc: Exception) -> None:
         for req in batch:

@@ -60,8 +60,6 @@ INSTRUMENTS = (
     ("queue_depth_peak", "peak", "deepest the queue ever got"),
     ("request_cache_hits", "count", "requests whose artifact was cached"),
     ("request_cache_misses", "count", "requests whose artifact was not"),
-    ("bucket_real_units", "count", "sequence units requested, bucketed"),
-    ("bucket_padded_units", "count", "sequence units run after padding"),
     ("shed_by_lane", "by_label", "priority lane -> requests shed at intake"),
     ("quota_rejected_by_tenant", "by_label",
      "tenant -> requests rejected by its token bucket"),
@@ -172,13 +170,6 @@ class ServerStats:
         self._inst["batches_executed"].inc()
         self._inst["batch_size_hist"].inc(n_requests)
 
-    def on_bucket(self, real_units: int, padded_units: int) -> None:
-        """One bucketed plan executed: ``real_units`` requested
-        sequence units ran as ``padded_units`` after power-of-two
-        padding (their ratio is the pad efficiency)."""
-        self._inst["bucket_real_units"].inc(real_units)
-        self._inst["bucket_padded_units"].inc(padded_units)
-
     def on_response(self, status: str, latency_s: float,
                     queue_wait_s: float, cache_hit: bool,
                     fallback: bool, retries: int,
@@ -221,13 +212,6 @@ class ServerStats:
 
     # -- reading --------------------------------------------------------
 
-    @property
-    def bucket_pad_efficiency(self) -> float:
-        """real / padded sequence units (1.0 = no padding waste; 0.0
-        when no bucketed plan has executed)."""
-        padded = self.bucket_padded_units
-        return self.bucket_real_units / padded if padded else 0.0
-
     def latency_percentile(self, q: float) -> float:
         """Nearest-rank latency percentile over the reservoir (s)."""
         return self._latency.percentile(q)
@@ -262,7 +246,6 @@ class ServerStats:
                 if kind == "by_label" else value
         for attr in _TOTALS:
             out[attr] = getattr(self, attr)
-        out["bucket_pad_efficiency"] = self.bucket_pad_efficiency
         out["cache_hit_rate"] = (
             out["request_cache_hits"] /
             max(1, out["request_cache_hits"] + out["request_cache_misses"]))

@@ -159,13 +159,12 @@ class TestServerStats:
     #: ``to_dict`` key set of a bare ``ServerStats`` at the commit that
     #: introduced the instrument table (captured from its parent), plus
     #: ``flushes_by_reason``, minus the schedule tuner's ``tuned`` and
-    #: ``schedule_hist``: the results/*.json schema must not drift
-    #: silently
+    #: ``schedule_hist`` and bucketed padding's three ``bucket_*``
+    #: metrics: the results/*.json schema must not drift silently
     GOLDEN_KEYS = {
         "backpressure_wait_p95_ms", "backpressure_waits",
         "batch_size_hist", "batches_executed", "breaker_transitions",
-        "bucket_pad_efficiency", "bucket_padded_units",
-        "bucket_real_units", "cache_hit_rate", "cancelled", "completed",
+        "cache_hit_rate", "cancelled", "completed",
         "degraded", "diverged", "drain_expired", "errors",
         "fallback_depth_hist", "fallbacks", "flushes_by_reason",
         "lane_completed",

@@ -13,13 +13,12 @@ from repro.models import Workload, get_workload
 from repro.serve import (BatchSpec, ServePolicy, Server, coalesce,
                          get_batch_spec, group_key, scatter)
 from repro.serve.batching import request_rows
-from repro.serve.bucketing import (PadSpec, bucket_extent, get_pad_spec,
-                                   pad_args, unpad_outputs)
 from repro.serve.admission import SHED_WINDOW
 from repro.serve.executor import BatchExecutor
 from repro.serve.policy import DEADLINE_SLACK_S
 from repro.serve.request import Request
 from repro.serve.stats import ServerStats
+from repro.eval.cache import clone_args
 from repro.eval.harness import CompileCache
 
 
@@ -497,7 +496,23 @@ class TestSchedulerRegressions:
         # percentiles (the very signal the shedder reads).
         pol = ServePolicy(workers=1, max_batch_size=1, queue_capacity=1,
                           reject_on_full=False, batch_wait_s=0.0)
-        srv = Server(pol)
+        # the server's clock lags real time by 0.4 s until the third
+        # submit is blocked, then catches up: 0.4 s of server time pass
+        # inside the backpressure wait, and the executor measures the
+        # queue wait on real time from the submit's stamp
+        lag, reads = [0.4], [0]
+        in_wait = threading.Event()
+
+        def clock():
+            # the blocked thread's second read is inside ``_enqueue``,
+            # under the lock it only gives up by waiting
+            if threading.current_thread().name == "blocked-submit":
+                reads[0] += 1
+                if reads[0] >= 2:
+                    in_wait.set()
+            return time.monotonic() - lag[0]
+
+        srv = Server(pol, clock=clock)
         held = HeldWorkers(srv)
         try:
             first = srv.submit("attention", seq_len=8)   # worker blocks
@@ -508,9 +523,12 @@ class TestSchedulerRegressions:
             def blocked_submit():
                 futs.append(srv.submit("attention", seq_len=8))
 
-            t = threading.Thread(target=blocked_submit)
+            t = threading.Thread(target=blocked_submit,
+                                 name="blocked-submit")
             t.start()
-            time.sleep(0.4)          # third sits in the backpressure wait
+            assert in_wait.wait(30)
+            with srv._cond:          # held until the submit waits
+                lag[0] = 0.0         # third sits in the backpressure wait
             held.release_all()
             t.join(timeout=10)
             assert not t.is_alive()
@@ -519,7 +537,7 @@ class TestSchedulerRegressions:
             assert first.result(timeout=30).ok
             assert second.result(timeout=30).ok
             assert srv.stats.backpressure_waits == 1
-            # the blocked ~0.4s must show up in the request's queue wait
+            # the blocked 0.4 s must show up in the request's queue wait
             assert third.queue_wait_s >= 0.3, third.queue_wait_s
         finally:
             held.release_all()
@@ -748,9 +766,9 @@ class TestLingerOnEvidence:
             # ... and its solo flush is the evidence that load is gone
             # (once the worker is out of that batch: the response
             # resolves a moment before the executing count drops)
-            deadline = time.monotonic() + 10.0
-            while srv._executing and time.monotonic() < deadline:
-                time.sleep(0.0005)
+            with srv._cond:
+                assert srv._cond.wait_for(lambda: not srv._executing,
+                                          timeout=10)
             again = srv.submit(**one()).result(timeout=60)
             assert reasons() == {"idle": 2, "full": 1, "linger_expired": 1}
         resps = [light, *loaded, after, again]
@@ -886,102 +904,35 @@ class TestDrainDeadline:
         assert srv.stats.drain_expired == 0
 
 
-class TestBucketing:
-    def test_bucket_extent_powers_of_two(self):
-        assert bucket_extent(3, bucket_min=8) == 8
-        assert bucket_extent(8, bucket_min=8) == 8
-        assert bucket_extent(9, bucket_min=8) == 16
-        assert bucket_extent(33, bucket_min=8) == 64
-
-    def test_pad_round_trip_is_exact(self):
-        spec = get_pad_spec("attention")
-        assert spec is not None
-        wl = get_workload("attention")
-        args = wl.make_inputs(batch_size=2, seq_len=11, seed=3)
-        padded = pad_args(args, spec, target=16)
-        for orig, pad, axis in zip(args, padded, spec.arg_axes):
-            if axis is None:
-                continue
-            assert pad.shape[axis] == 16
-            sl = [slice(None)] * pad.numpy().ndim
-            sl[axis] = slice(0, 11)
-            np.testing.assert_array_equal(pad.numpy()[tuple(sl)],
-                                          orig.numpy())
-        round_trip = PadSpec(
-            arg_axes=spec.arg_axes,
-            out_axes=tuple((a,) if a is not None else None
-                           for a in spec.arg_axes))
-        outs = unpad_outputs(padded, round_trip, extent=11)
-        for out, orig in zip(outs, args):
-            np.testing.assert_array_equal(out.numpy(), orig.numpy())
-
-    def test_pad_down_raises(self):
-        spec = get_pad_spec("lstm")
-        wl = get_workload("lstm")
-        args = wl.make_inputs(batch_size=1, seq_len=16, seed=0)
-        with pytest.raises(ValueError):
-            pad_args(args, spec, target=8)
-
-    def test_group_key_buckets_pad_axis(self):
-        wl = get_workload("lstm")
-        spec = get_batch_spec("lstm")
-        base = wl.make_inputs(batch_size=1, seq_len=48, seed=0)
-
-        def req(seq_len):
-            fresh = wl.make_inputs(batch_size=1, seq_len=seq_len, seed=0)
-            args = tuple(fresh[k] if axis is not None else base[k]
-                         for k, axis in enumerate(spec.arg_axes))
-            return Request(workload=wl, pipeline="tensorssa",
-                           platform="datacenter", args=args,
-                           batch_rows=1)
-
-        k10 = group_key(req(10), bucket_min=8)
-        k14 = group_key(req(14), bucket_min=8)
-        k20 = group_key(req(20), bucket_min=8)
-        assert k10 == k14            # both pad to bucket 16
-        assert k10 != k20            # bucket 32
-        assert group_key(req(10)) != group_key(req(14))  # exact lengths
-
-
 class TestDynamicServing:
-    """``dynamic_shapes``: lengths padded to power-of-two buckets."""
-
-    def test_policy_rejects_solo_verify(self):
-        with pytest.raises(ValueError):
-            ServePolicy(dynamic_shapes=True, verify="solo")
-
     def test_mixed_lengths_bit_exact_one_compile(self):
-        policy = ServePolicy(workers=2, max_batch_size=4,
-                             batch_wait_s=0.02, dynamic_shapes=True,
-                             verify="batch")
-        lengths = [9, 12, 16, 14, 10, 24, 30, 13]
+        """Mixed lengths of three workloads through one batching
+        server: each length is its own group, so every answer, lstm's
+        final ``h``/``c`` included, is bit-equal to eager on the
+        request's own inputs, and one artifact per workload serves
+        every length."""
+        policy = ServePolicy(workers=2, max_batch_size=4, verify="batch")
+        lengths = (9, 12, 16, 24)
+        sent = []
+        for name in ("lstm", "nasrnn", "attention"):
+            wl = get_workload(name)
+            base = wl.make_inputs(batch_size=1, seq_len=max(lengths), seed=0)
+            sent += [(wl, shared_args(base, name, seq_len=n, seed=n))
+                     for n in lengths]
         with Server(policy) as srv:
-            futs = [srv.submit("attention", pipeline="tensorssa",
-                               batch_size=1, seq_len=length, seed=i)
-                    for i, length in enumerate(lengths)]
+            futs = srv.submit_many(dict(workload=wl, args=args)
+                                   for wl, args in sent)
             resps = [f.result(timeout=120) for f in futs]
-        assert all(r.ok for r in resps)
-        assert all(r.verified for r in resps)
+        for (wl, args), resp in zip(sent, resps):
+            assert resp.ok and resp.verified is True, resp.error
+            assert resp.batch_requests == 1
+            expected = rt.as_tuple(wl.model_fn(*clone_args(args)))
+            assert len(resp.outputs) == len(expected)
+            for got, want in zip(resp.outputs, expected):
+                assert np.array_equal(got.numpy(), want.numpy()), \
+                    (wl.name, args[0].shape)
         assert srv.stats.diverged == 0
-        # one artifact serves every bucket and batch size
-        assert srv.cache.snapshot().misses == 1
-        assert srv.stats.bucket_padded_units >= \
-            srv.stats.bucket_real_units > 0
-        assert 0.0 < srv.stats.bucket_pad_efficiency <= 1.0
-
-    def test_stats_dict_carries_bucket_metrics(self):
-        policy = ServePolicy(workers=1, max_batch_size=2,
-                             batch_wait_s=0.01, dynamic_shapes=True,
-                             verify="batch")
-        with Server(policy) as srv:
-            futs = [srv.submit("lstm", pipeline="tensorssa",
-                               batch_size=1, seq_len=sl, seed=sl)
-                    for sl in (10, 18)]
-            for f in futs:
-                assert f.result(timeout=120).ok
-        d = srv.stats.to_dict()
-        assert "bucket_pad_efficiency" in d
-        assert d["compile_cache"]["misses"] == 1
+        assert srv.cache.snapshot().misses == 3
 
 
 class TestPolicyFields:
@@ -995,8 +946,7 @@ class TestPolicyFields:
         assert {f.name for f in dataclasses.fields(ServePolicy)} == {
             "workers", "max_batch_size", "batch_wait_s", "queue_capacity",
             "reject_on_full", "request_timeout_s", "verify",
-            "fallback_chain", "dynamic_shapes", "tenant_rates",
-            "shed_enabled"}
+            "fallback_chain", "tenant_rates", "shed_enabled"}
         assert {f.name for f in dataclasses.fields(ShardPolicy)} == {
             "num_workers", "request_timeout_s", "store_root",
             "worker_policy", "fault_spec"}

@@ -405,18 +405,20 @@ class TestBackwardArtifacts:
         store, warm = ArtifactStore(str(tmp_path)), CompileCache()
         assert store.warm_start(warm) == 2 and store.errors == 0
 
-        policy = ServePolicy(workers=1, max_batch_size=3,
-                             dynamic_shapes=True, verify="batch")
+        policy = ServePolicy(workers=1, max_batch_size=3, verify="batch")
         plans_before = plans_built()
+        sent = [wl.make_inputs(batch_size=1, seq_len=12, seed=seed)
+                for seed in range(3)]
         with Server(policy, cache=warm) as srv:
             futs = srv.submit_many(
-                [dict(workload="attention", seq_len=12, seed=seed)
-                 for seed in range(3)])
+                [dict(workload="attention", args=args) for args in sent])
             resps = [f.result(timeout=60) for f in futs]
-        for resp in resps:
+        for args, resp in zip(sent, resps):
             assert resp.ok and resp.served_by == "tensorssa"
             assert resp.cache_hit and resp.batch_requests == 3
             assert resp.verified is True
+            assert rt.bit_exact(resp.outputs,
+                                rt.as_tuple(wl.model_fn(*clone_args(args))))
         served = run_workload("attention", "tensorssa", cache=warm,
                               check=True, **{**self.RUN, "batch_size": 3,
                                              "seq_len": 12})
