@@ -1,10 +1,11 @@
 """Execution of fusion groups and horizontally-parallelized loops.
 
-Each ``prim::FusionGroup`` executes as *one* kernel launch; a loop
-marked ``horizontal`` by the parallelization pass (paper §4.2.2)
-executes all of its iterations inside a single launch — the graph-level
-equivalent of mapping the fused loop body across the iteration space on
-device.
+Each ``prim::FusionGroup`` executes as *one* kernel launch.  A loop
+marked ``horizontal`` by the parallelization pass (paper §4.2.2) is what
+that pass left with trips: its independent work was already hoisted and
+batched (``passes/parallelize.py``), and what remains reads loop-carried
+state, so its one body kernel is called once per trip in a host loop —
+one launch is recorded, every trip is paid in wall clock.
 
 Kernels compute on raw numpy arrays, so only the *materialized outputs*
 (wrapped into Tensors by ``runtime.tensor.wrap``) allocate ``Storage``
@@ -142,13 +143,13 @@ def execute_group(node: Node, inputs: Sequence[object]) -> List[object]:
 def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
                         carried: List[object],
                         captures: List[object]) -> List[object]:
-    """Execute a ``horizontal`` ``prim::Loop`` as one mapped kernel.
+    """Execute a ``horizontal`` ``prim::Loop``: its one body kernel,
+    called once per trip.
 
-    The body was verified pure and fusable by the parallelization pass;
-    iterations run inside one launch.  Loop-carried state threads
-    through sequentially (correct for any pure body; on real hardware
-    the independent-slot case runs in parallel, which only changes time,
-    not values).
+    The body was verified pure and compilable by the parallelization
+    pass, which already ran whatever reads no carried value once for
+    all trips; loop-carried state threads through the trips in order.
+    The launch is recorded once, for the whole loop.
 
     A body kernel stores into the carried slots it names in
     ``__stores_into__`` and hands each back in its slot, so those are

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -264,44 +264,48 @@ class ProgramGenerator:
         a, shape = self._pick_any(scope)
         if roll < 0.55 or not self.ew_binary:
             schema = self.rng.choice(self.ew_unary)
-            args = ", ".join(self.scalar() for _ in
-                             range(schema.gen.scalar_args))
-            if schema.gen.scalar_args == 2:  # clamp: ordered bounds
-                lo = round(self.rng.uniform(-1.5, 0.0), 3)
-                hi = round(self.rng.uniform(0.0, 1.5), 3)
-                args = f"{lo}, {hi}"
+            if schema.gen.scalar_args == 2:
+                # two draws the ordered bounds replace, kept so that
+                # every seed still generates the program it always did
+                self.scalar()
+                self.scalar()
             scope.tensors[name] = shape
-            return Stmt(f"{name} = {a}.{schema.method}({args})")
+            return Stmt(f"{name} = {a}.{schema.method}("
+                        f"{self._ew_args(schema.gen)})")
         schema = self.rng.choice(self.ew_binary)
-        rule = schema.gen
-        other: Optional[str] = None
-        if rule.tensor_tensor and self.rng.random() < 0.6:
-            other = self._pick_operand(scope, shape)
-            if other is None and shape != ():
-                other = self._pick_operand(scope, ())  # 0-d broadcasts
-        if other is None:
-            other = self.scalar(rule)
+
+        def other() -> Optional[str]:
+            # a same-shape tensor, else a 0-d one (it broadcasts)
+            return self._pick_operand(scope, shape) or (
+                self._pick_operand(scope, ()) if shape != () else None)
+        args = self._ew_args(schema.gen, other, 0.6)
         scope.tensors[name] = shape
-        return Stmt(f"{name} = {a}.{schema.method}({other})")
+        return Stmt(f"{name} = {a}.{schema.method}({args})")
+
+    def _ew_args(self, rule: GenRule,
+                 other: Callable[[], Optional[str]] = lambda: None,
+                 p: float = 0.0) -> str:
+        """The arguments of one elementwise call after its tensor
+        operand: clamp's ordered bounds, a fill's scalar, none, or for a
+        binary op — with chance ``p`` where the rule takes a tensor —
+        the tensor ``other()`` names, else a scalar."""
+        if rule.scalar_args == 2:  # clamp: ordered bounds
+            lo = round(self.rng.uniform(-1.5, 0.0), 3)
+            hi = round(self.rng.uniform(0.0, 1.5), 3)
+            return f"{lo}, {hi}"
+        if rule.scalar_args == 1:
+            return self.scalar()
+        if rule.arity == 1:
+            return ""
+        arg = other() if rule.tensor_tensor and self.rng.random() < p \
+            else None
+        return self.scalar(rule) if arg is None else arg
 
     def _mut_call(self, target: str, scope: _Scope,
                   shape: Tuple[int, ...]) -> str:
         schema = self.rng.choice(self.mutating)
-        rule = schema.gen
-        if rule.scalar_args == 2:
-            lo = round(self.rng.uniform(-1.5, 0.0), 3)
-            hi = round(self.rng.uniform(0.0, 1.5), 3)
-            return f"{target}.{schema.method}({lo}, {hi})"
-        if rule.scalar_args == 1:
-            return f"{target}.{schema.method}({self.scalar()})"
-        if rule.arity == 1:
-            return f"{target}.{schema.method}()"
-        other: Optional[str] = None
-        if rule.tensor_tensor and self.rng.random() < 0.4:
-            other = self._pick_operand(scope, shape)
-        if other is None:
-            other = self.scalar(rule)
-        return f"{target}.{schema.method}({other})"
+        return f"{target}.{schema.method}(" + self._ew_args(
+            schema.gen, lambda: self._pick_operand(scope, shape), 0.4) + ")"
 
     def _stmt_mutate_whole(self, scope: _Scope) -> Stmt:
         target = self.rng.choice(["y", "acc"])
@@ -425,6 +429,59 @@ class ProgramGenerator:
                                     self.rng.randint(1, 2))
         return stmt
 
+    def _map_expr(self, operand: str, other: str) -> str:
+        """One registry elementwise op on ``operand``: unary, or binary
+        with a scalar or ``other`` (a tensor of the same shape)."""
+        schema = self.rng.choice(self.ew_unary + self.ew_binary)
+        return f"{operand}.{schema.method}(" + self._ew_args(
+            schema.gen, lambda: other, 0.4) + ")"
+
+    def _stmt_batched_for(self, scope: _Scope) -> Stmt:
+        """A loop the parallelization pass batches: a map over windows
+        disjoint across trips (``y[:, i + b] = f(src[:, i + b])``, or of
+        one element broadcast into the window, ``f(src[0, i + b])``, or
+        the affine fill ``y[i + b, i + b2:] = c``), or a
+        half-independent body — per-trip compute from a capture at
+        ``i`` feeding a dependent update of ``y`` at ``[:, i + 1:]``
+        (greedy NMS's shape).  ``i + b`` stays inside every row extent
+        the oracle replays."""
+        var = f"i{self._loopvar}"
+        self._loopvar += 1
+        bound = "n" if self.rng.random() < 0.4 else \
+            str(self.rng.randint(1, 3))
+        stmt = Stmt(f"for {var} in range({bound}):")
+        src = self.rng.choice(sorted(
+            [n for n, s in scope.all_tensors().items()
+             if s == (PROGRAM_ROWS, PROGRAM_COLS)] + ["x"]))
+        cols = self.rng.random() < 0.5
+        roll = self.rng.random()
+        if roll < 0.4:
+            b = self.rng.randint(0, (PROGRAM_COLS if cols
+                                     else PROGRAM_ROWS) - 3)
+            at = f"{var} + {b}" if b else var
+            win, elem, other = (f"[:, {at}]", f"[0, {at}]", "acc[:, 0]") \
+                if cols else (f"[{at}]", f"[{at}, 0]", "acc[0]")
+            # one element per trip: its rank is below the window's
+            operand = src + (elem if self.rng.random() < 0.3 else win)
+            stmt.body = [Stmt(f"y{win} = {self._map_expr(operand, other)}")]
+        elif roll < 0.6:
+            b = self.rng.randint(0, PROGRAM_ROWS - 3)
+            b2 = self.rng.randint(0, 3)
+            stmt.body = [Stmt(f"y[{var} + {b}, {var} + {b2}:] = "
+                              f"{self.scalar()}")]
+        else:
+            tmp = self.fresh_tmp()
+            if cols:
+                expr = self._map_expr(f"{src}[:, {var}]", "acc[:, 0]")
+                update = (f"y[:, {var} + 1:] = y[:, {var} + 1:]"
+                          f".maximum({tmp}.unsqueeze(1))")
+            else:
+                expr = self._map_expr(f"{src}[{var}]", "acc[0]")
+                update = (f"y[{var} + 1:] = y[{var} + 1:] + "
+                          f"{tmp} * {self.scalar()}")
+            stmt.body = [Stmt(f"{tmp} = {expr}"), Stmt(update)]
+        return stmt
+
     def _stmt_while(self, scope: _Scope, depth: int) -> Stmt:
         var = f"j{self._whilevar}"
         self._whilevar += 1
@@ -464,6 +521,8 @@ class ProgramGenerator:
                 out.append(self._stmt_if(scope, depth))
             elif roll < 0.96:
                 out.append(self._stmt_for(scope, depth))
+            elif roll < 0.98:
+                out.append(self._stmt_batched_for(scope))
             else:
                 out.append(self._stmt_while(scope, depth))
         return out

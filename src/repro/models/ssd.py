@@ -3,8 +3,8 @@
 The textbook SSD decode: variance-weighted offsets applied to priors
 through in-place slice arithmetic, corner conversion in place, then an
 imperative per-class loop that writes thresholded class scores into an
-output buffer — a loop whose body becomes a single mapped kernel under
-TensorSSA's horizontal parallelization.
+output buffer — trips that write disjoint class columns, which
+TensorSSA's loop batching lowers to one store of the whole window.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ Namespaces follow TorchScript conventions:
 * ``immut::*`` — the TensorSSA Access/Assign operator sets (paper §3.2).
 * ``prim::*``  — constants, control flow, containers, scalar arithmetic.
 * ``grad::*``  — helper ops only the reverse-mode pass emits.
+* ``batch::*`` — trip-axis windows only loop batching emits
+  (``passes/parallelize.py``).
 * ``tssa::*``  — the Update annotation (paper Definition 3.5).
 
 Every row of :data:`repro.runtime.kernels.KERNELS` is registered by one
@@ -135,10 +137,16 @@ for _name, _row in KERNELS.items():
                           assign_op=_assign if _assign in KERNELS else None))
     else:
         # scalar ops are fusable too: NNC-style kernels accept scalar
-        # inputs and fold host arithmetic into the generated code
-        _pure(_name, EAGER[_name], fusable=True,
-              result_types=(_PRIM_RESULT[_base] if _ns == "prim"
-                            else "Tensor",))
+        # inputs and fold host arithmetic into the generated code.  A
+        # ``batch::`` window names its Assign twin, so a compiled
+        # kernel stores through it in place
+        _assign = f"{_name}_assign"
+        register(OpSchema(
+            _name, OpKind.PURE, EAGER[_name], fusable=True,
+            result_types=(_PRIM_RESULT[_base] if _ns == "prim"
+                          else "Tensor",),
+            assign_op=_assign if _ns == "batch" and _assign in KERNELS
+            else None))
 
 for _name, _functional in INPLACE.items():
     _mutating(_name, EAGER[_name], _functional)

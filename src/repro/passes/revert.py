@@ -24,6 +24,17 @@ from ..analysis.ownership import (ASSIGN_TO_VIEW, buffer_owner, eager_alias,
                                   later_reader, view_root)
 from ..ir import types as T
 from ..ir.graph import Graph, Node, Value
+from ..ops import registry
+
+
+def _reverted_view(assign_op: str):
+    """The eager view an Assign reverts through (None: the whole base),
+    or ``"missing"``: not an Assign, or its window has no eager view to
+    ``copy_`` into (a ``batch::`` trip window stays functional)."""
+    view = ASSIGN_TO_VIEW.get(assign_op, "missing")
+    if view not in (None, "missing") and not registry.get(view).is_view:
+        return "missing"
+    return view
 
 
 def _protected_values(graph: Graph) -> set:
@@ -76,8 +87,7 @@ def _assign_chain(param: Value, ret: Value):
         if not isinstance(user, Node):
             # the block return: a complete chain ends exactly here
             return chain if (chain and cur is ret) else None
-        if ASSIGN_TO_VIEW.get(user.op, "missing") == "missing" \
-                or use.index != 0:
+        if _reverted_view(user.op) == "missing" or use.index != 0:
             return None
         if user.owning_block is not param.defining_block():
             return None  # nested inside an If: re-execution unproven
@@ -149,7 +159,7 @@ def revert_unfused_assigns(graph: Graph) -> int:
     protected = _protected_values(graph)
     count = 0
     for node in list(_revertible_nodes(graph.block)):
-        view_op = ASSIGN_TO_VIEW.get(node.op, "missing")
+        view_op = _reverted_view(node.op)
         if view_op == "missing":
             continue
         base, src = node.input(0), node.input(1)

@@ -20,6 +20,8 @@ construction:
   a dying operand.
 * :data:`SUGAR` maps Python operator syntax to ops: Tensor's dunders
   and the frontend's operator lowering both read it.
+* :data:`BATCH` says how a row runs once for all trips of a loop
+  (``passes/parallelize.py``), through the ``batch::`` trip-axis rows.
 
 Adding an operator is one row (plus an :data:`INPLACE` entry for its
 ``op_`` form, a :data:`SUGAR` entry if Python syntax spells it, and a
@@ -38,7 +40,7 @@ from __future__ import annotations
 import ast
 import inspect
 import operator
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -186,6 +188,49 @@ def _shape_assign(base, src):
     return np.asarray(src).astype(base.dtype, copy=False).reshape(base.shape)
 
 
+# -- the trip axis: a loop's trips stacked on a new leading axis -------------
+# (``passes/parallelize.py`` runs a loop's carried-independent slice once
+# over it; entry ``j`` is trip ``j``'s value, bit for bit)
+
+def trip_select(t, dim, start, length):
+    """``select(t, dim, start + j)`` for ``j`` in ``range(length)``,
+    stacked on a leading trip axis: one view of the whole window.
+    Raises the ``IndexError`` of the first trip whose ``select`` would
+    fail; zero trips read nothing, so check nothing: an empty stack of
+    the entry's shape, or of none when ``dim`` names no dim."""
+    length = int(length)
+    if length <= 0 and not -t.ndim <= int(dim) < t.ndim:
+        return np.empty((0,), t.dtype)
+    dim, start, length = _norm_dim(dim, t.ndim), int(start), max(length, 0)
+    size = t.shape[dim]
+    if length and start + length > size:
+        raise IndexError(f"select index {max(start, size)} out of range "
+                         f"for size {size}")
+    window = t[(slice(None),) * dim + (slice(start, start + length),)]
+    return np.moveaxis(window, dim, 0)
+
+
+def trip_align(t, like, like_stacked):
+    """A trip-axis stack ``t`` whose entries broadcast against ``like``
+    as they would one trip at a time: size-1 dims go in after the trip
+    axis up to ``like``'s per-trip rank (``like_stacked``: ``like`` has
+    a trip axis too).  A map row's operands only ever gain dims."""
+    pad = np.ndim(like) - bool(like_stacked) - (t.ndim - 1)
+    if pad <= 0:
+        return t
+    return t.reshape(t.shape[:1] + (1,) * pad + t.shape[1:])
+
+
+def trip_fit(t, window):
+    """A trip-axis stack ``t`` to store into ``window`` (a
+    :func:`trip_select`): its entries padded as :func:`trip_align` pads
+    them, since each trip's store broadcasts its source into its entry.
+    Zero trips store nothing, whatever ``t`` is."""
+    if not window.shape[0]:
+        return np.empty(window.shape, window.dtype)
+    return trip_align(t, window, True)
+
+
 # -- the reverse pass's glue (``grad::``): each may return its operand -------
 
 def unbroadcast(g, template):
@@ -307,6 +352,11 @@ KERNELS: Dict[str, Kernel] = {
         "unsqueeze_assign": lambda base, src, dim: _shape_assign(base, src),
         "flatten_assign": lambda base, src, start_dim=0, end_dim=-1:
             _shape_assign(base, src)}, flops=0, aliases=1),
+    # the trip axis: a whole window read or written back at once
+    "batch::select": Kernel(trip_select, flops=0, aliases=0),
+    "batch::select_assign": Kernel(_assign(trip_select), flops=0),
+    "batch::align": Kernel(trip_align, flops=0, aliases=0),
+    "batch::fit": Kernel(trip_fit, flops=0, aliases=0),
     "grad::unbroadcast": Kernel(unbroadcast, launch="unbroadcast",
                                 aliases=0),
     "grad::reshape_like": Kernel(reshape_like, launch="reshape_like",
@@ -320,6 +370,33 @@ INPLACE: Dict[str, str] = {
         "add", "sub", "mul", "div", "pow", "maximum", "minimum", "neg",
         "exp", "sigmoid", "tanh", "relu", "sqrt", "clamp", "masked_fill")},
     "aten::fill_": "aten::full_like", "aten::zero_": "aten::zeros_like"}
+
+
+class Batch(NamedTuple):
+    """How a row runs once for every trip of a loop, on a leading trip
+    axis: a ``"map"`` row broadcasts its operands over it, a ``"view"``
+    row shifts its dim operands (at ``dims``) past it."""
+
+    kind: str
+    dims: Tuple[int, ...] = ()
+
+
+#: row -> its batching rule: what ``passes/parallelize.py`` may run once
+#: for all trips.  Only rows whose every entry is the per-trip bits by
+#: construction have one: correctly rounded elementwise math, casts,
+#: fills and views.  Transcendentals (numpy may pick another SIMD path
+#: for another layout), reductions and matmul (another summation order)
+#: have none, and a trip that runs one stays a trip.
+BATCH: Dict[str, Batch] = {
+    **{"aten::" + n: Batch("map") for n in (
+        *_INTO_UFUNCS, "gt", "lt", "ge", "le", "eq", "ne", "logical_and",
+        "logical_or", "logical_not", "neg", "abs", "relu", "floor", "ceil",
+        "sqrt", "clamp", "where", "clone", "to", "zeros_like", "ones_like",
+        "full_like")},
+    **{ns + n: Batch("view", dims) for ns in ("aten::", "immut::")
+       for n, dims in {"alias": (), "select": (1,), "slice": (1,),
+                       "narrow": (1,), "unsqueeze": (1,),
+                       "transpose": (1, 2)}.items()}}
 
 
 class Sugar(NamedTuple):

@@ -91,7 +91,7 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: plan is a function of the graph alone;
 #: 8: the shape-family record is gone — the key says what the compile
 #: read)
-ARTIFACT_VERSION = 8
+ARTIFACT_VERSION = 9
 
 _MAGIC = "repro-artifact"
 

@@ -2,10 +2,12 @@
 
 ``python -m repro.tools.inspect lstm`` prints, per pipeline: an op
 histogram before/after, fusion-group sizes, horizontal loops, launch
-counts, per-pass wall time / verify time / node deltas, memory-pool
-traffic, modeled latency, and per compiled kernel how many Assigns it
-runs as in-place stores, as chain identities and as clones (with the
-reason each clone remains) — the report you reach for when a workload
+counts, what the parallelization pass made of each loop (lowered,
+fissioned with how many nodes hoisted, or kept per trip), per-pass wall
+time / verify time / node deltas, memory-pool traffic, modeled latency,
+and per compiled kernel how many Assigns it runs as in-place stores, as
+chain identities and as clones (with the reason each clone remains) —
+the report you reach for when a workload
 doesn't speed up as expected.  ``--plan`` additionally prints the TensorSSA
 memory plan (slot table, reuse edges, rotating loop slots, peak);
 ``--program`` prints the Python source that plan's graph was lowered to
@@ -105,6 +107,8 @@ def inspect_workload(name: str, platform: str = "datacenter",
             entry["ops"] = op_histogram(compiled.graph)
             entry["group_sizes"] = group_sizes(compiled.graph)
             entry["kernels"] = kernel_assigns(compiled.graph)
+            entry["loops"] = list(getattr(compiled.graph, "loop_outcomes",
+                                          ()))
             plan = getattr(compiled.graph, "_memplan", None)
             if plan is not None:
                 entry["plan"] = plan
@@ -215,6 +219,15 @@ def print_report(name: str, report: Dict[str, dict],
             print(f"  fusion groups: {entry['group_sizes']}")
         if "ops" in entry:
             print(f"  compiled ops: {_fmt_hist(entry['ops'])}")
+        for loop in entry.get("loops", ()):
+            print(f"  loop %{loop.loop}: " + {
+                "lowered": "lowered to one whole-window store, no loop "
+                           "left",
+                "fissioned": f"fissioned, {loop.hoisted} nodes hoisted and "
+                             "run batched per chunk of trips, the rest "
+                             "per trip",
+                "per trip": "kept, its body kernel runs once per trip",
+            }[loop.outcome])
         if entry.get("kernels"):
             print("  kernels (Assigns as stores / chain identities / "
                   "clones):")

@@ -52,8 +52,10 @@ def _check_against_oracles(compiled, args, expected):
     assert prof.peak_bytes == prof.bytes_allocated
 
 
-#: the workloads whose compiled forward has a horizontal loop
-HORIZONTAL = ("attention", "fcos", "ssd", "yolov3")
+#: the workloads whose compiled forward keeps a horizontal loop: the
+#: NMS loops, with the IoU hoisted out, and attention's causal mask
+#: (ssd's class loop is lowered to one store of the whole window)
+HORIZONTAL = ("attention", "fcos", "yolov3")
 
 
 @pytest.mark.parametrize("workload", workload_names())

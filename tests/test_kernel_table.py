@@ -202,8 +202,7 @@ def _arguments(schema, kernel, dtype, operand):
     if schema.name.endswith("assign") and operand == "tensor":
         # a tensor source has the shape of the window it replaces:
         # what the Access twin (same view parameters) reads
-        view = schema.name[len("immut::"):-len("assign")].rstrip("_")
-        access = get("immut::" + (view or "alias"))
+        access = get(ASSIGN_TO_VIEW[schema.name] or "immut::alias")
         raw[1] = np.array(access.kernel(first, *raw[2:]))
     wrapped = [rt.from_numpy(a) if isinstance(a, np.ndarray) else a
                for a in raw]
@@ -290,7 +289,7 @@ def test_store_form_is_the_row(schema):
     """Bit for bit over base dtype x source kind — an int32 base takes a
     float32 tensor, a Python float rounds once (in the store's cast),
     bool — with the window's argument checks the view's own."""
-    assert len(_WINDOW_ASSIGNS) == 6
+    assert len(_WINDOW_ASSIGNS) == 7
     store = _store_form(schema)
     for dtype in DTYPES.values():
         for operand in _OPERANDS:

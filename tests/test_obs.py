@@ -14,7 +14,7 @@ from repro.faults import FaultPlan, FaultRule, SITE_PASS, fault_scope
 from repro.ir import Graph
 from repro.ir import types as T
 from repro.obs import (Counter, Gauge, Histogram, LabeledCounter,
-                       MetricsRegistry, Trace, add_instant, chrome_trace,
+                       MetricsRegistry, Span, Trace, add_instant, chrome_trace,
                        coverage_fraction, current_span, global_tracing,
                        null_instrumentation, percentile_nearest_rank, span,
                        tracing, tracing_active, validate_chrome_trace,
@@ -363,15 +363,20 @@ class TestChromeExport:
         assert validate_chrome_trace(doc) == []
 
     def test_coverage_fraction(self):
-        tr = Trace()
-        import time
-        t0 = time.perf_counter()
-        with tracing(trace=tr):
-            with span("root"):
-                time.sleep(0.01)
-        t1 = time.perf_counter()
-        assert coverage_fraction(tr, (t0, t1)) > 0.5
-        assert coverage_fraction(tr, (t0, t0)) == 0.0
+        """The union of the spans' intervals, clipped to the window:
+        an overlapping pair counts once, a span past the window's end
+        counts only inside it, an empty window covers nothing."""
+        def root(start, end):
+            return Span("root", "test", 0, None, 0, "main", start, end)
+
+        spans = [root(10.0, 14.0), root(12.0, 16.0),  # overlap: [10, 16]
+                 root(17.0, 18.0), root(19.5, 30.0)]  # 1 s, clipped .5 s
+        window = (10.0, 20.0)
+        assert coverage_fraction(Trace(), window, spans=spans) == \
+            pytest.approx(7.5 / 10.0)
+        assert coverage_fraction(Trace(), window, spans=spans[:2]) == \
+            pytest.approx(0.6)
+        assert coverage_fraction(Trace(), (10.0, 10.0), spans=spans) == 0.0
 
 
 # -- stage-boundary integration ---------------------------------------------

@@ -155,7 +155,7 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 8
+        assert ARTIFACT_VERSION == 9
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
 
@@ -197,6 +197,13 @@ class TestRejection:
         self._refused_and_compiled_cold(
             tmp_path, 7,
             lambda payload: payload.update(version=7, family=family))
+
+    def test_v8_record_refused_and_compiled_cold(self, tmp_path):
+        """Version 8 graphs predate loop batching: they keep the
+        per-trip loops the parallelization pass now lowers or fissions,
+        so such a record is refused typed and its key compiles cold."""
+        self._refused_and_compiled_cold(
+            tmp_path, 8, lambda payload: payload.update(version=8))
 
     def test_program_digest_mismatch_rejected(self):
         def skew(payload):

@@ -43,6 +43,15 @@ class TestInspect:
         assert [(k["stores"], k["identities"], k["clones"],
                  k["stores_into"]) for k in hloop] == [(1, 3, [], (0,))]
         assert "_hloop   1 / 3 / 0  carried slots [0]" in out
+        assert "kept, its body kernel runs once per trip" in out
+        # fcos keeps its NMS loop with the IoU hoisted out of it, and
+        # ssd's class loop is gone
+        for workload, line in (
+                ("fcos", "fissioned, 40 nodes hoisted"),
+                ("ssd", "lowered to one whole-window store, no loop left")):
+            print_report(workload, inspect_workload(
+                workload, seq_len=8, pipelines=[TensorSSAPipeline()]))
+            assert line in capsys.readouterr().out
         # each pass line carries the verify that followed it
         pass_lines = [ln for ln in out.splitlines()
                       if ln.startswith("    dce2 ")]
