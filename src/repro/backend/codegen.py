@@ -58,7 +58,7 @@ import numpy as np
 
 from ..analysis.ownership import (ASSIGN_TO_VIEW, StorePlan, plan_outs,
                                   plan_stores)
-from ..ir.graph import Block, Value
+from ..ir.graph import Block, Node, Value
 from ..runtime.kernels import INTO
 from .kernels import OP_IMPLS
 
@@ -198,6 +198,8 @@ class _Emitter:
         #: argument positions written in place: dying buffers the
         #: planner donated, an output that *is* one is that input
         fn.__donated__ = self.donated
+        #: the logical ops one launch runs (what a profile bills)
+        fn.__member_ops__ = member_ops(self.nodes)
         #: (member op, argument position) per ``out=`` member: the
         #: donated argument whose buffer that member's result is
         fn.__outs__ = tuple((node.op, self.outs[id(node)][1])
@@ -247,6 +249,12 @@ def compile_block(block: Block, name: str = "_kernel",
         f"    return ({rets}{',' if len(block.returns) == 1 else ''})")
 
     return em.finish(name)
+
+
+def member_ops(nodes: Sequence[Node]) -> int:
+    """How many of a kernel body's nodes are ops — every one but the
+    constants, which the kernel inlines or captures."""
+    return sum(1 for node in nodes if node.op != "prim::Constant")
 
 
 def _name_of(names: Dict[int, str], v: Value) -> str:

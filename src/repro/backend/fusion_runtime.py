@@ -125,7 +125,7 @@ def _io_bytes(values) -> int:
 def execute_group(node: Node, inputs: Sequence[object]) -> List[object]:
     """Run a ``prim::FusionGroup``: compile-once, launch-once."""
     kernel = _node_kernel(node)
-    n_ops = node.attrs.get("num_member_ops", len(node.blocks[0].nodes))
+    n_ops = kernel.__member_ops__
     with obs_trace.span("kernel:fusion_group", cat="exec",
                         fused_ops=n_ops):
         raw = execute_kernel(kernel, [_unwrap(x) for x in inputs],
@@ -179,7 +179,7 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
 
         outputs = _outputs(state, list(carried) + list(captures),
                            [p - 1 for p in kernel.__donated__])
-        n_ops = node.attrs.get("num_member_ops", len(body.nodes))
+        n_ops = len(body.nodes)
         if sp is not None:
             sp.args["trips"] = i
         if profiler.listening():

@@ -732,15 +732,7 @@ class Lowerer:
         if not registry.has(op):
             raise ScriptError(f"unknown tensor method {method!r}", expr,
                               self.source_name)
-        result = self.bind_call(op, [obj] + args, kwargs)
-        if method == "item":
-            # refine the scalar type from the tensor dtype when known
-            if isinstance(obj.type, T.TensorType) and obj.type.dtype and \
-                    ("int" in obj.type.dtype or obj.type.dtype == "bool"):
-                result.type = T.IntType()
-            else:
-                result.type = T.FloatType()
-        return result
+        return self.bind_call(op, [obj] + args, kwargs)
 
     def lower_static_call(self, expr: ast.Call, target, kwargs: dict,
                           multi_ok: bool):

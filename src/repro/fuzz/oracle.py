@@ -18,7 +18,8 @@ For a generated (or corpus) program the oracle:
 4. verifies the compiled graph structurally (:func:`repro.ir.verify`),
    checks the TensorSSA mutation conventions
    (:func:`repro.ir.verify_mutations`) on functionalized graphs, and
-   optionally demands the printer/parser round-trip be a fixed point;
+   optionally demands the printer/parser round-trip be a fixed point
+   that keeps every name, op, output type, block param and attribute;
 5. asserts profiler conservation laws — a memory pool may only reuse
    bytes that were previously released (``bytes_reused <=
    bytes_freed``), and the arena peak equals fresh growth;
@@ -57,8 +58,8 @@ from ..pipelines.base import Pipeline
 from .generator import FuzzProgram, PROGRAM_COLS, make_inputs
 
 __all__ = ["CorpusProgram", "FuzzFailure", "OracleConfig",
-           "all_pipeline_names", "materialize", "run_oracle",
-           "scripted_node_count"]
+           "all_pipeline_names", "graph_structure", "materialize",
+           "run_oracle", "scripted_node_count"]
 
 _materialize_counter = itertools.count()
 
@@ -190,16 +191,43 @@ def _check_graph(compiled, program: FuzzProgram,
                            str(exc), ir=ir_text)
     if config.check_roundtrip:
         try:
-            reprinted = print_graph(parse_graph(ir_text))
+            reparsed = parse_graph(ir_text)
         except Exception as exc:  # parse errors are findings, not crashes
             return FuzzFailure(program, compiled.pipeline, "roundtrip",
                                f"parse failed: {exc}", ir=ir_text)
+        reprinted = print_graph(reparsed)
         if reprinted != ir_text:
             return FuzzFailure(program, compiled.pipeline, "roundtrip",
                                "print -> parse -> print is not a fixed "
                                f"point\nreprinted:\n{reprinted}",
                                ir=ir_text)
+        for want, got in zip(graph_structure(graph),
+                             graph_structure(reparsed)):
+            if want != got:
+                return FuzzFailure(program, compiled.pipeline, "roundtrip",
+                                   f"parse lost structure: {want} came "
+                                   f"back as {got}", ir=ir_text)
     return None
+
+
+def graph_structure(graph) -> List[tuple]:
+    """Everything the text form must keep, row by row: the graph's
+    params and returns, then per node (pre-order) its op, input names,
+    output names and types, attributes (the compiled kernel aside) and
+    each block's params and returns."""
+    def typed(values):
+        return [(v.name, repr(v.type)) for v in values]
+
+    rows = [("graph", graph.name, typed(graph.inputs),
+             [v.name for v in graph.outputs])]
+    for node in graph.walk():
+        rows.append((node.op, [v.name for v in node.inputs],
+                     typed(node.outputs),
+                     {k: repr(v) for k, v in node.attrs.items()
+                      if k != "kernel"},
+                     [(typed(b.params), [v.name for v in b.returns])
+                      for b in node.blocks]))
+    return rows
 
 
 def _check_profile(prof) -> Optional[str]:

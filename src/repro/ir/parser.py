@@ -1,29 +1,43 @@
 """Parser for the textual IR format emitted by :mod:`repro.ir.printer`.
 
-Round-trips with the printer (``parse(print_graph(g))`` is structurally
-identical to ``g``), which makes it easy to write passes tests from IR
-literals instead of building graphs node by node.
+The inverse of the printer: ``parse_graph(print_graph(g))`` rebuilds
+``g`` exactly — value names, ops, node attributes, block parameters
+and every type — so text is the one saved form of a graph, for IR
+literals in tests, the fuzz corpus and shipped artifacts alike.
+
+The text spells out parameter types only.  Output types are derived
+(:func:`_output_types`) with the rule the frontend and the gradient
+builder type the nodes they emit with: ``ir.types.infer_types`` over
+the op's ``OpSchema.result_types``; a constant has its payload's type,
+``prim::If`` / ``prim::FusionGroup`` outputs have their first block's
+return types, and ``prim::Loop`` outputs have its block's returns
+after the continue condition.
 
 Grammar (line-oriented, indentation-insensitive except block structure):
 
     graph NAME(%p : Type, ...):
       %out, ... = ns::op(%in, ...)
       %c = prim::Constant[value=<python literal>]()
-      %outs = prim::Loop(%ins)
-        block0(%params):
+      %outs = prim::Loop[key=<python literal>, ...](%ins)
+        block0(%params : Type, ...):
           ...
           -> (%returns)
       return (%outs)
 
-Tensor-valued constants cannot be expressed textually and raise.
+Value names are kept exactly, and the graph's fresh-name counters start
+past every parsed ``base.N`` name, so later construction on a parsed
+graph never reuses one.  Tensor-valued constants cannot be expressed
+textually and raise.
 """
 
 from __future__ import annotations
 
 import ast as pyast
+import itertools
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List
 
+from ..ops import registry
 from . import types as T
 from .graph import Graph, Node, Value
 
@@ -42,7 +56,7 @@ _TYPE_ATOMS = {
 _HEADER_RE = re.compile(r"^graph\s+(\S+)\((.*)\):$")
 _NODE_RE = re.compile(
     r"^(?:(?P<outs>%[^=]+?)\s*=\s*)?(?P<op>[\w:]+)"
-    r"(?:\[value=(?P<const>.*)\])?\((?P<ins>.*)\)$")
+    r"(?:\[(?P<attrs>.*)\])?\((?P<ins>.*)\)$")
 _BLOCK_RE = re.compile(r"^block\d+\((?P<params>.*)\):$")
 _RETURNS_RE = re.compile(r"^->\s*\((?P<rets>.*)\)$")
 _GRAPH_RETURN_RE = re.compile(r"^return\s*\((?P<rets>.*)\)$")
@@ -68,6 +82,38 @@ def _parse_type(text: str) -> T.Type:
     if text in _TYPE_ATOMS:
         return _TYPE_ATOMS[text]()
     raise IRParseError(f"unknown type: {text!r}")
+
+
+def _parse_literal(text: str):
+    """An attribute payload: a Python literal, a ``repro.<dtype>``, or
+    a non-finite float (whose ``repr`` is not a Python literal)."""
+    text = text.strip()
+    try:
+        return pyast.literal_eval(text)
+    except (SyntaxError, ValueError, TypeError):
+        pass
+    from ..runtime.dtype import DType
+    dtype = re.match(r"repro\.(\w+)$", text)
+    if dtype and dtype.group(1) in DType._registry:
+        return DType._registry[dtype.group(1)]
+    if text in ("inf", "-inf", "nan"):
+        return float(text)
+    raise IRParseError(f"unsupported attribute payload: {text!r}")
+
+
+def _parse_attrs(op: str, text: str) -> Dict[str, object]:
+    if op == "prim::Constant":
+        # the payload is one literal, top-level commas and all
+        if not text.startswith("value="):
+            raise IRParseError("prim::Constant without [value=...]")
+        return {"value": _parse_literal(text[len("value="):])}
+    attrs = {}
+    for item in _split_commas(text):
+        key, eq, literal = item.partition("=")
+        if not eq or not key.strip().isidentifier():
+            raise IRParseError(f"bad node attribute: {item!r}")
+        attrs[key.strip()] = _parse_literal(literal)
+    return attrs
 
 
 def _split_commas(text: str) -> List[str]:
@@ -96,6 +142,37 @@ def _value_names(text: str) -> List[str]:
     return names
 
 
+def _output_types(node: Node, count: int) -> List[T.Type]:
+    """The types of ``node``'s ``count`` outputs, derived from its op,
+    attributes, input types and block returns."""
+    op = node.op
+    if op == "prim::Constant":
+        types = [T.type_of_constant(node.attrs["value"])]
+    elif op in ("prim::If", "prim::FusionGroup", "prim::Loop"):
+        returns = node.blocks[0].returns if node.blocks else []
+        types = [v.type for v in (returns[1:] if op == "prim::Loop"
+                                  else returns)]
+    else:
+        schema = node.schema
+        templates = schema.result_types[:max(schema.num_outputs, 1)]
+        if schema.num_outputs == 0:  # variadic: one template for all
+            templates = tuple(templates) * count
+        types = T.infer_types(templates, [v.type for v in node.inputs])
+    # an output count the op does not define is the verifier's to report
+    return (types + [T.AnyType()] * count)[:count]
+
+
+def _advance_name_counters(graph: Graph, names: Iterable[str]) -> None:
+    """Start each fresh-name counter past every parsed ``base.N``."""
+    highest: Dict[str, int] = {}
+    for name in names:
+        base, _, suffix = name.partition(".")
+        if suffix.isdecimal():
+            highest[base] = max(highest.get(base, -1), int(suffix))
+    for base, top in highest.items():
+        graph._name_counts[base] = itertools.count(top + 1)
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.lines = [ln.strip() for ln in text.strip().splitlines()
@@ -107,6 +184,8 @@ class _Parser:
         return self.lines[self.pos] if self.pos < len(self.lines) else ""
 
     def advance(self) -> str:
+        if self.pos >= len(self.lines):
+            raise IRParseError("unexpected end of IR text")
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -117,104 +196,71 @@ class _Parser:
         except KeyError:
             raise IRParseError(f"use of undefined value %{name}") from None
 
-    def bind(self, name: str, value: Value) -> None:
-        value.name = name
-        self.values[name] = value
+    def bind(self, value: Value) -> Value:
+        if value.name in self.values:
+            raise IRParseError(f"redefinition of %{value.name}")
+        self.values[value.name] = value
+        return value
 
     def parse(self) -> Graph:
         header = _HEADER_RE.match(self.advance())
         if not header:
             raise IRParseError("expected `graph name(...):` header")
         graph = Graph(header.group(1))
-        for param in _split_commas(header.group(2)):
-            if not param:
-                continue
-            name_part, _, type_part = param.partition(":")
-            name = name_part.strip().lstrip("%")
-            value = graph.add_input(name.split(".")[0],
-                                    _parse_type(type_part))
-            self.bind(name, value)
+        self.parse_params(graph.block, header.group(2))
         self.parse_block_body(graph.block, graph, top=True)
+        if self.pos != len(self.lines):
+            raise IRParseError(f"text after the graph's return: "
+                               f"{self.peek()!r}")
+        _advance_name_counters(graph, self.values)
         return graph
 
+    def parse_params(self, block, text: str) -> None:
+        for param in _split_commas(text):
+            name_part, _, type_part = param.partition(":")
+            value = Value(name_part.strip().lstrip("%"),
+                          _parse_type(type_part), param_block=block)
+            block.params.append(self.bind(value))
+
     def parse_block_body(self, block, graph: Graph, top: bool) -> None:
+        end_re = _GRAPH_RETURN_RE if top else _RETURNS_RE
         while self.pos < len(self.lines):
-            line = self.peek()
-            if top:
-                m = _GRAPH_RETURN_RE.match(line)
-                if m:
-                    self.advance()
-                    for name in _value_names(m.group("rets")) \
-                            if m.group("rets").strip() else []:
-                        block.add_return(self.lookup(name))
-                    return
-            else:
-                m = _RETURNS_RE.match(line)
-                if m:
-                    self.advance()
-                    rets = m.group("rets").strip()
-                    for name in (_value_names(rets) if rets else []):
-                        block.add_return(self.lookup(name))
-                    return
+            m = end_re.match(self.peek())
+            if m:
+                self.advance()
+                for name in _value_names(m.group("rets")):
+                    block.add_return(self.lookup(name))
+                return
             self.parse_node(block, graph)
-        if not top:
-            raise IRParseError("block without `-> (...)` terminator")
+        raise IRParseError("graph without `return (...)`" if top
+                           else "block without `-> (...)` terminator")
 
     def parse_node(self, block, graph: Graph) -> None:
-        m = _NODE_RE.match(self.advance())
+        line = self.advance()
+        m = _NODE_RE.match(line)
         if not m:
-            raise IRParseError(f"cannot parse node line: "
-                               f"{self.lines[self.pos - 1]!r}")
+            raise IRParseError(f"cannot parse node line: {line!r}")
         op = m.group("op")
+        if not registry.has(op):
+            raise IRParseError(f"unknown op {op!r}")
         node = Node(op, graph)
-        if op == "prim::Constant":
-            payload_text = m.group("const")
-            if payload_text is None:
-                raise IRParseError("prim::Constant without [value=...]")
-            try:
-                node.attrs["value"] = pyast.literal_eval(payload_text)
-            except (SyntaxError, ValueError):
-                stripped = payload_text.strip()
-                dtype_match = re.match(r"repro\.(\w+)$", stripped)
-                if dtype_match:
-                    from ..runtime.dtype import DType
-                    node.attrs["value"] = DType._registry[
-                        dtype_match.group(1)]
-                elif stripped in ("inf", "-inf", "nan"):
-                    # repr() of non-finite floats is not a Python
-                    # literal, so literal_eval refuses them
-                    node.attrs["value"] = float(stripped)
-                else:
-                    raise IRParseError(
-                        f"unsupported constant payload: {payload_text!r}"
-                    ) from None
-        else:
-            ins = m.group("ins").strip()
-            for name in (_value_names(ins) if ins else []):
-                node.add_input(self.lookup(name))
+        attrs = m.group("attrs")
+        if attrs is not None or op == "prim::Constant":
+            node.attrs = _parse_attrs(op, attrs or "")
+        for name in _value_names(m.group("ins")):
+            node.add_input(self.lookup(name))
         block.append(node)
 
-        out_names = _value_names(m.group("outs")) if m.group("outs") \
-            else []
+        out_names = _value_names(m.group("outs") or "")
         # nested blocks come before outputs are usable
         while _BLOCK_RE.match(self.peek()):
             bm = _BLOCK_RE.match(self.advance())
             inner = node.add_block()
-            params = bm.group("params").strip()
-            for param in (_split_commas(params) if params else []):
-                name_part, _, type_part = param.partition(":")
-                name = name_part.strip().lstrip("%")
-                value = inner.add_param(name.split(".")[0],
-                                        _parse_type(type_part))
-                self.bind(name, value)
+            self.parse_params(inner, bm.group("params"))
             self.parse_block_body(inner, graph, top=False)
-        for name in out_names:
-            if op == "prim::Constant":
-                typ = T.type_of_constant(node.attrs["value"])
-            else:
-                typ = T.TensorType()
-            value = node.add_output(name.split(".")[0], typ)
-            self.bind(name, value)
+        for name, typ in zip(out_names,
+                             _output_types(node, len(out_names))):
+            node.outputs.append(self.bind(Value(name, typ, node=node)))
 
 
 def parse_graph(text: str) -> Graph:

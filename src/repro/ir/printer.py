@@ -2,14 +2,18 @@
 
 Example output::
 
-    graph(%b.0 : Tensor, %n.0 : int):
+    graph f(%b.0 : Tensor, %n.0 : Int):
       %b.1 = aten::clone(%b.0)
-      %b.4 = prim::Loop(%n.0, %true.0, %b.1)
-        block0(%i.0 : int, %b.3 : Tensor):
+      %b.4 = prim::Loop[horizontal=True](%n.0, %true.0, %b.1)
+        block0(%i.0 : Int, %b.3 : Tensor):
           %bi.0 = immut::select(%b.3, %c0.0, %i.0)
           ...
           -> (%true.0, %b.2)
       return (%b.4)
+
+Node attributes print as ``[key=repr(value), ...]`` (a constant's
+payload is its ``value``); output types are not printed, because
+:mod:`repro.ir.parser` derives them, so the text is lossless.
 """
 
 from __future__ import annotations
@@ -19,24 +23,17 @@ from typing import List
 from .graph import Block, Graph, Node
 
 
-def _fmt_const(value) -> str:
-    if isinstance(value, str):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return repr(value)
-    return repr(value)
-
-
 def _print_node(node: Node, lines: List[str], indent: int) -> None:
     pad = "  " * indent
     ins = ", ".join(f"%{v.name}" for v in node.inputs)
     outs = ", ".join(f"%{o.name}" for o in node.outputs)
     head = f"{outs} = " if outs else ""
-    if node.op == "prim::Constant":
-        lines.append(f"{pad}{head}prim::Constant"
-                     f"[value={_fmt_const(node.attrs.get('value'))}]()")
-        return
-    lines.append(f"{pad}{head}{node.op}({ins})")
+    # every attribute but the compiled kernel, which is rebuilt from
+    # the graph and never printed
+    attrs = ", ".join(f"{key}={val!r}" for key, val in node.attrs.items()
+                      if key != "kernel")
+    attrs = f"[{attrs}]" if attrs else ""
+    lines.append(f"{pad}{head}{node.op}{attrs}({ins})")
     for i, block in enumerate(node.blocks):
         params = ", ".join(f"%{p.name} : {p.type!r}" for p in block.params)
         lines.append(f"{pad}  block{i}({params}):")

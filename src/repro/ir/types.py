@@ -145,9 +145,10 @@ def infer_types(templates: Sequence[str],
 
     ``"Scalar"`` promotes over the scalar operands (all operands when
     none is scalar): float if any is float, else bool if every one is
-    bool, else int — so an op with no operands gives int.  ``"List"``
-    holds the first operand's type, ``"Tuple"`` every operand's; an
-    unknown template is Any.  The frontend and the gradient builder both
+    bool, else int — so an op with no operands gives int.  ``"item"``
+    is int when the first operand is a tensor of integer or bool dtype,
+    else float.  ``"List"`` holds the first operand's type, ``"Tuple"``
+    every operand's; an unknown template is Any.  The frontend and the gradient builder both
     type the nodes they emit with this one rule.
     """
     out: List[Type] = []
@@ -162,6 +163,14 @@ def infer_types(templates: Sequence[str],
                 out.append(BoolType())
             else:
                 out.append(IntType())
+        elif template == "item":
+            # a tensor's element as a host scalar: int for an integer
+            # or bool dtype, float otherwise (and when it is unknown)
+            dtype = getattr(operands[0], "dtype", None) if operands \
+                else None
+            out.append(IntType() if dtype and ("int" in dtype
+                                               or dtype == "bool")
+                       else FloatType())
         elif template == "List":
             out.append(ListType(operands[0] if operands else None))
         elif template == "Tuple":

@@ -183,7 +183,7 @@ _pure("aten::sort", shape_ops.sort, num_outputs=2,
       result_types=("Tensor", "Tensor"))
 
 # Scalar extraction (forces host sync — a fusion and graph boundary).
-_pure("aten::item", lambda t: t.item(), result_types=("Scalar",))
+_pure("aten::item", lambda t: t.item(), result_types=("item",))
 _pure("aten::Bool", lambda t: bool(t), result_types=("bool",))
 _pure("aten::Int", lambda v: int(v.item() if hasattr(v, "item") else v),
       result_types=("int",))

@@ -190,7 +190,6 @@ def _materialize(block: Block, group: _Group, graph: Graph) -> Node:
         body.add_return(vmap[id(out)])
         fg_out = fg.add_output(out.name.split(".")[0], out.type)
         out.replace_all_uses_with(fg_out)
-    fg.attrs["num_member_ops"] = len(members)
 
     block.insert(group.start, fg)
     # Non-inlinable constants (tensors, dtypes) captured as group inputs

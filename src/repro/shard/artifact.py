@@ -12,30 +12,34 @@ with a fresh compile.
 Format (envelope)::
 
     {"magic": "repro-artifact", "checksum": sha256(payload-json),
-     "payload": {"version": 8, "pipeline": ..., "key": ...,
-                 "graph": ..., "memplan": ...,
-                 "kernels": [...], "program_sha256": ...,
-                 "stats": {...}, "grad_reference": ...}}
+     "payload": {"version": 10, "pipeline": ..., "key": ...,
+                 "graph": "graph f(%x.0 : Tensor):\n  ...",
+                 "memplan": ..., "kernels": [...],
+                 "program_sha256": ..., "stats": {...},
+                 "grad_reference": "graph ..."}}
 
 ``grad_reference`` is present on backward artifacts only: the raw
 (pre-optimization) backward graph that ``check=True`` interprets as
-the oracle, shipped structurally like ``graph`` so a restored backward
-is as checkable as a freshly compiled one.
+the oracle, shipped like ``graph`` so a restored backward is as
+checkable as a freshly compiled one.
 
 Design decisions worth recording:
 
-* The graph codec is *structural*, not textual: the printer/parser
-  round-trip is lossy (it drops ``horizontal``/``num_member_ops``
-  attrs and output types), so nodes, blocks, and values are encoded
-  field-by-field and value names are preserved exactly — which makes
-  kernel source generation deterministic, so kernels are shipped as
-  *descriptions* (builder kind + source digest) and rebuilt on
-  restore, with the digest check proving the restored graph lowers to
-  byte-identical kernel code.  The whole-program lowering of a planned
-  graph (:mod:`repro.backend.program`) ships the same way: only the
-  sha256 of its generated source travels, the restore lowers again,
-  compares, and caches the program on the plan — a warm-started worker
-  never lowers (or compiles a kernel) on its first request.
+* A graph ships as its :func:`~repro.ir.print_graph` text and restores
+  with :func:`~repro.ir.parse_graph` — the one form a graph is printed,
+  saved and read back in.  The text is lossless: value names, ops,
+  attributes (``horizontal`` loops) and parameter types are written
+  out, and the parser derives every output type with the rule the
+  frontend typed it by.  Names surviving exactly makes kernel source
+  generation deterministic, so kernels are shipped as *descriptions*
+  (builder kind + source digest) and rebuilt on restore, with the
+  digest check proving the restored graph lowers to byte-identical
+  kernel code.  The whole-program lowering of a planned graph
+  (:mod:`repro.backend.program`) ships the same way: only the sha256
+  of its generated source travels, the restore lowers again, compares,
+  and caches the program on the plan — a warm-started worker never
+  lowers (or compiles a kernel) on its first request.  A graph with a
+  tensor constant has no text form and is refused at serialization.
 * The memory plan is *not* trusted from the wire: the restore replans
   the graph and verifies the recorded slot table matches, so a stale
   or tampered plan can never mis-alias buffers.
@@ -50,28 +54,22 @@ with zero compiles (see :meth:`ArtifactStore.warm_start`).
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from ..backend import fusion_runtime
 from ..backend.program import lower
 from ..errors import ArtifactError
 from ..eval.cache import CompileCache
-from ..ir import types as T
-from ..ir import verify
-from ..ir.graph import Graph, Node, Value
+from ..ir import parse_graph, print_graph, verify
+from ..ir.graph import Graph, Node
 from ..memplan import get_or_build_plan
 from ..obs import trace as obs_trace
-from ..ops import registry
 from ..pipelines.base import Compiled, graph_runner
-from ..runtime.dtype import DType
 from ..runtime.tensor import Tensor
 from ..store import KeyedFileStore, atomic_write
 
@@ -90,14 +88,13 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: 7: slots and families drop their byte / extent bounds, so the
 #: plan is a function of the graph alone;
 #: 8: the shape-family record is gone — the key says what the compile
-#: read)
-ARTIFACT_VERSION = 9
+#: read;
+#: 9: loop batching — the per-trip loops it lowers or fissions are
+#: gone;
+#: 10: ``graph`` / ``grad_reference`` are ``print_graph`` text)
+ARTIFACT_VERSION = 10
 
 _MAGIC = "repro-artifact"
-
-#: node attrs the codec understands; ``kernel`` is deliberately absent
-#: (kernels are rebuilt from descriptions, never pickled closures)
-_ATTR_KEYS = ("value", "horizontal", "num_member_ops")
 
 
 def _canonical(obj) -> str:
@@ -109,195 +106,50 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# -- type codec ---------------------------------------------------------
+# -- compile-key codec --------------------------------------------------
 
-_SIMPLE_TYPES = {
-    "int": T.IntType, "float": T.FloatType, "bool": T.BoolType,
-    "str": T.StrType, "none": T.NoneType, "any": T.AnyType,
-}
-
-
-def _encode_type(typ: T.Type) -> dict:
-    """One IR type as a tagged dict."""
-    if isinstance(typ, T.TensorType):
-        return {"k": "tensor", "dtype": typ.dtype,
-                "shape": list(typ.shape) if typ.shape is not None else None}
-    if isinstance(typ, T.ListType):
-        return {"k": "list", "elem": _encode_type(typ.elem)}
-    if isinstance(typ, T.TupleType):
-        return {"k": "tuple", "elems": [_encode_type(e) for e in typ.elems]}
-    for tag, cls in _SIMPLE_TYPES.items():
-        if type(typ) is cls:
-            return {"k": tag}
-    raise ArtifactError(f"unsupported IR type: {typ!r}")
-
-
-def _decode_type(spec: dict) -> T.Type:
-    """Inverse of :func:`_encode_type`."""
-    kind = spec.get("k")
-    if kind == "tensor":
-        shape = spec.get("shape")
-        return T.TensorType(spec.get("dtype"),
-                            tuple(shape) if shape is not None else None)
-    if kind == "list":
-        return T.ListType(_decode_type(spec["elem"]))
-    if kind == "tuple":
-        return T.TupleType(tuple(_decode_type(e) for e in spec["elems"]))
-    cls = _SIMPLE_TYPES.get(kind)
-    if cls is None:
-        raise ArtifactError(f"unknown type tag {kind!r}")
-    return cls()
-
-
-# -- payload (constant / argument) codec --------------------------------
-
-def _encode_payload(value) -> object:
-    """A Python constant payload as JSON-able tagged data.
-
-    Scalars pass through; containers, tensors, and dtypes are tagged so
-    decoding is unambiguous (JSON has no tuples and no ndarrays).
-    """
+def _encode_key(value) -> object:
+    """A compile key as JSON-able data.  Scalars pass through; lists and
+    tuples are tagged, since JSON has no tuples."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, list):
-        return {"k": "pylist", "items": [_encode_payload(v) for v in value]}
+        return {"k": "pylist", "items": [_encode_key(v) for v in value]}
     if isinstance(value, tuple):
-        return {"k": "pytuple", "items": [_encode_payload(v) for v in value]}
-    if isinstance(value, Tensor):
-        arr = np.ascontiguousarray(value.numpy())
-        return {"k": "ndarray", "dtype": value.dtype.name,
-                "shape": list(arr.shape),
-                "data": base64.b64encode(arr.tobytes()).decode("ascii")}
-    if isinstance(value, DType):
-        return {"k": "dtype", "name": value.name}
-    raise ArtifactError(f"unsupported constant payload: {value!r}")
+        return {"k": "pytuple", "items": [_encode_key(v) for v in value]}
+    raise ArtifactError(f"unsupported compile-key part: {value!r}")
 
 
-def _decode_payload(spec) -> object:
-    """Inverse of :func:`_encode_payload`."""
+def _decode_key(spec) -> object:
+    """Inverse of :func:`_encode_key`."""
     if spec is None or isinstance(spec, (bool, int, float, str)):
         return spec
-    if not isinstance(spec, dict):
-        raise ArtifactError(f"malformed payload: {spec!r}")
-    kind = spec.get("k")
+    kind = spec.get("k") if isinstance(spec, dict) else None
     if kind == "pylist":
-        return [_decode_payload(v) for v in spec["items"]]
+        return [_decode_key(v) for v in spec["items"]]
     if kind == "pytuple":
-        return tuple(_decode_payload(v) for v in spec["items"])
-    if kind == "ndarray":
-        dtype = DType._registry.get(spec["dtype"])
-        if dtype is None:
-            raise ArtifactError(f"unknown dtype {spec['dtype']!r}")
-        raw = base64.b64decode(spec["data"].encode("ascii"))
-        arr = np.frombuffer(raw, dtype=dtype.np).reshape(spec["shape"])
-        return Tensor.from_array(arr, copy=True)
-    if kind == "dtype":
-        dtype = DType._registry.get(spec["name"])
-        if dtype is None:
-            raise ArtifactError(f"unknown dtype {spec['name']!r}")
-        return dtype
-    raise ArtifactError(f"unknown payload tag {kind!r}")
+        return tuple(_decode_key(v) for v in spec["items"])
+    raise ArtifactError(f"malformed compile key: {spec!r}")
 
 
-# -- graph codec --------------------------------------------------------
+# -- graph text ----------------------------------------------------------
 
-def _encode_attrs(node: Node) -> dict:
-    out = {}
-    for key, val in node.attrs.items():
-        if key == "kernel":
-            continue  # rebuilt from the kernel description on restore
-        if key not in _ATTR_KEYS:
-            raise ArtifactError(
-                f"node {node.op} carries unserializable attr {key!r}")
-        out[key] = _encode_payload(val)
-    return out
-
-
-def _encode_node(node: Node) -> dict:
-    return {
-        "op": node.op,
-        "inputs": [v.name for v in node.inputs],
-        "outputs": [{"name": v.name, "type": _encode_type(v.type)}
-                    for v in node.outputs],
-        "attrs": _encode_attrs(node),
-        "blocks": [_encode_block(b) for b in node.blocks],
-    }
+def _graph_text(graph: Graph) -> str:
+    """The graph's ``print_graph`` text; refuses a tensor constant,
+    which the text cannot express."""
+    for node in graph.walk():
+        if node.op == "prim::Constant" \
+                and isinstance(node.attrs["value"], Tensor):
+            raise ArtifactError(f"tensor constant %{node.output().name} "
+                                "has no text form")
+    return print_graph(graph)
 
 
-def _encode_block(block) -> dict:
-    return {
-        "params": [{"name": p.name, "type": _encode_type(p.type)}
-                   for p in block.params],
-        "nodes": [_encode_node(n) for n in block.nodes],
-        "returns": [r.name for r in block.returns],
-    }
-
-
-def encode_graph(graph: Graph) -> dict:
-    """The graph as structural JSON-able data, names preserved exactly."""
-    return {"name": graph.name, "block": _encode_block(graph.block)}
-
-
-def _decode_block_into(block, spec: dict, graph: Graph,
-                       env: Dict[str, Value]) -> None:
-    for pspec in spec["params"]:
-        # construct Values directly (not via add_param) so restored
-        # names match the serialized ones exactly — kernel source
-        # generation depends on them
-        value = Value(pspec["name"], _decode_type(pspec["type"]),
-                      param_block=block)
-        block.params.append(value)
-        env[value.name] = value
-    for nspec in spec["nodes"]:
-        try:
-            registry.get(nspec["op"])
-        except KeyError as exc:
-            raise ArtifactError(f"unknown op {nspec['op']!r}") from exc
-        node = Node(nspec["op"], graph)
-        for name in nspec["inputs"]:
-            if name not in env:
-                raise ArtifactError(f"dangling input %{name}")
-            node.add_input(env[name])
-        for ospec in nspec["outputs"]:
-            value = Value(ospec["name"], _decode_type(ospec["type"]),
-                          node=node)
-            node.outputs.append(value)
-            env[value.name] = value
-        for key, val in nspec["attrs"].items():
-            if key not in _ATTR_KEYS:
-                raise ArtifactError(f"unknown node attr {key!r}")
-            node.attrs[key] = _decode_payload(val)
-        for bspec in nspec["blocks"]:
-            inner = node.add_block()
-            _decode_block_into(inner, bspec, graph, env)
-        block.append(node)
-    for name in spec["returns"]:
-        if name not in env:
-            raise ArtifactError(f"dangling return %{name}")
-        block.add_return(env[name])
-
-
-def decode_graph(spec: dict) -> Graph:
-    """Rebuild a graph from :func:`encode_graph` data and verify it."""
-    import itertools
-
-    graph = Graph(spec["name"])
-    env: Dict[str, Value] = {}
-    _decode_block_into(graph.block, spec["block"], graph, env)
-    # advance the fresh-name counters past every restored name so any
-    # later construction on this graph cannot collide
-    highest: Dict[str, int] = {}
-    for name in env:
-        base, _, suffix = name.rpartition(".")
-        if base and suffix.isdigit():
-            highest[base] = max(highest.get(base, -1), int(suffix))
-    for base, top in highest.items():
-        graph._name_counts[base] = itertools.count(top + 1)
-    try:
-        verify(graph)
-    except Exception as exc:
-        raise ArtifactError(f"restored graph fails verification: {exc}") \
-            from exc
+def _restore_graph(text: str) -> Graph:
+    """Parse and verify a shipped graph (the restore types any fault
+    as an :class:`ArtifactError`)."""
+    graph = parse_graph(text)
+    verify(graph)
     return graph
 
 
@@ -439,8 +291,9 @@ def serialize_compiled(compiled: Compiled, key: tuple) -> bytes:
     """Flatten one compiled program to a checksummed artifact.
 
     ``key`` is the compile-cache key the artifact should be restored
-    under (see :func:`repro.eval.cache.compile_key`).  Graph-free pipelines (eager) raise :class:`ArtifactError` — there
-    is nothing stable to ship.
+    under (see :func:`repro.eval.cache.compile_key`).  Graph-free
+    pipelines (eager) raise :class:`ArtifactError` — there is nothing
+    stable to ship.
     """
     if compiled.graph is None:
         raise ArtifactError(
@@ -452,8 +305,8 @@ def serialize_compiled(compiled: Compiled, key: tuple) -> bytes:
         payload = {
             "version": ARTIFACT_VERSION,
             "pipeline": compiled.pipeline,
-            "key": _encode_payload(tuple(key)),
-            "graph": encode_graph(compiled.graph),
+            "key": _encode_key(tuple(key)),
+            "graph": _graph_text(compiled.graph),
             "memplan": _encode_plan(plan),
             "kernels": _encode_kernels(compiled.graph),
             "program_sha256": _program_digest(compiled.graph, plan),
@@ -461,7 +314,7 @@ def serialize_compiled(compiled: Compiled, key: tuple) -> bytes:
         }
         reference = compiled.stats.get("grad_reference")
         if reference is not None:
-            payload["grad_reference"] = encode_graph(reference.graph)
+            payload["grad_reference"] = _graph_text(reference.graph)
         envelope = {"magic": _MAGIC, "checksum": _sha256(_canonical(payload)),
                     "payload": payload}
         return json.dumps(envelope, sort_keys=True).encode("utf-8")
@@ -494,15 +347,15 @@ def deserialize_compiled(data: bytes) -> RestoredArtifact:
                 f"artifact version {version!r} is not supported "
                 f"(expected {ARTIFACT_VERSION})")
         try:
-            key = _decode_payload(payload["key"])
-            graph = decode_graph(payload["graph"])
+            key = _decode_key(payload["key"])
+            graph = _restore_graph(payload["graph"])
             plan = _restore_plan(graph, payload.get("memplan"))
             built = _restore_kernels(graph, payload.get("kernels", ()))
             _restore_program(graph, plan, payload.get("program_sha256"))
             stats = dict(payload.get("stats", {}))
             if "grad_reference" in payload:
                 stats["grad_reference"] = graph_runner(
-                    decode_graph(payload["grad_reference"]))
+                    _restore_graph(payload["grad_reference"]))
         except ArtifactError:
             raise
         except Exception as exc:
@@ -544,7 +397,7 @@ class ArtifactStore:
 
     @staticmethod
     def _key_text(key: tuple) -> str:
-        return _canonical(_encode_payload(tuple(key)))
+        return _canonical(_encode_key(tuple(key)))
 
     def put(self, key: tuple, compiled: Compiled) -> str:
         """Serialize and persist one compiled program; returns the
@@ -568,7 +421,7 @@ class ArtifactStore:
         out = []
         for entry in self._index.scan():
             try:
-                out.append(tuple(_decode_payload(json.loads(entry["key"]))))
+                out.append(tuple(_decode_key(json.loads(entry["key"]))))
             except (ValueError, KeyError, TypeError, ArtifactError):
                 continue
         return out

@@ -22,6 +22,7 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 import repro.runtime as rt
+from ..backend.codegen import member_ops
 from ..eval.cache import CompileCache, clone_args, fetch, process_cache
 from ..eval.harness import profiled_call
 from ..eval.platforms import get_platform
@@ -41,8 +42,7 @@ def op_histogram(graph: Graph) -> Dict[str, int]:
 
 def group_sizes(graph: Graph) -> List[int]:
     """Member counts of each fusion group, largest first."""
-    return sorted((n.attrs.get("num_member_ops", 0)
-                   for n in graph.walk()
+    return sorted((member_ops(n.blocks[0].nodes) for n in graph.walk()
                    if n.op == "prim::FusionGroup"), reverse=True)
 
 

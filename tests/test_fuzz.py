@@ -17,7 +17,7 @@ import pytest
 from repro.fuzz import (FuzzProgram, OracleConfig, failure_predicate,
                         generate_program, materialize, run_oracle,
                         scripted_node_count, shrink)
-from repro.fuzz.oracle import all_pipeline_names
+from repro.fuzz.oracle import all_pipeline_names, graph_structure
 from repro.frontend import script
 from repro.ir import parse_graph, print_graph
 from repro.pipelines.tensorssa_pipeline import TensorSSAPipeline
@@ -194,7 +194,10 @@ class TestRoundTrip:
             compiled = pipe.compile(
                 fn, example_args=(rt.from_numpy(x), flag, n))
             text = print_graph(compiled.graph)
-            assert print_graph(parse_graph(text)) == text, name
+            reparsed = parse_graph(text)
+            assert print_graph(reparsed) == text, name
+            assert graph_structure(reparsed) == \
+                graph_structure(compiled.graph), name
 
     def test_nonfinite_constants_round_trip(self):
         import math

@@ -5,7 +5,10 @@ import pytest
 import repro.runtime as rt
 from repro.backend import run_graph
 from repro.frontend import script
+from repro.fuzz.oracle import graph_structure
 from repro.ir import IRParseError, parse_graph, print_graph, verify
+from repro.models import get_workload, workload_names
+from repro.pipelines.registry import get_pipeline
 
 
 SIMPLE = """
@@ -40,6 +43,26 @@ graph branchy(%x.0 : Tensor, %f.0 : Bool):
       %b.0 = aten::mul(%x.0, %c.1)
       -> (%b.0)
   return (%o.0)
+"""
+
+
+SCALARS = """
+graph scalars(%x.0 : Tensor<int64>, %y.0 : Tensor, %n.0 : Int):
+  %s.0 = aten::size(%x.0, %n.0)
+  %m.0 = prim::mul(%s.0, %n.0)
+  %q.0 = prim::truediv(%s.0, %n.0)
+  %i.0 = aten::item(%x.0)
+  %f.0 = aten::item(%y.0)
+  %l.0 = prim::ListConstruct(%s.0, %m.0)
+  %t.0 = prim::TupleConstruct(%y.0, %f.0)
+  %u.0, %u.1 = prim::TupleUnpack(%t.0)
+  %b.0 = prim::lt(%q.0, %f.0)
+  %o.0 = prim::If(%b.0)
+    block0():
+      -> (%i.0)
+    block1():
+      -> (%m.0)
+  return (%l.0, %t.0, %o.0)
 """
 
 
@@ -85,6 +108,46 @@ graph c(%x.0 : Tensor):
                         "aten::add(%nope.0, %x.0)\n  return (%a.0)")
         with pytest.raises(IRParseError):
             parse_graph("graph g(%x.0 : Wat):\n  return (%x.0)")
+        with pytest.raises(IRParseError, match="unknown op"):
+            parse_graph("graph g(%x.0 : Tensor):\n  %a.0 = "
+                        "aten::nope(%x.0)\n  return (%a.0)")
+        with pytest.raises(IRParseError, match="redefinition"):
+            parse_graph("graph g(%x.0 : Tensor):\n  %x.0 = "
+                        "aten::neg(%x.0)\n  return (%x.0)")
+        with pytest.raises(IRParseError, match="return"):
+            parse_graph("graph g(%x.0 : Tensor):\n  %a.0 = "
+                        "aten::neg(%x.0)")
+
+    def test_output_types_are_derived(self):
+        """Output types are not in the text: the parser derives them
+        with the rule the frontend types nodes by."""
+        g = parse_graph(SCALARS)
+        verify(g)
+        types = [[repr(o.type) for o in n.outputs] for n in g.block.nodes]
+        assert types == [["Int"], ["Int"], ["Float"], ["Int"], ["Float"],
+                         ["List[Int]"], ["Tuple[Tensor, Float]"],
+                         ["Any", "Any"], ["Bool"], ["Int"]]
+
+    def test_fresh_names_skip_parsed_names(self):
+        g = parse_graph("graph f(%x.0 : Tensor):\n  %x.2 = aten::neg(%x.0)"
+                        "\n  return (%x.2)")
+        assert g.fresh_name("x") == "x.3"
+        assert g.fresh_name("y") == "y.0"
+
+    def test_attributes_round_trip(self):
+        text = """
+graph h(%x.0 : Tensor, %n.0 : Int):
+  %t.0 = prim::Constant[value=True]()
+  %y.0 = prim::Loop[horizontal=True](%n.0, %t.0, %x.0)
+    block0(%i.0 : Int, %y.1 : Tensor):
+      %z.0 = aten::neg(%y.1)
+      -> (%t.0, %z.0)
+  return (%y.0)
+"""
+        g = parse_graph(text)
+        loop, = g.nodes_of("prim::Loop")
+        assert loop.attrs == {"horizontal": True}
+        assert print_graph(g) == text.strip()
 
 
 class TestRoundTrip:
@@ -120,6 +183,17 @@ class TestRoundTrip:
         dce(g)
         self._roundtrip(g)
 
+    def test_frontend_types_item_by_the_same_rule(self):
+        """``x.item()`` on a tensor of unknown dtype is a Float, as the
+        parser derives it (an int dtype gives Int: see SCALARS)."""
+        def f(x):
+            return x.sum().item() + 1.0
+        graph = script(f).graph
+        item, = [n for n in graph.walk() if n.op == "aten::item"]
+        assert repr(item.output().type) == "Float"
+        assert graph_structure(parse_graph(print_graph(graph))) == \
+            graph_structure(graph)
+
     def test_parsed_graph_executes_like_original(self):
         import numpy as np
         from repro.models import WORKLOADS
@@ -131,3 +205,48 @@ class TestRoundTrip:
         b = run_graph(reparsed, list(args))
         for x, y in zip(a, b):
             np.testing.assert_allclose(x.numpy(), y.numpy())
+
+
+def _structural_cases():
+    """(id, workload, form) for every graph the text must keep whole."""
+    cases = []
+    for name in workload_names():
+        for pipeline in ("tensorssa", "dynamo_inductor", "ts_nvfuser",
+                         "ts_nnc"):
+            cases.append((f"{name}-{pipeline}", name, pipeline))
+    for name in ("lstm", "nasrnn", "attention"):
+        cases.append((f"{name}-grad", name, "grad"))
+        cases.append((f"{name}-grad_reference", name, "grad_reference"))
+    cases.append(("literal-scalars", None, "literal"))
+    return cases
+
+
+def _build(name, form):
+    if form == "literal":
+        return parse_graph(SCALARS)
+    wl = get_workload(name)
+    if form in ("grad", "grad_reference"):
+        args = wl.make_inputs(batch_size=2, seq_len=8, seed=0)
+        compiled = get_pipeline("tensorssa").compile_grad(
+            wl.model_fn, example_args=args)
+        return compiled.graph if form == "grad" \
+            else compiled.stats["grad_reference"].graph
+    args = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
+    compiled = get_pipeline(form).compile(wl.model_fn, example_args=args)
+    compiled.fn(*args)  # kernels attach to their nodes as they run
+    return compiled.graph
+
+
+@pytest.mark.parametrize("name,form",
+                         [c[1:] for c in _structural_cases()],
+                         ids=[c[0] for c in _structural_cases()])
+def test_structural_round_trip(name, form):
+    """print -> parse keeps every name, op, output type, block param
+    and attribute (the compiled kernel aside) of compiled forwards,
+    backwards, their reference graphs and a scalar-typed literal."""
+    graph = _build(name, form)
+    text = print_graph(graph)
+    reparsed = parse_graph(text)
+    verify(reparsed)
+    assert print_graph(reparsed) == text
+    assert graph_structure(reparsed) == graph_structure(graph)

@@ -183,6 +183,17 @@ class TestResultTypes:
         # this case; the rule still answers one way, everywhere
         assert T.infer_types(["Scalar"], []) == [T.IntType()]
         assert {s.name for s in all_ops() if "Scalar" in s.result_types} \
-            == {"aten::item", "prim::add", "prim::sub", "prim::mul",
+            == {"prim::add", "prim::sub", "prim::mul",
                 "prim::mod", "prim::pow", "prim::neg", "prim::min",
                 "prim::max"}
+
+    def test_item_follows_the_tensor_dtype(self):
+        # aten::item's own template: int for an integer or bool
+        # dtype, float for any other and for an unknown one
+        i, f = T.IntType(), T.FloatType()
+        for dtype, want in (("int64", i), ("int32", i), ("bool", i),
+                            ("float32", f), (None, f)):
+            assert T.infer_types(["item"], [T.TensorType(dtype)]) == [want]
+        assert T.infer_types(["item"], [T.AnyType()]) == [f]
+        assert {s.name for s in all_ops() if "item" in s.result_types} \
+            == {"aten::item"}

@@ -4,6 +4,7 @@ import numpy as np
 
 import repro.runtime as rt
 from repro.backend import run_graph
+from repro.backend.codegen import member_ops
 from repro.frontend import script
 from repro.ir import clone_graph, verify
 from repro.passes import FuserConfig, FuserConfig as FC, fuse
@@ -42,7 +43,7 @@ class TestGroupFormation:
         n = fuse(g, FuserConfig(name="t"))
         assert n == 1
         group = g.nodes_of("prim::FusionGroup")[0]
-        assert group.attrs["num_member_ops"] == 5
+        assert member_ops(group.blocks[0].nodes) == 5
         verify(g)
 
     def test_matmul_splits_groups(self):

@@ -11,6 +11,7 @@ import repro.runtime as rt
 from repro.errors import ArtifactError
 from repro.eval.cache import CompileCache, clone_args, compile_key, fetch
 from repro.eval.harness import run_workload
+from repro.ir import print_graph
 from repro.memplan.planner import plans_built
 from repro.models import get_workload, workload_names
 from repro.pipelines.registry import get_pipeline
@@ -62,6 +63,9 @@ class TestRoundTrip:
         # all described kernels were pre-built during restore
         payload = json.loads(data.decode("utf-8"))["payload"]
         assert restored.kernels_built == len(payload["kernels"])
+        # the graph ships as its text, and restores to that text
+        assert payload["graph"] == print_graph(compiled.graph) == \
+            print_graph(restored.compiled.graph)
         fresh_args = wl.make_inputs(batch_size=1, seq_len=8, seed=3)
         _assert_same_outputs(restored.compiled.fn(*fresh_args),
                              compiled.fn(*fresh_args))
@@ -112,6 +116,21 @@ class TestRoundTrip:
         _assert_same_outputs(restored.compiled.fn(*args),
                              compiled.fn(*args))
 
+    def test_tensor_constant_is_not_serializable(self):
+        """The graph text has no spelling for a tensor constant (a
+        closure tensor the frontend embeds), so such a program is
+        refused at serialization — the publisher skips it and the key
+        compiles cold — instead of shipping text that cannot restore."""
+        weight = rt.ones((3,))
+
+        def f(x):
+            return x * weight.exp()
+
+        pipe = get_pipeline("tensorssa")
+        compiled = pipe.compile(f, example_args=(rt.ones((3,)),))
+        with pytest.raises(ArtifactError, match="tensor constant"):
+            serialize_compiled(compiled, ("tensorssa", "f"))
+
     def test_eager_pipeline_is_not_serializable(self):
         _, compiled, key, _ = _fresh("attention", "tensorssa")
         eager = get_pipeline("eager").compile(
@@ -155,7 +174,7 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 9
+        assert ARTIFACT_VERSION == 10
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
 
@@ -198,12 +217,51 @@ class TestRejection:
             tmp_path, 7,
             lambda payload: payload.update(version=7, family=family))
 
+    def test_v9_json_graph_record_refused_and_compiled_cold(
+            self, tmp_path):
+        """Version 9 records shipped the graph as structural JSON; the
+        graph now travels as its ``print_graph`` text, so such a record
+        is refused typed and its key compiles cold."""
+        json_graph = {"name": "forward", "block": {
+            "params": [], "nodes": [], "returns": []}}
+        self._refused_and_compiled_cold(
+            tmp_path, 9,
+            lambda payload: payload.update(version=9, graph=json_graph))
+
     def test_v8_record_refused_and_compiled_cold(self, tmp_path):
         """Version 8 graphs predate loop batching: they keep the
         per-trip loops the parallelization pass now lowers or fissions,
         so such a record is refused typed and its key compiles cold."""
         self._refused_and_compiled_cold(
             tmp_path, 8, lambda payload: payload.update(version=8))
+
+    def _graph_tampered(self, edit):
+        """The artifact with its graph text rewritten by ``edit``."""
+        def mutate(payload):
+            payload["graph"] = edit(payload["graph"])
+
+        return _tampered(self._artifact(), mutate)
+
+    def test_unknown_op_in_graph_text_rejected(self):
+        bad = self._graph_tampered(
+            lambda text: text.replace("aten::", "aten::bogus_", 1))
+        with pytest.raises(ArtifactError, match="unknown op"):
+            deserialize_compiled(bad)
+
+    def test_dangling_value_in_graph_text_rejected(self):
+        def dangle(text):
+            body, _ = text.rsplit("\n", 1)
+            return body + "\n  return (%nowhere.0)"
+
+        with pytest.raises(ArtifactError, match="undefined value"):
+            deserialize_compiled(self._graph_tampered(dangle))
+
+    @pytest.mark.parametrize("keep", [0.5, 0.9])
+    def test_truncated_graph_text_rejected(self, keep):
+        bad = self._graph_tampered(
+            lambda text: text[:int(len(text) * keep)])
+        with pytest.raises(ArtifactError):
+            deserialize_compiled(bad)
 
     def test_program_digest_mismatch_rejected(self):
         def skew(payload):
