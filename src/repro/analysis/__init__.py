@@ -1,7 +1,8 @@
-"""repro.analysis — alias analysis, dominance, liveness."""
+"""repro.analysis — alias analysis, program order and dominance,
+buffer ownership."""
 
 from .alias import CONTAINER, CONTROL, MEMORY, AliasGraph, Mutation, TSet
-from .dominance import node_dominates, value_dominates
+from .dominance import ProgramOrder, enclosing_node_in_block
 
 __all__ = ["AliasGraph", "TSet", "Mutation", "MEMORY", "CONTROL",
-           "CONTAINER", "node_dominates", "value_dominates"]
+           "CONTAINER", "ProgramOrder", "enclosing_node_in_block"]

@@ -20,11 +20,13 @@ safety rules documented in DESIGN.md §5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from functools import cached_property
+from typing import Dict, List, Set
 
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Value
 from ..ops.schema import OpKind
+from .dominance import ProgramOrder
 
 MEMORY = "memory"
 CONTROL = "control"
@@ -297,38 +299,12 @@ class AliasGraph:
             self._judge(tset)
         return tsets
 
-    # -- program-order helpers (lazily built) ---------------------------
-
-    def _ensure_positions(self) -> None:
-        if hasattr(self, "_entry_index"):
-            return
-        # pre-order => a node's subtree occupies a contiguous range, so
-        # both indices come out of a single recursive pass
-        self._entry_index: Dict[int, int] = {}
-        self._exit_index: Dict[int, int] = {}
-        counter = 0
-
-        def visit(node: Node) -> None:
-            nonlocal counter
-            self._entry_index[id(node)] = counter
-            counter += 1
-            for block in node.blocks:
-                for inner in block.nodes:
-                    visit(inner)
-            self._exit_index[id(node)] = counter - 1
-
-        for top in self.graph.block.nodes:
-            visit(top)
-
-    def _loop_ancestors(self, node: Node) -> Set[int]:
-        out: Set[int] = set()
-        block = node.owning_block
-        while block is not None and block.owning_node is not None:
-            owner = block.owning_node
-            if owner.op == "prim::Loop":
-                out.add(id(owner))
-            block = owner.owning_block
-        return out
+    @cached_property
+    def order(self) -> ProgramOrder:
+        """The graph's program-order snapshot, taken on first use (the
+        T-set judgement, or a caller pinning the graph before it
+        rewrites it)."""
+        return ProgramOrder(self.graph)
 
     def _judge(self, tset: TSet) -> None:
         from ..ops import registry
@@ -338,7 +314,7 @@ class AliasGraph:
             tset.reason = reason
 
         o = tset.origin
-        self._ensure_positions()
+        order = self.order
         if not self._owns_storage(o):
             if not self._is_safe_accumulator_param(tset):
                 return fail(f"origin %{o.name} does not own storage "
@@ -366,17 +342,13 @@ class AliasGraph:
         # rewrites the escaping use to the final pure version), and no
         # loop wraps both the escape and a mutation (iteration
         # wrap-around would interleave them).
-        last_mut = max(self._entry_index[id(m.node)]
-                       for m in tset.mutations)
+        last_mut = max(order.entry[id(m.node)] for m in tset.mutations)
         mut_loops: Set[int] = set()
         for m in tset.mutations:
-            mut_loops |= self._loop_ancestors(m.node)
+            mut_loops |= order.loops(m.node)
 
         def escape_is_unsafe(pos: int, user_node: Node) -> bool:
-            if pos < last_mut:
-                return True
-            return bool(self._loop_ancestors(user_node) & mut_loops) \
-                if user_node is not None else False
+            return pos < last_mut or bool(order.loops(user_node) & mut_loops)
 
         for v in tset.values:
             for use in v.uses:
@@ -384,17 +356,16 @@ class AliasGraph:
                     owner = use.user.owning_node
                     if owner is None:
                         continue  # graph return: runs last, gets renamed
-                    if escape_is_unsafe(self._exit_index[id(owner)],
-                                        owner):
+                    if escape_is_unsafe(order.exit[id(owner)], owner):
                         return fail(f"%{v.name} escapes through a block "
                                     f"return before the last mutation")
                 elif use.user.op in _CONTROL_OPS:
-                    if escape_is_unsafe(self._entry_index[id(use.user)],
+                    if escape_is_unsafe(order.entry[id(use.user)],
                                         use.user):
                         return fail(f"%{v.name} is carried into control "
                                     f"flow interleaved with mutations")
                 elif use.user.op in _CONTAINER_OPS:
-                    if escape_is_unsafe(self._entry_index[id(use.user)],
+                    if escape_is_unsafe(order.entry[id(use.user)],
                                         use.user):
                         return fail(f"%{v.name} escapes into a container "
                                     f"before the last mutation")

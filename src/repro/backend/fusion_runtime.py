@@ -157,7 +157,6 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
     init the planner donated (``__donated__``): its dying buffer
     threads through every trip and comes back as the output.
     """
-    body = node.blocks[0]
     kernel = _node_kernel(node)
     with obs_trace.span("kernel:parallel_loop", cat="exec",
                         max_trip=max_trip) as sp:
@@ -179,7 +178,7 @@ def run_horizontal_loop(node: Node, max_trip: int, cond: bool,
 
         outputs = _outputs(state, list(carried) + list(captures),
                            [p - 1 for p in kernel.__donated__])
-        n_ops = len(body.nodes)
+        n_ops = kernel.__member_ops__
         if sp is not None:
             sp.args["trips"] = i
         if profiler.listening():
@@ -214,5 +213,5 @@ def run_parallel_map(node: Node, inputs: List[object]) -> List[object]:
                 "parallel_map",
                 nbytes=_io_bytes(inputs) + _io_bytes(outputs),
                 flops=sum(o.numel for o in outputs if isinstance(o, Tensor)),
-                fused_ops=max(len(body.nodes), 1) * max(trip, 1))
+                fused_ops=max(kernel.__member_ops__, 1) * max(trip, 1))
     return outputs

@@ -23,7 +23,7 @@ import builtins
 import inspect
 import textwrap
 import types as pytypes
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Value
@@ -160,9 +160,7 @@ class Lowerer:
         """Emit op; returns its single output Value, or a list for
         multi-output ops."""
         schema = registry.get(op)
-        types_ = T.infer_types(
-            schema.result_types[:max(schema.num_outputs, 1)],
-            [v.type for v in operands])
+        types_ = schema.output_types([v.type for v in operands])
         node = self.emit(op, operands, types_, out_name)
         if schema.num_outputs == 1:
             return node.output()
@@ -689,8 +687,6 @@ class Lowerer:
 
     # -- calls -------------------------------------------------------------
 
-    _METHOD_ALIASES = {"slice": "aten::slice"}
-
     def lower_call(self, expr: ast.Call, multi_ok: bool):
         kwargs = {}
         for kw in expr.keywords:
@@ -728,7 +724,7 @@ class Lowerer:
                 return self.emit_op("aten::append", [obj] + args)
             raise unsupported(f"list method {method}", expr,
                               self.source_name)
-        op = self._METHOD_ALIASES.get(method, f"aten::{method}")
+        op = f"aten::{method}"
         if not registry.has(op):
             raise ScriptError(f"unknown tensor method {method!r}", expr,
                               self.source_name)

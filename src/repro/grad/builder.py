@@ -39,7 +39,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import GradError
 from ..ir import types as T
 from ..ir.clone import clone_graph, clone_region
-from ..ir.graph import Block, Graph, Node, Value
+from ..ir.graph import (NOT_CONSTANT, Block, Graph, Node, Value,
+                        constant_value, free_values, is_for_loop)
 from ..ops import registry
 from ..ops.schema import OpKind
 
@@ -62,11 +63,11 @@ def const_value(v: Value, what: str):
     permutations) that must be static for the adjoint to be
     constructible; a non-constant operand raises :class:`GradError`.
     """
-    node = v.node
-    if node is not None and node.op == "prim::Constant":
-        return node.attrs["value"]
-    if node is not None and node.op == "prim::ListConstruct":
-        return [const_value(x, what) for x in node.inputs]
+    payload = constant_value(v)
+    if payload is not NOT_CONSTANT:
+        return payload
+    if v.node is not None and v.node.op == "prim::ListConstruct":
+        return [const_value(x, what) for x in v.node.inputs]
     raise GradError(f"{what} must be a compile-time constant to "
                     f"differentiate, got runtime value %{v.name}")
 
@@ -96,10 +97,7 @@ class GradBuilder:
              name: str = "g") -> Node:
         """Emit ``op`` over ``inputs`` in the current block, typing the
         outputs from the schema's result templates."""
-        schema = registry.get(op)
-        types_ = T.infer_types(
-            schema.result_types[:max(schema.num_outputs, 1)],
-            [v.type for v in inputs])
+        types_ = registry.get(op).output_types([v.type for v in inputs])
         node = self.graph.create(op, inputs,
                                  output_names=[name] * len(types_),
                                  output_types=types_)
@@ -139,54 +137,13 @@ class GradBuilder:
 # free-value analysis
 # ---------------------------------------------------------------------------
 
-def _deep_free_values(block: Block) -> List[Value]:
-    """Values ``block`` (including nested blocks) references but does
-    not define, in first-use order.
-
-    :func:`repro.ir.graph.free_values` is shallow by design (nested
-    captures stay free *inside* the nested block); the adjoint of a
-    control-flow region needs the transitive capture set because every
-    captured tensor is a differentiation path out of the region.
-    """
-    defined = set()
-
-    def collect(b: Block) -> None:
-        for p in b.params:
-            defined.add(id(p))
-        for n in b.nodes:
-            for o in n.outputs:
-                defined.add(id(o))
-            for sb in n.blocks:
-                collect(sb)
-
-    collect(block)
-    free: List[Value] = []
-    seen = set()
-
-    def visit(v: Value) -> None:
-        if id(v) not in defined and id(v) not in seen:
-            seen.add(id(v))
-            free.append(v)
-
-    def scan(b: Block) -> None:
-        for n in b.nodes:
-            for v in n.inputs:
-                visit(v)
-            for sb in n.blocks:
-                scan(sb)
-        for r in b.returns:
-            visit(r)
-
-    scan(block)
-    return free
-
-
 def _free_tensors(blocks: Sequence[Block]) -> List[Value]:
-    """Ordered union of the deep free *tensor* values of ``blocks``."""
+    """Ordered union of the deep free *tensor* values of ``blocks`` —
+    every captured tensor is a differentiation path out of the region."""
     out: List[Value] = []
     seen = set()
     for b in blocks:
-        for v in _deep_free_values(b):
+        for v in free_values(b, deep=True):
             if v.type.is_tensor and id(v) not in seen:
                 seen.add(id(v))
                 out.append(v)
@@ -285,8 +242,7 @@ def _if_adjoint(builder: GradBuilder, node: Node,
         saved = builder.block
         builder.block = gb
         try:
-            vmap = {id(v): v for v in _deep_free_values(branch)}
-            rets, cloned = clone_region(branch, gb, builder.graph, vmap)
+            rets, cloned = clone_region(branch, gb, builder.graph, {})
             local: Dict[int, Value] = {}
             for r, g in zip(rets, grads):
                 builder.accumulate(local, r, g)
@@ -312,8 +268,7 @@ def _clone_body(body: Block, dst: Block, graph: Graph, trip: Value,
                 carried: Sequence[Value]) -> Tuple[List[Value], List[Node]]:
     """Re-clone a loop body into ``dst`` with the trip variable and
     carried params substituted; outer captures map to themselves."""
-    vmap = {id(v): v for v in _deep_free_values(body)}
-    vmap[id(body.params[0])] = trip
+    vmap = {id(body.params[0]): trip}
     for p, v in zip(body.params[1:], carried):
         vmap[id(p)] = v
     return clone_region(body, dst, graph, vmap)
@@ -386,9 +341,7 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
             raise GradError(f"loop carries non-differentiable value "
                             f"%{p.name} of type {p.type}")
     captures = _free_tensors([body])
-    is_for = all(v.node is not None and v.node.op == "prim::Constant"
-                 and v.node.attrs["value"] is True
-                 for v in (node.input(1), body.returns[0]))
+    is_for = is_for_loop(node)
 
     # -- 1. the forward loop's slot inits, placed before it ------------
     mark = len(outer.nodes)

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .graph import Block, Graph, Node, Value
+from .graph import Block, Graph, Node, Value, free_values
 
 __all__ = ["clone_graph", "clone_region"]
 
 
-def _clone_node(node: Node, into: Block, graph: Graph,
-                vmap: Dict[int, Value]) -> Node:
+def _clone_node(node: Node, graph: Graph, vmap: Dict[int, Value]) -> Node:
+    """A detached deep copy of ``node`` (the caller places it)."""
     new = Node(node.op, graph)
     new.attrs = dict(node.attrs)
     for v in node.inputs:
@@ -18,7 +18,6 @@ def _clone_node(node: Node, into: Block, graph: Graph,
     for out in node.outputs:
         new_out = new.add_output(out.name.split(".")[0], out.type)
         vmap[id(out)] = new_out
-    into.append(new)
     for block in node.blocks:
         new_block = new.add_block()
         _clone_block_contents(block, new_block, graph, vmap)
@@ -30,26 +29,33 @@ def _clone_block_contents(src: Block, dst: Block, graph: Graph,
     for p in src.params:
         vmap[id(p)] = dst.add_param(p.name.split(".")[0], p.type)
     for node in src.nodes:
-        _clone_node(node, dst, graph, vmap)
+        dst.append(_clone_node(node, graph, vmap))
     for r in src.returns:
         dst.add_return(vmap[id(r)])
 
 
 def clone_region(src: Block, dst: Block, graph: Graph,
-                 vmap: Dict[int, Value]
+                 vmap: Dict[int, Value], at: Optional[int] = None
                  ) -> Tuple[List[Value], List[Node]]:
     """Clone ``src``'s *nodes* into ``dst`` without touching params or
     returns — the primitive the gradient pass uses to re-materialize a
-    forward region inside an adjoint block.
+    forward region inside an adjoint block, and loop unrolling to
+    splice one trip in place of the loop.
 
-    ``vmap`` must be pre-seeded for every value the region references
-    but does not define (params, captured outer values) — typically
-    mapped to replacement values in the destination scope, or to
-    themselves when the capture stays visible.  Returns the values
-    ``src``'s returns map to plus the top-level cloned nodes, so the
-    caller can seed return adjoints and sweep the clone in reverse.
+    ``vmap`` must map ``src``'s params to replacement values in the
+    destination scope; every other value the region references but
+    does not define (a capture) maps to itself unless ``vmap`` already
+    maps it.  The clone is appended to ``dst``, or inserted from index
+    ``at``.  Returns the values ``src``'s returns map to plus the
+    top-level cloned nodes, so the caller can seed return adjoints and
+    sweep the clone in reverse.
     """
-    cloned = [_clone_node(node, dst, graph, vmap) for node in src.nodes]
+    for v in free_values(src, deep=True):
+        vmap.setdefault(id(v), v)
+    cloned = [_clone_node(node, graph, vmap) for node in src.nodes]
+    at = len(dst.nodes) if at is None else at
+    for k, node in enumerate(cloned):
+        dst.insert(at + k, node)
     return [vmap[id(r)] for r in src.returns], cloned
 
 

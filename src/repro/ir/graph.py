@@ -32,7 +32,7 @@ from ..ops.schema import OpKind, OpSchema
 from . import types as T
 
 __all__ = ["Graph", "Block", "Node", "Value", "Use", "bulk_destroy",
-           "free_values"]
+           "free_values", "constant_value", "NOT_CONSTANT", "is_for_loop"]
 
 
 class Use:
@@ -321,19 +321,30 @@ class Block:
                 f"returns={[r.name for r in self.returns]})")
 
 
-def free_values(block: "Block") -> List["Value"]:
+def free_values(block: "Block", deep: bool = False) -> List["Value"]:
     """Values the block references but does not define, in first-use
     order.  Derived on demand wherever horizontal-loop captures are
     needed (compilation, interpretation, liveness, revert protection):
     a snapshot stored in ``attrs`` would go stale as soon as a later
     pass rewrote a captured value (fusion, CSE) or the graph was cloned.
+
+    Shallow by default: a nested block's captures stay free *inside*
+    that block.  ``deep`` counts the references of nested blocks too
+    (a nested block's own definitions are local), in the order a
+    pre-order walk meets them — every capture of a control-flow region,
+    as the gradient pass and loop unrolling need it.
     """
-    local = {id(p) for p in block.params}
-    for node in block.nodes:
-        for out in node.outputs:
-            local.add(id(out))
+    local: Set[int] = set()
     free: List[Value] = []
     seen: Set[int] = set()
+
+    def define(b: "Block") -> None:
+        local.update(id(p) for p in b.params)
+        for node in b.nodes:
+            local.update(id(out) for out in node.outputs)
+            if deep:
+                for inner in node.blocks:
+                    define(inner)
 
     def visit(v: Value) -> None:
         if id(v) in local or id(v) in seen:
@@ -341,12 +352,41 @@ def free_values(block: "Block") -> List["Value"]:
         seen.add(id(v))
         free.append(v)
 
-    for node in block.nodes:
-        for v in node.inputs:
-            visit(v)
-    for r in block.returns:
-        visit(r)
+    def scan(b: "Block") -> None:
+        for node in b.nodes:
+            for v in node.inputs:
+                visit(v)
+            if deep:
+                for inner in node.blocks:
+                    scan(inner)
+        for r in b.returns:
+            visit(r)
+
+    define(block)
+    scan(block)
     return free
+
+
+#: what :func:`constant_value` returns for a value no ``prim::Constant``
+#: defines (a constant's payload may itself be ``None``)
+NOT_CONSTANT = object()
+
+
+def constant_value(value: Value):
+    """The payload of the ``prim::Constant`` defining ``value``, else
+    :data:`NOT_CONSTANT`."""
+    node = value.node
+    if node is not None and node.op == "prim::Constant":
+        return node.attrs["value"]
+    return NOT_CONSTANT
+
+
+def is_for_loop(loop: Node) -> bool:
+    """Is ``prim::Loop`` ``loop`` in ``for`` form: its condition the
+    constant True on entry and after every trip, so it runs exactly
+    ``max_trip`` trips?"""
+    return constant_value(loop.input(1)) is True and \
+        constant_value(loop.blocks[0].returns[0]) is True
 
 
 def bulk_destroy(nodes: Sequence["Node"]) -> None:

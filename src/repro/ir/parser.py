@@ -7,11 +7,10 @@ literals in tests, the fuzz corpus and shipped artifacts alike.
 
 The text spells out parameter types only.  Output types are derived
 (:func:`_output_types`) with the rule the frontend and the gradient
-builder type the nodes they emit with: ``ir.types.infer_types`` over
-the op's ``OpSchema.result_types``; a constant has its payload's type,
-``prim::If`` / ``prim::FusionGroup`` outputs have their first block's
-return types, and ``prim::Loop`` outputs have its block's returns
-after the continue condition.
+builder type the nodes they emit with, ``OpSchema.output_types``; a
+constant has its payload's type, ``prim::If`` / ``prim::FusionGroup``
+outputs have their first block's return types, and ``prim::Loop``
+outputs have its block's returns after the continue condition.
 
 Grammar (line-oriented, indentation-insensitive except block structure):
 
@@ -153,11 +152,8 @@ def _output_types(node: Node, count: int) -> List[T.Type]:
         types = [v.type for v in (returns[1:] if op == "prim::Loop"
                                   else returns)]
     else:
-        schema = node.schema
-        templates = schema.result_types[:max(schema.num_outputs, 1)]
-        if schema.num_outputs == 0:  # variadic: one template for all
-            templates = tuple(templates) * count
-        types = T.infer_types(templates, [v.type for v in node.inputs])
+        types = node.schema.output_types([v.type for v in node.inputs],
+                                         count)
     # an output count the op does not define is the verifier's to report
     return (types + [T.AnyType()] * count)[:count]
 

@@ -148,8 +148,9 @@ def infer_types(templates: Sequence[str],
     bool, else int — so an op with no operands gives int.  ``"item"``
     is int when the first operand is a tensor of integer or bool dtype,
     else float.  ``"List"`` holds the first operand's type, ``"Tuple"``
-    every operand's; an unknown template is Any.  The frontend and the gradient builder both
-    type the nodes they emit with this one rule.
+    every operand's; an unknown template is Any.  Ops reach it through
+    ``OpSchema.output_types``, the one typing rule of the frontend, the
+    gradient builder and the IR parser.
     """
     out: List[Type] = []
     for template in templates:

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..analysis.alias import AliasGraph
+from ..analysis.dominance import enclosing_node_in_block
 from ..analysis.ownership import plan_outs, plan_stores, returned_params
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Use, Value
@@ -147,16 +148,6 @@ def _interpreted_nodes(block: Block):
         if node.op == "prim::If" or _is_interpreted_loop(node):
             for b in node.blocks:
                 yield from _interpreted_nodes(b)
-
-
-def _ancestor_at(block_or_node, home: Block) -> Optional[Node]:
-    """The ancestor node of a use site whose owning block is ``home``."""
-    node = block_or_node.owning_node if isinstance(block_or_node, Block) \
-        else block_or_node
-    while node is not None and node.owning_block is not home:
-        owner_block = node.owning_block
-        node = owner_block.owning_node if owner_block is not None else None
-    return node
 
 
 def _capture_uses(graph: Graph) -> Dict[int, List[Node]]:
@@ -303,7 +294,8 @@ def _last_use(values: List[Value], home: Block, pos_of: Dict[int, int],
                 if home.owning_node is None:
                     return "escapes as a graph output"
                 return "escapes through the home block's return"
-            anchor = _ancestor_at(user, home)
+            anchor = enclosing_node_in_block(
+                user.owning_node if isinstance(user, Block) else user, home)
             if anchor is None:
                 return f"use of %{v.name} outside the home block subtree"
             pos = pos_of[id(anchor)]
@@ -322,7 +314,7 @@ def _last_use(values: List[Value], home: Block, pos_of: Dict[int, int],
             elif pos == last_pos and not reads_once:
                 donation_ok = False
         for cap_node in captures.get(id(v), ()):
-            anchor = _ancestor_at(cap_node, home)
+            anchor = enclosing_node_in_block(cap_node, home)
             if anchor is None:
                 return "captured by a loop outside the home block"
             pos = pos_of[id(anchor)]
@@ -520,14 +512,13 @@ def _rotating_slots(loop: Node, live: Liveness) -> List[int]:
         cls = live.class_of.get(id(ret))
         if cls is None or not _fresh_storage_origin(cls.origin):
             continue
-        if not any(b is body for b in cls.origin.defining_block()
-                   .ancestors()):
+        if not body.contains(cls.origin.defining_block()):
             continue  # passthrough of an outer value
         # every alias must also live inside the body: an escape into an
         # outer scope or container would outlive the iteration
         inside = True
         for v in cls.values:
-            if not any(b is body for b in v.defining_block().ancestors()):
+            if not body.contains(v.defining_block()):
                 inside = False
                 break
             for use in v.uses:
@@ -535,7 +526,7 @@ def _rotating_slots(loop: Node, live: Liveness) -> List[int]:
                 user_block = user if isinstance(user, Block) \
                     else user.owning_block
                 if user_block is not None and \
-                        not any(b is body for b in user_block.ancestors()):
+                        not body.contains(user_block):
                     inside = False
                     break
                 if isinstance(user, Node) and user.op in _CONTAINER_PUTS:

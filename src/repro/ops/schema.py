@@ -122,6 +122,19 @@ class OpSchema:
         """The frontend method spelling (``aten::add_`` -> ``add_``)."""
         return self.name.split("::", 1)[1]
 
+    def output_types(self, operands: Sequence, count: Optional[int] = None
+                     ) -> list:
+        """The output types of this op applied to operands of types
+        ``operands``: :func:`repro.ir.types.infer_types` over its result
+        templates.  A variadic op (``num_outputs == 0``) types ``count``
+        outputs from its one template, or one output when ``count`` is
+        unknown."""
+        from ..ir.types import infer_types
+        templates = self.result_types[:max(self.num_outputs, 1)]
+        if self.num_outputs == 0 and count is not None:
+            templates = tuple(templates) * count
+        return infer_types(templates, operands)
+
     @property
     def is_view(self) -> bool:
         return self.kind is OpKind.VIEW

@@ -17,30 +17,22 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.graph import Block, Graph, Node, Value
+from ..ir.graph import (NOT_CONSTANT, Block, Graph, Node, Value,
+                        constant_value)
 from ..ops.schema import OpKind
-
-
-def _const_payload(v: Value):
-    if v.node is not None and v.node.op == "prim::Constant":
-        return v.node.attrs["value"]
-    return _NOT_CONST
-
-
-_NOT_CONST = object()
+from .fusion import is_epilogue_copy
 
 
 def _is_scalar_const(v: Value, value) -> bool:
-    payload = _const_payload(v)
+    payload = constant_value(v)
     return isinstance(payload, (int, float)) and not isinstance(
         payload, bool) and payload == value
 
 
 def _graph_is_pure(graph: Graph) -> bool:
-    from .fusion import _is_epilogue_copy
     for node in graph.walk():
         if node.schema.kind is OpKind.MUTATING and \
-                not _is_epilogue_copy(node):
+                not is_epilogue_copy(node):
             return False
     return True
 
@@ -64,16 +56,16 @@ def _splice_block(node: Node, taken: Block) -> None:
 
 
 def _fold_constant_if(node: Node) -> bool:
-    cond = _const_payload(node.input(0))
-    if cond is _NOT_CONST or not isinstance(cond, bool):
+    cond = constant_value(node.input(0))
+    if cond is NOT_CONSTANT or not isinstance(cond, bool):
         return False
     _splice_block(node, node.blocks[0] if cond else node.blocks[1])
     return True
 
 
 def _fold_dead_loop(node: Node) -> bool:
-    trip = _const_payload(node.input(0))
-    init_cond = _const_payload(node.input(1))
+    trip = constant_value(node.input(0))
+    init_cond = constant_value(node.input(1))
     if trip == 0 or init_cond is False:
         for out, init in zip(node.outputs, node.inputs[2:]):
             out.replace_all_uses_with(init)
@@ -117,11 +109,11 @@ def _identity_operand(node: Node) -> Optional[Value]:
     elif op == "aten::transpose":
         inner = node.input(0).node
         if inner is not None and inner.op == "aten::transpose" and \
-                _const_payload(node.input(1)) == _const_payload(
+                constant_value(node.input(1)) == constant_value(
                     inner.input(1)) and \
-                _const_payload(node.input(2)) == _const_payload(
+                constant_value(node.input(2)) == constant_value(
                     inner.input(2)) and \
-                _const_payload(node.input(1)) is not _NOT_CONST:
+                constant_value(node.input(1)) is not NOT_CONSTANT:
             return inner.input(0)
     return None
 
@@ -134,8 +126,8 @@ def _merge_clamp(node: Node, graph: Graph) -> bool:
         return False
     bounds = []
     for n in (inner, node):
-        lo, hi = _const_payload(n.input(1)), _const_payload(n.input(2))
-        if lo is _NOT_CONST or hi is _NOT_CONST:
+        lo, hi = constant_value(n.input(1)), constant_value(n.input(2))
+        if lo is NOT_CONSTANT or hi is NOT_CONSTANT:
             return False
         bounds.append((lo, hi))
     (lo1, hi1), (lo2, hi2) = bounds

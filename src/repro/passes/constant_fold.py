@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ..errors import ReproError, classify
 from ..faults import SITE_PASS, maybe_inject
-from ..ir.graph import Block, Graph
+from ..ir.graph import NOT_CONSTANT, Block, Graph, constant_value
 from ..ops import registry
 
 _FOLDABLE_PREFIXES = ("prim::add", "prim::sub", "prim::mul",
@@ -26,13 +26,8 @@ def _fold_block(block: Block, graph: Graph) -> bool:
             changed |= _fold_block(inner, graph)
         if node.op not in _FOLDABLE_PREFIXES:
             continue
-        payloads = []
-        for v in node.inputs:
-            if v.node is None or v.node.op != "prim::Constant":
-                payloads = None
-                break
-            payloads.append(v.node.attrs["value"])
-        if payloads is None:
+        payloads = [constant_value(v) for v in node.inputs]
+        if any(p is NOT_CONSTANT for p in payloads):
             continue
         try:
             # per-fold fault checkpoint: infra failures during folding

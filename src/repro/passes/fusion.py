@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from ..ir.graph import Block, Graph, Node, Value
+from ..ir.graph import Block, Graph, Node, Value, constant_value
 from ..ops import registry
 from ..ops.schema import OpKind
 
@@ -42,10 +42,14 @@ class FuserConfig:
     #: ops (by name) excluded even if their schema says fusable —
     #: models weaker fusers like nvFuser's narrower coverage
     excluded_ops: Set[str] = field(default_factory=set)
-    min_group_size: int = 2
     #: kernel-size budget: real fusers cap how many ops one generated
     #: kernel may contain (None = unlimited, TensorSSA's NNC backend)
     max_group_size: int = None
+
+
+#: a group of one op launches a kernel for what the op would have done
+#: alone: groups smaller than this are not formed
+MIN_GROUP_SIZE = 2
 
 
 @dataclass
@@ -131,7 +135,7 @@ def _collect_groups(block: Block, config: FuserConfig) -> List[_Group]:
             groups.append(joined)
         joined.add(node)
     return [g for g in groups
-            if len(g.members) >= config.min_group_size
+            if len(g.members) >= MIN_GROUP_SIZE
             and any(_is_substantial(n) for n in g.members)]
 
 
@@ -149,10 +153,9 @@ def _materialize(block: Block, group: _Group, graph: Graph) -> Node:
             producer = v.node
             if producer is not None and id(producer) in member_ids:
                 continue
-            if producer is not None and producer.op == "prim::Constant" \
-                    and isinstance(producer.attrs.get("value"),
-                                   _INLINABLE_CONST_TYPES):
-                inline_consts[id(v)] = producer.attrs["value"]
+            payload = constant_value(v)
+            if isinstance(payload, _INLINABLE_CONST_TYPES):
+                inline_consts[id(v)] = payload
                 continue
             if all(e is not v for e in external):
                 external.append(v)
@@ -208,7 +211,7 @@ def _materialize(block: Block, group: _Group, graph: Graph) -> Node:
     return fg
 
 
-def _is_epilogue_copy(node: Node) -> bool:
+def is_epilogue_copy(node: Node) -> bool:
     """The input-mutation sink TensorSSA appends at graph end."""
     return (node.op == "aten::copy_" and node.inputs
             and node.input(0).is_param
@@ -223,7 +226,7 @@ def _effective_config(block: Block, config: FuserConfig) -> FuserConfig:
         return config
     for node in block.nodes:
         if node.schema.kind is OpKind.MUTATING and \
-                not _is_epilogue_copy(node):
+                not is_epilogue_copy(node):
             from dataclasses import replace
             return replace(config, fuse_views=False)
     return config

@@ -48,10 +48,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..backend.kernels import OP_IMPLS
 from ..ir import types as T
-from ..ir.graph import Block, Graph, Node, Value, bulk_destroy
+from ..ir.graph import (Block, Graph, Node, Value, bulk_destroy,
+                        constant_value, is_for_loop)
 from ..runtime.kernels import BATCH
-
-_NONE = object()
 
 
 class LoopOutcome(NamedTuple):
@@ -77,13 +76,6 @@ def _is_compilable_body(body: Block) -> bool:
     return True
 
 
-def _const(v: Value):
-    node = v.node
-    if node is not None and node.op == "prim::Constant":
-        return node.attrs.get("value")
-    return _NONE
-
-
 def _offset(v: Value, i: Value) -> Optional[int]:
     """``b`` when ``v`` is ``i + b`` for a constant int ``b >= 0``."""
     if v is i:
@@ -92,7 +84,7 @@ def _offset(v: Value, i: Value) -> Optional[int]:
     if node is None or node.op != "prim::add":
         return None
     for a, c in (node.inputs, node.inputs[::-1]):
-        base, b = _offset(a, i), _const(c)
+        base, b = _offset(a, i), constant_value(c)
         if base is not None and type(b) is int and b >= 0:
             return base + b
     return None
@@ -101,10 +93,7 @@ def _offset(v: Value, i: Value) -> Optional[int]:
 def _trips(loop: Node) -> Optional[Value]:
     """The trip count of a ``for``-form loop (condition constant True
     on entry and after every trip), else None."""
-    body = loop.blocks[0]
-    if _const(loop.input(1)) is True and _const(body.returns[0]) is True:
-        return loop.input(0)
-    return None
+    return loop.input(0) if is_for_loop(loop) else None
 
 
 class _Emitter:
@@ -175,8 +164,8 @@ def _batchable(node: Node, ks: List[str], i: Value) -> bool:
     if rule.kind == "map":
         return True
     return ks[0] == "bat" and all(k == "inv" for k in ks[1:]) and all(
-        type(_const(node.input(p))) is int and _const(node.input(p)) >= 0
-        for p in rule.dims)
+        type(constant_value(node.input(p))) is int
+        and constant_value(node.input(p)) >= 0 for p in rule.dims)
 
 
 def _batched(em: _Emitter, node: Node, kind: Dict[int, str],
@@ -191,7 +180,8 @@ def _batched(em: _Emitter, node: Node, kind: Dict[int, str],
             em.const(_offset(ins[2], i)), trips], like=out)
     if rule.kind == "view":
         return em.emit(node.op, [em.outer(ins[0])] + [
-            em.const(_const(v) + 1) if p in rule.dims else em.outer(v)
+            em.const(constant_value(v) + 1) if p in rule.dims
+            else em.outer(v)
             for p, v in enumerate(ins) if p], like=out)
     # an entry whose rank is below another operand's gets size-1 dims
     # after the trip axis, as a trip's broadcast would give it
@@ -377,14 +367,15 @@ def _collapse(graph: Graph, loop: Node, trips: Value,
     # the window's: that tensor itself, and its Assign the whole tensor
     # (the window's select checks that dim's range) — nothing left to
     # read from the init, so zero trips read nothing
-    dim = _const(levels[slot][0].input(1))
+    dim = constant_value(levels[slot][0].input(1))
     if type(dim) is not int or dim < 0 or not all(
             view.op.split("::")[1] == "slice"
-            and type(_const(view.input(1))) is int
-            and 0 <= _const(view.input(1)) <= dim
-            and _const(view.input(2)) in (0, None)
-            and _const(view.input(3)) is None
-            and _const(view.input(4)) == 1 for view, _ in levels[:slot]):
+            and type(constant_value(view.input(1))) is int
+            and 0 <= constant_value(view.input(1)) <= dim
+            and constant_value(view.input(2)) in (0, None)
+            and constant_value(view.input(3)) is None
+            and constant_value(view.input(4)) == 1
+            for view, _ in levels[:slot]):
         return False
     allowed = {id(n) for pair in levels for n in pair} | {id(a)}
     fill = src.node  # a constant fill of the innermost window?

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..ir.graph import Graph
+from ..ir.graph import NOT_CONSTANT, Graph, constant_value
 from ..runtime.tensor import Tensor
 
 
@@ -36,11 +36,10 @@ def specialize_shapes(graph: Graph, example_args: Sequence[object]) -> int:
         if node.op == "aten::size" and node.inputs and \
                 id(node.input(0)) in shapes:
             shape = shapes[id(node.input(0))]
-            dim_v = node.input(1) if len(node.inputs) > 1 else None
-            if dim_v is not None and dim_v.node is not None and \
-                    dim_v.node.op == "prim::Constant" and \
-                    isinstance(shape, tuple):
-                value = shape[dim_v.node.attrs["value"]]
+            dim = constant_value(node.input(1)) if len(node.inputs) > 1 \
+                else NOT_CONSTANT
+            if dim is not NOT_CONSTANT and isinstance(shape, tuple):
+                value = shape[dim]
         elif node.op == "aten::numel" and id(node.input(0)) in shapes:
             shape = shapes[id(node.input(0))]
             if isinstance(shape, tuple):

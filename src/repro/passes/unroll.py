@@ -12,63 +12,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..ir.graph import Block, Graph, Node, Value
+from ..ir.clone import clone_region
+from ..ir.graph import Block, Graph, Value, constant_value, is_for_loop
 
 DEFAULT_MAX_TRIP = 64
-
-
-def _const_of(v: Value):
-    if v.node is not None and v.node.op == "prim::Constant":
-        return v.node.attrs["value"]
-    return None
-
-
-def _is_static_for_loop(node: Node) -> bool:
-    trip = _const_of(node.input(0))
-    if not isinstance(trip, int):
-        return False
-    init_cond = _const_of(node.input(1))
-    if init_cond is not True:
-        return False
-    body = node.blocks[0]
-    next_cond = _const_of(body.returns[0])
-    return next_cond is True
-
-
-def _seed_outer_refs(body: Block, vmap: Dict[int, Value]) -> None:
-    """Map every value the body references but does not define to
-    itself (outer scope passes straight through the unroll)."""
-    defined = {id(p) for p in body.params}
-    for inner in body.walk():
-        for out in inner.outputs:
-            defined.add(id(out))
-        for b in inner.blocks:
-            for p in b.params:
-                defined.add(id(p))
-    refs = list(body.returns)
-    for inner in body.walk():
-        refs.extend(inner.inputs)
-        for b in inner.blocks:
-            refs.extend(b.returns)
-    for v in refs:
-        if id(v) not in defined:
-            vmap.setdefault(id(v), v)
-
-
-def _clone_into(block: Block, anchor_idx: int, body: Block, graph: Graph,
-                vmap: Dict[int, Value]) -> int:
-    """Clone body nodes before position ``anchor_idx``; returns the new
-    anchor index.  ``vmap`` must already map the body params; outer
-    references are seeded to pass through unchanged."""
-    from ..ir.clone import _clone_node
-
-    _seed_outer_refs(body, vmap)
-    for inner in body.nodes:
-        clone = _clone_node(inner, block, graph, vmap)
-        block.remove(clone)
-        block.insert(anchor_idx, clone)
-        anchor_idx += 1
-    return anchor_idx
 
 
 def _unroll_block(block: Block, graph: Graph, max_trip: int) -> int:
@@ -76,10 +23,10 @@ def _unroll_block(block: Block, graph: Graph, max_trip: int) -> int:
     for node in list(block.nodes):
         for inner in node.blocks:
             count += _unroll_block(inner, graph, max_trip)
-        if node.op != "prim::Loop" or not _is_static_for_loop(node):
+        if node.op != "prim::Loop" or not is_for_loop(node):
             continue
-        trip = _const_of(node.input(0))
-        if trip > max_trip:
+        trip = constant_value(node.input(0))
+        if not isinstance(trip, int) or trip > max_trip:
             continue
         body = node.blocks[0]
         carried = list(node.inputs[2:])
@@ -92,8 +39,9 @@ def _unroll_block(block: Block, graph: Graph, max_trip: int) -> int:
             vmap[id(body.params[0])] = iter_const.output()
             for p, cur in zip(body.params[1:], carried):
                 vmap[id(p)] = cur
-            anchor = _clone_into(block, anchor, body, graph, vmap)
-            carried = [vmap[id(r)] for r in body.returns[1:]]
+            rets, cloned = clone_region(body, block, graph, vmap, at=anchor)
+            anchor += len(cloned)
+            carried = rets[1:]
         for out, final in zip(node.outputs, carried):
             out.replace_all_uses_with(final)
         node.destroy()

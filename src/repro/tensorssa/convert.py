@@ -30,10 +30,9 @@ epilogue ``aten::copy_(input, final_version)`` appended at graph end
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.alias import AliasGraph, Mutation, TSet
-from ..analysis.dominance import node_dominates
 from ..ir import types as T
 from ..ir.graph import Block, Graph, Node, Value
 from ..ops import registry
@@ -60,12 +59,10 @@ class _Converter:
         self.report = ConversionReport()
         self.intra_block_only = intra_block_only
         self._mutants_to_remove: List[Node] = []
-        # Program positions over the *original* graph: inserted pure ops
-        # never consult these (they reference explicit values), so the
+        # Program order over the *original* graph: inserted pure ops
+        # never consult it (they reference explicit values), so the
         # snapshot stays valid throughout the rewrite.
-        self.alias._ensure_positions()
-        self._pos: Dict[int, int] = self.alias._entry_index
-        self._exit: Dict[int, int] = self.alias._exit_index
+        self.order = self.alias.order
         # view value -> later mutations whose pass-up chain passes
         # through it (those chains reference the original name)
         self._chain_users: Dict[int, List[Node]] = {}
@@ -74,35 +71,19 @@ class _Converter:
             while id(cur) in self.alias.view_base:
                 self._chain_users.setdefault(id(cur), []).append(mut.node)
                 cur = self.alias.view_base[id(cur)]
-        self._loop_sets: Dict[int, frozenset] = {}
-
-    def _loop_set(self, node: Node) -> frozenset:
-        cached = self._loop_sets.get(id(node))
-        if cached is not None:
-            return cached
-        loops = set()
-        block = node.owning_block
-        while block is not None and block.owning_node is not None:
-            owner = block.owning_node
-            if owner.op == "prim::Loop":
-                loops.add(id(owner))
-            block = owner.owning_block
-        result = frozenset(loops)
-        self._loop_sets[id(node)] = result
-        return result
 
     def _def_loop_set(self, value: Value) -> frozenset:
         if value.is_param:
             owner = value.param_block.owning_node
             if owner is None:
                 return frozenset()
-            loops = set(self._loop_set(owner))
+            loops = self.order.loops(owner)
             if owner.op == "prim::Loop":
-                loops.add(id(owner))  # body params rebind per iteration
-            return frozenset(loops)
+                loops |= {id(owner)}  # body params rebind per iteration
+            return loops
         if value.node is None or value.node.owning_block is None:
             return frozenset()
-        return self._loop_set(value.node)
+        return self.order.loops(value.node)
 
     def _runs_after(self, user: Node, N: Node,
                     value_def_loops: frozenset) -> bool:
@@ -116,12 +97,12 @@ class _Converter:
         Nodes inserted by earlier rewrites (no recorded position) sit at
         earlier mutation sites and reference values that renaming
         resolves via their own preceding updates — never ours."""
-        pos = self._pos.get(id(user))
+        pos = self.order.entry.get(id(user))
         if pos is None:
             return False  # inserted by an earlier rewrite
-        if pos > self._pos[id(N)]:
+        if pos > self.order.entry[id(N)]:
             return True
-        common = self._loop_set(user) & self._loop_set(N)
+        common = self.order.loops(user) & self.order.loops(N)
         return bool(common - value_def_loops)
 
     def _used_after(self, value: Value, N: Node) -> bool:
@@ -148,7 +129,8 @@ class _Converter:
         for vnode in self.alias.view_children.get(id(x), []):
             if vnode is N:
                 continue
-            if vnode.owning_block is None or not self._dominates(vnode, N):
+            if vnode.owning_block is None or \
+                    not self.order.dominates(vnode, N):
                 continue
             if self._subtree_needed(vnode.output(), N):
                 return True
@@ -198,22 +180,6 @@ class _Converter:
     def _emit_update(self, anchor: Node, new: Value, old: Value) -> None:
         upd = self.graph.create("tssa::update", [new, old])
         self._insert_before(anchor, upd)
-
-    def _dominates(self, a: Node, b: Node) -> bool:
-        """Position-based dominance over the original graph (O(depth))."""
-        ea, xa = self._pos[id(a)], self._exit[id(a)]
-        eb = self._pos[id(b)]
-        if ea <= eb <= xa:
-            return True  # a contains b
-        if eb < ea:
-            return False
-        blk = b.owning_block
-        while blk is not None:
-            if blk is a.owning_block:
-                return True
-            owner = blk.owning_node
-            blk = owner.owning_block if owner is not None else None
-        return False
 
     def rewrite_mutation(self, mut: Mutation, tset: TSet) -> None:
         N = mut.node
@@ -271,7 +237,8 @@ class _Converter:
                 # the freshly assigned view
                 self._traversal(out, x_new, N)
                 continue
-            if vnode.owning_block is None or not self._dominates(vnode, N):
+            if vnode.owning_block is None or \
+                    not self.order.dominates(vnode, N):
                 continue
             if vnode.kind is OpKind.VIEW:
                 if not self._subtree_needed(out, N):

@@ -8,7 +8,7 @@ import pytest
 
 import repro.runtime as rt
 from repro.backend import CodegenError, compile_block, run_graph
-from repro.backend.codegen import _const_literal
+from repro.backend.codegen import _const_literal, member_ops
 from repro.backend.fusion_runtime import build_kernel, execute_group
 from repro.backend.kernels import OP_IMPLS
 from repro.frontend import script
@@ -367,7 +367,7 @@ graph g(%x.0 : Tensor, %limit.0 : Float):
 """)
         assert parallelize_loops(g) == 1
         loop, = g.nodes_of("prim::Loop")
-        n_ops = len(loop.blocks[0].nodes)
+        n_ops = member_ops(loop.blocks[0].nodes)
         # y[0] is 2, 4, 8, 16, 32: the fifth trip clears ``< 20``
         for limit, trips in ((20.0, 5), (1.0, 1), (1e9, 10)):
             x = rt.ones((3,))
