@@ -45,16 +45,36 @@ def bmm(a, b) -> Tensor:
     return matmul(ta, tb)
 
 
+#: ``linear`` runs as ``(weight @ x.T).T`` for 2..SWAP_MAX_ROWS rows:
+#: OpenBLAS then packs the few activation rows, not the whole weight
+#: (~2x at 8 rows); past 64 rows the transposing copy eats that gain
+#: (EXPERIMENTS.md "`linear` as (W·xᵀ)ᵀ").
+SWAP_MAX_ROWS = 64
+
+
 def linear(x, weight, bias=None) -> Tensor:
     """``x @ weight.T + bias`` as one library kernel (like cuBLAS GEMM
-    with epilogue)."""
+    with epilogue).
+
+    With 2..``SWAP_MAX_ROWS`` rows the GEMM runs in the other
+    orientation, ``swapaxes(weight @ swapaxes(x))``: each element is
+    the same sum of the same products, bit for bit that of
+    ``np.matmul(x, weight.T)`` (pinned by ``tests/test_runtime_ops.py``),
+    and the result is handed back C-contiguous.  One row is a GEMV and
+    costs the same either way.  No state is kept between calls.
+    """
     tx, tw = as_tensor(x), as_tensor(weight)
-    out_arr = np.matmul(tx._array, tw._array.T)
+    xa, wa = tx._array, tw._array
+    swap = wa.ndim == 2 and xa.ndim >= 2 and 1 < xa.shape[-2] <= SWAP_MAX_ROWS
+    out_arr = (np.matmul(wa, np.swapaxes(xa, -1, -2)).swapaxes(-1, -2)
+               if swap else np.matmul(xa, wa.T))
     inputs = [tx, tw]
     if bias is not None:
         tb = as_tensor(bias)
-        out_arr = out_arr + tb._array
+        out_arr = np.add(out_arr, tb._array, order="C")
         inputs.append(tb)
+    elif swap:
+        out_arr = np.ascontiguousarray(out_arr)
     out = Tensor.from_array(out_arr, copy=False)
     record_op("linear", inputs, [out],
               flops=_matmul_flops(tx.shape, tw.shape[::-1]))

@@ -278,21 +278,25 @@ class TestConcurrentRuns:
             for g, e in zip(got, expected[name]):
                 np.testing.assert_array_equal(g.numpy(), e.numpy())
 
-    @pytest.mark.parametrize("name, grad", [
-        *[pytest.param(n, False, id=n)
+    @pytest.mark.parametrize("name, grad, batch", [
+        *[pytest.param(n, False, 1, id=n)
           for n in ("yolact", "attention", "lstm", "nasrnn", "seq2seq")],
-        pytest.param("lstm", True, id="lstm-grad"),
-        pytest.param("attention", True, id="attention-grad")])
-    def test_shared_inputs_are_never_written(self, name, grad):
+        pytest.param("lstm", True, 1, id="lstm-grad"),
+        pytest.param("attention", True, 1, id="attention-grad"),
+        pytest.param("lstm", False, 4, id="lstm-b4"),
+        pytest.param("lstm", True, 4, id="lstm-grad-b4")])
+    def test_shared_inputs_are_never_written(self, name, grad, batch):
         # serving shares one compiled graph between workers — here one
         # set of input tensors too: a kernel that stored into a buffer
         # it had neither allocated, copied nor been donated by the plan
         # (a group input, a carried slot's initial value) would corrupt
         # its neighbours' inputs; lstm, nasrnn and seq2seq kernels write
         # donated per-call buffers in place, and the backward's
-        # gradient accumulators run out= into theirs
+        # gradient accumulators run out= into theirs.  At batch 4 every
+        # ``linear`` takes its multi-row orientation, the one a full
+        # serving batch runs
         wl = get_workload(name)
-        args = wl.make_inputs(batch_size=1, seq_len=8, seed=0)
+        args = wl.make_inputs(batch_size=batch, seq_len=8, seed=0)
         tensors = [a for a in args if isinstance(a, rt.Tensor)]
         pristine = [a.numpy() for a in tensors]
         pipeline = get_pipeline("tensorssa")

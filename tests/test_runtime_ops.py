@@ -1,5 +1,7 @@
 """Compute operators vs the numpy oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -112,11 +114,30 @@ class TestLinalg:
             rt.bmm(rt.zeros((3, 4)), rt.zeros((4, 5)))
 
     def test_linear(self, rng):
-        x = rng.standard_normal((2, 4)).astype(np.float32)
-        w = rng.standard_normal((3, 4)).astype(np.float32)
-        b = rng.standard_normal((3,)).astype(np.float32)
-        got = rt.linear(rt.from_numpy(x), rt.from_numpy(w), rt.from_numpy(b))
-        assert_tensor_equal(got, x @ w.T + b, rtol=1e-4)
+        # bit for bit ``np.matmul(x, w.T) + b`` on both sides of
+        # ``linalg.SWAP_MAX_ROWS`` (one row, 2..64 rows swapped, 65 and
+        # up), for 1-D, 2-D, 3-D and column-strided x; C-contiguous,
+        # dtype kept
+        k = 64
+        for dtype, n, rows in itertools.product(
+                (np.float32, np.float64), (7, 512, 1024, 2048),
+                (1, 2, 3, 4, 8, 16, 32, 64, 65, 128)):
+            w = rng.standard_normal((n, k)).astype(dtype)
+            b = rng.standard_normal((n,)).astype(dtype)
+            wide = rng.standard_normal((2, rows, 2 * k)).astype(dtype)
+            view = rt.from_numpy(wide)
+            xs = (view[0, 0, :k], rt.from_numpy(wide[0, :, :k]),
+                  rt.from_numpy(wide[:, :, :k]), view[0, :, ::2])
+            for tx, bias in itertools.product(xs, (None, b)):
+                got = rt.linear(tx, rt.from_numpy(w),
+                                None if bias is None else rt.from_numpy(bias))
+                x = tx._array
+                ref = np.matmul(x, w.T) if bias is None \
+                    else np.matmul(x, w.T) + bias
+                case = (dtype.__name__, n, x.shape, x.strides, bias is None)
+                assert got._array.dtype == dtype, case
+                assert got._array.flags.c_contiguous, case
+                assert np.array_equal(got._array, ref), case
 
 
 class TestShapeOps:
