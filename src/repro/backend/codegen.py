@@ -16,7 +16,9 @@ Generated source for a two-op group looks like::
 Functional in the IR, destructive in the kernel: a window Assign whose
 base lives in a buffer the kernel owns, with nothing left to read the
 old contents (:func:`repro.analysis.ownership.plan_stores`), is emitted
-as a store through the row's own view kernel, and the outer links of
+as a store through the row's own view kernel, after the check that
+makes it raise where eager ``copy_`` would (a source with more dims
+than the window: ``runtime/kernels.py::store``), and the outer links of
 its write-through chain as nothing at all.  ``y = zeros_like(x);
 y[:, 0:2] = a`` — three Assign nodes in TensorSSA form — is::
 
@@ -25,6 +27,7 @@ y[:, 0:2] = a`` — three Assign nodes in TensorSSA form — is::
         t0 = _nd(_OPS['aten::zeros_like'](v0))
         t1 = _OPS['aten::slice'](t0, 0, 0, None, 1)
         t2 = _OPS['aten::slice'](t1, 1, 0, 2, 1)
+        if getattr(v1, 'ndim', 0) > t2.ndim: _store(t2, v1)
         t2[...] = v1                      # immut::assign(t2, v1)
         return (t0,)                      # the two slice_assigns: t1, t0
 
@@ -59,7 +62,7 @@ import numpy as np
 from ..analysis.ownership import (ASSIGN_TO_VIEW, StorePlan, plan_outs,
                                   plan_stores)
 from ..ir.graph import Block, Node, Value
-from ..runtime.kernels import INTO
+from ..runtime.kernels import INTO, store
 from .kernels import OP_IMPLS
 
 
@@ -167,8 +170,16 @@ class _Emitter:
                 names[id(node.output())] = base
                 view = ASSIGN_TO_VIEW[node.op]
                 if how == "store":
-                    window = base if view is None else \
-                        f"_OPS[{view!r}]({', '.join([base] + params)})"
+                    window = base
+                    if view is not None:
+                        window = self._temp()
+                        self.lines.append(
+                            f"    {window} = "
+                            f"_OPS[{view!r}]({', '.join([base] + params)})")
+                    # eager's broadcast: a source of more dims raises
+                    self.lines.append(
+                        f"    if getattr({src}, 'ndim', 0) > {window}.ndim: "
+                        f"_store({window}, {src})")
                     self.lines.append(f"    {window}[...] = {src}")
                 continue
             args = ", ".join(_name_of(names, v) for v in node.inputs)
@@ -186,6 +197,7 @@ class _Emitter:
     def finish(self, name: str) -> Callable:
         source = f"def {name}(_args):\n" + "\n".join(self.lines) + "\n"
         scope = {"_OPS": OP_IMPLS, "_INTO": INTO, "_nd": np.asarray,
+                 "_store": store,
                  **self.captured}
         code = compile(source, f"<fusion:{name}>", "exec")
         exec(code, scope)  # noqa: S102 - JIT compilation of our own source

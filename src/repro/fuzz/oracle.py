@@ -98,6 +98,9 @@ class CorpusProgram:
     seed: int
     source: str
     name: str = "f"
+    #: the exception type eager raises on every variant, which every
+    #: pipeline must raise too (None: eager returns)
+    raises: Optional[str] = None
 
 
 @dataclass
@@ -387,6 +390,30 @@ def _pipeline_instances(config: OracleConfig) -> List[Pipeline]:
             for n in names]
 
 
+def _check_raises(program, fn, runs, config: OracleConfig,
+                  raises: str) -> Optional[FuzzFailure]:
+    """A program eager refuses: eager and every pipeline raise the
+    exception type ``raises`` on every variant (a compile may raise it
+    too), never a value."""
+    targets = [("eager", None)] + [(p.name, p)
+                                   for p in _pipeline_instances(config)]
+    for name, pipe in targets:
+        for x_in, variant in runs:
+            args = (rt.from_numpy(x_in), *variant[:2])
+            try:
+                call = fn if pipe is None else pipe.compile(
+                    fn, example_args=args)
+                call(*args)
+                got = "a value"
+            except Exception as exc:
+                got = type(exc).__name__
+            if got != raises:
+                return FuzzFailure(program, name, "output-mismatch",
+                                   f"expected {raises}, got {got}",
+                                   variant=variant)
+    return None
+
+
 def run_oracle(program: FuzzProgram,
                config: Optional[OracleConfig] = None
                ) -> Optional[FuzzFailure]:
@@ -408,6 +435,9 @@ def run_oracle(program: FuzzProgram,
     runs.append((x_data.astype(np.float64), (*variants[0], "float64")))
 
     # -- eager reference ------------------------------------------------
+    raises = getattr(program, "raises", None)
+    if raises is not None:
+        return _check_raises(program, fn, runs, config, raises)
     reference = []
     for x_in, variant in runs:
         x = rt.from_numpy(x_in)

@@ -26,10 +26,23 @@ Control flow differentiates structurally:
   Carried adjoints thread through the reverse loop; captured-tensor
   adjoints accumulate in extra carried slots.
 
-Recompute-over-store is a deliberate trade: the forward graph is pure,
-so re-running regions is always legal, and the existing pass pipeline
-(CSE, fusion, parallelization) then deduplicates and fuses the
-recomputation like any other code.
+What a loop stores and what it recomputes is one rule, AOTAutograd's
+default partition: *stash library-op results, stash nothing read only
+for its shape, recompute the rest.*
+
+* A ``for`` loop stashes each GEMM result (``aten::linear`` /
+  ``matmul`` / ``bmm``) the reverse body reads for its values; the
+  reverse body reads the row instead of running the GEMM again.  The
+  row holds the bits the forward computed, so nothing changes.
+* A carried value the reverse body reads only for its shape and dtype
+  (``zeros_like``, ``unbroadcast``'s template, an Assign feeding only
+  those) gets no stash when its shape cannot change from trip to trip;
+  the loop's result stands in for it.
+* Everything else — the pointwise ops between the GEMMs, the gate
+  slices, the window reads — is recomputed, and the pass pipeline
+  (CSE, fusion, parallelization) fuses the recomputation like any
+  other code.  The forward graph is pure, so re-running it is always
+  legal.
 """
 
 from __future__ import annotations
@@ -279,6 +292,47 @@ def _clone_body(body: Block, dst: Block, graph: Graph, trip: Value,
 _FROM_ROW = {T.IntType: "aten::Int", T.FloatType: "aten::Float",
              T.BoolType: "aten::Bool"}
 
+#: library ops whose results a ``for`` loop stashes: the reverse loop
+#: reads them instead of running the GEMM a second time
+_STORED = {"aten::linear", "aten::matmul", "aten::bmm"}
+
+#: each window read and the Assign that writes the same window (§3.2)
+WINDOWS = {f"{ns}::{w}": f"immut::{w}_assign"
+           for w in ("select", "slice", "narrow") for ns in ("aten", "immut")}
+_ASSIGNS = {*WINDOWS.values(), "immut::assign"}
+
+#: (op, operand) pairs that read only the operand's shape and dtype
+_TEMPLATES = {("aten::zeros_like", 0), ("aten::ones_like", 0),
+              ("aten::full_like", 0), ("grad::unbroadcast", 1),
+              ("grad::reshape_like", 1)}
+
+
+def _shape_only(v: Value, memo: Dict[int, bool]) -> bool:
+    """Is ``v`` read only for its shape and dtype?  Every use must be a
+    template operand, or an operand of a window read (the base) or an
+    Assign (base or source) whose result is itself read only so: such
+    a result's shape follows from its operands' shapes alone."""
+    if id(v) not in memo:
+        memo[id(v)] = False  # no cycles in SSA; a guard all the same
+        memo[id(v)] = all(
+            isinstance(u.user, Node) and (
+                (u.user.op, u.index) in _TEMPLATES
+                or ((u.user.op in WINDOWS and u.index == 0
+                     or u.user.op in _ASSIGNS and u.index < 2)
+                    and _shape_only(u.user.output(), memo)))
+            for u in v.uses)
+    return memo[id(v)]
+
+
+def _assign_rooted(ret: Value, param: Value) -> bool:
+    """Does ``ret`` come from ``param`` through Assigns alone?  Then the
+    carried value has its init's shape and dtype on every trip."""
+    while ret is not param:
+        if ret.node is None or ret.node.op not in _ASSIGNS:
+            return False
+        ret = ret.node.input(0)
+    return True
+
 
 def _unstash(builder: GradBuilder, stash: Value, j: Value,
              typ: T.Type) -> Value:
@@ -291,10 +345,10 @@ def _unstash(builder: GradBuilder, stash: Value, j: Value,
 
 
 def _thread(builder: GradBuilder, loop: Node, inits: Sequence[Value],
-            step) -> None:
+            step, first: bool = True) -> None:
     """Thread extra carried slots through ``loop`` (whose outputs the
     caller added): ``inits`` enter them, and ``step(params, slots)``
-    emits their next values first in the body."""
+    emits their next values first in the body (last if not ``first``)."""
     body = loop.block(0)
     params = list(body.params)
     slots = [body.add_param(v.name.split(".")[0], v.type) for v in inits]
@@ -303,10 +357,74 @@ def _thread(builder: GradBuilder, loop: Node, inits: Sequence[Value],
         nexts = step(params, slots)
     finally:
         builder.block = saved
-    body.nodes[:] = body.nodes[mark:] + body.nodes[:mark]
+    if first:
+        body.nodes[:] = body.nodes[mark:] + body.nodes[:mark]
     for v, nxt in zip(inits, nexts):
         loop.add_input(v)
         body.add_return(nxt)
+
+
+def _before(builder: GradBuilder, anchor: Node, emit):
+    """Run ``emit()`` with the nodes it appends placed before ``anchor``."""
+    block, mark = builder.block, len(builder.block.nodes)
+    out = emit()
+    at = block.nodes.index(anchor)
+    block.nodes[at:] = block.nodes[mark:] + block.nodes[at:mark]
+    return out
+
+
+def _first_trip(builder: GradBuilder, loop: Node, values: Sequence[Value],
+                trip_n: Value, zero: Value, spare: Value) -> List[Value]:
+    """Body ``values`` as trip 0 computes them, for sizing their stashes:
+    an ``If`` on ``trip_n > 0`` runs the slice of the body they need,
+    and at zero trips passes ``spare`` instead (a zero-row stash is
+    never read)."""
+    graph, body = builder.graph, loop.block(0)
+    cond = builder.e1("prim::gt", trip_n, zero, name="ran")
+    node = graph.create("prim::If", [cond])
+    then = node.add_block()
+    _, cloned = _clone_body(body, then, graph, zero,
+                            list(loop.inputs)[2:])
+    for v in values:
+        then.add_return(then.nodes[body.nodes.index(v.node)].output())
+    for n in reversed(cloned):
+        if not any(o.uses for o in n.outputs):
+            n.destroy()
+    other = node.add_block()
+    for _ in values:
+        other.add_return(spare)
+    builder.block.append(node)
+    return [node.add_output("first", T.TensorType()) for _ in values]
+
+
+def _accumulate(builder: GradBuilder, acc: Value, g: Optional[Value],
+                f: Value) -> Value:
+    """Capture ``f``'s adjoint slot after one reverse trip: ``acc + g``.
+
+    A window read's adjoint (``g`` written into a ``zeros_like(f)``)
+    adds into that window of ``acc`` alone: its other elements would
+    gain +0.0, the identity on an accumulator that starts at +0.0 (a
+    sum can reach -0.0 only from two -0.0 terms).  The window's
+    ``immut::assign`` casts and broadcasts the row exactly as the
+    Assign into zeros did.  A ``grad::unbroadcast`` moves next to its
+    add, so fusion puts both in the accumulating kernel."""
+    if g is None:
+        return acc
+    src = g.node
+    if (src is not None and src.op in WINDOWS.values()
+            and src.input(0).node is not None
+            and src.input(0).node.op == "aten::zeros_like"
+            and src.input(0).node.input(0) is f):
+        rest = list(src.inputs)[2:]
+        win = builder.e1(src.op[:-len("_assign")], acc, *rest, name="win")
+        row = builder.e1("immut::assign", win, src.input(1), name="g")
+        return builder.e1(src.op, acc, builder.e1("aten::add", win, row),
+                          *rest, name="g_f")
+    if (src is not None and src.op == "grad::unbroadcast"
+            and src.owning_block is builder.block and not g.uses):
+        builder.block.remove(src)
+        builder.block.append(src)
+    return builder.e1("aten::add", acc, g, name="g_f")
 
 
 def _loop_adjoint(builder: GradBuilder, node: Node,
@@ -325,6 +443,14 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
        body at the unstashed state for iteration ``j``, sweep it, and
        thread carried-output adjoints to carried-input adjoints.
        Captured-tensor adjoints accumulate in extra carried slots.
+    3. *Trim the stash* by what the reverse body reads (the module
+       docstring's rule): a ``for`` loop stashes each top-level
+       ``_STORED`` result read for its values, sized by
+       :func:`_first_trip`; a carried slot read only for its shape
+       (:func:`_shape_only`) that keeps it (:func:`_assign_rooted`) has
+       no stash — the loop's result stands in, leaving the init the
+       loop's alone, and an Assign read only for its shape reads as its
+       base, so no kernel stores into a copy of the stand-in.
 
     Both clone the body before the forward loop gains its slots.  A
     zero-trip loop runs zero reverse iterations, passing the output
@@ -343,41 +469,25 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
     captures = _free_tensors([body])
     is_for = is_for_loop(node)
 
-    # -- 1. the forward loop's slot inits, placed before it ------------
-    mark = len(outer.nodes)
-    zero, one, true_c = (builder.const(v) for v in (0, 1, True))
+    # -- 1. the trip count, placed before the forward loop ---------------
+    zero, one, true_c = _before(builder, node, lambda: [
+        builder.const(v) for v in (0, 1, True)])
     if is_for:
-        trip_n = builder.e1("prim::max", node.input(0), zero, name="trip_n")
-        inits = [builder.e1("grad::stash_init", init, trip_n, name="stash")
-                 for init in carried_inits]
+        trip_n = _before(builder, node, lambda: builder.e1(
+            "prim::max", node.input(0), zero, name="trip_n"))
     else:
-        inits = [builder.const(0, name="trip_n")]
-    at = outer.nodes.index(node)
-    outer.nodes[at:] = outer.nodes[mark:] + outer.nodes[at:mark]
-    outs = [node.add_output(v.name.split(".")[0], v.type) for v in inits]
+        count = _before(builder, node, lambda: builder.const(0,
+                                                             name="trip_n"))
+        trip_n = node.add_output("trip_n", count.type)
 
-    def stash(params, slots):
-        return [builder.e1("immut::select_assign", st, cv, zero, params[0],
-                           name="stash")
-                for st, cv in zip(slots, params[1:])]
+    # the stash buffers, unplaced until step 3 knows which are read
+    pending = Block(graph)
+    builder.block = pending
+    stashes = [builder.e1("grad::stash_init", init, trip_n, name="stash")
+               for init in carried_inits]
+    builder.block = outer
 
-    stash_outs = outs
-    if not is_for:
-        trip_n = outs[0]
-        stashes = [builder.e1("grad::stash_init", init, trip_n, name="stash")
-                   for init in carried_inits]
-        rnode = graph.create("prim::Loop", [trip_n, true_c] + carried_inits)
-        rb = rnode.add_block()
-        rp = [rb.add_param(p.name.split(".")[0], p.type) for p in body.params]
-        rets, _ = _clone_body(body, rb, graph, rp[0], rp[1:])
-        for r in [true_c] + rets[1:]:
-            rb.add_return(r)
-        stash_outs = [rnode.add_output(v.name.split(".")[0], v.type)
-                      for v in rp[1:] + stashes][n_car:]
-        _thread(builder, rnode, stashes, stash)
-        builder.block.append(rnode)
-
-    # -- 2. reverse loop -----------------------------------------------
+    # -- 2. reverse loop -------------------------------------------------
     tensor_idx = [k for k in range(n_car) if carried_inits[k].type.is_tensor]
     g_inits = [grads[k] if grads[k] is not None
                else builder.zeros_like(node.output(k))
@@ -393,7 +503,7 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
     try:
         n_m1 = builder.e1("prim::sub", trip_n, one, name="n1")
         j = builder.e1("prim::sub", n_m1, vi, name="j")
-        entering = [_unstash(builder, stash_outs[k], j,
+        entering = [_unstash(builder, stashes[k], j,
                              body.params[1 + k].type)
                     for k in range(n_car)]
         rets, cloned = _clone_body(body, vb, graph, j, entering)
@@ -407,20 +517,90 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
             vb.add_return(g_ent if g_ent is not None
                           else builder.zeros_like(entering[k]))
         for acc, f in zip(vg_free, captures):
-            gf = local.get(id(f))
-            vb.add_return(acc if gf is None
-                          else builder.e1("aten::add", acc, gf, name="g_f"))
+            vb.add_return(_accumulate(builder, acc, local.get(id(f)), f))
+
+        # -- 3. trim the stash -------------------------------------------
+        memo: Dict[int, bool] = {}
+        stored = []
+        spare = next((v for v in carried_inits + captures
+                      if v.type.is_tensor), None)
+        for fwd, again in zip(list(body.nodes) if is_for else [], cloned):
+            if (fwd.op in _STORED and spare is not None
+                    and not _shape_only(again.output(), memo)):
+                builder.block = pending
+                stored.append(builder.e1("grad::stash_init", fwd.output(),
+                                         trip_n, name="stash"))
+                builder.block = vb
+                row = builder.e1("immut::select", stored[-1], zero, j,
+                                 name="row")
+                vb.remove(row.node)
+                vb.insert_before(again, row.node)
+                again.output().replace_all_uses_with(row)
+                again.destroy()
+        memo.clear()
+        for k in tensor_idx:
+            if (_assign_rooted(body.returns[1 + k], body.params[1 + k])
+                    and _shape_only(entering[k], memo)):
+                entering[k].replace_all_uses_with(node.output(k))
+                entering[k].node.destroy()
+        for n in list(vb.nodes):
+            if n.op in _ASSIGNS and _shape_only(n.output(), memo):
+                n.output().replace_all_uses_with(n.input(0))
     finally:
         builder.block = outer
+
+    kept = [k for k in range(n_car) if stashes[k].uses]
+    for k in range(n_car):
+        if k not in kept:
+            stashes[k].node.destroy()
+    inits = [stashes[k] for k in kept]
+
+    def stash(params, slots, values):
+        return [builder.e1("immut::select_assign", st, v, zero, params[0],
+                           name="stash")
+                for st, v in zip(slots, values)]
+
+    def fill(loop, buffers):
+        """Place ``buffers`` before ``loop``; the reverse rows read them
+        as the loop leaves them."""
+        for st in buffers:
+            pending.remove(st.node)
+            loop.owning_block.insert_before(loop, st.node)
+        for st in buffers:
+            st.replace_all_uses_with(loop.add_output("stash", st.type))
+
+    if is_for:
+        results = [st.node.input(0) for st in stored]
+        if stored:
+            firsts = _before(builder, node, lambda: _first_trip(
+                builder, node, results, trip_n, zero, spare))
+            for st, first in zip(stored, firsts):
+                st.node.set_input(0, first)
+        fill(node, inits + stored)
+        _thread(builder, node, inits, lambda params, slots: stash(
+            params, slots, [params[1 + k] for k in kept]))
+        _thread(builder, node, stored, lambda params, slots: stash(
+            params, slots, results), first=False)
+    else:
+        rnode = graph.create("prim::Loop", [trip_n, true_c] + carried_inits)
+        rb = rnode.add_block()
+        rp = [rb.add_param(p.name.split(".")[0], p.type) for p in body.params]
+        rets, _ = _clone_body(body, rb, graph, rp[0], rp[1:])
+        for r in [true_c] + rets[1:]:
+            rb.add_return(r)
+        for v in rp[1:]:
+            rnode.add_output(v.name.split(".")[0], v.type)
+        builder.block.append(rnode)
+        fill(rnode, inits)
+        _thread(builder, rnode, inits, lambda params, slots: stash(
+            params, slots, [params[1 + k] for k in kept]))
+        _thread(builder, node, [count], lambda params, slots: [
+            builder.e1("prim::add", slots[0], one, name="trip_n")])
     builder.block.append(vnode)
     for pos, v in enumerate([carried_inits[k] for k in tensor_idx]
                             + captures):
         builder.accumulate(adjoints, v, vnode.add_output(
             "g_init" if pos < len(tensor_idx) else "g_cap", T.TensorType()))
-
-    _thread(builder, node, inits, stash if is_for else
-            lambda params, slots: [builder.e1("prim::add", slots[0], one,
-                                              name="trip_n")])
 
 
 # ---------------------------------------------------------------------------

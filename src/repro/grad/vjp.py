@@ -38,7 +38,7 @@ from ..errors import GradError
 from ..ir import types as T
 from ..ir.graph import Node, Value
 from ..ops import registry
-from .builder import GradBuilder, const_value
+from .builder import WINDOWS, GradBuilder, const_value
 
 __all__ = ["register_vjp"]
 
@@ -424,12 +424,7 @@ def _vjp_window_read(assign_op: str):
     return rule
 
 
-for _read, _assign in [("aten::select", "immut::select_assign"),
-                       ("immut::select", "immut::select_assign"),
-                       ("aten::slice", "immut::slice_assign"),
-                       ("immut::slice", "immut::slice_assign"),
-                       ("aten::narrow", "immut::narrow_assign"),
-                       ("immut::narrow", "immut::narrow_assign")]:
+for _read, _assign in WINDOWS.items():
     register_vjp(_read)(_vjp_window_read(_assign))
 
 

@@ -168,6 +168,16 @@ def flatten(t, start_dim=0, end_dim=-1):
 
 # -- Assign: a new version of ``base`` with one window replaced by ``src`` --
 
+def store(window, src) -> None:
+    """``window[...] = src``, broadcasting as eager ``copy_`` does: a
+    source with more dims than the window raises (numpy's own store
+    would drop the source's leading size-1 dims)."""
+    if np.ndim(src) > window.ndim:
+        raise ValueError(f"cannot store a {np.ndim(src)}-d source into a "
+                         f"{window.ndim}-d window")
+    window[...] = src
+
+
 def _assign(view: Callable) -> Callable:
     """The Assign twin of a view kernel (paper Def. 3.4), by definition:
     a copy of ``base`` written through that view of it — so the window,
@@ -175,7 +185,7 @@ def _assign(view: Callable) -> Callable:
     the base dtype (a Python float is a double until then: one rounding)."""
     def kernel(base, src, *params):
         out = np.array(base, copy=True)
-        view(out, *params)[...] = src
+        store(view(out, *params), src)
         return out
     base, *params = inspect.signature(view).parameters.values()
     kernel.__signature__ = inspect.Signature(

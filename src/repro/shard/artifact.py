@@ -91,8 +91,10 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: read;
 #: 9: loop batching — the per-trip loops it lowers or fissions are
 #: gone;
-#: 10: ``graph`` / ``grad_reference`` are ``print_graph`` text)
-ARTIFACT_VERSION = 10
+#: 10: ``graph`` / ``grad_reference`` are ``print_graph`` text;
+#: 11: a kernel store first checks its source's rank, and raises on
+#: more dims than its window)
+ARTIFACT_VERSION = 11
 
 _MAGIC = "repro-artifact"
 

@@ -477,8 +477,9 @@ class TestAssignStores:
         assert kernel.__assigns__ == {"stores": 2, "identities": 2,
                                       "clones": []}
         assert "immut::" not in kernel.__source__
-        assert "_OPS['aten::slice'](t0, 0, 0, 2, 1)[...] = v1" \
-            in kernel.__source__
+        assert "t3 = _OPS['aten::slice'](t0, 0, 0, 2, 1)\n" \
+               "    if getattr(v1, 'ndim', 0) > t3.ndim: _store(t3, v1)\n" \
+               "    t3[...] = v1" in kernel.__source__
         _agrees(block, kernel, _X, _S)
 
     def test_kernel_input_root_is_copied_once(self):

@@ -3,6 +3,7 @@ function against its two oracles — the reference interpreter
 (``run_graph(plan=None)``) and eager — plus the properties the
 plan-guided interpreter used to provide by construction."""
 
+import builtins
 import contextlib
 import json
 from pathlib import Path
@@ -112,6 +113,10 @@ def test_corpus_entry_matches_interpreter_and_eager(path):
     x, variants = make_inputs(entry["seed"])
     for flag, n in variants:  # both branches and a zero-trip loop
         args = (rt.Tensor.from_array(x.copy()), flag, n)
+        if "raises" in entry:  # eager refuses it: so must the program
+            with pytest.raises(getattr(builtins, entry["raises"])):
+                compiled(*args)
+            continue
         _check_against_oracles(compiled, args, fn(*clone_args(args)))
 
 

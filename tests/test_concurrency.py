@@ -284,7 +284,8 @@ class TestConcurrentRuns:
         pytest.param("lstm", True, 1, id="lstm-grad"),
         pytest.param("attention", True, 1, id="attention-grad"),
         pytest.param("lstm", False, 4, id="lstm-b4"),
-        pytest.param("lstm", True, 4, id="lstm-grad-b4")])
+        pytest.param("lstm", True, 4, id="lstm-grad-b4"),
+        pytest.param("attention", True, 4, id="attention-grad-b4")])
     def test_shared_inputs_are_never_written(self, name, grad, batch):
         # serving shares one compiled graph between workers — here one
         # set of input tensors too: a kernel that stored into a buffer

@@ -37,7 +37,8 @@ def test_corpus_is_populated():
 def test_corpus_entry_replays_clean(path):
     entry = _load(path)
     program = CorpusProgram(seed=entry["seed"], source=entry["source"],
-                            name=entry.get("fn_name", "f"))
+                            name=entry.get("fn_name", "f"),
+                            raises=entry.get("raises"))
     failure = run_oracle(program)
     assert failure is None, (
         f"corpus regression {entry['name']} resurfaced "

@@ -467,6 +467,95 @@ class TestLoopAdjoint:
         _assert_grad_matches_fd(f, _randn(3, 4, seed=46), False, 2, wrt=[0])
 
 
+class TestLeanReverseLoop:
+    """What a differentiated ``for`` loop stores: each GEMM result the
+    reverse body reads, never a carried value it reads only for its
+    shape; everything else is recomputed.  The outputs do not move."""
+
+    @staticmethod
+    def _compiled(name, batch=4, seq=32):
+        wl = get_workload(name)
+        args = wl.make_inputs(batch_size=batch, seq_len=seq, seed=0)
+        return get_pipeline("tensorssa").compile_grad(
+            wl.model_fn, example_args=args), args
+
+    def test_attention_backward_stashes_nothing(self):
+        """attention's reverse body reads its carried ``scores`` only
+        for their shape, and the mask writes keep that shape."""
+        compiled, _ = self._compiled("attention")
+        _, raw = build_backward(get_workload("attention").model_fn)
+        assert not raw.nodes_of("grad::stash_init")
+        assert not compiled.graph.nodes_of("grad::stash_init")
+
+    def test_lstm_reverse_loop_runs_no_linear(self):
+        """The forward loop stashes both gate GEMMs (and ``c``, ``h``),
+        not ``out``; the reverse loop reads the rows."""
+        compiled, _ = self._compiled("lstm")
+        forward, reverse = _top_loops(compiled.graph)
+        assert [n for n in forward.walk() if n.op == "aten::linear"]
+        assert not [n for n in reverse.walk() if n.op == "aten::linear"]
+        stashes = [v for v in forward.inputs if v.node is not None
+                   and v.node.op == "grad::stash_init"]
+        assert len(stashes) == 4
+
+    def test_lstm_backward_peak_bytes(self):
+        """At ``grad_rnn``'s shape the (T, T, B, H) stash of ``out`` is
+        gone and two (T, B, 4H) GEMM stashes are new: ``peak_bytes``
+        was 12,656,640 with the stash of ``out`` and reads 9,428,992."""
+        compiled, args = self._compiled("lstm")
+        compiled(*clone_args(args))
+        with rt.profile() as prof:
+            compiled(*clone_args(args))
+        assert prof.peak_bytes <= 12_656_640 - 3_000_000
+
+    def test_gemm_stash_sized_from_trip_zero(self):
+        """A GEMM inside the body has no pre-loop template: its stash is
+        sized from trip 0's value, under an ``If`` that zero trips skip
+        (``range(n - 1)`` at n = 0 has a negative trip count)."""
+        def f(x, w, n: int):
+            y = x.clone()
+            for i in range(n - 1):
+                y = (y @ w).tanh() + y
+            return (y * y).sum()
+
+        x, w = _randn(3, 4, seed=48), _randn(4, 4, seed=49) * 0.3
+        compiled = get_pipeline("tensorssa").compile_grad(f)
+        forward = _top_loops(compiled.graph)[0]
+        stashes = [v for v in forward.inputs if v.node is not None
+                   and v.node.op == "grad::stash_init"]
+        assert len(stashes) == 2  # y, and y @ w
+        for n in (0, 1, 2, 4):
+            got = rt.as_tuple(compiled(x.clone(), w.clone(), n))
+            want = rt.as_tuple(compiled.stats["grad_reference"](x, w, n))
+            assert rt.bit_exact(got, want)
+        _assert_grad_matches_fd(f, x, w, 4, wrt=[0, 1])
+
+    @pytest.mark.parametrize("seq", [1, 64, 256])
+    def test_window_read_capture_accumulates_into_its_window(
+            self, seq, monkeypatch):
+        """lstm reads ``x[t]`` each trip: its adjoint slot adds g into
+        row t alone, with the bits of the zero-padded full-size add."""
+        from repro.grad import builder
+
+        wl = get_workload("lstm")
+        args = wl.make_inputs(batch_size=2, seq_len=seq, seed=0)
+        pipe = get_pipeline("tensorssa")
+        lean = pipe.compile_grad(wl.model_fn, example_args=args)
+        monkeypatch.setattr(builder, "_accumulate", lambda b, acc, g, f: (
+            acc if g is None else b.e1("aten::add", acc, g)))
+        full = pipe.compile_grad(wl.model_fn, example_args=args)
+        monkeypatch.undo()
+        assert rt.bit_exact(rt.as_tuple(lean(*clone_args(args))),
+                            rt.as_tuple(full(*clone_args(args))))
+        _, raw = build_backward(wl.model_fn)
+        body = _top_loops(raw)[1].block(0)
+        slots = body.params[4:]  # after r and the three g_c: x, wx, ...
+        stores = [r.node for r in body.returns if r.node is not None
+                  and r.node.op == "immut::select_assign"
+                  and r.node.input(0) in slots]
+        assert [s.input(0) for s in stores] == slots[:1]
+
+
 # -- end-to-end: workloads, optimization, harness ----------------------------
 
 class TestEndToEnd:

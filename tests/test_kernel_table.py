@@ -299,6 +299,12 @@ def test_store_form_is_the_row(schema):
             if operand == "tensor":  # e.g. int32 base <- float32 source
                 raw[1] = (raw[1] * 1.5).astype(np.float32)
                 _same_as_row(schema, store, raw, where + " <- f32")
+                # one more leading size-1 dim than the window: eager's
+                # copy_ refuses it, where numpy's store would drop it
+                raw[1] = raw[1][None]
+                with pytest.raises(ValueError):
+                    schema.kernel(*raw)
+                _same_as_row(schema, store, raw, where + " extra dim")
 
 
 @pytest.mark.parametrize("op, bad", [
