@@ -390,30 +390,6 @@ def _pipeline_instances(config: OracleConfig) -> List[Pipeline]:
             for n in names]
 
 
-def _check_raises(program, fn, runs, config: OracleConfig,
-                  raises: str) -> Optional[FuzzFailure]:
-    """A program eager refuses: eager and every pipeline raise the
-    exception type ``raises`` on every variant (a compile may raise it
-    too), never a value."""
-    targets = [("eager", None)] + [(p.name, p)
-                                   for p in _pipeline_instances(config)]
-    for name, pipe in targets:
-        for x_in, variant in runs:
-            args = (rt.from_numpy(x_in), *variant[:2])
-            try:
-                call = fn if pipe is None else pipe.compile(
-                    fn, example_args=args)
-                call(*args)
-                got = "a value"
-            except Exception as exc:
-                got = type(exc).__name__
-            if got != raises:
-                return FuzzFailure(program, name, "output-mismatch",
-                                   f"expected {raises}, got {got}",
-                                   variant=variant)
-    return None
-
-
 def run_oracle(program: FuzzProgram,
                config: Optional[OracleConfig] = None
                ) -> Optional[FuzzFailure]:
@@ -435,18 +411,27 @@ def run_oracle(program: FuzzProgram,
     runs.append((x_data.astype(np.float64), (*variants[0], "float64")))
 
     # -- eager reference ------------------------------------------------
+    # a program eager refuses names the exception type; each pipeline
+    # must raise it too, never return a value
     raises = getattr(program, "raises", None)
-    if raises is not None:
-        return _check_raises(program, fn, runs, config, raises)
     reference = []
     for x_in, variant in runs:
         x = rt.from_numpy(x_in)
         try:
             expected = fn(x, *variant[:2])
         except Exception as exc:
-            return FuzzFailure(program, "eager-reference", "runtime-error",
-                               f"{type(exc).__name__}: {exc}",
-                               variant=variant)
+            if type(exc).__name__ != raises:
+                return FuzzFailure(program, "eager-reference",
+                                   "runtime-error",
+                                   f"{type(exc).__name__}: {exc}",
+                                   variant=variant)
+            expected = exc
+        else:
+            if raises is not None:
+                return FuzzFailure(program, "eager-reference",
+                                   "output-mismatch",
+                                   f"expected {raises}, got a value",
+                                   variant=variant)
         reference.append((expected, x.numpy()))
 
     for pipe in _pipeline_instances(config):
@@ -477,10 +462,15 @@ def run_oracle(program: FuzzProgram,
                     with scope() as prof:
                         got = compiled(x, flag, n)
                 except Exception as exc:
-                    return FuzzFailure(program, pipe.name, "runtime-error",
-                                       f"{tag}{type(exc).__name__}: {exc}",
-                                       variant=variant, ir=ir_text)
-                mismatch = _diff_outputs(expected, got)
+                    if type(exc).__name__ != raises:
+                        return FuzzFailure(
+                            program, pipe.name, "runtime-error",
+                            f"{tag}{type(exc).__name__}: {exc}",
+                            variant=variant, ir=ir_text)
+                    got = exc
+                mismatch = (_diff_outputs(expected, got) if raises is None
+                            else None if isinstance(got, Exception)
+                            else f"expected {raises}, got a value")
                 if mismatch is not None:
                     return FuzzFailure(program, pipe.name, "output-mismatch",
                                        tag + mismatch, variant=variant,
@@ -503,7 +493,8 @@ def run_oracle(program: FuzzProgram,
         if failure is not None:
             return failure
 
-    if config.check_grad:
+    # the finite-difference loss needs the values eager refuses
+    if config.check_grad and raises is None:
         failure = _check_grad(program, fn, config)
         if failure is not None:
             return failure

@@ -31,9 +31,10 @@ default partition: *stash library-op results, stash nothing read only
 for its shape, recompute the rest.*
 
 * A ``for`` loop stashes each GEMM result (``aten::linear`` /
-  ``matmul`` / ``bmm``) the reverse body reads for its values; the
-  reverse body reads the row instead of running the GEMM again.  The
-  row holds the bits the forward computed, so nothing changes.
+  ``matmul`` / ``bmm``) the reverse body reads for its values, when
+  the GEMM provably has one shape on every trip (:func:`_fixed_shape`);
+  the reverse body reads the row instead of running the GEMM again.
+  The row holds the bits the forward computed, so nothing changes.
 * A carried value the reverse body reads only for its shape and dtype
   (``zeros_like``, ``unbroadcast``'s template, an Assign feeding only
   those) gets no stash when its shape cannot change from trip to trip;
@@ -334,6 +335,31 @@ def _assign_rooted(ret: Value, param: Value) -> bool:
     return True
 
 
+#: the window operand that may move from trip to trip without resizing
+#: the window: select's index, narrow's start
+_MOVES = {f"{ns}::{w}": 2 for w in ("select", "narrow")
+          for ns in ("aten", "immut")}
+
+
+def _fixed_shape(v: Value, body: Block) -> bool:
+    """Does ``v`` provably have one shape and dtype on every trip of
+    ``body``?  A value from outside the body does; a carried param does
+    when its return keeps it (:func:`_assign_rooted`); an Assign has
+    its base's; a window has when its base has and every operand that
+    sizes it is a constant or comes from outside the body."""
+    if v.defining_block() is not body or constant_value(v) is not NOT_CONSTANT:
+        return True
+    if v.is_param:
+        k = body.params.index(v)
+        return k > 0 and _assign_rooted(body.returns[k], v)
+    n = v.node
+    if n.op in _ASSIGNS:
+        return _fixed_shape(n.input(0), body)
+    return n.op in WINDOWS and all(
+        _fixed_shape(a, body) for i, a in enumerate(n.inputs)
+        if i != _MOVES.get(n.op))
+
+
 def _unstash(builder: GradBuilder, stash: Value, j: Value,
              typ: T.Type) -> Value:
     """Read iteration ``j``'s stashed row back as its original type."""
@@ -445,8 +471,9 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
        Captured-tensor adjoints accumulate in extra carried slots.
     3. *Trim the stash* by what the reverse body reads (the module
        docstring's rule): a ``for`` loop stashes each top-level
-       ``_STORED`` result read for its values, sized by
-       :func:`_first_trip`; a carried slot read only for its shape
+       ``_STORED`` result read for its values whose operands keep one
+       shape (:func:`_fixed_shape`), sized by :func:`_first_trip`; a
+       carried slot read only for its shape
        (:func:`_shape_only`) that keeps it (:func:`_assign_rooted`) has
        no stash — the loop's result stands in, leaving the init the
        loop's alone, and an Assign read only for its shape reads as its
@@ -526,6 +553,7 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
                       if v.type.is_tensor), None)
         for fwd, again in zip(list(body.nodes) if is_for else [], cloned):
             if (fwd.op in _STORED and spare is not None
+                    and all(_fixed_shape(v, body) for v in fwd.inputs)
                     and not _shape_only(again.output(), memo)):
                 builder.block = pending
                 stored.append(builder.e1("grad::stash_init", fwd.output(),

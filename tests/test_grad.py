@@ -487,21 +487,25 @@ class TestLeanReverseLoop:
         assert not raw.nodes_of("grad::stash_init")
         assert not compiled.graph.nodes_of("grad::stash_init")
 
-    def test_lstm_reverse_loop_runs_no_linear(self):
-        """The forward loop stashes both gate GEMMs (and ``c``, ``h``),
-        not ``out``; the reverse loop reads the rows."""
+    def test_lstm_reverse_loop_reads_the_input_gemm(self):
+        """The forward loop stashes the input GEMM ``linear(x[t], wx,
+        bias)`` (and ``c``, ``h``), not ``out``; the reverse loop reads
+        its row.  ``linear(h, wh)`` is recomputed: nothing proves ``h``
+        keeps one shape (an ``h0`` of batch 1 broadcasts to batch B on
+        trip 0)."""
         compiled, _ = self._compiled("lstm")
         forward, reverse = _top_loops(compiled.graph)
-        assert [n for n in forward.walk() if n.op == "aten::linear"]
-        assert not [n for n in reverse.walk() if n.op == "aten::linear"]
+        assert len([n for n in forward.walk() if n.op == "aten::linear"]) == 2
+        again = [n for n in reverse.walk() if n.op == "aten::linear"]
+        assert len(again) == 1
         stashes = [v for v in forward.inputs if v.node is not None
                    and v.node.op == "grad::stash_init"]
-        assert len(stashes) == 4
+        assert len(stashes) == 3
 
     def test_lstm_backward_peak_bytes(self):
         """At ``grad_rnn``'s shape the (T, T, B, H) stash of ``out`` is
-        gone and two (T, B, 4H) GEMM stashes are new: ``peak_bytes``
-        was 12,656,640 with the stash of ``out`` and reads 9,428,992."""
+        gone and one (T, B, 4H) GEMM stash is new: ``peak_bytes`` was
+        12,656,640 with the stash of ``out`` and reads 8,888,320."""
         compiled, args = self._compiled("lstm")
         compiled(*clone_args(args))
         with rt.profile() as prof:
@@ -513,22 +517,66 @@ class TestLeanReverseLoop:
         sized from trip 0's value, under an ``If`` that zero trips skip
         (``range(n - 1)`` at n = 0 has a negative trip count)."""
         def f(x, w, n: int):
-            y = x.clone()
+            y = x[0].clone()
             for i in range(n - 1):
-                y = (y @ w).tanh() + y
+                y = (x[i] @ w).tanh() * y + y
             return (y * y).sum()
 
-        x, w = _randn(3, 4, seed=48), _randn(4, 4, seed=49) * 0.3
+        x, w = _randn(5, 3, 4, seed=48), _randn(4, 4, seed=49) * 0.3
         compiled = get_pipeline("tensorssa").compile_grad(f)
-        forward = _top_loops(compiled.graph)[0]
+        forward, reverse = _top_loops(compiled.graph)
         stashes = [v for v in forward.inputs if v.node is not None
                    and v.node.op == "grad::stash_init"]
-        assert len(stashes) == 2  # y, and y @ w
+        assert len(stashes) == 2  # y, and x[i] @ w
+        w_in = compiled.graph.inputs[1]
+        assert not [n for n in reverse.walk() if n.op == "aten::matmul"
+                    and n.input(1) is w_in]
         for n in (0, 1, 2, 4):
             got = rt.as_tuple(compiled(x.clone(), w.clone(), n))
             want = rt.as_tuple(compiled.stats["grad_reference"](x, w, n))
             assert rt.bit_exact(got, want)
         _assert_grad_matches_fd(f, x, w, 4, wrt=[0, 1])
+
+    @staticmethod
+    def _growing(x, w, n: int):
+        acc = x[0] * 0.0
+        for i in range(n):
+            acc = acc + (x[:i + 1] @ w).tanh().sum(0)
+        return acc.sum()
+
+    @staticmethod
+    def _shrinking(x, w, n: int):
+        acc = x[0:1] * 0.0
+        for i in range(n):
+            acc = acc + (x[i:] @ w).tanh()[0:1]
+        return acc.sum()
+
+    @staticmethod
+    def _carried(x, w, n: int):
+        y = x[0:1].clone()
+        for i in range(n):
+            y = (y @ w).tanh() + x[i]
+        return y.sum()
+
+    @pytest.mark.parametrize("fn", ["_growing", "_shrinking", "_carried"])
+    def test_gemm_whose_shape_may_change_is_recomputed(self, fn):
+        """A GEMM over a window that grows or shrinks with the trip
+        index may change shape from trip to trip, and so may one over a
+        carried value that is not an Assign chain of itself: it gets no
+        stash (sized from trip 0, a row would refuse or broadcast later
+        trips), and the reverse loop runs it again."""
+        f = getattr(self, fn)
+        x, w = _randn(3, 4, seed=50), _randn(4, 4, seed=51) * 0.3
+        compiled = get_pipeline("tensorssa").compile_grad(f)
+        forward, reverse = _top_loops(compiled.graph)
+        w_in = compiled.graph.inputs[1]
+        assert [n for n in reverse.walk() if n.op == "aten::matmul"
+                and n.input(1) is w_in]
+        for n in (0, 1, 3):
+            got = rt.as_tuple(compiled(x.clone(), w.clone(), n))
+            want = rt.as_tuple(compiled.stats["grad_reference"](x, w, n))
+            assert rt.bit_exact(got, want)
+        _assert_grad_matches_fd(f, x, w, 3, wrt=[0, 1])
 
     @pytest.mark.parametrize("seq", [1, 64, 256])
     def test_window_read_capture_accumulates_into_its_window(
