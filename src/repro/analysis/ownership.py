@@ -125,7 +125,7 @@ def buffer_owner(base: Value) -> Optional[Node]:
 
 # -- inside a compiled kernel ----------------------------------------------
 
-def _is_window_assign(node: Node) -> bool:
+def is_window_assign(node: Node) -> bool:
     """An Assign that replaces a strided window of its base (not the
     reshape family, whose result is the source re-shaped)."""
     return node.op in ASSIGN_TO_VIEW and node.schema.aliases is None
@@ -152,7 +152,7 @@ def _alias_given(lowering: Dict[int, str]) -> AliasRule:
 def _writes_back(assign: Node, view: Node) -> bool:
     """Is ``assign`` the Assign twin of the ``view`` node — same base,
     the same parameter Values (CSE has merged equal constants)?"""
-    if not _is_window_assign(assign):
+    if not is_window_assign(assign):
         return False
     name = ASSIGN_TO_VIEW[assign.op]
     return (name is not None
@@ -285,7 +285,7 @@ def _plan_once(nodes: Sequence[Node], order: Dict[int, int],
     for pos, node in enumerate(nodes):
         if node.op not in ASSIGN_TO_VIEW or id(node) in lowering:
             continue
-        if not _is_window_assign(node):
+        if not is_window_assign(node):
             clones.append((node, "reshape-family Assign: its result is "
                            "the source re-shaped, not a window store"))
             continue

@@ -167,49 +167,18 @@ def _locally_owned(root: Value, mutation: Node) -> bool:
     """Revert discipline (passes/revert.py): a reintroduced mutation may
     only write a buffer owned by a PURE node (or a FusionGroup) in the
     mutation's own block — storage whose every other reader was proven
-    to run earlier, so the side effect cannot escape.
-
-    One structured exception, the loop-carried in-place discipline
-    (``revert_carried_assigns``): the root may be a ``prim::Loop``
-    body's carried param when the slot flows through unchanged (the
-    body returns the param itself — the signature of a reverted carried
-    chain) and the slot's init value is itself a locally-owned buffer
-    whose only reader is the loop."""
+    to run earlier, so the side effect cannot escape.  A block param —
+    a loop's carried value included — is never owned: a loop-carried
+    write goes in place only as a fusion kernel's store into a buffer
+    the memory plan donated, never as a mutation in the IR."""
     node = root.node
-    if node is None:
-        if root.is_param:
-            return _carried_in_place(root, mutation)
-        return False
-    if node.op == "prim::Constant":
+    if node is None or node.op == "prim::Constant":
         return False
     if node.kind is OpKind.CONTROL and node.op != "prim::FusionGroup":
         return False  # If/Loop outputs alias values we have not analyzed
     if node.kind not in (OpKind.PURE, OpKind.CONTROL):
         return False
     return root.defining_block() is mutation.owning_block
-
-
-def _carried_in_place(root: Value, mutation: Node) -> bool:
-    """Is ``root`` a carried Loop param mutated under the in-place
-    carried-slot convention (see :func:`_locally_owned`)?"""
-    body = root.param_block
-    loop = body.owning_node if body is not None else None
-    if loop is None or loop.op != "prim::Loop":
-        return False
-    if mutation.owning_block is not body:
-        return False
-    try:
-        k = body.params.index(root) - 1  # params are (i, *carried)
-    except ValueError:
-        return False
-    if k < 0 or k >= len(loop.outputs):
-        return False
-    if body.returns[1 + k] is not root:
-        return False  # slot does not flow through unchanged
-    init = loop.input(2 + k)
-    if len(init.uses) != 1 or init.uses[0].user is not loop:
-        return False
-    return _locally_owned(init, loop)
 
 
 def verify_mutations(graph: Graph, strict: bool = False) -> Graph:

@@ -16,9 +16,9 @@ from .unroll import unroll_loops
 
 __all__ += ["specialize_shapes", "unroll_loops"]
 
-from .revert import revert_carried_assigns, revert_unfused_assigns
+from .revert import revert_unfused_assigns
 
-__all__ += ["revert_carried_assigns", "revert_unfused_assigns"]
+__all__ += ["revert_unfused_assigns"]
 
 from .canonicalize import canonicalize
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
+from ..analysis.ownership import is_window_assign
 from ..ir.graph import Block, Graph, Node, Value, constant_value
 from ..ops import registry
 from ..ops.schema import OpKind
@@ -48,7 +49,11 @@ class FuserConfig:
 
 
 #: a group of one op launches a kernel for what the op would have done
-#: alone: groups smaller than this are not formed
+#: alone: groups smaller than this are not formed -- except a lone
+#: window Assign into a carried param of a ``prim::Loop`` body
+#: (:func:`_stores_into_carried`): the eager op clones the whole
+#: carried buffer every trip, where its kernel stores in place into the
+#: buffer the memory plan donates
 MIN_GROUP_SIZE = 2
 
 
@@ -111,6 +116,15 @@ def _is_substantial(node: Node) -> bool:
     return True
 
 
+def _stores_into_carried(node: Node, block: Block) -> bool:
+    """Is ``node`` a window Assign whose base is a carried param of the
+    ``prim::Loop`` body ``block``?"""
+    loop = block.owning_node
+    return (loop is not None and loop.op == "prim::Loop"
+            and is_window_assign(node)
+            and any(node.input(0) is p for p in block.params[1:]))
+
+
 def _collect_groups(block: Block, config: FuserConfig) -> List[_Group]:
     groups: List[_Group] = []
     open_groups: List[_Group] = []
@@ -135,7 +149,8 @@ def _collect_groups(block: Block, config: FuserConfig) -> List[_Group]:
             groups.append(joined)
         joined.add(node)
     return [g for g in groups
-            if len(g.members) >= MIN_GROUP_SIZE
+            if (len(g.members) >= MIN_GROUP_SIZE
+                or _stores_into_carried(g.members[0], block))
             and any(_is_substantial(n) for n in g.members)]
 
 

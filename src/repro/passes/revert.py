@@ -21,9 +21,9 @@ generates their kernel — there without touching the IR.
 from __future__ import annotations
 
 from ..analysis.ownership import (ASSIGN_TO_VIEW, buffer_owner, eager_alias,
-                                  later_reader, view_root)
+                                  later_reader)
 from ..ir import types as T
-from ..ir.graph import Graph, Node, Value
+from ..ir.graph import Graph
 from ..ops import registry
 
 
@@ -63,94 +63,14 @@ def _revertible_nodes(block):
             yield from _revertible_nodes(inner)
 
 
-def _owned_init(init: Value, loop: Node) -> bool:
-    """May the loop steal ``init``'s buffer?  Yes iff the loop is its
-    only reader and a pure node in the loop's own block produced it."""
-    if len(init.uses) != 1 or init.uses[0].user is not loop:
-        return False
-    if buffer_owner(init) is None:
-        return False
-    return init.defining_block() is loop.owning_block
-
-
-def _assign_chain(param: Value, ret: Value):
-    """The unique top-level chain ``param -> A1 -> ... -> An`` of Assign
-    nodes whose final output is ``ret``, every link single-use (so no
-    other reader ever sees a pre-write generation), or None."""
-    chain = []
-    cur = param
-    while True:
-        if len(cur.uses) != 1:
-            return None
-        use = cur.uses[0]
-        user = use.user
-        if not isinstance(user, Node):
-            # the block return: a complete chain ends exactly here
-            return chain if (chain and cur is ret) else None
-        if _reverted_view(user.op) == "missing" or use.index != 0:
-            return None
-        if user.owning_block is not param.defining_block():
-            return None  # nested inside an If: re-execution unproven
-        chain.append(user)
-        cur = user.output()
-
-
 def revert_carried_assigns(graph: Graph) -> int:
-    """Rewrite loop-carried Assign chains into in-place mutation — the
-    revert discipline (paper §3.2) applied across the back edge.
-
-    A carried slot whose body flow is ``param -> assign(s) -> return``,
-    each link single-use and seeded by a loop-local buffer nobody else
-    reads, re-clones the *entire* carried tensor every iteration just
-    to write one window — O(trip × size) memory traffic for O(trip ×
-    window) useful work.  The single-use chain proves the buffer is
-    uniquely owned along the whole carried orbit, so the body may write
-    in place (``view + copy_``) and return the param itself; the
-    interpreter then threads one buffer through every iteration.  Runs
-    *before* fusion so the fuser sees the mutation as a barrier instead
-    of absorbing the clone into a kernel; returns the number of Assigns
-    reverted."""
-    protected = _protected_values(graph)
-    count = 0
-    for loop in list(_revertible_nodes(graph.block)):
-        if loop.op != "prim::Loop" or loop.attrs.get("horizontal"):
-            continue
-        body = loop.blocks[0]
-        for k in range(len(loop.outputs)):
-            init = loop.input(2 + k)
-            param = body.params[1 + k]
-            ret = body.returns[1 + k]
-            if id(init) in protected or id(param) in protected:
-                continue
-            if not _owned_init(init, loop):
-                continue
-            chain = _assign_chain(param, ret)
-            if chain is None:
-                continue
-            forbidden = {id(param), id(init)}
-            forbidden.update(id(a.output()) for a in chain)
-            if any(id(view_root(a.input(1), eager_alias)) in forbidden
-                   for a in chain):
-                continue  # the written window would read itself
-            for a in chain:
-                base = a.input(0)
-                view_op = ASSIGN_TO_VIEW[a.op]
-                if view_op is None:
-                    target = base
-                else:
-                    view = graph.create(view_op,
-                                        [base] + list(a.inputs[2:]),
-                                        ["rv"], [T.TensorType()])
-                    body.insert_before(a, view)
-                    target = view.output()
-                store = graph.create("aten::copy_", [target, a.input(1)],
-                                     [base.name.split(".")[0]],
-                                     [T.TensorType()])
-                body.insert_before(a, store)
-                a.output().replace_all_uses_with(base)
-                a.destroy()
-                count += 1
-    return count
+    """No-op, kept only because the benchmark's hand-staged compile
+    (``bench/layers.py``) imports it by name to time its
+    ``passes.revert_carried_ms`` layer; delete it when that layer is
+    retired.  A loop-carried Assign now reaches the in-place store the
+    one other way every Assign does: fusion gives it a kernel, and the
+    memory plan donates the carried buffer to that kernel's store."""
+    return 0
 
 
 def revert_unfused_assigns(graph: Graph) -> int:

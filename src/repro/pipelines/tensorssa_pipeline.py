@@ -21,7 +21,7 @@ from ..memplan import get_or_build_plan
 from ..obs import trace as obs_trace
 from ..passes import (FuserConfig, PassManager, canonicalize, constant_fold,
                       cse, dce, fuse, parallelize_loops)
-from ..passes.revert import revert_carried_assigns, revert_unfused_assigns
+from ..passes.revert import revert_unfused_assigns
 from ..tensorssa import convert_to_tensorssa
 from .base import Compiled, Pipeline, count_graph_stats, graph_runner
 
@@ -67,11 +67,8 @@ class TensorSSAPipeline(Pipeline):
 
         with obs_trace.span("pipeline:compile", cat="compile",
                             pipeline=self.name, grad=True):
-            scripted = script(model_fn)
-            graph = clone_graph(scripted.graph, name=f"{self.name}_fwd")
-            with obs_trace.span("tensorssa:convert", cat="compile"):
-                report = convert_to_tensorssa(
-                    graph, intra_block_only=self.intra_block_only)
+            graph, converted = self._functionalize(model_fn,
+                                                   f"{self.name}_fwd")
             (PassManager()
              .add("dce", dce)
              .add("cse", cse)
@@ -84,26 +81,29 @@ class TensorSSAPipeline(Pipeline):
                 verify(bwd)
             reference = clone_graph(bwd, name=f"{self.name}_grad_ref")
             stats, plan = self._optimize(bwd)
-            stats["functionalized"] = report.num_rewritten
-            stats["skipped_mutations"] = len(report.skipped)
-            stats["skip_reasons"] = report.skipped
-
+            stats.update(converted)
             stats["grad_reference"] = graph_runner(reference)
             return Compiled(pipeline=self.name, fn=graph_runner(bwd, plan),
                             graph=bwd, stats=stats)
 
     def _compile(self, model_fn: Callable, example_args=None) -> Compiled:
-        scripted = script(model_fn)
-        graph = clone_graph(scripted.graph, name=self.name)
+        graph, converted = self._functionalize(model_fn, self.name)
+        stats, plan = self._optimize(graph)
+        stats.update(converted)
+        return Compiled(pipeline=self.name, fn=graph_runner(graph, plan),
+                        graph=graph, stats=stats)
+
+    def _functionalize(self, model_fn: Callable, name: str):
+        """The shared head: script ``model_fn`` into a fresh graph
+        called ``name`` and convert it to TensorSSA.  Returns the graph
+        and the conversion's three stats."""
+        graph = clone_graph(script(model_fn).graph, name=name)
         with obs_trace.span("tensorssa:convert", cat="compile"):
             report = convert_to_tensorssa(
                 graph, intra_block_only=self.intra_block_only)
-        stats, plan = self._optimize(graph)
-        stats["functionalized"] = report.num_rewritten
-        stats["skipped_mutations"] = len(report.skipped)
-        stats["skip_reasons"] = report.skipped
-        return Compiled(pipeline=self.name, fn=graph_runner(graph, plan),
-                        graph=graph, stats=stats)
+        return graph, {"functionalized": report.num_rewritten,
+                       "skipped_mutations": len(report.skipped),
+                       "skip_reasons": report.skipped}
 
     def _optimize(self, graph):
         """The shared optimize-and-plan tail: cleanup passes,
@@ -116,11 +116,6 @@ class TensorSSAPipeline(Pipeline):
               .add("canonicalize", canonicalize))
         if self.horizontal:
             pm.add("parallelize", parallelize_loops)
-        if self.revert_unfused:
-            # before fusion: an in-place carried write must be a fusion
-            # barrier, not a clone absorbed into a kernel (paper S3.2's
-            # "either fused or converted back" — loops pick the latter)
-            pm.add("revert_carried", revert_carried_assigns)
         if self.vertical:
             pm.add("fuse", lambda g: fuse(
                 g, FuserConfig(name="tensorssa", fuse_views=True)))

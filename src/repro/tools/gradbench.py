@@ -33,7 +33,7 @@ from .drive import common_args, write_report
 
 #: workloads with meaningful training loops (the paper's module-level
 #: benchmarks; the CV detectors are inference-only post-processing)
-DEFAULT_WORKLOADS = ["lstm", "attention"]
+DEFAULT_WORKLOADS = ["lstm", "attention", "nasrnn"]
 
 #: grad-check accuracy gate (max relative error vs central FD)
 CHECK_GATE = 1e-4

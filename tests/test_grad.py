@@ -14,6 +14,7 @@ Every analytic gradient is validated against central finite differences
 at float64 through :func:`repro.grad.check.gradcheck`.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -602,6 +603,96 @@ class TestLeanReverseLoop:
                   and r.node.op == "immut::select_assign"
                   and r.node.input(0) in slots]
         assert [s.input(0) for s in stores] == slots[:1]
+
+
+@functools.lru_cache(maxsize=None)
+def _warm_backward(name):
+    """``name``'s backward at ``grad_rnn``'s shape (4, 32), called once
+    so its kernels are compiled, and the launches of a second call."""
+    wl = get_workload(name)
+    args = wl.make_inputs(batch_size=4, seq_len=32, seed=0)
+    compiled = get_pipeline("tensorssa").compile_grad(
+        wl.model_fn, example_args=args)
+    compiled(*clone_args(args))
+    with rt.profile() as prof:
+        compiled(*clone_args(args))
+    return compiled, prof.num_launches
+
+
+class TestCarriedStores:
+    """A loop-carried Assign goes in place one way: a fusion kernel
+    stores into the carried buffer the memory plan donated to it.  No
+    pass turns the backward's stash writes into ``copy_``, so view
+    fusion stays on in the forward-with-stash loop, and a stash write
+    with nothing to fuse with still gets a kernel of its own."""
+
+    @pytest.mark.parametrize("name", ["lstm", "nasrnn"])
+    def test_backward_has_no_copy_and_few_launches(self, name):
+        """717 (lstm) and 810 (nasrnn) launches per call when the stash
+        writes were ``copy_``s; 461 and 458 now."""
+        compiled, launches = _warm_backward(name)
+        assert not compiled.graph.nodes_of("aten::copy_")
+        assert launches <= 470
+
+    def test_lstm_stash_writes_are_donated_kernel_stores(self):
+        from repro.tools.inspect import kernel_assigns
+
+        compiled, _ = _warm_backward("lstm")
+        forward = _top_loops(compiled.graph)[0]
+        body = forward.blocks[0]
+        stashes = [body.params[k - 1]
+                   for k, v in enumerate(forward.inputs)
+                   if k >= 2 and v.node is not None
+                   and v.node.op == "grad::stash_init"]
+        assert len(stashes) == 3
+        index = {id(n): i for i, n in enumerate(compiled.graph.walk())}
+        rows = {r["node"]: r for r in kernel_assigns(compiled.graph)}
+        for stash in stashes:
+            [use] = stash.uses
+            group = use.user
+            assert group.op == "prim::FusionGroup"
+            row = rows[index[id(group)]]
+            assert use.index in row["donated"]
+            assert row["copies"] == []
+
+    @staticmethod
+    def _for(x, w, n: int):
+        h = x[0].clone()
+        for i in range(n):
+            h = (h @ w).tanh() + x[i]
+        return h.sum()
+
+    @staticmethod
+    def _while(x, w, n: int):
+        h = x[0].clone()
+        i = 0
+        while i < n:
+            h = (h @ w).tanh() + x[i]
+            i += 1
+        return h.sum()
+
+    @pytest.mark.parametrize("fn, peak", [("_for", 1_368_068),
+                                          ("_while", 1_376_660)])
+    def test_lone_stash_write_stores_in_place(self, fn, peak):
+        """The stash write of ``h`` has nothing to fuse with.  As a
+        lone eager ``immut::select_assign`` it would clone the whole
+        (48, 8, 256) stash every trip (the ``for`` loop's peak read
+        1,499,140 B so); as a kernel of its own it stores in place.
+        The ``copy_`` stash writes read 1,368,068 and 1,377,044 B."""
+        rng = np.random.default_rng(52)
+        x = rt.from_numpy(rng.standard_normal((48, 8, 256))
+                          .astype(np.float32))
+        w = rt.from_numpy((rng.standard_normal((256, 256)) * 0.05)
+                          .astype(np.float32))
+        compiled = get_pipeline("tensorssa").compile_grad(getattr(self, fn))
+        for n in (0, 1, 48):
+            got = rt.as_tuple(compiled(x.clone(), w.clone(), n))
+            want = rt.as_tuple(compiled.stats["grad_reference"](x, w, n))
+            assert rt.bit_exact(got, want)
+        args = (x.clone(), w.clone(), 48)
+        with rt.profile() as prof:
+            compiled(*args)
+        assert prof.peak_bytes == peak
 
 
 # -- end-to-end: workloads, optimization, harness ----------------------------

@@ -144,6 +144,33 @@ class TestStrictMode:
         with pytest.raises(VerificationError, match="locally-owned"):
             verify_mutations(g, strict=True)
 
+    def test_in_place_write_of_carried_param_fails_strict(self):
+        """A loop body that ``copy_``s into its carried param and hands
+        the param itself to the next trip, seeded by a loop-local clone
+        only the loop reads: a loop-carried write goes in place only as
+        a fusion kernel's store into a donated buffer, never as an IR
+        mutation."""
+        g, x = _graph_with_input()
+        n = g.add_input("n", T.IntType())
+        true = g.constant(True)
+        g.block.append(true)
+        clone = g.create("aten::clone", [x], ["y"], [T.TensorType()])
+        g.block.append(clone)
+        loop = g.create("prim::Loop", [n, true.output(), clone.output()])
+        g.block.append(loop)
+        body = loop.add_block()
+        body.add_param("i", T.IntType())
+        carried = body.add_param("y", T.TensorType())
+        store = g.create("aten::copy_", [carried, x], ["w"],
+                         [T.TensorType()])
+        body.append(store)
+        body.add_return(true.output())
+        body.add_return(carried)
+        g.add_output(loop.add_output("y", T.TensorType()))
+        verify_mutations(g)  # lenient is satisfied
+        with pytest.raises(VerificationError, match="locally-owned"):
+            verify_mutations(g, strict=True)
+
 
 class TestPipelineIntegration:
     def test_fully_functionalized_graph_survives_strict(self):

@@ -110,8 +110,7 @@ class TestStats:
 
 class TestPassMetrics:
     TENSORSSA_PASSES = ["dce", "cse", "constant_fold", "canonicalize",
-                        "parallelize", "revert_carried", "fuse", "revert",
-                        "dce2"]
+                        "parallelize", "fuse", "revert", "dce2"]
 
     def test_tensorssa_pass_metrics(self):
         compiled = TensorSSAPipeline().compile(toy_model)
@@ -136,7 +135,7 @@ class TestPassMetrics:
         assert metric.nodes_before >= metric.nodes_after
 
     def test_forward_compile_verifies_after_every_pass(self, monkeypatch):
-        # the script, each of the nine passes, and the finished graph
+        # the script, each of the eight passes, and the finished graph
         import repro.ir.verifier as verifier
         real = verifier._verify_block
         tops = []
@@ -147,7 +146,7 @@ class TestPassMetrics:
             return real(block, *rest)
         monkeypatch.setattr(verifier, "_verify_block", counting)
         TensorSSAPipeline().compile(toy_model)
-        assert len(tops) == 11
+        assert len(tops) == 10
 
     def test_networkx_is_not_imported(self):
         # importing the package and compiling every workload must not
