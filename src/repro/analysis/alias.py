@@ -34,8 +34,7 @@ CONTAINER = "container"
 
 _CONTAINER_OPS = {"prim::ListConstruct", "prim::TupleConstruct",
                   "prim::ListIndex", "prim::TupleUnpack", "aten::append"}
-_CONTROL_OPS = {"prim::If", "prim::Loop", "prim::FusionGroup",
-                "prim::ParallelMap"}
+_CONTROL_OPS = {"prim::If", "prim::Loop", "prim::FusionGroup"}
 
 
 @dataclass

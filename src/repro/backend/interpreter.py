@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..ir.graph import Block, Graph, Node, Value
+from ..ir.graph import (Block, Graph, Node, Value, kernel_captures,
+                        runs_as_kernel)
 from ..ops import registry
 from ..runtime import profiler
 
@@ -70,10 +71,9 @@ def run_node(node: Node, env: Env) -> None:
         max_trip = int(_read(env, node.input(0)))
         cond = bool(_read(env, node.input(1)))
         carried = [_read(env, v) for v in node.inputs[2:]]
-        if node.attrs.get("horizontal"):
-            from ..ir.graph import free_values
+        if runs_as_kernel(node):
             from .fusion_runtime import run_horizontal_loop
-            captures = [_read(env, v) for v in free_values(node.blocks[0])]
+            captures = [_read(env, v) for v in kernel_captures(node)]
             results = run_horizontal_loop(node, max_trip, cond, carried,
                                           captures)
             for out, val in zip(node.outputs, results):
@@ -97,14 +97,6 @@ def run_node(node: Node, env: Env) -> None:
     if op == "prim::FusionGroup":
         from .fusion_runtime import execute_group
         results = execute_group(node, [_read(env, v) for v in node.inputs])
-        for out, res in zip(node.outputs, results):
-            env[id(out)] = res
-        return
-
-    if op == "prim::ParallelMap":
-        from .fusion_runtime import run_parallel_map
-        results = run_parallel_map(node, [_read(env, v)
-                                          for v in node.inputs])
         for out, res in zip(node.outputs, results):
             env[id(out)] = res
         return

@@ -10,7 +10,7 @@ that lookup, ``{name: schema.kernel}``.
 kernels: it runs once per launch, *before* any member op computes, so
 an injected :class:`~repro.errors.KernelError` models the launch
 itself failing (no partial group output exists).  Eager/interpreted
-launches check the same site in ``runtime/profiler.record_launch``.
+launches check the same site in ``runtime/tensor.record_op``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Sequence, Set
 
 from ..errors import CompileError
 from ..faults import SITE_FUSION_COMPILE, maybe_inject
-from ..ir.graph import Block, Graph, Value, free_values
+from ..ir.graph import Block, Graph, Value, kernel_captures, runs_as_kernel
 from ..obs import trace as obs_trace
 from ..ops import registry
 from ..runtime import profiler
@@ -29,8 +29,6 @@ from .interpreter import InterpreterError
 
 #: one lowering per plan: compiled artifacts are shared by serving threads
 _lower_lock = threading.Lock()
-_KERNEL_ENTRY = {"prim::FusionGroup": "execute_group",
-                 "prim::ParallelMap": "run_parallel_map"}
 
 
 def _free(pool: MemoryPool, released: Set[int], keep: Sequence[object],
@@ -138,11 +136,15 @@ class _Lowering:
                     self.block(branch, depth + 1)
                     assign(outs, _seq([self.name(r) for r in branch.returns])
                            or "pass", 1)
-            elif op == "prim::Loop" and node.attrs.get("horizontal"):
-                caps = [self.name(v) for v in free_values(node.blocks[0])]
-                assign(outs, f"_fr.run_horizontal_loop({self.capture(node)}, "
-                       f"int({ins[0]}), bool({ins[1]}), [{_seq(ins[2:])}], "
-                       f"[{_seq(caps)}])")
+            elif runs_as_kernel(node):
+                kernel = self.capture(node)
+                if op == "prim::FusionGroup":
+                    assign(outs, f"_fr.execute_group({kernel}, [{_seq(ins)}])")
+                else:
+                    caps = [self.name(v) for v in kernel_captures(node)]
+                    assign(outs, f"_fr.run_horizontal_loop({kernel}, "
+                           f"int({ins[0]}), bool({ins[1]}), "
+                           f"[{_seq(ins[2:])}], [{_seq(caps)}])")
             elif op == "prim::Loop":
                 body = node.blocks[0]
                 index, *carried = [self.name(p) for p in body.params]
@@ -162,9 +164,6 @@ class _Lowering:
                          f"({_seq(rotating)}))", 1)
                 assign(carried + [index], _seq(nxt[1:] + [f"{index} + 1"]), 1)
                 assign(outs, _seq(carried) or "pass")
-            elif op in _KERNEL_ENTRY:
-                assign(outs, f"_fr.{_KERNEL_ENTRY[op]}({self.capture(node)},"
-                       f" [{_seq(ins)}])")
             elif op == "prim::TupleUnpack":
                 assign(outs, f"_unpack({ins[0]}, {len(outs)}, {op!r})")
             elif (schema := registry.get(op)).fn is None:

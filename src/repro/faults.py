@@ -8,9 +8,9 @@ the runtime consults it at seven injection sites:
 ========================  ====================================================
 site                      checked in
 ========================  ====================================================
-``kernel_launch``         ``runtime/profiler.record_launch`` (interpreted and
-                          eager launches) and ``backend/kernels.pre_launch``
-                          (compiled fused kernels, horizontal loops, maps)
+``kernel_launch``         ``runtime/tensor.record_op`` (eager and
+                          interpreted ops) and ``backend/kernels.pre_launch``
+                          (compiled kernels: fusion groups, horizontal loops)
 ``alloc``                 ``runtime/storage.MemoryPool.allocate``
 ``fusion_compile``        ``backend/fusion_runtime._node_kernel``
 ``pass``                  ``passes/pass_manager.PassManager.run``

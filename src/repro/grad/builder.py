@@ -54,7 +54,8 @@ from ..errors import GradError
 from ..ir import types as T
 from ..ir.clone import clone_graph, clone_region
 from ..ir.graph import (NOT_CONSTANT, Block, Graph, Node, Value,
-                        constant_value, free_values, is_for_loop)
+                        constant_value, free_values, is_for_loop,
+                        runs_as_kernel)
 from ..ops import registry
 from ..ops.schema import OpKind
 
@@ -64,11 +65,6 @@ __all__ = ["GradBuilder", "grad", "const_value"]
 _STRUCTURAL = {"prim::Constant", "prim::ListConstruct",
                "prim::TupleConstruct", "prim::TupleUnpack", "prim::If",
                "prim::Loop", "tssa::update"}
-
-#: graph shapes grad() refuses outright — differentiation runs on the
-#: *functionalized, unfused* TensorSSA form only
-_UNSUPPORTED = {"prim::FusionGroup", "prim::ParallelMap"}
-
 
 def const_value(v: Value, what: str):
     """The compile-time Python value behind ``v``.
@@ -174,9 +170,6 @@ def _backprop(builder: GradBuilder, nodes: Sequence[Node],
     input adjoints into ``adjoints`` (keyed by ``id(Value)``)."""
     for node in reversed(list(nodes)):
         op = node.op
-        if op in _UNSUPPORTED:
-            raise GradError(f"cannot differentiate through {op}: grad() "
-                            "must run before fusion/parallelization")
         if op == "prim::If":
             _if_adjoint(builder, node, adjoints)
             continue
@@ -637,7 +630,7 @@ def _loop_adjoint(builder: GradBuilder, node: Node,
 
 def _check_supported(graph: Graph) -> None:
     for node in graph.walk():
-        if node.op in _UNSUPPORTED:
+        if runs_as_kernel(node):
             raise GradError(f"cannot differentiate through {node.op}: "
                             "run grad() on the pre-fusion TensorSSA form")
         if node.kind is OpKind.MUTATING:

@@ -13,13 +13,18 @@ Conventions
                      ``(next_cond, *carried)``; node outputs ``(*carried)``.
 ``prim::If``         inputs ``(cond,)``; two param-less blocks whose
                      returns match the node outputs.
-``prim::FusionGroup``/``prim::ParallelMap``
+``prim::FusionGroup``
                      inputs are the captured values; one block whose
                      params mirror the inputs and whose returns mirror
-                     the node outputs (ParallelMap adds a leading index
-                     param and a leading trip-count input).
-``prim::Constant``   payload stored in ``node.attrs["value"]`` — the
-                     only attribute-carrying op.
+                     the node outputs.
+``prim::Constant``   payload stored in ``node.attrs["value"]``.
+
+Two node forms run as one compiled kernel (paper §4.2): a
+``prim::FusionGroup`` and a ``prim::Loop`` the parallelization pass
+marked ``horizontal``.  :func:`runs_as_kernel` is the one place that
+says so, and :func:`kernel_captures` names what such a body reads from
+outside its params; every consumer (interpreter, lowering, liveness,
+revert, artifact codec, gradient) asks them rather than the attribute.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from ..ops.schema import OpKind, OpSchema
 from . import types as T
 
 __all__ = ["Graph", "Block", "Node", "Value", "Use", "bulk_destroy",
-           "free_values", "constant_value", "NOT_CONSTANT", "is_for_loop"]
+           "free_values", "constant_value", "NOT_CONSTANT", "is_for_loop",
+           "runs_as_kernel", "kernel_captures"]
 
 
 class Use:
@@ -324,9 +330,9 @@ class Block:
 def free_values(block: "Block", deep: bool = False) -> List["Value"]:
     """Values the block references but does not define, in first-use
     order.  Derived on demand wherever horizontal-loop captures are
-    needed (compilation, interpretation, liveness, revert protection):
-    a snapshot stored in ``attrs`` would go stale as soon as a later
-    pass rewrote a captured value (fusion, CSE) or the graph was cloned.
+    needed (:func:`kernel_captures`): a snapshot stored in ``attrs``
+    would go stale as soon as a later pass rewrote a captured value
+    (fusion, CSE) or the graph was cloned.
 
     Shallow by default: a nested block's captures stay free *inside*
     that block.  ``deep`` counts the references of nested blocks too
@@ -387,6 +393,25 @@ def is_for_loop(loop: Node) -> bool:
     ``max_trip`` trips?"""
     return constant_value(loop.input(1)) is True and \
         constant_value(loop.blocks[0].returns[0]) is True
+
+
+def runs_as_kernel(node: Node) -> bool:
+    """Does ``node`` execute as one compiled kernel — a
+    ``prim::FusionGroup``, or a ``prim::Loop`` marked ``horizontal``?
+    Its body's values then live only inside the kernel: the interpreter
+    never binds them and the memory plan never sees them."""
+    return node.op == "prim::FusionGroup" or (
+        node.op == "prim::Loop" and bool(node.attrs.get("horizontal")))
+
+
+def kernel_captures(node: Node) -> List[Value]:
+    """The values kernel ``node``'s body reads from enclosing scopes, in
+    the order its kernel takes them after the loop state: a horizontal
+    loop's body :func:`free_values`.  A fusion group captures none (its
+    params mirror its inputs), nor does a node that is no kernel."""
+    if node.op != "prim::Loop" or not runs_as_kernel(node):
+        return []
+    return free_values(node.blocks[0])
 
 
 def bulk_destroy(nodes: Sequence["Node"]) -> None:

@@ -121,16 +121,6 @@ def _verify_conventions(node: Node) -> None:
             _fail("FusionGroup params must mirror node inputs")
         if len(body.returns) != len(node.outputs):
             _fail("FusionGroup returns must mirror node outputs")
-    elif node.op == "prim::ParallelMap":
-        if len(node.blocks) != 1:
-            _fail("prim::ParallelMap must own exactly one block")
-        body = node.blocks[0]
-        if len(body.params) != len(node.inputs):
-            # (index, *captures) vs (trip_count, *captures)
-            _fail("ParallelMap params must be (i, *captures) matching "
-                  "(trip_count, *captures) inputs")
-        if len(body.returns) != len(node.outputs):
-            _fail("ParallelMap returns must mirror node outputs")
     elif node.op == "prim::Constant":
         if "value" not in node.attrs:
             _fail("prim::Constant without a value attribute")

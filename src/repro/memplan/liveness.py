@@ -12,9 +12,11 @@ memory planner.  Three structural facts drive the analysis:
 * **Control flow.** A value defined in block ``B`` but used inside a
   nested ``prim::If``/``prim::Loop`` body must survive the *entire*
   control node (a loop body may re-execute), so nested uses project to
-  the enclosing control node at ``B``'s level.  ``prim::FusionGroup`` /
-  ``prim::ParallelMap`` bodies are kernel-internal: their values never
-  reach the interpreter environment and are skipped entirely.
+  the enclosing control node at ``B``'s level.  The bodies of nodes
+  that run as one kernel (``ir.graph.runs_as_kernel``: a fusion group
+  or a horizontal loop) are kernel-internal: their values never reach
+  the interpreter environment, get no class and are never released;
+  a horizontal loop's body captures count as reads by the loop.
 
 * **Loop back-edges.** A value produced inside a loop body and threaded
   to the next iteration through a carried slot is written fresh every
@@ -41,15 +43,12 @@ from ..analysis.alias import AliasGraph
 from ..analysis.dominance import enclosing_node_in_block
 from ..analysis.ownership import plan_outs, plan_stores, returned_params
 from ..ir import types as T
-from ..ir.graph import Block, Graph, Node, Use, Value
+from ..ir.graph import (Block, Graph, Node, Use, Value, kernel_captures,
+                        runs_as_kernel)
 from ..ops.schema import OpKind
 
 __all__ = ["LifetimeClass", "Liveness", "compute_liveness", "kernel_input"]
 
-#: control ops whose bodies the interpreter executes node-by-node
-_INTERPRETED_BLOCKS = ("prim::If", "prim::Loop")
-#: ops whose outputs are freshly-allocated storages at runtime
-_FRESH_KERNEL_OPS = ("prim::FusionGroup", "prim::ParallelMap")
 #: ops that put a tensor into a container (an alias no class follows)
 _CONTAINER_PUTS = ("prim::ListConstruct", "prim::TupleConstruct",
                    "aten::append")
@@ -119,24 +118,12 @@ class Liveness:
 def _interpreted_values(graph: Graph) -> List[Value]:
     """Every tensor value the interpreter may bind: graph inputs, block
     params, and node outputs — excluding kernel-internal bodies."""
-    out: List[Value] = []
-
-    def visit(block: Block) -> None:
-        for p in block.params:
-            if _is_tensor(p):
-                out.append(p)
-        for node in block.nodes:
-            for o in node.outputs:
-                if _is_tensor(o):
-                    out.append(o)
-            if node.op in _INTERPRETED_BLOCKS:
-                for b in node.blocks:
-                    visit(b)
-
-    for p in graph.inputs:
-        if _is_tensor(p):
-            out.append(p)
-    visit(graph.block)
+    out = [p for p in graph.inputs if _is_tensor(p)]
+    for node in _interpreted_nodes(graph.block):
+        out.extend(o for o in node.outputs if _is_tensor(o))
+        if not runs_as_kernel(node):
+            out.extend(p for b in node.blocks for p in b.params
+                       if _is_tensor(p))
     return out
 
 
@@ -145,7 +132,7 @@ def _interpreted_nodes(block: Block):
     included (kernel bodies are not)."""
     for node in block.nodes:
         yield node
-        if node.op == "prim::If" or _is_interpreted_loop(node):
+        if not runs_as_kernel(node):
             for b in node.blocks:
                 yield from _interpreted_nodes(b)
 
@@ -153,12 +140,9 @@ def _interpreted_nodes(block: Block):
 def _capture_uses(graph: Graph) -> Dict[int, List[Node]]:
     """id(value) -> horizontal loop nodes reading it as a body capture
     (those reads happen outside the use lists)."""
-    from ..ir.graph import free_values
     out: Dict[int, List[Node]] = {}
-    for node in graph.walk():
-        if not node.attrs.get("horizontal") or not node.blocks:
-            continue
-        for v in free_values(node.blocks[0]):
+    for node in _interpreted_nodes(graph.block):
+        for v in kernel_captures(node):
             out.setdefault(id(v), []).append(node)
     return out
 
@@ -192,7 +176,7 @@ def compute_liveness(graph: Graph,
     # -- 3. donations: dying inputs a kernel writes in place ------------
     donations = _Donations(live, captures, positions)
     for node in _interpreted_nodes(graph.block):
-        if node.op == "prim::FusionGroup" or _is_hloop(node):
+        if runs_as_kernel(node):
             donations.plan(node)
 
     # -- 4. release schedule indices ------------------------------------
@@ -204,8 +188,8 @@ def compute_liveness(graph: Graph,
         table.setdefault(id(cls.release_node), []).append(cls)
 
     # -- 5. rotating loop-carried slots ---------------------------------
-    for node in graph.walk():
-        if node.op != "prim::Loop" or node.attrs.get("horizontal"):
+    for node in _interpreted_nodes(graph.block):
+        if not _is_interpreted_loop(node):
             continue
         slots = _rotating_slots(node, live)
         if slots:
@@ -218,12 +202,11 @@ def _fresh_storage_origin(origin: Value) -> bool:
     if origin.is_param or origin.node is None:
         return False
     node = origin.node
-    if node.op in _FRESH_KERNEL_OPS:
-        return True  # fusion/map outputs are materialized copies
-    if node.op == "prim::Loop" and node.attrs.get("horizontal"):
-        # the horizontal executor wraps its final state into fresh
-        # storages even on zero trips, unlike the interpreted loop
-        # whose outputs pass carried-in storage through
+    if runs_as_kernel(node):
+        # a kernel's outputs are materialized copies: the horizontal
+        # executor wraps its final state into fresh storages even on
+        # zero trips, unlike the interpreted loop whose outputs pass
+        # carried-in storage through
         return True
     return node.kind is OpKind.PURE
 
@@ -256,10 +239,6 @@ def _judge_and_schedule(cls: LifetimeClass, live: Liveness,
                     f"({origin.node.op if origin.node else '?'})")
 
     home = origin.defining_block()
-    if home.owning_node is not None and \
-            home.owning_node.op not in _INTERPRETED_BLOCKS:
-        return fail("kernel-internal (fusion/parallel-map body)")
-
     pos_of = _block_positions(home, positions)
     def_pos = pos_of.get(id(origin.node))
     if def_pos is None:
@@ -306,8 +285,7 @@ def _last_use(values: List[Value], home: Block, pos_of: Dict[int, int],
             # cannot — a zero-trip run passes carried storage through to
             # its outputs, which a pre-release could not protect
             reads_once = direct and (
-                not anchor.blocks or anchor.op in _FRESH_KERNEL_OPS or
-                _is_hloop(anchor))
+                not anchor.blocks or runs_as_kernel(anchor))
             if pos > last_pos:
                 last_pos, last_node = pos, anchor
                 donation_ok = reads_once
@@ -331,13 +309,9 @@ def kernel_input(node: Node, arg: int) -> Value:
     return node.input(arg + 1 if node.op == "prim::Loop" else arg)
 
 
-def _is_hloop(node: Node) -> bool:
-    return node.op == "prim::Loop" and bool(node.attrs.get("horizontal"))
-
-
 def _is_interpreted_loop(node) -> bool:
     return isinstance(node, Node) and node.op == "prim::Loop" \
-        and not node.attrs.get("horizontal")
+        and not runs_as_kernel(node)
 
 
 def _flows(value: Value) -> List[Use]:
@@ -376,9 +350,9 @@ class _Donations:
         body = node.blocks[0]
         donated: List[int] = []
         kept: Dict[int, str] = {}
-        stores = plan_stores(list(body.nodes), body, _is_hloop(node))
-        outs = {} if _is_hloop(node) else \
-            plan_outs(list(body.nodes), body, stores)
+        carried = node.op == "prim::Loop"
+        stores = plan_stores(list(body.nodes), body, carried)
+        outs = {} if carried else plan_outs(list(body.nodes), body, stores)
         returned = returned_params(stores, body, outs)
         for arg in sorted((*stores.stored, *outs)):
             why = self.refusal(node, kernel_input(node, arg))

@@ -213,7 +213,6 @@ register(OpSchema("prim::Constant", OpKind.CONSTANT, None,
 register(OpSchema("prim::If", OpKind.CONTROL, None, num_outputs=0))
 register(OpSchema("prim::Loop", OpKind.CONTROL, None, num_outputs=0))
 register(OpSchema("prim::FusionGroup", OpKind.CONTROL, None, num_outputs=0))
-register(OpSchema("prim::ParallelMap", OpKind.CONTROL, None, num_outputs=0))
 register(OpSchema("prim::ListConstruct", OpKind.CONTAINER,
                   lambda *xs: list(xs), result_types=("List",)))
 register(OpSchema("prim::TupleConstruct", OpKind.CONTAINER,

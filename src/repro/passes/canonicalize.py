@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.graph import (NOT_CONSTANT, Block, Graph, Node, Value,
-                        constant_value)
+                        constant_value, runs_as_kernel)
 from ..ops.schema import OpKind
 from .fusion import is_epilogue_copy
 
@@ -161,7 +161,7 @@ def _canon_block(block: Block, graph: Graph, pure: bool) -> bool:
         if node.op == "prim::If":
             changed |= _fold_constant_if(node)
             continue
-        if node.op == "prim::Loop" and not node.attrs.get("horizontal"):
+        if node.op == "prim::Loop" and not runs_as_kernel(node):
             changed |= _fold_dead_loop(node)
             continue
         if not pure:

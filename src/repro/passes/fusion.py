@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from ..analysis.ownership import is_window_assign
-from ..ir.graph import Block, Graph, Node, Value, constant_value
+from ..ir.graph import (Block, Graph, Node, Value, constant_value,
+                        runs_as_kernel)
 from ..ops import registry
 from ..ops.schema import OpKind
 
@@ -250,8 +251,8 @@ def _effective_config(block: Block, config: FuserConfig) -> FuserConfig:
 def _fuse_block(block: Block, config: FuserConfig, graph: Graph) -> int:
     count = 0
     for node in list(block.nodes):
-        if node.attrs.get("horizontal"):
-            continue  # the whole loop already runs as one mapped kernel
+        if runs_as_kernel(node):
+            continue  # already one kernel
         for inner in node.blocks:
             count += _fuse_block(inner, config, graph)
     for group in reversed(_collect_groups(block,

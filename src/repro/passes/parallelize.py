@@ -34,7 +34,7 @@ TensorIR's block isolation):
 Every rule reproduces the per-trip bits (DESIGN.md §19); a loop that
 keeps trips is marked ``horizontal`` and runs its body kernel once per
 trip (``backend/fusion_runtime.py``), captures derived from the body on
-demand (:func:`repro.ir.graph.free_values`).  What happened to each
+demand (:func:`repro.ir.graph.kernel_captures`).  What happened to each
 loop is recorded on ``graph.loop_outcomes`` for ``tools/inspect``.
 
 Must run *after* TensorSSA conversion (a body containing mutation is
@@ -49,7 +49,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from ..backend.kernels import OP_IMPLS
 from ..ir import types as T
 from ..ir.graph import (Block, Graph, Node, Value, bulk_destroy,
-                        constant_value, is_for_loop)
+                        constant_value, is_for_loop, runs_as_kernel)
 from ..runtime.kernels import BATCH
 
 
@@ -436,7 +436,7 @@ def _parallelize_block(graph: Graph, block: Block,
     for node in list(block.nodes):
         for inner in node.blocks:
             count += _parallelize_block(graph, inner, outcomes)
-        if node.op != "prim::Loop" or node.attrs.get("horizontal") \
+        if node.op != "prim::Loop" or runs_as_kernel(node) \
                 or not _is_compilable_body(node.blocks[0]):
             continue
         name = node.outputs[0].name if node.outputs else "loop"
@@ -450,8 +450,10 @@ def _parallelize_block(graph: Graph, block: Block,
         if built:
             _strip_mine(graph, node, trips, built, readbacks)
         # captures are NOT snapshotted here: every consumer derives
-        # them from the body via ir.graph.free_values, so later passes
-        # may freely rewrite captured values without desynchronizing
+        # them from the body via ir.graph.kernel_captures, so later
+        # passes may freely rewrite captured values without
+        # desynchronizing; the one place that reads the mark is
+        # ir.graph.runs_as_kernel
         node.attrs["horizontal"] = True
         outcomes.append(LoopOutcome(
             name, "fissioned" if hoisted else "per trip", hoisted))

@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..analysis.ownership import (ASSIGN_TO_VIEW, buffer_owner, eager_alias,
                                   later_reader)
 from ..ir import types as T
-from ..ir.graph import Graph
+from ..ir.graph import Graph, kernel_captures, runs_as_kernel
 from ..ops import registry
 
 
@@ -37,26 +37,11 @@ def _reverted_view(assign_op: str):
     return view
 
 
-def _protected_values(graph: Graph) -> set:
-    """Values horizontal loops capture from their bodies' free values:
-    their producers must stay alive under their original identity."""
-    from ..ir.graph import free_values
-    protected = set()
-    for node in graph.walk():
-        if not node.attrs.get("horizontal") or not node.blocks:
-            continue
-        for v in free_values(node.blocks[0]):
-            protected.add(id(v))
-    return protected
-
-
 def _revertible_nodes(block):
-    """Walk nodes outside compiled regions: fusion-group bodies and
-    horizontal loop bodies execute as kernels and must stay pure."""
+    """Walk nodes outside compiled regions: kernel bodies must stay
+    pure."""
     for node in block.nodes:
-        if node.op == "prim::FusionGroup":
-            continue
-        if node.op == "prim::Loop" and node.attrs.get("horizontal"):
+        if runs_as_kernel(node):
             continue
         yield node
         for inner in node.blocks:
@@ -76,7 +61,9 @@ def revert_carried_assigns(graph: Graph) -> int:
 def revert_unfused_assigns(graph: Graph) -> int:
     """Rewrite single-consumer Assigns into in-place mutation; returns
     how many were reverted."""
-    protected = _protected_values(graph)
+    # a kernel's captures must stay alive under their original identity
+    protected = {id(v) for node in graph.walk()
+                 for v in kernel_captures(node)}
     count = 0
     for node in list(_revertible_nodes(graph.block)):
         view_op = _reverted_view(node.op)

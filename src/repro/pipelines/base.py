@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..backend.interpreter import run_graph
-from ..ir.graph import Graph
+from ..ir.graph import Graph, runs_as_kernel
 
 
 @dataclass
@@ -88,10 +88,9 @@ def count_graph_stats(graph: Graph) -> Dict[str, int]:
              "mutating_ops": 0}
     for node in graph.walk():
         stats["nodes"] += 1
-        if node.op == "prim::FusionGroup":
-            stats["fusion_groups"] += 1
-        if node.op == "prim::Loop" and node.attrs.get("horizontal"):
-            stats["horizontal_loops"] += 1
+        if runs_as_kernel(node):
+            stats["fusion_groups" if node.op == "prim::FusionGroup"
+                  else "horizontal_loops"] += 1
         if node.schema.is_mutating:
             stats["mutating_ops"] += 1
     return stats

@@ -18,6 +18,11 @@ so two ``run_workload`` calls on different threads never interleave
 each other's launch/alloc events or corrupt ``peak_bytes``.  Within one
 context the behavior is unchanged — profiles nest, and every active
 profile on the stack records every event.
+
+Recording is all this module does: the ``kernel_launch`` fault
+checkpoint sits at the launch sites (``runtime/tensor.record_op``,
+``backend/kernels.pre_launch``), so nothing here needs to know which
+launch kinds are compiled kernels.
 """
 
 from __future__ import annotations
@@ -27,14 +32,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from ..faults import SITE_KERNEL_LAUNCH, maybe_inject, plan_active
+from ..faults import plan_active
 from ..obs import trace as obs_trace
-
-#: Launch kinds whose fault checkpoint already ran *before* compute in
-#: ``backend/kernels.pre_launch`` — record_launch must not double-hit
-#: the ``kernel_launch`` site for them.
-_PRECHECKED_OPS = frozenset(
-    {"fusion_group", "parallel_loop", "parallel_map"})
 
 
 @dataclass
@@ -190,17 +189,10 @@ def profile() -> Iterator[Profile]:
 
 def record_launch(op: str, nbytes: int = 0, flops: int = 0,
                   fused_ops: int = 1) -> None:
-    """Record one kernel launch on every active profile.
-
-    Also the ``kernel_launch`` fault checkpoint for interpreted and
-    eager launches: an injected :class:`~repro.errors.KernelError`
-    raises *here* (before the event is recorded — a failed launch did
-    not run), and injected latency sleeps here.  Compiled fused kernels
-    check the same site pre-compute in ``backend/kernels.pre_launch``
-    instead.
-    """
-    if op not in _PRECHECKED_OPS:
-        maybe_inject(SITE_KERNEL_LAUNCH, op)
+    """Record one kernel launch on every active profile.  Only
+    records: each launch path passes the ``kernel_launch`` fault
+    checkpoint itself (``runtime/tensor.record_op`` for eager ops,
+    ``backend/kernels.pre_launch`` for compiled kernels)."""
     for prof in _stack_var.get():
         prof.events.append(KernelEvent(op, int(nbytes), int(flops), fused_ops))
     if obs_trace.tracing_active():

@@ -24,6 +24,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from ..faults import SITE_KERNEL_LAUNCH, maybe_inject
 from . import profiler
 from .dtype import DType
 from .storage import Storage
@@ -238,13 +239,17 @@ def write_through(target: Tensor, value: np.ndarray) -> None:
 def record_op(op: str, inputs, outputs, flops: Optional[int] = None) -> None:
     """Record one kernel launch for a compute op.
 
+    Also the ``kernel_launch`` fault checkpoint of every launch that is
+    not a compiled kernel: an injected :class:`~repro.errors.KernelError`
+    raises *here*, before the event is recorded (a failed launch did
+    not run), and injected latency sleeps here.
+
     ``bytes`` is the total data moved (inputs read + outputs written);
     ``flops`` defaults to one op per output element.  When nothing
-    listens, neither is counted; the launch is still recorded, as the
-    eager ``kernel_launch`` fault checkpoint.
+    listens, nothing is counted or recorded.
     """
+    maybe_inject(SITE_KERNEL_LAUNCH, op)
     if not profiler.listening():
-        profiler.record_launch(op)
         return
     nbytes = 0
     out_numel = 0

@@ -12,7 +12,7 @@ with a fresh compile.
 Format (envelope)::
 
     {"magic": "repro-artifact", "checksum": sha256(payload-json),
-     "payload": {"version": 10, "pipeline": ..., "key": ...,
+     "payload": {"version": 12, "pipeline": ..., "key": ...,
                  "graph": "graph f(%x.0 : Tensor):\n  ...",
                  "memplan": ..., "kernels": [...],
                  "program_sha256": ..., "stats": {...},
@@ -32,7 +32,7 @@ Design decisions worth recording:
   out, and the parser derives every output type with the rule the
   frontend typed it by.  Names surviving exactly makes kernel source
   generation deterministic, so kernels are shipped as *descriptions*
-  (builder kind + source digest) and rebuilt on restore, with the
+  (node op + source digest) and rebuilt on restore, with the
   digest check proving the restored graph lowers to byte-identical
   kernel code.  The whole-program lowering of a planned graph
   (:mod:`repro.backend.program`) ships the same way: only the sha256
@@ -66,7 +66,7 @@ from ..backend.program import lower
 from ..errors import ArtifactError
 from ..eval.cache import CompileCache
 from ..ir import parse_graph, print_graph, verify
-from ..ir.graph import Graph, Node
+from ..ir.graph import Graph, runs_as_kernel
 from ..memplan import get_or_build_plan
 from ..obs import trace as obs_trace
 from ..pipelines.base import Compiled, graph_runner
@@ -93,8 +93,10 @@ __all__ = ["ARTIFACT_VERSION", "RestoredArtifact", "serialize_compiled",
 #: gone;
 #: 10: ``graph`` / ``grad_reference`` are ``print_graph`` text;
 #: 11: a kernel store first checks its source's rank, and raises on
-#: more dims than its window)
-ARTIFACT_VERSION = 11
+#: more dims than its window;
+#: 12: a kernel description names its node by ``op`` alone; its
+#: ``kind`` field is gone)
+ARTIFACT_VERSION = 12
 
 _MAGIC = "repro-artifact"
 
@@ -157,30 +159,19 @@ def _restore_graph(text: str) -> Graph:
 
 # -- kernel descriptions -----------------------------------------------
 
-def _kernel_kind(node: Node) -> Optional[str]:
-    if node.op == "prim::FusionGroup":
-        return "fusion"
-    if node.op == "prim::Loop" and node.attrs.get("horizontal"):
-        return "hloop"
-    if node.op == "prim::ParallelMap":
-        return "pmap"
-    return None
-
-
 def _encode_kernels(graph: Graph) -> List[dict]:
-    """Describe every kernel-bearing node: walk index, builder kind,
-    and the sha256 of its generated source (the restore-time proof that
-    the shipped graph lowers to the same code)."""
+    """Describe every node that runs as a kernel: walk index, op, and
+    the sha256 of its generated source (the restore-time proof that the
+    shipped graph lowers to the same code)."""
     out = []
     for index, node in enumerate(graph.walk()):
-        kind = _kernel_kind(node)
-        if kind is None:
+        if not runs_as_kernel(node):
             continue
         kernel = node.attrs.get("kernel")
         if kernel is None:
             kernel = fusion_runtime.build_kernel(node)
         source = getattr(kernel, "__source__", "")
-        out.append({"index": index, "kind": kind, "op": node.op,
+        out.append({"index": index, "op": node.op,
                     "source_sha256": _sha256(source)})
     return out
 
@@ -197,7 +188,7 @@ def _restore_kernels(graph: Graph, specs: List[dict]) -> int:
     for spec in specs:
         index = spec["index"]
         if index >= len(nodes) or nodes[index].op != spec["op"] \
-                or _kernel_kind(nodes[index]) != spec["kind"]:
+                or not runs_as_kernel(nodes[index]):
             raise ArtifactError(
                 f"kernel description #{index} does not match the "
                 f"restored graph")

@@ -20,7 +20,6 @@ from repro.eval.harness import clone_args, run_workload
 from repro.faults import SITE_ALLOC, FaultPlan, FaultRule, fault_scope
 from repro.fuzz.generator import make_inputs
 from repro.fuzz.oracle import materialize
-from repro.ir.parser import parse_graph
 from repro.models import get_workload, workload_names
 from repro.obs import trace as obs_trace
 from repro.ops import registry
@@ -208,8 +207,7 @@ def test_wrappers_installed_after_lowering_see_every_op_and_launch(
     for schema in registry.all_ops():
         if schema.fn is not None:
             monkeypatch.setattr(schema, "fn", wrap(schema.fn, "ops"))
-    for entry in ("execute_group", "run_horizontal_loop",
-                  "run_parallel_map"):
+    for entry in ("execute_group", "run_horizontal_loop"):
         monkeypatch.setattr(fusion_runtime, entry,
                             wrap(getattr(fusion_runtime, entry), "groups"))
     fresh = clone_args(args)  # cloning launches kernels of its own
@@ -217,30 +215,9 @@ def test_wrappers_installed_after_lowering_see_every_op_and_launch(
         compiled(*fresh)
     assert sum(seen) == prof.num_launches > 0
     assert calls["groups"] == sum(
-        e.op in ("fusion_group", "parallel_loop", "parallel_map")
+        e.op in ("fusion_group", "parallel_loop")
         for e in prof.events) > 0
     assert calls["ops"] > 0
-
-
-def test_parallel_map_stacks_one_body_call_per_index():
-    """No pass produces ``prim::ParallelMap`` yet; its runtime entry runs
-    the body kernel once per index, in one launch, and stacks the
-    results along a new leading axis."""
-    g = parse_graph("""
-graph g(%n.0 : Int, %x.0 : Tensor):
-  %o.0 = prim::ParallelMap(%n.0, %x.0)
-    block0(%i.0 : Int, %px.0 : Tensor):
-      %c.0 = prim::Constant[value=0]()
-      %r.0 = immut::select(%px.0, %c.0, %i.0)
-      %z.0 = aten::neg(%r.0)
-      -> (%z.0)
-  return (%o.0)
-""")
-    x = rt.Tensor.from_array(np.arange(12, dtype=np.float32).reshape(3, 4))
-    with rt.profile() as prof:
-        out, = run_graph(g, [3, x])
-    assert np.array_equal(out.numpy(), -x.numpy())
-    assert [e.op for e in prof.events] == ["parallel_map"]
 
 
 def test_wrong_argument_count_raises():

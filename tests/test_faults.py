@@ -164,6 +164,31 @@ def test_kernel_launch_fault_mid_run_cleans_up():
     assert violations == []
 
 
+def _add_then_double(x, y):
+    return (x + y) * 2.0
+
+
+def test_each_launch_passes_the_launch_checkpoint_once():
+    """An eager op checks ``kernel_launch`` in ``record_op``, a fused
+    group in ``pre_launch``; recording the launch checks nothing more.
+    Under a rule that fires on the second hit, one launch passes and an
+    identical second one fails."""
+    import repro.runtime as rt
+    from repro.pipelines import get_pipeline
+
+    x, y = rt.ones((3,)), rt.ones((3,))
+    compiled = get_pipeline("tensorssa").compile(_add_then_double)
+    compiled(x, y)  # its kernel compiles outside the plan
+    for detail, launch in (("neg", lambda: rt.neg(x)),
+                           ("fusion_group", lambda: compiled(x, y))):
+        plan = _one_shot(SITE_KERNEL_LAUNCH, match=detail, nth=1)
+        with fault_scope(plan):
+            launch()
+            with pytest.raises(KernelError):
+                launch()
+        assert [(r.detail, r.hit_index) for r in plan.log] == [(detail, 1)]
+
+
 def test_failed_lowering_caches_nothing_and_retry_lowers_cleanly():
     """Whole-program lowering is a compile step: its ``fusion_compile``
     checkpoint (detail ``program``) fires before anything is cached, the

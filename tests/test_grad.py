@@ -138,6 +138,32 @@ class TestVJPRegistry:
         with pytest.raises(GradError, match="tensorssa"):
             get_pipeline("eager").compile_grad(f)
 
+    @pytest.mark.parametrize("op, text", [
+        ("prim::FusionGroup", """
+graph g(%x.0 : Tensor):
+  %o.0 = prim::FusionGroup(%x.0)
+    block0(%px.0 : Tensor):
+      %z.0 = aten::tanh(%px.0)
+      -> (%z.0)
+  return (%o.0)
+"""),
+        ("prim::Loop", """
+graph g(%n.0 : Int, %x.0 : Tensor):
+  %t.0 = prim::Constant[value=True]()
+  %o.0 = prim::Loop[horizontal=True](%n.0, %t.0, %x.0)
+    block0(%i.0 : Int, %c.0 : Tensor):
+      %z.0 = aten::tanh(%c.0)
+      -> (%t.0, %z.0)
+  return (%o.0)
+""")], ids=["fusion_group", "horizontal_loop"])
+    def test_kernel_regions_refuse_grad(self, op, text):
+        """Both forms that run as one compiled kernel — a fusion group
+        and a horizontal loop — are refused: grad() runs before fusion
+        and parallelization."""
+        from repro.ir import parse_graph
+        with pytest.raises(GradError, match=f"through {op}"):
+            grad(parse_graph(text))
+
 
 # -- per-op adjoint rules ----------------------------------------------------
 

@@ -243,15 +243,6 @@ graph g(%x.0 : Tensor, %y.0 : Tensor):
   return (%o.0)
 """
 
-PMAP = """
-graph g(%n.0 : Int, %x.0 : Tensor):
-  %o.0 = prim::ParallelMap(%n.0, %x.0)
-    block0(%i.0 : Int, %px.0 : Tensor):
-      %z.0 = aten::neg(%px.0)
-      -> (%z.0)
-  return (%o.0)
-"""
-
 UPDATE = """
 graph g(%a.0 : Tensor):
   %s.0 = aten::neg(%a.0)
@@ -379,14 +370,6 @@ graph g(%n.0 : Int):
      "FusionGroup params must mirror node inputs"),
     ("fusion-returns", FUSION.replace("-> (%z.0)", "-> (%z.0, %z.0)"), None,
      "FusionGroup returns must mirror node outputs"),
-    # prim::ParallelMap
-    ("pmap-blocks", PMAP, lambda g: _add_block(g, "prim::ParallelMap"),
-     "prim::ParallelMap must own exactly one block"),
-    ("pmap-params", PMAP.replace("%i.0 : Int, ", ""), None,
-     "ParallelMap params must be (i, *captures) matching (trip_count, "
-     "*captures) inputs"),
-    ("pmap-returns", PMAP.replace("-> (%z.0)", "-> ()"), None,
-     "ParallelMap returns must mirror node outputs"),
     # prim::Constant / tssa::update
     ("constant-value", LOOP, _drop_constant_value,
      "prim::Constant without a value attribute"),
@@ -399,7 +382,7 @@ graph g(%n.0 : Int):
 
 
 class TestVerifierNegatives:
-    @pytest.mark.parametrize("text", [BASE, LOOP, IF, FUSION, PMAP, UPDATE])
+    @pytest.mark.parametrize("text", [BASE, LOOP, IF, FUSION, UPDATE])
     def test_base_graphs_verify(self, text):
         verify(parse_graph(text))
 

@@ -1,12 +1,16 @@
 """Memory planner: liveness, pool, plan, and planned-execution equivalence."""
 
+import re
+
 import numpy as np
 import pytest
 
 import repro.runtime as rt
 from repro.backend.interpreter import run_graph
+from repro.eval.harness import clone_args
 from repro.frontend import script
 from repro.ir import parse_graph
+from repro.ir.graph import runs_as_kernel
 from repro.memplan import (compute_liveness, format_plan, get_or_build_plan,
                            plan_graph)
 from repro.models import registry as models
@@ -324,6 +328,51 @@ class TestPlannedExecution:
             assert noplan.bytes_reused == 0
         finally:
             process_cache.clear()
+
+
+# -- kernel bodies: no class, no release -----------------------------------
+
+#: the workloads ``compile_grad`` accepts
+_BACKWARDS = ("attention", "lstm", "nasrnn")
+
+
+def _kernel_body_values(graph):
+    """Names of the values defined inside nodes that run as one kernel
+    (their bodies' params and nested outputs)."""
+    names = set()
+    for node in graph.walk():
+        if not runs_as_kernel(node):
+            continue
+        for inner in node.walk():
+            names.update(p.name for b in inner.blocks for p in b.params)
+            if inner is not node:
+                names.update(o.name for o in inner.outputs)
+    return names
+
+
+@pytest.mark.parametrize("name, grad", [
+    *((n, False) for n in models.workload_names()),
+    *((n, True) for n in _BACKWARDS)])
+def test_kernel_body_values_are_never_planned(name, grad):
+    """A value that lives only inside a kernel never reaches the
+    interpreter: it is in no lifetime class, and the lowered program
+    neither frees nor deletes it."""
+    wl = models.get_workload(name)
+    args = wl.make_inputs(2, 8, 0)
+    pipe = get_pipeline("tensorssa")
+    compiled = (pipe.compile_grad if grad else pipe.compile)(
+        wl.model_fn, args)
+    compiled(*clone_args(args))  # lowers the program
+    plan = compiled.graph._memplan
+    inside = _kernel_body_values(compiled.graph)
+    assert inside
+    assert [v.name for cls in plan.liveness.classes for v in cls.values
+            if v.name in inside] == []
+    local = {"v_" + re.sub(r"\W", "_", n) for n in inside}
+    released = {word for line in plan.program.__source__.splitlines()
+                if "_free(" in line or line.lstrip().startswith("del ")
+                for word in re.findall(r"\w+", line)}
+    assert sorted(released & local) == []
 
 
 # -- donation: a kernel writes the dying buffer it is handed ---------------

@@ -174,7 +174,7 @@ class TestRejection:
             payload["version"] = 1
             del payload["program_sha256"]
 
-        assert ARTIFACT_VERSION == 11
+        assert ARTIFACT_VERSION == 12
         with pytest.raises(ArtifactError, match="version 1"):
             deserialize_compiled(_tampered(self._artifact(), downgrade))
 
